@@ -1,7 +1,7 @@
 //! Perf-baseline recording and regression comparison (the `dspp-bench`
 //! binary).
 //!
-//! `record` times fifteen representative workloads — one Riccati IPM solve,
+//! `record` times sixteen representative workloads — one Riccati IPM solve,
 //! one MPC controller step, one capacity-starved MPC step resolved by the
 //! recovery (soft-constraint) solve, one full best-response game run, one
 //! `dspp-runtime` scenario sweep on a worker pool, one simulation
@@ -11,9 +11,11 @@
 //! trace), a steady-state SLO evaluation pass, the streaming-ingest
 //! hot paths (snapshot routing + lock-free aggregation, and the
 //! period-close admit/seal barrier), a two-DC infrastructure fault
-//! drill (a scheduled DC outage absorbed by the recovery rung), and a
-//! 100 DC × 1000 location horizon solve on the structure-exploiting
-//! Schur-complement KKT path (the CI scaling gate) — and writes
+//! drill (a scheduled DC outage absorbed by the recovery rung), and two
+//! 100 DC × 1000 location workloads on the structure-exploiting
+//! Schur-complement KKT path (the CI scaling gate): one horizon solve,
+//! and one MPC step with a data center down, resolved by the recovery
+//! solve — and writes
 //! their throughput plus latency quantiles as JSON (the committed
 //! `BENCH_BASELINE.json`). `compare` re-measures the same workloads and
 //! fails with a readable delta report when throughput regresses beyond a
@@ -28,8 +30,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dspp_core::{
-    Allocation, DsppBuilder, MpcController, MpcSettings, PlacementController, RoutingPolicy,
-    StructuredHorizon,
+    Allocation, DsppBuilder, HorizonProblem, MpcController, MpcSettings, PlacementController,
+    RoutingPolicy,
 };
 use dspp_experiments::tournament;
 use dspp_game::{GameConfig, ResourceGame, SpSampler};
@@ -138,7 +140,7 @@ impl Metric {
 /// Every baseline workload, in canonical recording order. `record_selected`
 /// validates its `only` filter against this list, and the committed
 /// `BENCH_BASELINE.json` carries the workloads in exactly this order.
-pub const WORKLOADS: [&str; 15] = [
+pub const WORKLOADS: [&str; 16] = [
     "solver.lq_solve",
     "controller.step",
     "controller.recovery_step",
@@ -154,6 +156,7 @@ pub const WORKLOADS: [&str; 15] = [
     "ingest.seal_period",
     "runtime.dc_outage_drill",
     "solver.lq_solve.large",
+    "controller.recovery_step.large",
 ];
 
 /// Runs every baseline workload with `iters` timed iterations each.
@@ -671,8 +674,8 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
         let prices: Vec<Vec<f64>> = (0..problem.num_dcs())
             .map(|l| vec![problem.price(l, 0); horizon])
             .collect();
-        let sh = StructuredHorizon::build(&problem, &x0, &demand, &prices)
-            .expect("large fixture builds");
+        let sh =
+            HorizonProblem::build(&problem, &x0, &demand, &prices).expect("large fixture builds");
         let ipm_large = IpmSettings::fast();
         let telemetry = Recorder::enabled();
         let (sol, large_allocs) = alloc_count::count(|| {
@@ -686,6 +689,66 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
         .with_counters(vec![
             ("ipm_iterations".to_string(), sol.iterations as f64),
             ("allocs".to_string(), large_allocs as f64),
+            (
+                "schur_factor".to_string(),
+                snap.counter("solver.lq.schur_factor") as f64,
+            ),
+        ])
+    });
+
+    // 16. The 100×-scale recovery step: one MPC step on the same instance
+    // with data center 0 dark for the whole window and a uniform demand 1%
+    // above what the 99 live DCs can host, so the preflight certifies
+    // every horizon infeasible and each step runs the recovery solve — the
+    // dead DC's arcs pinned, every demand row softened. Counters pin the
+    // first (cold) step's IPM iterations, allocations and Schur
+    // factorizations; the CI scaling job gates them next to the healthy
+    // solve above.
+    let recovery_large_metric = pick("controller.recovery_step.large").then(|| {
+        let problem = huge_problem(100, 1_000);
+        let horizon = 4usize;
+        let live: f64 = (1..problem.num_dcs()).map(|l| problem.capacity(l)).sum();
+        let per_location = 1.01 * live
+            / (problem.num_locations() as f64 * problem.arc_coeff(0) * problem.server_size());
+        let demand = vec![per_location; problem.num_locations()];
+        let make = || {
+            let mut controller = MpcController::new(
+                problem.clone(),
+                Box::new(LastValue),
+                MpcSettings {
+                    horizon,
+                    ipm: IpmSettings::fast(),
+                    ..MpcSettings::default()
+                },
+            )
+            .expect("large recovery controller");
+            let mut caps = problem.capacities().to_vec();
+            caps[0] = 0.0;
+            controller.set_capacity_schedule(vec![caps; 64]);
+            controller
+        };
+        let telemetry = Recorder::enabled();
+        let mut counted = make();
+        counted.attach_telemetry(telemetry.clone());
+        let (outcome, step_allocs) =
+            alloc_count::count(|| counted.step(&demand).expect("large recovery step"));
+        assert!(
+            outcome.recovery.is_some(),
+            "workload must exercise recovery"
+        );
+        let snap = telemetry.snapshot().expect("enabled recorder");
+        // The schedule keeps DC 0 dark far past the handful of timed steps.
+        let mut controller = make();
+        let metric = measure("controller.recovery_step.large", 1, iters.min(5), || {
+            let outcome = controller.step(&demand).expect("large recovery step");
+            assert!(outcome.recovery.is_some(), "every step must recover");
+        });
+        metric.with_counters(vec![
+            (
+                "ipm_iterations".to_string(),
+                outcome.solver_iterations as f64,
+            ),
+            ("allocs".to_string(), step_allocs as f64),
             (
                 "schur_factor".to_string(),
                 snap.counter("solver.lq.schur_factor") as f64,
@@ -711,6 +774,7 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
             seal_metric,
             outage_metric,
             large_metric,
+            recovery_large_metric,
         ]
         .into_iter()
         .flatten()
@@ -1057,6 +1121,19 @@ pub fn compare_metrics(
 mod tests {
     use super::*;
 
+    /// [`record_selected`] holding a lock shared by every recording test.
+    /// The allocation counter is process-wide, so a recording that pins
+    /// an allocation count (zero on the ingest and SLO hot paths) must not
+    /// overlap another test's allocation-heavy recording on a parallel
+    /// test thread.
+    fn record_serial(iters: usize, only: &[String]) -> Baseline {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // A recording that panicked (the unknown-name test) poisons the
+        // lock without leaving shared state behind.
+        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        record_selected(iters, only)
+    }
+
     fn metric(name: &str, throughput: f64) -> Metric {
         Metric {
             name: name.to_string(),
@@ -1150,12 +1227,12 @@ mod tests {
         // skipping it here keeps the smoke test fast.
         let only: Vec<String> = WORKLOADS
             .iter()
-            .filter(|n| **n != "solver.lq_solve.large")
+            .filter(|n| !n.ends_with(".large"))
             .map(|n| (*n).to_string())
             .collect();
-        let b = record_selected(2, &only);
+        let b = record_serial(2, &only);
         let names: Vec<&str> = b.metrics.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, &WORKLOADS[..WORKLOADS.len() - 1]);
+        assert_eq!(names, &WORKLOADS[..WORKLOADS.len() - 2]);
         for m in &b.metrics {
             assert!(m.throughput > 0.0, "{}: non-positive throughput", m.name);
             assert!(m.p50_us <= m.p90_us && m.p90_us <= m.p99_us, "{}", m.name);
@@ -1172,7 +1249,7 @@ mod tests {
             "ingest.seal_period".to_string(),
             "telemetry.slo_eval".to_string(),
         ];
-        let b = record_selected(1, &only);
+        let b = record_serial(1, &only);
         let names: Vec<&str> = b.metrics.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, ["telemetry.slo_eval", "ingest.seal_period"]);
     }
@@ -1180,12 +1257,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown workload")]
     fn record_selected_rejects_unknown_names() {
-        record_selected(1, &["solver.no_such_workload".to_string()]);
+        record_serial(1, &["solver.no_such_workload".to_string()]);
     }
 
     #[test]
     fn record_selected_runs_the_large_structured_solve() {
-        let b = record_selected(1, &["solver.lq_solve.large".to_string()]);
+        let b = record_serial(1, &["solver.lq_solve.large".to_string()]);
         assert_eq!(b.metrics.len(), 1);
         let m = &b.metrics[0];
         assert_eq!(m.name, "solver.lq_solve.large");
@@ -1199,20 +1276,31 @@ mod tests {
         assert!(counter("ipm_iterations") > 0.0);
         assert!(counter("allocs") > 0.0);
         // Every IPM iteration must have gone through the structured
-        // Schur factorization — the dense fallback never fires here.
+        // Schur factorization.
+        assert!(counter("schur_factor") >= counter("ipm_iterations"));
+    }
+
+    #[test]
+    fn record_selected_runs_the_large_recovery_step() {
+        let b = record_serial(1, &["controller.recovery_step.large".to_string()]);
+        let m = &b.metrics[0];
+        assert_eq!(m.name, "controller.recovery_step.large");
+        let counter = |key: &str| m.counters.iter().find(|(k, _)| k == key).expect(key).1;
+        assert!(counter("ipm_iterations") > 0.0);
+        assert!(counter("allocs") > 0.0);
         assert!(counter("schur_factor") >= counter("ipm_iterations"));
     }
 
     #[test]
     fn recorded_counters_are_deterministic_and_warm_starts_save_work() {
-        // All workloads except the 100×-scale solve, which has its own
-        // dedicated test above.
+        // All workloads except the two 100×-scale ones, which have their
+        // own dedicated tests above.
         let only: Vec<String> = WORKLOADS
             .iter()
-            .filter(|n| **n != "solver.lq_solve.large")
+            .filter(|n| !n.ends_with(".large"))
             .map(|n| (*n).to_string())
             .collect();
-        let b = record_selected(1, &only);
+        let b = record_serial(1, &only);
         let by_name =
             |name: &str| -> &Metric { b.metrics.iter().find(|m| m.name == name).expect(name) };
         let counter = |m: &Metric, key: &str| -> f64 {

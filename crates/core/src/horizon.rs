@@ -1,9 +1,11 @@
 use crate::{Allocation, CoreError, Dspp};
-use dspp_linalg::{Matrix, Vector};
+use dspp_linalg::Vector;
 use dspp_solver::{
-    preflight_lq, relax_lq_slots, solve_lq_warm, CouplingRow, DiagRow, FeasibilityReport,
-    IpmSettings, LqProblem, LqRowLayout, LqSolution, LqStage, LqTerminal, SoftSpec, StructuredLq,
+    preflight_structured, solve_structured_relaxed_traced, solve_structured_warm_traced,
+    CouplingRow, DiagRow, FeasibilityReport, IpmSettings, LqProblem, LqRowLayout, LqSolution,
+    SoftSpec, StructuredLq,
 };
+use dspp_telemetry::Recorder;
 
 /// How the recovery solve (the always-feasible relaxation of the horizon
 /// problem) penalizes unserved demand.
@@ -69,8 +71,8 @@ impl RecoveryOutcome {
     }
 }
 
-/// The horizon-truncated DSPP (Section IV-D) as a stage-structured LQ
-/// program, plus the bookkeeping to read duals back out.
+/// The horizon-truncated DSPP (Section IV-D) in the solver's compact
+/// [`StructuredLq`] form, plus the bookkeeping to read duals back out.
 ///
 /// Given the current allocation `x_k`, demand forecasts
 /// `D_{k+1|k}..D_{k+W|k}` and prices `p_{k+1}..p_{k+W}`, the problem is
@@ -85,13 +87,16 @@ impl RecoveryOutcome {
 ///
 /// Constraint rows per stage are laid out demand-first, then capacity, then
 /// non-negativity; [`HorizonProblem::capacity_duals`] exploits that layout
-/// to extract the per-DC shadow prices the multi-provider game needs.
+/// to extract the per-DC shadow prices the multi-provider game needs. The
+/// rows are emitted sparsely — no dense constraint matrix is ever built —
+/// and every solve runs on the structure-exploiting KKT path
+/// ([`dspp_solver::solve_structured`]). [`HorizonProblem::to_lq`] expands
+/// the same problem densely for the oracle cross-checks.
 #[derive(Debug, Clone)]
 pub struct HorizonProblem {
-    lq: LqProblem,
+    slq: StructuredLq,
     num_dcs: usize,
     num_locations: usize,
-    horizon: usize,
     /// Per location `v`, the cheapest resource cost of serving one demand
     /// unit, `min_e(a^{lv}·s)` over the arcs serving `v` — the conversion
     /// factor between demand-unit slack and server-unit shortfall.
@@ -109,8 +114,9 @@ impl HorizonProblem {
     /// # Errors
     ///
     /// * [`CoreError::InvalidSpec`] for shape mismatches or a zero horizon.
-    /// * [`CoreError::Solver`] if the LQ problem fails validation (should
-    ///   not happen for a compiled [`Dspp`]).
+    /// * [`CoreError::Solver`] if the compact problem fails the solver's
+    ///   structural validation (should not happen for a compiled
+    ///   [`Dspp`]).
     pub fn build(
         problem: &Dspp,
         x0: &Allocation,
@@ -126,7 +132,9 @@ impl HorizonProblem {
     ///
     /// The multi-provider game uses this for unilateral-deviation checks,
     /// where the capacity left for one provider is whatever the others'
-    /// (time-varying) allocations do not occupy.
+    /// (time-varying) allocations do not occupy. A zero entry (a dark data
+    /// center, or one the others fill) pins that DC's arcs to zero for the
+    /// period instead of leaving a degenerate row in the solve.
     ///
     /// # Errors
     ///
@@ -153,8 +161,9 @@ impl HorizonProblem {
     /// reconfiguration rate limit `|u_e| ≤ u_max` per arc and period.
     ///
     /// Rate limits model operational change budgets (image distribution
-    /// bandwidth, change-window policies); they enter the LQ problem as
-    /// input rows appended after the state rows of each non-terminal stage.
+    /// bandwidth, change-window policies); they enter the problem as box
+    /// rows on every stage's input (see
+    /// [`StructuredLq::with_input_bound`]).
     ///
     /// # Errors
     ///
@@ -221,374 +230,9 @@ impl HorizonProblem {
                 }
             }
         }
-        let capacity_at = |t: usize, l: usize| -> f64 {
-            match stage_capacities {
-                Some(caps) => caps[t][l],
-                None => problem.capacity(l),
-            }
-        };
 
-        // Constraint matrix shared by all stages: demand, capacity, nonneg.
-        let m_rows = nv + nl + n;
-        let mut cx = Matrix::zeros(m_rows, n);
-        for (e, &(l, v)) in problem.arcs().iter().enumerate() {
-            cx[(v, e)] = -1.0 / problem.arc_coeff(e); // -Σ x/a ≤ -D
-            cx[(nv + l, e)] = problem.server_size(); // Σ s·x ≤ C
-            cx[(nv + nl + e, e)] = -1.0; // -x ≤ 0
-        }
-        let d_for_stage = |t: usize| {
-            // Forecast index t covers state x_{t+1}.
-            let mut d = Vector::zeros(m_rows);
-            for l in 0..nl {
-                d[nv + l] = capacity_at(t, l);
-            }
-            d
-        };
-
-        // Input penalty: R = 2·diag(c_l per arc) so ½uᵀRu = Σ c_e u_e².
-        let reconfig: Vector = problem
-            .arcs()
-            .iter()
-            .map(|&(l, _)| problem.reconfig_weight(l))
-            .collect();
-
-        // Optional |u| ≤ u_max rows, appended after the state rows.
-        let rate_rows = max_reconfiguration.map(|umax| {
-            let mut cu = Matrix::zeros(2 * n, n);
-            for e in 0..n {
-                cu[(e, e)] = 1.0;
-                cu[(n + e, e)] = -1.0;
-            }
-            (cu, Vector::filled(2 * n, umax))
-        });
-
-        let mut stages = Vec::with_capacity(horizon);
-        for j in 0..horizon {
-            let mut stage = LqStage::identity_dynamics(n).with_input_penalty(&reconfig);
-            if j >= 1 {
-                // Stage-j state cost and constraints act on x_j, which is
-                // the allocation during period k+j (forecast index j-1).
-                let q: Vector = problem
-                    .arcs()
-                    .iter()
-                    .map(|&(l, _)| price_forecast[l][j - 1])
-                    .collect();
-                let mut d = d_for_stage(j - 1);
-                for v in 0..nv {
-                    d[v] = -demand_forecast[v][j - 1];
-                }
-                stage = stage.with_state_cost(q).with_constraints(
-                    cx.clone(),
-                    Matrix::zeros(m_rows, n),
-                    d,
-                );
-            }
-            if let Some((cu, d_rate)) = &rate_rows {
-                stage = stage.with_constraints(Matrix::zeros(2 * n, n), cu.clone(), d_rate.clone());
-            }
-            stages.push(stage);
-        }
-        let q_term: Vector = problem
-            .arcs()
-            .iter()
-            .map(|&(l, _)| price_forecast[l][horizon - 1])
-            .collect();
-        let mut d_term = d_for_stage(horizon - 1);
-        for v in 0..nv {
-            d_term[v] = -demand_forecast[v][horizon - 1];
-        }
-        let terminal = LqTerminal::free(n)
-            .with_state_cost(q_term)
-            .with_constraints(cx, d_term);
-
-        let mut resource_per_demand = vec![f64::INFINITY; nv];
-        for (e, &(_, v)) in problem.arcs().iter().enumerate() {
-            let per_unit = problem.arc_coeff(e) * problem.server_size();
-            resource_per_demand[v] = resource_per_demand[v].min(per_unit);
-        }
-
-        let lq = LqProblem::new(Vector::from(x0.arc_values()), stages, terminal)?;
-        Ok(HorizonProblem {
-            lq,
-            num_dcs: nl,
-            num_locations: nv,
-            horizon,
-            resource_per_demand,
-        })
-    }
-
-    /// The underlying stage-structured problem.
-    pub fn lq(&self) -> &LqProblem {
-        &self.lq
-    }
-
-    /// Horizon length `W`.
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// Solves the horizon problem.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures as [`CoreError::Solver`] — most commonly
-    /// an infeasible horizon (demand beyond capacity).
-    pub fn solve(&self, settings: &IpmSettings) -> Result<LqSolution, CoreError> {
-        self.solve_warm(settings, None)
-    }
-
-    /// Solves the horizon problem with an optional warm-start input guess
-    /// (the previous period's solution shifted by one stage).
-    ///
-    /// # Errors
-    ///
-    /// As [`HorizonProblem::solve`].
-    pub fn solve_warm(
-        &self,
-        settings: &IpmSettings,
-        warm_us: Option<&[dspp_linalg::Vector]>,
-    ) -> Result<LqSolution, CoreError> {
-        Ok(solve_lq_warm(&self.lq, settings, warm_us)?)
-    }
-
-    /// [`HorizonProblem::solve_warm`] with solver metrics (`solver.lq.*`)
-    /// emitted to `telemetry`.
-    ///
-    /// # Errors
-    ///
-    /// As [`HorizonProblem::solve`].
-    pub fn solve_warm_traced(
-        &self,
-        settings: &IpmSettings,
-        warm_us: Option<&[dspp_linalg::Vector]>,
-        telemetry: &dspp_telemetry::Recorder,
-    ) -> Result<LqSolution, CoreError> {
-        Ok(dspp_solver::solve_lq_warm_traced(
-            &self.lq, settings, warm_us, telemetry,
-        )?)
-    }
-
-    /// Aggregate feasibility preflight: per period, can the SLA-scaled
-    /// demand `Σ_v D^v · min_e(a^{lv}·s)` fit under the total capacity
-    /// `Σ_l C^l`? A clean report is necessary but not sufficient for the
-    /// full QP to be feasible; a reported deficit is a lower bound on the
-    /// server-unit shortfall every recovery solve must incur.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Solver`] only for a malformed underlying
-    /// problem, which the builder never produces.
-    pub fn preflight(&self) -> Result<FeasibilityReport, CoreError> {
-        Ok(preflight_lq(
-            &self.lq,
-            &LqRowLayout {
-                demand_rows: self.num_locations,
-                capacity_rows: self.num_dcs,
-            },
-        )?)
-    }
-
-    /// Solves the always-feasible relaxation of the horizon problem: the
-    /// demand/SLA rows (eq. 11 of the paper) gain per-period slack under
-    /// the penalty in `recovery`, while capacity, non-negativity and any
-    /// rate-limit rows stay hard. The result is the best
-    /// capacity-respecting placement plus exactly how much demand each
-    /// location must shed per period.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::InvalidSpec`] for a non-positive or non-finite
-    ///   penalty configuration.
-    /// * [`CoreError::Solver`] when even the relaxed problem fails — with
-    ///   hard rate limits this can genuinely happen (e.g. a quota shrunk
-    ///   below the current allocation faster than `u_max` can shed), and
-    ///   callers should degrade further (retry/hold) rather than retry the
-    ///   relaxation.
-    pub fn solve_recovery(
-        &self,
-        settings: &IpmSettings,
-        recovery: &RecoverySettings,
-        warm_us: Option<&[dspp_linalg::Vector]>,
-        telemetry: &dspp_telemetry::Recorder,
-    ) -> Result<RecoveryOutcome, CoreError> {
-        if !(recovery.penalty.is_finite() && recovery.penalty > 0.0) {
-            return Err(CoreError::InvalidSpec(format!(
-                "recovery penalty must be positive and finite, got {}",
-                recovery.penalty
-            )));
-        }
-        // Uniform penalty per server-unit of shortfall: price location v's
-        // demand-unit slack at penalty · min_e(a·s).
-        let penalties: Vector = self
-            .resource_per_demand
-            .iter()
-            .map(|rpd| recovery.penalty * rpd)
-            .collect();
-        let spec = SoftSpec {
-            penalties,
-            quadratic: recovery.quadratic,
-        };
-        // Soften every constrained slot except stage 0, whose only
-        // possible rows are rate limits on u_0 (x_0 is fixed, so it
-        // carries no demand rows to soften).
-        let mut soften = vec![true; self.lq.horizon() + 1];
-        soften[0] = false;
-        let relaxed = relax_lq_slots(&self.lq, &spec, &soften)?;
-        let warm = warm_us.map(|us| relaxed.extend_warm_start(us));
-        let sol = dspp_solver::solve_lq_warm_traced(
-            &relaxed.problem,
-            settings,
-            warm.as_deref(),
-            telemetry,
-        )?;
-        let split = relaxed.split_solution(&self.lq, &sol);
-
-        // Map slot slacks back onto forecast periods: stage j (j ≥ 1)
-        // constrains x_j, covering forecast index j−1; the terminal slot
-        // covers the last forecast index.
-        let w = self.horizon;
-        let nv = self.num_locations;
-        let mut demand_slack = vec![vec![0.0; nv]; w];
-        let mut resource_shortfall = vec![0.0; w];
-        for (t, (slack_row, shortfall)) in demand_slack
-            .iter_mut()
-            .zip(&mut resource_shortfall)
-            .enumerate()
-        {
-            let slot = if t + 1 == w { w } else { t + 1 };
-            let slacks = &split.slacks[slot];
-            for v in 0..nv {
-                let s = if v < slacks.len() { slacks[v] } else { 0.0 };
-                slack_row[v] = s;
-                *shortfall += s * self.resource_per_demand[v];
-            }
-        }
-
-        Ok(RecoveryOutcome {
-            solution: split.solution,
-            demand_slack,
-            resource_shortfall,
-        })
-    }
-
-    /// Extracts per-DC capacity shadow prices: the sum over horizon stages
-    /// of the capacity-row duals (the `λ^{il}` of the paper's Algorithm 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sol` does not belong to this problem.
-    pub fn capacity_duals(&self, sol: &LqSolution) -> Vec<f64> {
-        let mut out = vec![0.0; self.num_dcs];
-        // Stage 0 has no constraints; stages 1..W-1 and the terminal do.
-        for duals in sol.stage_duals.iter().skip(1) {
-            if duals.is_empty() {
-                continue;
-            }
-            assert!(
-                duals.len() >= self.num_locations + self.num_dcs + self.lq.state_dim(),
-                "solution does not match this horizon problem"
-            );
-            for l in 0..self.num_dcs {
-                out[l] += duals[self.num_locations + l];
-            }
-        }
-        out
-    }
-
-    /// Extracts per-location demand shadow prices (marginal cost of one
-    /// more unit of demand), summed over stages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sol` does not belong to this problem.
-    pub fn demand_duals(&self, sol: &LqSolution) -> Vec<f64> {
-        let mut out = vec![0.0; self.num_locations];
-        for duals in sol.stage_duals.iter().skip(1) {
-            if duals.is_empty() {
-                continue;
-            }
-            for v in 0..self.num_locations {
-                out[v] += duals[v];
-            }
-        }
-        out
-    }
-}
-
-/// The horizon-truncated DSPP assembled directly in the solver's compact
-/// [`StructuredLq`] form — no dense constraint matrices are ever built.
-///
-/// [`HorizonProblem::build`] materializes an `(nv+nl+n) × n` constraint
-/// matrix per stage; at the 100×-scale instances (100 DCs × 1000
-/// locations, hundreds of thousands of arcs) that is gigabytes of mostly
-/// structural zeros before the solver even starts. This builder emits the
-/// same rows — demand first, then capacity, then non-negativity, exactly
-/// the layout [`HorizonProblem`] documents — as sparse coupling/diagonal
-/// row descriptions, and [`StructuredHorizon::solve_warm_traced`] feeds them
-/// straight to the structure-exploiting KKT path
-/// ([`dspp_solver::solve_structured`]).
-///
-/// Rate limits and per-stage capacity overrides are intentionally not
-/// offered: those solves belong on the dense path (the structured
-/// backend's detector rejects them for the same reason).
-#[derive(Debug, Clone)]
-pub struct StructuredHorizon {
-    slq: StructuredLq,
-    num_dcs: usize,
-    num_locations: usize,
-    horizon: usize,
-}
-
-impl StructuredHorizon {
-    /// Assembles the compact horizon problem; arguments and validation
-    /// mirror [`HorizonProblem::build`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidSpec`] for shape mismatches or a zero horizon;
-    /// [`CoreError::Solver`] if the compact problem fails the solver's
-    /// structural validation (e.g. a non-positive reconfiguration weight).
-    pub fn build(
-        problem: &Dspp,
-        x0: &Allocation,
-        demand_forecast: &[Vec<f64>],
-        price_forecast: &[Vec<f64>],
-    ) -> Result<Self, CoreError> {
-        let n = problem.num_arcs();
-        let nl = problem.num_dcs();
-        let nv = problem.num_locations();
-        if demand_forecast.len() != nv {
-            return Err(CoreError::InvalidSpec(format!(
-                "demand forecast has {} locations, expected {nv}",
-                demand_forecast.len()
-            )));
-        }
-        if price_forecast.len() != nl {
-            return Err(CoreError::InvalidSpec(format!(
-                "price forecast has {} data centers, expected {nl}",
-                price_forecast.len()
-            )));
-        }
-        let horizon = demand_forecast.first().map_or(0, Vec::len);
-        if horizon == 0 {
-            return Err(CoreError::InvalidSpec("horizon must be positive".into()));
-        }
-        if demand_forecast.iter().any(|d| d.len() != horizon)
-            || price_forecast.iter().any(|p| p.len() != horizon)
-        {
-            return Err(CoreError::InvalidSpec(
-                "forecast series have inconsistent horizons".into(),
-            ));
-        }
-        if x0.arc_values().len() != n {
-            return Err(CoreError::InvalidSpec(format!(
-                "initial allocation has {} arcs, expected {n}",
-                x0.arc_values().len()
-            )));
-        }
-
-        // Same per-slot row layout as the dense builder: demand rows
-        // 0..nv, capacity rows nv..nv+nl, non-negativity rows after.
+        // Per-slot rows: demand rows 0..nv (−Σ x/a ≤ −D), capacity rows
+        // nv..nv+nl (Σ s·x ≤ C), non-negativity rows after (−x ≤ 0).
         let m_rows = nv + nl + n;
         let mut group_a: Vec<CouplingRow> = (0..nv)
             .map(|v| CouplingRow {
@@ -612,10 +256,8 @@ impl StructuredHorizon {
                 coeff: -1.0,
             });
         }
-
-        // Slot k constrains x_k, covering forecast index k−1 (the
-        // terminal slot W reuses the last forecast, as the dense builder
-        // does).
+        // Slot t+1 constrains x_{t+1}, the allocation during period
+        // k+1+t (forecast index t).
         let ds: Vec<Vector> = (0..horizon)
             .map(|t| {
                 let mut d = Vector::zeros(m_rows);
@@ -623,7 +265,10 @@ impl StructuredHorizon {
                     d[v] = -series[t];
                 }
                 for l in 0..nl {
-                    d[nv + l] = problem.capacity(l);
+                    d[nv + l] = match stage_capacities {
+                        Some(caps) => caps[t][l],
+                        None => problem.capacity(l),
+                    };
                 }
                 d
             })
@@ -637,15 +282,13 @@ impl StructuredHorizon {
                     .collect()
             })
             .collect();
-        // ½uᵀRu = Σ c_e u_e² ⇒ Hessian diagonal 2·c_e, matching
-        // `with_input_penalty` on the dense path.
+        // ½uᵀRu = Σ c_e u_e² ⇒ Hessian diagonal 2·c_e.
         let r_diag: Vector = problem
             .arcs()
             .iter()
             .map(|&(l, _)| 2.0 * problem.reconfig_weight(l))
             .collect();
-
-        let slq = StructuredLq::new(
+        let mut slq = StructuredLq::new(
             Vector::from(x0.arc_values()),
             Vector::zeros(n),
             qs,
@@ -657,35 +300,68 @@ impl StructuredHorizon {
             group_b,
             m_rows,
         )?;
-        Ok(StructuredHorizon {
+        if let Some(umax) = max_reconfiguration {
+            slq = slq.with_input_bound(umax)?;
+        }
+
+        let mut resource_per_demand = vec![f64::INFINITY; nv];
+        for (e, &(_, v)) in problem.arcs().iter().enumerate() {
+            let per_unit = problem.arc_coeff(e) * problem.server_size();
+            resource_per_demand[v] = resource_per_demand[v].min(per_unit);
+        }
+
+        Ok(HorizonProblem {
             slq,
             num_dcs: nl,
             num_locations: nv,
-            horizon,
+            resource_per_demand,
         })
     }
 
     /// The underlying compact problem.
-    pub fn slq(&self) -> &StructuredLq {
+    pub fn structured(&self) -> &StructuredLq {
         &self.slq
+    }
+
+    /// The same problem expanded into a dense [`LqProblem`] — the oracle
+    /// the tests and the solver-scaling sweep solve with
+    /// [`dspp_solver::solve_lq`] to cross-check the structured path.
+    /// Costs `O(W·rows·arcs)` memory; never used on the solve path.
+    pub fn to_lq(&self) -> LqProblem {
+        self.slq.to_lq()
     }
 
     /// Horizon length `W`.
     pub fn horizon(&self) -> usize {
-        self.horizon
+        self.slq.horizon()
     }
 
-    /// Solves on the structured KKT path; cold start.
+    /// Solves the horizon problem.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver failures as [`CoreError::Solver`] — most commonly
+    /// an infeasible horizon (demand beyond capacity).
+    pub fn solve(&self, settings: &IpmSettings) -> Result<LqSolution, CoreError> {
+        self.solve_warm(settings, None)
+    }
+
+    /// Solves the horizon problem with an optional warm-start input guess
+    /// (the previous period's solution shifted by one stage).
     ///
     /// # Errors
     ///
     /// As [`HorizonProblem::solve`].
-    pub fn solve(&self, settings: &IpmSettings) -> Result<LqSolution, CoreError> {
-        Ok(dspp_solver::solve_structured(&self.slq, settings)?)
+    pub fn solve_warm(
+        &self,
+        settings: &IpmSettings,
+        warm_us: Option<&[Vector]>,
+    ) -> Result<LqSolution, CoreError> {
+        self.solve_warm_traced(settings, warm_us, &Recorder::disabled())
     }
 
-    /// Solves with an optional warm start and solver telemetry, mirroring
-    /// [`HorizonProblem::solve_warm_traced`].
+    /// [`HorizonProblem::solve_warm`] with solver metrics (`solver.lq.*`)
+    /// emitted to `telemetry`.
     ///
     /// # Errors
     ///
@@ -693,28 +369,125 @@ impl StructuredHorizon {
     pub fn solve_warm_traced(
         &self,
         settings: &IpmSettings,
-        warm_us: Option<&[dspp_linalg::Vector]>,
-        telemetry: &dspp_telemetry::Recorder,
+        warm_us: Option<&[Vector]>,
+        telemetry: &Recorder,
     ) -> Result<LqSolution, CoreError> {
-        Ok(dspp_solver::solve_structured_warm_traced(
+        Ok(solve_structured_warm_traced(
             &self.slq, settings, warm_us, telemetry,
         )?)
     }
 
-    /// Per-DC capacity shadow prices, as [`HorizonProblem::capacity_duals`]
-    /// (the row layout is identical).
+    /// Aggregate feasibility preflight: per period, can the SLA-scaled
+    /// demand `Σ_v D^v · min_e(a^{lv}·s)` fit under the total capacity
+    /// `Σ_l C^l`? A clean report is necessary but not sufficient for the
+    /// full QP to be feasible; a reported deficit is a lower bound on the
+    /// server-unit shortfall every recovery solve must incur. One pass over
+    /// the sparse rows.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Solver`] only for a malformed underlying
+    /// problem, which the builder never produces.
+    pub fn preflight(&self) -> Result<FeasibilityReport, CoreError> {
+        Ok(preflight_structured(
+            &self.slq,
+            &LqRowLayout {
+                demand_rows: self.num_locations,
+                capacity_rows: self.num_dcs,
+            },
+        )?)
+    }
+
+    /// The slack pricing of the recovery relaxation: location `v`'s
+    /// demand-unit slack costs `penalty · min_e(a^{lv}·s)`, a uniform
+    /// penalty per server-unit of shortfall, plus the quadratic term.
+    pub fn recovery_spec(&self, recovery: &RecoverySettings) -> SoftSpec {
+        SoftSpec {
+            penalties: self
+                .resource_per_demand
+                .iter()
+                .map(|rpd| recovery.penalty * rpd)
+                .collect(),
+            quadratic: recovery.quadratic,
+        }
+    }
+
+    /// Solves the always-feasible relaxation of the horizon problem: the
+    /// demand/SLA rows (eq. 11 of the paper) gain per-period slack under
+    /// the penalty in `recovery`, while capacity, non-negativity and any
+    /// rate-limit rows stay hard. The result is the best
+    /// capacity-respecting placement plus exactly how much demand each
+    /// location must shed per period.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::InvalidSpec`] for a non-positive or non-finite
+    ///   penalty configuration.
+    /// * [`CoreError::Solver`] when even the relaxed problem fails — with
+    ///   hard rate limits this can genuinely happen (e.g. a quota shrunk
+    ///   below the current allocation faster than `u_max` can shed), and
+    ///   callers should degrade further (retry/hold) rather than retry the
+    ///   relaxation.
+    pub fn solve_recovery(
+        &self,
+        settings: &IpmSettings,
+        recovery: &RecoverySettings,
+        warm_us: Option<&[Vector]>,
+        telemetry: &Recorder,
+    ) -> Result<RecoveryOutcome, CoreError> {
+        if !(recovery.penalty.is_finite() && recovery.penalty > 0.0) {
+            return Err(CoreError::InvalidSpec(format!(
+                "recovery penalty must be positive and finite, got {}",
+                recovery.penalty
+            )));
+        }
+        let relaxed = solve_structured_relaxed_traced(
+            &self.slq,
+            &self.recovery_spec(recovery),
+            settings,
+            warm_us,
+            telemetry,
+        )?;
+        // Slot t+1 covers forecast index t.
+        let w = self.horizon();
+        let mut demand_slack = vec![vec![0.0; self.num_locations]; w];
+        let mut resource_shortfall = vec![0.0; w];
+        for (t, (slack_row, shortfall)) in demand_slack
+            .iter_mut()
+            .zip(&mut resource_shortfall)
+            .enumerate()
+        {
+            for (v, (slot, &s)) in slack_row
+                .iter_mut()
+                .zip(relaxed.slacks[t + 1].iter())
+                .enumerate()
+            {
+                *slot = s;
+                *shortfall += s * self.resource_per_demand[v];
+            }
+        }
+        Ok(RecoveryOutcome {
+            solution: relaxed.solution,
+            demand_slack,
+            resource_shortfall,
+        })
+    }
+
+    /// Extracts per-DC capacity shadow prices: the sum over horizon stages
+    /// of the capacity-row duals (the `λ^{il}` of the paper's Algorithm 2).
+    /// A data center at zero capacity in a stage (its arcs pinned to zero)
+    /// contributes nothing for that stage: its multiplier is not unique
+    /// there, and the solve reports zero.
     ///
     /// # Panics
     ///
     /// Panics if `sol` does not belong to this problem.
     pub fn capacity_duals(&self, sol: &LqSolution) -> Vec<f64> {
         let mut out = vec![0.0; self.num_dcs];
+        // Stage 0 has no state rows; stages 1..W-1 and the terminal do.
         for duals in sol.stage_duals.iter().skip(1) {
-            if duals.is_empty() {
-                continue;
-            }
             assert!(
-                duals.len() >= self.num_locations + self.num_dcs + self.slq.state_dim(),
+                duals.len() >= self.slq.num_rows(),
                 "solution does not match this horizon problem"
             );
             for l in 0..self.num_dcs {
@@ -724,14 +497,15 @@ impl StructuredHorizon {
         out
     }
 
-    /// Per-location demand shadow prices, as
-    /// [`HorizonProblem::demand_duals`].
+    /// Extracts per-location demand shadow prices (marginal cost of one
+    /// more unit of demand), summed over stages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sol` does not belong to this problem.
     pub fn demand_duals(&self, sol: &LqSolution) -> Vec<f64> {
         let mut out = vec![0.0; self.num_locations];
         for duals in sol.stage_duals.iter().skip(1) {
-            if duals.is_empty() {
-                continue;
-            }
             for v in 0..self.num_locations {
                 out[v] += duals[v];
             }
@@ -986,63 +760,158 @@ mod tests {
         }
     }
 
+    fn oracle(h: &HorizonProblem) -> LqSolution {
+        dspp_solver::solve_lq(&h.to_lq(), &IpmSettings::default()).unwrap()
+    }
+
+    fn assert_matches_oracle(h: &HorizonProblem, sol: &LqSolution, dense: &LqSolution) {
+        assert!(
+            (dense.objective - sol.objective).abs() <= 1e-6 * (1.0 + dense.objective.abs()),
+            "objectives diverge: {} vs oracle {}",
+            sol.objective,
+            dense.objective
+        );
+        for (a, b) in sol.xs.iter().zip(&dense.xs) {
+            assert!((a - b).norm_inf() < 1e-5);
+        }
+        let (cs, cd) = (h.capacity_duals(sol), h.capacity_duals(dense));
+        for (a, b) in cs.iter().zip(&cd) {
+            assert!(
+                (a - b).abs() < 1e-4,
+                "capacity duals {cs:?} vs oracle {cd:?}"
+            );
+        }
+        let (ds, dd) = (h.demand_duals(sol), h.demand_duals(dense));
+        for (a, b) in ds.iter().zip(&dd) {
+            assert!((a - b).abs() < 1e-4, "demand duals {ds:?} vs oracle {dd:?}");
+        }
+    }
+
     #[test]
-    fn structured_horizon_matches_dense_builder() {
+    fn structured_path_matches_the_dense_oracle() {
         let p = problem();
         let x0 = Allocation::zeros(&p);
         let demand = vec![flat(50.0, 4), flat(30.0, 4)];
         let prices = vec![vec![1.0, 1.2, 0.9, 1.1], vec![2.0, 1.8, 2.1, 1.9]];
         let h = HorizonProblem::build(&p, &x0, &demand, &prices).unwrap();
-        let sh = StructuredHorizon::build(&p, &x0, &demand, &prices).unwrap();
-        assert_eq!(sh.horizon(), h.horizon());
-        // The compact form and the dense detector agree on the problem.
-        assert!(StructuredLq::from_lq(h.lq()).is_some());
-        // Same optimum, same duals, through either pipeline.
-        let dense = h.solve(&IpmSettings::default()).unwrap();
-        let structured = sh.solve(&IpmSettings::default()).unwrap();
-        assert!(
-            (dense.objective - structured.objective).abs() <= 1e-6 * (1.0 + dense.objective.abs()),
-            "objectives diverge: {} vs {}",
-            dense.objective,
-            structured.objective
-        );
-        for (a, b) in dense.xs.iter().zip(&structured.xs) {
-            let mut diff = a.clone();
-            diff.axpy(-1.0, b);
-            assert!(diff.norm_inf() < 1e-5);
+        let sol = h.solve(&IpmSettings::default()).unwrap();
+        assert_eq!(sol.status, dspp_solver::SolveStatus::Optimal);
+        assert_matches_oracle(&h, &sol, &oracle(&h));
+    }
+
+    #[test]
+    fn rate_limited_horizon_matches_the_dense_oracle() {
+        let p = problem();
+        let x0 = Allocation::zeros(&p);
+        let h = HorizonProblem::build_full(
+            &p,
+            &x0,
+            &[vec![20.0, 40.0, 60.0], vec![10.0, 10.0, 30.0]],
+            &[flat(1.0, 3), flat(2.0, 3)],
+            None,
+            Some(0.35),
+        )
+        .unwrap();
+        let sol = h.solve(&IpmSettings::default()).unwrap();
+        for u in &sol.us {
+            assert!(u.norm_inf() <= 0.35 + 1e-6);
         }
-        let cd = h.capacity_duals(&dense);
-        let cs = sh.capacity_duals(&structured);
-        for (a, b) in cd.iter().zip(&cs) {
-            assert!((a - b).abs() < 1e-4, "capacity duals {cd:?} vs {cs:?}");
-        }
-        let dd = h.demand_duals(&dense);
-        let dsd = sh.demand_duals(&structured);
-        for (a, b) in dd.iter().zip(&dsd) {
-            assert!((a - b).abs() < 1e-4, "demand duals {dd:?} vs {dsd:?}");
+        let dense = oracle(&h);
+        assert_matches_oracle(&h, &sol, &dense);
+        // Box-row duals come back in the dense layout, after the state rows.
+        for (a, b) in sol.stage_duals.iter().zip(&dense.stage_duals) {
+            assert_eq!(a.len(), b.len());
         }
     }
 
     #[test]
-    fn structured_horizon_validates_shapes() {
-        let p = problem();
+    fn recovery_matches_the_dense_relaxation_oracle() {
+        let p = DsppBuilder::new(2, 1)
+            .service_rate(100.0)
+            .sla_latency(0.060)
+            .latency_rows(vec![vec![0.010], vec![0.020]])
+            .capacities(vec![1.0, 1.5])
+            .price_trace(0, vec![1.0])
+            .price_trace(1, vec![2.0])
+            .build()
+            .unwrap();
         let x0 = Allocation::zeros(&p);
-        assert!(
-            StructuredHorizon::build(&p, &x0, &[flat(1.0, 3)], &[flat(1.0, 3), flat(1.0, 3)])
-                .is_err()
-        );
-        assert!(
-            StructuredHorizon::build(&p, &x0, &[flat(1.0, 3), flat(1.0, 3)], &[flat(1.0, 3)])
-                .is_err()
-        );
-        assert!(StructuredHorizon::build(
+        let h = HorizonProblem::build(
             &p,
             &x0,
-            &[flat(1.0, 3), flat(1.0, 2)],
-            &[flat(1.0, 3), flat(1.0, 3)]
+            &[vec![100.0, 400.0, 150.0]],
+            &[flat(1.0, 3), flat(2.0, 3)],
         )
-        .is_err());
-        assert!(StructuredHorizon::build(&p, &x0, &[vec![], vec![]], &[vec![], vec![]]).is_err());
+        .unwrap();
+        let recovery = RecoverySettings::default();
+        let out = h
+            .solve_recovery(
+                &IpmSettings::default(),
+                &recovery,
+                None,
+                &Recorder::disabled(),
+            )
+            .unwrap();
+        assert_eq!(out.solution.status, dspp_solver::SolveStatus::Optimal);
+        let strict = h.to_lq();
+        let soften: Vec<bool> = (0..=h.horizon()).map(|k| k > 0).collect();
+        let relaxed =
+            dspp_solver::relax_lq_slots(&strict, &h.recovery_spec(&recovery), &soften).unwrap();
+        let dense = relaxed.split_solution(
+            &strict,
+            &dspp_solver::solve_lq(&relaxed.problem, &IpmSettings::default()).unwrap(),
+        );
+        assert!(
+            (out.solution.objective - dense.solution.objective).abs()
+                <= 1e-6 * (1.0 + dense.solution.objective.abs())
+        );
+        let a = p.arc_coeff(0).min(p.arc_coeff(1)) * p.server_size();
+        for t in 0..h.horizon() {
+            let oracle_shortfall = dense.slot_slack(t + 1) * a;
+            assert!(
+                (out.resource_shortfall[t] - oracle_shortfall).abs() < 1e-6,
+                "period {t}: {} vs oracle {oracle_shortfall}",
+                out.resource_shortfall[t]
+            );
+        }
+        assert!(out.max_resource_shortfall() > 1.0);
+    }
+
+    #[test]
+    fn dead_data_center_arcs_are_pinned_to_zero() {
+        let p = problem();
+        let x0 = Allocation::from_arc_values(&p, vec![0.3; p.num_arcs()]);
+        // DC 1 is dark for the middle two of four periods.
+        let caps = vec![
+            vec![100.0, 100.0],
+            vec![100.0, 0.0],
+            vec![100.0, 0.0],
+            vec![100.0, 100.0],
+        ];
+        let h = HorizonProblem::build_with_stage_capacities(
+            &p,
+            &x0,
+            &[flat(50.0, 4), flat(30.0, 4)],
+            &[flat(2.0, 4), flat(1.0, 4)],
+            Some(&caps),
+        )
+        .unwrap();
+        assert_eq!(h.structured().pins().len(), 2 * 2);
+        let sol = h.solve(&IpmSettings::default()).unwrap();
+        assert_eq!(sol.status, dspp_solver::SolveStatus::Optimal);
+        let dc1: Vec<usize> = (0..p.num_arcs()).filter(|&e| p.arcs()[e].0 == 1).collect();
+        for k in [2, 3] {
+            for &e in &dc1 {
+                assert_eq!(sol.xs[k][e], 0.0, "slot {k} arc {e}");
+            }
+        }
+        let dense = oracle(&h);
+        assert!(
+            (dense.objective - sol.objective).abs() <= 1e-6 * (1.0 + dense.objective.abs()),
+            "objectives diverge: {} vs oracle {}",
+            sol.objective,
+            dense.objective
+        );
     }
 
     #[test]

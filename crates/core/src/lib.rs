@@ -75,7 +75,7 @@ pub use allocation::Allocation;
 pub use controller::{ControllerCheckpoint, MpcController, MpcSettings, RecoveryInfo, StepOutcome};
 pub use cost::{CostLedger, PeriodCost};
 pub use error::CoreError;
-pub use horizon::{HorizonProblem, RecoveryOutcome, RecoverySettings, StructuredHorizon};
+pub use horizon::{HorizonProblem, RecoveryOutcome, RecoverySettings};
 pub use integer::{integerize, IntegerizingController};
 /// Backward-compatible name for [`PlacementPolicy`], kept so existing
 /// `impl PlacementController for …` blocks and `Box<dyn

@@ -1,5 +1,6 @@
-//! Solver scaling experiment: dense Riccati vs structured Schur-complement
-//! KKT wall-clock across instance sizes (`all --solver-scaling`).
+//! Solver scaling experiment: the dense Riccati oracle vs the structured
+//! Schur-complement KKT path every placement solve takes, wall-clock
+//! across instance sizes (`all --solver-scaling`).
 //!
 //! Each row solves the same horizon-4 placement QP on a family of
 //! instances that grows from 4 DCs × 40 locations to the 100 DC × 1000
@@ -7,8 +8,10 @@
 //! reaches exactly three nearby DCs under the SLA, so the arc count —
 //! the dense state dimension — is `3 · locations`. The dense Riccati
 //! recursion is cubic in that dimension and is only run while it stays
-//! affordable; the structured path factors per-arc tridiagonal chains
-//! plus a dense capacity Schur complement and is run at every size.
+//! affordable, on the dense expansion [`HorizonProblem::to_lq`] of the very
+//! problem the structured arm solves; the structured path factors one
+//! small block per location plus a dense capacity Schur complement and is
+//! run at every size.
 //!
 //! The CSV (`results/solver_scaling.csv`) is a timing artifact: it is
 //! *not* part of the default `all` run, so the determinism job's
@@ -17,8 +20,8 @@
 
 use std::time::Instant;
 
-use dspp_core::{Allocation, Dspp, DsppBuilder, HorizonProblem, StructuredHorizon};
-use dspp_solver::{IpmSettings, KktBackend};
+use dspp_core::{Allocation, Dspp, DsppBuilder, HorizonProblem};
+use dspp_solver::{solve_lq, IpmSettings};
 
 use crate::{ExpResult, Figure};
 
@@ -77,10 +80,6 @@ fn median(mut samples: Vec<f64>) -> f64 {
 /// Propagates fixture-construction or solver failures.
 pub fn run() -> ExpResult<Figure> {
     let ipm = IpmSettings::fast();
-    let dense_ipm = IpmSettings {
-        kkt_backend: KktBackend::Dense,
-        ..IpmSettings::fast()
-    };
     let mut rows = Vec::new();
     let mut crossover_ratio: f64 = 0.0;
     for (dcs, locs) in SIZES {
@@ -94,29 +93,29 @@ pub fn run() -> ExpResult<Figure> {
             .map(|l| vec![problem.price(l, 0); HORIZON])
             .collect();
 
-        let sh = StructuredHorizon::build(&problem, &x0, &demand, &prices)?;
+        let hp = HorizonProblem::build(&problem, &x0, &demand, &prices)?;
         let mut structured_ms = Vec::with_capacity(SOLVES_PER_CELL);
         let mut structured_sol = None;
         for _ in 0..SOLVES_PER_CELL {
             let start = Instant::now();
-            structured_sol = Some(sh.solve(&ipm)?);
+            structured_sol = Some(hp.solve(&ipm)?);
             structured_ms.push(start.elapsed().as_secs_f64() * 1e3);
         }
         let structured_sol = structured_sol.expect("at least one solve");
         let structured_ms = median(structured_ms);
 
         let (dense_ms, dense_iters) = if arcs <= DENSE_ARC_LIMIT {
-            let hp = HorizonProblem::build(&problem, &x0, &demand, &prices)?;
+            let dense = hp.to_lq();
             let mut samples = Vec::with_capacity(SOLVES_PER_CELL);
             let mut dense_sol = None;
             for _ in 0..SOLVES_PER_CELL {
                 let start = Instant::now();
-                dense_sol = Some(hp.solve(&dense_ipm)?);
+                dense_sol = Some(solve_lq(&dense, &ipm)?);
                 samples.push(start.elapsed().as_secs_f64() * 1e3);
             }
             let dense_sol = dense_sol.expect("at least one solve");
-            // Both backends must land on the same optimum; this pins the
-            // two fixtures (and the two KKT paths) to each other.
+            // Both paths must land on the same optimum; this pins the
+            // structured path to its oracle.
             let scale = dense_sol.objective.abs().max(1.0);
             let gap = (dense_sol.objective - structured_sol.objective).abs() / scale;
             if gap > 1e-5 {
@@ -150,7 +149,7 @@ pub fn run() -> ExpResult<Figure> {
     }
     Ok(Figure {
         id: "solver_scaling",
-        title: "KKT scaling: dense Riccati vs structured Schur complement".into(),
+        title: "KKT scaling: dense Riccati oracle vs structured Schur complement".into(),
         header: vec![
             "arcs".into(),
             "dcs".into(),
@@ -168,7 +167,7 @@ pub fn run() -> ExpResult<Figure> {
                  0 in the dense columns means skipped"
             ),
             format!("peak measured dense/structured speedup: {crossover_ratio:.1}x"),
-            "objectives agree to 1e-5 relative wherever both backends run".into(),
+            "objectives agree to 1e-5 relative wherever both paths run".into(),
         ],
     })
 }
@@ -187,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn small_scaling_cell_solves_on_both_backends() {
+    fn small_scaling_cell_solves_on_both_paths() {
         // A miniature end-to-end pass of the per-cell logic: the full
         // `run` sweep is exercised by the CI job, not the unit suite.
         let problem = scaled_problem(4, 40).unwrap();
@@ -196,14 +195,9 @@ mod tests {
             .map(|v| vec![1_600.0 + (v % 11) as f64; 4])
             .collect();
         let prices: Vec<Vec<f64>> = (0..4).map(|l| vec![problem.price(l, 0); 4]).collect();
-        let sh = StructuredHorizon::build(&problem, &x0, &demand, &prices).unwrap();
         let hp = HorizonProblem::build(&problem, &x0, &demand, &prices).unwrap();
-        let structured = sh.solve(&IpmSettings::fast()).unwrap();
-        let dense_ipm = IpmSettings {
-            kkt_backend: KktBackend::Dense,
-            ..IpmSettings::fast()
-        };
-        let dense = hp.solve(&dense_ipm).unwrap();
+        let structured = hp.solve(&IpmSettings::fast()).unwrap();
+        let dense = solve_lq(&hp.to_lq(), &IpmSettings::fast()).unwrap();
         let scale = dense.objective.abs().max(1.0);
         assert!((dense.objective - structured.objective).abs() / scale < 1e-5);
     }

@@ -4,8 +4,8 @@
 
 use crate::ServiceProvider;
 use dspp_core::CoreError;
-use dspp_linalg::{Matrix, Vector};
-use dspp_solver::{solve_lq, IpmSettings, LqProblem, LqStage, LqTerminal};
+use dspp_linalg::Vector;
+use dspp_solver::{solve_structured, CouplingRow, DiagRow, IpmSettings, StructuredLq};
 
 /// Solution of the social welfare problem.
 #[derive(Debug, Clone)]
@@ -24,7 +24,9 @@ pub struct SwpSolution {
 
 /// Solves the SWP exactly: one stage-structured QP over the stacked
 /// providers with the shared capacity constraint
-/// `Σ_i s^i Σ_v x^{ilv} ≤ C^l` per stage.
+/// `Σ_i s^i Σ_v x^{ilv} ≤ C^l` per stage, on the structured KKT path
+/// (each provider location is a demand row, each DC one joint capacity
+/// row).
 ///
 /// # Errors
 ///
@@ -63,34 +65,49 @@ pub fn solve_social_welfare(
     let total_v: usize = providers.iter().map(|sp| sp.problem.num_locations()).sum();
     let m_rows = total_v + nl + n;
 
-    // Shared constraint matrix (same at every stage).
-    let mut cx = Matrix::zeros(m_rows, n);
-    {
-        let mut vrow = 0usize;
-        for (i, sp) in providers.iter().enumerate() {
-            for v in 0..sp.problem.num_locations() {
-                for e in sp.problem.arcs_for_location(v) {
-                    cx[(vrow, offsets[i] + e)] = -1.0 / sp.problem.arc_coeff(e);
-                }
-                vrow += 1;
-            }
-            for (e, &(l, _)) in sp.problem.arcs().iter().enumerate() {
-                cx[(total_v + l, offsets[i] + e)] = sp.problem.server_size();
-            }
+    // Shared rows (same at every stage): every provider's demand rows,
+    // then one joint capacity row per DC, then non-negativity.
+    let mut group_a = Vec::with_capacity(total_v);
+    let mut group_b: Vec<CouplingRow> = (0..nl)
+        .map(|l| CouplingRow {
+            row: total_v + l,
+            entries: Vec::new(),
+        })
+        .collect();
+    for (i, sp) in providers.iter().enumerate() {
+        for v in 0..sp.problem.num_locations() {
+            group_a.push(CouplingRow {
+                row: group_a.len(),
+                entries: sp
+                    .problem
+                    .arcs_for_location(v)
+                    .into_iter()
+                    .map(|e| (offsets[i] + e, -1.0 / sp.problem.arc_coeff(e)))
+                    .collect(),
+            });
         }
-        for j in 0..n {
-            cx[(total_v + nl + j, j)] = -1.0;
+        for (e, &(l, _)) in sp.problem.arcs().iter().enumerate() {
+            group_b[l]
+                .entries
+                .push((offsets[i] + e, sp.problem.server_size()));
         }
     }
+    let diag_rows = (0..n)
+        .map(|j| DiagRow {
+            row: total_v + nl + j,
+            arc: j,
+            coeff: -1.0,
+        })
+        .collect();
 
-    // Reconfiguration penalty per joint arc.
-    let reconfig: Vector = providers
+    // Reconfiguration penalty per joint arc: ½uᵀRu = Σ c u², R = 2c.
+    let r_diag: Vector = providers
         .iter()
         .flat_map(|sp| {
             sp.problem
                 .arcs()
                 .iter()
-                .map(|&(l, _)| sp.problem.reconfig_weight(l))
+                .map(|&(l, _)| 2.0 * sp.problem.reconfig_weight(l))
                 .collect::<Vec<_>>()
         })
         .collect();
@@ -125,28 +142,23 @@ pub fn solve_social_welfare(
         d
     };
 
-    let mut stages = Vec::with_capacity(w);
-    for j in 0..w {
-        let mut stage = LqStage::identity_dynamics(n).with_input_penalty(&reconfig);
-        if j >= 1 {
-            stage = stage.with_state_cost(stage_cost(j - 1)).with_constraints(
-                cx.clone(),
-                Matrix::zeros(m_rows, n),
-                stage_rhs(j - 1),
-            );
-        }
-        stages.push(stage);
-    }
-    let terminal = LqTerminal::free(n)
-        .with_state_cost(stage_cost(w - 1))
-        .with_constraints(cx, stage_rhs(w - 1));
-
     let x0: Vector = providers
         .iter()
         .flat_map(|sp| sp.initial.arc_values().to_vec())
         .collect();
-    let lq = LqProblem::new(x0, stages, terminal)?;
-    let sol = solve_lq(&lq, ipm)?;
+    let slq = StructuredLq::new(
+        x0,
+        Vector::zeros(n),
+        (0..w).map(stage_cost).collect(),
+        vec![r_diag; w],
+        vec![Vector::zeros(n); w],
+        (0..w).map(stage_rhs).collect(),
+        diag_rows,
+        group_a,
+        group_b,
+        m_rows,
+    )?;
+    let sol = solve_structured(&slq, ipm)?;
 
     // Split the joint trajectories back out and account per-provider costs.
     let mut xs: Vec<Vec<Vector>> = vec![Vec::with_capacity(w + 1); providers.len()];

@@ -71,6 +71,36 @@ impl Cholesky {
     /// [`LinalgError::DimensionMismatch`] if `a`'s dimension differs from
     /// the existing factor's.
     pub fn refactor(&mut self, a: &Matrix, reg: f64) -> Result<(), LinalgError> {
+        // Scale-aware tolerance for pivot positivity.
+        let tol = a.norm_inf().max(reg).max(1.0) * 1e-14;
+        self.refactor_with(a, reg, |_| tol)
+    }
+
+    /// [`Cholesky::refactor`] with a per-row pivot test: pivot `j` is
+    /// accepted when it exceeds `1e-14 · (a_jj + reg)`, its own row's
+    /// scale, instead of `1e-14 · ‖A‖∞`.
+    ///
+    /// This is the same test applied to the unit-diagonal equilibrated
+    /// matrix `D^{-1/2} A D^{-1/2}`. Barrier-scaled KKT blocks are SPD (often
+    /// diagonally dominant) with diagonals spanning fifteen decades; the
+    /// global test rejects their small pivots as "not positive definite"
+    /// although each is many orders of magnitude above its row's round-off.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::refactor`].
+    pub fn refactor_rowwise(&mut self, a: &Matrix, reg: f64) -> Result<(), LinalgError> {
+        self.refactor_with(a, reg, |ajj| ajj * 1e-14)
+    }
+
+    /// The factorization proper; `tol(a_jj + reg)` is the threshold pivot
+    /// `j` must exceed.
+    fn refactor_with(
+        &mut self,
+        a: &Matrix,
+        reg: f64,
+        tol: impl Fn(f64) -> f64,
+    ) -> Result<(), LinalgError> {
         if !a.is_square() || a.rows() != self.l.rows() {
             return Err(LinalgError::DimensionMismatch(format!(
                 "cholesky refactor: matrix is {}x{}, factor is {}x{}",
@@ -83,11 +113,9 @@ impl Cholesky {
         self.valid = false;
         let n = a.rows();
         let l = &mut self.l;
-        // Scale-aware tolerance for pivot positivity.
-        let scale = a.norm_inf().max(reg).max(1.0);
-        let tol = scale * 1e-14;
         for j in 0..n {
-            let mut d = a[(j, j)] + reg;
+            let diag = a[(j, j)] + reg;
+            let mut d = diag;
             for k in 0..j {
                 let ljk = l[(j, k)];
                 d -= ljk * ljk;
@@ -96,7 +124,7 @@ impl Cholesky {
             // non-finite input entry) is rejected instead of flowing into
             // `sqrt` and silently poisoning the factor.
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(d > tol) {
+            if !(d > tol(diag)) {
                 return Err(LinalgError::NotPositiveDefinite { pivot: j });
             }
             let dsqrt = d.sqrt();
@@ -318,6 +346,51 @@ mod tests {
         assert!(f.is_valid());
         let fresh = Cholesky::factor(&good).unwrap();
         assert_eq!(f.l(), fresh.l());
+    }
+
+    /// A barrier-scaled tridiagonal chain — diagonals from 0.084 to
+    /// 3.3e14, as a DSPP arc's chain carries once its non-negativity row
+    /// binds — is SPD and diagonally dominant. The global pivot test
+    /// rejects its small pivots at any regularization up to 1e-3; the
+    /// per-row test factors it at zero regularization.
+    #[test]
+    fn barrier_scaled_chain_factors_rowwise_at_zero_regularization() {
+        let diag = [0.084, 3.3e14, 0.31, 2.0e9, 0.084];
+        let off = -0.04;
+        let n = diag.len();
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            a[(i, i)] = diag[i];
+            if i + 1 < n {
+                a[(i, i + 1)] = off;
+                a[(i + 1, i)] = off;
+            }
+        }
+        let mut f = Cholesky::factor(&Matrix::identity(n)).unwrap();
+        for reg in [0.0, 1e-9, 1e-5, 1e-3] {
+            assert!(
+                f.refactor(&a, reg).is_err(),
+                "global test at reg {reg} should reject"
+            );
+        }
+        f.refactor_rowwise(&a, 0.0).unwrap();
+        let xtrue: Vector = (0..n).map(|i| 1.0 + i as f64).collect();
+        let b = a.matvec(&xtrue);
+        let x = f.solve(&b);
+        for i in 0..n {
+            assert!(
+                (x[i] - xtrue[i]).abs() <= 1e-9 * xtrue[i],
+                "x[{i}] = {}",
+                x[i]
+            );
+        }
+        // A genuinely indefinite matrix still fails the per-row test.
+        let indef = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
+        let mut g = Cholesky::factor(&Matrix::identity(2)).unwrap();
+        assert!(matches!(
+            g.refactor_rowwise(&indef, 0.0),
+            Err(LinalgError::NotPositiveDefinite { pivot: 1 })
+        ));
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //!   matrix–vector and matrix–matrix products, norms).
 //! * [`Cholesky`]: factorization of symmetric positive-definite matrices,
 //!   used for the Newton systems of the QP solvers.
-//! * [`BlockDiag`] / [`SchurComplement`]: block-diagonal Cholesky and a
-//!   dense Schur-system workspace, the two halves of the structure-
-//!   exploiting KKT path for large placement instances.
+//! * [`SchurComplement`]: a dense Schur-system workspace for the
+//!   structure-exploiting KKT path every placement solve takes. It tests
+//!   each pivot against its own row's scale
+//!   ([`Cholesky::refactor_rowwise`]), because barrier-scaled blocks span
+//!   many decades on one diagonal.
 //! * [`Ldlt`]: an `LDLᵀ` factorization for symmetric *quasi-definite*
 //!   matrices (with static regularization), used for augmented KKT systems.
-//! * [`Lu`]: LU with partial pivoting for general square systems.
 //! * [`Qr`]: Householder QR for least-squares problems (AR model fitting).
 //!
 //! # Examples
@@ -34,21 +35,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod block_diag;
 mod cholesky;
 mod error;
 mod ldlt;
-mod lu;
 mod matrix;
 mod qr;
 mod schur;
 mod vector;
 
-pub use block_diag::BlockDiag;
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use ldlt::Ldlt;
-pub use lu::Lu;
 pub use matrix::Matrix;
 pub use qr::Qr;
 pub use schur::SchurComplement;

@@ -115,7 +115,10 @@ impl SchurComplement {
         self.fill
     }
 
-    /// Factors the accumulated matrix (plus `reg · I`).
+    /// Factors the accumulated matrix (plus `reg · I`), testing each pivot
+    /// against its own row's scale ([`Cholesky::refactor_rowwise`]): the
+    /// inverse barrier weights on the diagonal of a capacity Schur system
+    /// span as many decades as the weights themselves.
     ///
     /// On error the factor is unspecified; [`SchurComplement::is_valid`]
     /// reports `false` and [`SchurComplement::solve_in_place`] panics until
@@ -135,7 +138,7 @@ impl SchurComplement {
         } else {
             self.fill = 0.0;
         }
-        self.chol.refactor(&self.mat, reg)?;
+        self.chol.refactor_rowwise(&self.mat, reg)?;
         self.valid = true;
         Ok(())
     }

@@ -2,23 +2,23 @@
 //!
 //! Solving an infeasible horizon QP wastes a full interior-point run just
 //! to learn that no placement exists. The preflight implemented here costs
-//! one pass over the constraint data and certifies the cheapest necessary
-//! condition: per period, the SLA-scaled aggregate demand
-//! `Σ_v D_k^v · min_l (a^{lv} · s)` cannot exceed the total capacity
-//! `Σ_l C^l`. The bound ignores how demand splits across data centers, so
-//! a clean report does not *guarantee* feasibility — but any reported
-//! deficit is a true lower bound on the SLA shortfall that every
-//! relaxation (see [`crate::relax_lq`]) must incur, which is exactly the
-//! contract the recovery solve and its tests rely on.
+//! one pass over the sparse constraint rows — `O(nnz + W·rows)` — and
+//! certifies the cheapest necessary condition: per period, the SLA-scaled
+//! aggregate demand `Σ_v D_k^v · min_l (a^{lv} · s)` cannot exceed the total
+//! capacity `Σ_l C^l`. The bound ignores how demand splits across data
+//! centers, so a clean report does not *guarantee* feasibility — but any
+//! reported deficit is a true lower bound on the SLA shortfall that every
+//! relaxation (see [`crate::solve_structured_relaxed_traced`]) must incur,
+//! which is exactly the contract the recovery solve and its tests rely on.
 //!
-//! The preflight operates on the [`LqProblem`] row convention used by the
+//! The preflight reads the [`StructuredLq`] row convention used by the
 //! core crate's horizon builder, described to it by an [`LqRowLayout`]:
 //! each constrained slot leads with the demand rows
 //! (`-Σ_e x_e/a_e ≤ -D_v`), followed by the capacity rows
-//! (`Σ_e s·x_e ≤ C_l`); any further rows (non-negativity, rate limits)
-//! are ignored by the aggregate check.
+//! (`Σ_e s·x_e ≤ C_l`); any further rows (non-negativity) are ignored by
+//! the aggregate check.
 
-use crate::{LqProblem, SolverError};
+use crate::{SolverError, StructuredLq};
 
 /// Describes which leading constraint rows of each constrained stage are
 /// demand rows and which are capacity rows.
@@ -87,119 +87,124 @@ impl FeasibilityReport {
     }
 }
 
-/// Runs the aggregate preflight on `problem` under the row convention
+/// Runs the aggregate preflight on `slq` under the row convention
 /// `layout`.
 ///
-/// Slots without constraints (the horizon builder leaves stage 0
-/// unconstrained because `x_0` is fixed) are skipped. For every
-/// constrained slot the check computes, per demand row `v`, the cheapest
-/// resource cost of serving one demand unit over the arcs that can serve
-/// it — the capacity-row coefficient of arc `e` divided by its demand-row
-/// rate `1/a_e` — and compares the summed requirement against the summed
-/// capacity right-hand sides.
+/// For every constrained slot `1..=W` the check computes, per demand row
+/// `v`, the cheapest resource cost of serving one demand unit over the arcs
+/// that can serve it — the capacity-row coefficient of arc `e` divided by
+/// its demand-row rate `1/a_e` — and compares the summed requirement
+/// against the summed capacity right-hand sides.
 ///
 /// # Errors
 ///
-/// Returns [`SolverError::InvalidProblem`] when a constrained slot has
-/// fewer rows than the layout promises, or when any inspected entry is
-/// non-finite (the horizon builder never produces either, so a failure
-/// here means the problem was assembled by hand and is malformed).
-pub fn preflight_lq(
-    problem: &LqProblem,
+/// Returns [`SolverError::InvalidProblem`] when the slots have fewer rows
+/// than the layout promises (the horizon builder never produces that, so a
+/// failure here means the problem was assembled by hand and is malformed).
+pub fn preflight_structured(
+    slq: &StructuredLq,
     layout: &LqRowLayout,
 ) -> Result<FeasibilityReport, SolverError> {
-    let nstages = problem.horizon();
-    let declared = layout.demand_rows + layout.capacity_rows;
-    let mut periods = Vec::new();
-    for slot in 0..=nstages {
-        let (cx, d) = if slot < nstages {
-            let st = &problem.stages[slot];
-            (&st.cx, &st.d)
-        } else {
-            (&problem.terminal.cx, &problem.terminal.d)
-        };
-        if d.is_empty() {
-            continue;
+    let nv = layout.demand_rows;
+    let nl = layout.capacity_rows;
+    if slq.m_rows < nv + nl {
+        return Err(SolverError::InvalidProblem(format!(
+            "feasibility preflight: slots have {} constraint rows, \
+             fewer than the declared {} demand+capacity rows",
+            slq.m_rows,
+            nv + nl
+        )));
+    }
+    // Sparse row view: the (arc, coefficient) entries of every row.
+    let mut entries: Vec<Vec<(usize, f64)>> = vec![Vec::new(); slq.m_rows];
+    for dr in &slq.diag_rows {
+        entries[dr.row].push((dr.arc, dr.coeff));
+    }
+    for c in slq.group_a.iter().chain(&slq.group_b) {
+        entries[c.row].extend_from_slice(&c.entries);
+    }
+    // Resource an arc consumes per server, summed over the capacity rows.
+    let mut resource = vec![0.0f64; slq.n];
+    for row in &entries[nv..nv + nl] {
+        for &(e, coeff) in row {
+            resource[e] += coeff.max(0.0);
         }
-        if d.len() < declared {
-            return Err(SolverError::InvalidProblem(format!(
-                "feasibility preflight: slot {slot} has {} constraint rows, \
-                 fewer than the declared {declared} demand+capacity rows",
-                d.len()
-            )));
-        }
-        if !d.is_finite() || !cx.is_finite() {
-            return Err(SolverError::InvalidProblem(format!(
-                "feasibility preflight: slot {slot} has non-finite constraint data"
-            )));
-        }
-        let nv = layout.demand_rows;
-        let nl = layout.capacity_rows;
-        let mut required = 0.0f64;
-        for v in 0..nv {
-            let demand = -d[v];
-            if demand <= 0.0 {
-                continue;
-            }
-            // Cheapest resource cost per served demand unit over the arcs
-            // (columns) that appear in this demand row.
-            let mut best: Option<f64> = None;
-            for e in 0..cx.cols() {
-                let rate = -cx[(v, e)];
-                if rate <= 0.0 {
+    }
+    // Cheapest resource cost per served demand unit, per demand row.
+    let cheapest: Vec<Option<f64>> = entries[..nv]
+        .iter()
+        .map(|row| {
+            row.iter()
+                .filter(|&&(_, coeff)| -coeff > 0.0)
+                .map(|&(e, coeff)| resource[e] / -coeff)
+                .reduce(f64::min)
+        })
+        .collect();
+    let periods = (1..=slq.w)
+        .map(|slot| {
+            let d = &slq.ds[slot - 1];
+            let mut required = 0.0f64;
+            for (v, best) in cheapest.iter().enumerate() {
+                let demand = -d[v];
+                if demand <= 0.0 {
                     continue;
                 }
-                let mut resource = 0.0f64;
-                for l in 0..nl {
-                    resource += cx[(nv + l, e)].max(0.0);
+                match best {
+                    Some(cost) => required += demand * cost,
+                    // Positive demand with no serving arc: structurally
+                    // unservable, regardless of capacity.
+                    None => required = f64::INFINITY,
                 }
-                let cost = resource / rate;
-                best = Some(best.map_or(cost, |b: f64| b.min(cost)));
             }
-            match best {
-                Some(cost) => required += demand * cost,
-                // Positive demand with no serving arc: structurally
-                // unservable, regardless of capacity.
-                None => required = f64::INFINITY,
+            let available: f64 = (0..nl).map(|l| d[nv + l]).sum();
+            PeriodFeasibility {
+                period: slot,
+                required,
+                available,
+                deficit: (required - available).max(0.0),
             }
-        }
-        let available: f64 = (0..nl).map(|l| d[nv + l]).sum();
-        let deficit = (required - available).max(0.0);
-        periods.push(PeriodFeasibility {
-            period: slot,
-            required,
-            available,
-            deficit,
-        });
-    }
+        })
+        .collect();
     Ok(FeasibilityReport { periods })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LqStage, LqTerminal};
-    use dspp_linalg::{Matrix, Vector};
+    use crate::{CouplingRow, DiagRow};
+    use dspp_linalg::Vector;
 
     /// One DC (capacity `cap`), one location, arc coefficient `a`,
     /// server size 1: demand row `-x/a ≤ -demand`, capacity row `x ≤ cap`,
-    /// non-negativity `-x ≤ 0`.
-    fn one_arc_problem(a: f64, cap: f64, demands: &[f64]) -> LqProblem {
-        let cx = Matrix::from_rows(&[&[-1.0 / a], &[1.0], &[-1.0]]).unwrap();
-        let free = LqStage::identity_dynamics(1).with_input_penalty(&Vector::from(vec![0.1]));
-        let mut stages = vec![free.clone()];
-        for &dem in &demands[..demands.len() - 1] {
-            stages.push(free.clone().with_constraints(
-                cx.clone(),
-                Matrix::zeros(3, 1),
-                Vector::from(vec![-dem, cap, 0.0]),
-            ));
-        }
-        let terminal = LqTerminal::free(1).with_constraints(
-            cx,
-            Vector::from(vec![-demands[demands.len() - 1], cap, 0.0]),
-        );
-        LqProblem::new(Vector::zeros(1), stages, terminal).unwrap()
+    /// non-negativity `-x ≤ 0`, one slot per entry of `demands`.
+    fn one_arc_problem(a: f64, cap: f64, demands: &[f64]) -> StructuredLq {
+        let w = demands.len();
+        StructuredLq::new(
+            Vector::zeros(1),
+            Vector::zeros(1),
+            vec![Vector::ones(1); w],
+            vec![Vector::filled(1, 0.2); w],
+            vec![Vector::zeros(1); w],
+            demands
+                .iter()
+                .map(|&dem| Vector::from(vec![-dem, cap, 0.0]))
+                .collect(),
+            vec![DiagRow {
+                row: 2,
+                arc: 0,
+                coeff: -1.0,
+            }],
+            vec![CouplingRow {
+                row: 0,
+                entries: vec![(0, -1.0 / a)],
+            }],
+            vec![CouplingRow {
+                row: 1,
+                entries: vec![(0, 1.0)],
+            }],
+            3,
+        )
+        .unwrap()
     }
 
     fn layout() -> LqRowLayout {
@@ -212,7 +217,7 @@ mod tests {
     #[test]
     fn feasible_horizon_reports_zero_deficit() {
         let p = one_arc_problem(0.5, 10.0, &[8.0, 12.0, 16.0]);
-        let report = preflight_lq(&p, &layout()).unwrap();
+        let report = preflight_structured(&p, &layout()).unwrap();
         assert!(report.is_feasible());
         assert_eq!(report.periods.len(), 3);
         // Period 1 needs 0.5 · 8 = 4 servers of 10.
@@ -226,7 +231,7 @@ mod tests {
     fn overload_reports_exact_deficit() {
         // Demand 30 at a = 0.5 needs 15 servers; only 10 exist.
         let p = one_arc_problem(0.5, 10.0, &[8.0, 30.0, 8.0]);
-        let report = preflight_lq(&p, &layout()).unwrap();
+        let report = preflight_structured(&p, &layout()).unwrap();
         assert!(!report.is_feasible());
         let worst = report.worst().unwrap();
         assert_eq!(worst.period, 2);
@@ -238,29 +243,23 @@ mod tests {
 
     #[test]
     fn unservable_demand_is_an_infinite_deficit() {
-        // Demand row with no serving column.
-        let cx = Matrix::from_rows(&[&[0.0], &[1.0]]).unwrap();
-        let stage = LqStage::identity_dynamics(1)
-            .with_input_penalty(&Vector::ones(1))
-            .with_constraints(cx, Matrix::zeros(2, 1), Vector::from(vec![-5.0, 10.0]));
-        let free = LqStage::identity_dynamics(1).with_input_penalty(&Vector::ones(1));
-        let p = LqProblem::new(Vector::zeros(1), vec![free, stage], LqTerminal::free(1)).unwrap();
-        let report = preflight_lq(&p, &layout()).unwrap();
+        // The demand row's only arc cannot serve it (wrong-signed rate).
+        let mut p = one_arc_problem(0.5, 10.0, &[5.0]);
+        p.group_a[0].entries[0].1 = 1.0;
+        let report = preflight_structured(&p, &layout()).unwrap();
         assert_eq!(report.periods.len(), 1);
         assert!(report.periods[0].deficit.is_infinite());
     }
 
     #[test]
     fn short_slots_are_rejected() {
-        // A constrained slot with a single row cannot satisfy a layout
-        // demanding 1 + 1 rows.
-        let cx = Matrix::from_rows(&[&[-1.0]]).unwrap();
-        let stage = LqStage::identity_dynamics(1)
-            .with_input_penalty(&Vector::ones(1))
-            .with_constraints(cx, Matrix::zeros(1, 1), Vector::from(vec![-5.0]));
-        let p = LqProblem::new(Vector::zeros(1), vec![stage], LqTerminal::free(1)).unwrap();
+        let p = one_arc_problem(0.5, 10.0, &[5.0]);
+        let layout = LqRowLayout {
+            demand_rows: 2,
+            capacity_rows: 2,
+        };
         assert!(matches!(
-            preflight_lq(&p, &layout()),
+            preflight_structured(&p, &layout),
             Err(SolverError::InvalidProblem(_))
         ));
     }

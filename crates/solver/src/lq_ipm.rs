@@ -9,15 +9,16 @@ use std::time::Instant;
 /// Solves a stage-structured LQ problem with a primal–dual interior-point
 /// method whose Newton steps are computed by a Riccati recursion.
 ///
-/// This is the solver behind the paper's MPC controller (Algorithm 1): the
-/// horizon-truncated DSPP is an [`LqProblem`], and each control period calls
-/// this function once. Per-iteration work is linear in the horizon length,
-/// so long prediction horizons (the paper's Figure 6 sweeps `K` up to 30)
-/// stay cheap.
+/// This is the general-purpose LQ solver: any dynamics, any stage
+/// constraints. Per-iteration work is linear in the horizon length but
+/// cubic in the state dimension. DSPP horizons are solved in production by
+/// the structure-exploiting path ([`solve_structured`](crate::solve_structured));
+/// this solver is the independent oracle the test suites and the
+/// solver-scaling sweep cross-check it against, on the dense expansion
+/// [`StructuredLq::to_lq`](crate::StructuredLq::to_lq).
 ///
-/// The returned [`LqSolution`] carries the inequality multipliers per stage;
-/// the multi-provider game (Algorithm 2) reads the data-center capacity rows
-/// out of them.
+/// The returned [`LqSolution`] carries the inequality multipliers per
+/// stage.
 ///
 /// # Errors
 ///
@@ -112,9 +113,10 @@ pub fn solve_lq_warm_traced(
     })
 }
 
-/// Shared metrics wrapper for both KKT backends: counts the solve (and
-/// warm start), times it, and tallies the outcome status, so the
-/// `solver.lq.*` catalogue reads identically whichever backend ran.
+/// Shared metrics wrapper for both LQ interior-point paths (the dense
+/// Riccati oracle and the structured production path): counts the solve
+/// (and warm start), times it, and tallies the outcome status, so the
+/// `solver.lq.*` catalogue reads identically whichever path ran.
 pub(crate) fn trace_lq_solve(
     telemetry: &Recorder,
     warm: bool,
@@ -167,21 +169,10 @@ fn solve_lq_warm_inner(
     let nstages = problem.horizon();
     let n = problem.state_dim();
 
-    // Backend dispatch: large DSPP-shaped problems take the
-    // structure-exploiting Schur path; everything else (small instances,
-    // relaxed/recovery problems with slack columns, rate-limited inputs,
-    // general dynamics) keeps the dense Riccati path below.
-    if settings.kkt_backend == crate::KktBackend::Structured && n >= settings.structured_threshold {
-        if let Some(slq) = crate::StructuredLq::from_lq(problem) {
-            return crate::skkt::solve_structured_inner(&slq, settings, warm_us, telemetry);
-        }
-    }
-
     let mut span = telemetry.tracer().span("solver.lq.solve");
     span.attr("horizon", nstages);
     span.attr("state_dim", n);
     span.attr("warm_start", warm_us.is_some());
-    span.attr("backend", "dense");
 
     // Iterates: inputs, states (always exactly dynamics-feasible), costates,
     // and per-stage slack/dual pairs.

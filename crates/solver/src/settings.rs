@@ -1,25 +1,5 @@
-/// Which linear-algebra path [`solve_lq`](crate::solve_lq) uses for its
-/// per-iteration Newton (KKT) systems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KktBackend {
-    /// Dense Riccati backward recursion: `O(N·n³)` per iteration, exact
-    /// for every stage-structured problem. The right choice for small
-    /// state dimensions and the only one supporting arbitrary `A`, `B`,
-    /// cross terms, and input-coupled constraint rows.
-    Dense,
-    /// Structure-exploiting block-elimination / Schur-complement path for
-    /// DSPP-shaped problems (identity dynamics, diagonal costs, aggregate
-    /// demand/capacity coupling rows): per-arc tridiagonal blocks solved
-    /// by [`dspp_linalg::BlockDiag`] and a small dense coupling-row Schur
-    /// system. Engages only above
-    /// [`IpmSettings::structured_threshold`] *and* when the problem's
-    /// structure is detected; anything else falls back to `Dense`
-    /// transparently, so this is always a safe default.
-    Structured,
-}
-
-/// Tuning knobs shared by both interior-point solvers ([`solve_qp`] and
-/// [`solve_lq`]).
+/// Tuning knobs shared by the interior-point solvers ([`solve_qp`],
+/// [`solve_lq`] and [`solve_structured`]).
 ///
 /// The defaults solve every problem in this workspace; they are exposed so
 /// the benchmarks can trade accuracy for speed and the tests can stress the
@@ -42,6 +22,7 @@ pub enum KktBackend {
 ///
 /// [`solve_qp`]: crate::solve_qp
 /// [`solve_lq`]: crate::solve_lq
+/// [`solve_structured`]: crate::solve_structured
 #[derive(Debug, Clone, PartialEq)]
 pub struct IpmSettings {
     /// Maximum interior-point iterations before giving up.
@@ -79,8 +60,12 @@ pub struct IpmSettings {
     /// **Default `1e-9`** (absolute, added to matrix entries whose scale
     /// is set by the cost Hessian). Keeps the Cholesky/LDLᵀ factorization
     /// alive when the Hessian is only positive *semi*-definite; on
-    /// factorization failure the solvers boost it geometrically up to
-    /// `1e-2` before reporting `NumericalFailure`. Too large skews
+    /// factorization failure the solvers boost it geometrically — the QP
+    /// solver up to `1e-2`, both LQ solvers up to `regularization · 1e20`
+    /// (an inertia-correction-style ceiling: a heavily damped step beats
+    /// aborting a solve whose primal iterate is already feasible) — before
+    /// reporting `NumericalFailure` or taking the degraded acceptance.
+    /// Too large skews
     /// solutions (the solve answers a slightly different, stiffer
     /// problem); zero is legal but forfeits the safety net on singular
     /// Newton systems. Must be non-negative and finite.
@@ -104,28 +89,6 @@ pub struct IpmSettings {
     /// iterations walking back toward the central path. Must be positive
     /// and finite.
     pub init_margin: f64,
-    /// Which KKT path [`solve_lq`](crate::solve_lq) uses for its Newton
-    /// systems.
-    ///
-    /// **Default [`KktBackend::Structured`]** — but the structured path
-    /// only actually engages on problems whose DSPP block structure is
-    /// detected *and* whose state dimension reaches
-    /// [`IpmSettings::structured_threshold`]; everything else runs the
-    /// dense Riccati path exactly as before. Force
-    /// [`KktBackend::Dense`] to benchmark against the dense path or to
-    /// rule the structured code out while debugging.
-    pub kkt_backend: KktBackend,
-    /// Minimum state dimension (arcs) at which [`KktBackend::Structured`]
-    /// takes the structured path.
-    ///
-    /// **Default `200`** (states, dimensionless). Below a few hundred arcs
-    /// the dense Riccati recursion is already fast and battle-tested, so
-    /// the threshold keeps small instances (including the paper's 4×24
-    /// figures) byte-for-byte on their historical path; above it the
-    /// structured path's near-linear scaling in arcs wins decisively. Set
-    /// to `0` to force the structured path onto any detectable problem
-    /// (the cross-backend agreement tests do).
-    pub structured_threshold: usize,
 }
 
 impl Default for IpmSettings {
@@ -137,8 +100,6 @@ impl Default for IpmSettings {
             regularization: 1e-9,
             step_fraction: 0.99,
             init_margin: 1.0,
-            kkt_backend: KktBackend::Structured,
-            structured_threshold: 200,
         }
     }
 }
@@ -189,10 +150,6 @@ mod tests {
     fn default_settings_validate() {
         assert!(IpmSettings::default().validate().is_ok());
         assert!(IpmSettings::fast().validate().is_ok());
-        // The structured backend is the default, guarded by a threshold
-        // that keeps small instances on the dense path.
-        assert_eq!(IpmSettings::default().kkt_backend, KktBackend::Structured);
-        assert!(IpmSettings::default().structured_threshold > 0);
     }
 
     #[test]

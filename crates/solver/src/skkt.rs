@@ -1,50 +1,83 @@
 //! Structure-exploiting interior-point path for DSPP-shaped problems.
 //!
-//! The dense path solves each Newton system by a Riccati recursion —
-//! `O(W·n³)` per interior-point iteration, which at 100 data centers ×
-//! 1000 locations (thousands of arcs) is minutes per solve and gigabytes
-//! of stage matrices. This module exploits what [`StructuredLq`] records:
-//! after eliminating inputs (`Δu_k = Δx_{k+1} − Δx_k`) and costates, the
-//! condensed Newton system `H y = b` over `y = (Δx_1, …, Δx_W)` has
+//! This is the solve path for every DSPP horizon. A dense Riccati
+//! recursion costs `O(W·n³)` per interior-point iteration, which at 100
+//! data centers × 1000 locations (thousands of arcs) is minutes per solve
+//! and gigabytes of stage matrices. This module exploits what
+//! [`StructuredLq`] records: after eliminating inputs
+//! (`Δu_k = Δx_{k+1} − Δx_k`) and costates, the condensed Newton system
+//! `H y = b` over `y = (Δx_1, …, Δx_W)` has
 //!
 //! ```text
 //! H = T + Gᵀ W_c G
 //! ```
 //!
 //! where `T` is block-diagonal over *arcs* — one `W×W` tridiagonal chain
-//! per arc, carrying the input Hessians, regularization, and the barrier
-//! weights of the single-arc rows — and `G` holds only the aggregate
-//! coupling rows (demand and capacity), `W_c` their barrier weights. By
-//! the Woodbury identity,
+//! per arc, carrying the input Hessians, regularization, the barrier
+//! weights of the single-arc rows and of the input box rows — and `G`
+//! holds only the aggregate coupling rows, `W_c` their barrier weights.
+//! Demand rows have disjoint arc supports (one row per location), and so
+//! do capacity rows (one per data center). Each location's chains plus its
+//! demand row form one small dense SPD block `H_v = T_v + c_v w_v c_vᵀ`,
+//! factored directly. The capacity rows stay in augmented form, with
+//! their multiplier step `u = Δz_B` as an unknown:
 //!
 //! ```text
-//! y = T⁻¹b − T⁻¹ Gᵀ S⁻¹ G T⁻¹ b,      S = W_c⁻¹ + G T⁻¹ Gᵀ,
+//! [H_A   G_Bᵀ ] [Δx]   [b̃         ]
+//! [G_B  −W_B⁻¹] [u ] = [−W_B⁻¹ t_B],   S_B = W_B⁻¹ + Σ_v G_B H_v⁻¹ G_Bᵀ,
 //! ```
 //!
-//! and `S` itself is a two-block "arrow": demand rows have disjoint arc
-//! supports (one row per location), capacity rows likewise (one per data
-//! center), so `S = [[D_A, F], [Fᵀ, D_B]]` with block-diagonal `D_A`,
-//! `D_B` and sparse cross blocks `F`. Eliminating the (many) demand rows
-//! leaves one dense SPD system of dimension `W · #capacity rows` — a few
-//! hundred even at 100× scale — factored by
-//! [`dspp_linalg::SchurComplement`]. Per-iteration cost is `O(n·W³ +
-//! (W·L)³)` for `L` data centers: near-linear in arcs.
+//! and `S_B`, one dense SPD system of dimension `W · #capacity rows` — a
+//! few hundred even at 100× scale — is factored by
+//! [`dspp_linalg::SchurComplement`]. Every term of `S_B` is positive
+//! semidefinite, so nothing cancels when demand and capacity rows bind
+//! together, and `W_B⁻¹ t_B = r − r_c/z` is `O(1)` where `t_B` itself grows
+//! with the barrier weight. Per-iteration cost is `O(Σ_v (a_v·W)³ +
+//! (W·L)³)` for `a_v` arcs at location `v` and `L` data centers:
+//! near-linear in locations.
 //!
-//! The outer loop here mirrors `lq_ipm` exactly — same Mehrotra
-//! predictor–corrector, same stopping rules, same regularization-boost
-//! retry, same degraded-acceptance and infeasibility classification — so
-//! the two backends are interchangeable. [`solve_lq`](crate::solve_lq)
-//! dispatches here automatically (see
-//! [`KktBackend`](crate::KktBackend)); the entry points in this module
-//! exist for callers that build a [`StructuredLq`] directly because the
-//! dense expansion would not fit in memory.
+//! Three extensions keep every DSPP solve on this path:
+//!
+//! * **Input box rows** `|u_{k,e}| ≤ u_max` touch one input each; since
+//!   `u_k = x_{k+1} − x_k`, their barrier weight adds to the chain term of
+//!   their arc and stage, next to `R_k`.
+//! * **Recovery slacks.** The relaxation softens a slot's leading rows
+//!   `i` into `(Cx)_i − σ_i ≤ d_i`, `σ_i ≥ 0`, priced `ρ_i σ_i + ε σ_i²`.
+//!   Each slack appears in its row, its own non-negativity row and its own
+//!   stationarity equation only, so it is eliminated in closed form: the
+//!   row keeps its place in its location block with the effective barrier
+//!   weight `w (2ε + w′) / (2ε + w + w′)`.
+//! * **Dead capacity.** Arcs a zero-capacity row pins to zero (see
+//!   [`StructuredLq::pins`]) drop out of their chains for that slot, and
+//!   the rows the pin satisfies identically leave the iteration, so a dark
+//!   data center never produces the rank-deficient rows that stall an
+//!   interior-point method.
+//!
+//! The outer loop is the Mehrotra predictor–corrector of the dense
+//! Riccati path (`lq_ipm`), with the same stopping rules,
+//! regularization-boost retry, degraded acceptance and infeasibility
+//! classification. Each Newton solve is refined against the exact
+//! augmented system until its componentwise backward error reaches
+//! round-off: late iterations push the barrier weights across ~15 decades,
+//! and a fixed number of refinement passes leaves too much error in the
+//! direction for the iterates to stay on the central path.
 
 use crate::lq_ipm::{classify_infeasibility, max_step_multi, trace_lq_solve};
 use crate::structured::StructuredLq;
-use crate::{IpmSettings, LqSolution, SolveStatus, SolverError};
-use dspp_linalg::{BlockDiag, LinalgError, Matrix, SchurComplement, Vector};
+use crate::{IpmSettings, LqSolution, RelaxedSolution, SoftSpec, SolveStatus, SolverError};
+use dspp_linalg::{Cholesky, LinalgError, Matrix, SchurComplement, Vector};
 use dspp_telemetry::{AttrValue, Recorder};
 use std::time::Instant;
+
+/// Upper bound on iterative-refinement passes per Newton solve. The
+/// stopping test is the residual reaching round-off (or refinement
+/// ceasing to reduce it); this cap only bounds a pathological loop.
+const MAX_REFINEMENT_PASSES: usize = 10;
+
+/// Componentwise backward error at which a Newton solve counts as exact:
+/// a small multiple of machine epsilon, the level a residual evaluated in
+/// floating point cannot go below.
+const ROUND_OFF: f64 = 16.0 * f64::EPSILON;
 
 fn zero_mat(m: &mut Matrix) {
     for i in 0..m.rows() {
@@ -54,96 +87,109 @@ fn zero_mat(m: &mut Matrix) {
     }
 }
 
-/// Cross block between one group-A (demand) row and one group-B
-/// (capacity) row it shares arcs with: `F = Σ c_A c_B T_e⁻¹` and the
-/// eliminated product `K = D_A⁻¹ F`.
-struct APair {
-    jb: usize,
-    f: Matrix,
-    k: Matrix,
+/// One location block of `H_A = T + G_Aᵀ W_A G_A`: the chains of the
+/// arcs one group-A (demand) row covers, plus that row's barrier term
+/// (arcs in no group-A row form singleton blocks without a row).
+struct Block {
+    /// The block's arcs; local arc `p` occupies rows `[p·W, (p+1)·W)`.
+    arcs: Vec<usize>,
+    /// The group-A row and its coefficient on each local arc.
+    row: Option<(usize, Vec<f64>)>,
+    /// The assembled block, its factor and its explicit inverse (zero on
+    /// pinned rows and columns).
+    h: Matrix,
+    chol: Cholesky,
+    inv: Matrix,
+    /// Gather/scatter scratch of the block dimension.
+    x: Vector,
+}
+
+impl Block {
+    fn new(arcs: Vec<usize>, row: Option<(usize, Vec<f64>)>, w: usize) -> Self {
+        let dim = arcs.len() * w;
+        Block {
+            arcs,
+            row,
+            h: Matrix::zeros(dim, dim),
+            chol: Cholesky::factor(&Matrix::identity(dim)).expect("identity is PD"),
+            inv: Matrix::zeros(dim, dim),
+            x: Vector::zeros(dim),
+        }
+    }
 }
 
 /// Preallocated factorization workspace for the condensed structured KKT
 /// system; rebuilt by [`SchurKkt::refactor`] every interior-point
 /// iteration without allocating.
+///
+/// `H = H_A + G_Bᵀ W_B G_B`, where `H_A` is block-diagonal over
+/// locations. Every location block is factored as one dense SPD matrix;
+/// the capacity rows stay in augmented form with their multiplier step
+/// `u = Δz_B` as an unknown, and are eliminated onto
+/// `S_B = W_B⁻¹ + Σ_v G_B H_v⁻¹ G_Bᵀ` — a sum of positive semidefinite
+/// terms. No step subtracts one large quantity from another when demand
+/// and capacity rows bind together, and a binding capacity row's huge
+/// barrier weight never multiplies a rounding error in `G_B Δx`.
 struct SchurKkt {
-    n: usize,
     w: usize,
     /// Per arc: the single-arc rows touching it (row index, coefficient).
     diag_by_arc: Vec<Vec<(usize, f64)>>,
-    /// Per-arc `W×W` chain matrices and their block-Cholesky factors.
-    t_mats: Vec<Matrix>,
-    t_blocks: BlockDiag,
-    /// Explicit per-arc chain inverses (needed to assemble `S`).
-    t_invs: Vec<Matrix>,
-    /// Group-A (demand-row) diagonal blocks of `S` and their factors.
-    a_mats: Vec<Matrix>,
-    a_blocks: BlockDiag,
-    /// Per group-A row: cross blocks against overlapping group-B rows.
-    pairs: Vec<Vec<APair>>,
-    /// Final dense system over the group-B rows.
+    blocks: Vec<Block>,
+    /// Inverse barrier weight `D = W_B⁻¹` per capacity row and slot (one
+    /// on vacuous rows).
+    dcap: Vector,
+    /// Dense system over the group-B (capacity) rows.
     s_cap: SchurComplement,
     // --- scratch ---
-    tmp_mat: Matrix,
-    col: Vector,
-    h_a: Vector,
-    u_b: Vector,
     corr: Vector,
-    rhs_copy: Vector,
+    rhs: Vector,
+    rhs_u: Vector,
     resid: Vector,
+    resid_u: Vector,
+    y_try: Vector,
+    u_try: Vector,
 }
 
 impl SchurKkt {
     fn new(slq: &StructuredLq) -> Self {
-        let n = slq.n;
-        let w = slq.w;
+        let (n, w, nb) = (slq.n, slq.w, slq.group_b.len());
         let mut diag_by_arc: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
         for dr in &slq.diag_rows {
             diag_by_arc[dr.arc].push((dr.row, dr.coeff));
         }
-        let pairs = slq
+        let mut covered = vec![false; n];
+        let mut blocks: Vec<Block> = slq
             .group_a
             .iter()
             .map(|cr| {
-                let mut jbs: Vec<usize> = cr
-                    .entries
-                    .iter()
-                    .filter_map(|&(e, _)| {
-                        let (jb, _) = slq.arc_b[e];
-                        (jb != crate::structured::NO_ROW).then_some(jb)
-                    })
-                    .collect();
-                jbs.sort_unstable();
-                jbs.dedup();
-                jbs.into_iter()
-                    .map(|jb| APair {
-                        jb,
-                        f: Matrix::zeros(w, w),
-                        k: Matrix::zeros(w, w),
-                    })
-                    .collect()
+                for &(e, _) in &cr.entries {
+                    covered[e] = true;
+                }
+                Block::new(
+                    cr.entries.iter().map(|&(e, _)| e).collect(),
+                    Some((cr.row, cr.entries.iter().map(|&(_, c)| c).collect())),
+                    w,
+                )
             })
             .collect();
-        let na = slq.group_a.len();
-        let nb = slq.group_b.len();
+        blocks.extend(
+            (0..n)
+                .filter(|&e| !covered[e])
+                .map(|e| Block::new(vec![e], None, w)),
+        );
         SchurKkt {
-            n,
             w,
             diag_by_arc,
-            t_mats: vec![Matrix::zeros(w, w); n],
-            t_blocks: BlockDiag::new(n, w),
-            t_invs: vec![Matrix::zeros(w, w); n],
-            a_mats: vec![Matrix::zeros(w, w); na],
-            a_blocks: BlockDiag::new(na, w),
-            pairs,
+            blocks,
+            dcap: Vector::zeros(nb * w),
             s_cap: SchurComplement::new(nb * w),
-            tmp_mat: Matrix::zeros(w, w),
-            col: Vector::zeros(w),
-            h_a: Vector::zeros(na * w),
-            u_b: Vector::zeros(nb * w),
             corr: Vector::zeros(n * w),
-            rhs_copy: Vector::zeros(n * w),
+            rhs: Vector::zeros(n * w),
+            rhs_u: Vector::zeros(nb * w),
             resid: Vector::zeros(n * w),
+            resid_u: Vector::zeros(nb * w),
+            y_try: Vector::zeros(n * w),
+            u_try: Vector::zeros(nb * w),
         }
     }
 
@@ -152,236 +198,318 @@ impl SchurKkt {
         self.s_cap.dim()
     }
 
-    /// Rebuilds and refactors the whole condensed system for the current
-    /// barrier weights `ws` (per slot, slot 0 empty) and regularization.
-    fn refactor(&mut self, slq: &StructuredLq, ws: &[Vector], reg: f64) -> Result<(), LinalgError> {
+    /// Largest location-block dimension.
+    fn block_dim(&self) -> usize {
+        self.blocks.iter().map(|b| b.x.len()).max().unwrap_or(0)
+    }
+
+    /// Zeroes the pinned entries of an arc-major vector.
+    fn clear_pinned(slq: &StructuredLq, v: &mut Vector) {
+        for (i, &p) in slq.pinned.iter().enumerate() {
+            if p {
+                v[i] = 0.0;
+            }
+        }
+    }
+
+    /// Rebuilds and refactors the whole condensed system. `wm[k]` holds the
+    /// effective barrier weight of every model row of slot `k` (zero for a
+    /// vacuous row), `rt[k]` the chain weight `R_k + reg + box weights` of
+    /// every arc's stage-`k` input.
+    fn refactor(
+        &mut self,
+        slq: &StructuredLq,
+        wm: &[Vector],
+        rt: &[Vector],
+        reg: f64,
+    ) -> Result<(), LinalgError> {
         let w = self.w;
-        // Per-arc tridiagonal chains: T_e = Σ_k R̃_k (y_{k+1}−y_k)² plus
-        // the diagonal barrier terms of the single-arc rows.
-        for e in 0..self.n {
-            let m = &mut self.t_mats[e];
-            zero_mat(m);
-            #[allow(clippy::needless_range_loop)] // `k` is a stage index into several arrays
-            for k in 1..=w {
-                let i = k - 1;
-                let mut d = slq.r_diags[k - 1][e] + reg;
-                if k < w {
-                    let rt = slq.r_diags[k][e] + reg;
-                    d += rt;
-                    m[(i, i + 1)] = -rt;
-                    m[(i + 1, i)] = -rt;
-                }
-                for &(row, c) in &self.diag_by_arc[e] {
-                    d += ws[k][row] * c * c;
-                }
-                m[(i, i)] = d;
-            }
-        }
-        self.t_blocks.refactor(&self.t_mats, 0.0)?;
-        for e in 0..self.n {
-            self.t_blocks.inverse_block_into(e, &mut self.t_invs[e]);
-        }
-        // Group-A diagonal blocks D_A[j] = W_c⁻¹ + Σ c² T_e⁻¹.
-        for (ja, cr) in slq.group_a.iter().enumerate() {
-            let m = &mut self.a_mats[ja];
-            zero_mat(m);
-            for &(e, c) in &cr.entries {
-                m.add_scaled(c * c, &self.t_invs[e]);
-            }
-            for k in 1..=w {
-                m[(k - 1, k - 1)] += 1.0 / ws[k][cr.row];
-            }
-        }
-        self.a_blocks.refactor(&self.a_mats, 0.0)?;
-        // Cross blocks F (per shared arc) and K = D_A⁻¹ F.
-        for (ja, cr) in slq.group_a.iter().enumerate() {
-            for pair in self.pairs[ja].iter_mut() {
-                zero_mat(&mut pair.f);
-                for &(e, ca) in &cr.entries {
-                    let (jb, cb) = slq.arc_b[e];
-                    if jb == pair.jb {
-                        pair.f.add_scaled(ca * cb, &self.t_invs[e]);
+        for blk in &mut self.blocks {
+            let h = &mut blk.h;
+            zero_mat(h);
+            // Chains: Σ_k R̃_k (y_{k+1} − y_k)² plus the single-arc rows'
+            // barrier terms on the diagonal.
+            for (p, &e) in blk.arcs.iter().enumerate() {
+                let o = p * w;
+                #[allow(clippy::needless_range_loop)] // `k` is a stage index into several arrays
+                for k in 1..=w {
+                    let i = o + k - 1;
+                    let mut d = rt[k - 1][e];
+                    if k < w {
+                        let r_next = rt[k][e];
+                        d += r_next;
+                        h[(i, i + 1)] = -r_next;
+                        h[(i + 1, i)] = -r_next;
                     }
+                    for &(row, c) in &self.diag_by_arc[e] {
+                        d += wm[k][row] * c * c;
+                    }
+                    h[(i, i)] = d;
                 }
-                for j in 0..w {
-                    pair.f.col_into(j, &mut self.col);
-                    self.a_blocks.solve_block_in_place(ja, &mut self.col);
-                    for i in 0..w {
-                        pair.k[(i, j)] = self.col[i];
+            }
+            // The location's demand row, slot by slot.
+            if let Some((row, coeffs)) = &blk.row {
+                for i in 0..w {
+                    let weight = wm[i + 1][*row];
+                    for (p, &cp) in coeffs.iter().enumerate() {
+                        for (q, &cq) in coeffs.iter().enumerate() {
+                            h[(p * w + i, q * w + i)] += cp * cq * weight;
+                        }
                     }
                 }
             }
+            // A pinned slot is a decoupled identity row.
+            let dim = h.rows();
+            for (p, &e) in blk.arcs.iter().enumerate() {
+                for i in 0..w {
+                    if slq.pinned[e * w + i] {
+                        let r = p * w + i;
+                        for c in 0..dim {
+                            h[(r, c)] = 0.0;
+                            h[(c, r)] = 0.0;
+                        }
+                        h[(r, r)] = 1.0;
+                    }
+                }
+            }
+            blk.chol.refactor_rowwise(h, 0.0)?;
+            for j in 0..dim {
+                blk.x.fill(0.0);
+                blk.x[j] = 1.0;
+                blk.chol.solve_in_place(&mut blk.x);
+                for r in 0..dim {
+                    blk.inv[(r, j)] = blk.x[r];
+                }
+            }
+            for (p, &e) in blk.arcs.iter().enumerate() {
+                for i in 0..w {
+                    if slq.pinned[e * w + i] {
+                        blk.inv[(p * w + i, p * w + i)] = 0.0;
+                    }
+                }
+            }
         }
-        // Dense group-B system S_B = D_B − Fᵀ D_A⁻¹ F.
+        // S_B = W_B⁻¹ + Σ_v G_B H_v⁻¹ G_Bᵀ; a vacuous row (all arcs
+        // pinned, so decoupled) gets an identity entry.
         self.s_cap.reset();
         for (jb, cr) in slq.group_b.iter().enumerate() {
-            zero_mat(&mut self.tmp_mat);
-            for &(e, c) in &cr.entries {
-                self.tmp_mat.add_scaled(c * c, &self.t_invs[e]);
-            }
-            #[allow(clippy::needless_range_loop)] // `k` is a stage index, offset by one
+            #[allow(clippy::needless_range_loop)] // `k` is a slot index into several arrays
             for k in 1..=w {
-                self.tmp_mat[(k - 1, k - 1)] += 1.0 / ws[k][cr.row];
+                let j = jb * w + k - 1;
+                self.dcap[j] = if slq.vacuous[k - 1][cr.row] {
+                    1.0
+                } else {
+                    1.0 / wm[k][cr.row]
+                };
+                self.s_cap.add_diag_entry(j, self.dcap[j]);
             }
-            self.s_cap.add_block(jb * w, jb * w, 1.0, &self.tmp_mat);
         }
-        for prs in &self.pairs {
-            for p in prs {
-                for q in prs {
-                    zero_mat(&mut self.tmp_mat);
-                    p.f.matmul_t_acc(1.0, &q.k, &mut self.tmp_mat);
-                    self.s_cap
-                        .add_block(p.jb * w, q.jb * w, -1.0, &self.tmp_mat);
+        let s = self.s_cap.matrix_mut();
+        for blk in &self.blocks {
+            for (p, &ep) in blk.arcs.iter().enumerate() {
+                let (lp, cp) = slq.arc_b[ep];
+                if lp == crate::structured::NO_ROW {
+                    continue;
+                }
+                for (q, &eq) in blk.arcs.iter().enumerate() {
+                    let (lq, cq) = slq.arc_b[eq];
+                    if lq == crate::structured::NO_ROW {
+                        continue;
+                    }
+                    let c = cp * cq;
+                    for i in 0..w {
+                        for j in 0..w {
+                            s[(lp * w + i, lq * w + j)] += c * blk.inv[(p * w + i, q * w + j)];
+                        }
+                    }
                 }
             }
         }
         self.s_cap.refactor(reg)
     }
 
-    /// Solves `H y = b` in place (`y` in arc-major layout: arc `e`'s
-    /// chain occupies `[e·W, (e+1)·W)`), using the last successful
-    /// [`SchurKkt::refactor`].
-    fn solve_in_place(&mut self, slq: &StructuredLq, y: &mut Vector) {
+    /// `v ← H_A⁻¹ v`, block by block.
+    fn block_solve(&mut self, v: &mut Vector) {
         let w = self.w;
-        // g = T⁻¹ b.
-        self.t_blocks.solve_in_place(y);
-        // h = D_A⁻¹ (G_A g).
-        for (ja, cr) in slq.group_a.iter().enumerate() {
-            for i in 0..w {
-                self.col[i] = 0.0;
-            }
-            for &(e, c) in &cr.entries {
+        for blk in &mut self.blocks {
+            for (p, &e) in blk.arcs.iter().enumerate() {
                 for i in 0..w {
-                    self.col[i] += c * y[e * w + i];
+                    blk.x[p * w + i] = v[e * w + i];
                 }
             }
-            self.a_blocks.solve_block_in_place(ja, &mut self.col);
-            for i in 0..w {
-                self.h_a[ja * w + i] = self.col[i];
+            blk.chol.solve_in_place(&mut blk.x);
+            for (p, &e) in blk.arcs.iter().enumerate() {
+                for i in 0..w {
+                    v[e * w + i] = blk.x[p * w + i];
+                }
             }
         }
-        // rhs_B = G_B g − Fᵀ h.
+    }
+
+    /// Solves the augmented system
+    ///
+    /// ```text
+    /// [H_A   G_Bᵀ] [y]   [b]
+    /// [G_B   −D  ] [u] = [f]
+    /// ```
+    ///
+    /// in place (`y` arc-major: arc `e`'s chain occupies `[e·W, (e+1)·W)`;
+    /// `u` capacity-row-major), using the last successful
+    /// [`SchurKkt::refactor`]. Pinned entries of `y` come back zero.
+    fn solve_in_place(&mut self, slq: &StructuredLq, y: &mut Vector, u: &mut Vector) {
+        let w = self.w;
+        // g = H_A⁻¹ b on the free entries.
+        Self::clear_pinned(slq, y);
+        self.block_solve(y);
+        // S_B u = G_B g − f.
         for (jb, cr) in slq.group_b.iter().enumerate() {
             for i in 0..w {
                 let mut acc = 0.0;
                 for &(e, c) in &cr.entries {
                     acc += c * y[e * w + i];
                 }
-                self.u_b[jb * w + i] = acc;
+                u[jb * w + i] = acc - u[jb * w + i];
             }
         }
-        for (ja, prs) in self.pairs.iter().enumerate() {
-            for p in prs {
-                for j in 0..w {
-                    let mut acc = 0.0;
-                    for i in 0..w {
-                        acc += p.f[(i, j)] * self.h_a[ja * w + i];
-                    }
-                    self.u_b[p.jb * w + j] -= acc;
-                }
-            }
-        }
-        self.s_cap.solve_in_place(&mut self.u_b);
-        // Back-substitute the demand rows: u_A = h − K u_B.
-        for (ja, prs) in self.pairs.iter().enumerate() {
-            for p in prs {
-                for i in 0..w {
-                    let mut acc = 0.0;
-                    for j in 0..w {
-                        acc += p.k[(i, j)] * self.u_b[p.jb * w + j];
-                    }
-                    self.h_a[ja * w + i] -= acc;
-                }
-            }
-        }
-        // y = g − T⁻¹ Gᵀ u.
-        self.corr.fill(0.0);
-        for (ja, cr) in slq.group_a.iter().enumerate() {
-            for &(e, c) in &cr.entries {
-                for i in 0..w {
-                    self.corr[e * w + i] += c * self.h_a[ja * w + i];
-                }
-            }
-        }
+        self.s_cap.solve_in_place(u);
+        // y = g − H_A⁻¹ G_Bᵀ u.
+        let mut corr = std::mem::take(&mut self.corr);
+        corr.fill(0.0);
         for (jb, cr) in slq.group_b.iter().enumerate() {
             for &(e, c) in &cr.entries {
                 for i in 0..w {
-                    self.corr[e * w + i] += c * self.u_b[jb * w + i];
+                    corr[e * w + i] = c * u[jb * w + i];
                 }
             }
         }
-        self.t_blocks.solve_in_place(&mut self.corr);
-        y.axpy(-1.0, &self.corr);
+        Self::clear_pinned(slq, &mut corr);
+        self.block_solve(&mut corr);
+        y.axpy(-1.0, &corr);
+        self.corr = corr;
     }
 
-    /// `out = H v` for the condensed matrix `H = T + CᵀWC` (the exact
-    /// matrix [`SchurKkt::refactor`] factored, including regularization).
-    /// The chains `t_mats` already carry the single-arc barrier rows, so
-    /// only the coupling rows are applied explicitly.
-    fn apply_h(&self, slq: &StructuredLq, ws: &[Vector], v: &Vector, out: &mut Vector) {
+    /// Writes the residual of the exact augmented system (the one
+    /// [`SchurKkt::refactor`] factored, regularization included) at
+    /// `(y, u)` into `resid`/`resid_u`, and returns its componentwise
+    /// backward error `max_i |r_i| / (|rhs| + |K||(y, u)|)_i` — the
+    /// quantity that bottoms out at a small multiple of machine epsilon
+    /// once refinement can make no further progress. Pinned entries are
+    /// excluded.
+    fn residual(&mut self, slq: &StructuredLq, y: &Vector, u: &Vector) -> f64 {
         let w = self.w;
-        for e in 0..self.n {
-            let t = &self.t_mats[e];
-            for i in 0..w {
-                let mut acc = 0.0;
-                for j in 0..w {
-                    acc += t[(i, j)] * v[e * w + j];
-                }
-                out[e * w + i] = acc;
-            }
-        }
-        for cr in slq.group_a.iter().chain(slq.group_b.iter()) {
-            for i in 0..w {
-                let mut acc = 0.0;
-                for &(e, c) in &cr.entries {
-                    acc += c * v[e * w + i];
-                }
-                acc *= ws[i + 1][cr.row];
-                for &(e, c) in &cr.entries {
-                    out[e * w + i] += c * acc;
+        // resid ← H_A y + G_Bᵀ u, corr ← |H_A||y| + |G_B|ᵀ|u|.
+        for blk in &self.blocks {
+            let dim = blk.h.rows();
+            for (p, &e) in blk.arcs.iter().enumerate() {
+                for i in 0..w {
+                    let row = blk.h.row(p * w + i);
+                    let mut acc = 0.0;
+                    let mut abs = 0.0;
+                    for c in 0..dim {
+                        let hy = row[c] * y[blk.arcs[c / w] * w + c % w];
+                        acc += hy;
+                        abs += hy.abs();
+                    }
+                    self.resid[e * w + i] = acc;
+                    self.corr[e * w + i] = abs;
                 }
             }
         }
+        let mut omega = 0.0f64;
+        let mut track = |r: f64, scale: f64| {
+            if r != 0.0 {
+                omega = omega.max(if scale > 0.0 {
+                    r.abs() / scale
+                } else {
+                    f64::INFINITY
+                });
+            }
+        };
+        // Capacity rows: G_B y − D u, and their transposed contribution.
+        for (jb, cr) in slq.group_b.iter().enumerate() {
+            for i in 0..w {
+                let j = jb * w + i;
+                let mut acc = 0.0;
+                let mut abs = 0.0;
+                for &(e, c) in &cr.entries {
+                    let g = c * y[e * w + i];
+                    acc += g;
+                    abs += g.abs();
+                    let gu = c * u[j];
+                    self.resid[e * w + i] += gu;
+                    self.corr[e * w + i] += gu.abs();
+                }
+                let du = self.dcap[j] * u[j];
+                let r = self.rhs_u[j] - (acc - du);
+                self.resid_u[j] = r;
+                track(r, self.rhs_u[j].abs() + abs + du.abs());
+            }
+        }
+        for i in 0..self.resid.len() {
+            if slq.pinned[i] {
+                self.resid[i] = 0.0;
+                continue;
+            }
+            let r = self.rhs[i] - self.resid[i];
+            self.resid[i] = r;
+            track(r, self.rhs[i].abs() + self.corr[i]);
+        }
+        omega
     }
 
-    /// [`SchurKkt::solve_in_place`] followed by two steps of iterative
-    /// refinement against the true `H`. Late interior-point iterations
-    /// push the barrier weights to ~1e14 and the condensed system's
-    /// condition number with them; the raw two-level solve then loses
-    /// enough digits that the recovered duals diverge. Refinement is two
-    /// extra block solves — negligible next to the refactorization — and
-    /// keeps the step residual at roundoff level throughout.
-    fn solve_refined(&mut self, slq: &StructuredLq, ws: &[Vector], y: &mut Vector) {
-        self.rhs_copy.copy_from(y);
-        self.solve_in_place(slq, y);
-        let mut resid = std::mem::replace(&mut self.resid, Vector::zeros(0));
-        for _ in 0..2 {
-            self.apply_h(slq, ws, y, &mut resid);
-            for i in 0..resid.len() {
-                resid[i] = self.rhs_copy[i] - resid[i];
+    /// [`SchurKkt::solve_in_place`] followed by iterative refinement
+    /// against the exact augmented system until the componentwise backward
+    /// error reaches round-off or stops shrinking. Returns the refinement
+    /// passes taken.
+    fn solve_refined(&mut self, slq: &StructuredLq, y: &mut Vector, u: &mut Vector) -> usize {
+        self.rhs.copy_from(y);
+        self.rhs_u.copy_from(u);
+        self.solve_in_place(slq, y, u);
+        let mut norm = self.residual(slq, y, u);
+        let mut passes = 0;
+        while norm > ROUND_OFF && passes < MAX_REFINEMENT_PASSES {
+            passes += 1;
+            let mut dy = std::mem::take(&mut self.resid);
+            let mut du = std::mem::take(&mut self.resid_u);
+            self.solve_in_place(slq, &mut dy, &mut du);
+            let mut y_try = std::mem::take(&mut self.y_try);
+            let mut u_try = std::mem::take(&mut self.u_try);
+            y_try.copy_from(y);
+            y_try.axpy(1.0, &dy);
+            u_try.copy_from(u);
+            u_try.axpy(1.0, &du);
+            self.resid = dy;
+            self.resid_u = du;
+            let next = self.residual(slq, &y_try, &u_try);
+            let improved = next < norm;
+            if improved {
+                std::mem::swap(y, &mut y_try);
+                std::mem::swap(u, &mut u_try);
+                norm = next;
             }
-            self.solve_in_place(slq, &mut resid);
-            y.axpy(1.0, &resid);
+            self.y_try = y_try;
+            self.u_try = u_try;
+            if !improved {
+                break;
+            }
         }
-        self.resid = resid;
+        passes
     }
 }
 
 /// Solves a [`StructuredLq`] with the structure-exploiting interior-point
 /// method; cold start.
 ///
-/// This is the direct entry point for problems built compactly because
-/// their dense expansion would not fit in memory (the 100×-scale
-/// benchmark instances). For problems that already exist as an
-/// [`LqProblem`](crate::LqProblem), prefer [`solve_lq`](crate::solve_lq)
-/// — it dispatches here automatically when the backend, threshold, and
-/// structure detection all agree, and falls back to the dense path
-/// otherwise.
-///
 /// # Errors
 ///
-/// As [`solve_lq`](crate::solve_lq): invalid settings, certified
-/// infeasibility, iteration exhaustion, or numerical failure.
+/// * [`SolverError::InvalidProblem`] for invalid settings.
+/// * [`SolverError::Infeasible`] when the exit classifier certifies primal
+///   infeasibility (a constraint row stayed violated while its
+///   multipliers diverged).
+/// * [`SolverError::MaxIterations`] when tolerances are not met within the
+///   iteration budget on an apparently feasible problem.
+/// * [`SolverError::NumericalFailure`] when factorization or the iterates
+///   break down.
 pub fn solve_structured(
     slq: &StructuredLq,
     settings: &IpmSettings,
@@ -390,28 +518,37 @@ pub fn solve_structured(
 }
 
 /// [`solve_structured`] with a primal warm-start guess for the input
-/// sequence (`W` vectors of the arc dimension), as
-/// [`solve_lq_warm`](crate::solve_lq_warm).
+/// sequence (`W` vectors of the arc dimension) — typically the previous
+/// period's solution shifted by one stage. The guess only seeds the primal
+/// trajectory (slacks and duals are re-centred), so a poor guess degrades
+/// gracefully to roughly cold-start behaviour.
 ///
 /// # Errors
 ///
-/// As [`solve_structured`], plus
-/// [`SolverError::InvalidProblem`] for a wrong-shaped or non-finite guess.
+/// As [`solve_structured`], plus [`SolverError::InvalidProblem`] for a
+/// wrong-shaped or non-finite guess.
 pub fn solve_structured_warm(
     slq: &StructuredLq,
     settings: &IpmSettings,
     warm_us: Option<&[Vector]>,
 ) -> Result<LqSolution, SolverError> {
-    solve_structured_inner(slq, settings, warm_us, &Recorder::disabled())
+    solve_structured_inner(slq, None, settings, warm_us, &Recorder::disabled()).map(|(sol, _)| sol)
 }
 
 /// [`solve_structured_warm`] with metrics emitted to `telemetry`.
 ///
-/// Emits the same `solver.lq.*` catalogue as
-/// [`solve_lq_warm_traced`](crate::solve_lq_warm_traced), plus the
-/// structured-path extras: the `solver.lq.schur_factor` counter (one per
-/// successful factorization) and the `solver.lq.schur_block_size`,
-/// `solver.lq.schur_dense_dim`, and `solver.lq.schur_fill` observations.
+/// Per attempt it increments `solver.lq.solves` (plus
+/// `solver.lq.warm_starts` when a guess is supplied) and one
+/// `solver.lq.status.*` tally, and observes `solver.lq.iterations`,
+/// `solver.lq.solve_seconds` and — on success — the final
+/// `solver.lq.kkt_residual`. Per iteration it counts
+/// `solver.lq.schur_factor` (one per successful factorization) and times
+/// `solver.lq.schur_factor_seconds` / `solver.lq.schur_solve_seconds`;
+/// each Newton solve observes `solver.lq.refinement_passes`; the first
+/// factorization observes `solver.lq.schur_block_size`,
+/// `solver.lq.schur_dense_dim` and `solver.lq.schur_fill`. A disabled
+/// recorder makes this identical to [`solve_structured_warm`]; see
+/// `docs/OBSERVABILITY.md` for the metric catalogue.
 ///
 /// # Errors
 ///
@@ -423,30 +560,331 @@ pub fn solve_structured_warm_traced(
     telemetry: &Recorder,
 ) -> Result<LqSolution, SolverError> {
     trace_lq_solve(telemetry, warm_us.is_some(), || {
-        solve_structured_inner(slq, settings, warm_us, telemetry)
+        solve_structured_inner(slq, None, settings, warm_us, telemetry).map(|(sol, _)| sol)
     })
 }
 
-/// Loose-tolerance acceptance for the breakdown exits, mirroring the
-/// dense path's `accept_degraded`.
-#[allow(clippy::too_many_arguments)]
-fn accept_degraded(
+/// Solves the always-feasible relaxation of `slq`: the leading
+/// `spec.penalties.len()` rows of every constrained slot `1..=W` gain a
+/// slack `σ ≥ 0`, `(Cx)_i − σ_i ≤ d_i`, priced `ρ_i σ_i + ε σ_i²` — the
+/// same problem [`relax_lq_slots`](crate::relax_lq_slots) builds densely
+/// with slot 0 left strict. Input box rows stay hard.
+///
+/// The returned solution is in the strict problem's shapes, its objective
+/// excludes the slack penalty, and `slacks[k]` holds slot `k`'s slack
+/// values (clamped at zero; `slacks[0]` is empty). Metrics as
+/// [`solve_structured_warm_traced`].
+///
+/// # Errors
+///
+/// As [`solve_structured_warm`], plus [`SolverError::InvalidProblem`] for
+/// a degenerate spec (no soft rows, more soft rows than a slot has,
+/// non-positive or non-finite penalties).
+pub fn solve_structured_relaxed_traced(
     slq: &StructuredLq,
+    spec: &SoftSpec,
+    settings: &IpmSettings,
+    warm_us: Option<&[Vector]>,
+    telemetry: &Recorder,
+) -> Result<RelaxedSolution, SolverError> {
+    let soft_rows = spec.penalties.len();
+    if soft_rows == 0 || soft_rows > slq.m_rows {
+        return Err(SolverError::InvalidProblem(format!(
+            "relaxation: {soft_rows} soft rows requested of {} per slot",
+            slq.m_rows
+        )));
+    }
+    if !spec.penalties.is_finite() || spec.penalties.iter().any(|p| *p <= 0.0) {
+        return Err(SolverError::InvalidProblem(
+            "relaxation: slack penalties must be positive and finite".into(),
+        ));
+    }
+    if !spec.quadratic.is_finite() || spec.quadratic <= 0.0 {
+        return Err(SolverError::InvalidProblem(
+            "relaxation: quadratic slack penalty must be positive".into(),
+        ));
+    }
+    let mut slacks = Vec::new();
+    let solution = trace_lq_solve(telemetry, warm_us.is_some(), || {
+        let (sol, sl) = solve_structured_inner(slq, Some(spec), settings, warm_us, telemetry)?;
+        slacks = sl;
+        Ok(sol)
+    })?;
+    Ok(RelaxedSolution { solution, slacks })
+}
+
+/// Where each kind of inequality row sits in a slot's row vector: the
+/// model rows (slots `1..=W`), then the box rows on the slot's own input
+/// `u_k` (slots `0..W`), then the recovery slacks' non-negativity rows.
+#[derive(Clone, Copy)]
+struct Layout {
+    n: usize,
+    w: usize,
+    m: usize,
+    soft: usize,
+    bounded: bool,
+}
+
+impl Layout {
+    fn model(&self, k: usize) -> usize {
+        if k >= 1 {
+            self.m
+        } else {
+            0
+        }
+    }
+
+    fn boxes(&self, k: usize) -> usize {
+        if self.bounded && k < self.w {
+            2 * self.n
+        } else {
+            0
+        }
+    }
+
+    fn softs(&self, k: usize) -> usize {
+        if k >= 1 {
+            self.soft
+        } else {
+            0
+        }
+    }
+
+    fn soft_off(&self, k: usize) -> usize {
+        self.model(k) + self.boxes(k)
+    }
+
+    fn rows(&self, k: usize) -> usize {
+        self.soft_off(k) + self.softs(k)
+    }
+}
+
+/// The problem as the iteration sees it: the compact rows plus the box
+/// bound, the relaxation and the rows pins make vacuous, flattened into
+/// one inequality vector per slot.
+struct Rows<'a> {
+    slq: &'a StructuredLq,
+    lay: Layout,
+    u_max: f64,
+    penalties: Option<&'a Vector>,
+    /// `2ε`, the slack Hessian.
+    eps2: f64,
+    /// Right-hand side per slot.
+    d: Vec<Vector>,
+    /// Per slot: whether each row takes part in the iteration.
+    active: Vec<Vec<bool>>,
+}
+
+impl<'a> Rows<'a> {
+    fn new(slq: &'a StructuredLq, soft: Option<&'a SoftSpec>) -> Self {
+        let lay = Layout {
+            n: slq.n,
+            w: slq.w,
+            m: slq.m_rows,
+            soft: soft.map_or(0, |s| s.penalties.len()),
+            bounded: slq.u_max.is_some(),
+        };
+        let u_max = slq.u_max.unwrap_or(0.0);
+        let d = (0..=lay.w)
+            .map(|k| {
+                let mut d = Vector::zeros(lay.rows(k));
+                if k >= 1 {
+                    for (di, &v) in d.iter_mut().zip(slq.ds[k - 1].iter()) {
+                        *di = v;
+                    }
+                }
+                let off = lay.model(k);
+                for i in 0..lay.boxes(k) {
+                    d[off + i] = u_max;
+                }
+                d
+            })
+            .collect();
+        let active = (0..=lay.w)
+            .map(|k| {
+                let mut a = vec![true; lay.rows(k)];
+                if k >= 1 {
+                    let vacuous = &slq.vacuous[k - 1];
+                    for i in 0..lay.m {
+                        a[i] = !vacuous[i];
+                    }
+                    let off = lay.soft_off(k);
+                    for j in 0..lay.soft {
+                        a[off + j] = !vacuous[j];
+                    }
+                }
+                a
+            })
+            .collect();
+        Rows {
+            slq,
+            lay,
+            u_max,
+            penalties: soft.map(|s| &s.penalties),
+            eps2: soft.map_or(0.0, |s| 2.0 * s.quadratic),
+            d,
+            active,
+        }
+    }
+
+    fn active_count(&self) -> usize {
+        self.active
+            .iter()
+            .map(|a| a.iter().filter(|&&on| on).count())
+            .sum()
+    }
+
+    /// Left-hand side of every row of slot `k`, written into `out`.
+    fn lhs_into(&self, k: usize, x: &Vector, u: Option<&Vector>, sig: &Vector, out: &mut Vector) {
+        let lay = &self.lay;
+        if k >= 1 {
+            self.slq.row_lhs_into(x, out);
+            for j in 0..lay.soft {
+                out[j] -= sig[j];
+            }
+        }
+        if let Some(u) = u.filter(|_| lay.boxes(k) > 0) {
+            let off = lay.model(k);
+            for e in 0..lay.n {
+                out[off + e] = u[e];
+                out[off + lay.n + e] = -u[e];
+            }
+        }
+        let off = lay.soft_off(k);
+        for j in 0..lay.softs(k) {
+            out[off + j] = -sig[j];
+        }
+    }
+
+    /// Pinned rollout `x_{k+1} = x_k + u_k`: a pinned arc's input is
+    /// rewritten to land exactly on zero.
+    fn rollout(&self, x0: &Vector, us: &mut [Vector]) -> Vec<Vector> {
+        let (n, w) = (self.lay.n, self.lay.w);
+        let mut xs = Vec::with_capacity(w + 1);
+        xs.push(x0.clone());
+        for k in 0..w {
+            let mut x = xs[k].clone();
+            for e in 0..n {
+                if self.slq.pinned[e * w + k] {
+                    us[k][e] = -xs[k][e];
+                    x[e] = 0.0;
+                } else {
+                    x[e] += us[k][e];
+                }
+            }
+            xs.push(x);
+        }
+        xs
+    }
+
+    /// Objective including the slack penalty (the relaxed problem's own
+    /// objective, which the stopping tests measure against).
+    fn objective(&self, xs: &[Vector], us: &[Vector], sig: &[Vector]) -> f64 {
+        let mut j = self.slq.objective(xs, us);
+        if let Some(rho) = self.penalties {
+            for s in sig.iter().skip(1) {
+                for (i, &v) in s.iter().enumerate() {
+                    j += 0.5 * self.eps2 * v * v + rho[i] * v;
+                }
+            }
+        }
+        j
+    }
+
+    /// Stopping-test scale: the dense path's, which for the relaxation
+    /// includes the slack penalties (they are its input costs).
+    fn scale(&self) -> f64 {
+        let rho = self.penalties.map_or(0.0, Vector::norm_inf);
+        self.slq.scale().max(rho).max(self.u_max)
+    }
+}
+
+/// Primal–dual iterate: states, inputs, slacks of the relaxation, costates
+/// and the per-slot inequality slack/dual pairs.
+struct Iterate {
+    xs: Vec<Vector>,
+    us: Vec<Vector>,
+    sig: Vec<Vector>,
+    lams: Vec<Vector>,
+    ss: Vec<Vector>,
+    zs: Vec<Vector>,
+}
+
+impl Iterate {
+    fn zeros(lay: &Layout) -> Self {
+        let (n, w) = (lay.n, lay.w);
+        Iterate {
+            xs: vec![Vector::zeros(n); w + 1],
+            us: vec![Vector::zeros(n); w],
+            sig: (0..=w).map(|k| Vector::zeros(lay.softs(k))).collect(),
+            lams: vec![Vector::zeros(n); w],
+            ss: (0..=w).map(|k| Vector::zeros(lay.rows(k))).collect(),
+            zs: (0..=w).map(|k| Vector::zeros(lay.rows(k))).collect(),
+        }
+    }
+
+    fn is_finite(&self) -> bool {
+        [
+            &self.xs, &self.us, &self.sig, &self.lams, &self.ss, &self.zs,
+        ]
+        .iter()
+        .all(|vs| vs.iter().all(Vector::is_finite))
+    }
+}
+
+/// Residuals of the KKT conditions at the current iterate.
+struct Residuals {
+    /// Primal inequality residual `lhs + s − d` per slot.
+    ineq: Vec<Vector>,
+    /// State stationarity per slot (pinned entries zero).
+    x: Vec<Vector>,
+    /// Input stationarity per stage.
+    u: Vec<Vector>,
+    /// Slack stationarity per slot.
+    sig: Vec<Vector>,
+}
+
+/// Per-iteration Newton data: barrier weights, chain weights, and the
+/// eliminated slack coefficients.
+struct Newton {
+    /// Barrier weight `z/s` per slot row (zero for inactive rows).
+    ws: Vec<Vector>,
+    /// Effective weight of each model row after slack elimination.
+    wm: Vec<Vector>,
+    /// Chain weight `R_k + reg + box weights` per stage.
+    rt: Vec<Vector>,
+    /// `t = (z·r_ineq − r_c)/s` per slot row.
+    ts: Vec<Vector>,
+    /// Complementarity target per slot row.
+    r_cs: Vec<Vector>,
+    /// Slack step `Δσ = sig_c + sig_g·(CΔx)` per soft row.
+    sig_c: Vec<Vector>,
+    sig_g: Vec<Vector>,
+    q_hats: Vec<Vector>,
+    r_hats: Vec<Vector>,
+    /// Condensed state step (arc-major) and capacity multiplier step.
+    y: Vector,
+    u: Vector,
+    cons: Vector,
+}
+
+/// Loose-tolerance acceptance shared by the breakdown exits (failed
+/// factorization, collapsed step), as on the dense path: the primal
+/// iterate already meets the `1e4×`-loosened feasibility and gap tests and
+/// only the multipliers, non-unique on a degenerate active set, kept
+/// iterating.
+fn loosely_converged(
+    rows: &Rows<'_>,
     settings: &IpmSettings,
     scale: f64,
-    xs: &[Vector],
-    us: &[Vector],
-    ss: &[Vector],
-    zs: &[Vector],
-    iterations: usize,
+    it: &Iterate,
+    m_total: usize,
     scratch: &mut Vector,
-) -> Option<LqSolution> {
-    let objective = slq.objective(xs, us);
+) -> bool {
+    let objective = rows.objective(&it.xs, &it.us, &it.sig);
     let mut gap = 0.0;
-    let mut m_total = 0usize;
-    for (s, z) in ss.iter().zip(zs) {
+    for (s, z) in it.ss.iter().zip(&it.zs) {
         gap += s.dot(z);
-        m_total += s.len();
     }
     let mu = if m_total > 0 {
         gap / m_total as f64
@@ -454,221 +892,374 @@ fn accept_degraded(
         0.0
     };
     let loose = 1e4;
-    let violation = slq.max_violation(xs, scratch);
-    if violation <= loose * settings.tol_feasibility * scale
+    let violation = worst_violation(rows, it, scratch).1;
+    // The gap test is relative to the problem's scale as well as the
+    // objective: breakdowns near a tiny optimal value (a relaxation whose
+    // slacks are almost free) would otherwise fail an objective-relative
+    // test they pass by any absolute measure.
+    violation <= loose * settings.tol_feasibility * scale
         && mu <= loose * settings.tol_gap * (1.0 + objective.abs()).max(scale)
-    {
-        Some(LqSolution {
-            xs: xs.to_vec(),
-            us: us.to_vec(),
-            stage_duals: zs.to_vec(),
-            objective,
-            iterations,
-            status: SolveStatus::AlmostOptimal,
-        })
-    } else {
-        None
-    }
 }
 
-/// One condensed Newton solve: builds the modified right-hand side from
-/// the current residuals and complementarity target `r_cs`, solves
-/// `H y = b`, and recovers `Δx/Δu/Δλ/Δs/Δz`. All outputs and scratch are
-/// preallocated by the caller.
-#[allow(clippy::too_many_arguments)]
-fn newton_step(
-    slq: &StructuredLq,
-    kkt: &mut SchurKkt,
-    reg: f64,
-    ws: &[Vector],
-    ss: &[Vector],
-    zs: &[Vector],
-    r_ineqs: &[Vector],
-    r_xs: &[Vector],
-    r_us: &[Vector],
-    r_cs: &[Vector],
-    ts: &mut [Vector],
-    q_hats: &mut [Vector],
-    y: &mut Vector,
-    cons: &mut Vector,
-    dxs: &mut [Vector],
-    dus: &mut [Vector],
-    dlams: &mut [Vector],
-    dss: &mut [Vector],
-    dzs: &mut [Vector],
-    telemetry: &Recorder,
-) {
-    let w = slq.w;
-    let n = slq.n;
-    let m = slq.m_rows;
-    // t_k = S⁻¹(Z r_ineq − r_c) per slot.
-    for k in 1..=w {
-        for i in 0..m {
-            ts[k][i] = (zs[k][i] * r_ineqs[k][i] - r_cs[k][i]) / ss[k][i];
+/// Most-violated active row `(slot, row, violation, violation/(1+|d|))`,
+/// mirroring the dense path's classifier input, plus the largest violation.
+fn worst_violation(
+    rows: &Rows<'_>,
+    it: &Iterate,
+    scratch: &mut Vector,
+) -> ((usize, usize, f64, f64), f64) {
+    let mut worst = (0usize, 0usize, 0.0f64, 0.0f64);
+    let mut max_viol = 0.0f64;
+    for k in 0..=rows.lay.w {
+        let count = rows.lay.rows(k);
+        if count == 0 {
+            continue;
+        }
+        rows.lhs_into(k, &it.xs[k], it.us.get(k), &it.sig[k], scratch);
+        let d = &rows.d[k];
+        for i in 0..count {
+            if !rows.active[k][i] {
+                continue;
+            }
+            let viol = scratch[i] - d[i];
+            max_viol = max_viol.max(viol);
+            let rel = viol / (1.0 + d[i].abs());
+            if rel > worst.3 {
+                worst = (k, i, viol, rel);
+            }
         }
     }
-    // q̂_k = r_x,k + Cᵀ t_k  (r̂_k is just r_u,k: no input rows).
+    (worst, max_viol)
+}
+
+fn finish(
+    rows: &Rows<'_>,
+    it: Iterate,
+    iterations: usize,
+    status: SolveStatus,
+) -> (LqSolution, Vec<Vector>) {
+    let lay = rows.lay;
+    let objective = rows.slq.objective(&it.xs, &it.us);
+    let stage_duals = it
+        .zs
+        .into_iter()
+        .enumerate()
+        .map(|(k, z)| {
+            let keep = lay.model(k) + lay.boxes(k);
+            z.iter().take(keep).copied().collect()
+        })
+        .collect();
+    let slacks = it.sig.iter().map(|s| s.map(|v| v.max(0.0))).collect();
+    (
+        LqSolution {
+            xs: it.xs,
+            us: it.us,
+            stage_duals,
+            objective,
+            iterations,
+            status,
+        },
+        slacks,
+    )
+}
+
+/// Builds the Newton right-hand side from the residuals and the
+/// complementarity target in `nt.r_cs`, solves the condensed system, and
+/// recovers the full step into `step`.
+fn newton_step(
+    rows: &Rows<'_>,
+    kkt: &mut SchurKkt,
+    it: &Iterate,
+    res: &Residuals,
+    nt: &mut Newton,
+    step: &mut Iterate,
+    telemetry: &Recorder,
+) {
+    let lay = rows.lay;
+    let slq = rows.slq;
+    let (n, w) = (lay.n, lay.w);
+    // t = S⁻¹(Z r_ineq − r_c) per active row.
+    for k in 0..=w {
+        for i in 0..lay.rows(k) {
+            nt.ts[k][i] = if rows.active[k][i] {
+                (it.zs[k][i] * res.ineq[k][i] - nt.r_cs[k][i]) / it.ss[k][i]
+            } else {
+                0.0
+            };
+        }
+    }
+    // Eliminate each slack: Δσ = c + g·(CΔx)_i, and the soft row's t
+    // becomes t − w·c, evaluated as [t(2ε + w′) − w(t′ − r_σ)]/D so a
+    // binding row's huge t and w never cancel against each other.
     for k in 1..=w {
-        let qh = &mut q_hats[k];
-        qh.copy_from(&r_xs[k]);
-        slq.row_t_acc(&ts[k], qh);
+        let off = lay.soft_off(k);
+        for j in 0..lay.soft {
+            if !rows.active[k][j] {
+                nt.sig_c[k][j] = 0.0;
+                nt.sig_g[k][j] = 0.0;
+                continue;
+            }
+            let (wj, wp) = (nt.ws[k][j], nt.ws[k][off + j]);
+            let (tj, tp) = (nt.ts[k][j], nt.ts[k][off + j]);
+            let den = rows.eps2 + wj + wp;
+            nt.sig_c[k][j] = (tj + tp - res.sig[k][j]) / den;
+            nt.sig_g[k][j] = wj / den;
+            nt.ts[k][j] = (tj * (rows.eps2 + wp) - wj * (tp - res.sig[k][j])) / den;
+        }
+    }
+    // Capacity rows stay in augmented form: their right-hand side is
+    // −W⁻¹t = −(r_ineq − r_c/z) (a softened row subtracts its eliminated
+    // slack's share, (t′ − r_σ)/(2ε + w′)), and they leave q̂.
+    for (jb, cr) in slq.group_b.iter().enumerate() {
+        for k in 1..=w {
+            let i = cr.row;
+            let mut f = 0.0;
+            if rows.active[k][i] {
+                f = nt.r_cs[k][i] / it.zs[k][i] - res.ineq[k][i];
+                if i < lay.soft {
+                    let p = lay.soft_off(k) + i;
+                    f += (nt.ts[k][p] - res.sig[k][i]) / (rows.eps2 + nt.ws[k][p]);
+                }
+            }
+            nt.u[jb * w + k - 1] = f;
+            nt.ts[k][i] = 0.0;
+        }
+    }
+    // q̂_k = r_x,k + Cᵀ t_k and r̂_k = r_u,k + t⁺ − t⁻ (box rows).
+    for k in 1..=w {
+        let qh = &mut nt.q_hats[k];
+        qh.copy_from(&res.x[k]);
+        slq.row_t_acc(&nt.ts[k], qh);
+    }
+    for k in 0..w {
+        let rh = &mut nt.r_hats[k];
+        rh.copy_from(&res.u[k]);
+        if lay.boxes(k) > 0 {
+            let off = lay.model(k);
+            for e in 0..n {
+                rh[e] += nt.ts[k][off + e] - nt.ts[k][off + n + e];
+            }
+        }
     }
     // Condensed RHS, arc-major: b_k = −q̂_k + r̂_k − r̂_{k−1} (r̂_W ≡ 0).
     for e in 0..n {
         for k in 1..=w {
-            let mut b = -q_hats[k][e] - r_us[k - 1][e];
+            let mut b = -nt.q_hats[k][e] - nt.r_hats[k - 1][e];
             if k < w {
-                b += r_us[k][e];
+                b += nt.r_hats[k][e];
             }
-            y[e * w + k - 1] = b;
+            nt.y[e * w + k - 1] = b;
         }
     }
-    telemetry.time("solver.lq.schur_solve_seconds", || {
-        kkt.solve_refined(slq, ws, y);
-    });
-    // Recover the trajectory step: Δx_0 = 0, Δu_k = Δx_{k+1} − Δx_k,
+    let t0 = telemetry.is_enabled().then(Instant::now);
+    let passes = kkt.solve_refined(slq, &mut nt.y, &mut nt.u);
+    if let Some(t) = t0 {
+        telemetry.observe_duration("solver.lq.schur_solve_seconds", t.elapsed());
+        telemetry.observe("solver.lq.refinement_passes", passes as f64);
+    }
+    // Trajectory step: Δx_0 = 0, Δu_k = Δx_{k+1} − Δx_k,
     // Δλ_k = −r̂_k − R̃_k Δu_k.
-    dxs[0].fill(0.0);
+    step.xs[0].fill(0.0);
     for k in 1..=w {
         for e in 0..n {
-            dxs[k][e] = y[e * w + k - 1];
+            step.xs[k][e] = nt.y[e * w + k - 1];
         }
     }
     for k in 0..w {
         for e in 0..n {
-            let du = dxs[k + 1][e] - dxs[k][e];
-            dus[k][e] = du;
-            dlams[k][e] = -r_us[k][e] - (slq.r_diags[k][e] + reg) * du;
+            let du = step.xs[k + 1][e] - step.xs[k][e];
+            step.us[k][e] = du;
+            step.lams[k][e] = -nt.r_hats[k][e] - nt.rt[k][e] * du;
         }
     }
-    // Δs = −r_ineq − CΔx, Δz = (−r_c − ZΔs)/S per slot.
-    for k in 1..=w {
-        slq.row_lhs_into(&dxs[k], cons);
-        for i in 0..m {
-            dss[k][i] = -r_ineqs[k][i] - cons[i];
-            dzs[k][i] = (-r_cs[k][i] - zs[k][i] * dss[k][i]) / ss[k][i];
+    // Δσ, then Δs = −r_ineq − Δ(lhs) and Δz = (−r_c − ZΔs)/S per row.
+    for k in 0..=w {
+        if k >= 1 {
+            slq.row_lhs_into(&step.xs[k], &mut nt.cons);
+            for j in 0..lay.soft {
+                step.sig[k][j] = nt.sig_c[k][j] + nt.sig_g[k][j] * nt.cons[j];
+                nt.cons[j] -= step.sig[k][j];
+            }
+        }
+        if lay.boxes(k) > 0 {
+            let off = lay.model(k);
+            for e in 0..n {
+                nt.cons[off + e] = step.us[k][e];
+                nt.cons[off + n + e] = -step.us[k][e];
+            }
+        }
+        let off = lay.soft_off(k);
+        for j in 0..lay.softs(k) {
+            nt.cons[off + j] = -step.sig[k][j];
+        }
+        for i in 0..lay.rows(k) {
+            if rows.active[k][i] {
+                let ds = -res.ineq[k][i] - nt.cons[i];
+                step.ss[k][i] = ds;
+                step.zs[k][i] = (-nt.r_cs[k][i] - it.zs[k][i] * ds) / it.ss[k][i];
+            } else {
+                step.ss[k][i] = 0.0;
+                step.zs[k][i] = 0.0;
+            }
+        }
+        if k >= 1 {
+            // The capacity multipliers come straight out of the solve.
+            for (jb, cr) in slq.group_b.iter().enumerate() {
+                if rows.active[k][cr.row] {
+                    step.zs[k][cr.row] = nt.u[jb * w + k - 1];
+                }
+            }
         }
     }
 }
 
 pub(crate) fn solve_structured_inner(
     slq: &StructuredLq,
+    soft: Option<&SoftSpec>,
     settings: &IpmSettings,
     warm_us: Option<&[Vector]>,
     telemetry: &Recorder,
-) -> Result<LqSolution, SolverError> {
+) -> Result<(LqSolution, Vec<Vector>), SolverError> {
     settings.validate().map_err(SolverError::InvalidProblem)?;
-    let w = slq.w;
-    let n = slq.n;
-    let m = slq.m_rows;
-    let m_total = m * w;
+    let rows = Rows::new(slq, soft);
+    let lay = rows.lay;
+    let (n, w) = (lay.n, lay.w);
+    let m_total = rows.active_count();
 
     let mut span = telemetry.tracer().span("solver.lq.solve");
     span.attr("horizon", w);
     span.attr("state_dim", n);
     span.attr("warm_start", warm_us.is_some());
-    span.attr("backend", "structured");
 
-    let mut us: Vec<Vector> = match warm_us {
-        None => vec![Vector::zeros(n); w],
-        Some(guess) => {
-            if guess.len() != w || guess.iter().any(|g| g.len() != n) {
-                return Err(SolverError::InvalidProblem(
-                    "warm-start guess does not match the problem's input dimensions".into(),
-                ));
-            }
-            if guess.iter().any(|g| !g.is_finite()) {
-                return Err(SolverError::InvalidProblem(
-                    "warm-start guess contains non-finite values".into(),
-                ));
-            }
-            guess.to_vec()
+    let mut it = Iterate::zeros(&lay);
+    if let Some(guess) = warm_us {
+        if guess.len() != w || guess.iter().any(|g| g.len() != n) {
+            return Err(SolverError::InvalidProblem(
+                "warm-start guess does not match the problem's input dimensions".into(),
+            ));
         }
-    };
-    let mut xs = slq.rollout(&us);
-    let mut lams: Vec<Vector> = vec![Vector::zeros(n); w];
+        if guess.iter().any(|g| !g.is_finite()) {
+            return Err(SolverError::InvalidProblem(
+                "warm-start guess contains non-finite values".into(),
+            ));
+        }
+        it.us = guess.to_vec();
+    }
+    it.xs = rows.rollout(&slq.x0, &mut it.us);
 
-    // Slot layout mirrors the dense path: slot 0 (the fixed x_0) carries
-    // no constraints; slots 1..=W carry the shared m rows each.
+    // Slacks start at max(d − lhs, margin), duals at the margin; inactive
+    // rows sit at s = 1, z = 0 and never move.
     let margin = settings.init_margin;
-    let slot_vecs = || -> Vec<Vector> {
-        (0..=w)
-            .map(|k| Vector::zeros(if k == 0 { 0 } else { m }))
-            .collect()
-    };
-    let mut cons = Vector::zeros(m);
-    let mut ss = slot_vecs();
-    let mut zs = slot_vecs();
-    for k in 1..=w {
-        slq.row_lhs_into(&xs[k], &mut cons);
-        for i in 0..m {
-            ss[k][i] = (slq.ds[k - 1][i] - cons[i]).max(margin);
+    let mut cons = Vector::zeros((0..=w).map(|k| lay.rows(k)).max().unwrap_or(0));
+    for k in 0..=w {
+        rows.lhs_into(k, &it.xs[k], it.us.get(k), &it.sig[k], &mut cons);
+        for i in 0..lay.rows(k) {
+            if rows.active[k][i] {
+                it.ss[k][i] = (rows.d[k][i] - cons[i]).max(margin);
+                it.zs[k][i] = margin;
+            } else {
+                it.ss[k][i] = 1.0;
+            }
         }
-        zs[k].fill(margin);
     }
 
-    let scale = slq.scale();
-
+    let scale = rows.scale();
     let mut best_gap = f64::INFINITY;
     let mut best_violation = (0usize, 0usize, f64::INFINITY, f64::INFINITY);
     let mut z_max = 0.0f64;
+    // Adaptive regularization, as on the dense path: a failed
+    // factorization boosts it for the rest of the solve.
     let mut reg = settings.regularization;
     let max_reg = settings.regularization.max(1e-12) * 1e20;
 
     // ------- preallocated workspace, reused every iteration -------
-    let mut r_ineqs = slot_vecs();
-    let mut r_xs: Vec<Vector> = vec![Vector::zeros(n); w + 1];
-    let mut r_us: Vec<Vector> = vec![Vector::zeros(n); w];
-    let mut ws = slot_vecs();
-    let mut ts = slot_vecs();
-    let mut r_cs = slot_vecs();
-    let mut q_hats: Vec<Vector> = vec![Vector::zeros(n); w + 1];
-    let mut y = Vector::zeros(n * w);
-    let state_vecs = || -> Vec<Vector> { vec![Vector::zeros(n); w + 1] };
-    let input_vecs = || -> Vec<Vector> { vec![Vector::zeros(n); w] };
-    let mut dxs_aff = state_vecs();
-    let mut dus_aff = input_vecs();
-    let mut dlams_aff = input_vecs();
-    let mut dss_aff = slot_vecs();
-    let mut dzs_aff = slot_vecs();
-    let mut dxs = state_vecs();
-    let mut dus = input_vecs();
-    let mut dlams = input_vecs();
-    let mut dss = slot_vecs();
-    let mut dzs = slot_vecs();
+    let slot_vecs = || -> Vec<Vector> { (0..=w).map(|k| Vector::zeros(lay.rows(k))).collect() };
+    let soft_vecs = || -> Vec<Vector> { (0..=w).map(|k| Vector::zeros(lay.softs(k))).collect() };
+    let mut res = Residuals {
+        ineq: slot_vecs(),
+        x: vec![Vector::zeros(n); w + 1],
+        u: vec![Vector::zeros(n); w],
+        sig: soft_vecs(),
+    };
+    let mut nt = Newton {
+        ws: slot_vecs(),
+        wm: (0..=w)
+            .map(|k| Vector::zeros(if k == 0 { 0 } else { lay.m }))
+            .collect(),
+        rt: vec![Vector::zeros(n); w],
+        ts: slot_vecs(),
+        r_cs: slot_vecs(),
+        sig_c: soft_vecs(),
+        sig_g: soft_vecs(),
+        q_hats: vec![Vector::zeros(n); w + 1],
+        r_hats: vec![Vector::zeros(n); w],
+        y: Vector::zeros(n * w),
+        u: Vector::zeros(slq.group_b.len() * w),
+        cons: cons.clone(),
+    };
+    let mut aff = Iterate::zeros(&lay);
+    let mut step = Iterate::zeros(&lay);
     let mut kkt = SchurKkt::new(slq);
     let mut sizes_reported = false;
 
     for iter in 0..settings.max_iterations {
         // ------- residuals -------
-        for k in 1..=w {
-            slq.row_lhs_into(&xs[k], &mut r_ineqs[k]);
-            for i in 0..m {
-                r_ineqs[k][i] += ss[k][i] - slq.ds[k - 1][i];
+        for k in 0..=w {
+            rows.lhs_into(k, &it.xs[k], it.us.get(k), &it.sig[k], &mut cons);
+            for i in 0..lay.rows(k) {
+                res.ineq[k][i] = if rows.active[k][i] {
+                    cons[i] + it.ss[k][i] - rows.d[k][i]
+                } else {
+                    0.0
+                };
             }
         }
         // Stationarity in x: q_k + Cᵀz_k + λ_k − λ_{k−1} (A = I, Q = 0);
-        // terminal drops the λ_k term.
+        // the terminal drops λ_k, pinned entries carry a free multiplier.
         for k in 1..=w {
-            let r = &mut r_xs[k];
+            let r = &mut res.x[k];
             r.copy_from(&slq.qs[k - 1]);
-            slq.row_t_acc(&zs[k], r);
+            slq.row_t_acc(&it.zs[k], r);
             if k < w {
-                r.axpy(1.0, &lams[k]);
+                r.axpy(1.0, &it.lams[k]);
             }
-            r.axpy(-1.0, &lams[k - 1]);
-        }
-        // Stationarity in u: R_k u_k + r_k + λ_k (B = I, no input rows).
-        for k in 0..w {
-            let r = &mut r_us[k];
+            r.axpy(-1.0, &it.lams[k - 1]);
             for e in 0..n {
-                r[e] = slq.r_diags[k][e] * us[k][e] + slq.r_vecs[k][e] + lams[k][e];
+                if slq.pinned[e * w + k - 1] {
+                    r[e] = 0.0;
+                }
+            }
+        }
+        // Stationarity in u: R_k u_k + r_k + λ_k + z⁺ − z⁻ (B = I).
+        for k in 0..w {
+            let r = &mut res.u[k];
+            for e in 0..n {
+                r[e] = slq.r_diags[k][e] * it.us[k][e] + slq.r_vecs[k][e] + it.lams[k][e];
+            }
+            if lay.boxes(k) > 0 {
+                let off = lay.model(k);
+                for e in 0..n {
+                    r[e] += it.zs[k][off + e] - it.zs[k][off + n + e];
+                }
+            }
+        }
+        // Stationarity in σ: 2εσ + ρ − z_row − z_nonneg.
+        if let Some(rho) = rows.penalties {
+            for k in 1..=w {
+                let off = lay.soft_off(k);
+                for j in 0..lay.soft {
+                    res.sig[k][j] = if rows.active[k][j] {
+                        rows.eps2 * it.sig[k][j] + rho[j] - it.zs[k][j] - it.zs[k][off + j]
+                    } else {
+                        0.0
+                    };
+                }
             }
         }
 
         let mut gap = 0.0;
-        for k in 1..=w {
-            gap += ss[k].dot(&zs[k]);
+        for k in 0..=w {
+            gap += it.ss[k].dot(&it.zs[k]);
         }
         let mu = if m_total > 0 {
             gap / m_total as f64
@@ -678,22 +1269,19 @@ pub(crate) fn solve_structured_inner(
         best_gap = best_gap.min(mu);
 
         let mut stat_norm: f64 = 0.0;
-        for r in r_xs.iter().skip(1) {
-            stat_norm = stat_norm.max(r.norm_inf());
-        }
-        for r in &r_us {
+        for r in res.x.iter().skip(1).chain(&res.u).chain(&res.sig) {
             stat_norm = stat_norm.max(r.norm_inf());
         }
         let mut ineq_norm: f64 = 0.0;
-        for r in &r_ineqs {
+        for r in &res.ineq {
             ineq_norm = ineq_norm.max(r.norm_inf());
         }
-        let wr = slq.worst_violation_row(&xs, &mut cons);
+        let (wr, _) = worst_violation(&rows, &it, &mut cons);
         if wr.3 < best_violation.3 {
             best_violation = wr;
         }
-        z_max = z_max.max(zs.iter().map(Vector::norm_inf).fold(0.0f64, f64::max));
-        let objective = slq.objective(&xs, &us);
+        z_max = z_max.max(it.zs.iter().map(Vector::norm_inf).fold(0.0f64, f64::max));
+        let objective = rows.objective(&it.xs, &it.us, &it.sig);
         if span.is_enabled() {
             span.event_with(
                 "solver.lq.iteration",
@@ -714,30 +1302,48 @@ pub(crate) fn solve_structured_inner(
             span.attr("status", "optimal");
             span.attr("iterations", iter);
             span.attr("objective", objective);
-            return Ok(LqSolution {
-                xs,
-                us,
-                stage_duals: zs,
-                objective,
-                iterations: iter,
-                status: SolveStatus::Optimal,
-            });
+            return Ok(finish(&rows, it, iter, SolveStatus::Optimal));
         }
 
         // ------- barrier weights and structured factorization -------
+        for k in 0..=w {
+            for i in 0..lay.rows(k) {
+                nt.ws[k][i] = if rows.active[k][i] {
+                    it.zs[k][i] / it.ss[k][i]
+                } else {
+                    0.0
+                };
+            }
+        }
         for k in 1..=w {
-            for i in 0..m {
-                ws[k][i] = zs[k][i] / ss[k][i];
+            let off = lay.soft_off(k);
+            for i in 0..lay.m {
+                nt.wm[k][i] = nt.ws[k][i];
+            }
+            for j in 0..lay.soft {
+                let (wj, wp) = (nt.ws[k][j], nt.ws[k][off + j]);
+                nt.wm[k][j] = wj * (rows.eps2 + wp) / (rows.eps2 + wj + wp);
             }
         }
         let t_factor = telemetry.is_enabled().then(Instant::now);
         loop {
-            match kkt.refactor(slq, &ws, reg) {
+            for k in 0..w {
+                for e in 0..n {
+                    nt.rt[k][e] = slq.r_diags[k][e] + reg;
+                }
+                if lay.boxes(k) > 0 {
+                    let off = lay.model(k);
+                    for e in 0..n {
+                        nt.rt[k][e] += nt.ws[k][off + e] + nt.ws[k][off + n + e];
+                    }
+                }
+            }
+            match kkt.refactor(slq, &nt.wm, &nt.rt, reg) {
                 Ok(()) => {
                     telemetry.incr("solver.lq.schur_factor", 1);
                     if !sizes_reported && telemetry.is_enabled() {
                         sizes_reported = true;
-                        telemetry.observe("solver.lq.schur_block_size", w as f64);
+                        telemetry.observe("solver.lq.schur_block_size", kkt.block_dim() as f64);
                         telemetry.observe("solver.lq.schur_dense_dim", kkt.dense_dim() as f64);
                         telemetry.observe("solver.lq.schur_fill", kkt.s_cap.fill_ratio());
                     }
@@ -758,22 +1364,23 @@ pub(crate) fn solve_structured_inner(
                     }
                 }
                 Err(e) => {
-                    // Same breakdown triage as the dense path: accept a
-                    // converged primal, certify infeasibility, or report
-                    // the numerical failure.
-                    if let Some(sol) =
-                        accept_degraded(slq, settings, scale, &xs, &us, &ss, &zs, iter, &mut cons)
-                    {
-                        telemetry
-                            .observe("solver.lq.kkt_residual", slq.max_violation(&xs, &mut cons));
+                    // Even the fully boosted regularization cannot factor
+                    // the barrier Hessian: accept a converged primal,
+                    // certify infeasibility, or report the failure.
+                    if loosely_converged(&rows, settings, scale, &it, m_total, &mut cons) {
+                        telemetry.observe(
+                            "solver.lq.kkt_residual",
+                            worst_violation(&rows, &it, &mut cons).1,
+                        );
                         span.attr("status", "almost_optimal");
                         span.attr("iterations", iter);
-                        return Ok(sol);
+                        return Ok(finish(&rows, it, iter, SolveStatus::AlmostOptimal));
                     }
                     if let Some(err) = classify_infeasibility(best_violation, settings, true) {
                         span.attr("status", "infeasible");
                         return Err(err);
                     }
+                    span.attr("status", "numerical_failure");
                     return Err(SolverError::NumericalFailure(format!(
                         "structured KKT factorization failed: {e}"
                     )));
@@ -785,39 +1392,18 @@ pub(crate) fn solve_structured_inner(
         }
 
         // ------- predictor -------
-        for k in 1..=w {
-            ss[k].hadamard_into(&zs[k], &mut r_cs[k]);
+        for k in 0..=w {
+            it.ss[k].hadamard_into(&it.zs[k], &mut nt.r_cs[k]);
         }
-        newton_step(
-            slq,
-            &mut kkt,
-            reg,
-            &ws,
-            &ss,
-            &zs,
-            &r_ineqs,
-            &r_xs,
-            &r_us,
-            &r_cs,
-            &mut ts,
-            &mut q_hats,
-            &mut y,
-            &mut cons,
-            &mut dxs_aff,
-            &mut dus_aff,
-            &mut dlams_aff,
-            &mut dss_aff,
-            &mut dzs_aff,
-            telemetry,
-        );
-        let alpha_p_aff = max_step_multi(&ss, &dss_aff);
-        let alpha_d_aff = max_step_multi(&zs, &dzs_aff);
+        newton_step(&rows, &mut kkt, &it, &res, &mut nt, &mut aff, telemetry);
+        let alpha_p_aff = max_step_multi(&it.ss, &aff.ss);
+        let alpha_d_aff = max_step_multi(&it.zs, &aff.zs);
         let sigma = if m_total > 0 && mu > 0.0 {
             let mut mu_aff = 0.0;
-            for k in 1..=w {
-                for i in 0..m {
-                    mu_aff += (ss[k][i] + alpha_p_aff * dss_aff[k][i])
-                        * (zs[k][i] + alpha_d_aff * dzs_aff[k][i]);
+            for k in 0..=w {
+                for i in 0..lay.rows(k) {
+                    mu_aff += (it.ss[k][i] + alpha_p_aff * aff.ss[k][i])
+                        * (it.zs[k][i] + alpha_d_aff * aff.zs[k][i]);
                 }
             }
             mu_aff /= m_total as f64;
@@ -829,60 +1415,35 @@ pub(crate) fn solve_structured_inner(
         // ------- corrector -------
         let use_corrector = m_total > 0;
         if use_corrector {
-            for k in 1..=w {
-                for i in 0..m {
-                    r_cs[k][i] = ss[k][i] * zs[k][i] + dss_aff[k][i] * dzs_aff[k][i] - sigma * mu;
+            for k in 0..=w {
+                for i in 0..lay.rows(k) {
+                    nt.r_cs[k][i] =
+                        it.ss[k][i] * it.zs[k][i] + aff.ss[k][i] * aff.zs[k][i] - sigma * mu;
                 }
             }
-            newton_step(
-                slq,
-                &mut kkt,
-                reg,
-                &ws,
-                &ss,
-                &zs,
-                &r_ineqs,
-                &r_xs,
-                &r_us,
-                &r_cs,
-                &mut ts,
-                &mut q_hats,
-                &mut y,
-                &mut cons,
-                &mut dxs,
-                &mut dus,
-                &mut dlams,
-                &mut dss,
-                &mut dzs,
-                telemetry,
-            );
+            newton_step(&rows, &mut kkt, &it, &res, &mut nt, &mut step, telemetry);
         }
-        let (fdxs, fdus, fdlams, fdss, fdzs) = if use_corrector {
-            (&dxs, &dus, &dlams, &dss, &dzs)
-        } else {
-            (&dxs_aff, &dus_aff, &dlams_aff, &dss_aff, &dzs_aff)
-        };
+        let fin = if use_corrector { &step } else { &aff };
 
         let tau = settings.step_fraction;
-        let alpha_p = (tau * max_step_multi(&ss, fdss)).min(1.0);
-        let alpha_d = (tau * max_step_multi(&zs, fdzs)).min(1.0);
+        let alpha_p = (tau * max_step_multi(&it.ss, &fin.ss)).min(1.0);
+        let alpha_d = (tau * max_step_multi(&it.zs, &fin.zs)).min(1.0);
 
         for k in 0..=w {
-            xs[k].axpy(alpha_p, &fdxs[k]);
-            ss[k].axpy(alpha_p, &fdss[k]);
-            zs[k].axpy(alpha_d, &fdzs[k]);
+            it.xs[k].axpy(alpha_p, &fin.xs[k]);
+            it.sig[k].axpy(alpha_p, &fin.sig[k]);
+            it.ss[k].axpy(alpha_p, &fin.ss[k]);
+            it.zs[k].axpy(alpha_d, &fin.zs[k]);
             if k < w {
-                us[k].axpy(alpha_p, &fdus[k]);
-                lams[k].axpy(alpha_d, &fdlams[k]);
+                it.us[k].axpy(alpha_p, &fin.us[k]);
+                it.lams[k].axpy(alpha_d, &fin.lams[k]);
             }
         }
 
-        let finite = xs.iter().all(Vector::is_finite)
-            && us.iter().all(Vector::is_finite)
-            && ss.iter().all(Vector::is_finite)
-            && zs.iter().all(Vector::is_finite)
-            && lams.iter().all(Vector::is_finite);
-        if !finite {
+        if !it.is_finite() {
+            // Diverging to non-finite values while a constraint row was
+            // never satisfiable is an infeasibility exit, not a numerical
+            // accident; classify from the pre-divergence trackers.
             if let Some(err) = classify_infeasibility(best_violation, settings, true) {
                 span.attr("status", "infeasible");
                 return Err(err);
@@ -893,13 +1454,14 @@ pub(crate) fn solve_structured_inner(
             ));
         }
         if m_total > 0 && alpha_p < 1e-13 && alpha_d < 1e-13 {
-            if let Some(sol) =
-                accept_degraded(slq, settings, scale, &xs, &us, &ss, &zs, iter, &mut cons)
-            {
-                telemetry.observe("solver.lq.kkt_residual", slq.max_violation(&xs, &mut cons));
+            if loosely_converged(&rows, settings, scale, &it, m_total, &mut cons) {
+                telemetry.observe(
+                    "solver.lq.kkt_residual",
+                    worst_violation(&rows, &it, &mut cons).1,
+                );
                 span.attr("status", "almost_optimal");
                 span.attr("iterations", iter);
-                return Ok(sol);
+                return Ok(finish(&rows, it, iter, SolveStatus::AlmostOptimal));
             }
             if let Some(err) = classify_infeasibility(best_violation, settings, true) {
                 span.attr("status", "infeasible");
@@ -914,10 +1476,10 @@ pub(crate) fn solve_structured_inner(
 
     // Degraded acceptance after iteration exhaustion, then the exit
     // classifier — both mirroring the dense path.
-    let objective = slq.objective(&xs, &us);
+    let objective = rows.objective(&it.xs, &it.us, &it.sig);
     let mut gap = 0.0;
-    for k in 1..=w {
-        gap += ss[k].dot(&zs[k]);
+    for k in 0..=w {
+        gap += it.ss[k].dot(&it.zs[k]);
     }
     let mu = if m_total > 0 {
         gap / m_total as f64
@@ -925,7 +1487,7 @@ pub(crate) fn solve_structured_inner(
         0.0
     };
     let loose = 1e4;
-    let violation = slq.max_violation(&xs, &mut cons);
+    let violation = worst_violation(&rows, &it, &mut cons).1;
     if violation <= loose * settings.tol_feasibility * scale
         && mu <= loose * settings.tol_gap * (1.0 + objective.abs())
     {
@@ -933,14 +1495,12 @@ pub(crate) fn solve_structured_inner(
         span.attr("status", "almost_optimal");
         span.attr("iterations", settings.max_iterations);
         span.attr("objective", objective);
-        return Ok(LqSolution {
-            xs,
-            us,
-            stage_duals: zs,
-            objective,
-            iterations: settings.max_iterations,
-            status: SolveStatus::AlmostOptimal,
-        });
+        return Ok(finish(
+            &rows,
+            it,
+            settings.max_iterations,
+            SolveStatus::AlmostOptimal,
+        ));
     }
     if let Some(err) = classify_infeasibility(best_violation, settings, z_max > 1e6) {
         span.attr("status", "infeasible");
@@ -959,7 +1519,7 @@ pub(crate) fn solve_structured_inner(
 mod tests {
     use super::*;
     use crate::structured::{CouplingRow, DiagRow};
-    use crate::{solve_lq_warm, KktBackend};
+    use crate::{relax_lq_slots, solve_lq, solve_lq_warm};
     use proptest::prelude::*;
 
     /// A small DSPP-shaped instance: `dcs × locs` grid with every arc
@@ -1014,11 +1574,25 @@ mod tests {
         .unwrap()
     }
 
-    fn dense_settings() -> IpmSettings {
-        IpmSettings {
-            kkt_backend: KktBackend::Dense,
-            ..IpmSettings::default()
+    /// `instance` with data center `dead` at zero capacity in `slots`.
+    fn with_outage(
+        mut slq: StructuredLq,
+        locs: usize,
+        dead: usize,
+        slots: &[usize],
+    ) -> StructuredLq {
+        for &k in slots {
+            slq.ds[k - 1][locs + dead] = 0.0;
         }
+        slq.detect_pins();
+        slq
+    }
+
+    fn assert_close(a: f64, b: f64, rel: f64, what: &str) {
+        assert!(
+            (a - b).abs() <= rel * (1.0 + b.abs()),
+            "{what}: structured {a} vs oracle {b}"
+        );
     }
 
     /// The factorization itself: solve `H y = b` for random barrier
@@ -1041,11 +1615,13 @@ mod tests {
         for _ in 1..=w {
             ws.push((0..m).map(|_| next() * 3.0).collect());
         }
+        let rt: Vec<Vector> = (0..w).map(|k| slq.r_diags[k].map(|r| r + reg)).collect();
         let b: Vector = (0..n * w).map(|_| next() - 1.0).collect();
         let mut kkt = SchurKkt::new(&slq);
-        kkt.refactor(&slq, &ws, reg).unwrap();
+        kkt.refactor(&slq, &ws, &rt, reg).unwrap();
         let mut y = b.clone();
-        kkt.solve_in_place(&slq, &mut y);
+        let mut u = Vector::zeros(slq.group_b.len() * w);
+        kkt.solve_in_place(&slq, &mut y, &mut u);
         // Reconstruct H y slot by slot.
         let mut worst = 0.0f64;
         let mut scratch = Vector::zeros(m);
@@ -1055,13 +1631,13 @@ mod tests {
             // Chain part: R̃ terms only (diag-row barrier goes via CᵀWC).
             let mut hy = Vector::zeros(n);
             for e in 0..n {
-                let r_prev = slq.r_diags[k - 1][e] + reg;
+                let r_prev = rt[k - 1][e];
                 let mut v = r_prev * yk[e];
                 if k > 1 {
                     v -= r_prev * y[e * w + k - 2];
                 }
                 if k < w {
-                    let r_next = slq.r_diags[k][e] + reg;
+                    let r_next = rt[k][e];
                     v += r_next * yk[e] - r_next * y[e * w + k];
                 }
                 hy[e] = v;
@@ -1082,20 +1658,115 @@ mod tests {
     #[test]
     fn structured_matches_dense_on_a_dspp_instance() {
         let slq = instance(3, 4, 4, 5.0, 40.0);
-        let dense = solve_lq_warm(&slq.to_lq(), &dense_settings(), None).unwrap();
+        let dense = solve_lq(&slq.to_lq(), &IpmSettings::default()).unwrap();
         let structured = solve_structured(&slq, &IpmSettings::default()).unwrap();
-        assert!(
-            (structured.objective - dense.objective).abs() <= 1e-8 * (1.0 + dense.objective.abs()),
-            "objectives diverge: structured {} vs dense {}",
-            structured.objective,
-            dense.objective
-        );
+        assert_eq!(structured.status, SolveStatus::Optimal);
+        assert_eq!(structured.iterations, dense.iterations);
+        assert_close(structured.objective, dense.objective, 1e-8, "objective");
         for (a, b) in structured.xs.iter().zip(&dense.xs) {
             assert!((a - b).norm_inf() < 1e-6);
         }
         // Duals agree too (they feed the game's capacity prices).
         for (a, b) in structured.stage_duals.iter().zip(&dense.stage_duals) {
             assert!((a - b).norm_inf() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn box_bounded_inputs_match_the_dense_oracle() {
+        // Demand 5 per location from a cold start needs Δx ≈ 5 per arc
+        // pair; |u| ≤ 1.6 spreads the climb over the horizon.
+        let slq = instance(2, 2, 5, 2.0, 40.0).with_input_bound(1.6).unwrap();
+        let dense = solve_lq(&slq.to_lq(), &IpmSettings::default()).unwrap();
+        let structured = solve_structured(&slq, &IpmSettings::default()).unwrap();
+        assert_eq!(structured.status, SolveStatus::Optimal);
+        assert_close(structured.objective, dense.objective, 1e-7, "objective");
+        for (a, b) in structured.us.iter().zip(&dense.us) {
+            assert!((a - b).norm_inf() < 1e-5);
+            assert!(a.norm_inf() <= 1.6 + 1e-6);
+        }
+        // The bound binds, and its duals come back in the dense layout.
+        assert!(structured.us[0].norm_inf() > 1.5);
+        for (a, b) in structured.stage_duals.iter().zip(&dense.stage_duals) {
+            assert_eq!(a.len(), b.len());
+            assert!((a - b).norm_inf() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn relaxation_matches_the_dense_oracle() {
+        // Softening the demand rows (the recovery solve), and the demand
+        // plus capacity rows (a slack on an augmented capacity row).
+        for (soft, demand, cap) in [(3, 4.0, 30.0), (3, 12.0, 10.0), (5, 12.0, 10.0)] {
+            let spec = SoftSpec::uniform(soft, 1e3, 1e-4);
+            let slq = instance(2, 3, 3, demand, cap);
+            let dense_problem = slq.to_lq();
+            let soften: Vec<bool> = (0..=slq.w).map(|k| k > 0).collect();
+            let relaxed = relax_lq_slots(&dense_problem, &spec, &soften).unwrap();
+            let oracle = relaxed.split_solution(
+                &dense_problem,
+                &solve_lq(&relaxed.problem, &IpmSettings::default()).unwrap(),
+            );
+            let out = solve_structured_relaxed_traced(
+                &slq,
+                &spec,
+                &IpmSettings::default(),
+                None,
+                &Recorder::disabled(),
+            )
+            .unwrap();
+            assert_eq!(out.solution.status, SolveStatus::Optimal);
+            assert_close(
+                out.solution.objective,
+                oracle.solution.objective,
+                1e-6,
+                "objective",
+            );
+            assert_eq!(out.slacks.len(), oracle.slacks.len());
+            for k in 1..=slq.w {
+                assert!(
+                    (out.slot_slack(k) - oracle.slot_slack(k)).abs() < 1e-6,
+                    "slot {k}: slack {} vs {}",
+                    out.slot_slack(k),
+                    oracle.slot_slack(k)
+                );
+            }
+            if cap > 20.0 {
+                assert!(out.max_slack() < 1e-6, "feasible horizon sheds nothing");
+            } else if soft == 3 {
+                // 3 locations × 12 demand against 10 servers serving 1.0
+                // each plus 10 serving 1.1 each: 36 − 21 = 15 shed.
+                assert!((out.slot_slack(1) - 15.0).abs() < 1e-5);
+            }
+        }
+    }
+
+    #[test]
+    fn dead_data_center_is_pinned_and_solves_optimal() {
+        // DC 1 is dark in slots 2 and 3 of a 4-slot window.
+        let slq = with_outage(instance(2, 3, 4, 4.0, 30.0), 3, 1, &[2, 3]);
+        assert_eq!(slq.pins().len(), 6);
+        let dense = solve_lq(&slq.to_lq(), &IpmSettings::default());
+        let structured = solve_structured(&slq, &IpmSettings::default()).unwrap();
+        assert_eq!(structured.status, SolveStatus::Optimal);
+        for k in [2, 3] {
+            for v in 0..3 {
+                assert_eq!(structured.xs[k][3 + v], 0.0, "pinned arc must sit at zero");
+            }
+        }
+        if let Ok(dense) = dense {
+            assert_close(structured.objective, dense.objective, 1e-6, "objective");
+            // Live capacity rows carry the same price on both paths.
+            for k in 1..=slq.w {
+                let live = if k == 2 || k == 3 { 1 } else { 2 };
+                for l in 0..live {
+                    let (a, b) = (
+                        structured.stage_duals[k][3 + l],
+                        dense.stage_duals[k][3 + l],
+                    );
+                    assert!((a - b).abs() < 1e-4, "slot {k} dc {l}: {a} vs {b}");
+                }
+            }
         }
     }
 
@@ -1125,6 +1796,24 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_relaxations_are_rejected() {
+        let slq = instance(1, 2, 2, 1.0, 10.0);
+        let run = |spec: SoftSpec| {
+            solve_structured_relaxed_traced(
+                &slq,
+                &spec,
+                &IpmSettings::default(),
+                None,
+                &Recorder::disabled(),
+            )
+        };
+        assert!(run(SoftSpec::uniform(0, 1.0, 1e-4)).is_err());
+        assert!(run(SoftSpec::uniform(1, -1.0, 1e-4)).is_err());
+        assert!(run(SoftSpec::uniform(1, 1.0, 0.0)).is_err());
+        assert!(run(SoftSpec::uniform(slq.m_rows + 1, 1.0, 1e-4)).is_err());
+    }
+
+    #[test]
     fn traced_solve_reports_schur_metrics() {
         let telemetry = Recorder::enabled();
         let slq = instance(2, 3, 3, 4.0, 30.0);
@@ -1151,38 +1840,16 @@ mod tests {
                 .count
                 >= 1
         );
-    }
-
-    #[test]
-    fn dispatch_from_dense_problem_uses_structured_path() {
-        // Threshold 0 forces the structured path through solve_lq; the
-        // schur_factor counter proves which backend ran.
-        let slq = instance(2, 3, 3, 4.0, 30.0);
-        let problem = slq.to_lq();
-        let telemetry = Recorder::enabled();
-        let settings = IpmSettings {
-            structured_threshold: 0,
-            ..IpmSettings::default()
-        };
-        let sol = crate::solve_lq_warm_traced(&problem, &settings, None, &telemetry).unwrap();
-        let snap = telemetry.snapshot().unwrap();
-        assert!(snap.counter("solver.lq.schur_factor") >= sol.iterations as u64);
-        // Same problem, dense backend: no schur factorizations.
-        let telemetry2 = Recorder::enabled();
-        crate::solve_lq_warm_traced(&problem, &dense_settings(), None, &telemetry2).unwrap();
-        assert_eq!(
-            telemetry2
-                .snapshot()
-                .unwrap()
-                .counter("solver.lq.schur_factor"),
-            0
-        );
+        // Predictor and corrector each refine once per iteration.
+        let passes = snap.histogram("solver.lq.refinement_passes").unwrap();
+        assert_eq!(passes.count, 2 * sol.iterations as u64);
+        assert!(snap.histogram("solver.lq.riccati_factor_seconds").is_none());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
-        /// The two backends must agree to 1e-8 on random DSPP-shaped
-        /// instances across horizons and grid sizes.
+        /// The structured path agrees with the dense oracle to 1e-8 on
+        /// random DSPP-shaped instances across horizons and grid sizes.
         #[test]
         fn prop_structured_agrees_with_dense(
             dcs in 1usize..4,
@@ -1196,7 +1863,7 @@ mod tests {
             // unit of demand here).
             let cap = demand * locs as f64 * cap_slack / dcs as f64;
             let slq = instance(dcs, locs, w, demand, cap);
-            let dense = solve_lq_warm(&slq.to_lq(), &dense_settings(), None).unwrap();
+            let dense = solve_lq_warm(&slq.to_lq(), &IpmSettings::default(), None).unwrap();
             let structured = solve_structured(&slq, &IpmSettings::default()).unwrap();
             prop_assert!(
                 (structured.objective - dense.objective).abs()
@@ -1208,44 +1875,6 @@ mod tests {
             for (a, b) in structured.xs.iter().zip(&dense.xs) {
                 prop_assert!((a - b).norm_inf() < 1e-6);
             }
-        }
-
-        /// Warm-start bookkeeping is backend-independent: the tracker
-        /// counters must be identical whichever backend solves.
-        #[test]
-        fn prop_warm_hit_counters_match_across_backends(
-            dcs in 1usize..3,
-            locs in 1usize..4,
-            demand in 1.0f64..6.0,
-        ) {
-            use crate::WarmStartTracker;
-            let cap = demand * locs as f64 * 2.0 / dcs as f64;
-            let slq = instance(dcs, locs, 3, demand, cap);
-            let problem = slq.to_lq();
-            let run = |settings: &IpmSettings| {
-                let telemetry = Recorder::enabled();
-                let mut tracker = WarmStartTracker::new();
-                let cold =
-                    crate::solve_lq_warm_traced(&problem, settings, None, &telemetry).unwrap();
-                tracker.record(false, cold.iterations, &telemetry);
-                let warm = crate::solve_lq_warm_traced(
-                    &problem, settings, Some(&cold.us), &telemetry,
-                )
-                .unwrap();
-                tracker.record(true, warm.iterations, &telemetry);
-                let snap = telemetry.snapshot().unwrap();
-                (
-                    snap.counter("solver.lq.solves"),
-                    snap.counter("solver.lq.warm_starts"),
-                    snap.counter("solver.lq.warm_hits"),
-                )
-            };
-            let structured = run(&IpmSettings {
-                structured_threshold: 0,
-                ..IpmSettings::default()
-            });
-            let dense = run(&dense_settings());
-            prop_assert_eq!(structured, dense);
         }
     }
 }

@@ -12,18 +12,23 @@
 //! data: `O(n + rows)` per stage, so 100 DCs × 1000 locations fits in a
 //! few megabytes.
 //!
-//! [`StructuredLq::from_lq`] detects the structure in an existing dense
-//! problem (the dispatch path behind
-//! [`solve_lq`](crate::solve_lq) when
-//! [`KktBackend::Structured`](crate::KktBackend::Structured) is selected);
-//! [`StructuredLq::new`] builds one directly for instances too large to
-//! ever materialize densely; [`StructuredLq::to_lq`] expands back for
-//! cross-validation. The interior-point loop that consumes this type lives
-//! in the `skkt` module.
+//! Beyond the per-slot rows, a problem may carry a box bound
+//! `|u_{k,e}| ≤ u_max` on every input ([`StructuredLq::with_input_bound`]),
+//! and a solve may soften the leading rows of every slot into the
+//! always-feasible recovery relaxation
+//! ([`solve_structured_relaxed_traced`](crate::solve_structured_relaxed_traced)).
+//! Slots where a coupling row with positive coefficients has a zero
+//! right-hand side over non-negative arcs (a dead data center) pin those
+//! arcs to zero for the slot; the rows the pin makes vacuous leave the
+//! interior-point iteration instead of degenerating it.
+//!
+//! [`StructuredLq::to_lq`] expands a problem into the equivalent dense
+//! [`LqProblem`] — the oracle the test suites and the solver-scaling sweep
+//! cross-check against. The interior-point loop that consumes this type
+//! lives in the `skkt` module.
 
 use crate::{LqProblem, LqStage, LqTerminal, SolverError};
 use dspp_linalg::{Matrix, Vector};
-use std::collections::VecDeque;
 
 /// A constraint row touching exactly one arc: `coeff · x_arc ≤ d_row`.
 ///
@@ -91,23 +96,18 @@ pub struct StructuredLq {
     /// [`NO_ROW`]), plus that row's coefficient on `e`; the structured
     /// factorization uses it to find the capacity row each arc feeds.
     pub(crate) arc_b: Vec<(usize, f64)>,
+    /// Box bound `|u_{k,e}| ≤ u_max` on every stage's input, if any.
+    pub(crate) u_max: Option<f64>,
+    /// Flat chain index `e·W + (k−1)` → whether slot `k` forces
+    /// `x_{k,e} = 0` (see [`StructuredLq::pins`]).
+    pub(crate) pinned: Vec<bool>,
+    /// Per slot `k = 1..=W` (index `k-1`), the rows a pin makes vacuous;
+    /// they take no part in the iteration (zero multiplier).
+    pub(crate) vacuous: Vec<Vec<bool>>,
 }
 
 /// Marker for "arc not in any row of this group".
 pub(crate) const NO_ROW: usize = usize::MAX;
-
-fn is_zero_matrix(m: &Matrix) -> bool {
-    (0..m.rows()).all(|i| (0..m.cols()).all(|j| m[(i, j)] == 0.0))
-}
-
-fn is_identity(m: &Matrix) -> bool {
-    m.is_square()
-        && (0..m.rows()).all(|i| (0..m.cols()).all(|j| m[(i, j)] == if i == j { 1.0 } else { 0.0 }))
-}
-
-fn is_diagonal(m: &Matrix) -> bool {
-    m.is_square() && (0..m.rows()).all(|i| (0..m.cols()).all(|j| i == j || m[(i, j)] == 0.0))
-}
 
 impl StructuredLq {
     /// Builds a structured problem from its compact parts.
@@ -117,7 +117,9 @@ impl StructuredLq {
     /// `1..=W`, `r_diags` one per stage `0..W-1` (the two counts are both
     /// `W`); every `ds[k]` has length `m_rows`. Row indices of
     /// `diag_rows` ∪ `group_a` ∪ `group_b` must partition `0..m_rows`,
-    /// and each group's rows must have pairwise-disjoint arc supports.
+    /// and each group's rows must have pairwise-disjoint arc supports. A
+    /// coupling row may be empty (a data center no location can reach):
+    /// `0 ≤ d` is vacuous for `d ≥ 0`.
     ///
     /// # Errors
     ///
@@ -205,9 +207,6 @@ impl StructuredLq {
         for (group, map, name) in [(&group_a, &mut arc_a, "A"), (&group_b, &mut arc_b, "B")] {
             for (gi, c) in group.iter().enumerate() {
                 claim_row(c.row)?;
-                if c.entries.is_empty() {
-                    return bad(format!("coupling row {} has no entries", c.row));
-                }
                 for &(e, coeff) in &c.entries {
                     if e >= n || !coeff.is_finite() || coeff == 0.0 {
                         return bad(format!("coupling row {} has invalid entry", c.row));
@@ -224,7 +223,7 @@ impl StructuredLq {
         if let Some(row) = row_seen.iter().position(|&s| !s) {
             return bad(format!("row {row} is not classified"));
         }
-        Ok(StructuredLq {
+        let mut slq = StructuredLq {
             n,
             w,
             x0,
@@ -238,159 +237,93 @@ impl StructuredLq {
             group_a,
             group_b,
             arc_b,
-        })
+            u_max: None,
+            pinned: Vec::new(),
+            vacuous: Vec::new(),
+        };
+        slq.detect_pins();
+        Ok(slq)
     }
 
-    /// Detects DSPP structure in a dense [`LqProblem`], returning `None`
-    /// when the problem does not fit (the caller then stays on the dense
-    /// path).
+    /// Adds the box bound `|u_{k,e}| ≤ u_max` on every input of every
+    /// stage (a reconfiguration rate limit). Each bound is a pair of input
+    /// rows whose barrier weight lands on its arc's chain term, so the
+    /// condensed KKT system keeps its shape.
     ///
-    /// Requirements: identity `A`/`B` with no affine term, zero state
-    /// Hessians, positive-diagonal input Hessians, an unconstrained stage
-    /// 0, identical state-only constraint matrices on every later slot,
-    /// and coupling rows whose overlap graph is bipartite with
-    /// disjoint supports inside each side (demand/capacity "arrow"
-    /// structure). Relaxation slack columns, rate-limit (input) rows, and
-    /// general dynamics all fail detection — by design those solves keep
-    /// the dense path.
-    pub fn from_lq(problem: &LqProblem) -> Option<StructuredLq> {
-        let w = problem.horizon();
-        let n = problem.state_dim();
-        for st in &problem.stages {
-            if st.input_dim() != n
-                || !is_identity(&st.a)
-                || !is_identity(&st.b)
-                || st.c.norm_inf() != 0.0
-                || !is_zero_matrix(&st.q_mat)
-                || !is_diagonal(&st.r_mat)
-            {
-                return None;
-            }
-            // Negated so a NaN diagonal entry rejects the structured path.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if (0..n).any(|e| !(st.r_mat[(e, e)] > 0.0)) {
-                return None;
-            }
+    /// # Errors
+    ///
+    /// [`SolverError::InvalidProblem`] unless `u_max` is positive and
+    /// finite.
+    pub fn with_input_bound(mut self, u_max: f64) -> Result<Self, SolverError> {
+        if !(u_max.is_finite() && u_max > 0.0) {
+            return Err(SolverError::InvalidProblem(format!(
+                "input bound must be positive and finite, got {u_max}"
+            )));
         }
-        if !is_zero_matrix(&problem.terminal.q_mat) {
-            return None;
-        }
-        if problem.stages[0].num_constraints() != 0 {
-            return None;
-        }
-        let m_rows = problem.terminal.d.len();
-        let cx = &problem.terminal.cx;
-        for st in problem.stages.iter().skip(1) {
-            if st.num_constraints() != m_rows || st.cx != *cx || !is_zero_matrix(&st.cu) {
-                return None;
-            }
-        }
+        self.u_max = Some(u_max);
+        Ok(self)
+    }
 
-        // Classify rows by support size.
-        let mut diag_rows = Vec::new();
-        let mut coupling: Vec<CouplingRow> = Vec::new();
-        for r in 0..m_rows {
-            let entries: Vec<(usize, f64)> = (0..n)
-                .filter(|&e| cx[(r, e)] != 0.0)
-                .map(|e| (e, cx[(r, e)]))
-                .collect();
-            match entries.len() {
-                0 => return None, // vacuous row; keep the dense path
-                1 => diag_rows.push(DiagRow {
-                    row: r,
-                    arc: entries[0].0,
-                    coeff: entries[0].1,
-                }),
-                _ => coupling.push(CouplingRow { row: r, entries }),
+    /// Finds the slots where a coupling row forces its arcs to zero: all
+    /// coefficients positive, right-hand side exactly zero, and every arc
+    /// held non-negative by a single-arc row `coeff·x ≤ 0` with
+    /// `coeff < 0`. Such a row (a data center with no capacity in that
+    /// period) has an empty interior, so its arcs are pinned and every row
+    /// the pin satisfies identically — the row itself, the pinned arcs'
+    /// single-arc rows, and coupling rows left with no free arc — becomes
+    /// vacuous for the slot.
+    pub(crate) fn detect_pins(&mut self) {
+        let (n, w) = (self.n, self.w);
+        let mut nonneg = vec![Vec::new(); n];
+        for dr in &self.diag_rows {
+            if dr.coeff < 0.0 {
+                nonneg[dr.arc].push(dr.row);
             }
         }
-
-        // Bipartition the coupling rows: rows sharing an arc must land in
-        // different groups (2-coloring of the overlap graph); an arc in
-        // three or more coupling rows, or an odd overlap cycle, has no
-        // two-group arrow structure.
-        let mut touch: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (ci, c) in coupling.iter().enumerate() {
-            for &(e, _) in &c.entries {
-                if touch[e].len() >= 2 {
-                    return None;
-                }
-                touch[e].push(ci);
-            }
-        }
-        let mut color = vec![u8::MAX; coupling.len()];
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); coupling.len()];
-        for rows in &touch {
-            if let [a, b] = rows[..] {
-                adj[a].push(b);
-                adj[b].push(a);
-            }
-        }
-        let mut queue = VecDeque::new();
-        for start in 0..coupling.len() {
-            if color[start] != u8::MAX {
-                continue;
-            }
-            color[start] = 0;
-            queue.push_back(start);
-            while let Some(u) = queue.pop_front() {
-                for &v in &adj[u] {
-                    if color[v] == u8::MAX {
-                        color[v] = 1 - color[u];
-                        queue.push_back(v);
-                    } else if color[v] == color[u] {
-                        return None;
+        let mut pinned = vec![false; n * w];
+        self.vacuous = vec![vec![false; self.m_rows]; w];
+        for k in 0..w {
+            let d = &self.ds[k];
+            let vacuous = &mut self.vacuous[k];
+            for c in self.group_a.iter().chain(&self.group_b) {
+                let pins = d[c.row] == 0.0
+                    && c.entries.iter().all(|&(e, coeff)| {
+                        coeff > 0.0 && nonneg[e].iter().any(|&row| d[row] == 0.0)
+                    });
+                if pins {
+                    vacuous[c.row] = true;
+                    for &(e, _) in &c.entries {
+                        pinned[e * w + k] = true;
                     }
                 }
             }
-        }
-        let mut group_a = Vec::new();
-        let mut group_b = Vec::new();
-        for (c, col) in coupling.into_iter().zip(&color) {
-            if *col == 0 {
-                group_a.push(c);
-            } else {
-                group_b.push(c);
+            for dr in &self.diag_rows {
+                if pinned[dr.arc * w + k] && d[dr.row] >= 0.0 {
+                    vacuous[dr.row] = true;
+                }
+            }
+            for c in self.group_a.iter().chain(&self.group_b) {
+                if d[c.row] >= 0.0 && c.entries.iter().all(|&(e, _)| pinned[e * w + k]) {
+                    vacuous[c.row] = true;
+                }
             }
         }
-
-        let diag_of = |m: &Matrix| -> Vector { (0..n).map(|e| m[(e, e)]).collect() };
-        let qs: Vec<Vector> = (1..=w)
-            .map(|k| {
-                if k < w {
-                    problem.stages[k].q_vec.clone()
-                } else {
-                    problem.terminal.q_vec.clone()
-                }
-            })
-            .collect();
-        let ds: Vec<Vector> = (1..=w)
-            .map(|k| {
-                if k < w {
-                    problem.stages[k].d.clone()
-                } else {
-                    problem.terminal.d.clone()
-                }
-            })
-            .collect();
-        StructuredLq::new(
-            problem.x0.clone(),
-            problem.stages[0].q_vec.clone(),
-            qs,
-            problem.stages.iter().map(|st| diag_of(&st.r_mat)).collect(),
-            problem.stages.iter().map(|st| st.r_vec.clone()).collect(),
-            ds,
-            diag_rows,
-            group_a,
-            group_b,
-            m_rows,
-        )
-        .ok()
+        self.pinned = pinned;
     }
 
-    /// Expands back to the equivalent dense [`LqProblem`] — the
-    /// cross-validation bridge for agreement tests and the dense leg of
-    /// the scaling experiment.
+    /// The `(slot, arc)` pairs pinned to zero by a zero-capacity coupling
+    /// row (slot `k ∈ 1..=W` constrains `x_k`), in arc-major order.
+    pub fn pins(&self) -> Vec<(usize, usize)> {
+        (0..self.pinned.len())
+            .filter(|&i| self.pinned[i])
+            .map(|i| (i % self.w + 1, i / self.w))
+            .collect()
+    }
+
+    /// Expands to the equivalent dense [`LqProblem`] — the oracle for
+    /// agreement tests and the dense leg of the solver-scaling sweep. A
+    /// box bound becomes `[I; −I]·u ≤ u_max` input rows appended after the
+    /// state rows of every stage (stage 0 carries only those).
     ///
     /// # Panics
     ///
@@ -406,6 +339,14 @@ impl StructuredLq {
                 cx[(c.row, e)] = coeff;
             }
         }
+        let box_rows = self.u_max.map(|u_max| {
+            let mut cu = Matrix::zeros(2 * n, n);
+            for e in 0..n {
+                cu[(e, e)] = 1.0;
+                cu[(n + e, e)] = -1.0;
+            }
+            (cu, Vector::filled(2 * n, u_max))
+        });
         let mut stages = Vec::with_capacity(self.w);
         for k in 0..self.w {
             let mut st = LqStage::identity_dynamics(n);
@@ -420,6 +361,9 @@ impl StructuredLq {
                     Matrix::zeros(self.m_rows, n),
                     self.ds[k - 1].clone(),
                 );
+            }
+            if let Some((cu, d)) = &box_rows {
+                st = st.with_constraints(Matrix::zeros(2 * n, n), cu.clone(), d.clone());
             }
             stages.push(st);
         }
@@ -450,22 +394,10 @@ impl StructuredLq {
         self.group_a.len() + self.group_b.len()
     }
 
-    /// Simulates `x⁺ = x + u` from `x0`.
-    pub(crate) fn rollout(&self, us: &[Vector]) -> Vec<Vector> {
-        let mut xs = Vec::with_capacity(self.w + 1);
-        xs.push(self.x0.clone());
-        for u in us {
-            let mut xn = xs.last().expect("nonempty").clone();
-            xn.axpy(1.0, u);
-            xs.push(xn);
-        }
-        xs
-    }
-
     /// Constraint left-hand side `C x` for one slot, written into `out`
-    /// (length `m_rows`).
+    /// (length at least `m_rows`; only the first `m_rows` entries are
+    /// written).
     pub(crate) fn row_lhs_into(&self, x: &Vector, out: &mut Vector) {
-        out.fill(0.0);
         for dr in &self.diag_rows {
             out[dr.row] = dr.coeff * x[dr.arc];
         }
@@ -478,7 +410,8 @@ impl StructuredLq {
         }
     }
 
-    /// Constraint-transpose accumulation `out += Cᵀ t` for one slot.
+    /// Constraint-transpose accumulation `out += Cᵀ t` for one slot (reads
+    /// the first `m_rows` entries of `t`).
     pub(crate) fn row_t_acc(&self, t: &Vector, out: &mut Vector) {
         for dr in &self.diag_rows {
             out[dr.arc] += dr.coeff * t[dr.row];
@@ -510,42 +443,6 @@ impl StructuredLq {
         j
     }
 
-    /// Largest constraint violation along a trajectory.
-    #[allow(clippy::needless_range_loop)] // `k` is a stage index, offset by one
-    pub(crate) fn max_violation(&self, xs: &[Vector], scratch: &mut Vector) -> f64 {
-        let mut v: f64 = 0.0;
-        for k in 1..=self.w {
-            self.row_lhs_into(&xs[k], scratch);
-            for i in 0..self.m_rows {
-                v = v.max(scratch[i] - self.ds[k - 1][i]);
-            }
-        }
-        v.max(0.0)
-    }
-
-    /// Most-violated row `(slot, row, violation, violation/(1+|d|))`,
-    /// mirroring the dense path's classifier input.
-    #[allow(clippy::needless_range_loop)] // `k` is a stage index, offset by one
-    pub(crate) fn worst_violation_row(
-        &self,
-        xs: &[Vector],
-        scratch: &mut Vector,
-    ) -> (usize, usize, f64, f64) {
-        let mut worst = (0usize, 0usize, 0.0f64, 0.0f64);
-        for k in 1..=self.w {
-            self.row_lhs_into(&xs[k], scratch);
-            let d = &self.ds[k - 1];
-            for i in 0..self.m_rows {
-                let viol = scratch[i] - d[i];
-                let rel = viol / (1.0 + d[i].abs());
-                if rel > worst.3 {
-                    worst = (k, i, viol, rel);
-                }
-            }
-        }
-        worst
-    }
-
     /// Problem scale for the stopping test, matching the dense path.
     pub(crate) fn scale(&self) -> f64 {
         let mut scale: f64 = 1.0;
@@ -559,7 +456,7 @@ impl StructuredLq {
         for d in &self.ds {
             scale = scale.max(d.norm_inf());
         }
-        scale
+        scale.max(self.u_max.unwrap_or(0.0))
     }
 }
 
@@ -620,23 +517,24 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_through_dense_detection() {
+    fn dense_expansion_reproduces_the_rows() {
         let slq = dspp_like(3);
         let dense = slq.to_lq();
-        let detected = StructuredLq::from_lq(&dense).expect("structure must be detected");
-        assert_eq!(detected.state_dim(), 4);
-        assert_eq!(detected.horizon(), 3);
-        assert_eq!(detected.num_rows(), 8);
-        assert_eq!(detected.num_coupling_rows(), 4);
-        assert_eq!(detected.diag_rows.len(), 4);
-        // The bipartition must separate demand-like from capacity-like
-        // rows (group naming may swap; sizes must be 2 + 2 with disjoint
-        // supports — guaranteed by the constructor).
-        assert_eq!(detected.group_a.len() + detected.group_b.len(), 4);
-        // Expanding the detected problem again reproduces the matrices.
-        let dense2 = detected.to_lq();
-        assert_eq!(dense.stages[1].cx, dense2.stages[1].cx);
-        assert_eq!(dense.terminal.d, dense2.terminal.d);
+        assert_eq!(dense.horizon(), 3);
+        assert_eq!(dense.stages[0].num_constraints(), 0);
+        assert_eq!(dense.terminal.d, slq.ds[2]);
+        let cx = &dense.terminal.cx;
+        assert_eq!(cx[(0, 2)], -1.2);
+        assert_eq!(cx[(3, 3)], 1.0);
+        assert_eq!(cx[(4, 0)], -1.0);
+        // A box bound adds 2n input rows to every stage, none to the
+        // terminal.
+        let bounded = dspp_like(3).with_input_bound(0.5).unwrap().to_lq();
+        assert_eq!(bounded.stages[0].num_constraints(), 8);
+        assert_eq!(bounded.stages[1].num_constraints(), 8 + 8);
+        assert_eq!(bounded.terminal.d.len(), 8);
+        assert_eq!(bounded.stages[1].cu[(8 + 4 + 1, 1)], -1.0);
+        assert!(dspp_like(1).with_input_bound(0.0).is_err());
     }
 
     #[test]
@@ -657,72 +555,42 @@ mod tests {
     }
 
     #[test]
-    fn objective_and_violation_match_dense() {
+    fn objective_matches_dense() {
         let slq = dspp_like(3);
         let dense = slq.to_lq();
         let us: Vec<Vector> = (0..3)
             .map(|k| (0..4).map(|e| (k + e) as f64 * 0.4 - 0.5).collect())
             .collect();
-        let xs = slq.rollout(&us);
-        let dense_xs = dense.rollout(&us);
-        for (a, b) in xs.iter().zip(&dense_xs) {
-            assert!((a - b).norm_inf() < 1e-15);
-        }
+        let xs = dense.rollout(&us);
         assert!((slq.objective(&xs, &us) - dense.objective(&xs, &us)).abs() < 1e-12);
-        let mut scratch = Vector::zeros(slq.num_rows());
+    }
+
+    #[test]
+    fn zero_capacity_pins_the_data_centers_arcs() {
+        let mut slq = dspp_like(3);
+        // DC 1 (row 3, arcs 2 and 3) is dark in slot 2 only.
+        slq.ds[1][3] = 0.0;
+        slq.detect_pins();
+        assert_eq!(slq.pins(), vec![(2, 2), (2, 3)]);
+        assert!(slq.vacuous[1][3], "the dead capacity row leaves the slot");
+        assert!(slq.vacuous[1][4 + 2] && slq.vacuous[1][4 + 3]);
+        assert!(!slq.vacuous[1][4], "live arcs keep their rows");
+        // Demand rows keep a live arc each, so they stay.
+        assert!(!slq.vacuous[1][0] && !slq.vacuous[1][1]);
+        assert!(slq.vacuous[0].iter().all(|v| !v));
+        // A location left with no live arc and no demand is vacuous too.
+        slq.ds[1][2] = 0.0;
+        slq.ds[1][1] = 0.0;
+        slq.detect_pins();
+        assert_eq!(slq.pins().len(), 4);
         assert!(
-            (slq.max_violation(&xs, &mut scratch) - dense.max_violation(&xs, &us)).abs() < 1e-12
+            slq.vacuous[1][1],
+            "demand row with no live arc and zero demand"
         );
-    }
-
-    #[test]
-    fn detection_rejects_unsupported_shapes() {
-        let slq = dspp_like(2);
-        // Non-identity dynamics.
-        let mut p = slq.to_lq();
-        p.stages[0].a[(0, 1)] = 0.5;
-        assert!(StructuredLq::from_lq(&p).is_none());
-        // Input-coupled rows (rate limits).
-        let mut p = slq.to_lq();
-        p.stages[1].cu[(0, 0)] = 1.0;
-        assert!(StructuredLq::from_lq(&p).is_none());
-        // Non-diagonal input Hessian.
-        let mut p = slq.to_lq();
-        p.stages[0].r_mat[(0, 1)] = 0.1;
-        assert!(StructuredLq::from_lq(&p).is_none());
-        // Differing constraint matrices across slots.
-        let mut p = slq.to_lq();
-        p.stages[1].cx[(0, 1)] = -9.0;
-        assert!(StructuredLq::from_lq(&p).is_none());
-        // Constraints on stage 0.
-        let mut p = slq.to_lq();
-        let row = Matrix::from_rows(&[&[-1.0, 0.0, 0.0, 0.0]]).unwrap();
-        p.stages[0] =
-            p.stages[0]
-                .clone()
-                .with_constraints(row, Matrix::zeros(1, 4), Vector::from(vec![0.0]));
-        assert!(StructuredLq::from_lq(&p).is_none());
-    }
-
-    #[test]
-    fn detection_rejects_non_bipartite_coupling() {
-        // Three coupling rows pairwise overlapping on three arcs: an odd
-        // cycle, not an arrow structure.
-        let n = 3;
-        let rows =
-            Matrix::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 1.0, 1.0], &[1.0, 0.0, 1.0]]).unwrap();
-        let mut st = LqStage::identity_dynamics(n);
-        st.r_mat = Matrix::from_diag(&Vector::filled(n, 1.0));
-        let constrained =
-            st.clone()
-                .with_constraints(rows.clone(), Matrix::zeros(3, n), Vector::filled(3, 5.0));
-        let problem = LqProblem::new(
-            Vector::zeros(n),
-            vec![st, constrained],
-            LqTerminal::free(n).with_constraints(rows, Vector::filled(3, 5.0)),
-        )
-        .unwrap();
-        assert!(StructuredLq::from_lq(&problem).is_none());
+        assert!(
+            !slq.vacuous[1][0],
+            "positive demand stays (infeasible or soft)"
+        );
     }
 
     #[test]

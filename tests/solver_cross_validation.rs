@@ -159,9 +159,19 @@ fn rate_limited_problems_cross_validate_with_input_rows() {
     )
     .expect("horizon");
     let settings = IpmSettings::default();
-    let sol_lq = solve_lq(horizon.lq(), &settings).expect("structured");
-    let flat = flatten_lq(horizon.lq()).expect("flatten");
+    let lq = horizon.to_lq();
+    let sol_lq = solve_lq(&lq, &settings).expect("riccati");
+    let flat = flatten_lq(&lq).expect("flatten");
     let sol_qp = solve_qp(&flat.qp, &settings).expect("dense");
+    // The production path (box rows on the structured KKT system) lands on
+    // the same optimum as both dense oracles.
+    let sol_structured = horizon.solve(&settings).expect("structured");
+    assert!(
+        (sol_structured.objective - sol_lq.objective).abs() < 1e-6 * (1.0 + sol_lq.objective.abs()),
+        "structured {} vs riccati {}",
+        sol_structured.objective,
+        sol_lq.objective
+    );
     assert!(
         (sol_lq.objective - (sol_qp.objective + flat.offset)).abs() < 1e-4,
         "objective mismatch: {} vs {}",
