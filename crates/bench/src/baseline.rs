@@ -9,7 +9,7 @@
 //! and on a parallel pool, a warm-vs-cold solve pair, a reduced
 //! policy tournament (every placement policy on a one-day diurnal
 //! trace), a steady-state SLO evaluation pass, the streaming-ingest
-//! hot paths (snapshot routing + lock-free aggregation, and the
+//! hot paths (snapshot routing + shard-tally aggregation, and the
 //! period-close admit/seal barrier), a two-DC infrastructure fault
 //! drill (a scheduled DC outage absorbed by the recovery rung), and two
 //! 100 DC × 1000 location workloads on the structure-exploiting
@@ -37,6 +37,7 @@ use dspp_experiments::tournament;
 use dspp_game::{GameConfig, ResourceGame, SpSampler};
 use dspp_ingest::{
     admit, generate_city_period, stream_seed, BackpressureBudget, PeriodBucket, RouterSnapshot,
+    ShardTally,
 };
 use dspp_predict::LastValue;
 use dspp_runtime::{run_scenario, run_scenarios, FaultPlan, ScenarioPool, ScenarioSpec};
@@ -492,12 +493,12 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     });
 
     // 12. The ingest hot path: route a pre-generated request batch off a
-    // compiled placement snapshot and aggregate it into a lock-free
-    // period bucket — the per-request work the streaming front end does
-    // millions of times per control period. `allocs` pins the steady
-    // route+aggregate pass at exactly zero heap traffic; the event and
-    // per-arc counters pin the routing outcome bit-for-bit (multiply
-    // `events` by the reported throughput for req/s).
+    // compiled placement snapshot into a shard tally and fold it into the
+    // lock-free period bucket — the per-request work (and the per-shard
+    // fold) the streaming front end does every control period. `allocs`
+    // pins the steady route+aggregate pass at exactly zero heap traffic;
+    // the event and per-arc counters pin the routing outcome bit-for-bit
+    // (multiply `events` by the reported throughput for req/s).
     let ingest_fixture = (pick("ingest.route_agg") || pick("ingest.seal_period")).then(|| {
         let ingest_problem = multi_dc_problem(2, 8);
         let covering =
@@ -515,8 +516,10 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
             route_events.extend_from_slice(&buf);
             per_city.push(buf);
         }
-        // Route draws come from the same deterministic stream mixer the
-        // pipeline uses, one u64 per request.
+        // One route draw per request, each a `stream_seed` mix of its
+        // index. The pipeline instead draws from a per-(city, period)
+        // `StdRng`; these fixed draws keep the routing counters
+        // comparable across revisions.
         let draws: Vec<u64> = (0..route_events.len())
             .map(|i| stream_seed(0xD1CE, i, 1))
             .collect();
@@ -525,20 +528,21 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     let route_metric = pick("ingest.route_agg").then(|| {
         let (ingest_problem, route_table, route_events, _, draws) =
             ingest_fixture.as_ref().expect("ingest fixture built");
-        let route_bucket = PeriodBucket::new(0, 2, ingest_problem.num_arcs());
-        let route_pass = || {
+        let arcs = ingest_problem.num_arcs();
+        let route_into = |tally: &mut ShardTally, bucket: &PeriodBucket| {
             for (ev, draw) in route_events.iter().zip(draws) {
                 let arc = route_table.route(ev.city as usize, *draw);
-                route_bucket.record(ev.city as usize, arc, ev.class.index(), ev.size_kib);
+                tally.record(ev.city as usize, arc, ev.class.index(), ev.size_kib);
             }
+            tally.fold_into(bucket);
         };
-        let (_, route_allocs) = alloc_count::count(route_pass);
+        let mut route_tally = ShardTally::new(0, 2, arcs);
+        let route_bucket = PeriodBucket::new(0, 2, arcs);
+        let mut route_pass = || route_into(&mut route_tally, &route_bucket);
+        let (_, route_allocs) = alloc_count::count(&mut route_pass);
         let metric = measure("ingest.route_agg", warmup, iters, route_pass);
-        let outcome_bucket = PeriodBucket::new(0, 2, ingest_problem.num_arcs());
-        for (ev, draw) in route_events.iter().zip(draws) {
-            let arc = route_table.route(ev.city as usize, *draw);
-            outcome_bucket.record(ev.city as usize, arc, ev.class.index(), ev.size_kib);
-        }
+        let outcome_bucket = PeriodBucket::new(0, 2, arcs);
+        route_into(&mut route_tally, &outcome_bucket);
         let outcome = outcome_bucket.seal();
         metric.with_counters(vec![
             ("allocs".to_string(), route_allocs as f64),
@@ -549,22 +553,25 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     });
 
     // 13. The period-close barrier: admit the same batch under a budget
-    // tight enough to defer and drop deterministically, aggregate the
-    // admitted slice, and seal the bucket into its plain-data matrix row.
+    // tight enough to defer and drop deterministically, tally the
+    // admitted slice, fold it into the bucket and seal the bucket into its
+    // plain-data matrix row.
     let seal_metric = pick("ingest.seal_period").then(|| {
         let (ingest_problem, _, route_events, per_city, _) =
             ingest_fixture.as_ref().expect("ingest fixture built");
         let seal_budget = BackpressureBudget::new(1_500, 400);
         let mut seal_bucket = PeriodBucket::new(0, 2, ingest_problem.num_arcs());
+        let mut seal_tally = ShardTally::new(0, 2, ingest_problem.num_arcs());
         let mut seal_pass = || {
             seal_bucket.reset(0);
             for (city, events) in per_city.iter().enumerate() {
                 let admission = admit(seal_budget, 0, events.len() as u64);
                 for ev in &events[..admission.admitted_fresh as usize] {
-                    seal_bucket.record(city, Some(0), ev.class.index(), ev.size_kib);
+                    seal_tally.record(city, Some(0), ev.class.index(), ev.size_kib);
                 }
-                seal_bucket.record_backpressure(0, admission.carry_out, admission.dropped);
+                seal_tally.record_backpressure(0, admission.carry_out, admission.dropped);
             }
+            seal_tally.fold_into(&seal_bucket);
             seal_bucket.seal()
         };
         let sealed_outcome = seal_pass();

@@ -2,8 +2,9 @@
 //!
 //! Unlike the figure modules, which feed the controller precomputed
 //! demand matrices, this experiment runs the full `dspp-ingest` front
-//! end — deterministic per-city Poisson event streams, sharded lock-free
-//! aggregation, wait-free snapshot routing, bounded admission — and
+//! end — deterministic per-city Poisson event streams, bounded
+//! admission, routing off the period's placement snapshot, shard-local
+//! tallies folded into a lock-free period bucket — and
 //! seals each control period into the demand matrix the MPC consumes.
 //!
 //! Two artifacts come out of a run:
@@ -13,7 +14,7 @@
 //! * `results/ingest_sealed.csv`, the raw sealed-period ledger in exact
 //!   integer counts ([`IngestLoop::sealed_matrix_csv`]). Because event
 //!   generation is a pure function of `(seed, city, period)` and
-//!   aggregation is commutative integer atomics, this file is
+//!   aggregation is commutative integer addition, this file is
 //!   byte-identical for any `--jobs` value — the determinism CI job
 //!   diffs it across `--jobs 1` and `--jobs 4`.
 

@@ -1,18 +1,23 @@
-//! Lock-free per-period demand buckets and their sealed form.
+//! Per-period demand buckets: shard-local tallies, the shared lock-free
+//! bucket they fold into, and its sealed form.
 //!
-//! All shard threads of one control period write into a shared
-//! [`PeriodBucket`] through relaxed `fetch_add`s on plain `AtomicU64`
-//! counters — no locks, no CAS loops on the hot path. Because every
-//! event contributes integer increments and integer addition is
-//! commutative, the sealed totals are exactly the same for any thread
-//! interleaving and any shard count; converting counts to rates happens
-//! once, at seal time, with the identical floating-point expression on
-//! every path. That is the whole determinism argument for the
-//! `--jobs 1` vs `--jobs 4` byte-identical matrix requirement.
+//! Each shard thread of one control period counts its requests into a
+//! [`ShardTally`] of plain `u64`s — no shared-memory traffic per
+//! request. At the period-close barrier the shard folds its tally into
+//! the shared [`PeriodBucket`] with one relaxed `fetch_add` per non-zero
+//! counter — no locks, no CAS loops. Every counter is a sum of integer
+//! increments, and integer addition is commutative and associative, so
+//! the sealed totals are exactly the same whichever shard owns a city,
+//! however many shards there are, and in whatever order the folds land;
+//! converting counts to rates happens once, at seal time, with the
+//! identical floating-point expression on every path. That is the whole
+//! determinism argument for the `--jobs 1` vs `--jobs 4` byte-identical
+//! matrix requirement.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The in-flight demand accumulator for one control period.
+/// The shared demand accumulator for one control period. Shards write it
+/// only through [`ShardTally::fold_into`], once each per period.
 #[derive(Debug)]
 pub struct PeriodBucket {
     period: usize,
@@ -45,30 +50,6 @@ impl PeriodBucket {
             deferred: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
-    }
-
-    /// Records one admitted request from `city`, routed to `arc` (or
-    /// unroutable when `None`). The only per-event shared-memory work.
-    #[inline]
-    pub fn record(&self, city: usize, arc: Option<usize>, class_index: usize, size_kib: u32) {
-        self.city_counts[city].fetch_add(1, Ordering::Relaxed);
-        self.class_kib[class_index].fetch_add(size_kib as u64, Ordering::Relaxed);
-        match arc {
-            Some(e) => {
-                self.arc_counts[e].fetch_add(1, Ordering::Relaxed);
-            }
-            None => {
-                self.unroutable.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Folds one shard's per-period backpressure accounting in (called
-    /// once per city per period, not per event).
-    pub fn record_backpressure(&self, carried_in: u64, deferred: u64, dropped: u64) {
-        self.carried_in.fetch_add(carried_in, Ordering::Relaxed);
-        self.deferred.fetch_add(deferred, Ordering::Relaxed);
-        self.dropped.fetch_add(dropped, Ordering::Relaxed);
     }
 
     /// Freezes the bucket into plain data. Callers must have joined all
@@ -123,6 +104,109 @@ impl PeriodBucket {
     }
 }
 
+/// One shard's counts for one period, in plain integers: the per-request
+/// half of a [`PeriodBucket`]. A shard owns the contiguous city range
+/// `city_start..city_start + cities`, records every admitted request
+/// here, and folds the whole tally into the shared bucket once, at the
+/// period-close barrier ([`ShardTally::fold_into`]). The fold zeroes the
+/// tally, so one tally serves every period without reallocating.
+#[derive(Debug, Clone)]
+pub struct ShardTally {
+    city_start: usize,
+    /// Admitted requests per owned city (index `city - city_start`).
+    city_counts: Vec<u64>,
+    /// Routed requests per problem arc.
+    arc_counts: Vec<u64>,
+    class_kib: [u64; 3],
+    unroutable: u64,
+    carried_in: u64,
+    deferred: u64,
+    dropped: u64,
+}
+
+impl ShardTally {
+    /// An empty tally for the cities `city_start..city_start + cities`
+    /// over `arcs` problem arcs.
+    pub fn new(city_start: usize, cities: usize, arcs: usize) -> Self {
+        ShardTally {
+            city_start,
+            city_counts: vec![0; cities],
+            arc_counts: vec![0; arcs],
+            class_kib: [0; 3],
+            unroutable: 0,
+            carried_in: 0,
+            deferred: 0,
+            dropped: 0,
+        }
+    }
+
+    /// The cities this tally owns.
+    pub fn cities(&self) -> std::ops::Range<usize> {
+        self.city_start..self.city_start + self.city_counts.len()
+    }
+
+    /// Records one admitted request from `city` (an owned city), routed
+    /// to `arc` (or unroutable when `None`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `city` is outside the tally's range, `arc` outside
+    /// the problem's arcs or `class_index > 2`.
+    #[inline]
+    pub fn record(&mut self, city: usize, arc: Option<usize>, class_index: usize, size_kib: u32) {
+        self.city_counts[city - self.city_start] += 1;
+        self.class_kib[class_index] += u64::from(size_kib);
+        match arc {
+            Some(e) => self.arc_counts[e] += 1,
+            None => self.unroutable += 1,
+        }
+    }
+
+    /// Adds one city's backpressure accounting for the period (called
+    /// once per city, not per request).
+    pub fn record_backpressure(&mut self, carried_in: u64, deferred: u64, dropped: u64) {
+        self.carried_in += carried_in;
+        self.deferred += deferred;
+        self.dropped += dropped;
+    }
+
+    /// Adds every non-zero counter to `bucket` — one relaxed `fetch_add`
+    /// each — and zeroes the tally for the next period.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the tally's cities or arcs do not fit the bucket.
+    pub fn fold_into(&mut self, bucket: &PeriodBucket) {
+        let cities = &bucket.city_counts[self.cities()];
+        for (shared, own) in cities.iter().zip(&mut self.city_counts) {
+            fold_add(shared, std::mem::take(own));
+        }
+        assert_eq!(
+            self.arc_counts.len(),
+            bucket.arc_counts.len(),
+            "shard tally and bucket disagree on the arc count"
+        );
+        for (shared, own) in bucket.arc_counts.iter().zip(&mut self.arc_counts) {
+            fold_add(shared, std::mem::take(own));
+        }
+        for (shared, own) in bucket.class_kib.iter().zip(&mut self.class_kib) {
+            fold_add(shared, std::mem::take(own));
+        }
+        fold_add(&bucket.unroutable, std::mem::take(&mut self.unroutable));
+        fold_add(&bucket.carried_in, std::mem::take(&mut self.carried_in));
+        fold_add(&bucket.deferred, std::mem::take(&mut self.deferred));
+        fold_add(&bucket.dropped, std::mem::take(&mut self.dropped));
+    }
+}
+
+/// Adds `by` to `counter` unless it is zero: the fold's only
+/// shared-memory write.
+fn fold_add(counter: &AtomicU64, by: u64) {
+    if by != 0 {
+        counter.fetch_add(by, Ordering::Relaxed);
+    }
+}
+
 /// One period's demand, frozen at the period-close barrier. This is the
 /// event-stream analogue of one column of the demand matrix the MPC
 /// consumes; [`SealedPeriod::rates`] converts it.
@@ -165,19 +249,20 @@ impl SealedPeriod {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
-    fn concurrent_recording_loses_nothing() {
-        let bucket = Arc::new(PeriodBucket::new(3, 4, 8));
+    fn concurrent_folds_lose_nothing() {
+        let bucket = PeriodBucket::new(3, 4, 8);
         std::thread::scope(|s| {
             for t in 0..4usize {
-                let bucket = Arc::clone(&bucket);
+                let bucket = &bucket;
                 s.spawn(move || {
+                    let mut tally = ShardTally::new(t, 1, 8);
                     for i in 0..10_000usize {
-                        bucket.record(t, Some((t + i) % 8), i % 3, 2);
+                        tally.record(t, Some((t + i) % 8), i % 3, 2);
                     }
-                    bucket.record_backpressure(5, 7, 1);
+                    tally.record_backpressure(5, 7, 1);
+                    tally.fold_into(bucket);
                 });
             }
         });
@@ -195,10 +280,12 @@ mod tests {
     #[test]
     fn rates_divide_by_period_length_and_reset_clears() {
         let mut bucket = PeriodBucket::new(0, 2, 2);
+        let mut tally = ShardTally::new(0, 2, 2);
         for _ in 0..7200 {
-            bucket.record(0, Some(0), 1, 1);
+            tally.record(0, Some(0), 1, 1);
         }
-        bucket.record(1, None, 0, 1);
+        tally.record(1, None, 0, 1);
+        tally.fold_into(&bucket);
         let sealed = bucket.seal();
         assert_eq!(sealed.rates(3600.0), vec![2.0, 1.0 / 3600.0]);
         assert_eq!(sealed.unroutable, 1);
@@ -207,5 +294,24 @@ mod tests {
         assert_eq!(empty.period, 9);
         assert_eq!(empty.total_events(), 0);
         assert_eq!(empty.unroutable, 0);
+    }
+
+    #[test]
+    fn fold_zeroes_the_tally_for_reuse() {
+        let bucket = PeriodBucket::new(0, 3, 2);
+        let mut tally = ShardTally::new(1, 2, 2);
+        tally.record(2, Some(1), 2, 64);
+        tally.record_backpressure(1, 2, 3);
+        tally.fold_into(&bucket);
+        // A second fold of the emptied tally adds nothing.
+        tally.fold_into(&bucket);
+        let sealed = bucket.seal();
+        assert_eq!(sealed.city_counts, vec![0, 0, 1]);
+        assert_eq!(sealed.arc_counts, vec![0, 1]);
+        assert_eq!(sealed.class_kib, [0, 0, 64]);
+        assert_eq!(
+            (sealed.carried_in, sealed.deferred, sealed.dropped),
+            (1, 2, 3)
+        );
     }
 }

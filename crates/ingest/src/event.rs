@@ -57,8 +57,8 @@ impl RequestClass {
 }
 
 /// One timestamped request: the unit the ingest front end routes and
-/// aggregates at millions per control period. 16 bytes, `Copy`, so event
-/// batches stay cache-dense on the hot path.
+/// aggregates at millions per control period. 16 bytes and `Copy`, so the
+/// per-city stream hands events out by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Arrival offset within its control period, in microseconds.

@@ -27,10 +27,58 @@ pub fn stream_seed(seed: u64, city: usize, period: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Generates the full event stream of one `(city, period)` pair into
-/// `out` (cleared first, capacity reused across periods). `rate` is the
-/// city's mean arrival rate in requests/second over a period of
-/// `period_seconds`. Returns the number of events generated.
+/// The event stream of one `(city, period)` pair, drawn lazily: the one
+/// definition of that stream. Each arrival draws its inter-arrival time
+/// and then one attribute word (class and payload size) from the pair's
+/// own [`ArrivalProcess`], so the sequence is a pure function of
+/// `(seed, city, period, rate)` however much of it a caller consumes.
+#[derive(Debug)]
+pub(crate) struct CityStream {
+    arrivals: ArrivalProcess,
+    city: u32,
+    horizon: f64,
+}
+
+impl CityStream {
+    /// The stream of `city` in `period`; `rate` is the city's mean
+    /// arrival rate in requests/second over a period of `period_seconds`.
+    pub(crate) fn new(
+        seed: u64,
+        city: usize,
+        period: usize,
+        rate: f64,
+        period_seconds: f64,
+    ) -> Self {
+        CityStream {
+            arrivals: ArrivalProcess::new(stream_seed(seed, city, period), rate),
+            city: city as u32,
+            horizon: period_seconds,
+        }
+    }
+}
+
+impl Iterator for CityStream {
+    type Item = Event;
+
+    #[inline]
+    fn next(&mut self) -> Option<Event> {
+        let t = self.arrivals.next_before(self.horizon)?;
+        let attr = self.arrivals.rng_mut().next_u64();
+        let class = RequestClass::from_draw(attr);
+        Some(Event {
+            time_us: (t * 1e6) as u64,
+            city: self.city,
+            class,
+            size_kib: class.size_kib(attr >> 2),
+        })
+    }
+}
+
+/// Collects the whole event stream of one `(city, period)` pair — the
+/// stream the ingest shards consume lazily — into `out` (cleared first,
+/// capacity reused across periods). `rate` is the city's mean arrival
+/// rate in requests/second over a period of `period_seconds`. Returns the
+/// number of events generated.
 pub fn generate_city_period(
     seed: u64,
     city: usize,
@@ -40,17 +88,7 @@ pub fn generate_city_period(
     out: &mut Vec<Event>,
 ) -> u64 {
     out.clear();
-    let mut arrivals = ArrivalProcess::new(stream_seed(seed, city, period), rate);
-    while let Some(t) = arrivals.next_before(period_seconds) {
-        let attr = arrivals.rng_mut().next_u64();
-        let class = RequestClass::from_draw(attr);
-        out.push(Event {
-            time_us: (t * 1e6) as u64,
-            city: city as u32,
-            class,
-            size_kib: class.size_kib(attr >> 2),
-        });
-    }
+    out.extend(CityStream::new(seed, city, period, rate, period_seconds));
     out.len() as u64
 }
 

@@ -7,13 +7,14 @@
 //! * [`generator`] — deterministic per-`(city, period)` request streams
 //!   built on the DES arrival machinery ([`dspp_sim::ArrivalProcess`]),
 //!   millions of timestamped `(city, class, size)` events per control
-//!   period;
+//!   period, drawn lazily by the shards and collected on demand;
 //! * [`snapshot`] — the read-mostly placement snapshot swap: the
 //!   controller publishes each placement as an immutable compiled eq. 13
-//!   routing table, per-request reads are wait-free;
-//! * [`bucket`] — sharded aggregation into lock-free per-period demand
-//!   buckets (relaxed atomic counters, no locks on the hot path) sealed
-//!   at a period-close barrier into exactly the demand-matrix shape
+//!   routing table, read once per period and shared by every shard;
+//! * [`bucket`] — sharded aggregation: each shard counts into its own
+//!   plain-integer [`ShardTally`] and folds it into the lock-free
+//!   per-period [`PeriodBucket`] at the period-close barrier, which is
+//!   sealed into exactly the demand-matrix shape
 //!   `ClosedLoopSim`/`MpcController` consume;
 //! * [`backpressure`] + [`channel`] — bounded admission with conserved
 //!   deferred/dropped accounting (backing the `ingest_backpressure`
@@ -23,7 +24,7 @@
 //!   schema-versioned JSON [`checkpoint`]s and bit-exact resume.
 //!
 //! Determinism is by construction: event streams are pure functions of
-//! `(seed, city, period)`, aggregation is commutative integer atomics,
+//! `(seed, city, period)`, aggregation is commutative integer addition,
 //! and count→rate conversion happens once at seal time — so sealed
 //! matrices are byte-identical at any shard count (`--jobs 1` vs
 //! `--jobs 4` is diffed in CI) and a checkpoint resumes bit-exactly.
@@ -41,7 +42,7 @@ pub mod pipeline;
 pub mod snapshot;
 
 pub use backpressure::{admit, Admission, BackpressureBudget};
-pub use bucket::{PeriodBucket, SealedPeriod};
+pub use bucket::{PeriodBucket, SealedPeriod, ShardTally};
 pub use channel::{Bounded, SendError};
 pub use checkpoint::{
     IngestCheckpoint, INGEST_CHECKPOINT_MIN_SCHEMA_VERSION, INGEST_CHECKPOINT_SCHEMA_VERSION,
@@ -49,4 +50,4 @@ pub use checkpoint::{
 pub use event::{Event, RequestClass};
 pub use generator::{generate_city_period, stream_seed};
 pub use pipeline::{IngestConfig, IngestError, IngestLoop, IngestTotals};
-pub use snapshot::{RouterSnapshot, SnapshotReader, SnapshotSwap};
+pub use snapshot::{RouterSnapshot, SnapshotSwap};

@@ -1,15 +1,13 @@
-//! Read-mostly placement snapshots with wait-free per-request reads.
+//! Read-mostly placement snapshots.
 //!
 //! The controller publishes each new placement as an immutable
 //! [`RouterSnapshot`] (the eq. 13 split of [`dspp_core::RoutingPolicy`]
 //! compiled into flat cumulative sampling tables). Publication happens
-//! once per control period through [`SnapshotSwap::publish`]; request
-//! routing happens millions of times per period through a per-shard
-//! [`SnapshotReader`], whose hot path is one relaxed atomic load — the
-//! reader only touches the (mutexed) publication slot when the version
-//! counter says a newer snapshot exists, i.e. once per period per shard.
+//! between control periods through [`SnapshotSwap::publish`]. The ingest
+//! loop takes one [`SnapshotSwap::load`] per period and every shard
+//! routes that period's requests off the shared `Arc`, so routing a
+//! request touches no atomic and no lock.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dspp_core::{Dspp, RoutingPolicy};
@@ -145,11 +143,10 @@ impl RouterSnapshot {
 }
 
 /// The single-writer / many-reader swap cell. The writer (the control
-/// loop) publishes a fresh `Arc<RouterSnapshot>`; readers poll a version
-/// counter and re-fetch the `Arc` only when it moved.
+/// loop) publishes a fresh `Arc<RouterSnapshot>` between periods; a
+/// reader clones the current `Arc` once and routes off it.
 #[derive(Debug)]
 pub struct SnapshotSwap {
-    version: AtomicU64,
     slot: Mutex<Arc<RouterSnapshot>>,
 }
 
@@ -157,13 +154,12 @@ impl SnapshotSwap {
     /// A swap cell holding `initial`.
     pub fn new(initial: RouterSnapshot) -> Self {
         SnapshotSwap {
-            version: AtomicU64::new(initial.version),
             slot: Mutex::new(Arc::new(initial)),
         }
     }
 
     /// Publishes a new snapshot. Its version must be strictly newer than
-    /// the current one so reader caches converge.
+    /// the current one, so versions identify publications.
     ///
     /// # Panics
     ///
@@ -177,9 +173,6 @@ impl SnapshotSwap {
             snapshot.version
         );
         *slot = Arc::new(snapshot);
-        // Release pairs with the readers' acquire load: a reader that
-        // sees the new version will also see the new slot contents.
-        self.version.store(slot.version, Ordering::Release);
     }
 
     /// The currently published snapshot.
@@ -189,51 +182,7 @@ impl SnapshotSwap {
 
     /// The currently published version.
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-}
-
-/// A per-shard handle caching the latest snapshot locally. `current` is
-/// the per-request read: one atomic version load on the fast path, no
-/// locks, no reference-count traffic.
-#[derive(Debug)]
-pub struct SnapshotReader<'a> {
-    swap: &'a SnapshotSwap,
-    cached: Arc<RouterSnapshot>,
-    cached_version: u64,
-    refreshes: u64,
-}
-
-impl<'a> SnapshotReader<'a> {
-    /// A reader over `swap`, pre-warmed with the current snapshot.
-    pub fn new(swap: &'a SnapshotSwap) -> Self {
-        let cached = swap.load();
-        let cached_version = cached.version;
-        SnapshotReader {
-            swap,
-            cached,
-            cached_version,
-            refreshes: 0,
-        }
-    }
-
-    /// The freshest snapshot, refreshing the local cache only when the
-    /// publication version moved.
-    #[inline]
-    pub fn current(&mut self) -> &RouterSnapshot {
-        let v = self.swap.version.load(Ordering::Acquire);
-        if v != self.cached_version {
-            self.cached = self.swap.load();
-            self.cached_version = self.cached.version;
-            self.refreshes += 1;
-        }
-        &self.cached
-    }
-
-    /// How many times this reader had to leave the fast path and re-fetch
-    /// the `Arc` (at most one per publication).
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes
+        self.slot.lock().expect("snapshot slot poisoned").version
     }
 }
 
@@ -312,25 +261,21 @@ mod tests {
     }
 
     #[test]
-    fn readers_see_publications_exactly_once_per_version() {
+    fn loads_see_each_publication() {
         let (p, snap) = snapshot_3to1();
         let swap = SnapshotSwap::new(RouterSnapshot::uncovered(1));
-        let mut reader = SnapshotReader::new(&swap);
-        assert_eq!(reader.current().version(), 0);
-        assert!(reader.current().route(0, 7).is_none());
+        assert_eq!(swap.load().version(), 0);
+        assert!(swap.load().route(0, 7).is_none());
         swap.publish(snap);
-        for _ in 0..1000 {
-            assert_eq!(reader.current().version(), 1);
-        }
-        assert_eq!(reader.refreshes(), 1, "one refresh per publication");
+        assert_eq!((swap.version(), swap.load().version()), (1, 1));
+        assert!(swap.load().route(0, 7).is_some());
         let p2 = RoutingPolicy::from_allocation(&p, &{
             let mut x = Allocation::zeros(&p);
             x.set(&p, 0, 0, 1.0);
             x
         });
         swap.publish(RouterSnapshot::compile(&p, &p2, 2));
-        assert_eq!(reader.current().version(), 2);
-        assert_eq!(reader.refreshes(), 2);
+        assert_eq!((swap.version(), swap.load().version()), (2, 2));
     }
 
     #[test]

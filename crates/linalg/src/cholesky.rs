@@ -222,6 +222,66 @@ impl Cholesky {
         }
     }
 
+    /// Writes `A⁻¹` into `out`.
+    ///
+    /// Column `j` of the result is bit-for-bit what
+    /// [`Cholesky::solve_in_place`] returns for the unit vector `e_j`:
+    /// every entry sees the same operations in the same order. The
+    /// substitutions of all columns run in lockstep, though — starting
+    /// from `X = I`, row `i` of `X` is updated from the finished rows with
+    /// one scalar of `L` across all columns at once — so the inner loop
+    /// carries `dim` independent dependency chains instead of one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `dim × dim` or if the last refactor failed.
+    pub fn inverse_into(&self, out: &mut Matrix) {
+        assert!(
+            self.valid,
+            "cholesky inverse: factor is invalid (last refactor failed); refactor before solving"
+        );
+        let n = self.dim();
+        assert_eq!(
+            (out.rows(), out.cols()),
+            (n, n),
+            "cholesky inverse: output shape"
+        );
+        // Forward, L Y = I: Y_i = (e_i − Σ_{k<i} L_ik Y_k) / L_ii. Row k
+        // of Y is +0 past column k, and subtracting L_ik·(+0) leaves an
+        // entry unchanged (an entry being reduced here is never −0), so
+        // each update stops at column k and the division at column i.
+        for i in 0..n {
+            let l_row = self.l.row(i);
+            let (done, x_i, _) = out.split_row_mut(i);
+            x_i.fill(0.0);
+            x_i[i] = 1.0;
+            for (k, &lik) in l_row[..i].iter().enumerate() {
+                let y_k = &done[k * n..=k * n + k];
+                for (x, &y) in x_i.iter_mut().zip(y_k) {
+                    *x -= lik * y;
+                }
+            }
+            let lii = l_row[i];
+            for x in &mut x_i[..=i] {
+                *x /= lii;
+            }
+        }
+        // Backward, Lᵀ X = Y: X_i = (Y_i − Σ_{k>i} L_ki X_k) / L_ii.
+        for i in (0..n).rev() {
+            let (_, x_i, later) = out.split_row_mut(i);
+            for (x_k, k) in later.chunks_exact(n).zip(i + 1..n) {
+                let lki = self.l[(k, i)];
+                for (x, &y) in x_i.iter_mut().zip(x_k) {
+                    *x -= lki * y;
+                }
+            }
+            let lii = self.l[(i, i)];
+            for x in x_i.iter_mut() {
+                *x /= lii;
+            }
+        }
+    }
+
     /// Log-determinant of `A` (sum of `2 ln L_jj`).
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|j| 2.0 * self.l[(j, j)].ln()).sum()
@@ -413,6 +473,129 @@ mod tests {
                 "n={n}: residual {}",
                 (&x - &xtrue).norm_inf()
             );
+        }
+    }
+
+    /// `A⁻¹` the slow way: one [`Cholesky::solve_in_place`] per unit
+    /// vector.
+    fn inverse_by_unit_solves(f: &Cholesky) -> Matrix {
+        let n = f.dim();
+        let mut inv = Matrix::zeros(n, n);
+        let mut x = Vector::zeros(n);
+        for j in 0..n {
+            x.fill(0.0);
+            x[j] = 1.0;
+            f.solve_in_place(&mut x);
+            for r in 0..n {
+                inv[(r, j)] = x[r];
+            }
+        }
+        inv
+    }
+
+    /// A barrier-scaled location block: a tridiagonal chain whose
+    /// diagonal spans 1e-2…1e14 (log-uniform), plus a rank-one demand-row
+    /// term `w c cᵀ` with `w` from the same range. Diagonally dominant
+    /// chain + PSD term, so SPD.
+    fn barrier_block(n: usize, seed: u64) -> Matrix {
+        let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3);
+        let mut unit = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let diag: Vec<f64> = (0..n).map(|_| 10f64.powf(-2.0 + 16.0 * unit())).collect();
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            a[(i, i)] = diag[i];
+            if i + 1 < n {
+                let off = -0.4 * unit() * diag[i].min(diag[i + 1]);
+                a[(i, i + 1)] = off;
+                a[(i + 1, i)] = off;
+            }
+        }
+        let w = 10f64.powf(-2.0 + 16.0 * unit());
+        let c: Vec<f64> = (0..n)
+            .map(|_| [0.0, 1.0, -1.0][(unit() * 3.0) as usize])
+            .collect();
+        for i in 0..n {
+            for j in 0..n {
+                a[(i, j)] += c[i] * c[j] * w;
+            }
+        }
+        a
+    }
+
+    /// Turns every row `i` with `pins >> (i % 64) & 1` set into a
+    /// decoupled identity row, as the solver does for pinned slots.
+    fn pin_rows(a: &mut Matrix, pins: u64) {
+        let n = a.rows();
+        for r in (0..n).filter(|r| pins >> (r % 64) & 1 == 1) {
+            for c in 0..n {
+                a[(r, c)] = 0.0;
+                a[(c, r)] = 0.0;
+            }
+            a[(r, r)] = 1.0;
+        }
+    }
+
+    #[test]
+    fn inverse_into_inverts() {
+        let a = spd(6, 3);
+        let f = Cholesky::factor(&a).unwrap();
+        let mut inv = Matrix::zeros(6, 6);
+        f.inverse_into(&mut inv);
+        let eye = a.matmul(&inv);
+        for i in 0..6 {
+            for j in 0..6 {
+                let want = if i == j { 1.0 } else { 0.0 };
+                assert!((eye[(i, j)] - want).abs() < 1e-12, "A·A⁻¹[{i}][{j}]");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lockstep inverse equals the unit-vector solves bit for bit
+        /// on random SPD matrices, barrier-scaled blocks and blocks with
+        /// pinned identity rows.
+        #[test]
+        fn prop_inverse_into_matches_unit_solves_bitwise(
+            seed in 0u64..1_000_000,
+            n in 1usize..25,
+            kind in 0u8..4,
+            pins in 0u64..u64::MAX,
+        ) {
+            let mut a = match kind {
+                0 => spd(n, seed),
+                _ => barrier_block(n, seed),
+            };
+            if kind >= 2 {
+                pin_rows(&mut a, pins);
+            }
+            // A heavy demand-row term can cancel a pivot below its row's
+            // round-off; the solver then boosts regularization, and so
+            // does this test.
+            let mut f = Cholesky::factor(&Matrix::identity(n)).unwrap();
+            if f.refactor_rowwise(&a, 0.0).is_err() {
+                f.refactor_rowwise(&a, 1e-6 * a.norm_inf()).unwrap();
+            }
+            let want = inverse_by_unit_solves(&f);
+            // Stale contents must not leak into the result.
+            let mut got = Matrix::from_vec(n, n, vec![f64::NAN; n * n]).unwrap();
+            f.inverse_into(&mut got);
+            for r in 0..n {
+                for c in 0..n {
+                    prop_assert_eq!(
+                        got[(r, c)].to_bits(),
+                        want[(r, c)].to_bits(),
+                        "entry ({}, {}) of a {}x{} kind-{} matrix",
+                        r, c, n, n, kind
+                    );
+                }
+            }
         }
     }
 

@@ -245,6 +245,7 @@ impl ArrivalProcess {
     /// Advances to the next arrival and returns its time, or `None` once
     /// the next arrival would land at or beyond `horizon` seconds (a
     /// zero-rate process never arrives).
+    #[inline]
     pub fn next_before(&mut self, horizon: f64) -> Option<f64> {
         if self.rate <= 0.0 {
             return None;
@@ -255,6 +256,7 @@ impl ArrivalProcess {
 
     /// The underlying RNG, for attribute draws that must stay part of
     /// this source's deterministic stream.
+    #[inline]
     pub fn rng_mut(&mut self) -> &mut StdRng {
         &mut self.rng
     }

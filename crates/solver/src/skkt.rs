@@ -273,14 +273,7 @@ impl SchurKkt {
                 }
             }
             blk.chol.refactor_rowwise(h, 0.0)?;
-            for j in 0..dim {
-                blk.x.fill(0.0);
-                blk.x[j] = 1.0;
-                blk.chol.solve_in_place(&mut blk.x);
-                for r in 0..dim {
-                    blk.inv[(r, j)] = blk.x[r];
-                }
-            }
+            blk.chol.inverse_into(&mut blk.inv);
             for (p, &e) in blk.arcs.iter().enumerate() {
                 for i in 0..w {
                     if slq.pinned[e * w + i] {
@@ -398,15 +391,17 @@ impl SchurKkt {
     fn residual(&mut self, slq: &StructuredLq, y: &Vector, u: &Vector) -> f64 {
         let w = self.w;
         // resid ← H_A y + G_Bᵀ u, corr ← |H_A||y| + |G_B|ᵀ|u|.
-        for blk in &self.blocks {
-            let dim = blk.h.rows();
+        for blk in &mut self.blocks {
+            for (p, &e) in blk.arcs.iter().enumerate() {
+                blk.x.as_mut_slice()[p * w..(p + 1) * w]
+                    .copy_from_slice(&y.as_slice()[e * w..(e + 1) * w]);
+            }
             for (p, &e) in blk.arcs.iter().enumerate() {
                 for i in 0..w {
-                    let row = blk.h.row(p * w + i);
                     let mut acc = 0.0;
                     let mut abs = 0.0;
-                    for c in 0..dim {
-                        let hy = row[c] * y[blk.arcs[c / w] * w + c % w];
+                    for (&h, &x) in blk.h.row(p * w + i).iter().zip(blk.x.as_slice()) {
+                        let hy = h * x;
                         acc += hy;
                         abs += hy.abs();
                     }

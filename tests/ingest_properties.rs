@@ -9,7 +9,7 @@
 //!   and the routed per-arc totals are byte-identical at `--jobs 1` and
 //!   `--jobs 4`, because event streams are pure functions of
 //!   `(seed, city, period)` and aggregation is commutative integer
-//!   atomics.
+//!   addition (shard-local tallies folded into the period bucket).
 //! * **Snapshot-swap routing** — routing the whole stream through the
 //!   lock-free snapshot swap matches single-threaded routing totals.
 //! * **Checkpoint round-trip** — interrupt, JSON round-trip, restore

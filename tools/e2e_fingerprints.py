@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Print (and optionally compare) the end-to-end benchmark's fingerprints.
+
+usage: python3 tools/e2e_fingerprints.py [--seeds 1,5] [--root DIR]
+                                         [--workloads paper_stream,regional,game_rolling]
+                                         [--compare FILE]
+
+Runs `e2ebench/run.py --seconds 1 --trace 0` once per workload and seed and
+prints one line per run:
+
+    <workload> seed=<n> fingerprint: solver_iterations=... served_bits=...
+
+The fingerprint pins every decision's solver iterations and recoveries, the
+game rounds, the ingest event counts and the exact bits of the cost and
+served share, so two builds that print the same lines made the same
+decisions bit for bit. That is the bit-identity check for performance
+changes: save the lines of the parent commit, then compare the change
+against them.
+
+    mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
+    python3 tools/e2e_fingerprints.py --root ../parent > parent.txt
+    python3 tools/e2e_fingerprints.py --compare parent.txt
+
+`--root` runs the benchmark of another checkout (default: this one).
+`--compare FILE` exits 1 when any run's line differs from, or is missing
+in, FILE. A failed benchmark run exits 2.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+WORKLOADS = ["paper_stream", "regional", "game_rolling"]
+
+
+def fingerprint(root: str, workload: str, seed: int) -> str:
+    """Runs one benchmark and returns its `fingerprint:` line."""
+    run = subprocess.run(
+        [
+            sys.executable,
+            os.path.join(root, "e2ebench", "run.py"),
+            "--workload",
+            workload,
+            "--seed",
+            str(seed),
+            "--seconds",
+            "1",
+            "--trace",
+            "0",
+        ],
+        cwd=root,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    if run.returncode != 0:
+        raise RuntimeError(f"{workload} seed={seed}: benchmark exited {run.returncode}")
+    lines = [l for l in run.stdout.splitlines() if l.startswith("fingerprint: ")]
+    if len(lines) != 1:
+        raise RuntimeError(f"{workload} seed={seed}: expected one fingerprint line")
+    return f"{workload} seed={seed} {lines[0]}"
+
+
+def key(line: str) -> str:
+    """The `<workload> seed=<n>` prefix identifying a run."""
+    return " ".join(line.split()[:2])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", default="1,5", help="comma-separated seeds")
+    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--root", default=os.path.dirname(HERE), help="checkout to run")
+    parser.add_argument("--compare", metavar="FILE", help="saved output to diff against")
+    args = parser.parse_args()
+
+    saved = None
+    if args.compare:
+        with open(args.compare, encoding="utf-8") as f:
+            saved = {key(l): l.rstrip("\n") for l in f if l.strip()}
+    root = os.path.abspath(args.root)
+    differences = 0
+    for workload in args.workloads.split(","):
+        for seed in (int(s) for s in args.seeds.split(",")):
+            try:
+                line = fingerprint(root, workload, seed)
+            except RuntimeError as e:
+                print(f"error: {e}", file=sys.stderr)
+                return 2
+            print(line, flush=True)
+            if saved is not None:
+                want = saved.get(key(line))
+                if want != line:
+                    differences += 1
+                    print(f"DIFFERS from {args.compare}: {want}", file=sys.stderr)
+    if saved is not None:
+        print(f"compare: {differences} difference(s)", file=sys.stderr)
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
