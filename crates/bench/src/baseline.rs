@@ -30,7 +30,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dspp_core::{
-    Allocation, DsppBuilder, HorizonProblem, MpcController, MpcSettings, PlacementController,
+    Allocation, DsppBuilder, HorizonProblem, MpcController, MpcSettings, PlacementPolicy,
     RoutingPolicy,
 };
 use dspp_experiments::tournament;
@@ -288,7 +288,7 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     let sweep_demand = vec![vec![
         9_000.0, 10_500.0, 12_000.0, 13_000.0, 12_000.0, 10_500.0,
     ]];
-    let make_controller = || -> Result<Box<dyn PlacementController>, dspp_core::CoreError> {
+    let make_controller = || -> Result<Box<dyn PlacementPolicy>, dspp_core::CoreError> {
         let mpc = MpcController::new(
             single_dc_problem(64),
             Box::new(LastValue),
@@ -599,7 +599,7 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
                 .with_faults(FaultPlan::new().dc_outage(1, 2, 2))
                 .with_slos(vec![SloSpec::dc_outage()])
         };
-        let make_outage_controller = || -> Box<dyn PlacementController> {
+        let make_outage_controller = || -> Box<dyn PlacementPolicy> {
             let problem = DsppBuilder::new(2, 1)
                 .service_rate(100.0)
                 .sla_latency(0.060)
@@ -789,14 +789,6 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     }
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 impl Baseline {
     /// Serializes the baseline as pretty-printed JSON (stable key order).
     pub fn to_json(&self) -> String {
@@ -810,27 +802,26 @@ impl Baseline {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "\n    {{\"name\": \"{}\", \"samples\": {}, \"throughput\": ",
-                m.name, m.samples
-            );
-            push_f64(&mut out, m.throughput);
+            out.push_str("\n    {\"name\": ");
+            json::push_string(&mut out, &m.name);
+            let _ = write!(out, ", \"samples\": {}, \"throughput\": ", m.samples);
+            json::push_f64_or_null(&mut out, m.throughput);
             for (key, v) in [
                 ("p50_us", m.p50_us),
                 ("p90_us", m.p90_us),
                 ("p99_us", m.p99_us),
             ] {
                 let _ = write!(out, ", \"{key}\": ");
-                push_f64(&mut out, v);
+                json::push_f64_or_null(&mut out, v);
             }
             out.push_str(", \"counters\": {");
             for (j, (key, v)) in m.counters.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "\"{key}\": ");
-                push_f64(&mut out, *v);
+                json::push_string(&mut out, key);
+                out.push_str(": ");
+                json::push_f64_or_null(&mut out, *v);
             }
             out.push_str("}}");
         }

@@ -4,7 +4,9 @@ use crate::{
 };
 use dspp_predict::Predictor;
 use dspp_solver::{IpmSettings, SolverError};
+use dspp_telemetry::json::{self, JsonValue};
 use dspp_telemetry::Recorder;
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Tuning knobs of the MPC controller (Algorithm 1).
@@ -106,6 +108,35 @@ pub struct ControllerCheckpoint {
     /// Warm-start inputs (the previous solution shifted one stage), per
     /// horizon stage; `None` when cold or not warm-started.
     pub warm_us: Option<Vec<Vec<f64>>>,
+}
+
+impl ControllerCheckpoint {
+    /// Appends the checkpoint as one JSON object — the `controller_state`
+    /// member of the sim and ingest checkpoint documents. Floats use the
+    /// lossless [`json::push_f64`] encoding.
+    pub fn push_json(&self, out: &mut String) {
+        let _ = write!(out, "{{\"period\":{},\"allocation\":", self.period);
+        json::push_f64_array(out, &self.allocation);
+        out.push_str(",\"history\":");
+        json::push_f64_matrix(out, &self.history);
+        out.push_str(",\"warm_us\":");
+        json::push_f64_matrix_or_null(out, self.warm_us.as_deref());
+        out.push('}');
+    }
+
+    /// Reads an object written by [`ControllerCheckpoint::push_json`].
+    ///
+    /// # Errors
+    ///
+    /// A message naming the missing or mistyped field.
+    pub fn from_json_value(v: &JsonValue) -> Result<ControllerCheckpoint, String> {
+        Ok(ControllerCheckpoint {
+            period: json::field_usize(v, "period")?,
+            allocation: json::field_with(v, "allocation", json::parse_f64_array)?,
+            history: json::field_with(v, "history", json::parse_f64_matrix)?,
+            warm_us: json::field_with(v, "warm_us", json::parse_f64_matrix_or_null)?,
+        })
+    }
 }
 
 /// The paper's Algorithm 1: Model Predictive Control for the DSPP.

@@ -19,9 +19,7 @@
 //! practice within a few percent of the continuous optimum (see the
 //! `integerization_gap_is_small` test).
 
-use crate::{
-    Allocation, CoreError, Dspp, PeriodCost, PlacementController, RoutingPolicy, StepOutcome,
-};
+use crate::{Allocation, CoreError, Dspp, PeriodCost, PlacementPolicy, RoutingPolicy, StepOutcome};
 
 /// Rounds a continuous allocation to integers and repairs feasibility.
 ///
@@ -137,7 +135,7 @@ pub fn integerize(
     Ok(Allocation::from_arc_values(problem, x))
 }
 
-/// A [`PlacementController`] decorator that integerizes every step.
+/// A [`PlacementPolicy`] decorator that integerizes every step.
 ///
 /// Wraps any controller (typically [`crate::MpcController`]): after the
 /// inner step, the continuous allocation is rounded and repaired against
@@ -150,7 +148,7 @@ pub struct IntegerizingController<C> {
     state: Allocation,
 }
 
-impl<C: PlacementController> IntegerizingController<C> {
+impl<C: PlacementPolicy> IntegerizingController<C> {
     /// Wraps a controller (which must be at its initial, zero state).
     pub fn new(inner: C) -> Self {
         let state = Allocation::zeros(inner.problem());
@@ -158,7 +156,7 @@ impl<C: PlacementController> IntegerizingController<C> {
     }
 }
 
-impl<C: PlacementController> PlacementController for IntegerizingController<C> {
+impl<C: PlacementPolicy> PlacementPolicy for IntegerizingController<C> {
     fn step(&mut self, observed_demand: &[f64]) -> Result<StepOutcome, CoreError> {
         let out = self.inner.step(observed_demand)?;
         let problem = self.inner.problem();

@@ -21,18 +21,16 @@
 //! [`RoutingPolicy`]).
 //!
 //! Placement strategies are pluggable: every controller implements the
-//! [`policy::PlacementPolicy`] trait, with the MPC controller re-exported
-//! as the reference [`policy::WMpc`] implementation next to a suite of
-//! simple baselines ([`policy::MyopicW1`], [`policy::StaticCheapestDc`],
-//! [`policy::ReactiveThreshold`], [`policy::ProportionalGreedy`]) — see
-//! `docs/POLICIES.md` for the handbook and the measured simple-vs-optimal
-//! gap. The solver-backed ablation baselines of the original evaluation
-//! live in [`baselines`].
+//! [`PlacementPolicy`] trait. [`MpcController`] is the reference policy,
+//! next to a suite of simple baselines ([`MyopicW1`],
+//! [`StaticCheapestDc`], [`ReactiveThreshold`], [`ProportionalGreedy`]) —
+//! see `docs/POLICIES.md` for the handbook and the measured
+//! simple-vs-optimal gap.
 //!
 //! # Examples
 //!
 //! ```
-//! use dspp_core::{DsppBuilder, MpcController, MpcSettings, PlacementController};
+//! use dspp_core::{DsppBuilder, MpcController, MpcSettings, PlacementPolicy};
 //! use dspp_predict::OraclePredictor;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -60,7 +58,6 @@
 #![warn(missing_docs)]
 
 mod allocation;
-pub mod baselines;
 mod controller;
 mod cost;
 mod error;
@@ -77,14 +74,9 @@ pub use cost::{CostLedger, PeriodCost};
 pub use error::CoreError;
 pub use horizon::{HorizonProblem, RecoveryOutcome, RecoverySettings};
 pub use integer::{integerize, IntegerizingController};
-/// Backward-compatible name for [`PlacementPolicy`], kept so existing
-/// `impl PlacementController for …` blocks and `Box<dyn
-/// PlacementController>` signatures keep compiling: the two names are the
-/// same trait.
-pub use policy::PlacementPolicy as PlacementController;
 pub use policy::{
     MyopicW1, PlacementPolicy, ProportionalGreedy, ReactiveThreshold, StaticCheapestDc,
-    UtilizationBands, WMpc,
+    UtilizationBands,
 };
 pub use problem::{Dspp, DsppBuilder};
 pub use router::RoutingPolicy;

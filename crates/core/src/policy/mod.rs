@@ -4,12 +4,12 @@
 //! W-step MPC controller. To ask the Carlsson–Eager question ("how close
 //! do *simple* allocation policies get to the optimal dynamic policy?")
 //! this module puts the controller behind the [`PlacementPolicy`] trait
-//! and ships a suite of baseline policies next to the reference [`WMpc`]
-//! implementation:
+//! and ships a suite of baseline policies next to the reference
+//! [`MpcController`](crate::MpcController) implementation:
 //!
 //! | Policy | Decision rule | Solver |
 //! |---|---|---|
-//! | [`WMpc`] | Algorithm 1: predict `W` periods, solve the horizon QP, execute `u_{k\|k}` | yes |
+//! | [`MpcController`](crate::MpcController) | Algorithm 1: predict `W` periods, solve the horizon QP, execute `u_{k\|k}` | yes |
 //! | [`MyopicW1`] | the `W = 1` degenerate MPC — lookahead ablation | yes |
 //! | [`StaticCheapestDc`] | provision once for peak demand at the cheapest data centers, never move | no |
 //! | [`ReactiveThreshold`] | scale a location up/down when utilization leaves a band | no |
@@ -38,12 +38,6 @@ pub use proportional::ProportionalGreedy;
 pub use static_cheapest::StaticCheapestDc;
 pub use threshold::{ReactiveThreshold, UtilizationBands};
 
-/// The reference [`PlacementPolicy`]: the paper's Algorithm 1 W-step MPC
-/// controller. `WMpc` and [`MpcController`](crate::MpcController) are the
-/// same type — the alias names its role in the policy suite, where every
-/// baseline's cost is normalized against it.
-pub use crate::controller::MpcController as WMpc;
-
 use crate::{Allocation, ControllerCheckpoint, CoreError, Dspp, StepOutcome};
 use dspp_telemetry::Recorder;
 
@@ -65,8 +59,8 @@ use dspp_telemetry::Recorder;
 /// same trait object:
 ///
 /// ```
-/// use dspp_core::policy::{PlacementPolicy, ProportionalGreedy, WMpc};
-/// use dspp_core::{DsppBuilder, MpcSettings};
+/// use dspp_core::policy::{PlacementPolicy, ProportionalGreedy};
+/// use dspp_core::{DsppBuilder, MpcController, MpcSettings};
 /// use dspp_predict::LastValue;
 ///
 /// # fn main() -> Result<(), dspp_core::CoreError> {
@@ -78,7 +72,7 @@ use dspp_telemetry::Recorder;
 ///     .price_trace(1, vec![2.0])
 ///     .build()?;
 /// let mut policies: Vec<Box<dyn PlacementPolicy>> = vec![
-///     Box::new(WMpc::new(
+///     Box::new(MpcController::new(
 ///         problem.clone(),
 ///         Box::new(LastValue),
 ///         MpcSettings { horizon: 3, ..MpcSettings::default() },
@@ -178,7 +172,7 @@ pub trait PlacementPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DsppBuilder, MpcSettings};
+    use crate::{DsppBuilder, MpcController, MpcSettings};
     use dspp_predict::LastValue;
 
     fn problem() -> Dspp {
@@ -197,7 +191,9 @@ mod tests {
     fn all_policies() -> Vec<Box<dyn PlacementPolicy>> {
         let p = problem();
         vec![
-            Box::new(WMpc::new(p.clone(), Box::new(LastValue), MpcSettings::default()).unwrap()),
+            Box::new(
+                MpcController::new(p.clone(), Box::new(LastValue), MpcSettings::default()).unwrap(),
+            ),
             Box::new(
                 MyopicW1::new(p.clone(), Box::new(LastValue), MpcSettings::default()).unwrap(),
             ),
@@ -268,7 +264,9 @@ mod tests {
         let a = p.arc_coeff(0);
         let demand = [6.0 / a];
         let mut policies: Vec<Box<dyn PlacementPolicy>> = vec![
-            Box::new(WMpc::new(p.clone(), Box::new(LastValue), MpcSettings::default()).unwrap()),
+            Box::new(
+                MpcController::new(p.clone(), Box::new(LastValue), MpcSettings::default()).unwrap(),
+            ),
             Box::new(StaticCheapestDc::new(p.clone(), vec![6.0 / a]).unwrap()),
             Box::new(ReactiveThreshold::new(p.clone(), UtilizationBands::default()).unwrap()),
             Box::new(ProportionalGreedy::new(p).unwrap()),

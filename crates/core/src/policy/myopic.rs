@@ -1,21 +1,23 @@
 //! The `W = 1` degenerate MPC — the lookahead ablation.
 
-use crate::policy::{PlacementPolicy, WMpc};
-use crate::{Allocation, ControllerCheckpoint, CoreError, Dspp, MpcSettings, StepOutcome};
+use crate::policy::PlacementPolicy;
+use crate::{
+    Allocation, ControllerCheckpoint, CoreError, Dspp, MpcController, MpcSettings, StepOutcome,
+};
 use dspp_predict::Predictor;
 use dspp_telemetry::Recorder;
 
 /// Myopic MPC: Algorithm 1 run with a one-period horizon.
 ///
-/// Structurally identical to [`WMpc`] — same predictor interface, same
-/// horizon QP, same recovery ladder — but the horizon is pinned to
-/// `W = 1`, so the controller optimizes each period in isolation and the
-/// quadratic reconfiguration penalty is its only smoothing. The gap
-/// between this policy and [`WMpc`] isolates the value of lookahead
-/// (the paper's Figure 6 ablation; `MyopicW1` equals `WMpc` with
-/// `horizon: 1` bit-for-bit).
+/// Structurally identical to [`MpcController`] — same predictor
+/// interface, same horizon QP, same recovery ladder — but the horizon is
+/// pinned to `W = 1`, so the controller optimizes each period in
+/// isolation and the quadratic reconfiguration penalty is its only
+/// smoothing. The gap between this policy and [`MpcController`] isolates
+/// the value of lookahead (the paper's Figure 6 ablation; `MyopicW1`
+/// equals `MpcController` with `horizon: 1` bit-for-bit).
 pub struct MyopicW1 {
-    inner: WMpc,
+    inner: MpcController,
 }
 
 impl std::fmt::Debug for MyopicW1 {
@@ -39,7 +41,7 @@ impl MyopicW1 {
         predictor: Box<dyn Predictor>,
         settings: MpcSettings,
     ) -> Result<Self, CoreError> {
-        let inner = WMpc::new(
+        let inner = MpcController::new(
             problem,
             predictor,
             MpcSettings {

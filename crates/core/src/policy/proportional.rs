@@ -16,7 +16,7 @@ use dspp_telemetry::Recorder;
 /// ignores prices entirely (it pays wherever capacity is) and carries no
 /// deadband (it re-fits the placement every period), which is precisely
 /// the cost structure the tournament compares against
-/// [`WMpc`](crate::policy::WMpc). The shared guard clamps the result and
+/// [`MpcController`](crate::MpcController). The shared guard clamps the result and
 /// reports shed demand when the instance is infeasible.
 ///
 /// Uncapacitated problems (the builder's effectively-infinite default

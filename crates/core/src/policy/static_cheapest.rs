@@ -19,7 +19,7 @@ use dspp_telemetry::Recorder;
 /// With the placement frozen, demand above the provisioned capability is
 /// shed and reported as [`RecoveryInfo`](crate::RecoveryInfo); demand
 /// below it pays for idle servers. Both effects are exactly the gap the
-/// policy tournament measures against [`WMpc`](crate::policy::WMpc).
+/// policy tournament measures against [`MpcController`](crate::MpcController).
 #[derive(Debug)]
 pub struct StaticCheapestDc {
     problem: Dspp,

@@ -63,7 +63,7 @@ impl UtilizationBands {
 /// period), while the `target < 1` headroom over-provisions by
 /// `1/target − 1` compared to the exact-cover optimum — the classic
 /// autoscaler trade-off the tournament prices against
-/// [`WMpc`](crate::policy::WMpc). A location scaling up from zero
+/// [`MpcController`](crate::MpcController). A location scaling up from zero
 /// bootstraps on its cheapest arc (lowest SLA coefficient `a^{lv}`, i.e.
 /// fewest servers per unit of demand); the shared capacity guard then
 /// spills across data centers if that arc's capacity is exhausted.

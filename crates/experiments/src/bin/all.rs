@@ -62,7 +62,7 @@
 //! the combined alert timeline as CSV (CI uploads it as an artifact),
 //! and `--metrics-addr <host:port>` serves live metrics during the run.
 
-use dspp_core::{DsppBuilder, MpcController, MpcSettings, PlacementController};
+use dspp_core::{DsppBuilder, MpcController, MpcSettings, PlacementPolicy};
 use dspp_experiments::cli::TraceArgs;
 use dspp_experiments::{emit, ExpResult, Figure};
 use dspp_ingest::{BackpressureBudget, IngestConfig, IngestLoop};
@@ -247,7 +247,7 @@ fn fault_drill(args: &TraceArgs, tracer: &Tracer) -> bool {
                     ..MpcSettings::default()
                 },
             )?;
-            Ok(Box::new(mpc) as Box<dyn PlacementController>)
+            Ok(Box::new(mpc) as Box<dyn PlacementPolicy>)
         },
         &telemetry,
     );
@@ -378,7 +378,7 @@ fn infeasible_drill(args: &TraceArgs, tracer: &Tracer) -> bool {
                     ..MpcSettings::default()
                 },
             )?;
-            Ok(Box::new(mpc) as Box<dyn PlacementController>)
+            Ok(Box::new(mpc) as Box<dyn PlacementPolicy>)
         },
         &telemetry,
     );
@@ -544,7 +544,7 @@ fn soak_drill(args: &TraceArgs, tracer: &Tracer) -> bool {
                 horizon: 3,
                 ..MpcSettings::default()
             },
-        )?) as Box<dyn PlacementController>)
+        )?) as Box<dyn PlacementPolicy>)
     };
     let report = match run_soak(&spec, make_controller, &telemetry) {
         Ok(report) => report,
@@ -743,7 +743,7 @@ fn chaos_drill_inner(args: &TraceArgs, tracer: &Tracer) -> Result<bool, String> 
     // exactly 3 servers. Losing DC 1 for periods 2..4 leaves a 1-server
     // deficit per period the recovery rung must shed exactly; degrading
     // DC 0 to 75% (caps 1.5 + 2.0 >= 3) must rebalance with no shedding.
-    let mk = || -> Result<Box<dyn PlacementController>, String> {
+    let mk = || -> Result<Box<dyn PlacementPolicy>, String> {
         let problem = DsppBuilder::new(2, 1)
             .service_rate(100.0)
             .sla_latency(0.060)
@@ -765,7 +765,7 @@ fn chaos_drill_inner(args: &TraceArgs, tracer: &Tracer) -> Result<bool, String> 
                 },
             )
             .map_err(|e| e.to_string())?,
-        ) as Box<dyn PlacementController>)
+        ) as Box<dyn PlacementPolicy>)
     };
     // The dc-outage scenario records into its own tracer: its spans and
     // fault events are the input of the MTTR analysis below.

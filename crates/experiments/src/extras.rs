@@ -11,7 +11,7 @@
 
 use crate::{ExpResult, Figure};
 use dspp_core::{
-    Dspp, DsppBuilder, IntegerizingController, MpcController, MpcSettings, PlacementController,
+    Dspp, DsppBuilder, IntegerizingController, MpcController, MpcSettings, PlacementPolicy,
 };
 use dspp_predict::{ArPredictor, LastValue, OraclePredictor, Predictor, SeasonalAr, SeasonalNaive};
 use dspp_sim::ClosedLoopSim;
@@ -40,7 +40,7 @@ fn problem(periods: usize, percentile: Option<f64>) -> ExpResult<Dspp> {
 }
 
 fn run_loop(
-    controller: Box<dyn PlacementController>,
+    controller: Box<dyn PlacementPolicy>,
     demand: Vec<Vec<f64>>,
     telemetry: &Recorder,
 ) -> ExpResult<(f64, usize)> {

@@ -3,8 +3,8 @@
 //!
 //! Four deterministic workload families — `steady`, `diurnal`,
 //! `flash-crowd` and `price-shock` — run against five policies: the
-//! reference [`WMpc`] controller (Algorithm 1 with an oracle forecast),
-//! its `W = 1` degenerate form [`MyopicW1`], and the three closed-form
+//! reference [`MpcController`] (Algorithm 1 with an oracle forecast), its
+//! `W = 1` degenerate form [`MyopicW1`], and the three closed-form
 //! baselines [`StaticCheapestDc`], [`ReactiveThreshold`] and
 //! [`ProportionalGreedy`]. Each family × policy pair is one
 //! [`ScenarioSpec`] on the shared [`ScenarioPool`], so the sweep
@@ -20,8 +20,8 @@
 //! [`PlacementPolicy`]: dspp_core::PlacementPolicy
 
 use dspp_core::{
-    CoreError, Dspp, DsppBuilder, MpcSettings, MyopicW1, PlacementController, ProportionalGreedy,
-    ReactiveThreshold, StaticCheapestDc, UtilizationBands, WMpc,
+    CoreError, Dspp, DsppBuilder, MpcController, MpcSettings, MyopicW1, PlacementPolicy,
+    ProportionalGreedy, ReactiveThreshold, StaticCheapestDc, UtilizationBands,
 };
 use dspp_predict::OraclePredictor;
 use dspp_runtime::{run_scenarios, FaultPlan, ScenarioPool, ScenarioSpec};
@@ -142,7 +142,7 @@ pub fn specs() -> Vec<ScenarioSpec> {
 ///
 /// Returns [`CoreError::InvalidSpec`] for an unrecognized spec name and
 /// propagates construction failures.
-pub fn build_policy(spec: &ScenarioSpec) -> Result<Box<dyn PlacementController>, CoreError> {
+pub fn build_policy(spec: &ScenarioSpec) -> Result<Box<dyn PlacementPolicy>, CoreError> {
     let (family, policy) = spec
         .name
         .split_once('/')
@@ -155,7 +155,7 @@ pub fn build_policy(spec: &ScenarioSpec) -> Result<Box<dyn PlacementController>,
         ..MpcSettings::default()
     };
     Ok(match policy {
-        "wmpc" => Box::new(WMpc::new(
+        "wmpc" => Box::new(MpcController::new(
             problem,
             Box::new(OraclePredictor::new(truth)),
             settings,

@@ -5,7 +5,7 @@
 //! Both pin the structured path against the dense oracle
 //! (`HorizonProblem::to_lq` solved by `solve_lq`).
 
-use dspp_core::{Allocation, HorizonProblem, MpcController, MpcSettings, PlacementController};
+use dspp_core::{Allocation, HorizonProblem, MpcController, MpcSettings, PlacementPolicy};
 use dspp_experiments::scenario::{populations, wide_area_problem, SLA_LATENCY};
 use dspp_game::{GameConfig, ResourceGame, SpSampler};
 use dspp_predict::OraclePredictor;

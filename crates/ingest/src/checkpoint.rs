@@ -50,135 +50,22 @@ pub struct IngestCheckpoint {
     pub capacity_schedule: Option<Vec<Vec<f64>>>,
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else if v.is_nan() {
-        out.push_str("\"nan\"");
-    } else if v > 0.0 {
-        out.push_str("\"inf\"");
-    } else {
-        out.push_str("\"-inf\"");
-    }
-}
-
-fn push_u64_array(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-}
-
-fn push_f64_array(out: &mut String, values: &[f64]) {
-    out.push('[');
-    for (i, &v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64(out, v);
-    }
-    out.push(']');
-}
-
-fn push_f64_matrix(out: &mut String, rows: &[Vec<f64>]) {
-    out.push('[');
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64_array(out, row);
-    }
-    out.push(']');
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn get<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
-    obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn get_u64(obj: &JsonValue, key: &str) -> Result<u64, String> {
-    get(obj, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} must be a non-negative integer"))
-}
-
-fn get_f64(obj: &JsonValue, key: &str) -> Result<f64, String> {
-    parse_f64(get(obj, key)?).map_err(|e| format!("field {key:?}: {e}"))
-}
-
-fn parse_f64(v: &JsonValue) -> Result<f64, String> {
-    match v {
-        JsonValue::Number(n) => Ok(*n),
-        JsonValue::String(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            other => Err(format!("expected a number, got string {other:?}")),
-        },
-        other => Err(format!("expected a number, got {other:?}")),
-    }
-}
-
-fn parse_u64_array(v: &JsonValue) -> Result<Vec<u64>, String> {
-    v.as_array()
-        .ok_or("expected an array of integers")?
-        .iter()
-        .map(|x| x.as_u64().ok_or_else(|| "expected an integer".to_string()))
-        .collect()
-}
-
-fn parse_f64_array(v: &JsonValue) -> Result<Vec<f64>, String> {
-    v.as_array()
-        .ok_or("expected an array of numbers")?
-        .iter()
-        .map(parse_f64)
-        .collect()
-}
-
-fn parse_f64_matrix(v: &JsonValue) -> Result<Vec<Vec<f64>>, String> {
-    v.as_array()
-        .ok_or("expected an array of arrays")?
-        .iter()
-        .map(parse_f64_array)
-        .collect()
-}
-
 impl IngestCheckpoint {
     /// Serializes the checkpoint as one JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"schema_version\":{},\"controller\":{},\"seed\":{},\"cursor\":{},\"carry\":",
-            self.schema_version,
-            json_string(&self.controller),
-            self.seed,
-            self.cursor
+            "{{\"schema_version\":{},\"controller\":",
+            self.schema_version
         );
-        push_u64_array(&mut out, &self.carry);
+        json::push_string(&mut out, &self.controller);
+        let _ = write!(
+            out,
+            ",\"seed\":{},\"cursor\":{},\"carry\":",
+            self.seed, self.cursor
+        );
+        json::push_u64_array(&mut out, &self.carry);
         let t = &self.totals;
         let _ = write!(
             out,
@@ -192,44 +79,30 @@ impl IngestCheckpoint {
             t.fallback_periods,
             t.recovery_periods
         );
-        push_f64(&mut out, t.step_cost);
+        json::push_f64(&mut out, t.step_cost);
         out.push_str(",\"route_wall_seconds\":");
-        push_f64(&mut out, t.route_wall_seconds);
+        json::push_f64(&mut out, t.route_wall_seconds);
         out.push_str("},\"sealed\":[");
         for (i, s) in self.sealed.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(out, "{{\"period\":{},\"city_counts\":", s.period);
-            push_u64_array(&mut out, &s.city_counts);
+            json::push_u64_array(&mut out, &s.city_counts);
             out.push_str(",\"arc_counts\":");
-            push_u64_array(&mut out, &s.arc_counts);
+            json::push_u64_array(&mut out, &s.arc_counts);
             out.push_str(",\"class_kib\":");
-            push_u64_array(&mut out, &s.class_kib);
+            json::push_u64_array(&mut out, &s.class_kib);
             let _ = write!(
                 out,
                 ",\"unroutable\":{},\"carried_in\":{},\"deferred\":{},\"dropped\":{}}}",
                 s.unroutable, s.carried_in, s.deferred, s.dropped
             );
         }
-        let _ = write!(
-            out,
-            "],\"controller_state\":{{\"period\":{},\"allocation\":",
-            self.controller_state.period
-        );
-        push_f64_array(&mut out, &self.controller_state.allocation);
-        out.push_str(",\"history\":");
-        push_f64_matrix(&mut out, &self.controller_state.history);
-        out.push_str(",\"warm_us\":");
-        match &self.controller_state.warm_us {
-            None => out.push_str("null"),
-            Some(us) => push_f64_matrix(&mut out, us),
-        }
-        out.push_str("},\"capacity_schedule\":");
-        match &self.capacity_schedule {
-            None => out.push_str("null"),
-            Some(rows) => push_f64_matrix(&mut out, rows),
-        }
+        out.push_str("],\"controller_state\":");
+        self.controller_state.push_json(&mut out);
+        out.push_str(",\"capacity_schedule\":");
+        json::push_f64_matrix_or_null(&mut out, self.capacity_schedule.as_deref());
         out.push('}');
         out
     }
@@ -242,7 +115,7 @@ impl IngestCheckpoint {
     /// missing/mistyped field.
     pub fn from_json(input: &str) -> Result<IngestCheckpoint, String> {
         let root = json::parse(input).map_err(|e| format!("ingest checkpoint JSON: {e}"))?;
-        let version = get_u64(&root, "schema_version")?;
+        let version = json::field_u64(&root, "schema_version")?;
         if !(INGEST_CHECKPOINT_MIN_SCHEMA_VERSION..=INGEST_CHECKPOINT_SCHEMA_VERSION)
             .contains(&version)
         {
@@ -251,86 +124,66 @@ impl IngestCheckpoint {
                  {INGEST_CHECKPOINT_MIN_SCHEMA_VERSION}..={INGEST_CHECKPOINT_SCHEMA_VERSION})"
             ));
         }
-        let controller = get(&root, "controller")?
+        let controller = json::field(&root, "controller")?
             .as_str()
             .ok_or("controller must be a string")?
             .to_string();
-        let totals_v = get(&root, "totals")?;
+        let totals_v = json::field(&root, "totals")?;
         let totals = IngestTotals {
-            generated: get_u64(totals_v, "generated")?,
-            admitted: get_u64(totals_v, "admitted")?,
-            unroutable: get_u64(totals_v, "unroutable")?,
-            deferred: get_u64(totals_v, "deferred")?,
-            dropped: get_u64(totals_v, "dropped")?,
-            fallback_periods: get_u64(totals_v, "fallback_periods")?,
-            recovery_periods: get_u64(totals_v, "recovery_periods")?,
-            step_cost: get_f64(totals_v, "step_cost")?,
-            route_wall_seconds: get_f64(totals_v, "route_wall_seconds")?,
+            generated: json::field_u64(totals_v, "generated")?,
+            admitted: json::field_u64(totals_v, "admitted")?,
+            unroutable: json::field_u64(totals_v, "unroutable")?,
+            deferred: json::field_u64(totals_v, "deferred")?,
+            dropped: json::field_u64(totals_v, "dropped")?,
+            fallback_periods: json::field_u64(totals_v, "fallback_periods")?,
+            recovery_periods: json::field_u64(totals_v, "recovery_periods")?,
+            step_cost: json::field_with(totals_v, "step_cost", json::parse_f64)?,
+            route_wall_seconds: json::field_with(totals_v, "route_wall_seconds", json::parse_f64)?,
         };
-        let mut sealed = Vec::new();
-        for (i, s) in get(&root, "sealed")?
+        let sealed = json::field(&root, "sealed")?
             .as_array()
             .ok_or("sealed must be an array")?
             .iter()
             .enumerate()
-        {
-            let period = (|| -> Result<SealedPeriod, String> {
-                let class = parse_u64_array(get(s, "class_kib")?)?;
-                if class.len() != 3 {
-                    return Err("class_kib must have 3 entries".into());
-                }
-                Ok(SealedPeriod {
-                    period: get_u64(s, "period")? as usize,
-                    city_counts: parse_u64_array(get(s, "city_counts")?)?,
-                    arc_counts: parse_u64_array(get(s, "arc_counts")?)?,
-                    class_kib: [class[0], class[1], class[2]],
-                    unroutable: get_u64(s, "unroutable")?,
-                    carried_in: get_u64(s, "carried_in")?,
-                    deferred: get_u64(s, "deferred")?,
-                    dropped: get_u64(s, "dropped")?,
-                })
-            })()
-            .map_err(|e| format!("sealed[{i}]: {e}"))?;
-            sealed.push(period);
-        }
-        let cs = get(&root, "controller_state")?;
-        let warm = get(cs, "warm_us")?;
-        let controller_state = ControllerCheckpoint {
-            period: get_u64(cs, "period")? as usize,
-            allocation: parse_f64_array(get(cs, "allocation")?)
-                .map_err(|e| format!("controller_state.allocation: {e}"))?,
-            history: parse_f64_matrix(get(cs, "history")?)
-                .map_err(|e| format!("controller_state.history: {e}"))?,
-            warm_us: match warm {
-                JsonValue::Null => None,
-                other => Some(
-                    parse_f64_matrix(other)
-                        .map_err(|e| format!("controller_state.warm_us: {e}"))?,
-                ),
-            },
-        };
+            .map(|(i, s)| sealed_from_json(s).map_err(|e| format!("sealed[{i}]: {e}")))
+            .collect::<Result<Vec<_>, _>>()?;
         let capacity_schedule = if version >= 2 {
-            match get(&root, "capacity_schedule")? {
-                JsonValue::Null => None,
-                other => {
-                    Some(parse_f64_matrix(other).map_err(|e| format!("capacity_schedule: {e}"))?)
-                }
-            }
+            json::field_with(&root, "capacity_schedule", json::parse_f64_matrix_or_null)?
         } else {
             None
         };
         Ok(IngestCheckpoint {
             schema_version: version,
             controller,
-            seed: get_u64(&root, "seed")?,
-            cursor: get_u64(&root, "cursor")? as usize,
-            carry: parse_u64_array(get(&root, "carry")?).map_err(|e| format!("carry: {e}"))?,
+            seed: json::field_u64(&root, "seed")?,
+            cursor: json::field_usize(&root, "cursor")?,
+            carry: json::field_with(&root, "carry", json::parse_u64_array)?,
             totals,
             sealed,
-            controller_state,
+            controller_state: json::field_with(
+                &root,
+                "controller_state",
+                ControllerCheckpoint::from_json_value,
+            )?,
             capacity_schedule,
         })
     }
+}
+
+fn sealed_from_json(s: &JsonValue) -> Result<SealedPeriod, String> {
+    let class_kib = json::field_with(s, "class_kib", json::parse_u64_array)?;
+    let class_kib =
+        <[u64; 3]>::try_from(class_kib).map_err(|_| "class_kib must have 3 entries".to_string())?;
+    Ok(SealedPeriod {
+        period: json::field_usize(s, "period")?,
+        city_counts: json::field_with(s, "city_counts", json::parse_u64_array)?,
+        arc_counts: json::field_with(s, "arc_counts", json::parse_u64_array)?,
+        class_kib,
+        unroutable: json::field_u64(s, "unroutable")?,
+        carried_in: json::field_u64(s, "carried_in")?,
+        deferred: json::field_u64(s, "deferred")?,
+        dropped: json::field_u64(s, "dropped")?,
+    })
 }
 
 impl IngestLoop {
@@ -477,27 +330,32 @@ mod tests {
 
     #[test]
     fn resume_is_bit_exact() {
-        let mut full = build_loop(5);
-        let mut interrupted = build_loop(5);
-        for _ in 0..4 {
-            interrupted.step().unwrap();
-        }
-        let ck = IngestCheckpoint::from_json(&interrupted.checkpoint().unwrap().to_json()).unwrap();
-        drop(interrupted);
+        // The second seed is above 2^53, where an f64 round trip would
+        // change it and the restore would reject the checkpoint.
+        for seed in [5, 0x9E37_79B9_7F4A_7C15] {
+            let mut full = build_loop(seed);
+            let mut interrupted = build_loop(seed);
+            for _ in 0..4 {
+                interrupted.step().unwrap();
+            }
+            let ck =
+                IngestCheckpoint::from_json(&interrupted.checkpoint().unwrap().to_json()).unwrap();
+            drop(interrupted);
 
-        let mut resumed = build_loop(5);
-        resumed.restore(&ck).unwrap();
-        assert_eq!(resumed.cursor(), 4);
-        full.run_to_end().unwrap();
-        resumed.run_to_end().unwrap();
-        assert_eq!(full.sealed(), resumed.sealed(), "sealed ledgers diverged");
-        assert_eq!(full.sealed_matrix_csv(), resumed.sealed_matrix_csv());
-        let (a, b) = (full.totals(), resumed.totals());
-        assert_eq!(
-            (a.generated, a.admitted, a.deferred, a.dropped),
-            (b.generated, b.admitted, b.deferred, b.dropped)
-        );
-        assert_eq!(a.step_cost.to_bits(), b.step_cost.to_bits());
+            let mut resumed = build_loop(seed);
+            resumed.restore(&ck).unwrap();
+            assert_eq!(resumed.cursor(), 4);
+            full.run_to_end().unwrap();
+            resumed.run_to_end().unwrap();
+            assert_eq!(full.sealed(), resumed.sealed(), "sealed ledgers diverged");
+            assert_eq!(full.sealed_matrix_csv(), resumed.sealed_matrix_csv());
+            let (a, b) = (full.totals(), resumed.totals());
+            assert_eq!(
+                (a.generated, a.admitted, a.deferred, a.dropped),
+                (b.generated, b.admitted, b.deferred, b.dropped)
+            );
+            assert_eq!(a.step_cost.to_bits(), b.step_cost.to_bits());
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Graceful degradation: retry, back off, then hold the last-known-good
 //! placement.
 //!
-//! [`ResilientController`] wraps any [`PlacementController`]. When the
+//! [`ResilientController`] wraps any [`PlacementPolicy`]. When the
 //! inner controller's step fails with a solver error, it retries up to
 //! [`RetryPolicy::max_retries`] times (optionally sleeping a linearly
 //! growing backoff between attempts — the inner `MpcController` rolls its
@@ -10,7 +10,7 @@
 //! allocation for one more period (`u = 0`), re-derives the routing split
 //! from it, bills that placement at the upcoming period's posted prices,
 //! and tells the inner controller via
-//! [`PlacementController::note_fallback`] so its period counter and
+//! [`PlacementPolicy::note_fallback`] so its period counter and
 //! demand history stay aligned with wall clock.
 //!
 //! Every decision is visible in telemetry: `runtime.solver_failures`,
@@ -22,8 +22,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dspp_core::{
-    Allocation, ControllerCheckpoint, CoreError, Dspp, PeriodCost, PlacementController,
-    RoutingPolicy, StepOutcome,
+    Allocation, ControllerCheckpoint, CoreError, Dspp, PeriodCost, PlacementPolicy, RoutingPolicy,
+    StepOutcome,
 };
 use dspp_telemetry::{AttrValue, Recorder};
 
@@ -112,7 +112,7 @@ impl DegradeStats {
 /// A supervisor wrapping any controller with bounded retry and
 /// last-known-good fallback. See the module docs.
 pub struct ResilientController {
-    inner: Box<dyn PlacementController>,
+    inner: Box<dyn PlacementPolicy>,
     policy: RetryPolicy,
     telemetry: Recorder,
     period: usize,
@@ -122,7 +122,7 @@ pub struct ResilientController {
 
 impl ResilientController {
     /// Wraps `inner` with the given policy.
-    pub fn new(inner: Box<dyn PlacementController>, policy: RetryPolicy) -> Self {
+    pub fn new(inner: Box<dyn PlacementPolicy>, policy: RetryPolicy) -> Self {
         ResilientController {
             inner,
             policy,
@@ -172,7 +172,7 @@ impl ResilientController {
     }
 }
 
-impl PlacementController for ResilientController {
+impl PlacementPolicy for ResilientController {
     fn step(&mut self, observed_demand: &[f64]) -> Result<StepOutcome, CoreError> {
         let mut attempt = 0usize;
         let last_error = loop {
@@ -434,7 +434,7 @@ mod tests {
         let mut c = ResilientController::new(Box::new(faulty), RetryPolicy::default());
         c.step(&[40.0]).unwrap();
         c.step(&[50.0]).unwrap();
-        let ck = PlacementController::checkpoint(&c).unwrap();
+        let ck = PlacementPolicy::checkpoint(&c).unwrap();
         assert_eq!(ck.period, 2);
 
         let faulty = FaultingController::new(mpc(), FaultPlan::new());

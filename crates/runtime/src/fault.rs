@@ -11,9 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dspp_core::{
-    Allocation, ControllerCheckpoint, CoreError, Dspp, PlacementController, StepOutcome,
-};
+use dspp_core::{Allocation, ControllerCheckpoint, CoreError, Dspp, PlacementPolicy, StepOutcome};
 use dspp_solver::SolverError;
 use dspp_telemetry::{AttrValue, Recorder};
 use dspp_workload::FlashCrowd;
@@ -303,7 +301,7 @@ impl FaultStats {
 /// same periods the simulator sees, regardless of how many failed
 /// attempts a supervisor makes inside one period.
 pub struct FaultingController {
-    inner: Box<dyn PlacementController>,
+    inner: Box<dyn PlacementPolicy>,
     plan: FaultPlan,
     period: usize,
     /// Next period whose capacity-fault state still needs telemetry
@@ -315,7 +313,7 @@ pub struct FaultingController {
 
 impl FaultingController {
     /// Wraps `inner` with the outage schedule of `plan`.
-    pub fn new(inner: Box<dyn PlacementController>, plan: FaultPlan) -> Self {
+    pub fn new(inner: Box<dyn PlacementPolicy>, plan: FaultPlan) -> Self {
         FaultingController {
             inner,
             plan,
@@ -374,7 +372,7 @@ impl FaultingController {
     }
 }
 
-impl PlacementController for FaultingController {
+impl PlacementPolicy for FaultingController {
     fn step(&mut self, observed_demand: &[f64]) -> Result<StepOutcome, CoreError> {
         self.note_capacity_state();
         if self.plan.outage_at(self.period) {

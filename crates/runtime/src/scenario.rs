@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use dspp_core::{CoreError, PlacementController};
+use dspp_core::{CoreError, PlacementPolicy};
 use dspp_sim::{ClosedLoopSim, SimCheckpoint, SimReport};
 use dspp_telemetry::{Recorder, SloEngine, SloSpec, SloTransition};
 
@@ -118,7 +118,7 @@ pub struct ScenarioOutcome {
 /// shape mismatch) or the run fails beyond what the retry policy and
 /// fallback budget absorb.
 pub fn run_scenario(
-    controller: Box<dyn PlacementController>,
+    controller: Box<dyn PlacementPolicy>,
     spec: &ScenarioSpec,
     telemetry: &Recorder,
 ) -> Result<ScenarioOutcome, CoreError> {
@@ -191,7 +191,7 @@ pub fn run_scenarios<F>(
     telemetry: &Recorder,
 ) -> Vec<Result<ScenarioOutcome, RuntimeError>>
 where
-    F: Fn(&ScenarioSpec) -> Result<Box<dyn PlacementController>, CoreError> + Send + Sync + 'static,
+    F: Fn(&ScenarioSpec) -> Result<Box<dyn PlacementPolicy>, CoreError> + Send + Sync + 'static,
 {
     let factory = Arc::new(factory);
     let jobs: Vec<(String, _)> = specs
@@ -227,7 +227,7 @@ mod tests {
         vec![vec![40.0, 55.0, 70.0, 85.0, 70.0, 55.0, 40.0, 40.0]]
     }
 
-    fn mpc() -> Box<dyn PlacementController> {
+    fn mpc() -> Box<dyn PlacementPolicy> {
         let problem = DsppBuilder::new(1, 1)
             .service_rate(100.0)
             .sla_latency(0.060)
@@ -340,7 +340,7 @@ mod tests {
     fn infeasible_surge_is_resolved_by_recovery_not_fallback() {
         // Capacity 1.0 with a = 1/80: demand 95 needs ≈ 1.1875 servers.
         // The recovery rung — not last-known-good — must absorb it.
-        let capped = || -> Box<dyn PlacementController> {
+        let capped = || -> Box<dyn PlacementPolicy> {
             let problem = DsppBuilder::new(1, 1)
                 .service_rate(100.0)
                 .sla_latency(0.060)
@@ -382,7 +382,7 @@ mod tests {
         // exactly 3 servers (a = 1/80). Losing DC 1 for two periods
         // leaves a 1-server deficit per period, which the recovery rung
         // must shed exactly — no fallbacks, books balanced.
-        let mk = || -> Box<dyn PlacementController> {
+        let mk = || -> Box<dyn PlacementPolicy> {
             let problem = DsppBuilder::new(2, 1)
                 .service_rate(100.0)
                 .sla_latency(0.060)

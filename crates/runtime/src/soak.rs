@@ -15,7 +15,7 @@
 //! and the engine's transition timeline is exported as CSV for the
 //! fault-drill job's artifact upload.
 
-use dspp_core::{CoreError, PlacementController};
+use dspp_core::{CoreError, PlacementPolicy};
 use dspp_ingest::{IngestCheckpoint, IngestConfig, IngestLoop, IngestTotals};
 use dspp_telemetry::{Recorder, SloEngine, SloSpec};
 
@@ -76,7 +76,7 @@ pub fn run_soak<F>(
     telemetry: &Recorder,
 ) -> Result<SoakReport, RuntimeError>
 where
-    F: Fn() -> Result<Box<dyn PlacementController>, CoreError>,
+    F: Fn() -> Result<Box<dyn PlacementPolicy>, CoreError>,
 {
     let mut rates = spec.rates.clone();
     spec.faults.apply_to_demand(&mut rates);
@@ -144,7 +144,7 @@ mod tests {
 
     fn make_controller(
         periods: usize,
-    ) -> Box<dyn Fn() -> Result<Box<dyn PlacementController>, CoreError>> {
+    ) -> Box<dyn Fn() -> Result<Box<dyn PlacementPolicy>, CoreError>> {
         Box::new(move || {
             let problem = DsppBuilder::new(2, 2)
                 .service_rate(100.0)
@@ -160,7 +160,7 @@ mod tests {
                     horizon: 3,
                     ..MpcSettings::default()
                 },
-            )?) as Box<dyn PlacementController>)
+            )?) as Box<dyn PlacementPolicy>)
         })
     }
 

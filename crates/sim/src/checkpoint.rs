@@ -2,9 +2,9 @@
 //!
 //! A [`SimCheckpoint`] freezes everything a closed-loop run has produced
 //! and the controller's internal state ([`ControllerCheckpoint`]) into
-//! plain data with a lossless JSON round-trip — the reader side uses the
-//! workspace's own `dspp_telemetry::json` parser, so no external
-//! serialization dependency is involved. Because every solve in this
+//! plain data with a lossless JSON round-trip, built on the workspace's
+//! own `dspp_telemetry::json` toolkit — no external serialization
+//! dependency is involved. Because every solve in this
 //! workspace is deterministic, restoring a checkpoint into a freshly
 //! built simulation reproduces the interrupted run exactly (the
 //! `dspp-runtime` crate's resume tests pin this).
@@ -41,137 +41,51 @@ pub struct SimCheckpoint {
     pub controller_state: ControllerCheckpoint,
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // `Display` for f64 prints the shortest representation that
-        // parses back to the same bits — exactly what a checkpoint needs.
-        let _ = write!(out, "{v}");
-    } else if v.is_nan() {
-        out.push_str("\"nan\"");
-    } else if v > 0.0 {
-        out.push_str("\"inf\"");
-    } else {
-        out.push_str("\"-inf\"");
-    }
-}
-
-fn push_f64_array(out: &mut String, values: &[f64]) {
-    out.push('[');
-    for (i, &v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64(out, v);
-    }
-    out.push(']');
-}
-
-fn push_f64_matrix(out: &mut String, rows: &[Vec<f64>]) {
-    out.push('[');
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64_array(out, row);
-    }
-    out.push(']');
-}
-
-fn parse_f64(v: &JsonValue) -> Result<f64, String> {
-    match v {
-        JsonValue::Number(n) => Ok(*n),
-        JsonValue::String(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            other => Err(format!("expected a number, got string {other:?}")),
-        },
-        other => Err(format!("expected a number, got {other:?}")),
-    }
-}
-
-fn parse_f64_array(v: &JsonValue) -> Result<Vec<f64>, String> {
-    v.as_array()
-        .ok_or("expected an array of numbers")?
-        .iter()
-        .map(parse_f64)
-        .collect()
-}
-
-fn parse_f64_matrix(v: &JsonValue) -> Result<Vec<Vec<f64>>, String> {
-    v.as_array()
-        .ok_or("expected an array of arrays")?
-        .iter()
-        .map(parse_f64_array)
-        .collect()
-}
-
-fn get<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
-    obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn get_usize(obj: &JsonValue, key: &str) -> Result<usize, String> {
-    get(obj, key)?
-        .as_u64()
-        .map(|v| v as usize)
-        .ok_or_else(|| format!("field {key:?} must be a non-negative integer"))
-}
-
 impl SimCheckpoint {
     /// Serializes the checkpoint as a single JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"schema_version\":{},\"controller\":{},\"cursor\":{},\"periods\":[",
-            self.schema_version,
-            json_string(&self.controller),
-            self.cursor
+            "{{\"schema_version\":{},\"controller\":",
+            self.schema_version
         );
+        json::push_string(&mut out, &self.controller);
+        let _ = write!(out, ",\"cursor\":{},\"periods\":[", self.cursor);
         for (i, p) in self.periods.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(out, "{{\"period\":{},\"observed_demand\":", p.period);
-            push_f64_array(&mut out, &p.observed_demand);
+            json::push_f64_array(&mut out, &p.observed_demand);
             out.push_str(",\"realized_demand\":");
-            push_f64_array(&mut out, &p.realized_demand);
+            json::push_f64_array(&mut out, &p.realized_demand);
             out.push_str(",\"per_dc\":");
-            push_f64_array(&mut out, &p.per_dc);
-            out.push_str(",\"total_servers\":");
-            push_f64(&mut out, p.total_servers);
-            out.push_str(",\"reconfig_magnitude\":");
-            push_f64(&mut out, p.reconfig_magnitude);
-            out.push_str(",\"hosting\":");
-            push_f64(&mut out, p.cost.hosting);
-            out.push_str(",\"reconfiguration\":");
-            push_f64(&mut out, p.cost.reconfiguration);
+            json::push_f64_array(&mut out, &p.per_dc);
+            for (key, v) in [
+                ("total_servers", p.total_servers),
+                ("reconfig_magnitude", p.reconfig_magnitude),
+                ("hosting", p.cost.hosting),
+                ("reconfiguration", p.cost.reconfiguration),
+            ] {
+                let _ = write!(out, ",\"{key}\":");
+                json::push_f64(&mut out, v);
+            }
             let _ = write!(
                 out,
                 ",\"sla\":{{\"violated_arcs\":{},\"loaded_arcs\":{},\"worst_latency\":",
                 p.sla.violated_arcs, p.sla.loaded_arcs
             );
-            push_f64(&mut out, p.sla.worst_latency);
+            json::push_f64(&mut out, p.sla.worst_latency);
             out.push_str(",\"served_fraction\":");
-            push_f64(&mut out, p.sla.served_fraction);
+            json::push_f64(&mut out, p.sla.served_fraction);
             out.push_str("},\"sla_shortfall\":");
-            push_f64(&mut out, p.sla_shortfall);
+            json::push_f64(&mut out, p.sla_shortfall);
             out.push('}');
         }
-        let _ = write!(
-            out,
-            "],\"controller_state\":{{\"period\":{},\"allocation\":",
-            self.controller_state.period
-        );
-        push_f64_array(&mut out, &self.controller_state.allocation);
-        out.push_str(",\"history\":");
-        push_f64_matrix(&mut out, &self.controller_state.history);
-        out.push_str(",\"warm_us\":");
-        match &self.controller_state.warm_us {
-            None => out.push_str("null"),
-            Some(us) => push_f64_matrix(&mut out, us),
-        }
-        out.push_str("}}");
+        out.push_str("],\"controller_state\":");
+        self.controller_state.push_json(&mut out);
+        out.push('}');
         out
     }
 
@@ -183,68 +97,30 @@ impl SimCheckpoint {
     /// missing/mistyped field.
     pub fn from_json(input: &str) -> Result<SimCheckpoint, String> {
         let root = json::parse(input).map_err(|e| format!("checkpoint JSON: {e}"))?;
-        let version = get(&root, "schema_version")?
-            .as_u64()
-            .ok_or("schema_version must be an integer")?;
+        let version = json::field_u64(&root, "schema_version")?;
         if version != CHECKPOINT_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported checkpoint schema_version {version} \
                  (expected {CHECKPOINT_SCHEMA_VERSION})"
             ));
         }
-        let controller = get(&root, "controller")?
+        let controller = json::field(&root, "controller")?
             .as_str()
             .ok_or("controller must be a string")?
             .to_string();
-        let cursor = get_usize(&root, "cursor")?;
-        let mut periods = Vec::new();
-        for (i, p) in get(&root, "periods")?
+        let cursor = json::field_usize(&root, "cursor")?;
+        let periods = json::field(&root, "periods")?
             .as_array()
             .ok_or("periods must be an array")?
             .iter()
             .enumerate()
-        {
-            let period = (|| -> Result<SimPeriod, String> {
-                let sla = get(p, "sla")?;
-                Ok(SimPeriod {
-                    period: get_usize(p, "period")?,
-                    observed_demand: parse_f64_array(get(p, "observed_demand")?)?,
-                    realized_demand: parse_f64_array(get(p, "realized_demand")?)?,
-                    per_dc: parse_f64_array(get(p, "per_dc")?)?,
-                    total_servers: parse_f64(get(p, "total_servers")?)?,
-                    reconfig_magnitude: parse_f64(get(p, "reconfig_magnitude")?)?,
-                    cost: PeriodCost {
-                        hosting: parse_f64(get(p, "hosting")?)?,
-                        reconfiguration: parse_f64(get(p, "reconfiguration")?)?,
-                    },
-                    sla: SlaReport {
-                        violated_arcs: get_usize(sla, "violated_arcs")?,
-                        loaded_arcs: get_usize(sla, "loaded_arcs")?,
-                        worst_latency: parse_f64(get(sla, "worst_latency")?)?,
-                        served_fraction: parse_f64(get(sla, "served_fraction")?)?,
-                    },
-                    sla_shortfall: parse_f64(get(p, "sla_shortfall")?)?,
-                })
-            })()
-            .map_err(|e| format!("periods[{i}]: {e}"))?;
-            periods.push(period);
-        }
-        let cs = get(&root, "controller_state")?;
-        let warm = get(cs, "warm_us")?;
-        let controller_state = ControllerCheckpoint {
-            period: get_usize(cs, "period")?,
-            allocation: parse_f64_array(get(cs, "allocation")?)
-                .map_err(|e| format!("controller_state.allocation: {e}"))?,
-            history: parse_f64_matrix(get(cs, "history")?)
-                .map_err(|e| format!("controller_state.history: {e}"))?,
-            warm_us: match warm {
-                JsonValue::Null => None,
-                other => Some(
-                    parse_f64_matrix(other)
-                        .map_err(|e| format!("controller_state.warm_us: {e}"))?,
-                ),
-            },
-        };
+            .map(|(i, p)| period_from_json(p).map_err(|e| format!("periods[{i}]: {e}")))
+            .collect::<Result<Vec<_>, _>>()?;
+        let controller_state = json::field_with(
+            &root,
+            "controller_state",
+            ControllerCheckpoint::from_json_value,
+        )?;
         Ok(SimCheckpoint {
             schema_version: version,
             controller,
@@ -255,25 +131,28 @@ impl SimCheckpoint {
     }
 }
 
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+fn period_from_json(p: &JsonValue) -> Result<SimPeriod, String> {
+    let f64_field = |obj, key| json::field_with(obj, key, json::parse_f64);
+    let sla = json::field(p, "sla")?;
+    Ok(SimPeriod {
+        period: json::field_usize(p, "period")?,
+        observed_demand: json::field_with(p, "observed_demand", json::parse_f64_array)?,
+        realized_demand: json::field_with(p, "realized_demand", json::parse_f64_array)?,
+        per_dc: json::field_with(p, "per_dc", json::parse_f64_array)?,
+        total_servers: f64_field(p, "total_servers")?,
+        reconfig_magnitude: f64_field(p, "reconfig_magnitude")?,
+        cost: PeriodCost {
+            hosting: f64_field(p, "hosting")?,
+            reconfiguration: f64_field(p, "reconfiguration")?,
+        },
+        sla: SlaReport {
+            violated_arcs: json::field_usize(sla, "violated_arcs")?,
+            loaded_arcs: json::field_usize(sla, "loaded_arcs")?,
+            worst_latency: f64_field(sla, "worst_latency")?,
+            served_fraction: f64_field(sla, "served_fraction")?,
+        },
+        sla_shortfall: f64_field(p, "sla_shortfall")?,
+    })
 }
 
 #[cfg(test)]

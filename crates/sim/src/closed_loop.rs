@@ -1,5 +1,5 @@
 use crate::{evaluate_sla, Monitor, SimCheckpoint, SlaReport};
-use dspp_core::{CoreError, CostLedger, PlacementController};
+use dspp_core::{CoreError, CostLedger, PlacementPolicy};
 use dspp_telemetry::{Recorder, SloEngine, SloSample, SloTransition};
 use std::time::Instant;
 
@@ -96,7 +96,7 @@ impl SimReport {
 /// as SLA violations and excess cost, exactly as in the paper's
 /// experiments.
 pub struct ClosedLoopSim {
-    controller: Box<dyn PlacementController>,
+    controller: Box<dyn PlacementPolicy>,
     demand: Vec<Vec<f64>>,
     realized_prices: Option<Vec<Vec<f64>>>,
     telemetry: Recorder,
@@ -122,7 +122,7 @@ impl ClosedLoopSim {
     /// Returns [`CoreError::InvalidSpec`] if the trace shape does not match
     /// the controller's problem or has fewer than two periods.
     pub fn new(
-        controller: Box<dyn PlacementController>,
+        controller: Box<dyn PlacementPolicy>,
         demand: Vec<Vec<f64>>,
     ) -> Result<Self, CoreError> {
         let nv = controller.problem().num_locations();
@@ -237,7 +237,7 @@ impl ClosedLoopSim {
     }
 
     /// The controller being driven.
-    pub fn controller(&self) -> &dyn PlacementController {
+    pub fn controller(&self) -> &dyn PlacementPolicy {
         self.controller.as_ref()
     }
 

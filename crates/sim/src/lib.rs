@@ -4,7 +4,7 @@
 //!
 //! * [`ClosedLoopSim`] — the *fluid* simulator behind every figure of the
 //!   paper's evaluation: it feeds a realized demand trace into any
-//!   [`dspp_core::PlacementController`] period by period, applies the
+//!   [`dspp_core::PlacementPolicy`] period by period, applies the
 //!   returned allocation and routing, evaluates the M/M/1 SLA model
 //!   analytically, and accounts costs (`H_k`, `G_k`).
 //! * [`DesConfig`] / [`run_des`] — a request-level discrete-event

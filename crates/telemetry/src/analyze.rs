@@ -69,6 +69,7 @@ fn attr_string(value: &JsonValue) -> String {
     match value {
         JsonValue::String(s) => s.clone(),
         JsonValue::Bool(b) => b.to_string(),
+        JsonValue::UInt(n) => n.to_string(),
         JsonValue::Number(n) => format!("{n}"),
         JsonValue::Null => "null".to_string(),
         other => format!("{other:?}"),

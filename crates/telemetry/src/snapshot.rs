@@ -178,14 +178,9 @@ impl Snapshot {
                 out.push_str("\":");
                 push_json_f64(out, value);
             }
-            out.push_str(",\"bins\":[");
-            for (i, n) in h.bins.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&n.to_string());
-            }
-            out.push_str("]}");
+            out.push_str(",\"bins\":");
+            json::push_u64_array(out, &h.bins);
+            out.push('}');
         });
         out.push_str("}}");
         out
@@ -295,23 +290,10 @@ fn push_entries<'a, V: 'a>(
             out.push(',');
         }
         first = false;
-        push_json_string(out, name);
+        json::push_string(out, name);
         out.push(':');
         push_value(out, &value);
     }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn push_json_f64(out: &mut String, v: f64) {

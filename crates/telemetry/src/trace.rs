@@ -9,8 +9,9 @@
 //! 1. **Zero cost when off.** A disabled tracer's [`Tracer::span`] returns
 //!    an inert guard; every attribute/event call is a branch on `None`.
 //! 2. **Cheap when on.** Starting a span is one atomic id fetch, one clock
-//!    read and one thread-local push; finishing it is a clock read plus a
-//!    short mutex push into the flight recorder.
+//!    read and one thread-local push (plus a thread-list lookup when the
+//!    thread last recorded into another tracer); finishing it is a clock
+//!    read plus a short mutex push into the flight recorder.
 //! 3. **Bounded.** Finished records land in a fixed-capacity ring buffer
 //!    — the **flight recorder** — that evicts the *oldest* record when
 //!    full, so a long run keeps the most recent history (what you want
@@ -46,14 +47,17 @@
 //! let _chrome = tracer.to_chrome_trace(); // paste into Perfetto
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::Instant;
 
 use parking_lot::Mutex;
+
+use crate::json;
 
 // ---------------------------------------------------------------------------
 // Clock
@@ -191,7 +195,8 @@ pub struct SpanRecord {
     pub id: u64,
     /// Enclosing span on the same thread at start time, if any.
     pub parent: Option<u64>,
-    /// Small integer id of the thread the span ran on.
+    /// The thread the span ran on, numbered per tracer: 1 for the first
+    /// thread that recorded into the tracer, 2 for the next, and so on.
     pub thread: u64,
     /// Static span name, e.g. `"controller.step"`.
     pub name: &'static str,
@@ -215,7 +220,7 @@ impl SpanRecord {
 pub struct EventRecord {
     /// Id of the span this event fired inside, if any.
     pub span: Option<u64>,
-    /// Small integer id of the emitting thread.
+    /// The emitting thread, numbered like [`SpanRecord::thread`].
     pub thread: u64,
     /// Static event name, e.g. `"solver.lq.iteration"`.
     pub name: &'static str,
@@ -327,15 +332,14 @@ impl FlightRecorder {
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
 static NEXT_TRACER_ID: AtomicU64 = AtomicU64::new(1);
-static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     /// Per-thread stack of open spans, as (tracer id, span id) pairs so
     /// two tracers live in one thread never adopt each other's spans.
     static SPAN_STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
-    /// Small dense integer id for this thread (std's `ThreadId` has no
-    /// stable integer form).
-    static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
+    /// (tracer id, thread number) of the tracer this thread last recorded
+    /// into: a cache in front of that tracer's thread list.
+    static THREAD_NUMBER: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 struct TracerInner {
@@ -343,6 +347,29 @@ struct TracerInner {
     next_span: AtomicU64,
     clock: Box<dyn TraceClock>,
     flight: FlightRecorder,
+    /// Threads that have recorded into this tracer, in order of their
+    /// first record; thread number `n` is entry `n - 1`.
+    threads: Mutex<Vec<ThreadId>>,
+}
+
+impl TracerInner {
+    /// This thread's number in this tracer, so a trace depends only on
+    /// its own spans, never on which threads traced before it.
+    fn thread_number(&self) -> u64 {
+        let (tracer, number) = THREAD_NUMBER.get();
+        if tracer == self.tracer_id {
+            return number;
+        }
+        let id = std::thread::current().id();
+        let mut threads = self.threads.lock();
+        let index = threads.iter().position(|t| *t == id).unwrap_or_else(|| {
+            threads.push(id);
+            threads.len() - 1
+        });
+        let number = index as u64 + 1;
+        THREAD_NUMBER.set((self.tracer_id, number));
+        number
+    }
 }
 
 /// Cheap, cloneable handle through which instrumented code opens spans and
@@ -392,6 +419,7 @@ impl Tracer {
                 next_span: AtomicU64::new(1),
                 clock,
                 flight: FlightRecorder::new(capacity),
+                threads: Mutex::new(Vec::new()),
             })),
         }
     }
@@ -425,7 +453,7 @@ impl Tracer {
                 tracer: Arc::clone(inner),
                 id,
                 parent,
-                thread: THREAD_ID.with(|t| *t),
+                thread: inner.thread_number(),
                 name,
                 start_ns: inner.clock.now_ns(),
                 attrs: Vec::new(),
@@ -456,7 +484,7 @@ impl Tracer {
         });
         inner.flight.push(TraceRecord::Event(EventRecord {
             span,
-            thread: THREAD_ID.with(|t| *t),
+            thread: inner.thread_number(),
             name,
             ts_ns: inner.clock.now_ns(),
             attrs: attrs.into_iter().collect(),
@@ -604,34 +632,13 @@ impl Drop for SpanGuard {
 // Exporters
 // ---------------------------------------------------------------------------
 
-fn push_json_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn push_attr_value(out: &mut String, value: &AttrValue) {
     match value {
         AttrValue::Int(v) => out.push_str(&v.to_string()),
         AttrValue::UInt(v) => out.push_str(&v.to_string()),
-        AttrValue::Float(v) => {
-            if v.is_finite() {
-                out.push_str(&format!("{v}"));
-            } else {
-                out.push_str("null");
-            }
-        }
+        AttrValue::Float(v) => json::push_f64_or_null(out, *v),
         AttrValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-        AttrValue::Str(v) => push_json_escaped(out, v),
+        AttrValue::Str(v) => json::push_string(out, v),
     }
 }
 
@@ -641,7 +648,7 @@ fn push_attrs(out: &mut String, attrs: &Attrs) {
         if i > 0 {
             out.push(',');
         }
-        push_json_escaped(out, key);
+        json::push_string(out, key);
         out.push(':');
         push_attr_value(out, value);
     }
@@ -668,7 +675,7 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
         match record {
             TraceRecord::Span(s) => {
                 out.push_str("{\"name\":");
-                push_json_escaped(&mut out, s.name);
+                json::push_string(&mut out, s.name);
                 out.push_str(",\"cat\":\"dspp\",\"ph\":\"X\",\"ts\":");
                 out.push_str(&us(s.start_ns));
                 out.push_str(",\"dur\":");
@@ -684,7 +691,7 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
             }
             TraceRecord::Event(e) => {
                 out.push_str("{\"name\":");
-                push_json_escaped(&mut out, e.name);
+                json::push_string(&mut out, e.name);
                 out.push_str(",\"cat\":\"dspp\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
                 out.push_str(&us(e.ts_ns));
                 out.push_str(&format!(",\"pid\":1,\"tid\":{},\"args\":", e.thread));
@@ -720,7 +727,7 @@ pub fn jsonl(records: &[TraceRecord]) -> String {
                     None => out.push_str("null"),
                 }
                 out.push_str(&format!(",\"thread\":{},\"name\":", s.thread));
-                push_json_escaped(&mut out, s.name);
+                json::push_string(&mut out, s.name);
                 out.push_str(&format!(
                     ",\"start_ns\":{},\"end_ns\":{},\"attrs\":",
                     s.start_ns, s.end_ns
@@ -735,7 +742,7 @@ pub fn jsonl(records: &[TraceRecord]) -> String {
                     None => out.push_str("null"),
                 }
                 out.push_str(&format!(",\"thread\":{},\"name\":", e.thread));
-                push_json_escaped(&mut out, e.name);
+                json::push_string(&mut out, e.name);
                 out.push_str(&format!(",\"ts_ns\":{},\"attrs\":", e.ts_ns));
                 push_attrs(&mut out, &e.attrs);
                 out.push_str("}\n");
@@ -748,7 +755,6 @@ pub fn jsonl(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     fn manual_tracer(capacity: usize) -> (Tracer, Arc<ManualClock>) {
         let clock = ManualClock::new();
@@ -942,6 +948,46 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 64, "span ids must be unique");
+    }
+
+    #[test]
+    fn thread_numbers_are_local_to_each_tracer() {
+        // Another tracer records on another thread first.
+        let other = Tracer::enabled(8);
+        std::thread::spawn(move || drop(other.span("other")))
+            .join()
+            .unwrap();
+        let (tracer, _clock) = manual_tracer(64);
+        let first = tracer.clone();
+        let jsonl = std::thread::spawn(move || {
+            drop(first.span("fresh"));
+            first.to_jsonl()
+        })
+        .join()
+        .unwrap();
+        assert!(jsonl.contains("\"thread\":1,"), "{jsonl}");
+        // The next new thread is 2, the one after that 3; a thread keeps
+        // its number when another tracer records on it in between.
+        let second = tracer.clone();
+        std::thread::spawn(move || second.event("second"))
+            .join()
+            .unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                drop(tracer.span("third"));
+                drop(Tracer::enabled(8).span("interloper"));
+                drop(tracer.span("third.again"));
+            });
+        });
+        let threads: Vec<u64> = tracer
+            .records()
+            .iter()
+            .map(|r| match r {
+                TraceRecord::Span(s) => s.thread,
+                TraceRecord::Event(e) => e.thread,
+            })
+            .collect();
+        assert_eq!(threads, [1, 2, 3, 3]);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`linalg`] | `dspp-linalg` | dense vectors/matrices, Cholesky/LDLᵀ/LU/QR |
-//! | [`solver`] | `dspp-solver` | dense QP interior point, Riccati LQ interior point |
+//! | [`linalg`] | `dspp-linalg` | dense vectors/matrices, Cholesky/LDLᵀ/QR, Schur-complement workspace |
+//! | [`solver`] | `dspp-solver` | structured KKT interior point (every placement solve); dense QP and Riccati LQ interior points as its oracles |
 //! | [`topology`] | `dspp-topology` | transit–stub graphs, Dijkstra, US cities |
 //! | [`workload`] | `dspp-workload` | diurnal Poisson demand, flash crowds |
 //! | [`pricing`] | `dspp-pricing` | regional electricity markets, VM power |

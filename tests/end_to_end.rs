@@ -1,12 +1,12 @@
 //! Cross-crate integration: topology → pricing → workload → controller →
 //! simulator, exercising the whole pipeline the way the experiments do.
 
-use dspp::core::baselines::{ReactiveController, StaticController};
-use dspp::core::{DsppBuilder, MpcController, MpcSettings, PlacementController};
-use dspp::predict::{ArPredictor, OraclePredictor, SeasonalNaive};
+use dspp::core::{
+    DsppBuilder, MpcController, MpcSettings, MyopicW1, PlacementPolicy, StaticCheapestDc,
+};
+use dspp::predict::{ArPredictor, LastValue, OraclePredictor, SeasonalNaive};
 use dspp::pricing::{ElectricityMarket, VmClass};
 use dspp::sim::ClosedLoopSim;
-use dspp::solver::IpmSettings;
 use dspp::topology::{default_data_centers, geo_latency_matrix, us_cities};
 use dspp::workload::{DemandModel, DiurnalProfile};
 
@@ -95,7 +95,7 @@ fn mpc_beats_static_and_reactive_on_the_full_scenario() {
             .build()
             .expect("spec")
     };
-    let run = |c: Box<dyn PlacementController>| {
+    let run = |c: Box<dyn PlacementPolicy>| {
         ClosedLoopSim::new(c, demand.clone())
             .expect("sim")
             .run()
@@ -116,14 +116,65 @@ fn mpc_beats_static_and_reactive_on_the_full_scenario() {
     ));
     let peak = demand[0].iter().cloned().fold(0.0f64, f64::max);
     let stat = run(Box::new(
-        StaticController::new(problem(), IpmSettings::default(), vec![peak]).expect("static"),
+        StaticCheapestDc::new(problem(), vec![peak]).expect("static"),
     ));
-    let reactive = run(Box::new(ReactiveController::new(
-        problem(),
-        IpmSettings::default(),
-    )));
+    // Reactive = no lookahead: a one-period horizon on last period's demand.
+    let reactive = run(Box::new(
+        MyopicW1::new(problem(), Box::new(LastValue), MpcSettings::default()).expect("myopic"),
+    ));
     assert!(mpc < stat, "mpc {mpc} should beat static {stat}");
     assert!(mpc < reactive, "mpc {mpc} should beat reactive {reactive}");
+}
+
+/// The headline ablation on a diurnal day: MPC's total cost beats the
+/// static baseline (which pays peak hosting all night) and beats reactive
+/// placement when reconfiguration is expensive. Reconfiguration must be
+/// expensive *relative to hosting* for lookahead to pay — here one unit of
+/// ramping costs as much as 100 server-hours.
+#[test]
+fn mpc_beats_baselines_on_diurnal_day() {
+    let problem = || {
+        DsppBuilder::new(1, 1)
+            .service_rate(100.0)
+            .sla_latency(0.060)
+            .latency_rows(vec![vec![0.010]])
+            .reconfiguration_weights(vec![5.0])
+            .price_trace(0, vec![0.05])
+            .build()
+            .unwrap()
+    };
+    let demand: Vec<f64> = (0..24)
+        .map(|h| if (8..17).contains(&h) { 100.0 } else { 20.0 })
+        .collect();
+    let run = |c: &mut dyn PlacementPolicy| -> f64 {
+        demand[..23]
+            .iter()
+            .map(|&d| c.step(&[d]).unwrap().step_cost.total())
+            .sum()
+    };
+    let mut mpc = MpcController::new(
+        problem(),
+        Box::new(OraclePredictor::new(vec![demand.clone()])),
+        MpcSettings {
+            horizon: 4,
+            ..MpcSettings::default()
+        },
+    )
+    .unwrap();
+    let mut reactive =
+        MyopicW1::new(problem(), Box::new(LastValue), MpcSettings::default()).unwrap();
+    let mut stat = StaticCheapestDc::new(problem(), vec![100.0]).unwrap();
+    let j_mpc = run(&mut mpc);
+    let j_reactive = run(&mut reactive);
+    let j_static = run(&mut stat);
+    assert!(
+        j_mpc < j_static,
+        "mpc {j_mpc} should beat static {j_static}"
+    );
+    assert!(
+        j_mpc < j_reactive,
+        "mpc {j_mpc} should beat reactive {j_reactive}"
+    );
 }
 
 #[test]

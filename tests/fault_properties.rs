@@ -9,7 +9,7 @@
 //! deficit — never more (over-shedding), never less (SLA fiction) —
 //! and never falls back to holding the stale placement.
 
-use dspp::core::{DsppBuilder, MpcController, MpcSettings, PlacementController};
+use dspp::core::{DsppBuilder, MpcController, MpcSettings, PlacementPolicy};
 use dspp::predict::LastValue;
 use dspp::runtime::{run_scenario, FaultPlan, ScenarioSpec};
 use dspp::telemetry::Recorder;
@@ -22,7 +22,7 @@ const EFFECTIVE_RATE: f64 = 80.0;
 /// Capacity of each of the two DCs, in servers.
 const DC_CAP: f64 = 2.0;
 
-fn controller() -> Box<dyn PlacementController> {
+fn controller() -> Box<dyn PlacementPolicy> {
     let problem = DsppBuilder::new(2, 1)
         .service_rate(100.0)
         .sla_latency(0.060)

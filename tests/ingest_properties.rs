@@ -22,7 +22,7 @@
 //!   and the integer conservation identity still holds, independent of
 //!   the shard layout.
 
-use dspp::core::{DsppBuilder, MpcController, MpcSettings, PlacementController};
+use dspp::core::{DsppBuilder, MpcController, MpcSettings, PlacementPolicy};
 use dspp::ingest::{
     generate_city_period, BackpressureBudget, IngestCheckpoint, IngestConfig, IngestLoop,
 };
@@ -58,7 +58,7 @@ fn build_loop(
     .expect("valid controller");
     let plan: Vec<Vec<f64>> = rates.iter().map(|&r| vec![r; periods]).collect();
     IngestLoop::new(
-        Box::new(controller) as Box<dyn PlacementController>,
+        Box::new(controller) as Box<dyn PlacementPolicy>,
         plan,
         IngestConfig::new(seed)
             .with_period_seconds(PERIOD_SECONDS)

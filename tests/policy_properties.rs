@@ -1,11 +1,12 @@
 //! Cross-policy invariants: every placement policy — solver-backed or
 //! closed-form — must route all demand (eq. 13), respect data-center
 //! capacity, and never emit a negative split; and the degenerate
-//! `MyopicW1` wrapper must be indistinguishable from `WMpc` at `W = 1`.
+//! `MyopicW1` wrapper must be indistinguishable from `MpcController` at
+//! `W = 1`.
 
 use dspp::core::{
-    Dspp, DsppBuilder, MpcSettings, MyopicW1, PlacementPolicy, ProportionalGreedy,
-    ReactiveThreshold, StaticCheapestDc, UtilizationBands, WMpc,
+    Dspp, DsppBuilder, MpcController, MpcSettings, MyopicW1, PlacementPolicy, ProportionalGreedy,
+    ReactiveThreshold, StaticCheapestDc, UtilizationBands,
 };
 use dspp::predict::{LastValue, OraclePredictor};
 use proptest::prelude::*;
@@ -30,7 +31,7 @@ fn all_policies(problem: &Dspp, peak: &[f64]) -> Vec<Box<dyn PlacementPolicy>> {
         ..MpcSettings::default()
     };
     vec![
-        Box::new(WMpc::new(problem.clone(), Box::new(LastValue), settings()).unwrap()),
+        Box::new(MpcController::new(problem.clone(), Box::new(LastValue), settings()).unwrap()),
         Box::new(MyopicW1::new(problem.clone(), Box::new(LastValue), settings()).unwrap()),
         Box::new(StaticCheapestDc::new(problem.clone(), peak.to_vec()).unwrap()),
         Box::new(ReactiveThreshold::new(problem.clone(), UtilizationBands::default()).unwrap()),
@@ -105,7 +106,7 @@ proptest! {
     }
 }
 
-/// `MyopicW1` is `WMpc` with the horizon pinned to one — bit-for-bit:
+/// `MyopicW1` is `MpcController` with the horizon pinned to one — bit-for-bit:
 /// the same problem, predictor and demand path must produce identical
 /// allocations, controls, costs and solver effort at every step.
 #[test]
@@ -119,7 +120,7 @@ fn myopic_w1_equals_wmpc_at_horizon_one_bit_for_bit() {
         horizon: 1,
         ..MpcSettings::default()
     };
-    let mut reference = WMpc::new(
+    let mut reference = MpcController::new(
         problem.clone(),
         Box::new(OraclePredictor::new(truth.clone())),
         settings.clone(),
