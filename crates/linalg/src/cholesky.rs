@@ -20,9 +20,12 @@ use crate::{LinalgError, Matrix, Vector};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cholesky {
-    /// Lower-triangular factor, stored densely.
-    l: Matrix,
-    /// Whether `l` holds a completed factorization. Cleared at the start of
+    /// The factor as `Lᵀ`, stored densely: row `k` holds column `k` of `L`,
+    /// so the factorization's rank-1 updates and both solve sweeps walk
+    /// contiguous rows. Nothing writes the strict lower triangle: it stays
+    /// zero.
+    lt: Matrix,
+    /// Whether `lt` holds a completed factorization. Cleared at the start of
     /// every [`Cholesky::refactor`] and set only on success, so a factor
     /// left half-written by a failed refactor can never be solved with.
     valid: bool,
@@ -49,12 +52,20 @@ impl Cholesky {
     ///
     /// Same conditions as [`Cholesky::factor`].
     pub fn factor_regularized(a: &Matrix, reg: f64) -> Result<Self, LinalgError> {
-        let mut chol = Cholesky {
-            l: Matrix::zeros(a.rows(), a.rows()),
-            valid: false,
-        };
+        let mut chol = Cholesky::unfactored(a.rows());
         chol.refactor(a, reg)?;
         Ok(chol)
+    }
+
+    /// Storage for a `dim × dim` factorization, holding none yet: for
+    /// solvers that [`Cholesky::refactor`] a same-sized matrix every
+    /// iteration. [`Cholesky::is_valid`] is `false` and the solve methods
+    /// panic until the first refactor succeeds.
+    pub fn unfactored(dim: usize) -> Self {
+        Cholesky {
+            lt: Matrix::zeros(dim, dim),
+            valid: false,
+        }
     }
 
     /// Re-factors `a + reg * I` into this factorization's existing storage
@@ -95,54 +106,62 @@ impl Cholesky {
 
     /// The factorization proper; `tol(a_jj + reg)` is the threshold pivot
     /// `j` must exceed.
+    ///
+    /// Right-looking: once pivot `k` passes, row `k` of `Lᵀ` is scaled into
+    /// column `k` of `L` and its rank-1 term is subtracted from every later
+    /// row, one contiguous axpy per row. Entry `(i, j)` still sees
+    /// `a_ij − l_i0·l_j0 − … − l_i,j−1·l_j,j−1` in that order, exactly the
+    /// operations of the textbook dot-product (left-looking) loop, so the
+    /// factor is the same bit for bit; only independent updates now run
+    /// side by side instead of as one dependency chain per entry.
     fn refactor_with(
         &mut self,
         a: &Matrix,
         reg: f64,
         tol: impl Fn(f64) -> f64,
     ) -> Result<(), LinalgError> {
-        if !a.is_square() || a.rows() != self.l.rows() {
+        if !a.is_square() || a.rows() != self.lt.rows() {
             return Err(LinalgError::DimensionMismatch(format!(
                 "cholesky refactor: matrix is {}x{}, factor is {}x{}",
                 a.rows(),
                 a.cols(),
-                self.l.rows(),
-                self.l.rows()
+                self.lt.rows(),
+                self.lt.rows()
             )));
         }
         self.valid = false;
         let n = a.rows();
-        let l = &mut self.l;
+        // Lᵀ starts as the lower triangle of `a + reg·I`, transposed.
+        let lt = self.lt.as_mut_slice();
         for j in 0..n {
-            let diag = a[(j, j)] + reg;
-            let mut d = diag;
-            for k in 0..j {
-                let ljk = l[(j, k)];
-                d -= ljk * ljk;
+            let row = &mut lt[j * n..(j + 1) * n];
+            for (i, x) in row.iter_mut().enumerate().skip(j) {
+                *x = a[(i, j)];
             }
+            row[j] = a[(j, j)] + reg;
+        }
+        for k in 0..n {
+            let diag = a[(k, k)] + reg;
+            let (head, later) = lt.split_at_mut((k + 1) * n);
+            let row_k = &mut head[k * n..];
+            let d = row_k[k];
             // Written as a negated comparison so a NaN pivot (e.g. from a
             // non-finite input entry) is rejected instead of flowing into
             // `sqrt` and silently poisoning the factor.
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             if !(d > tol(diag)) {
-                return Err(LinalgError::NotPositiveDefinite { pivot: j });
+                return Err(LinalgError::NotPositiveDefinite { pivot: k });
             }
             let dsqrt = d.sqrt();
-            l[(j, j)] = dsqrt;
-            for i in (j + 1)..n {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                l[(i, j)] = s / dsqrt;
+            row_k[k] = dsqrt;
+            for x in &mut row_k[k + 1..] {
+                *x /= dsqrt;
             }
-        }
-        // Upper triangle may hold entries from a previous factorization;
-        // solves only read the lower triangle, but clear it so `l()` is a
-        // genuine lower-triangular matrix.
-        for j in 1..n {
-            for i in 0..j {
-                l[(i, j)] = 0.0;
+            for (j, row_j) in (k + 1..n).zip(later.chunks_exact_mut(n)) {
+                let ljk = row_k[j];
+                for (x, &lik) in row_j[j..].iter_mut().zip(&row_k[j..]) {
+                    *x -= lik * ljk;
+                }
             }
         }
         self.valid = true;
@@ -151,21 +170,17 @@ impl Cholesky {
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.l.rows()
+        self.lt.rows()
     }
 
     /// Whether the stored factor comes from a *successful* factorization.
     ///
-    /// `false` exactly when the last [`Cholesky::refactor`] failed; retry
-    /// loops that boost regularization must check this (or rely on the
-    /// solve methods' panic) before reusing the factor.
+    /// `false` before the first [`Cholesky::refactor`] of an
+    /// [`Cholesky::unfactored`] workspace, and exactly when the last
+    /// refactor failed; retry loops that boost regularization must check
+    /// this (or rely on the solve methods' panic) before reusing the factor.
     pub fn is_valid(&self) -> bool {
         self.valid
-    }
-
-    /// Borrows the lower-triangular factor `L`.
-    pub fn l(&self) -> &Matrix {
-        &self.l
     }
 
     /// Solves `A x = b`.
@@ -181,137 +196,56 @@ impl Cholesky {
 
     /// Solves `A x = b` in place.
     ///
+    /// Both sweeps read rows of `Lᵀ`. The forward sweep runs column by
+    /// column: once `y_k` is final, column `k` of `L` is subtracted from
+    /// the later entries in one axpy, and entry `i` still sees
+    /// `b_i − l_i0·y_0 − … − l_i,i−1·y_i−1` in that order. The backward
+    /// sweep stays a dot product per row: a column sweep would subtract in
+    /// the reverse order and change the bits.
+    ///
     /// # Panics
     ///
-    /// Panics if `b.len() != dim()` or if the last refactor failed
+    /// Panics if `b.len() != dim()` or if the factor is invalid
     /// ([`Cholesky::is_valid`] is `false`).
     pub fn solve_in_place(&self, b: &mut Vector) {
-        self.solve_slice_in_place(b.as_mut_slice());
-    }
-
-    /// [`Cholesky::solve_in_place`] on a raw slice, so callers holding a
-    /// long concatenated vector (block-diagonal solves) can solve one block
-    /// without copying it out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != dim()` or if the last refactor failed.
-    pub fn solve_slice_in_place(&self, b: &mut [f64]) {
         assert!(
             self.valid,
             "cholesky solve: factor is invalid (last refactor failed); refactor before solving"
         );
         let n = self.dim();
         assert_eq!(b.len(), n, "cholesky solve: rhs length {}", b.len());
+        let b = b.as_mut_slice();
         // Forward: L y = b.
-        for i in 0..n {
-            let mut s = b[i];
-            let row = self.l.row(i);
-            for (k, lik) in row.iter().enumerate().take(i) {
-                s -= lik * b[k];
+        for k in 0..n {
+            let row = self.lt.row(k);
+            let yk = b[k] / row[k];
+            b[k] = yk;
+            for (x, &lik) in b[k + 1..].iter_mut().zip(&row[k + 1..]) {
+                *x -= lik * yk;
             }
-            b[i] = s / row[i];
         }
         // Backward: Lᵀ x = y.
         for i in (0..n).rev() {
+            let row = self.lt.row(i);
             let mut s = b[i];
-            for (k, &bk) in b.iter().enumerate().take(n).skip(i + 1) {
-                s -= self.l[(k, i)] * bk;
+            for (&lki, &xk) in row[i + 1..].iter().zip(&b[i + 1..]) {
+                s -= lki * xk;
             }
-            b[i] = s / self.l[(i, i)];
-        }
-    }
-
-    /// Writes `A⁻¹` into `out`.
-    ///
-    /// Column `j` of the result is bit-for-bit what
-    /// [`Cholesky::solve_in_place`] returns for the unit vector `e_j`:
-    /// every entry sees the same operations in the same order. The
-    /// substitutions of all columns run in lockstep, though — starting
-    /// from `X = I`, row `i` of `X` is updated from the finished rows with
-    /// one scalar of `L` across all columns at once — so the inner loop
-    /// carries `dim` independent dependency chains instead of one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is not `dim × dim` or if the last refactor failed.
-    pub fn inverse_into(&self, out: &mut Matrix) {
-        assert!(
-            self.valid,
-            "cholesky inverse: factor is invalid (last refactor failed); refactor before solving"
-        );
-        let n = self.dim();
-        assert_eq!(
-            (out.rows(), out.cols()),
-            (n, n),
-            "cholesky inverse: output shape"
-        );
-        // Forward, L Y = I: Y_i = (e_i − Σ_{k<i} L_ik Y_k) / L_ii. Row k
-        // of Y is +0 past column k, and subtracting L_ik·(+0) leaves an
-        // entry unchanged (an entry being reduced here is never −0), so
-        // each update stops at column k and the division at column i.
-        for i in 0..n {
-            let l_row = self.l.row(i);
-            let (done, x_i, _) = out.split_row_mut(i);
-            x_i.fill(0.0);
-            x_i[i] = 1.0;
-            for (k, &lik) in l_row[..i].iter().enumerate() {
-                let y_k = &done[k * n..=k * n + k];
-                for (x, &y) in x_i.iter_mut().zip(y_k) {
-                    *x -= lik * y;
-                }
-            }
-            let lii = l_row[i];
-            for x in &mut x_i[..=i] {
-                *x /= lii;
-            }
-        }
-        // Backward, Lᵀ X = Y: X_i = (Y_i − Σ_{k>i} L_ki X_k) / L_ii.
-        for i in (0..n).rev() {
-            let (_, x_i, later) = out.split_row_mut(i);
-            for (x_k, k) in later.chunks_exact(n).zip(i + 1..n) {
-                let lki = self.l[(k, i)];
-                for (x, &y) in x_i.iter_mut().zip(x_k) {
-                    *x -= lki * y;
-                }
-            }
-            let lii = self.l[(i, i)];
-            for x in x_i.iter_mut() {
-                *x /= lii;
-            }
+            b[i] = s / row[i];
         }
     }
 
     /// Log-determinant of `A` (sum of `2 ln L_jj`).
     pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|j| 2.0 * self.l[(j, j)].ln()).sum()
+        (0..self.dim()).map(|j| 2.0 * self.lt[(j, j)].ln()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{self, barrier_block, pin_rows, spd};
     use proptest::prelude::*;
-
-    fn spd(n: usize, seed: u64) -> Matrix {
-        // Build a random SPD matrix as BᵀB + n·I with a cheap LCG.
-        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let mut b = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                b[(i, j)] = next();
-            }
-        }
-        let mut a = b.gram();
-        a.add_diag(n as f64);
-        a
-    }
 
     #[test]
     fn factor_and_solve_small_system() {
@@ -354,7 +288,7 @@ mod tests {
         let f_clean = Cholesky::factor(&a).unwrap();
         a[(0, 1)] = 999.0; // poison upper triangle
         let f_poisoned = Cholesky::factor(&a).unwrap();
-        assert_eq!(f_clean.l(), f_poisoned.l());
+        assert_eq!(f_clean.lt, f_poisoned.lt);
     }
 
     #[test]
@@ -364,7 +298,7 @@ mod tests {
         let mut f = Cholesky::factor(&a).unwrap();
         f.refactor(&b, 0.0).unwrap();
         let fresh = Cholesky::factor(&b).unwrap();
-        assert_eq!(f.l(), fresh.l());
+        assert_eq!(f.lt, fresh.lt);
         // Dimension changes are rejected, as is a non-PD refactor.
         assert!(f.refactor(&spd(4, 3), 0.0).is_err());
         let indef = Matrix::from_rows(&[&[1.0; 5]; 5].map(|r| &r[..])).unwrap();
@@ -405,7 +339,23 @@ mod tests {
         f.refactor(&good, 0.0).unwrap();
         assert!(f.is_valid());
         let fresh = Cholesky::factor(&good).unwrap();
-        assert_eq!(f.l(), fresh.l());
+        assert_eq!(f.lt, fresh.lt);
+    }
+
+    #[test]
+    fn unfactored_storage_panics_until_the_first_refactor() {
+        let mut f = Cholesky::unfactored(3);
+        assert_eq!(f.dim(), 3);
+        assert!(!f.is_valid());
+        let res =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.solve(&Vector::zeros(3))));
+        assert!(res.is_err(), "solve before any refactor must panic");
+        let a = spd(3, 41);
+        f.refactor_rowwise(&a, 0.0).unwrap();
+        assert!(f.is_valid());
+        let mut fresh = Cholesky::factor(&Matrix::identity(3)).unwrap();
+        fresh.refactor_rowwise(&a, 0.0).unwrap();
+        assert_eq!(f.lt, fresh.lt);
     }
 
     /// A barrier-scaled tridiagonal chain — diagonals from 0.084 to
@@ -476,93 +426,103 @@ mod tests {
         }
     }
 
-    /// `A⁻¹` the slow way: one [`Cholesky::solve_in_place`] per unit
-    /// vector.
-    fn inverse_by_unit_solves(f: &Cholesky) -> Matrix {
-        let n = f.dim();
-        let mut inv = Matrix::zeros(n, n);
-        let mut x = Vector::zeros(n);
-        for j in 0..n {
-            x.fill(0.0);
-            x[j] = 1.0;
-            f.solve_in_place(&mut x);
-            for r in 0..n {
-                inv[(r, j)] = x[r];
-            }
-        }
-        inv
-    }
-
-    /// A barrier-scaled location block: a tridiagonal chain whose
-    /// diagonal spans 1e-2…1e14 (log-uniform), plus a rank-one demand-row
-    /// term `w c cᵀ` with `w` from the same range. Diagonally dominant
-    /// chain + PSD term, so SPD.
-    fn barrier_block(n: usize, seed: u64) -> Matrix {
-        let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3);
-        let mut unit = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
+    /// Factors `a` both ways — right-looking [`Cholesky::refactor_rowwise`]
+    /// (`rowwise`) or [`Cholesky::refactor`], and the left-looking oracle
+    /// with the matching pivot test — and asserts the same outcome: the
+    /// same failing pivot, or the same factor and the same solve of `b`,
+    /// bit for bit.
+    fn assert_matches_left_looking(a: &Matrix, reg: f64, rowwise: bool, b: &[f64]) {
+        let n = a.rows();
+        let mut f = Cholesky::unfactored(n);
+        let tol = a.norm_inf().max(reg).max(1.0) * 1e-14;
+        let (got, want) = if rowwise {
+            (
+                f.refactor_rowwise(a, reg),
+                oracle::factor(a, reg, |ajj| ajj * 1e-14),
+            )
+        } else {
+            (f.refactor(a, reg), oracle::factor(a, reg, |_| tol))
         };
-        let diag: Vec<f64> = (0..n).map(|_| 10f64.powf(-2.0 + 16.0 * unit())).collect();
-        let mut a = Matrix::zeros(n, n);
-        for i in 0..n {
-            a[(i, i)] = diag[i];
-            if i + 1 < n {
-                let off = -0.4 * unit() * diag[i].min(diag[i + 1]);
-                a[(i, i + 1)] = off;
-                a[(i + 1, i)] = off;
+        let l = match (got, want) {
+            (Ok(()), Ok(l)) => l,
+            (Err(e), Err(o)) => {
+                assert_eq!(e, o, "n = {n}");
+                return;
             }
-        }
-        let w = 10f64.powf(-2.0 + 16.0 * unit());
-        let c: Vec<f64> = (0..n)
-            .map(|_| [0.0, 1.0, -1.0][(unit() * 3.0) as usize])
-            .collect();
+            (got, want) => panic!("n = {n}: right-looking {got:?}, left-looking {want:?}"),
+        };
         for i in 0..n {
             for j in 0..n {
-                a[(i, j)] += c[i] * c[j] * w;
+                assert_eq!(
+                    f.lt[(j, i)].to_bits(),
+                    l[(i, j)].to_bits(),
+                    "L[{i}][{j}] of an {n}x{n} matrix"
+                );
             }
         }
-        a
+        let mut x = Vector::from(b.to_vec());
+        f.solve_in_place(&mut x);
+        let mut y = b.to_vec();
+        oracle::forward(&l, &mut y);
+        oracle::backward(&l, &mut y);
+        for i in 0..n {
+            assert_eq!(x[i].to_bits(), y[i].to_bits(), "x[{i}], n = {n}");
+        }
     }
 
-    /// Turns every row `i` with `pins >> (i % 64) & 1` set into a
-    /// decoupled identity row, as the solver does for pinned slots.
-    fn pin_rows(a: &mut Matrix, pins: u64) {
-        let n = a.rows();
-        for r in (0..n).filter(|r| pins >> (r % 64) & 1 == 1) {
-            for c in 0..n {
-                a[(r, c)] = 0.0;
-                a[(c, r)] = 0.0;
-            }
-            a[(r, r)] = 1.0;
-        }
+    /// Right-hand side with entries of both signs and several scales.
+    fn rhs(n: usize, seed: u64) -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i as u64 * 7 + seed) % 13) as f64 - 6.0)
+            .map(|v| v * 10f64.powi((seed as i32 + v as i32).rem_euclid(9) - 4))
+            .collect()
     }
 
     #[test]
-    fn inverse_into_inverts() {
-        let a = spd(6, 3);
-        let f = Cholesky::factor(&a).unwrap();
-        let mut inv = Matrix::zeros(6, 6);
-        f.inverse_into(&mut inv);
-        let eye = a.matmul(&inv);
-        for i in 0..6 {
-            for j in 0..6 {
-                let want = if i == j { 1.0 } else { 0.0 };
-                assert!((eye[(i, j)] - want).abs() < 1e-12, "A·A⁻¹[{i}][{j}]");
-            }
+    fn right_looking_matches_left_looking_up_to_n_400() {
+        for (n, seed) in [(100, 3), (250, 5), (400, 7)] {
+            let b = rhs(n, seed);
+            assert_matches_left_looking(&spd(n, seed), 0.0, false, &b);
+            assert_matches_left_looking(&spd(n, seed), 1e-9, true, &b);
+            let mut a = barrier_block(n, seed);
+            pin_rows(&mut a, 0x0123_4567_89ab_cdef);
+            assert_matches_left_looking(&a, 0.0, true, &b);
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The lockstep inverse equals the unit-vector solves bit for bit
-        /// on random SPD matrices, barrier-scaled blocks and blocks with
-        /// pinned identity rows.
+        /// The right-looking factor and the column-sweep solve equal the
+        /// left-looking oracle bit for bit on random SPD matrices,
+        /// barrier-scaled blocks (some failing the pivot test), blocks with
+        /// pinned identity rows and the indefinite all-ones matrix, under
+        /// both pivot tests.
         #[test]
-        fn prop_inverse_into_matches_unit_solves_bitwise(
+        fn prop_right_looking_matches_left_looking_bitwise(
+            seed in 0u64..1_000_000,
+            n in 1usize..60,
+            kind in 0u8..5,
+            pins in 0u64..u64::MAX,
+            rowwise in 0u8..2,
+        ) {
+            let mut a = match kind {
+                0 => spd(n, seed),
+                4 => Matrix::from_vec(n, n, vec![1.0; n * n]).unwrap(),
+                _ => barrier_block(n, seed),
+            };
+            if kind == 2 || kind == 3 {
+                pin_rows(&mut a, pins);
+            }
+            let reg = if kind == 3 { 1e-6 * a.norm_inf() } else { 0.0 };
+            assert_matches_left_looking(&a, reg, rowwise == 1, &rhs(n, seed));
+        }
+
+        /// The oracle's lockstep inverse equals the unit-vector solves bit
+        /// for bit on random SPD matrices, barrier-scaled blocks and blocks
+        /// with pinned identity rows.
+        #[test]
+        fn prop_lockstep_inverse_matches_unit_solves_bitwise(
             seed in 0u64..1_000_000,
             n in 1usize..25,
             kind in 0u8..4,
@@ -578,19 +538,20 @@ mod tests {
             // A heavy demand-row term can cancel a pivot below its row's
             // round-off; the solver then boosts regularization, and so
             // does this test.
-            let mut f = Cholesky::factor(&Matrix::identity(n)).unwrap();
-            if f.refactor_rowwise(&a, 0.0).is_err() {
-                f.refactor_rowwise(&a, 1e-6 * a.norm_inf()).unwrap();
-            }
-            let want = inverse_by_unit_solves(&f);
-            // Stale contents must not leak into the result.
-            let mut got = Matrix::from_vec(n, n, vec![f64::NAN; n * n]).unwrap();
-            f.inverse_into(&mut got);
-            for r in 0..n {
-                for c in 0..n {
+            let l = oracle::factor(&a, 0.0, |ajj| ajj * 1e-14)
+                .or_else(|_| oracle::factor(&a, 1e-6 * a.norm_inf(), |ajj| ajj * 1e-14))
+                .unwrap();
+            let got = oracle::inverse(&l);
+            let mut x = vec![0.0; n];
+            for c in 0..n {
+                x.fill(0.0);
+                x[c] = 1.0;
+                oracle::forward(&l, &mut x);
+                oracle::backward(&l, &mut x);
+                for r in 0..n {
                     prop_assert_eq!(
                         got[(r, c)].to_bits(),
-                        want[(r, c)].to_bits(),
+                        x[r].to_bits(),
                         "entry ({}, {}) of a {}x{} kind-{} matrix",
                         r, c, n, n, kind
                     );

@@ -8,6 +8,10 @@
 //!   matrix–vector and matrix–matrix products, norms).
 //! * [`Cholesky`]: factorization of symmetric positive-definite matrices,
 //!   used for the Newton systems of the QP solvers.
+//! * [`CholeskyLanes`]: [`LANES`] small SPD matrices of one dimension
+//!   factored, inverted and solved side by side, each lane bit-identical
+//!   to [`Cholesky`] on its matrix alone — the location blocks of the
+//!   structured KKT path.
 //! * [`SchurComplement`]: a dense Schur-system workspace for the
 //!   structure-exploiting KKT path every placement solve takes. It tests
 //!   each pivot against its own row's scale
@@ -37,14 +41,18 @@
 
 mod cholesky;
 mod error;
+mod lanes;
 mod ldlt;
 mod matrix;
+#[cfg(test)]
+mod oracle;
 mod qr;
 mod schur;
 mod vector;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
+pub use lanes::{CholeskyLanes, Lanes, LANES};
 pub use ldlt::Ldlt;
 pub use matrix::Matrix;
 pub use qr::Qr;

@@ -134,17 +134,10 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Row `i` mutably, beside the rows before and after it (flat,
-    /// row-major): for kernels that update one row from others.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows`.
-    pub(crate) fn split_row_mut(&mut self, i: usize) -> (&[f64], &mut [f64], &[f64]) {
-        assert!(i < self.rows, "row {i} out of bounds ({} rows)", self.rows);
-        let (before, rest) = self.data.split_at_mut(i * self.cols);
-        let (row, after) = rest.split_at_mut(self.cols);
-        (before, row, after)
+    /// All entries, flat and row-major: for kernels that update rows from
+    /// one another.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 
     /// Copies column `j` into a new vector.

@@ -46,7 +46,7 @@ impl SchurComplement {
     pub fn new(dim: usize) -> Self {
         SchurComplement {
             mat: Matrix::zeros(dim, dim),
-            chol: Cholesky::factor(&Matrix::identity(dim)).expect("identity is PD"),
+            chol: Cholesky::unfactored(dim),
             fill: 0.0,
             valid: false,
         }
@@ -75,6 +75,8 @@ impl SchurComplement {
     }
 
     /// Mutable access to the accumulation matrix for custom assembly loops.
+    /// [`SchurComplement::refactor`] reads only its lower triangle, so a
+    /// loop may assemble that alone.
     pub fn matrix_mut(&mut self) -> &mut Matrix {
         self.valid = false;
         &mut self.mat
@@ -111,6 +113,8 @@ impl SchurComplement {
     /// Fraction of structurally nonzero entries in `S` at the last
     /// [`SchurComplement::refactor`] (1.0 for a fully dense system, 0.0
     /// for an empty one) — exported as the `solver.lq.schur_fill` gauge.
+    /// Counted on the lower triangle, the part the factorization reads,
+    /// with each off-diagonal nonzero standing for its mirror too.
     pub fn fill_ratio(&self) -> f64 {
         self.fill
     }
@@ -147,11 +151,9 @@ impl SchurComplement {
         let n = self.mat.rows();
         let mut nnz = 0usize;
         for i in 0..n {
-            for j in 0..n {
-                if self.mat[(i, j)] != 0.0 {
-                    nnz += 1;
-                }
-            }
+            let row = &self.mat.row(i)[..=i];
+            let off = row[..i].iter().filter(|&&v| v != 0.0).count();
+            nnz += 2 * off + usize::from(row[i] != 0.0);
         }
         nnz
     }

@@ -8,7 +8,7 @@ type SeriesMap = BTreeMap<String, Vec<(f64, f64)>>;
 /// A thread-safe collector of named numeric series.
 ///
 /// The experiments crate runs parameter sweeps on scoped threads
-/// (`crossbeam`), each thread pushing its `(parameter, value)` results into
+/// (`std::thread::scope`), each thread pushing its `(parameter, value)` results into
 /// a shared recorder; the main thread then drains everything in
 /// deterministic (sorted-key) order for the CSV writers.
 ///
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn collects_across_threads() {
         let rec = SharedRecorder::new();
-        crossbeam_like_scope(&rec);
+        push_from_scoped_threads(&rec);
         let s = rec.series("w");
         assert_eq!(s.len(), 8);
         // Sorted by x regardless of insertion thread.
@@ -123,9 +123,7 @@ mod tests {
         assert_eq!(rec.names(), vec!["w".to_string()]);
     }
 
-    /// Plain std threads suffice here; crossbeam is exercised by the
-    /// experiments crate.
-    fn crossbeam_like_scope(rec: &SharedRecorder) {
+    fn push_from_scoped_threads(rec: &SharedRecorder) {
         std::thread::scope(|s| {
             for t in 0..4 {
                 let rec = rec.clone();

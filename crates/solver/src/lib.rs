@@ -64,6 +64,7 @@ mod feasibility;
 mod flatten;
 mod ipm;
 mod lq;
+mod lq_common;
 mod lq_ipm;
 mod qp;
 mod relax;

@@ -1,5 +1,6 @@
 //! Interior-point outer loop for stage-structured LQ problems.
 
+use crate::lq_common::{classify_infeasibility, max_step_multi, trace_lq_solve};
 use crate::riccati::{RiccatiFactor, RiccatiStep};
 use crate::{IpmSettings, LqProblem, LqSolution, SolveStatus, SolverError};
 use dspp_linalg::{Matrix, Vector};
@@ -111,52 +112,6 @@ pub fn solve_lq_warm_traced(
     trace_lq_solve(telemetry, warm_us.is_some(), || {
         solve_lq_warm_inner(problem, settings, warm_us, telemetry)
     })
-}
-
-/// Shared metrics wrapper for both LQ interior-point paths (the dense
-/// Riccati oracle and the structured production path): counts the solve
-/// (and warm start), times it, and tallies the outcome status, so the
-/// `solver.lq.*` catalogue reads identically whichever path ran.
-pub(crate) fn trace_lq_solve(
-    telemetry: &Recorder,
-    warm: bool,
-    solve: impl FnOnce() -> Result<LqSolution, SolverError>,
-) -> Result<LqSolution, SolverError> {
-    if !telemetry.is_enabled() {
-        return solve();
-    }
-    telemetry.incr("solver.lq.solves", 1);
-    if warm {
-        telemetry.incr("solver.lq.warm_starts", 1);
-    }
-    let t0 = Instant::now();
-    let result = solve();
-    telemetry.observe_duration("solver.lq.solve_seconds", t0.elapsed());
-    match &result {
-        Ok(sol) => {
-            let status = match sol.status {
-                SolveStatus::Optimal => "solver.lq.status.optimal",
-                SolveStatus::AlmostOptimal => "solver.lq.status.almost_optimal",
-            };
-            telemetry.incr(status, 1);
-            telemetry.observe("solver.lq.iterations", sol.iterations as f64);
-        }
-        Err(err) => {
-            let status = match err {
-                SolverError::MaxIterations { .. } => "solver.lq.status.max_iterations",
-                SolverError::NumericalFailure(_) => "solver.lq.status.numerical_failure",
-                SolverError::Infeasible { .. } => {
-                    // Headline series (docs/OBSERVABILITY.md, "Feasibility
-                    // and recovery"): certified-infeasible solves.
-                    telemetry.incr("solver.infeasible", 1);
-                    "solver.lq.status.infeasible"
-                }
-                _ => "solver.lq.status.invalid_problem",
-            };
-            telemetry.incr(status, 1);
-        }
-    }
-    result
 }
 
 fn solve_lq_warm_inner(
@@ -729,39 +684,6 @@ fn accept_degraded(
     }
 }
 
-/// Farkas-style exit classification shared by the divergence,
-/// step-collapse, and iteration-exhaustion exits.
-///
-/// `best_violation` is the least-violated iterate's worst row
-/// `(slot, row, violation, relative violation)`: if even that iterate left
-/// a row violated beyond the loose feasibility tolerance *relative to the
-/// row's own right-hand side*, no iterate ever approached the constraint
-/// set. (Row-relative scaling matters: a single huge entry elsewhere —
-/// e.g. a 1e9 "uncapacitated" sentinel — must not drown out a genuinely
-/// violated demand row.) Combined with `diverged` — the step length
-/// collapsed, iterates blew up to non-finite values, or the inequality
-/// multipliers exceeded `1e6` — this is the practical Farkas certificate:
-/// normalizing the huge multipliers makes the cost gradient in the
-/// stationarity residual negligible, so they approximately satisfy
-/// `Cᵀy ⊥ dynamics, y ≥ 0` while pricing the violated row reported in the
-/// error.
-pub(crate) fn classify_infeasibility(
-    best_violation: (usize, usize, f64, f64),
-    settings: &IpmSettings,
-    diverged: bool,
-) -> Option<SolverError> {
-    let loose = 1e4;
-    let (period, constraint, shortfall, relative) = best_violation;
-    if !diverged || !relative.is_finite() || relative <= loose * settings.tol_feasibility {
-        return None;
-    }
-    Some(SolverError::Infeasible {
-        period,
-        constraint,
-        shortfall,
-    })
-}
-
 /// Builds the modified gradients for a given complementarity residual
 /// `r_cs` and solves the Newton system into preallocated outputs
 /// (`step`, `dss`, `dzs`); `ts`, `q_hats`, `r_hats`, and `cons` are
@@ -875,18 +797,6 @@ fn worst_violation_row(
         }
     }
     worst
-}
-
-pub(crate) fn max_step_multi(vs: &[Vector], dvs: &[Vector]) -> f64 {
-    let mut alpha: f64 = 1.0;
-    for (v, dv) in vs.iter().zip(dvs) {
-        for i in 0..v.len() {
-            if dv[i] < 0.0 {
-                alpha = alpha.min(-v[i] / dv[i]);
-            }
-        }
-    }
-    alpha
 }
 
 #[cfg(test)]

@@ -111,8 +111,7 @@ impl RiccatiFactor {
         let mut kappas = Vec::with_capacity(nstages);
         for st in &problem.stages {
             let mu = st.input_dim();
-            // Identity placeholder: sized storage only; `refactor` overwrites.
-            f_chols.push(Cholesky::factor(&Matrix::identity(mu)).expect("identity is PD"));
+            f_chols.push(Cholesky::unfactored(mu));
             ks.push(Matrix::zeros(mu, n));
             hs.push(Matrix::zeros(mu, n));
             ats.push(st.a.transpose());

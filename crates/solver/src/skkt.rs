@@ -62,10 +62,10 @@
 //! and a fixed number of refinement passes leaves too much error in the
 //! direction for the iterates to stay on the central path.
 
-use crate::lq_ipm::{classify_infeasibility, max_step_multi, trace_lq_solve};
+use crate::lq_common::{classify_infeasibility, max_step_multi, trace_lq_solve};
 use crate::structured::StructuredLq;
 use crate::{IpmSettings, LqSolution, RelaxedSolution, SoftSpec, SolveStatus, SolverError};
-use dspp_linalg::{Cholesky, LinalgError, Matrix, SchurComplement, Vector};
+use dspp_linalg::{CholeskyLanes, Lanes, LinalgError, SchurComplement, Vector, LANES};
 use dspp_telemetry::{AttrValue, Recorder};
 use std::time::Instant;
 
@@ -79,14 +79,6 @@ const MAX_REFINEMENT_PASSES: usize = 10;
 /// floating point cannot go below.
 const ROUND_OFF: f64 = 16.0 * f64::EPSILON;
 
-fn zero_mat(m: &mut Matrix) {
-    for i in 0..m.rows() {
-        for v in m.row_mut(i) {
-            *v = 0.0;
-        }
-    }
-}
-
 /// One location block of `H_A = T + G_Aᵀ W_A G_A`: the chains of the
 /// arcs one group-A (demand) row covers, plus that row's barrier term
 /// (arcs in no group-A row form singleton blocks without a row).
@@ -95,25 +87,39 @@ struct Block {
     arcs: Vec<usize>,
     /// The group-A row and its coefficient on each local arc.
     row: Option<(usize, Vec<f64>)>,
-    /// The assembled block, its factor and its explicit inverse (zero on
-    /// pinned rows and columns).
-    h: Matrix,
-    chol: Cholesky,
-    inv: Matrix,
-    /// Gather/scatter scratch of the block dimension.
-    x: Vector,
+    /// The batch holding the block, and its lane there.
+    batch: usize,
+    lane: usize,
 }
 
-impl Block {
-    fn new(arcs: Vec<usize>, row: Option<(usize, Vec<f64>)>, w: usize) -> Self {
-        let dim = arcs.len() * w;
-        Block {
-            arcs,
-            row,
-            h: Matrix::zeros(dim, dim),
-            chol: Cholesky::factor(&Matrix::identity(dim)).expect("identity is PD"),
-            inv: Matrix::zeros(dim, dim),
-            x: Vector::zeros(dim),
+/// Up to [`LANES`] location blocks of one dimension, assembled, factored,
+/// inverted and solved side by side. The lanes of a partial batch stay the
+/// identity and are never scattered.
+struct Batch {
+    /// The blocks in lanes `0..blocks.len()`.
+    blocks: Vec<usize>,
+    /// The assembled blocks and their factors.
+    chol: CholeskyLanes,
+    /// Lower triangle of each block's inverse (zero on pinned rows and
+    /// columns).
+    inv: Vec<Lanes>,
+    /// Gather/scatter scratch of the block dimension, and the residual's
+    /// `H_v x` and `|H_v||x|`.
+    x: Vec<Lanes>,
+    hx: Vec<Lanes>,
+    abs: Vec<Lanes>,
+}
+
+impl Batch {
+    fn new(blocks: Vec<usize>, dim: usize) -> Self {
+        let lanes = || vec![[0.0; LANES]; dim];
+        Batch {
+            blocks,
+            chol: CholeskyLanes::new(dim),
+            inv: vec![[0.0; LANES]; dim * dim],
+            x: lanes(),
+            hx: lanes(),
+            abs: lanes(),
         }
     }
 }
@@ -135,6 +141,8 @@ struct SchurKkt {
     /// Per arc: the single-arc rows touching it (row index, coefficient).
     diag_by_arc: Vec<Vec<(usize, f64)>>,
     blocks: Vec<Block>,
+    /// The blocks grouped by dimension, in block order within a dimension.
+    batches: Vec<Batch>,
     /// Inverse barrier weight `D = W_B⁻¹` per capacity row and slot (one
     /// on vacuous rows).
     dcap: Vector,
@@ -158,29 +166,49 @@ impl SchurKkt {
             diag_by_arc[dr.arc].push((dr.row, dr.coeff));
         }
         let mut covered = vec![false; n];
+        let block = |arcs, row| Block {
+            arcs,
+            row,
+            batch: 0,
+            lane: 0,
+        };
         let mut blocks: Vec<Block> = slq
             .group_a
             .iter()
+            .filter(|cr| !cr.entries.is_empty())
             .map(|cr| {
                 for &(e, _) in &cr.entries {
                     covered[e] = true;
                 }
-                Block::new(
+                block(
                     cr.entries.iter().map(|&(e, _)| e).collect(),
                     Some((cr.row, cr.entries.iter().map(|&(_, c)| c).collect())),
-                    w,
                 )
             })
             .collect();
         blocks.extend(
             (0..n)
                 .filter(|&e| !covered[e])
-                .map(|e| Block::new(vec![e], None, w)),
+                .map(|e| block(vec![e], None)),
         );
+        let sizes: Vec<usize> = blocks.iter().map(|b| b.arcs.len()).collect();
+        let mut order: Vec<usize> = (0..blocks.len()).collect();
+        order.sort_by_key(|&b| sizes[b]);
+        let mut batches = Vec::new();
+        for same_dim in order.chunk_by(|&a, &b| sizes[a] == sizes[b]) {
+            for lanes in same_dim.chunks(LANES) {
+                for (lane, &b) in lanes.iter().enumerate() {
+                    blocks[b].batch = batches.len();
+                    blocks[b].lane = lane;
+                }
+                batches.push(Batch::new(lanes.to_vec(), sizes[lanes[0]] * w));
+            }
+        }
         SchurKkt {
             w,
             diag_by_arc,
             blocks,
+            batches,
             dcap: Vector::zeros(nb * w),
             s_cap: SchurComplement::new(nb * w),
             corr: Vector::zeros(n * w),
@@ -200,7 +228,7 @@ impl SchurKkt {
 
     /// Largest location-block dimension.
     fn block_dim(&self) -> usize {
-        self.blocks.iter().map(|b| b.x.len()).max().unwrap_or(0)
+        self.batches.iter().map(|b| b.chol.dim()).max().unwrap_or(0)
     }
 
     /// Zeroes the pinned entries of an arc-major vector.
@@ -224,63 +252,82 @@ impl SchurKkt {
         reg: f64,
     ) -> Result<(), LinalgError> {
         let w = self.w;
-        for blk in &mut self.blocks {
-            let h = &mut blk.h;
-            zero_mat(h);
-            // Chains: Σ_k R̃_k (y_{k+1} − y_k)² plus the single-arc rows'
-            // barrier terms on the diagonal.
-            for (p, &e) in blk.arcs.iter().enumerate() {
-                let o = p * w;
-                #[allow(clippy::needless_range_loop)] // `k` is a stage index into several arrays
-                for k in 1..=w {
-                    let i = o + k - 1;
-                    let mut d = rt[k - 1][e];
-                    if k < w {
-                        let r_next = rt[k][e];
-                        d += r_next;
-                        h[(i, i + 1)] = -r_next;
-                        h[(i + 1, i)] = -r_next;
-                    }
-                    for &(row, c) in &self.diag_by_arc[e] {
-                        d += wm[k][row] * c * c;
-                    }
-                    h[(i, i)] = d;
+        // The first failing block in block order, as a block-by-block loop
+        // would report it.
+        let mut failed: Option<(usize, LinalgError)> = None;
+        for batch in &mut self.batches {
+            let dim = batch.chol.dim();
+            let h = batch.chol.matrix_mut();
+            for (lane, blk) in batch.blocks.iter().map(|&b| &self.blocks[b]).enumerate() {
+                for entry in h.iter_mut() {
+                    entry[lane] = 0.0;
                 }
-            }
-            // The location's demand row, slot by slot.
-            if let Some((row, coeffs)) = &blk.row {
-                for i in 0..w {
-                    let weight = wm[i + 1][*row];
-                    for (p, &cp) in coeffs.iter().enumerate() {
-                        for (q, &cq) in coeffs.iter().enumerate() {
-                            h[(p * w + i, q * w + i)] += cp * cq * weight;
+                // Chains: Σ_k R̃_k (y_{k+1} − y_k)² plus the single-arc rows'
+                // barrier terms on the diagonal.
+                for (p, &e) in blk.arcs.iter().enumerate() {
+                    let o = p * w;
+                    // `k` is a stage index into several arrays.
+                    #[allow(clippy::needless_range_loop)]
+                    for k in 1..=w {
+                        let i = o + k - 1;
+                        let mut d = rt[k - 1][e];
+                        if k < w {
+                            let r_next = rt[k][e];
+                            d += r_next;
+                            h[i * dim + i + 1][lane] = -r_next;
+                            h[(i + 1) * dim + i][lane] = -r_next;
+                        }
+                        for &(row, c) in &self.diag_by_arc[e] {
+                            d += wm[k][row] * c * c;
+                        }
+                        h[i * dim + i][lane] = d;
+                    }
+                }
+                // The location's demand row, slot by slot.
+                if let Some((row, coeffs)) = &blk.row {
+                    for i in 0..w {
+                        let weight = wm[i + 1][*row];
+                        for (p, &cp) in coeffs.iter().enumerate() {
+                            for (q, &cq) in coeffs.iter().enumerate() {
+                                h[(p * w + i) * dim + q * w + i][lane] += cp * cq * weight;
+                            }
+                        }
+                    }
+                }
+                // A pinned slot is a decoupled identity row.
+                for (p, &e) in blk.arcs.iter().enumerate() {
+                    for i in 0..w {
+                        if slq.pinned[e * w + i] {
+                            let r = p * w + i;
+                            for c in 0..dim {
+                                h[r * dim + c][lane] = 0.0;
+                                h[c * dim + r][lane] = 0.0;
+                            }
+                            h[r * dim + r][lane] = 1.0;
                         }
                     }
                 }
             }
-            // A pinned slot is a decoupled identity row.
-            let dim = h.rows();
-            for (p, &e) in blk.arcs.iter().enumerate() {
-                for i in 0..w {
-                    if slq.pinned[e * w + i] {
-                        let r = p * w + i;
-                        for c in 0..dim {
-                            h[(r, c)] = 0.0;
-                            h[(c, r)] = 0.0;
+            if let Err((lane, e)) = batch.chol.refactor_rowwise() {
+                let b = batch.blocks[lane];
+                if failed.as_ref().is_none_or(|&(first, _)| b < first) {
+                    failed = Some((b, e));
+                }
+                continue;
+            }
+            batch.chol.inverse_lower_into(&mut batch.inv);
+            for (lane, blk) in batch.blocks.iter().map(|&b| &self.blocks[b]).enumerate() {
+                for (p, &e) in blk.arcs.iter().enumerate() {
+                    for i in 0..w {
+                        if slq.pinned[e * w + i] {
+                            batch.inv[(p * w + i) * dim + p * w + i][lane] = 0.0;
                         }
-                        h[(r, r)] = 1.0;
                     }
                 }
             }
-            blk.chol.refactor_rowwise(h, 0.0)?;
-            blk.chol.inverse_into(&mut blk.inv);
-            for (p, &e) in blk.arcs.iter().enumerate() {
-                for i in 0..w {
-                    if slq.pinned[e * w + i] {
-                        blk.inv[(p * w + i, p * w + i)] = 0.0;
-                    }
-                }
-            }
+        }
+        if let Some((_, e)) = failed {
+            return Err(e);
         }
         // S_B = W_B⁻¹ + Σ_v G_B H_v⁻¹ G_Bᵀ; a vacuous row (all arcs
         // pinned, so decoupled) gets an identity entry.
@@ -297,8 +344,16 @@ impl SchurKkt {
                 self.s_cap.add_diag_entry(j, self.dcap[j]);
             }
         }
+        // Only S_B's lower triangle, all its factor reads. Builders
+        // enumerate arcs data-center-major, so a block's arcs ascend in
+        // capacity row and that triangle draws on the lower triangle of
+        // each block inverse alone; a hand-built block with other orders
+        // reads an entry's mirror.
         let s = self.s_cap.matrix_mut();
         for blk in &self.blocks {
+            let batch = &self.batches[blk.batch];
+            let dim = batch.chol.dim();
+            let inv = |r: usize, c: usize| batch.inv[r.max(c) * dim + r.min(c)][blk.lane];
             for (p, &ep) in blk.arcs.iter().enumerate() {
                 let (lp, cp) = slq.arc_b[ep];
                 if lp == crate::structured::NO_ROW {
@@ -306,13 +361,15 @@ impl SchurKkt {
                 }
                 for (q, &eq) in blk.arcs.iter().enumerate() {
                     let (lq, cq) = slq.arc_b[eq];
-                    if lq == crate::structured::NO_ROW {
+                    if lq == crate::structured::NO_ROW || lq > lp {
                         continue;
                     }
                     let c = cp * cq;
                     for i in 0..w {
-                        for j in 0..w {
-                            s[(lp * w + i, lq * w + j)] += c * blk.inv[(p * w + i, q * w + j)];
+                        let row = s.row_mut(lp * w + i);
+                        let cols = if lq == lp { i + 1 } else { w };
+                        for (j, x) in row[lq * w..lq * w + cols].iter_mut().enumerate() {
+                            *x += c * inv(p * w + i, q * w + j);
                         }
                     }
                 }
@@ -321,21 +378,36 @@ impl SchurKkt {
         self.s_cap.refactor(reg)
     }
 
-    /// `v ← H_A⁻¹ v`, block by block.
+    /// Copies each block's entries of the arc-major `v` into its lane of
+    /// its batch's `x`.
+    fn gather(blocks: &[Block], w: usize, batch: &mut Batch, v: &Vector) {
+        for (lane, &b) in batch.blocks.iter().enumerate() {
+            for (p, &e) in blocks[b].arcs.iter().enumerate() {
+                for i in 0..w {
+                    batch.x[p * w + i][lane] = v[e * w + i];
+                }
+            }
+        }
+    }
+
+    /// Copies lane by lane `from` back into each block's entries of `v`.
+    fn scatter(blocks: &[Block], w: usize, batch: &Batch, from: &[Lanes], v: &mut Vector) {
+        for (lane, &b) in batch.blocks.iter().enumerate() {
+            for (p, &e) in blocks[b].arcs.iter().enumerate() {
+                for i in 0..w {
+                    v[e * w + i] = from[p * w + i][lane];
+                }
+            }
+        }
+    }
+
+    /// `v ← H_A⁻¹ v`, batch by batch.
     fn block_solve(&mut self, v: &mut Vector) {
         let w = self.w;
-        for blk in &mut self.blocks {
-            for (p, &e) in blk.arcs.iter().enumerate() {
-                for i in 0..w {
-                    blk.x[p * w + i] = v[e * w + i];
-                }
-            }
-            blk.chol.solve_in_place(&mut blk.x);
-            for (p, &e) in blk.arcs.iter().enumerate() {
-                for i in 0..w {
-                    v[e * w + i] = blk.x[p * w + i];
-                }
-            }
+        for batch in &mut self.batches {
+            Self::gather(&self.blocks, w, batch, v);
+            batch.chol.solve_in_place(&mut batch.x);
+            Self::scatter(&self.blocks, w, batch, &batch.x, v);
         }
     }
 
@@ -391,24 +463,13 @@ impl SchurKkt {
     fn residual(&mut self, slq: &StructuredLq, y: &Vector, u: &Vector) -> f64 {
         let w = self.w;
         // resid ← H_A y + G_Bᵀ u, corr ← |H_A||y| + |G_B|ᵀ|u|.
-        for blk in &mut self.blocks {
-            for (p, &e) in blk.arcs.iter().enumerate() {
-                blk.x.as_mut_slice()[p * w..(p + 1) * w]
-                    .copy_from_slice(&y.as_slice()[e * w..(e + 1) * w]);
-            }
-            for (p, &e) in blk.arcs.iter().enumerate() {
-                for i in 0..w {
-                    let mut acc = 0.0;
-                    let mut abs = 0.0;
-                    for (&h, &x) in blk.h.row(p * w + i).iter().zip(blk.x.as_slice()) {
-                        let hy = h * x;
-                        acc += hy;
-                        abs += hy.abs();
-                    }
-                    self.resid[e * w + i] = acc;
-                    self.corr[e * w + i] = abs;
-                }
-            }
+        for batch in &mut self.batches {
+            Self::gather(&self.blocks, w, batch, y);
+            batch
+                .chol
+                .matvec_abs_into(&batch.x, &mut batch.hx, &mut batch.abs);
+            Self::scatter(&self.blocks, w, batch, &batch.hx, &mut self.resid);
+            Self::scatter(&self.blocks, w, batch, &batch.abs, &mut self.corr);
         }
         let mut omega = 0.0f64;
         let mut track = |r: f64, scale: f64| {
@@ -1593,9 +1654,7 @@ mod tests {
     /// The factorization itself: solve `H y = b` for random barrier
     /// weights and verify `H y` reconstructs `b` through the explicit
     /// definition `H = T + CᵀWC` (chain part plus full barrier part).
-    #[test]
-    fn schur_solve_satisfies_the_condensed_system() {
-        let slq = instance(2, 3, 3, 4.0, 30.0);
+    fn assert_condensed_solve(slq: &StructuredLq) {
         let (n, w, m) = (slq.n, slq.w, slq.m_rows);
         let reg = 1e-9;
         // Deterministic pseudo-random positive weights and rhs.
@@ -1612,11 +1671,11 @@ mod tests {
         }
         let rt: Vec<Vector> = (0..w).map(|k| slq.r_diags[k].map(|r| r + reg)).collect();
         let b: Vector = (0..n * w).map(|_| next() - 1.0).collect();
-        let mut kkt = SchurKkt::new(&slq);
-        kkt.refactor(&slq, &ws, &rt, reg).unwrap();
+        let mut kkt = SchurKkt::new(slq);
+        kkt.refactor(slq, &ws, &rt, reg).unwrap();
         let mut y = b.clone();
         let mut u = Vector::zeros(slq.group_b.len() * w);
-        kkt.solve_in_place(&slq, &mut y, &mut u);
+        kkt.solve_in_place(slq, &mut y, &mut u);
         // Reconstruct H y slot by slot.
         let mut worst = 0.0f64;
         let mut scratch = Vector::zeros(m);
@@ -1648,6 +1707,70 @@ mod tests {
             }
         }
         assert!(worst < 1e-8, "H y deviates from b by {worst:.3e}");
+    }
+
+    #[test]
+    fn schur_solve_satisfies_the_condensed_system() {
+        assert_condensed_solve(&instance(2, 3, 3, 4.0, 30.0));
+    }
+
+    /// `slq` with its demand rows replaced.
+    fn with_group_a(slq: &StructuredLq, group_a: Vec<CouplingRow>) -> StructuredLq {
+        StructuredLq::new(
+            slq.x0.clone(),
+            slq.q0.clone(),
+            slq.qs.clone(),
+            slq.r_diags.clone(),
+            slq.r_vecs.clone(),
+            slq.ds.clone(),
+            slq.diag_rows.clone(),
+            group_a,
+            slq.group_b.clone(),
+            slq.m_rows,
+        )
+        .unwrap()
+    }
+
+    /// Builders list a location's arcs in capacity-row order, one arc per
+    /// data center. A hand-built problem may do neither: here one demand
+    /// row lists its arcs in descending capacity row, and another covers
+    /// two arcs of each data center in mixed order (leaving an empty
+    /// row). The factorization stays exact and the solve matches the
+    /// dense oracle.
+    #[test]
+    fn hand_built_block_orders_solve_exactly() {
+        let base = instance(3, 4, 3, 4.0, 40.0);
+        let mut reversed = base.group_a.clone();
+        for row in &mut reversed {
+            row.entries.reverse();
+        }
+        let mut two_per_dc = instance(2, 2, 3, 3.0, 30.0);
+        for d in &mut two_per_dc.ds {
+            d[1] = 0.0; // `0 ≤ 0`: the emptied demand row is vacuous
+        }
+        let merged = vec![
+            CouplingRow {
+                row: 0,
+                entries: vec![(2, -1.1), (0, -1.0), (3, -1.1), (1, -1.0)],
+            },
+            CouplingRow {
+                row: 1,
+                entries: vec![],
+            },
+        ];
+        for slq in [
+            with_group_a(&base, reversed),
+            with_group_a(&two_per_dc, merged),
+        ] {
+            assert_condensed_solve(&slq);
+            let dense = solve_lq(&slq.to_lq(), &IpmSettings::default()).unwrap();
+            let structured = solve_structured(&slq, &IpmSettings::default()).unwrap();
+            assert_eq!(structured.status, SolveStatus::Optimal);
+            assert_close(structured.objective, dense.objective, 1e-8, "objective");
+            for (a, b) in structured.xs.iter().zip(&dense.xs) {
+                assert!((a - b).norm_inf() < 1e-6);
+            }
+        }
     }
 
     #[test]
@@ -1827,8 +1950,10 @@ mod tests {
         assert_eq!(bs.count, 1);
         let dd = snap.histogram("solver.lq.schur_dense_dim").unwrap();
         // 2 capacity rows × horizon 3.
-        assert_eq!(dd.count, 1);
-        assert!(snap.histogram("solver.lq.schur_fill").unwrap().count == 1);
+        assert_eq!((dd.count, dd.sum), (1, 6.0));
+        // Every location reaches both data centers: S_B is dense.
+        let fill = snap.histogram("solver.lq.schur_fill").unwrap();
+        assert_eq!((fill.count, fill.sum), (1, 1.0));
         assert!(
             snap.histogram("solver.lq.schur_factor_seconds")
                 .unwrap()
@@ -1839,6 +1964,14 @@ mod tests {
         let passes = snap.histogram("solver.lq.refinement_passes").unwrap();
         assert_eq!(passes.count, 2 * sol.iterations as u64);
         assert!(snap.histogram("solver.lq.riccati_factor_seconds").is_none());
+        // With data center 1 dark in slots 2 and 3 of 4, its two vacuous
+        // capacity rows keep only their diagonal entries: 64 − 26 of 64.
+        let telemetry = Recorder::enabled();
+        let slq = with_outage(instance(2, 3, 4, 4.0, 30.0), 3, 1, &[2, 3]);
+        solve_structured_warm_traced(&slq, &IpmSettings::default(), None, &telemetry).unwrap();
+        let snap = telemetry.snapshot().unwrap();
+        let fill = snap.histogram("solver.lq.schur_fill").unwrap();
+        assert_eq!((fill.count, fill.sum), (1, 38.0 / 64.0));
     }
 
     proptest! {

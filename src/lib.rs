@@ -12,7 +12,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`linalg`] | `dspp-linalg` | dense vectors/matrices, Cholesky/LDLᵀ/QR, Schur-complement workspace |
+//! | [`linalg`] | `dspp-linalg` | dense vectors/matrices, Cholesky (single and lane-batched), LDLᵀ, QR, Schur-complement workspace |
 //! | [`solver`] | `dspp-solver` | structured KKT interior point (every placement solve); dense QP and Riccati LQ interior points as its oracles |
 //! | [`topology`] | `dspp-topology` | transit–stub graphs, Dijkstra, US cities |
 //! | [`workload`] | `dspp-workload` | diurnal Poisson demand, flash crowds |

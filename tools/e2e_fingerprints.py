@@ -13,13 +13,21 @@ prints one line per run:
 The fingerprint pins every decision's solver iterations and recoveries, the
 game rounds, the ingest event counts and the exact bits of the cost and
 served share, so two builds that print the same lines made the same
-decisions bit for bit. That is the bit-identity check for performance
-changes: save the lines of the parent commit, then compare the change
-against them.
+decisions bit for bit. An episode is a fixed number of periods, so the
+lines do not depend on the host's speed.
+
+`results/e2e_fingerprints.txt` holds the lines for seeds 1 and 5, and CI
+compares every build against it:
+
+    python3 tools/e2e_fingerprints.py --seeds 1,5 --compare results/e2e_fingerprints.txt
+
+A change that moves a decision must commit the new lines, so the move is
+a reviewed diff. A performance change must move none: compare it against
+that file, and on further seeds against the parent commit's lines.
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
-    python3 tools/e2e_fingerprints.py --root ../parent > parent.txt
-    python3 tools/e2e_fingerprints.py --compare parent.txt
+    python3 tools/e2e_fingerprints.py --root ../parent --seeds 13 > parent.txt
+    python3 tools/e2e_fingerprints.py --seeds 13 --compare parent.txt
 
 `--root` runs the benchmark of another checkout (default: this one).
 `--compare FILE` exits 1 when any run's line differs from, or is missing
