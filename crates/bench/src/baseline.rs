@@ -1,16 +1,16 @@
 //! Perf-baseline recording and regression comparison (the `dspp-bench`
 //! binary).
 //!
-//! `record` times sixteen representative workloads — one Riccati IPM solve,
+//! `record` times fifteen representative workloads — one Riccati IPM solve,
 //! one MPC controller step, one capacity-starved MPC step resolved by the
 //! recovery (soft-constraint) solve, one full best-response game run, one
 //! `dspp-runtime` scenario sweep on a worker pool, one simulation
 //! checkpoint JSON round-trip, a 4-provider game sweep run sequentially
 //! and on a parallel pool, a warm-vs-cold solve pair, a reduced
 //! policy tournament (every placement policy on a one-day diurnal
-//! trace), a steady-state SLO evaluation pass, the streaming-ingest
-//! hot paths (snapshot routing + shard-tally aggregation, and the
-//! period-close admit/seal barrier), a two-DC infrastructure fault
+//! trace), a steady-state SLO evaluation pass, one period of the
+//! streaming-ingest loop (generate, admit, route, seal, step, publish),
+//! a two-DC infrastructure fault
 //! drill (a scheduled DC outage absorbed by the recovery rung), and two
 //! 100 DC × 1000 location workloads on the structure-exploiting
 //! Schur-complement KKT path (the CI scaling gate): one horizon solve,
@@ -31,14 +31,11 @@ use std::time::Instant;
 
 use dspp_core::{
     Allocation, DsppBuilder, HorizonProblem, MpcController, MpcSettings, PlacementPolicy,
-    RoutingPolicy,
+    ProportionalGreedy,
 };
 use dspp_experiments::tournament;
 use dspp_game::{GameConfig, ResourceGame, SpSampler};
-use dspp_ingest::{
-    admit, generate_city_period, stream_seed, BackpressureBudget, PeriodBucket, RouterSnapshot,
-    ShardTally,
-};
+use dspp_ingest::{BackpressureBudget, IngestConfig, IngestLoop};
 use dspp_predict::LastValue;
 use dspp_runtime::{run_scenario, run_scenarios, FaultPlan, ScenarioPool, ScenarioSpec};
 use dspp_sim::{ClosedLoopSim, SimCheckpoint};
@@ -141,7 +138,7 @@ impl Metric {
 /// Every baseline workload, in canonical recording order. `record_selected`
 /// validates its `only` filter against this list, and the committed
 /// `BENCH_BASELINE.json` carries the workloads in exactly this order.
-pub const WORKLOADS: [&str; 16] = [
+pub const WORKLOADS: [&str; 15] = [
     "solver.lq_solve",
     "controller.step",
     "controller.recovery_step",
@@ -153,8 +150,7 @@ pub const WORKLOADS: [&str; 16] = [
     "solver.warm_vs_cold",
     "policy.tournament_small",
     "telemetry.slo_eval",
-    "ingest.route_agg",
-    "ingest.seal_period",
+    "ingest.period",
     "runtime.dc_outage_drill",
     "solver.lq_solve.large",
     "controller.recovery_step.large",
@@ -492,97 +488,59 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
         ])
     });
 
-    // 12. The ingest hot path: route a pre-generated request batch off a
-    // compiled placement snapshot into a shard tally and fold it into the
-    // lock-free period bucket — the per-request work (and the per-shard
-    // fold) the streaming front end does every control period. `allocs`
-    // pins the steady route+aggregate pass at exactly zero heap traffic;
-    // the event and per-arc counters pin the routing outcome bit-for-bit
-    // (multiply `events` by the reported throughput for req/s).
-    let ingest_fixture = (pick("ingest.route_agg") || pick("ingest.seal_period")).then(|| {
-        let ingest_problem = multi_dc_problem(2, 8);
-        let covering =
-            Allocation::from_arc_values(&ingest_problem, vec![1.0; ingest_problem.num_arcs()]);
-        let route_table = RouterSnapshot::compile(
-            &ingest_problem,
-            &RoutingPolicy::from_allocation(&ingest_problem, &covering),
-            1,
-        );
-        let mut route_events = Vec::new();
-        let mut per_city = Vec::new();
-        for city in 0..2 {
-            let mut buf = Vec::new();
-            generate_city_period(9, city, 0, 2_048.0, 1.0, &mut buf);
-            route_events.extend_from_slice(&buf);
-            per_city.push(buf);
+    // 12. One period of the streaming front end as production runs it:
+    // `IngestLoop::step` draws every city's arrivals, admits them against
+    // a budget tight enough to defer and drop, routes the admitted
+    // requests off the published snapshot, seals the period and steps
+    // the controller. `ProportionalGreedy` decides in closed form, so the
+    // period is ingest-bound, and it splits every city over four DCs in
+    // proportion to their 1:2:3:4 capacities (period 0, before the first
+    // placement, is unroutable). The counters pin the ledger of the first
+    // four periods exactly — generated, admitted, deferred and dropped
+    // requests, the requests routed onto arc 0, the payload KiB of every
+    // class — and the allocations of the fourth.
+    let ingest_metric = pick("ingest.period").then(|| {
+        const PERIODS: usize = 64;
+        let make = || {
+            let problem = multi_dc_problem(6, PERIODS + 1)
+                .with_capacities(vec![1e5, 2e5, 3e5, 4e5])
+                .expect("ingest fixture capacities");
+            let policy = ProportionalGreedy::new(problem).expect("ingest fixture policy");
+            // 14–24 k arrivals per city and period against 19 k admitted
+            // and a 1.5 k carry bound.
+            let rates = (0..6)
+                .map(|v| vec![14_000.0 + 2_000.0 * v as f64; PERIODS])
+                .collect();
+            let config = IngestConfig::new(17)
+                .with_period_seconds(1)
+                .with_budget(BackpressureBudget::new(19_000, 1_500));
+            IngestLoop::new(Box::new(policy), rates, config).expect("ingest fixture loop")
+        };
+        let mut counted = make();
+        for _ in 0..3 {
+            counted.step().expect("ingest period");
         }
-        // One route draw per request, each a `stream_seed` mix of its
-        // index. The pipeline instead draws from a per-(city, period)
-        // `StdRng`; these fixed draws keep the routing counters
-        // comparable across revisions.
-        let draws: Vec<u64> = (0..route_events.len())
-            .map(|i| stream_seed(0xD1CE, i, 1))
-            .collect();
-        (ingest_problem, route_table, route_events, per_city, draws)
-    });
-    let route_metric = pick("ingest.route_agg").then(|| {
-        let (ingest_problem, route_table, route_events, _, draws) =
-            ingest_fixture.as_ref().expect("ingest fixture built");
-        let arcs = ingest_problem.num_arcs();
-        let route_into = |tally: &mut ShardTally, bucket: &PeriodBucket| {
-            for (ev, draw) in route_events.iter().zip(draws) {
-                let arc = route_table.route(ev.city as usize, *draw);
-                tally.record(ev.city as usize, arc, ev.class.index(), ev.size_kib);
+        let (_, step_allocs) = alloc_count::count(|| {
+            counted.step().expect("ingest period");
+        });
+        let totals = *counted.totals();
+        let arc0_events: u64 = counted.sealed().iter().map(|s| s.arc_counts[0]).sum();
+        let class_kib: u64 = counted.sealed().iter().flat_map(|s| s.class_kib).sum();
+        let mut ingest = make();
+        let metric = measure("ingest.period", warmup, iters, || {
+            if ingest.cursor() == ingest.periods() {
+                ingest = make();
             }
-            tally.fold_into(bucket);
-        };
-        let mut route_tally = ShardTally::new(0, 2, arcs);
-        let route_bucket = PeriodBucket::new(0, 2, arcs);
-        let mut route_pass = || route_into(&mut route_tally, &route_bucket);
-        let (_, route_allocs) = alloc_count::count(&mut route_pass);
-        let metric = measure("ingest.route_agg", warmup, iters, route_pass);
-        let outcome_bucket = PeriodBucket::new(0, 2, arcs);
-        route_into(&mut route_tally, &outcome_bucket);
-        let outcome = outcome_bucket.seal();
-        metric.with_counters(vec![
-            ("allocs".to_string(), route_allocs as f64),
-            ("arc0_events".to_string(), outcome.arc_counts[0] as f64),
-            ("events".to_string(), route_events.len() as f64),
-            ("unroutable".to_string(), outcome.unroutable as f64),
-        ])
-    });
-
-    // 13. The period-close barrier: admit the same batch under a budget
-    // tight enough to defer and drop deterministically, tally the
-    // admitted slice, fold it into the bucket and seal the bucket into its
-    // plain-data matrix row.
-    let seal_metric = pick("ingest.seal_period").then(|| {
-        let (ingest_problem, _, route_events, per_city, _) =
-            ingest_fixture.as_ref().expect("ingest fixture built");
-        let seal_budget = BackpressureBudget::new(1_500, 400);
-        let mut seal_bucket = PeriodBucket::new(0, 2, ingest_problem.num_arcs());
-        let mut seal_tally = ShardTally::new(0, 2, ingest_problem.num_arcs());
-        let mut seal_pass = || {
-            seal_bucket.reset(0);
-            for (city, events) in per_city.iter().enumerate() {
-                let admission = admit(seal_budget, 0, events.len() as u64);
-                for ev in &events[..admission.admitted_fresh as usize] {
-                    seal_tally.record(city, Some(0), ev.class.index(), ev.size_kib);
-                }
-                seal_tally.record_backpressure(0, admission.carry_out, admission.dropped);
-            }
-            seal_tally.fold_into(&seal_bucket);
-            seal_bucket.seal()
-        };
-        let sealed_outcome = seal_pass();
-        let metric = measure("ingest.seal_period", warmup, iters, || {
-            seal_pass();
+            ingest.step().expect("ingest period");
         });
         metric.with_counters(vec![
-            ("admitted".to_string(), sealed_outcome.total_events() as f64),
-            ("deferred".to_string(), sealed_outcome.deferred as f64),
-            ("dropped".to_string(), sealed_outcome.dropped as f64),
-            ("generated".to_string(), route_events.len() as f64),
+            ("admitted".to_string(), totals.admitted as f64),
+            ("allocs".to_string(), step_allocs as f64),
+            ("arc0_events".to_string(), arc0_events as f64),
+            ("class_kib".to_string(), class_kib as f64),
+            ("deferred".to_string(), totals.deferred as f64),
+            ("dropped".to_string(), totals.dropped as f64),
+            ("generated".to_string(), totals.generated as f64),
         ])
     });
 
@@ -777,8 +735,7 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
             warm_metric,
             tournament_metric,
             slo_metric,
-            route_metric,
-            seal_metric,
+            ingest_metric,
             outage_metric,
             large_metric,
             recovery_large_metric,
@@ -1244,12 +1201,12 @@ mod tests {
         // Ask out of order; the recording must come back in canonical
         // order, with nothing else.
         let only = vec![
-            "ingest.seal_period".to_string(),
+            "ingest.period".to_string(),
             "telemetry.slo_eval".to_string(),
         ];
         let b = record_serial(1, &only);
         let names: Vec<&str> = b.metrics.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, ["telemetry.slo_eval", "ingest.seal_period"]);
+        assert_eq!(names, ["telemetry.slo_eval", "ingest.period"]);
     }
 
     #[test]
@@ -1342,18 +1299,14 @@ mod tests {
         assert_eq!(counter(slo, "allocs"), 0.0, "SLO hot path allocated");
         assert_eq!(counter(slo, "slo_evaluations"), 16.0);
         assert!(counter(slo, "alert_transitions") >= 3.0);
-        // The ingest route+aggregate pass is lock- and allocation-free,
-        // every generated request routes (the fixture placement covers
-        // both cities), and the seal workload's admission arithmetic
-        // deterministically defers and drops under its tight budget.
-        let route = by_name("ingest.route_agg");
-        assert_eq!(counter(route, "allocs"), 0.0, "ingest hot path allocated");
-        assert!(counter(route, "events") > 0.0);
-        assert_eq!(counter(route, "unroutable"), 0.0);
-        let seal = by_name("ingest.seal_period");
-        assert!(counter(seal, "deferred") > 0.0);
-        assert!(counter(seal, "dropped") > 0.0);
-        assert_eq!(counter(seal, "admitted"), 3000.0);
+        // The ingest period defers and drops under its tight budget, routes
+        // onto every arc of the 1:2:3:4 split, and pins its payload bytes.
+        let ingest = by_name("ingest.period");
+        assert!(counter(ingest, "generated") > counter(ingest, "admitted"));
+        assert!(counter(ingest, "deferred") > 0.0);
+        assert!(counter(ingest, "dropped") > 0.0);
+        assert!(counter(ingest, "arc0_events") > 0.0);
+        assert!(counter(ingest, "class_kib") > counter(ingest, "admitted"));
         // The dc-outage drill sheds exactly the analytic two-period ×
         // one-server deficit through recovery solves — never fallback —
         // and both fault-window edges page the dc_outage SLO.

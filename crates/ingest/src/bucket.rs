@@ -3,18 +3,26 @@
 //!
 //! Each shard thread of one control period counts its requests into a
 //! [`ShardTally`] of plain `u64`s — no shared-memory traffic per
-//! request. At the period-close barrier the shard folds its tally into
-//! the shared [`PeriodBucket`] with one relaxed `fetch_add` per non-zero
-//! counter — no locks, no CAS loops. Every counter is a sum of integer
-//! increments, and integer addition is commutative and associative, so
-//! the sealed totals are exactly the same whichever shard owns a city,
-//! however many shards there are, and in whatever order the folds land;
-//! converting counts to rates happens once, at seal time, with the
-//! identical floating-point expression on every path. That is the whole
-//! determinism argument for the `--jobs 1` vs `--jobs 4` byte-identical
-//! matrix requirement.
+//! request. A city's requests are counted, not recorded one by one: its
+//! admitted and routed totals are added once per city, and payload bytes
+//! are kept as a histogram of attribute words that is weighted into
+//! per-class KiB only at the fold. At the period-close barrier the shard
+//! folds its tally into the shared [`PeriodBucket`] with one relaxed
+//! `fetch_add` per non-zero counter — no locks, no CAS loops. Every
+//! counter is a sum of integer increments, and integer addition is
+//! commutative and associative, so the sealed totals are exactly the
+//! same whichever shard owns a city, however many shards there are, and
+//! in whatever order the folds land; converting counts to rates happens
+//! once, at seal time, with the identical floating-point expression on
+//! every path. That is the whole determinism argument for the `--jobs 1`
+//! vs `--jobs 4` byte-identical matrix requirement.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use rand::RngCore;
+
+use crate::event::{ATTRIBUTES, ATTRIBUTE_WORDS};
+use crate::snapshot::CityTable;
 
 /// The shared demand accumulator for one control period. Shards write it
 /// only through [`ShardTally::fold_into`], once each per period.
@@ -104,10 +112,10 @@ impl PeriodBucket {
     }
 }
 
-/// One shard's counts for one period, in plain integers: the per-request
+/// One shard's counts for one period, in plain integers: the per-shard
 /// half of a [`PeriodBucket`]. A shard owns the contiguous city range
-/// `city_start..city_start + cities`, records every admitted request
-/// here, and folds the whole tally into the shared bucket once, at the
+/// `city_start..city_start + cities`, counts its admitted requests here,
+/// and folds the whole tally into the shared bucket once, at the
 /// period-close barrier ([`ShardTally::fold_into`]). The fold zeroes the
 /// tally, so one tally serves every period without reallocating.
 #[derive(Debug, Clone)]
@@ -117,7 +125,9 @@ pub struct ShardTally {
     city_counts: Vec<u64>,
     /// Routed requests per problem arc.
     arc_counts: Vec<u64>,
-    class_kib: [u64; 3],
+    /// Admitted requests per attribute word (its low 10 bits); the fold
+    /// weights them into payload KiB per class.
+    attributes: Box<[u64; ATTRIBUTE_WORDS]>,
     unroutable: u64,
     carried_in: u64,
     deferred: u64,
@@ -132,7 +142,7 @@ impl ShardTally {
             city_start,
             city_counts: vec![0; cities],
             arc_counts: vec![0; arcs],
-            class_kib: [0; 3],
+            attributes: Box::new([0; ATTRIBUTE_WORDS]),
             unroutable: 0,
             carried_in: 0,
             deferred: 0,
@@ -145,20 +155,55 @@ impl ShardTally {
         self.city_start..self.city_start + self.city_counts.len()
     }
 
-    /// Records one admitted request from `city` (an owned city), routed
-    /// to `arc` (or unroutable when `None`).
+    /// Counts one admitted request's attribute word toward its class's
+    /// payload bytes.
+    #[inline]
+    pub(crate) fn record_attribute(&mut self, word: u64) {
+        self.attributes[word as usize % ATTRIBUTE_WORDS] += 1;
+    }
+
+    /// Routes the admitted requests of `city` (an owned city) off its
+    /// `table` with the city's routing stream `rng`: `carried` requests
+    /// carried over from earlier periods, then `fresh` new arrivals. A
+    /// carried request draws its attribute word and then its routing
+    /// word (its envelope was folded to a count when it was deferred);
+    /// a fresh request draws one routing word. Each routing word picks
+    /// its arc without branching. A table with one arc takes the whole
+    /// count, and an empty one counts it as unroutable; neither draws
+    /// routing words past the last carried request's, because nothing
+    /// reads the stream once the city is done.
     ///
     /// # Panics
     ///
-    /// Panics when `city` is outside the tally's range, `arc` outside
-    /// the problem's arcs or `class_index > 2`.
-    #[inline]
-    pub fn record(&mut self, city: usize, arc: Option<usize>, class_index: usize, size_kib: u32) {
-        self.city_counts[city - self.city_start] += 1;
-        self.class_kib[class_index] += u64::from(size_kib);
-        match arc {
-            Some(e) => self.arc_counts[e] += 1,
-            None => self.unroutable += 1,
+    /// Panics when `city` is outside the tally's range or the table
+    /// names an arc outside the problem's arcs.
+    pub(crate) fn route(
+        &mut self,
+        city: usize,
+        table: CityTable<'_>,
+        carried: u64,
+        fresh: u64,
+        rng: &mut impl RngCore,
+    ) {
+        self.city_counts[city - self.city_start] += carried + fresh;
+        let arcs = table.arcs();
+        if let [_, _, ..] = arcs {
+            for _ in 0..carried {
+                self.record_attribute(rng.next_u64());
+                self.arc_counts[arcs[table.pick(rng.next_u64())] as usize] += 1;
+            }
+            for _ in 0..fresh {
+                self.arc_counts[arcs[table.pick(rng.next_u64())] as usize] += 1;
+            }
+            return;
+        }
+        for _ in 0..carried {
+            self.record_attribute(rng.next_u64());
+            rng.next_u64();
+        }
+        match arcs.first() {
+            Some(&arc) => self.arc_counts[arc as usize] += carried + fresh,
+            None => self.unroutable += carried + fresh,
         }
     }
 
@@ -171,7 +216,9 @@ impl ShardTally {
     }
 
     /// Adds every non-zero counter to `bucket` — one relaxed `fetch_add`
-    /// each — and zeroes the tally for the next period.
+    /// each — and zeroes the tally for the next period. The attribute
+    /// histogram goes in as payload KiB per class: each word's count
+    /// times its payload size, summed exactly in integers.
     ///
     /// # Panics
     ///
@@ -189,8 +236,12 @@ impl ShardTally {
         for (shared, own) in bucket.arc_counts.iter().zip(&mut self.arc_counts) {
             fold_add(shared, std::mem::take(own));
         }
-        for (shared, own) in bucket.class_kib.iter().zip(&mut self.class_kib) {
-            fold_add(shared, std::mem::take(own));
+        let mut class_kib = [0u64; 3];
+        for (count, &(class, kib)) in self.attributes.iter_mut().zip(&ATTRIBUTES) {
+            class_kib[usize::from(class)] += std::mem::take(count) * u64::from(kib);
+        }
+        for (shared, own) in bucket.class_kib.iter().zip(class_kib) {
+            fold_add(shared, own);
         }
         fold_add(&bucket.unroutable, std::mem::take(&mut self.unroutable));
         fold_add(&bucket.carried_in, std::mem::take(&mut self.carried_in));
@@ -249,17 +300,38 @@ impl SealedPeriod {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::RequestClass;
+    use crate::snapshot::RouterSnapshot;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Payload KiB per class of requests with the given attribute words.
+    fn class_kib_of(words: impl IntoIterator<Item = u64>) -> [u64; 3] {
+        let mut kib = [0; 3];
+        for word in words {
+            let class = RequestClass::from_draw(word);
+            kib[class.index()] += u64::from(class.size_kib(word >> 2));
+        }
+        kib
+    }
 
     #[test]
     fn concurrent_folds_lose_nothing() {
         let bucket = PeriodBucket::new(3, 4, 8);
+        // City t splits over arcs 2t and 2t + 1.
+        let tables: Vec<Vec<(f64, usize)>> = (0..4)
+            .map(|t| vec![(0.5, 2 * t), (1.0, 2 * t + 1)])
+            .collect();
+        let snapshot = RouterSnapshot::from_tables(&tables);
         std::thread::scope(|s| {
             for t in 0..4usize {
-                let bucket = &bucket;
+                let (bucket, snapshot) = (&bucket, &snapshot);
                 s.spawn(move || {
                     let mut tally = ShardTally::new(t, 1, 8);
-                    for i in 0..10_000usize {
-                        tally.record(t, Some((t + i) % 8), i % 3, 2);
+                    let mut rng = StdRng::seed_from_u64(t as u64);
+                    tally.route(t, snapshot.table(t), 0, 10_000, &mut rng);
+                    for word in 0..10_000u64 {
+                        tally.record_attribute(word);
                     }
                     tally.record_backpressure(5, 7, 1);
                     tally.fold_into(bucket);
@@ -270,8 +342,13 @@ mod tests {
         assert_eq!(sealed.period, 3);
         assert_eq!(sealed.total_events(), 40_000);
         assert_eq!(sealed.city_counts, vec![10_000; 4]);
-        assert_eq!(sealed.arc_counts.iter().sum::<u64>(), 40_000);
-        assert_eq!(sealed.class_kib.iter().sum::<u64>(), 80_000);
+        for t in 0..4 {
+            let pair = &sealed.arc_counts[2 * t..2 * t + 2];
+            assert_eq!(pair[0] + pair[1], 10_000);
+            assert!(pair[0] > 4_500 && pair[1] > 4_500, "{pair:?}");
+        }
+        let per_shard = class_kib_of(0..10_000);
+        assert_eq!(sealed.class_kib, per_shard.map(|kib| 4 * kib));
         assert_eq!(sealed.carried_in, 20);
         assert_eq!(sealed.deferred, 28);
         assert_eq!(sealed.dropped, 4);
@@ -281,13 +358,14 @@ mod tests {
     fn rates_divide_by_period_length_and_reset_clears() {
         let mut bucket = PeriodBucket::new(0, 2, 2);
         let mut tally = ShardTally::new(0, 2, 2);
-        for _ in 0..7200 {
-            tally.record(0, Some(0), 1, 1);
-        }
-        tally.record(1, None, 0, 1);
+        let snapshot = RouterSnapshot::from_tables(&[vec![(1.0, 0)], vec![]]);
+        let mut rng = StdRng::seed_from_u64(0);
+        tally.route(0, snapshot.table(0), 0, 7200, &mut rng);
+        tally.route(1, snapshot.table(1), 0, 1, &mut rng);
         tally.fold_into(&bucket);
         let sealed = bucket.seal();
         assert_eq!(sealed.rates(3600.0), vec![2.0, 1.0 / 3600.0]);
+        assert_eq!(sealed.arc_counts, vec![7200, 0]);
         assert_eq!(sealed.unroutable, 1);
         bucket.reset(9);
         let empty = bucket.seal();
@@ -300,7 +378,10 @@ mod tests {
     fn fold_zeroes_the_tally_for_reuse() {
         let bucket = PeriodBucket::new(0, 3, 2);
         let mut tally = ShardTally::new(1, 2, 2);
-        tally.record(2, Some(1), 2, 64);
+        // Word 3 is a batch request of 64 KiB.
+        tally.record_attribute(3);
+        let snapshot = RouterSnapshot::from_tables(&[vec![], vec![], vec![(1.0, 1)]]);
+        tally.route(2, snapshot.table(2), 0, 1, &mut StdRng::seed_from_u64(0));
         tally.record_backpressure(1, 2, 3);
         tally.fold_into(&bucket);
         // A second fold of the emptied tally adds nothing.
@@ -313,5 +394,54 @@ mod tests {
             (sealed.carried_in, sealed.deferred, sealed.dropped),
             (1, 2, 3)
         );
+    }
+
+    #[test]
+    fn routing_draws_follow_the_stream_order() {
+        use rand::RngCore;
+        let snapshot = RouterSnapshot::from_tables(&[
+            vec![(0.2, 0), (0.5, 1), (1.0, 2)],
+            vec![(1.0, 1)],
+            vec![],
+        ]);
+        let (carried, fresh) = (40u64, 60u64);
+        for city in 0..3 {
+            let mut tally = ShardTally::new(0, 3, 3);
+            let mut rng = StdRng::seed_from_u64(99);
+            tally.route(city, snapshot.table(city), carried, fresh, &mut rng);
+            let bucket = PeriodBucket::new(0, 3, 3);
+            tally.fold_into(&bucket);
+            let sealed = bucket.seal();
+
+            // Carried requests draw (attribute, route) pairs, then each
+            // fresh request one routing word.
+            let mut want = StdRng::seed_from_u64(99);
+            let mut words = Vec::new();
+            let mut arcs = [0u64; 3];
+            let mut unroutable = 0;
+            for i in 0..carried + fresh {
+                if i < carried {
+                    words.push(want.next_u64());
+                }
+                match snapshot.route(city, want.next_u64()) {
+                    Some(arc) => arcs[arc] += 1,
+                    None => unroutable += 1,
+                }
+            }
+            assert_eq!(sealed.class_kib, class_kib_of(words), "city {city}");
+            assert_eq!(sealed.arc_counts, arcs, "city {city}");
+            assert_eq!(sealed.unroutable, unroutable, "city {city}");
+            assert_eq!(sealed.city_counts[city], carried + fresh);
+            if city == 0 {
+                assert!(arcs.iter().all(|&n| n > 0), "{arcs:?}");
+            } else {
+                // One arc or none: the fresh routing words stay undrawn.
+                let mut skipped = StdRng::seed_from_u64(99);
+                for _ in 0..2 * carried {
+                    skipped.next_u64();
+                }
+                assert_eq!(rng.next_u64(), skipped.next_u64(), "city {city}");
+            }
+        }
     }
 }

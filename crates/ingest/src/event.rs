@@ -25,7 +25,7 @@ impl RequestClass {
     /// Maps a raw 2-bit draw onto a class (3 maps back to `Standard` so
     /// the distribution is 1/4 interactive, 1/2 standard, 1/4 batch).
     #[inline]
-    pub fn from_draw(bits: u64) -> RequestClass {
+    pub const fn from_draw(bits: u64) -> RequestClass {
         match bits & 0b11 {
             0 => RequestClass::Interactive,
             3 => RequestClass::Batch,
@@ -36,7 +36,7 @@ impl RequestClass {
     /// Payload size in KiB for this class given a raw 8-bit draw:
     /// interactive 1–16, standard 4–64, batch 64–1024.
     #[inline]
-    pub fn size_kib(self, bits: u64) -> u32 {
+    pub const fn size_kib(self, bits: u64) -> u32 {
         let b = (bits & 0xff) as u32;
         match self {
             RequestClass::Interactive => 1 + b % 16,
@@ -47,13 +47,36 @@ impl RequestClass {
 
     /// Stable index (0/1/2) for table lookups.
     #[inline]
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         match self {
             RequestClass::Interactive => 0,
             RequestClass::Standard => 1,
             RequestClass::Batch => 2,
         }
     }
+}
+
+/// Number of distinct attribute words: the class reads bits 0–1 of a
+/// request's attribute draw and the payload size bits 2–9, so only its
+/// low 10 bits matter.
+pub(crate) const ATTRIBUTE_WORDS: usize = 1 << 10;
+
+/// `(class index, payload KiB)` of every attribute word, indexed by its
+/// low 10 bits: what [`RequestClass::from_draw`] and
+/// [`RequestClass::size_kib`] give for any draw with those bits. Counting
+/// admitted requests per word and weighting the counts by this table sums
+/// exactly the payload bytes the requests carry.
+pub(crate) static ATTRIBUTES: [(u8, u16); ATTRIBUTE_WORDS] = attribute_table();
+
+const fn attribute_table() -> [(u8, u16); ATTRIBUTE_WORDS] {
+    let mut table = [(0, 0); ATTRIBUTE_WORDS];
+    let mut word = 0;
+    while word < ATTRIBUTE_WORDS {
+        let class = RequestClass::from_draw(word as u64);
+        table[word] = (class.index() as u8, class.size_kib(word as u64 >> 2) as u16);
+        word += 1;
+    }
+    table
 }
 
 /// One timestamped request: the unit the ingest front end routes and
@@ -89,6 +112,21 @@ mod tests {
             assert!((1..=16).contains(&i));
             assert!((4..=64).contains(&s));
             assert!((64..=1024).contains(&b));
+        }
+    }
+
+    #[test]
+    fn attribute_table_matches_the_class_and_size_draws() {
+        use rand::{rngs::StdRng, RngCore, SeedableRng};
+        // Random high bits must not matter: only the low 10 bits index
+        // the table.
+        let mut rng = StdRng::seed_from_u64(17);
+        for low in 0..ATTRIBUTE_WORDS as u64 {
+            let word = (rng.next_u64() << 10) | low;
+            let class = RequestClass::from_draw(word);
+            let (index, kib) = ATTRIBUTES[(word % ATTRIBUTE_WORDS as u64) as usize];
+            assert_eq!(usize::from(index), class.index(), "word {word:#x}");
+            assert_eq!(u32::from(kib), class.size_kib(word >> 2), "word {word:#x}");
         }
     }
 

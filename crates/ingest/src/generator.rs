@@ -32,6 +32,9 @@ pub fn stream_seed(seed: u64, city: usize, period: usize) -> u64 {
 /// and then one attribute word (class and payload size) from the pair's
 /// own [`ArrivalProcess`], so the sequence is a pure function of
 /// `(seed, city, period, rate)` however much of it a caller consumes.
+/// The ingest shards count it ([`CityStream::count_arrivals`]);
+/// collecting events ([`generate_city_period`]) iterates it. Both take
+/// the same draws.
 #[derive(Debug)]
 pub(crate) struct CityStream {
     arrivals: ArrivalProcess,
@@ -55,6 +58,35 @@ impl CityStream {
             horizon: period_seconds,
         }
     }
+
+    /// The one per-arrival draw step: the next arrival's time in seconds
+    /// and its attribute word, or `None` once the stream has passed the
+    /// period's end.
+    #[inline]
+    fn next_arrival(&mut self) -> Option<(f64, u64)> {
+        let t = self.arrivals.next_before(self.horizon)?;
+        Some((t, self.arrivals.rng_mut().next_u64()))
+    }
+
+    /// Draws the whole stream without building events and returns its
+    /// number of arrivals. The attribute words of the first `admitted`
+    /// arrivals go to `attribute`, in arrival order; later arrivals make
+    /// the same draws but are only counted.
+    #[inline]
+    pub(crate) fn count_arrivals(mut self, admitted: u64, mut attribute: impl FnMut(u64)) -> u64 {
+        let mut arrivals = 0u64;
+        while arrivals < admitted {
+            let Some((_, word)) = self.next_arrival() else {
+                return arrivals;
+            };
+            attribute(word);
+            arrivals += 1;
+        }
+        while self.next_arrival().is_some() {
+            arrivals += 1;
+        }
+        arrivals
+    }
 }
 
 impl Iterator for CityStream {
@@ -62,8 +94,7 @@ impl Iterator for CityStream {
 
     #[inline]
     fn next(&mut self) -> Option<Event> {
-        let t = self.arrivals.next_before(self.horizon)?;
-        let attr = self.arrivals.rng_mut().next_u64();
+        let (t, attr) = self.next_arrival()?;
         let class = RequestClass::from_draw(attr);
         Some(Event {
             time_us: (t * 1e6) as u64,
@@ -119,6 +150,28 @@ mod tests {
         assert!(out.windows(2).all(|w| w[0].time_us <= w[1].time_us));
         assert!(out.iter().all(|e| e.city == 0));
         assert!(out.iter().all(|e| (e.time_us as f64) < 20.0 * 1e6));
+    }
+
+    #[test]
+    fn counting_pass_draws_the_collected_stream() {
+        let mut events = Vec::new();
+        let n = generate_city_period(5, 2, 7, 300.0, 10.0, &mut events);
+        assert!(n > 1000);
+        for admitted in [0, 1, n / 2, n - 1, n, n + 5, u64::MAX] {
+            let mut words = Vec::new();
+            let counted = CityStream::new(5, 2, 7, 300.0, 10.0)
+                .count_arrivals(admitted, |word| words.push(word));
+            assert_eq!(counted, n, "admitted {admitted}");
+            assert_eq!(words.len() as u64, admitted.min(n));
+            for (&word, ev) in words.iter().zip(&events) {
+                let class = RequestClass::from_draw(word);
+                assert_eq!((class, class.size_kib(word >> 2)), (ev.class, ev.size_kib));
+            }
+        }
+        let silent = CityStream::new(5, 2, 7, 0.0, 10.0).count_arrivals(u64::MAX, |_| {
+            panic!("a zero-rate stream has no arrivals");
+        });
+        assert_eq!(silent, 0);
     }
 
     #[test]

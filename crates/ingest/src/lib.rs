@@ -7,12 +7,14 @@
 //! * [`generator`] — deterministic per-`(city, period)` request streams
 //!   built on the DES arrival machinery ([`dspp_sim::ArrivalProcess`]),
 //!   millions of timestamped `(city, class, size)` events per control
-//!   period, drawn lazily by the shards and collected on demand;
+//!   period, counted by the shards without building events and
+//!   collected on demand;
 //! * [`snapshot`] — the read-mostly placement snapshot swap: the
 //!   controller publishes each placement as an immutable compiled eq. 13
 //!   routing table, read once per period and shared by every shard;
-//! * [`bucket`] — sharded aggregation: each shard counts into its own
-//!   plain-integer [`ShardTally`] and folds it into the lock-free
+//! * [`bucket`] — sharded aggregation: each shard counts requests per
+//!   city, per arc and per attribute word into its own plain-integer
+//!   [`ShardTally`] and folds it into the lock-free
 //!   per-period [`PeriodBucket`] at the period-close barrier, which is
 //!   sealed into exactly the demand-matrix shape
 //!   `ClosedLoopSim`/`MpcController` consume;
