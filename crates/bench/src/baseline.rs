@@ -1,24 +1,17 @@
 //! Perf-baseline recording and regression comparison (the `dspp-bench`
 //! binary).
 //!
-//! `record` times fifteen representative workloads — one Riccati IPM solve,
-//! one MPC controller step, one capacity-starved MPC step resolved by the
-//! recovery (soft-constraint) solve, one full best-response game run, one
-//! `dspp-runtime` scenario sweep on a worker pool, one simulation
-//! checkpoint JSON round-trip, a 4-provider game sweep run sequentially
-//! and on a parallel pool, a warm-vs-cold solve pair, a reduced
-//! policy tournament (every placement policy on a one-day diurnal
-//! trace), a steady-state SLO evaluation pass, one period of the
-//! streaming-ingest loop (generate, admit, route, seal, step, publish),
-//! a two-DC infrastructure fault
-//! drill (a scheduled DC outage absorbed by the recovery rung), and two
-//! 100 DC × 1000 location workloads on the structure-exploiting
-//! Schur-complement KKT path (the CI scaling gate): one horizon solve,
-//! and one MPC step with a data center down, resolved by the recovery
-//! solve — and writes
+//! `record` times the workloads in [`WORKLOADS`] — solves on the
+//! structured KKT path at the paper's scale and at 100×, controller and
+//! recovery steps, game runs and sweeps, runtime sweeps and drills, a
+//! checkpoint round-trip, an ingest period and an SLO pass — and writes
 //! their throughput plus latency quantiles as JSON (the committed
-//! `BENCH_BASELINE.json`). `compare` re-measures the same workloads and
-//! fails with a readable delta report when throughput regresses beyond a
+//! `BENCH_BASELINE.json`). The paper-scale solve first runs the no-op
+//! telemetry contract. The table under "The perf-baseline gate" in
+//! `docs/OBSERVABILITY.md` lists what one timed iteration of each runs
+//! and which counters it pins; a test keeps it in step with
+//! [`WORKLOADS`]. `compare` re-measures the same workloads and fails
+//! with a readable delta report when throughput regresses beyond a
 //! tolerance. Quantiles are reported for context but only throughput
 //! gates: wall-clock quantiles on shared CI hardware are too noisy to
 //! fail a build on. Each workload also carries *deterministic* counters
@@ -27,26 +20,31 @@
 //! enforcing `bench-metrics` CI job.
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use dspp_core::{
-    Allocation, DsppBuilder, HorizonProblem, MpcController, MpcSettings, PlacementPolicy,
-    ProportionalGreedy,
-};
+use dspp_core::{DsppBuilder, MpcController, MpcSettings, PlacementPolicy, ProportionalGreedy};
 use dspp_experiments::tournament;
 use dspp_game::{GameConfig, ResourceGame, SpSampler};
 use dspp_ingest::{BackpressureBudget, IngestConfig, IngestLoop};
 use dspp_predict::LastValue;
 use dspp_runtime::{run_scenario, run_scenarios, FaultPlan, ScenarioPool, ScenarioSpec};
 use dspp_sim::{ClosedLoopSim, SimCheckpoint};
-use dspp_solver::{solve_lq, solve_lq_warm, IpmSettings};
+use dspp_solver::{solve_structured, IpmSettings};
 use dspp_telemetry::json::{self, JsonValue};
 use dspp_telemetry::{Recorder, SloEngine, SloSample, SloSpec};
 
 use crate::{
-    alloc_count, huge_problem, lq_fixture, multi_dc_problem, single_dc_problem,
+    alloc_count, horizon_fixture, huge_problem, multi_dc_problem, paper_horizon, single_dc_problem,
     starved_single_dc_problem,
 };
+
+/// Largest tolerated no-op (disabled-recorder) telemetry overhead, as a
+/// fraction of the untraced solve (the contract `solver.lq_solve` runs).
+const MAX_NOOP_OVERHEAD: f64 = 0.05;
+
+/// Interleaved rounds of the no-op overhead contract (one solve per
+/// variant each).
+const CONTRACT_ROUNDS: usize = 200;
 
 /// Schema version of the baseline file.
 ///
@@ -179,18 +177,55 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     let pick = |name: &str| only.is_empty() || only.iter().any(|n| n == name);
     let warmup = (iters / 5).max(2);
 
-    // 1. One Riccati-structured IPM solve on the DSPP-shaped LQ fixture.
-    // Deterministic counters: IPM iterations and allocations of one solve
-    // (the workspace-reuse optimizations gate on the allocation count).
-    // The cold solve is shared with workload 9's warm/cold split.
-    let lq = lq_fixture(4, 12, 20.0);
-    let ipm = IpmSettings::fast();
-    let cold = (pick("solver.lq_solve") || pick("solver.warm_vs_cold"))
-        .then(|| alloc_count::count(|| solve_lq(&lq, &ipm).expect("solver fixture solves")));
+    // 1. One horizon solve on the paper instance (4 DCs × 24 cities, 65
+    // arcs, W = 5) through `HorizonProblem::solve`, the structured KKT
+    // path every controller step runs, at the controller's default IPM
+    // settings. Deterministic counters: IPM iterations and allocations
+    // of one solve. The paper horizon and its cold solve are shared with
+    // workload 9's warm/cold split.
+    //
+    // First, the no-op telemetry contract: a solve behind a disabled
+    // recorder must stay < 5 % slower than the plain one, so every hot
+    // path can ship instrumented. `HorizonProblem::solve` is
+    // `solve_structured_warm_traced` with a disabled recorder, which
+    // differs from `solve_structured` only by `trace_lq_solve`'s
+    // `is_enabled()` branch: the IPM's own instrumentation runs on both
+    // sides, so the contract bounds the traced wrapper's cost. The two
+    // run interleaved, so load drift hits both alike, and the fastest of
+    // each is compared. A breach panics wherever the workload runs.
+    let ipm = IpmSettings::default();
+    let paper = (pick("solver.lq_solve") || pick("solver.warm_vs_cold")).then(|| {
+        let paper = paper_horizon(1.0);
+        let cold = alloc_count::count(|| paper.solve(&ipm).expect("paper fixture solves"));
+        (paper, cold)
+    });
     let solver = pick("solver.lq_solve").then(|| {
-        let (cold_sol, cold_allocs) = cold.as_ref().expect("cold solve recorded");
+        let (paper, (cold_sol, cold_allocs)) = paper.as_ref().expect("paper fixture built");
+        let slq = paper.structured();
+        let mut best_plain = Duration::MAX;
+        let mut best_disabled = Duration::MAX;
+        for _ in 0..CONTRACT_ROUNDS {
+            let t = Instant::now();
+            solve_structured(slq, &ipm).expect("solve");
+            best_plain = best_plain.min(t.elapsed());
+            let t = Instant::now();
+            paper.solve(&ipm).expect("solve");
+            best_disabled = best_disabled.min(t.elapsed());
+        }
+        let overhead = best_disabled.as_secs_f64() / best_plain.as_secs_f64() - 1.0;
+        println!(
+            "no-op telemetry overhead: {:+.2}% (untraced min {best_plain:?}, \
+             traced-disabled min {best_disabled:?}, {CONTRACT_ROUNDS} interleaved rounds)",
+            overhead * 100.0,
+        );
+        assert!(
+            overhead < MAX_NOOP_OVERHEAD,
+            "disabled-recorder overhead {:.2}% exceeds the {:.0}% budget",
+            overhead * 100.0,
+            MAX_NOOP_OVERHEAD * 100.0
+        );
         measure("solver.lq_solve", warmup, iters, || {
-            solve_lq(&lq, &ipm).expect("solver fixture solves");
+            paper.solve(&ipm).expect("paper fixture solves");
         })
         .with_counters(vec![
             ("ipm_iterations".to_string(), cold_sol.iterations as f64),
@@ -392,17 +427,20 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     let sweep_seq = pick("game.round_4sp.seq").then(|| sweep_timed("game.round_4sp.seq", 1));
     let sweep_par = pick("game.round_4sp.par").then(|| sweep_timed("game.round_4sp.par", 4));
 
-    // 9. A warm solve seeded with the optimum of a neighbouring problem
-    // (the game/MPC hot path after the first round). Times the warm solve;
-    // the counters pin the cold/warm iteration split the warm-start path
-    // is supposed to deliver.
+    // 9. A warm solve on the paper horizon, seeded with the optimum of a
+    // neighbouring horizon whose demand is 5 % higher (the MPC hot path
+    // after the first period). Times the warm solve; the counters pin the
+    // cold/warm iteration split the warm-start path is supposed to
+    // deliver.
     let warm_metric = pick("solver.warm_vs_cold").then(|| {
-        let (cold_sol, _) = cold.as_ref().expect("cold solve recorded");
-        let lq_next = lq_fixture(4, 12, 21.0);
-        let near_sol = solve_lq(&lq_next, &ipm).expect("neighbour fixture solves");
-        let warm_sol = solve_lq_warm(&lq, &ipm, Some(&near_sol.us)).expect("warm fixture solves");
+        let (paper, (cold_sol, _)) = paper.as_ref().expect("paper fixture built");
+        let near_sol = paper_horizon(1.05)
+            .solve(&ipm)
+            .expect("neighbour fixture solves");
+        let warm = Some(near_sol.us.as_slice());
+        let warm_sol = paper.solve_warm(&ipm, warm).expect("warm fixture solves");
         measure("solver.warm_vs_cold", warmup, iters, || {
-            solve_lq_warm(&lq, &ipm, Some(&near_sol.us)).expect("warm fixture solves");
+            paper.solve_warm(&ipm, warm).expect("warm fixture solves");
         })
         .with_counters(vec![
             ("cold_iterations".to_string(), cold_sol.iterations as f64),
@@ -544,7 +582,7 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
         ])
     });
 
-    // 14. The infrastructure fault drill: a two-DC closed loop that loses
+    // 13. The infrastructure fault drill: a two-DC closed loop that loses
     // DC 1 for two mid-run periods (the chaos-drill fixture). Times the
     // whole fault plane — the per-stage capacity schedule, preflight
     // shedding, the recovery solves, and the dc_outage burn-rate SLO.
@@ -619,7 +657,7 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
         ])
     });
 
-    // 15. The 100×-scale structured solve: 100 DCs × 1000 locations ×
+    // 14. The 100×-scale structured solve: 100 DCs × 1000 locations ×
     // horizon 4 — 3000 SLA-feasible arcs, a 12000-variable QP per Newton
     // system. The dense Riccati path would cube the 3000-dimensional
     // state; the structured KKT path factors 3000 independent per-arc
@@ -631,16 +669,10 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     // handful of samples gives a stable median.
     let large_metric = pick("solver.lq_solve.large").then(|| {
         let problem = huge_problem(100, 1_000);
-        let x0 = Allocation::zeros(&problem);
-        let horizon = 4usize;
-        let demand: Vec<Vec<f64>> = (0..problem.num_locations())
-            .map(|v| vec![1_600.0 + 40.0 * ((v % 11) as f64); horizon])
+        let demand: Vec<f64> = (0..problem.num_locations())
+            .map(|v| 1_600.0 + 40.0 * ((v % 11) as f64))
             .collect();
-        let prices: Vec<Vec<f64>> = (0..problem.num_dcs())
-            .map(|l| vec![problem.price(l, 0); horizon])
-            .collect();
-        let sh =
-            HorizonProblem::build(&problem, &x0, &demand, &prices).expect("large fixture builds");
+        let sh = horizon_fixture(&problem, &demand, 4);
         let ipm_large = IpmSettings::fast();
         let telemetry = Recorder::enabled();
         let (sol, large_allocs) = alloc_count::count(|| {
@@ -661,7 +693,7 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
         ])
     });
 
-    // 16. The 100×-scale recovery step: one MPC step on the same instance
+    // 15. The 100×-scale recovery step: one MPC step on the same instance
     // with data center 0 dark for the whole window and a uniform demand 1%
     // above what the 99 live DCs can host, so the preflight certifies
     // every horizon infeasible and each step runs the recovery solve — the
@@ -1174,20 +1206,26 @@ mod tests {
         assert_eq!(quantile(&sorted, 0.99), 10.0);
     }
 
+    /// Every workload a unit test may record. The two 100×-scale ones
+    /// have dedicated tests below, and `solver.lq_solve` runs the no-op
+    /// telemetry contract, a wall-clock assert that parallel test threads
+    /// would skew; `tests/disabled_recorder.rs` checks its solve, and
+    /// `solver.warm_vs_cold` pins the same cold solve's iterations.
+    fn untimed_workloads() -> Vec<String> {
+        WORKLOADS
+            .iter()
+            .filter(|n| !n.ends_with(".large") && **n != "solver.lq_solve")
+            .map(|n| (*n).to_string())
+            .collect()
+    }
+
     #[test]
     fn record_smoke_produces_all_workloads() {
         // Tiny iteration count: correctness of the plumbing, not timing.
-        // The large structured workload is exercised (and its counters
-        // pinned) by `record_selected_runs_the_large_structured_solve`;
-        // skipping it here keeps the smoke test fast.
-        let only: Vec<String> = WORKLOADS
-            .iter()
-            .filter(|n| !n.ends_with(".large"))
-            .map(|n| (*n).to_string())
-            .collect();
+        let only = untimed_workloads();
         let b = record_serial(2, &only);
         let names: Vec<&str> = b.metrics.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, &WORKLOADS[..WORKLOADS.len() - 2]);
+        assert_eq!(names, only);
         for m in &b.metrics {
             assert!(m.throughput > 0.0, "{}: non-positive throughput", m.name);
             assert!(m.p50_us <= m.p90_us && m.p90_us <= m.p99_us, "{}", m.name);
@@ -1248,14 +1286,7 @@ mod tests {
 
     #[test]
     fn recorded_counters_are_deterministic_and_warm_starts_save_work() {
-        // All workloads except the two 100×-scale ones, which have their
-        // own dedicated tests above.
-        let only: Vec<String> = WORKLOADS
-            .iter()
-            .filter(|n| !n.ends_with(".large"))
-            .map(|n| (*n).to_string())
-            .collect();
-        let b = record_serial(1, &only);
+        let b = record_serial(1, &untimed_workloads());
         let by_name =
             |name: &str| -> &Metric { b.metrics.iter().find(|m| m.name == name).expect(name) };
         let counter = |m: &Metric, key: &str| -> f64 {
@@ -1265,10 +1296,6 @@ mod tests {
                 .unwrap_or_else(|| panic!("{}: missing counter {key}", m.name))
                 .1
         };
-        // The solver workload pins its iteration and allocation counts.
-        let solver = by_name("solver.lq_solve");
-        assert!(counter(solver, "ipm_iterations") > 0.0);
-        assert!(counter(solver, "allocs") > 0.0);
         // Sequential and parallel game sweeps are byte-deterministic, so
         // every deterministic counter must agree exactly.
         let seq = by_name("game.round_4sp.seq");
@@ -1286,9 +1313,9 @@ mod tests {
         assert_eq!(counter(tournament, "scenarios"), 5.0);
         assert!(counter(tournament, "total_cost") > 0.0);
         assert_eq!(counter(tournament, "wmpc_is_cheapest"), 1.0);
-        // The warm solve must not be more expensive than the cold one.
+        // The warm solve must save iterations over the cold one.
         let warm = by_name("solver.warm_vs_cold");
-        assert!(counter(warm, "warm_iterations") <= counter(warm, "cold_iterations"));
+        assert!(counter(warm, "warm_iterations") < counter(warm, "cold_iterations"));
         assert_eq!(
             counter(warm, "iterations_saved"),
             counter(warm, "cold_iterations") - counter(warm, "warm_iterations")
@@ -1317,6 +1344,64 @@ mod tests {
         assert_eq!(counter(outage, "fallback_periods"), 0.0);
         assert!(counter(outage, "recovery_periods") >= 2.0);
         assert!(counter(outage, "alert_transitions") >= 2.0);
+    }
+
+    #[test]
+    fn workload_catalogue_in_the_docs_matches_workloads() {
+        // The table under "The perf-baseline gate" in OBSERVABILITY.md:
+        // one row per workload, `| `name` | one timed iteration | counters |`.
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let section = doc
+            .split("### The perf-baseline gate")
+            .nth(1)
+            .expect("OBSERVABILITY.md has the perf-baseline section");
+        let section = section.split("\n## ").next().unwrap_or(section);
+        let backticked = |cell: &str| -> Vec<String> {
+            cell.split('`')
+                .skip(1)
+                .step_by(2)
+                .map(str::to_string)
+                .collect()
+        };
+        let rows: Vec<(String, Vec<String>)> = section
+            .lines()
+            .filter(|line| line.starts_with("| `"))
+            .map(|line| {
+                let cells: Vec<&str> = line.split('|').collect();
+                let mut counters = backticked(cells[3]);
+                counters.sort();
+                (backticked(cells[1]).remove(0), counters)
+            })
+            .collect();
+        let documented: Vec<&str> = rows.iter().map(|(name, _)| name.as_str()).collect();
+        let undocumented: Vec<&&str> = WORKLOADS
+            .iter()
+            .filter(|w| !documented.contains(w))
+            .collect();
+        let unknown: Vec<&&str> = documented
+            .iter()
+            .filter(|d| !WORKLOADS.contains(d))
+            .collect();
+        assert!(
+            undocumented.is_empty() && unknown.is_empty(),
+            "catalogue drift: undocumented {undocumented:?}, not in WORKLOADS {unknown:?}"
+        );
+        // Each row's counters are the ones the committed baseline pins.
+        let committed = Baseline::from_json(include_str!("../../../BENCH_BASELINE.json"))
+            .expect("committed baseline parses");
+        for m in &committed.metrics {
+            let (_, counters) = rows
+                .iter()
+                .find(|(name, _)| *name == m.name)
+                .expect(&m.name);
+            let pinned: Vec<&String> = m.counters.iter().map(|(k, _)| k).collect();
+            assert_eq!(
+                counters.iter().collect::<Vec<_>>(),
+                pinned,
+                "{}: documented counters",
+                m.name
+            );
+        }
     }
 
     #[test]

@@ -1,18 +1,10 @@
-//! Shared fixtures for the Criterion benchmarks.
+//! The `dspp-bench` perf-baseline recorder and regression gate
+//! ([`baseline`]) over the committed `BENCH_BASELINE.json`, plus the
+//! fixtures its workloads run on.
 //!
-//! The benchmarks live in `benches/`:
-//!
-//! * `solver` — dense vs Riccati-structured interior point across horizon
-//!   lengths (the ablation behind the solver design choice in DESIGN.md).
-//! * `mpc` — controller step latency vs prediction horizon and arc count.
-//! * `game` — best-response iteration cost vs number of players.
-//! * `sim` — discrete-event throughput and closed-loop step cost.
-//! * `figures` — end-to-end regeneration cost of each paper figure
-//!   (reduced parameterizations for the slow ones).
-//!
-//! The crate also ships the `dspp-bench` binary ([`baseline`]): a
-//! perf-baseline recorder and regression gate over the committed
-//! `BENCH_BASELINE.json`.
+//! The workload catalogue — what each timed iteration runs and which
+//! exact counters it pins — is the table under "The perf-baseline gate"
+//! in `docs/OBSERVABILITY.md`.
 
 pub mod baseline;
 
@@ -63,46 +55,54 @@ pub mod alloc_count {
     }
 }
 
-use dspp_core::{Dspp, DsppBuilder};
-use dspp_linalg::{Matrix, Vector};
-use dspp_solver::{LqProblem, LqStage, LqTerminal};
+use dspp_core::{Allocation, Dspp, DsppBuilder, HorizonProblem};
+use dspp_experiments::scenario::{populations, wide_area_problem, SLA_LATENCY};
 
-/// A DSPP-shaped LQ problem with `n` arcs and `stages` stages: demand
-/// floor, non-negativity, linear prices, PD reconfiguration cost.
-pub fn lq_fixture(n: usize, stages: usize, demand: f64) -> LqProblem {
-    let price: Vector = (0..n).map(|j| 1.0 + 0.3 * (j as f64)).collect();
-    let weights = Vector::filled(n, 0.2);
-    let mut floor = Matrix::zeros(1, n);
-    for j in 0..n {
-        floor[(0, j)] = -1.0;
-    }
-    let mut nonneg = Matrix::zeros(n, n);
-    for j in 0..n {
-        nonneg[(j, j)] = -1.0;
-    }
-    let free = LqStage::identity_dynamics(n)
-        .with_state_cost(price.clone())
-        .with_input_penalty(&weights);
-    let constrained = free
-        .clone()
-        .with_constraints(
-            floor.clone(),
-            Matrix::zeros(1, n),
-            Vector::from(vec![-demand]),
-        )
-        .with_constraints(nonneg, Matrix::zeros(n, n), Vector::zeros(n));
-    let mut all = vec![free];
-    for _ in 1..stages {
-        all.push(constrained.clone());
-    }
-    LqProblem::new(
-        Vector::zeros(n),
-        all,
-        LqTerminal::free(n)
-            .with_state_cost(price)
-            .with_constraints(floor, Vector::from(vec![-demand])),
-    )
-    .expect("valid fixture")
+/// Prediction horizon `W` of the paper-scale solve fixture: the
+/// end-to-end benchmark's `paper_stream` controller horizon.
+const PAPER_HORIZON: usize = 5;
+
+/// Mean arrival rate of the end-to-end benchmark's `paper_stream`
+/// workload, requests/s: 500 000 events per 60 s control period at full
+/// size (`e2ebench/src/paper.rs`), around which its diurnal shape swings
+/// between 0.55× and 1.45×.
+const PAPER_STREAM_RATE: f64 = 500_000.0 / 60.0;
+
+/// The paper's instance: 4 data centers × all 24 access networks of the
+/// city database (65 SLA-feasible arcs), market prices, 2000 servers per
+/// DC, with one price period per horizon stage.
+fn paper_problem() -> Dspp {
+    let locations: Vec<usize> = (0..24).collect();
+    wide_area_problem(&locations, PAPER_HORIZON, 0.001, SLA_LATENCY)
+        .expect("the paper instance builds")
+}
+
+/// The paper-scale solve fixture: one control period's horizon
+/// (W = 5) on the paper's instance (4 DCs × 24 cities, 65 arcs), with
+/// `scale` × `paper_stream`'s mean arrival rate (≈ 8 333 requests/s)
+/// split over the cities by metro population, as `paper_stream` splits
+/// it. At `scale` 1 every DC runs under 1 % of its 2000 servers, so no
+/// capacity row binds.
+pub fn paper_horizon(scale: f64) -> HorizonProblem {
+    let total = scale * PAPER_STREAM_RATE;
+    let pops = populations();
+    let sum: f64 = pops.iter().sum();
+    let demand: Vec<f64> = pops.iter().map(|p| total * p / sum).collect();
+    horizon_fixture(&paper_problem(), &demand, PAPER_HORIZON)
+}
+
+/// One control period's horizon problem on `problem`, from an empty
+/// allocation: location `v` demands `demand[v]` in every one of the
+/// `horizon` stages, and stage `t` prices DC `l` at `problem.price(l, t)`.
+/// The solve workloads build their horizon with this at both scales:
+/// [`paper_horizon`] and [`huge_problem`] at W = 4.
+pub(crate) fn horizon_fixture(problem: &Dspp, demand: &[f64], horizon: usize) -> HorizonProblem {
+    let demand: Vec<Vec<f64>> = demand.iter().map(|&d| vec![d; horizon]).collect();
+    let prices: Vec<Vec<f64>> = (0..problem.num_dcs())
+        .map(|l| (0..horizon).map(|t| problem.price(l, t)).collect())
+        .collect();
+    HorizonProblem::build(problem, &Allocation::zeros(problem), &demand, &prices)
+        .expect("horizon fixture builds")
 }
 
 /// A single-DC problem for controller benchmarks.
@@ -194,12 +194,26 @@ pub fn huge_problem(dcs: usize, locs: usize) -> Dspp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dspp_solver::{solve_lq, IpmSettings};
+    use dspp_solver::IpmSettings;
 
     #[test]
     fn fixtures_are_solvable() {
-        let p = lq_fixture(4, 6, 20.0);
-        assert!(solve_lq(&p, &IpmSettings::default()).is_ok());
+        let paper = paper_problem();
+        assert_eq!(paper.num_arcs(), 65);
+        let h = paper_horizon(1.0);
+        assert_eq!(h.horizon(), PAPER_HORIZON);
+        let sol = h.solve(&IpmSettings::default()).unwrap();
+        // No capacity row binds: every DC runs under 1 % of its servers.
+        for x in &sol.xs[1..] {
+            for l in 0..paper.num_dcs() {
+                let used: f64 =
+                    paper.arcs_for_dc(l).iter().map(|&e| x[e]).sum::<f64>() * paper.server_size();
+                assert!(
+                    used < paper.capacity(l) / 100.0,
+                    "DC {l} uses {used} servers"
+                );
+            }
+        }
         assert_eq!(single_dc_problem(10).num_arcs(), 1);
         assert_eq!(multi_dc_problem(6, 10).num_arcs(), 24);
     }

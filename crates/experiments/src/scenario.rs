@@ -27,6 +27,7 @@ pub fn market() -> ElectricityMarket {
 /// distances (2 ms access hop + 10 µs/km propagation).
 pub fn latency_matrix() -> LatencyMatrix {
     geo_latency_matrix(&default_data_centers(), &us_cities(), 0.002, 1.0e-5)
+        .expect("the fixed city database yields a valid matrix")
 }
 
 /// Metro populations of the 24 access networks (demand weights).

@@ -80,16 +80,26 @@ impl LatencyMatrix {
 /// Builds a latency matrix from great-circle distances.
 ///
 /// Latency model: `base + distance_km * per_km`, the standard
-/// speed-of-light-in-fiber approximation. With the defaults used by the
-/// experiments (`base` 2 ms for the access hop, ~0.01 ms/km one-way
-/// propagation ≈ 2/3 c), coast-to-coast comes out around 40–50 ms, matching
-/// the transit–stub numbers.
+/// speed-of-light-in-fiber approximation. With the values the experiments
+/// use (`base` 2 ms for the access hop, 0.01 ms/km one-way propagation
+/// ≈ 2/3 c), coast to coast comes out around 40–50 ms.
+///
+/// # Errors
+///
+/// Returns a description of the problem if `base_s` or `per_km_s` is
+/// negative or non-finite, if either slice is empty, or if a coordinate
+/// yields a non-finite distance.
 pub fn geo_latency_matrix(
     data_centers: &[DataCenterSite],
     cities: &[City],
     base_s: f64,
     per_km_s: f64,
-) -> LatencyMatrix {
+) -> Result<LatencyMatrix, String> {
+    for (name, value) in [("base_s", base_s), ("per_km_s", per_km_s)] {
+        if !(value.is_finite() && value >= 0.0) {
+            return Err(format!("{name} = {value} must be finite and non-negative"));
+        }
+    }
     let rows = data_centers
         .iter()
         .map(|dc| {
@@ -99,7 +109,7 @@ pub fn geo_latency_matrix(
                 .collect()
         })
         .collect();
-    LatencyMatrix::from_rows(rows).expect("geo matrix is structurally valid")
+    LatencyMatrix::from_rows(rows)
 }
 
 #[cfg(test)]
@@ -119,7 +129,7 @@ mod tests {
 
     #[test]
     fn geo_matrix_shape_and_ranges() {
-        let m = geo_latency_matrix(&default_data_centers(), &us_cities(), 0.002, 1.0e-5);
+        let m = geo_latency_matrix(&default_data_centers(), &us_cities(), 0.002, 1.0e-5).unwrap();
         assert_eq!(m.num_data_centers(), 4);
         assert_eq!(m.num_locations(), 24);
         // San Jose DC ↔ San Francisco access network: nearly local.
@@ -128,6 +138,29 @@ mod tests {
         // San Jose DC ↔ New York: coast to coast, tens of ms.
         let sj_ny = m.get(0, 0);
         assert!((0.030..0.080).contains(&sj_ny), "SJ–NY = {sj_ny}s");
+    }
+
+    #[test]
+    fn geo_matrix_rejects_bad_input() {
+        let (dcs, cities) = (default_data_centers(), us_cities());
+        assert!(geo_latency_matrix(&[], &cities, 0.002, 1.0e-5).is_err());
+        assert!(geo_latency_matrix(&dcs, &[], 0.002, 1.0e-5).is_err());
+        let mut nan_city = cities.clone();
+        nan_city[3].lat = f64::NAN;
+        assert!(geo_latency_matrix(&dcs, &nan_city, 0.002, 1.0e-5).is_err());
+        let mut nan_dc = dcs.clone();
+        nan_dc[1].city.lon = f64::NAN;
+        assert!(geo_latency_matrix(&nan_dc, &cities, 0.002, 1.0e-5).is_err());
+        for bad in [-0.001, f64::NAN, f64::INFINITY] {
+            assert!(
+                geo_latency_matrix(&dcs, &cities, bad, 1.0e-5).is_err(),
+                "base_s = {bad}"
+            );
+            assert!(
+                geo_latency_matrix(&dcs, &cities, 0.002, bad).is_err(),
+                "per_km_s = {bad}"
+            );
+        }
     }
 
     #[test]

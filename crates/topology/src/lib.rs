@@ -2,46 +2,35 @@
 //!
 //! The ICDCS'12 evaluation derives its data-center ↔ client latency matrix
 //! from a Rocketfuel tier-1 ISP map that the authors themselves augment with
-//! GT-ITM-style transit–stub structure (intra-transit 20 ms, transit–stub
-//! 5 ms, intra-stub 2 ms — Section VII). The raw Rocketfuel data is not
-//! redistributable, so this crate *generates* an equivalent topology:
+//! GT-ITM-style transit–stub structure (Section VII). The raw Rocketfuel
+//! data is not redistributable, so the experiments use great-circle
+//! latencies over a fixed city database instead:
 //!
-//! * [`Graph`] — a weighted undirected graph with [`dijkstra`]
-//!   shortest-path latencies.
-//! * [`TransitStubConfig`] / [`TransitStubTopology`] — the GT-ITM-style
-//!   generator with the paper's latency constants.
-//! * [`WaxmanConfig`] — the Waxman random-graph model GT-ITM uses inside
-//!   its transit domains, for studies that need irregular backbones.
 //! * [`us_cities`] / [`default_data_centers`] — the 24 major-US-city access
 //!   networks and the 4 data-center regions (San Jose CA, Houston/Dallas TX,
 //!   Atlanta GA, Chicago IL) used throughout the experiments, with
 //!   coordinates and populations.
 //! * [`LatencyMatrix`] — the `d_lv` matrix consumed by `dspp-core`, built
-//!   either from a generated graph or from great-circle distances.
+//!   from explicit rows or from great-circle distances
+//!   ([`geo_latency_matrix`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use dspp_topology::TransitStubConfig;
+//! use dspp_topology::{default_data_centers, geo_latency_matrix, us_cities};
 //!
-//! let topo = TransitStubConfig::default().with_seed(7).generate();
-//! let latency = topo.latency_matrix(4, 24); // 4 DCs, 24 access networks
+//! // 2 ms access hop + 10 µs/km propagation: 4 DCs × 24 access networks.
+//! let latency = geo_latency_matrix(&default_data_centers(), &us_cities(), 0.002, 1.0e-5)?;
+//! assert_eq!(latency.num_data_centers(), 4);
 //! assert!(latency.get(0, 0) > 0.0);
+//! # Ok::<(), String>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cities;
-mod dijkstra;
-mod graph;
 mod latency;
-mod transit_stub;
-mod waxman;
 
 pub use cities::{default_data_centers, us_cities, City, DataCenterSite};
-pub use dijkstra::dijkstra;
-pub use graph::{Graph, NodeId};
 pub use latency::{geo_latency_matrix, LatencyMatrix};
-pub use transit_stub::{TransitStubConfig, TransitStubTopology};
-pub use waxman::{WaxmanConfig, WaxmanTopology};

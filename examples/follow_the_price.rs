@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let periods = 48;
     // Western/central cities whose SLA service areas overlap several DCs.
     let cities = [1usize, 10, 23, 12, 3, 4]; // LA, SF, Salt Lake City, Phoenix, Dallas, Houston
-    let full = geo_latency_matrix(&default_data_centers(), &us_cities(), 0.002, 1.0e-5);
+    let full = geo_latency_matrix(&default_data_centers(), &us_cities(), 0.002, 1.0e-5)?;
     let latency: Vec<Vec<f64>> = (0..4)
         .map(|l| cities.iter().map(|&v| full.get(l, v)).collect())
         .collect();

@@ -4,8 +4,9 @@
 //! *"Dynamic Service Placement in Geographically Distributed Clouds"*,
 //! ICDCS 2012: a Model-Predictive-Control service-placement controller, a
 //! multi-provider resource-competition game, and every substrate the paper's
-//! evaluation needs (QP solvers, topology and workload generators, regional
-//! electricity pricing, demand prediction, and a closed-loop simulator).
+//! evaluation needs (QP solvers, a city database with great-circle latencies,
+//! workload generators, regional electricity pricing, demand prediction, and
+//! a closed-loop simulator).
 //!
 //! This crate is a facade that re-exports the workspace crates under stable
 //! module names:
@@ -14,7 +15,7 @@
 //! |---|---|---|
 //! | [`linalg`] | `dspp-linalg` | dense vectors/matrices, Cholesky (single and lane-batched), LDLᵀ, QR, Schur-complement workspace |
 //! | [`solver`] | `dspp-solver` | structured KKT interior point (every placement solve); dense QP and Riccati LQ interior points as its oracles |
-//! | [`topology`] | `dspp-topology` | transit–stub graphs, Dijkstra, US cities |
+//! | [`topology`] | `dspp-topology` | US cities and DC sites, great-circle latency matrix |
 //! | [`workload`] | `dspp-workload` | diurnal Poisson demand, flash crowds |
 //! | [`pricing`] | `dspp-pricing` | regional electricity markets, VM power |
 //! | [`predict`] | `dspp-predict` | AR(p), seasonal-naive, oracle predictors |

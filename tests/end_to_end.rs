@@ -16,7 +16,8 @@ use dspp::workload::{DemandModel, DiurnalProfile};
 fn wide_area_run(horizon: usize) -> dspp::sim::SimReport {
     let periods = 48;
     let cities = [1usize, 10, 3, 4]; // LA, SF, Dallas, Houston
-    let full = geo_latency_matrix(&default_data_centers(), &us_cities(), 0.002, 1.0e-5);
+    let full = geo_latency_matrix(&default_data_centers(), &us_cities(), 0.002, 1.0e-5)
+        .expect("valid latency parameters");
     let latency: Vec<Vec<f64>> = (0..4)
         .map(|l| cities.iter().map(|&v| full.get(l, v)).collect())
         .collect();
