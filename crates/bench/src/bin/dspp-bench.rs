@@ -4,6 +4,7 @@
 //! dspp-bench record  [--out BENCH_BASELINE.json] [--iters 30] [--only a,b]
 //! dspp-bench compare [--baseline BENCH_BASELINE.json] [--tolerance 0.30] [--iters 30] [--only a,b]
 //! dspp-bench compare-metrics [--baseline BENCH_BASELINE.json] [--tolerance 0] [--iters 2] [--only a,b]
+//! dspp-bench scaling
 //! ```
 //!
 //! `record` measures the solver/controller/game workloads and writes the
@@ -20,11 +21,18 @@
 //! restricts the run to exactly those: skipped workloads are neither
 //! measured nor (for the compare modes) required to be present — the CI
 //! scaling job uses it to gate `solver.lq_solve.large` in isolation.
+//!
+//! `scaling` runs the dense-vs-structured solver scaling sweep
+//! ([`dspp_bench::scaling`]), prints its table and writes
+//! `results/solver_scaling.csv` (or under `$DSPP_RESULTS`). It takes no
+//! options.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use dspp_bench::baseline::{compare, compare_metrics, record_selected, Baseline, WORKLOADS};
+use dspp_bench::scaling;
+use dspp_experiments::emit;
 
 const DEFAULT_PATH: &str = "BENCH_BASELINE.json";
 const DEFAULT_ITERS: usize = 30;
@@ -45,6 +53,7 @@ fn usage() -> String {
         "usage: dspp-bench record  [--out <path>] [--iters <n>] [--only <a,b,…>]\n\
          \x20      dspp-bench compare [--baseline <path>] [--tolerance <frac>] [--iters <n>] [--only <a,b,…>]\n\
          \x20      dspp-bench compare-metrics [--baseline <path>] [--tolerance <frac>] [--iters <n>] [--only <a,b,…>]\n\
+         \x20      dspp-bench scaling\n\
          defaults: path {DEFAULT_PATH}, iters {DEFAULT_ITERS} (compare-metrics: \
          {DEFAULT_METRICS_ITERS}), tolerance {DEFAULT_TOLERANCE} (compare-metrics: \
          {DEFAULT_METRICS_TOLERANCE})"
@@ -54,8 +63,16 @@ fn usage() -> String {
 fn parse_options() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
     let mode = args.next().ok_or_else(usage)?;
-    if mode != "record" && mode != "compare" && mode != "compare-metrics" {
+    if !["record", "compare", "compare-metrics", "scaling"].contains(&mode.as_str()) {
         return Err(format!("unknown mode {mode:?}\n{}", usage()));
+    }
+    if mode == "scaling" {
+        if let Some(arg) = args.next() {
+            return Err(format!(
+                "scaling takes no options, got {arg:?}\n{}",
+                usage()
+            ));
+        }
     }
     // The deterministic counters do not need many timed iterations, and
     // their comparison is exact by default.
@@ -125,6 +142,11 @@ fn parse_options() -> Result<Options, String> {
 }
 
 fn run(opts: &Options) -> Result<bool, String> {
+    if opts.mode == "scaling" {
+        return emit(scaling::run())
+            .map(|()| true)
+            .map_err(|e| format!("solver scaling sweep failed: {e}"));
+    }
     if opts.mode == "record" {
         eprintln!(
             "recording baseline ({} iterations per workload)…",

@@ -1,12 +1,14 @@
 //! The `dspp-bench` perf-baseline recorder and regression gate
-//! ([`baseline`]) over the committed `BENCH_BASELINE.json`, plus the
-//! fixtures its workloads run on.
+//! ([`baseline`]) over the committed `BENCH_BASELINE.json`, the
+//! dense-vs-structured solver scaling sweep ([`scaling`]), and the
+//! fixtures both run on.
 //!
 //! The workload catalogue — what each timed iteration runs and which
 //! exact counters it pins — is the table under "The perf-baseline gate"
 //! in `docs/OBSERVABILITY.md`.
 
 pub mod baseline;
+pub mod scaling;
 
 /// Allocation counting behind the deterministic baseline counters.
 ///
@@ -94,8 +96,9 @@ pub fn paper_horizon(scale: f64) -> HorizonProblem {
 /// One control period's horizon problem on `problem`, from an empty
 /// allocation: location `v` demands `demand[v]` in every one of the
 /// `horizon` stages, and stage `t` prices DC `l` at `problem.price(l, t)`.
-/// The solve workloads build their horizon with this at both scales:
-/// [`paper_horizon`] and [`huge_problem`] at W = 4.
+/// The solve workloads build their horizon with this at both scales —
+/// [`paper_horizon`] and [`huge_problem`] at W = 4 — and so does the
+/// [`scaling`] sweep.
 pub(crate) fn horizon_fixture(problem: &Dspp, demand: &[f64], horizon: usize) -> HorizonProblem {
     let demand: Vec<Vec<f64>> = demand.iter().map(|&d| vec![d; horizon]).collect();
     let prices: Vec<Vec<f64>> = (0..problem.num_dcs())
@@ -158,8 +161,8 @@ pub fn multi_dc_problem(v: usize, periods: usize) -> Dspp {
 /// locations, with each location reaching exactly three nearby DCs under
 /// the SLA (the rest of the latency matrix is far beyond the deadline, so
 /// the builder prunes those arcs). The sparse arc set is what the
-/// structured KKT path exploits; the dense Riccati path would see a
-/// `3·locs`-dimensional state and cube it.
+/// structured KKT path exploits; the dense Riccati oracle sees a
+/// `3·locs`-dimensional state and cubes it (the [`scaling`] sweep).
 ///
 /// Prices cycle over seven tariff levels so the optimizer has real
 /// choices, and capacities are tight enough that the cheap DCs bind.

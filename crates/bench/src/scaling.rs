@@ -1,72 +1,40 @@
-//! Solver scaling experiment: the dense Riccati oracle vs the structured
-//! Schur-complement KKT path every placement solve takes, wall-clock
-//! across instance sizes (`all --solver-scaling`).
+//! Solver scaling sweep (`dspp-bench scaling`): the dense Riccati oracle
+//! vs the structured Schur-complement KKT path every placement solve
+//! takes, wall-clock across instance sizes.
 //!
-//! Each row solves the same horizon-4 placement QP on a family of
-//! instances that grows from 4 DCs × 40 locations to the 100 DC × 1000
+//! Each row solves the same horizon-4 placement QP on [`huge_problem`]
+//! instances that grow from 4 DCs × 40 locations to the 100 DC × 1000
 //! location scale the structured path was built for. Every location
 //! reaches exactly three nearby DCs under the SLA, so the arc count —
 //! the dense state dimension — is `3 · locations`. The dense Riccati
 //! recursion is cubic in that dimension and is only run while it stays
-//! affordable, on the dense expansion [`HorizonProblem::to_lq`] of the very
-//! problem the structured arm solves; the structured path factors one
+//! affordable, on the dense expansion ([`dspp_oracle::expand`]) of the
+//! very problem the structured arm solves; the structured path factors one
 //! small block per location plus a dense capacity Schur complement and is
 //! run at every size.
 //!
-//! The CSV (`results/solver_scaling.csv`) is a timing artifact: it is
-//! *not* part of the default `all` run, so the determinism job's
+//! The CSV (`results/solver_scaling.csv`) is a timing artifact: the
+//! figure run (`all`) does not write it, so the determinism job's
 //! byte-for-byte figure diffs never see it. The `solver-scaling` CI job
 //! regenerates and uploads it on every PR.
 
 use std::time::Instant;
 
-use dspp_core::{Allocation, Dspp, DsppBuilder, HorizonProblem};
-use dspp_solver::{solve_lq, IpmSettings};
+use dspp_experiments::{ExpResult, Figure};
+use dspp_oracle::{expand, solve_lq};
+use dspp_solver::IpmSettings;
 
-use crate::{ExpResult, Figure};
+use crate::{horizon_fixture, huge_problem};
 
 /// Instance sizes swept, as `(data centers, locations)`.
-pub const SIZES: [(usize, usize); 5] = [(4, 40), (10, 100), (20, 200), (50, 500), (100, 1000)];
+const SIZES: [(usize, usize); 5] = [(4, 40), (10, 100), (20, 200), (50, 500), (100, 1000)];
 
 /// Largest arc count the cubic dense Riccati arm is run at. Beyond this
 /// the dense columns are reported as 0 (see the figure notes).
-pub const DENSE_ARC_LIMIT: usize = 300;
+const DENSE_ARC_LIMIT: usize = 300;
 
 const HORIZON: usize = 4;
 const SOLVES_PER_CELL: usize = 3;
-
-/// A `dcs × locs` instance where each location reaches exactly three
-/// nearby DCs under the 60 ms SLA (the rest of the latency matrix is far
-/// beyond the deadline, so the builder prunes those arcs). Mirrors the
-/// `huge_problem` fixture behind the `solver.lq_solve.large` baseline
-/// workload; kept in sync by the objective cross-check in `run`.
-fn scaled_problem(dcs: usize, locs: usize) -> ExpResult<Dspp> {
-    let latency: Vec<Vec<f64>> = (0..dcs)
-        .map(|l| {
-            (0..locs)
-                .map(|v| {
-                    let near = l == v % dcs || l == (v + 31) % dcs || l == (v + 57) % dcs;
-                    if near {
-                        0.010
-                    } else {
-                        0.200
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let mut builder = DsppBuilder::new(dcs, locs)
-        .service_rate(250.0)
-        .sla_latency(0.060)
-        .latency_rows(latency);
-    for l in 0..dcs {
-        builder = builder
-            .price_trace(l, vec![0.004 + 0.002 * ((l % 7) as f64); 8])
-            .reconfiguration_weight(l, 0.001)
-            .capacity(l, 150.0);
-    }
-    Ok(builder.build()?)
-}
 
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
@@ -77,23 +45,20 @@ fn median(mut samples: Vec<f64>) -> f64 {
 ///
 /// # Errors
 ///
-/// Propagates fixture-construction or solver failures.
+/// Propagates solver failures, and fails when the two paths disagree on
+/// an objective by more than `1e-5` relative.
 pub fn run() -> ExpResult<Figure> {
     let ipm = IpmSettings::fast();
     let mut rows = Vec::new();
     let mut crossover_ratio: f64 = 0.0;
     for (dcs, locs) in SIZES {
-        let problem = scaled_problem(dcs, locs)?;
+        let problem = huge_problem(dcs, locs);
         let arcs = problem.num_arcs();
-        let x0 = Allocation::zeros(&problem);
-        let demand: Vec<Vec<f64>> = (0..locs)
-            .map(|v| vec![1_600.0 + 40.0 * ((v % 11) as f64); HORIZON])
+        let demand: Vec<f64> = (0..locs)
+            .map(|v| 1_600.0 + 40.0 * ((v % 11) as f64))
             .collect();
-        let prices: Vec<Vec<f64>> = (0..dcs)
-            .map(|l| vec![problem.price(l, 0); HORIZON])
-            .collect();
+        let hp = horizon_fixture(&problem, &demand, HORIZON);
 
-        let hp = HorizonProblem::build(&problem, &x0, &demand, &prices)?;
         let mut structured_ms = Vec::with_capacity(SOLVES_PER_CELL);
         let mut structured_sol = None;
         for _ in 0..SOLVES_PER_CELL {
@@ -105,7 +70,7 @@ pub fn run() -> ExpResult<Figure> {
         let structured_ms = median(structured_ms);
 
         let (dense_ms, dense_iters) = if arcs <= DENSE_ARC_LIMIT {
-            let dense = hp.to_lq();
+            let dense = expand(hp.structured());
             let mut samples = Vec::with_capacity(SOLVES_PER_CELL);
             let mut dense_sol = None;
             for _ in 0..SOLVES_PER_CELL {
@@ -177,27 +142,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scaled_problem_has_three_arcs_per_location() {
-        let p = scaled_problem(10, 40).unwrap();
-        assert_eq!(p.num_arcs(), 3 * 40);
-        for v in 0..40 {
-            assert_eq!(p.arcs_for_location(v).len(), 3);
-        }
-    }
-
-    #[test]
     fn small_scaling_cell_solves_on_both_paths() {
         // A miniature end-to-end pass of the per-cell logic: the full
         // `run` sweep is exercised by the CI job, not the unit suite.
-        let problem = scaled_problem(4, 40).unwrap();
-        let x0 = Allocation::zeros(&problem);
-        let demand: Vec<Vec<f64>> = (0..40)
-            .map(|v| vec![1_600.0 + (v % 11) as f64; 4])
-            .collect();
-        let prices: Vec<Vec<f64>> = (0..4).map(|l| vec![problem.price(l, 0); 4]).collect();
-        let hp = HorizonProblem::build(&problem, &x0, &demand, &prices).unwrap();
+        let demand: Vec<f64> = (0..40).map(|v| 1_600.0 + (v % 11) as f64).collect();
+        let hp = horizon_fixture(&huge_problem(4, 40), &demand, 4);
         let structured = hp.solve(&IpmSettings::fast()).unwrap();
-        let dense = solve_lq(&hp.to_lq(), &IpmSettings::fast()).unwrap();
+        let dense = solve_lq(&expand(hp.structured()), &IpmSettings::fast()).unwrap();
         let scale = dense.objective.abs().max(1.0);
         assert!((dense.objective - structured.objective).abs() / scale < 1e-5);
     }

@@ -2,8 +2,8 @@ use crate::{Allocation, CoreError, Dspp};
 use dspp_linalg::Vector;
 use dspp_solver::{
     preflight_structured, solve_structured_relaxed_traced, solve_structured_warm_traced,
-    CouplingRow, DiagRow, FeasibilityReport, IpmSettings, LqProblem, LqRowLayout, LqSolution,
-    SoftSpec, StructuredLq,
+    CouplingRow, DiagRow, FeasibilityReport, IpmSettings, LqRowLayout, LqSolution, SoftSpec,
+    StructuredLq,
 };
 use dspp_telemetry::Recorder;
 
@@ -90,8 +90,9 @@ impl RecoveryOutcome {
 /// to extract the per-DC shadow prices the multi-provider game needs. The
 /// rows are emitted sparsely — no dense constraint matrix is ever built —
 /// and every solve runs on the structure-exploiting KKT path
-/// ([`dspp_solver::solve_structured`]). [`HorizonProblem::to_lq`] expands
-/// the same problem densely for the oracle cross-checks.
+/// ([`dspp_solver::solve_structured`]). The oracle cross-checks expand
+/// [`HorizonProblem::structured`] densely with the test-only
+/// `dspp-oracle` crate.
 #[derive(Debug, Clone)]
 pub struct HorizonProblem {
     slq: StructuredLq,
@@ -321,14 +322,6 @@ impl HorizonProblem {
     /// The underlying compact problem.
     pub fn structured(&self) -> &StructuredLq {
         &self.slq
-    }
-
-    /// The same problem expanded into a dense [`LqProblem`] — the oracle
-    /// the tests and the solver-scaling sweep solve with
-    /// [`dspp_solver::solve_lq`] to cross-check the structured path.
-    /// Costs `O(W·rows·arcs)` memory; never used on the solve path.
-    pub fn to_lq(&self) -> LqProblem {
-        self.slq.to_lq()
     }
 
     /// Horizon length `W`.
@@ -758,160 +751,6 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, CoreError::InvalidSpec(_)));
         }
-    }
-
-    fn oracle(h: &HorizonProblem) -> LqSolution {
-        dspp_solver::solve_lq(&h.to_lq(), &IpmSettings::default()).unwrap()
-    }
-
-    fn assert_matches_oracle(h: &HorizonProblem, sol: &LqSolution, dense: &LqSolution) {
-        assert!(
-            (dense.objective - sol.objective).abs() <= 1e-6 * (1.0 + dense.objective.abs()),
-            "objectives diverge: {} vs oracle {}",
-            sol.objective,
-            dense.objective
-        );
-        for (a, b) in sol.xs.iter().zip(&dense.xs) {
-            assert!((a - b).norm_inf() < 1e-5);
-        }
-        let (cs, cd) = (h.capacity_duals(sol), h.capacity_duals(dense));
-        for (a, b) in cs.iter().zip(&cd) {
-            assert!(
-                (a - b).abs() < 1e-4,
-                "capacity duals {cs:?} vs oracle {cd:?}"
-            );
-        }
-        let (ds, dd) = (h.demand_duals(sol), h.demand_duals(dense));
-        for (a, b) in ds.iter().zip(&dd) {
-            assert!((a - b).abs() < 1e-4, "demand duals {ds:?} vs oracle {dd:?}");
-        }
-    }
-
-    #[test]
-    fn structured_path_matches_the_dense_oracle() {
-        let p = problem();
-        let x0 = Allocation::zeros(&p);
-        let demand = vec![flat(50.0, 4), flat(30.0, 4)];
-        let prices = vec![vec![1.0, 1.2, 0.9, 1.1], vec![2.0, 1.8, 2.1, 1.9]];
-        let h = HorizonProblem::build(&p, &x0, &demand, &prices).unwrap();
-        let sol = h.solve(&IpmSettings::default()).unwrap();
-        assert_eq!(sol.status, dspp_solver::SolveStatus::Optimal);
-        assert_matches_oracle(&h, &sol, &oracle(&h));
-    }
-
-    #[test]
-    fn rate_limited_horizon_matches_the_dense_oracle() {
-        let p = problem();
-        let x0 = Allocation::zeros(&p);
-        let h = HorizonProblem::build_full(
-            &p,
-            &x0,
-            &[vec![20.0, 40.0, 60.0], vec![10.0, 10.0, 30.0]],
-            &[flat(1.0, 3), flat(2.0, 3)],
-            None,
-            Some(0.35),
-        )
-        .unwrap();
-        let sol = h.solve(&IpmSettings::default()).unwrap();
-        for u in &sol.us {
-            assert!(u.norm_inf() <= 0.35 + 1e-6);
-        }
-        let dense = oracle(&h);
-        assert_matches_oracle(&h, &sol, &dense);
-        // Box-row duals come back in the dense layout, after the state rows.
-        for (a, b) in sol.stage_duals.iter().zip(&dense.stage_duals) {
-            assert_eq!(a.len(), b.len());
-        }
-    }
-
-    #[test]
-    fn recovery_matches_the_dense_relaxation_oracle() {
-        let p = DsppBuilder::new(2, 1)
-            .service_rate(100.0)
-            .sla_latency(0.060)
-            .latency_rows(vec![vec![0.010], vec![0.020]])
-            .capacities(vec![1.0, 1.5])
-            .price_trace(0, vec![1.0])
-            .price_trace(1, vec![2.0])
-            .build()
-            .unwrap();
-        let x0 = Allocation::zeros(&p);
-        let h = HorizonProblem::build(
-            &p,
-            &x0,
-            &[vec![100.0, 400.0, 150.0]],
-            &[flat(1.0, 3), flat(2.0, 3)],
-        )
-        .unwrap();
-        let recovery = RecoverySettings::default();
-        let out = h
-            .solve_recovery(
-                &IpmSettings::default(),
-                &recovery,
-                None,
-                &Recorder::disabled(),
-            )
-            .unwrap();
-        assert_eq!(out.solution.status, dspp_solver::SolveStatus::Optimal);
-        let strict = h.to_lq();
-        let soften: Vec<bool> = (0..=h.horizon()).map(|k| k > 0).collect();
-        let relaxed =
-            dspp_solver::relax_lq_slots(&strict, &h.recovery_spec(&recovery), &soften).unwrap();
-        let dense = relaxed.split_solution(
-            &strict,
-            &dspp_solver::solve_lq(&relaxed.problem, &IpmSettings::default()).unwrap(),
-        );
-        assert!(
-            (out.solution.objective - dense.solution.objective).abs()
-                <= 1e-6 * (1.0 + dense.solution.objective.abs())
-        );
-        let a = p.arc_coeff(0).min(p.arc_coeff(1)) * p.server_size();
-        for t in 0..h.horizon() {
-            let oracle_shortfall = dense.slot_slack(t + 1) * a;
-            assert!(
-                (out.resource_shortfall[t] - oracle_shortfall).abs() < 1e-6,
-                "period {t}: {} vs oracle {oracle_shortfall}",
-                out.resource_shortfall[t]
-            );
-        }
-        assert!(out.max_resource_shortfall() > 1.0);
-    }
-
-    #[test]
-    fn dead_data_center_arcs_are_pinned_to_zero() {
-        let p = problem();
-        let x0 = Allocation::from_arc_values(&p, vec![0.3; p.num_arcs()]);
-        // DC 1 is dark for the middle two of four periods.
-        let caps = vec![
-            vec![100.0, 100.0],
-            vec![100.0, 0.0],
-            vec![100.0, 0.0],
-            vec![100.0, 100.0],
-        ];
-        let h = HorizonProblem::build_with_stage_capacities(
-            &p,
-            &x0,
-            &[flat(50.0, 4), flat(30.0, 4)],
-            &[flat(2.0, 4), flat(1.0, 4)],
-            Some(&caps),
-        )
-        .unwrap();
-        assert_eq!(h.structured().pins().len(), 2 * 2);
-        let sol = h.solve(&IpmSettings::default()).unwrap();
-        assert_eq!(sol.status, dspp_solver::SolveStatus::Optimal);
-        let dc1: Vec<usize> = (0..p.num_arcs()).filter(|&e| p.arcs()[e].0 == 1).collect();
-        for k in [2, 3] {
-            for &e in &dc1 {
-                assert_eq!(sol.xs[k][e], 0.0, "slot {k} arc {e}");
-            }
-        }
-        let dense = oracle(&h);
-        assert!(
-            (dense.objective - sol.objective).abs() <= 1e-6 * (1.0 + dense.objective.abs()),
-            "objectives diverge: {} vs oracle {}",
-            sol.objective,
-            dense.objective
-        );
     }
 
     #[test]

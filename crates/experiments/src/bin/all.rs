@@ -41,13 +41,6 @@
 //! `dspp-analyze` MTTR report derived from the drill's own trace (see
 //! [`chaos_drill`]; `--mttr-out <path>` writes the full report).
 //!
-//! With `--solver-scaling` the figures are skipped and the
-//! dense-vs-structured KKT scaling sweep runs instead, writing
-//! `results/solver_scaling.csv` (uploaded by the `solver-scaling` CI
-//! job). The sweep is deliberately not part of the default run: its
-//! output is wall-clock timings, which the determinism job's
-//! byte-for-byte figure diffs must never see.
-//!
 //! The default figure run additionally executes the streaming-ingest
 //! experiment and writes `results/ingest_sealed.csv`, the exact integer
 //! sealed-period ledger the determinism CI job diffs across `--jobs`.
@@ -965,21 +958,6 @@ fn regenerate_figures(args: &TraceArgs, tracer: &Tracer) -> bool {
     ok
 }
 
-/// The `--solver-scaling` mode: the dense-vs-structured KKT scaling
-/// sweep (see [`dspp_experiments::scaling`]). Prints the table and
-/// writes `results/solver_scaling.csv` — a timing artifact, kept out of
-/// the default figure run so the determinism job's byte-for-byte CSV
-/// diffs never see it.
-fn solver_scaling_sweep() -> bool {
-    match emit(dspp_experiments::scaling::run()) {
-        Ok(()) => true,
-        Err(e) => {
-            eprintln!("solver scaling sweep failed: {e}");
-            false
-        }
-    }
-}
-
 fn main() {
     let args = match TraceArgs::parse() {
         Ok(args) => args,
@@ -1001,8 +979,6 @@ fn main() {
         infeasible_drill(&args, &tracer)
     } else if args.fault_drill {
         fault_drill(&args, &tracer)
-    } else if args.solver_scaling {
-        solver_scaling_sweep()
     } else {
         regenerate_figures(&args, &tracer)
     };

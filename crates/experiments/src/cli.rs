@@ -58,12 +58,6 @@ pub struct TraceArgs {
     /// chaos drill derives from its own trace (`--mttr-out <path>`;
     /// ignored outside `--fault-drill --chaos`).
     pub mttr_out: Option<PathBuf>,
-    /// Run the solver scaling sweep instead of the normal workload
-    /// (`--solver-scaling`; honored by `all`, ignored by figure
-    /// binaries). Writes `results/solver_scaling.csv` — a timing
-    /// artifact, deliberately outside the default figure run so the
-    /// determinism job's byte-for-byte CSV diffs never see it.
-    pub solver_scaling: bool,
     /// Serve the run's live metrics over HTTP on this address while the
     /// experiment executes (`--metrics-addr <host:port>`; port 0 picks a
     /// free port and prints it).
@@ -118,7 +112,6 @@ impl TraceArgs {
                 "--infeasible" => out.infeasible = true,
                 "--soak" => out.soak = true,
                 "--chaos" => out.chaos = true,
-                "--solver-scaling" => out.solver_scaling = true,
                 "--metrics-addr" => out.metrics_addr = Some(value("--metrics-addr")?),
                 "--slo-out" => out.slo_out = Some(PathBuf::from(value("--slo-out")?)),
                 "--mttr-out" => out.mttr_out = Some(PathBuf::from(value("--mttr-out")?)),
@@ -126,7 +119,7 @@ impl TraceArgs {
                     return Err(format!(
                         "unknown argument {other:?}; usage: [--trace-out <path>] \
                          [--events-out <path>] [--jobs <N>] [--fault-drill] [--infeasible] \
-                         [--soak] [--chaos] [--solver-scaling] \
+                         [--soak] [--chaos] \
                          [--metrics-addr <host:port>] [--slo-out <path>] \
                          [--mttr-out <path>]"
                     ))

@@ -26,7 +26,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod scaling;
 pub mod scenario;
 pub mod streaming;
 pub mod tournament;

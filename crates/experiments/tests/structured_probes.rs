@@ -2,15 +2,16 @@
 //! degrades where the dense Riccati path does not: capacity rows binding
 //! together with demand rows (a market period of the quota game), and a
 //! dark data center inside the lookahead (the paper instance's outage).
-//! Both pin the structured path against the dense oracle
-//! (`HorizonProblem::to_lq` solved by `solve_lq`).
+//! Both pin the structured path against the dense oracle (the expanded
+//! horizon, `dspp_oracle::expand`, solved by `dspp_oracle::solve_lq`).
 
 use dspp_core::{Allocation, HorizonProblem, MpcController, MpcSettings, PlacementPolicy};
 use dspp_experiments::scenario::{populations, wide_area_problem, SLA_LATENCY};
 use dspp_game::{GameConfig, ResourceGame, SpSampler};
+use dspp_oracle::{expand, solve_lq};
 use dspp_predict::OraclePredictor;
 use dspp_runtime::FaultPlan;
-use dspp_solver::{solve_lq, IpmSettings, SolveStatus};
+use dspp_solver::{IpmSettings, SolveStatus};
 use dspp_telemetry::Recorder;
 
 /// One period of the rolling-game market: six sampled providers on
@@ -109,7 +110,7 @@ fn outage_lookahead_decisions_match_the_dense_oracle() {
                 "period {k}: DC 3 is dark"
             );
             let structured = h.solve(&ipm).expect("structured solve");
-            let oracle = solve_lq(&h.to_lq(), &ipm);
+            let oracle = solve_lq(&expand(h.structured()), &ipm);
             structured_optimal += usize::from(structured.status == SolveStatus::Optimal);
             if let Ok(oracle) = oracle {
                 if oracle.status == SolveStatus::Optimal {

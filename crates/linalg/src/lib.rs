@@ -7,7 +7,7 @@
 //!   arithmetic used by interior-point solvers (`axpy`, dot products,
 //!   matrix–vector and matrix–matrix products, norms).
 //! * [`Cholesky`]: factorization of symmetric positive-definite matrices,
-//!   used for the Newton systems of the QP solvers.
+//!   used for the Newton systems of the interior-point solver.
 //! * [`CholeskyLanes`]: [`LANES`] small SPD matrices of one dimension
 //!   factored, inverted and solved side by side, each lane bit-identical
 //!   to [`Cholesky`] on its matrix alone — the location blocks of the
@@ -17,8 +17,6 @@
 //!   each pivot against its own row's scale
 //!   ([`Cholesky::refactor_rowwise`]), because barrier-scaled blocks span
 //!   many decades on one diagonal.
-//! * [`Ldlt`]: an `LDLᵀ` factorization for symmetric *quasi-definite*
-//!   matrices (with static regularization), used for augmented KKT systems.
 //! * [`Qr`]: Householder QR for least-squares problems (AR model fitting).
 //!
 //! # Examples
@@ -42,7 +40,6 @@
 mod cholesky;
 mod error;
 mod lanes;
-mod ldlt;
 mod matrix;
 #[cfg(test)]
 mod oracle;
@@ -53,7 +50,6 @@ mod vector;
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use lanes::{CholeskyLanes, Lanes, LANES};
-pub use ldlt::Ldlt;
 pub use matrix::Matrix;
 pub use qr::Qr;
 pub use schur::SchurComplement;

@@ -140,13 +140,7 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Copies column `j` into a new vector.
-    pub fn col(&self, j: usize) -> Vector {
-        assert!(j < self.cols, "col {j} out of bounds ({} cols)", self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
-    /// Copies column `j` into `out` (allocation-free [`Matrix::col`]).
+    /// Copies column `j` into `out`.
     ///
     /// # Panics
     ///
@@ -262,16 +256,6 @@ impl Matrix {
         let mut y = Vector::zeros(self.cols);
         self.matvec_t_acc(1.0, x, &mut y);
         y
-    }
-
-    /// Writes `Aᵀ x` into `out` (allocation-free [`Matrix::matvec_t`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != rows` or `out.len() != cols`.
-    pub fn matvec_t_into(&self, x: &Vector, out: &mut Vector) {
-        out.fill(0.0);
-        self.matvec_t_acc(1.0, x, out);
     }
 
     /// Accumulates `out += alpha · Aᵀ x` (gemv-style, allocation-free).
@@ -392,29 +376,6 @@ impl Matrix {
         }
     }
 
-    /// Computes `AᵀA` directly (symmetric result, used by normal equations).
-    pub fn gram(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.cols);
-        for k in 0..self.rows {
-            let row = self.row(k);
-            for i in 0..self.cols {
-                let aki = row[i];
-                if aki == 0.0 {
-                    continue;
-                }
-                for j in i..self.cols {
-                    out[(i, j)] += aki * row[j];
-                }
-            }
-        }
-        for i in 0..self.cols {
-            for j in 0..i {
-                out[(i, j)] = out[(j, i)];
-            }
-        }
-        out
-    }
-
     /// Computes `Aᵀ D A` where `D = diag(w)` (weighted Gram matrix).
     ///
     /// This is the workhorse of interior-point Newton systems.
@@ -481,19 +442,7 @@ impl Matrix {
         }
     }
 
-    /// Computes `Aᵀ D B` where `D = diag(w)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are incompatible.
-    pub fn weighted_product(&self, w: &Vector, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.weighted_product_into(w, other, &mut out);
-        out
-    }
-
-    /// Writes `Aᵀ D B` into `out` (allocation-free
-    /// [`Matrix::weighted_product`]).
+    /// Writes `Aᵀ D B` into `out`, where `D = diag(w)`.
     ///
     /// # Panics
     ///
@@ -729,14 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn gram_matches_explicit_product() {
-        let a = mat(&[&[1.0, 2.0, 0.5], &[3.0, 4.0, -1.0]]);
-        let g = a.gram();
-        let explicit = a.transpose().matmul(&a);
-        assert!((&g - &explicit).norm_inf() < 1e-12);
-    }
-
-    #[test]
     fn weighted_gram_matches_explicit_product() {
         let a = mat(&[&[1.0, 2.0], &[3.0, 4.0], &[0.0, 1.0]]);
         let w = Vector::from(vec![2.0, 0.5, 3.0]);
@@ -751,7 +692,8 @@ mod tests {
         let a = mat(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = mat(&[&[1.0], &[2.0]]);
         let w = Vector::from(vec![0.5, 2.0]);
-        let p = a.weighted_product(&w, &b);
+        let mut p = Matrix::from_vec(2, 1, vec![9.0, 9.0]).unwrap();
+        a.weighted_product_into(&w, &b, &mut p);
         let explicit = a.transpose().matmul(&Matrix::from_diag(&w)).matmul(&b);
         assert!((&p - &explicit).norm_inf() < 1e-12);
     }
@@ -783,7 +725,6 @@ mod tests {
     fn row_and_col_access() {
         let a = mat(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.row(1), &[3.0, 4.0]);
-        assert_eq!(a.col(0).as_slice(), &[1.0, 3.0]);
         let mut c = Vector::zeros(2);
         a.col_into(1, &mut c);
         assert_eq!(c.as_slice(), &[2.0, 4.0]);
@@ -803,8 +744,8 @@ mod tests {
         a.matvec_acc(2.0, &x, &mut out);
         assert_eq!(out, &a.matvec(&x) + &a.matvec(&x.scaled(2.0)));
 
-        let mut out_t = Vector::from(vec![9.0, 9.0, 9.0]);
-        a.matvec_t_into(&y, &mut out_t);
+        let mut out_t = Vector::zeros(3);
+        a.matvec_t_acc(1.0, &y, &mut out_t);
         assert_eq!(out_t, a.matvec_t(&y));
         a.matvec_t_acc(-1.0, &y, &mut out_t);
         assert!(out_t.norm_inf() < 1e-12);
@@ -828,7 +769,11 @@ mod tests {
 
         let mut wp = Matrix::zeros(3, 3);
         a.weighted_product_into(&w, &b.transpose(), &mut wp);
-        assert!((&wp - &a.weighted_product(&w, &b.transpose())).norm_inf() < 1e-12);
+        let explicit = a
+            .transpose()
+            .matmul(&Matrix::from_diag(&w))
+            .matmul(&b.transpose());
+        assert!((&wp - &explicit).norm_inf() < 1e-12);
 
         let mut t = Matrix::zeros(3, 2);
         a.transpose_into(&mut t);
@@ -861,16 +806,5 @@ mod tests {
             prop_assert!((&lhs - &rhs).norm_inf() < 1e-9);
         }
 
-        #[test]
-        fn prop_gram_is_psd_on_diagonal(
-            entries in prop::collection::vec(-10.0f64..10.0, 8)
-        ) {
-            let a = Matrix::from_vec(4, 2, entries).unwrap();
-            let g = a.gram();
-            prop_assert!(g[(0, 0)] >= -1e-12);
-            prop_assert!(g[(1, 1)] >= -1e-12);
-            // Cauchy-Schwarz on the 2x2 Gram determinant.
-            prop_assert!(g[(0, 0)] * g[(1, 1)] - g[(0, 1)] * g[(1, 0)] >= -1e-6);
-        }
     }
 }

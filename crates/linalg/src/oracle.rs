@@ -117,9 +117,33 @@ pub(crate) fn spd(n: usize, seed: u64) -> Matrix {
             b[(i, j)] = next();
         }
     }
-    let mut a = b.gram();
+    let mut a = gram(&b);
     a.add_diag(n as f64);
     a
+}
+
+/// `BᵀB`, accumulated row by row over the upper triangle and mirrored.
+fn gram(b: &Matrix) -> Matrix {
+    let n = b.cols();
+    let mut out = Matrix::zeros(n, n);
+    for k in 0..b.rows() {
+        let row = b.row(k);
+        for i in 0..n {
+            let bki = row[i];
+            if bki == 0.0 {
+                continue;
+            }
+            for j in i..n {
+                out[(i, j)] += bki * row[j];
+            }
+        }
+    }
+    for i in 0..n {
+        for j in 0..i {
+            out[(i, j)] = out[(j, i)];
+        }
+    }
+    out
 }
 
 /// A barrier-scaled location block: a tridiagonal chain whose diagonal

@@ -1,17 +1,13 @@
 //! Conversion of a stage-structured LQ problem into an equivalent dense QP.
 //!
-//! The flattened form exists for two reasons:
-//!
-//! 1. **Cross-validation**: the test suite solves every LQ problem both with
-//!    the Riccati-structured solver and (flattened) with the dense solver and
-//!    requires agreement — two independent implementations checking each
-//!    other.
-//! 2. **Ablation**: the benchmarks compare the `O(N·n³)` structured solve
-//!    against the `O((N·n)³)` dense solve to quantify the speedup claimed in
-//!    DESIGN.md.
+//! The flattened form exists for cross-validation: the test suite solves
+//! LQ problems both with the Riccati solver and (flattened) with the dense
+//! QP solver and requires agreement — two independent implementations
+//! checking each other.
 
-use crate::{LqProblem, QpProblem, QpSolution, SolverError};
+use crate::{LqProblem, QpProblem, QpSolution};
 use dspp_linalg::{Matrix, Vector};
+use dspp_solver::SolverError;
 
 /// A dense QP equivalent to an [`LqProblem`], plus the bookkeeping needed to
 /// map a [`QpSolution`] back to trajectories.
@@ -181,7 +177,8 @@ pub fn flatten_lq(problem: &LqProblem) -> Result<FlattenedLq, SolverError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_lq, solve_qp, IpmSettings, LqStage, LqTerminal};
+    use crate::{solve_lq, solve_qp, LqStage, LqTerminal};
+    use dspp_solver::IpmSettings;
 
     /// Builds a nontrivial 2-state, 3-stage problem with active constraints.
     fn sample_problem() -> LqProblem {

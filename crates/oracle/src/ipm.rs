@@ -1,10 +1,9 @@
 //! Dense Mehrotra predictor–corrector interior-point method.
 
-use crate::qp::{QpProblem, QpSolution, SolveStatus};
-use crate::{IpmSettings, SolverError};
-use dspp_linalg::{Cholesky, Ldlt, Matrix, Vector};
-use dspp_telemetry::{AttrValue, Recorder};
-use std::time::Instant;
+use crate::ldlt::Ldlt;
+use crate::qp::{QpProblem, QpSolution};
+use dspp_linalg::{Cholesky, Matrix, Vector};
+use dspp_solver::{IpmSettings, SolveStatus, SolverError};
 
 /// Solves a dense convex QP with a primal–dual interior-point method.
 ///
@@ -21,71 +20,6 @@ use std::time::Instant;
 /// * [`SolverError::NumericalFailure`] if iterates become non-finite or the
 ///   Newton system cannot be factorized even with boosted regularization.
 pub fn solve_qp(problem: &QpProblem, settings: &IpmSettings) -> Result<QpSolution, SolverError> {
-    solve_qp_inner(problem, settings, &Recorder::disabled())
-}
-
-/// [`solve_qp`] with metrics emitted to `telemetry`.
-///
-/// Per attempt it increments `solver.qp.solves` and one
-/// `solver.qp.status.*` tally, observes `solver.qp.iterations`,
-/// `solver.qp.solve_seconds`, per-iteration `solver.qp.factor_seconds`,
-/// and — on success — the final `solver.qp.kkt_residual`. A disabled
-/// recorder makes this identical to [`solve_qp`]; see
-/// `docs/OBSERVABILITY.md` for the metric catalogue.
-pub fn solve_qp_traced(
-    problem: &QpProblem,
-    settings: &IpmSettings,
-    telemetry: &Recorder,
-) -> Result<QpSolution, SolverError> {
-    if !telemetry.is_enabled() {
-        return solve_qp_inner(problem, settings, telemetry);
-    }
-    telemetry.incr("solver.qp.solves", 1);
-    let t0 = Instant::now();
-    let result = solve_qp_inner(problem, settings, telemetry);
-    telemetry.observe_duration("solver.qp.solve_seconds", t0.elapsed());
-    match &result {
-        Ok(sol) => {
-            let status = match sol.status {
-                SolveStatus::Optimal => "solver.qp.status.optimal",
-                SolveStatus::AlmostOptimal => "solver.qp.status.almost_optimal",
-            };
-            telemetry.incr(status, 1);
-            telemetry.observe("solver.qp.iterations", sol.iterations as f64);
-            telemetry.observe("solver.qp.kkt_residual", qp_kkt_residual(problem, sol));
-        }
-        Err(err) => telemetry.incr(qp_error_counter(err), 1),
-    }
-    result
-}
-
-/// Maps a solver error to its `solver.qp.status.*` tally.
-fn qp_error_counter(err: &SolverError) -> &'static str {
-    match err {
-        SolverError::MaxIterations { .. } => "solver.qp.status.max_iterations",
-        SolverError::NumericalFailure(_) => "solver.qp.status.numerical_failure",
-        _ => "solver.qp.status.invalid_problem",
-    }
-}
-
-/// ∞-norm KKT residual of a returned solution: stationarity combined with
-/// the worst primal constraint violation.
-fn qp_kkt_residual(problem: &QpProblem, sol: &QpSolution) -> f64 {
-    let mut r_dual = &problem.p.matvec(&sol.x) + &problem.q;
-    if problem.num_equalities() > 0 {
-        r_dual += &problem.a.matvec_t(&sol.y);
-    }
-    if problem.num_inequalities() > 0 {
-        r_dual += &problem.g.matvec_t(&sol.z);
-    }
-    r_dual.norm_inf().max(problem.max_violation(&sol.x))
-}
-
-fn solve_qp_inner(
-    problem: &QpProblem,
-    settings: &IpmSettings,
-    telemetry: &Recorder,
-) -> Result<QpSolution, SolverError> {
     settings.validate().map_err(SolverError::InvalidProblem)?;
     let n = problem.num_vars();
     let p_eq = problem.num_equalities();
@@ -95,11 +29,6 @@ fn solve_qp_inner(
             "problem has no variables".into(),
         ));
     }
-
-    let mut span = telemetry.tracer().span("solver.qp.solve");
-    span.attr("num_vars", n);
-    span.attr("num_equalities", p_eq);
-    span.attr("num_inequalities", m);
 
     // Cold start: x = 0, y = 0, s = max(h - Gx, margin), z = margin.
     let mut x = Vector::zeros(n);
@@ -118,8 +47,6 @@ fn solve_qp_inner(
         let chol = Cholesky::factor_regularized(&problem.p, settings.regularization)?;
         let x = chol.solve(&(-&problem.q));
         let objective = problem.objective(&x);
-        span.attr("status", "optimal");
-        span.attr("iterations", 1u64);
         return Ok(QpSolution {
             x,
             y,
@@ -160,27 +87,11 @@ fn solve_qp_inner(
         best_gap = best_gap.min(mu);
 
         let objective = problem.objective(&x);
-        if span.is_enabled() {
-            span.event_with(
-                "solver.qp.iteration",
-                [
-                    ("iter", AttrValue::UInt(iter as u64)),
-                    ("kkt_dual_norm", AttrValue::Float(r_dual.norm_inf())),
-                    ("kkt_eq_norm", AttrValue::Float(r_eq.norm_inf())),
-                    ("kkt_ineq_norm", AttrValue::Float(r_ineq.norm_inf())),
-                    ("mu", AttrValue::Float(mu)),
-                    ("objective", AttrValue::Float(objective)),
-                ],
-            );
-        }
         let feas_ok = r_dual.norm_inf() <= settings.tol_feasibility * scale_q
             && r_eq.norm_inf() <= settings.tol_feasibility * scale_b
             && r_ineq.norm_inf() <= settings.tol_feasibility * scale_h;
         let gap_ok = mu <= settings.tol_gap * (1.0 + objective.abs());
         if feas_ok && gap_ok {
-            span.attr("status", "optimal");
-            span.attr("iterations", iter);
-            span.attr("objective", objective);
             return Ok(QpSolution {
                 x,
                 y,
@@ -211,7 +122,6 @@ fn solve_qp_inner(
             Chol(Cholesky),
             Kkt(Ldlt),
         }
-        let t_factor = telemetry.is_enabled().then(Instant::now);
         let factor = if p_eq == 0 {
             let mut reg = settings.regularization;
             let chol = loop {
@@ -261,9 +171,6 @@ fn solve_qp_inner(
             };
             Factor::Kkt(ldlt)
         };
-        if let Some(t) = t_factor {
-            telemetry.observe_duration("solver.qp.factor_seconds", t.elapsed());
-        }
 
         // Solves the reduced Newton system for a given complementarity
         // residual r_c, returning (dx, dy, dz, ds).
@@ -349,13 +256,11 @@ fn solve_qp_inner(
         }
 
         if !x.is_finite() || !s.is_finite() || !z.is_finite() || !y.is_finite() {
-            span.attr("status", "numerical_failure");
             return Err(SolverError::NumericalFailure(
                 "iterates became non-finite".into(),
             ));
         }
         if m > 0 && (alpha_p < 1e-13 && alpha_d < 1e-13) {
-            span.attr("status", "numerical_failure");
             return Err(SolverError::NumericalFailure(format!(
                 "step length collapsed at iteration {iter} (gap {mu:.3e}); problem is likely infeasible"
             )));
@@ -378,9 +283,6 @@ fn solve_qp_inner(
         && problem.max_violation(&x) <= loose * settings.tol_feasibility * scale_h.max(scale_b);
     let gap_ok = mu <= loose * settings.tol_gap * (1.0 + objective.abs());
     if feas_ok && gap_ok {
-        span.attr("status", "almost_optimal");
-        span.attr("iterations", settings.max_iterations);
-        span.attr("objective", objective);
         return Ok(QpSolution {
             x,
             y,
@@ -391,8 +293,6 @@ fn solve_qp_inner(
             status: SolveStatus::AlmostOptimal,
         });
     }
-    span.attr("status", "max_iterations");
-    span.attr("best_gap", best_gap);
     Err(SolverError::MaxIterations {
         limit: settings.max_iterations,
         gap: best_gap,
@@ -576,46 +476,6 @@ mod tests {
         assert!(sol.s.min() >= -1e-9);
         // Complementarity.
         assert!(sol.z.hadamard(&sol.s).norm_inf() < 1e-5);
-    }
-
-    #[test]
-    fn traced_solve_reports_metrics() {
-        let telemetry = Recorder::enabled();
-        let p = Matrix::from_diag(&Vector::from(vec![2.0]));
-        let q = Vector::from(vec![-6.0]);
-        let g = Matrix::from_rows(&[&[1.0]]).unwrap();
-        let h = Vector::from(vec![1.0]);
-        let qp = QpProblem::new(p, q)
-            .unwrap()
-            .with_inequalities(g, h)
-            .unwrap();
-        let sol = solve_qp_traced(&qp, &settings(), &telemetry).unwrap();
-        assert_eq!(sol.status, SolveStatus::Optimal);
-        let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.counter("solver.qp.solves"), 1);
-        assert_eq!(snap.counter("solver.qp.status.optimal"), 1);
-        assert_eq!(snap.histogram("solver.qp.iterations").unwrap().count, 1);
-        assert!(snap.histogram("solver.qp.kkt_residual").unwrap().max < 1e-5);
-        assert!(snap.histogram("solver.qp.factor_seconds").unwrap().count >= 1);
-        assert_eq!(snap.histogram("solver.qp.solve_seconds").unwrap().count, 1);
-    }
-
-    #[test]
-    fn traced_solve_tallies_failures() {
-        let telemetry = Recorder::enabled();
-        let qp = QpProblem::new(Matrix::identity(1), Vector::zeros(1))
-            .unwrap()
-            .with_inequalities(
-                Matrix::from_rows(&[&[1.0], &[-1.0]]).unwrap(),
-                Vector::from(vec![0.0, -1.0]),
-            )
-            .unwrap();
-        assert!(solve_qp_traced(&qp, &settings(), &telemetry).is_err());
-        let snap = telemetry.snapshot().unwrap();
-        let failures = snap.counter("solver.qp.status.max_iterations")
-            + snap.counter("solver.qp.status.numerical_failure");
-        assert_eq!(failures, 1);
-        assert_eq!(snap.counter("solver.qp.status.optimal"), 0);
     }
 
     proptest! {

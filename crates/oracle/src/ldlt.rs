@@ -1,8 +1,10 @@
-use crate::{LinalgError, Matrix, Vector};
+//! `LDLᵀ` factorization for the dense QP oracle's augmented KKT systems.
+
+use dspp_linalg::{LinalgError, Matrix, Vector};
 
 /// `LDLᵀ` factorization (without pivoting) of a symmetric matrix.
 ///
-/// Unlike [`crate::Cholesky`], the diagonal `D` may contain negative entries,
+/// Unlike [`Cholesky`](dspp_linalg::Cholesky), the diagonal `D` may contain negative entries,
 /// so this factorization handles the symmetric *quasi-definite* KKT matrices
 /// that arise when a QP has equality constraints:
 ///
@@ -16,24 +18,8 @@ use crate::{LinalgError, Matrix, Vector};
 /// keeps the pivots away from zero.
 ///
 /// Only the lower triangle of the input is read.
-///
-/// # Examples
-///
-/// ```
-/// use dspp_linalg::{Ldlt, Matrix, Vector};
-///
-/// # fn main() -> Result<(), dspp_linalg::LinalgError> {
-/// // An indefinite but quasi-definite KKT-style matrix.
-/// let k = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, -1.0]])?;
-/// let f = Ldlt::factor(&k)?;
-/// let x = f.solve(&Vector::from(vec![1.0, 0.0]));
-/// let r = &k.matvec(&x) - &Vector::from(vec![1.0, 0.0]);
-/// assert!(r.norm_inf() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone)]
-pub struct Ldlt {
+pub(crate) struct Ldlt {
     /// Unit lower-triangular factor (diagonal implicitly 1).
     l: Matrix,
     /// Diagonal of `D`.
@@ -93,19 +79,6 @@ impl Ldlt {
         self.d.len()
     }
 
-    /// Borrows the diagonal of `D`.
-    pub fn d(&self) -> &Vector {
-        &self.d
-    }
-
-    /// Number of negative pivots (the matrix's negative inertia).
-    ///
-    /// For a well-posed KKT system this equals the number of equality
-    /// constraints — a cheap sanity check interior-point code can assert.
-    pub fn negative_pivots(&self) -> usize {
-        self.d.iter().filter(|&&x| x < 0.0).count()
-    }
-
     /// Solves `A x = b`.
     ///
     /// # Panics
@@ -154,12 +127,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Number of negative pivots (the matrix's negative inertia): for a
+    /// well-posed KKT system, the number of equality constraints.
+    fn negative_pivots(f: &Ldlt) -> usize {
+        f.d.iter().filter(|&&x| x < 0.0).count()
+    }
+
     #[test]
     fn factors_indefinite_kkt_matrix() {
         // [P Aᵀ; A -δ] with P = 2, A = 1, δ = 0.5.
         let k = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, -0.5]]).unwrap();
         let f = Ldlt::factor(&k).unwrap();
-        assert_eq!(f.negative_pivots(), 1);
+        assert_eq!(negative_pivots(&f), 1);
         let b = Vector::from(vec![1.0, 2.0]);
         let x = f.solve(&b);
         assert!((&k.matvec(&x) - &b).norm_inf() < 1e-12);
@@ -169,8 +148,8 @@ mod tests {
     fn agrees_with_cholesky_on_spd_input() {
         let a = Matrix::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 3.0, 0.2], &[0.5, 0.2, 2.0]]).unwrap();
         let ld = Ldlt::factor(&a).unwrap();
-        assert_eq!(ld.negative_pivots(), 0);
-        let ch = crate::Cholesky::factor(&a).unwrap();
+        assert_eq!(negative_pivots(&ld), 0);
+        let ch = dspp_linalg::Cholesky::factor(&a).unwrap();
         let b = Vector::from(vec![1.0, -2.0, 3.0]);
         assert!((&ld.solve(&b) - &ch.solve(&b)).norm_inf() < 1e-10);
     }
@@ -196,7 +175,7 @@ mod tests {
         let f = Ldlt::factor(&k).unwrap();
         // Rebuild L D Lᵀ and compare.
         let l = f.l.clone();
-        let d = Matrix::from_diag(f.d());
+        let d = Matrix::from_diag(&f.d);
         let rebuilt = l.matmul(&d).matmul(&l.transpose());
         assert!((&rebuilt - &k).norm_inf() < 1e-12);
     }
@@ -216,7 +195,7 @@ mod tests {
                 &[a1, a2, -delta],
             ]).unwrap();
             let f = Ldlt::factor(&k).unwrap();
-            prop_assert_eq!(f.negative_pivots(), 1);
+            prop_assert_eq!(negative_pivots(&f), 1);
             let b = Vector::from(vec![1.0, 2.0, 3.0]);
             let x = f.solve(&b);
             prop_assert!((&k.matvec(&x) - &b).norm_inf() < 1e-8);

@@ -1,5 +1,5 @@
-use crate::SolverError;
 use dspp_linalg::{Matrix, Vector};
+use dspp_solver::SolverError;
 
 /// One stage of a stage-structured linear-quadratic problem.
 ///
@@ -333,24 +333,6 @@ impl LqProblem {
         }
         v
     }
-}
-
-/// Primal–dual solution of an [`LqProblem`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LqSolution {
-    /// State trajectory `x_0..x_N` (`x_0` equals the problem's `x0`).
-    pub xs: Vec<Vector>,
-    /// Input trajectory `u_0..u_{N-1}`.
-    pub us: Vec<Vector>,
-    /// Inequality multipliers per stage (`stage_duals[k]` matches stage `k`'s
-    /// constraint rows; index `N` holds the terminal multipliers).
-    pub stage_duals: Vec<Vector>,
-    /// Objective value.
-    pub objective: f64,
-    /// Interior-point iterations used.
-    pub iterations: usize,
-    /// Termination status.
-    pub status: crate::SolveStatus,
 }
 
 #[cfg(test)]

@@ -1,11 +1,9 @@
 //! Interior-point outer loop for stage-structured LQ problems.
 
-use crate::lq_common::{classify_infeasibility, max_step_multi, trace_lq_solve};
 use crate::riccati::{RiccatiFactor, RiccatiStep};
-use crate::{IpmSettings, LqProblem, LqSolution, SolveStatus, SolverError};
+use crate::LqProblem;
 use dspp_linalg::{Matrix, Vector};
-use dspp_telemetry::{AttrValue, Recorder};
-use std::time::Instant;
+use dspp_solver::{IpmSettings, LqSolution, SolveStatus, SolverError};
 
 /// Solves a stage-structured LQ problem with a primal–dual interior-point
 /// method whose Newton steps are computed by a Riccati recursion.
@@ -13,10 +11,11 @@ use std::time::Instant;
 /// This is the general-purpose LQ solver: any dynamics, any stage
 /// constraints. Per-iteration work is linear in the horizon length but
 /// cubic in the state dimension. DSPP horizons are solved in production by
-/// the structure-exploiting path ([`solve_structured`](crate::solve_structured));
-/// this solver is the independent oracle the test suites and the
-/// solver-scaling sweep cross-check it against, on the dense expansion
-/// [`StructuredLq::to_lq`](crate::StructuredLq::to_lq).
+/// the structure-exploiting path
+/// ([`solve_structured`](dspp_solver::solve_structured)); this solver is
+/// the independent oracle the test suites and the solver-scaling sweep
+/// cross-check it against, on the dense expansion [`expand`](crate::expand).
+/// It always starts cold.
 ///
 /// The returned [`LqSolution`] carries the inequality multipliers per
 /// stage.
@@ -36,7 +35,8 @@ use std::time::Instant;
 ///
 /// ```
 /// use dspp_linalg::{Matrix, Vector};
-/// use dspp_solver::{solve_lq, IpmSettings, LqProblem, LqStage, LqTerminal};
+/// use dspp_oracle::{solve_lq, LqProblem, LqStage, LqTerminal};
+/// use dspp_solver::IpmSettings;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // One server pool: track a demand floor of 5 servers with reconfiguration
@@ -60,102 +60,17 @@ use std::time::Instant;
 /// # }
 /// ```
 pub fn solve_lq(problem: &LqProblem, settings: &IpmSettings) -> Result<LqSolution, SolverError> {
-    solve_lq_warm(problem, settings, None)
-}
-
-/// Like [`solve_lq`], but primal-warm-started from an input-sequence guess.
-///
-/// MPC solves a nearly identical problem every period; passing the previous
-/// solution shifted by one stage typically saves a few interior-point
-/// iterations. The guess only seeds the primal trajectory (slacks and duals
-/// are re-centred), so a poor guess degrades gracefully to roughly
-/// cold-start behaviour.
-///
-/// # Errors
-///
-/// As [`solve_lq`], plus [`SolverError::InvalidProblem`] when the guess has
-/// the wrong shape.
-pub fn solve_lq_warm(
-    problem: &LqProblem,
-    settings: &IpmSettings,
-    warm_us: Option<&[Vector]>,
-) -> Result<LqSolution, SolverError> {
-    solve_lq_warm_inner(problem, settings, warm_us, &Recorder::disabled())
-}
-
-/// [`solve_lq`] with metrics emitted to `telemetry`; see
-/// [`solve_lq_warm_traced`].
-pub fn solve_lq_traced(
-    problem: &LqProblem,
-    settings: &IpmSettings,
-    telemetry: &Recorder,
-) -> Result<LqSolution, SolverError> {
-    solve_lq_warm_traced(problem, settings, None, telemetry)
-}
-
-/// [`solve_lq_warm`] with metrics emitted to `telemetry`.
-///
-/// Per attempt it increments `solver.lq.solves` (plus
-/// `solver.lq.warm_starts` when a guess is supplied) and one
-/// `solver.lq.status.*` tally, and observes `solver.lq.iterations`,
-/// `solver.lq.solve_seconds`, per-iteration
-/// `solver.lq.riccati_factor_seconds` / `solver.lq.riccati_solve_seconds`,
-/// and — on success — the final `solver.lq.kkt_residual`. A disabled
-/// recorder makes this identical to [`solve_lq_warm`]; see
-/// `docs/OBSERVABILITY.md` for the metric catalogue.
-pub fn solve_lq_warm_traced(
-    problem: &LqProblem,
-    settings: &IpmSettings,
-    warm_us: Option<&[Vector]>,
-    telemetry: &Recorder,
-) -> Result<LqSolution, SolverError> {
-    trace_lq_solve(telemetry, warm_us.is_some(), || {
-        solve_lq_warm_inner(problem, settings, warm_us, telemetry)
-    })
-}
-
-fn solve_lq_warm_inner(
-    problem: &LqProblem,
-    settings: &IpmSettings,
-    warm_us: Option<&[Vector]>,
-    telemetry: &Recorder,
-) -> Result<LqSolution, SolverError> {
     settings.validate().map_err(SolverError::InvalidProblem)?;
     let nstages = problem.horizon();
     let n = problem.state_dim();
 
-    let mut span = telemetry.tracer().span("solver.lq.solve");
-    span.attr("horizon", nstages);
-    span.attr("state_dim", n);
-    span.attr("warm_start", warm_us.is_some());
-
     // Iterates: inputs, states (always exactly dynamics-feasible), costates,
     // and per-stage slack/dual pairs.
-    let mut us: Vec<Vector> = match warm_us {
-        None => problem
-            .stages
-            .iter()
-            .map(|st| Vector::zeros(st.input_dim()))
-            .collect(),
-        Some(guess) => {
-            if guess.len() != nstages
-                || guess
-                    .iter()
-                    .zip(&problem.stages)
-                    .any(|(g, st)| g.len() != st.input_dim())
-            {
-                return Err(SolverError::InvalidProblem(
-                    "warm-start guess does not match the problem's input dimensions".into(),
-                ));
-            }
-            if guess.iter().any(|g| !g.is_finite()) {
-                return Err(SolverError::InvalidProblem(
-                    "warm-start guess contains non-finite values".into(),
-                ));
-            }
-            guess.to_vec()
-        }
-    };
+    let mut us: Vec<Vector> = problem
+        .stages
+        .iter()
+        .map(|st| Vector::zeros(st.input_dim()))
+        .collect();
     let mut xs = problem.rollout(&us);
     let mut lams: Vec<Vector> = vec![Vector::zeros(n); nstages];
 
@@ -347,26 +262,10 @@ fn solve_lq_warm_inner(
         }
         z_max = z_max.max(zs.iter().map(Vector::norm_inf).fold(0.0f64, f64::max));
         let objective = problem.objective(&xs, &us);
-        if span.is_enabled() {
-            span.event_with(
-                "solver.lq.iteration",
-                [
-                    ("iter", AttrValue::UInt(iter as u64)),
-                    ("kkt_stat_norm", AttrValue::Float(stat_norm)),
-                    ("kkt_ineq_norm", AttrValue::Float(ineq_norm)),
-                    ("mu", AttrValue::Float(mu)),
-                    ("objective", AttrValue::Float(objective)),
-                ],
-            );
-        }
         let feas_ok = stat_norm <= settings.tol_feasibility * scale
             && ineq_norm <= settings.tol_feasibility * scale;
         let gap_ok = mu <= settings.tol_gap * (1.0 + objective.abs());
         if feas_ok && gap_ok {
-            telemetry.observe("solver.lq.kkt_residual", stat_norm.max(ineq_norm));
-            span.attr("status", "optimal");
-            span.attr("iterations", iter);
-            span.attr("objective", objective);
             return Ok(LqSolution {
                 xs,
                 us,
@@ -406,24 +305,10 @@ fn solve_lq_warm_inner(
                 st.cx.weighted_product_into(&ws[k], &st.cu, &mut m_mods[k]);
             }
         }
-        let t_factor = telemetry.is_enabled().then(Instant::now);
         loop {
             match factor.refactor(problem, &q_mods, &r_mods, &m_mods, reg) {
                 Ok(()) => break,
-                Err(e) if reg < max_reg => {
-                    reg = (reg * 100.0).max(1e-12);
-                    telemetry.incr("solver.lq.reg_boosts", 1);
-                    if span.is_enabled() {
-                        span.event_with(
-                            "solver.lq.reg_boost",
-                            [
-                                ("iter", AttrValue::UInt(iter as u64)),
-                                ("regularization", AttrValue::Float(reg)),
-                                ("cause", AttrValue::from(e.to_string())),
-                            ],
-                        );
-                    }
-                }
+                Err(_) if reg < max_reg => reg = (reg * 100.0).max(1e-12),
                 Err(e) => {
                     // Even the fully boosted regularization cannot factor
                     // the barrier Hessian. On a degenerate optimal face
@@ -437,22 +322,14 @@ fn solve_lq_warm_inner(
                     if let Some(sol) =
                         accept_degraded(problem, settings, scale, &xs, &us, &ss, &zs, iter)
                     {
-                        telemetry
-                            .observe("solver.lq.kkt_residual", problem.max_violation(&xs, &us));
-                        span.attr("status", "almost_optimal");
-                        span.attr("iterations", iter);
                         return Ok(sol);
                     }
                     if let Some(err) = classify_infeasibility(best_violation, settings, true) {
-                        span.attr("status", "infeasible");
                         return Err(err);
                     }
                     return Err(e);
                 }
             }
-        }
-        if let Some(t) = t_factor {
-            telemetry.observe_duration("solver.lq.riccati_factor_seconds", t.elapsed());
         }
 
         // ------- predictor -------
@@ -476,7 +353,6 @@ fn solve_lq_warm_inner(
             &mut step_aff,
             &mut dss_aff,
             &mut dzs_aff,
-            telemetry,
         );
         let alpha_p_aff = max_step_multi(&ss, &dss_aff);
         let alpha_d_aff = max_step_multi(&zs, &dzs_aff);
@@ -519,7 +395,6 @@ fn solve_lq_warm_inner(
                 &mut step,
                 &mut dss,
                 &mut dzs,
-                telemetry,
             );
         }
         let (fstep, fdss, fdzs) = if use_corrector {
@@ -552,10 +427,8 @@ fn solve_lq_warm_inner(
             // never satisfiable is an infeasibility exit, not a numerical
             // accident; classify from the pre-divergence trackers.
             if let Some(err) = classify_infeasibility(best_violation, settings, true) {
-                span.attr("status", "infeasible");
                 return Err(err);
             }
-            span.attr("status", "numerical_failure");
             return Err(SolverError::NumericalFailure(
                 "iterates became non-finite".into(),
             ));
@@ -565,19 +438,14 @@ fn solve_lq_warm_inner(
             // the same degenerate-multiplier breakdown as a failed
             // factorization: take the loose acceptance.
             if let Some(sol) = accept_degraded(problem, settings, scale, &xs, &us, &ss, &zs, iter) {
-                telemetry.observe("solver.lq.kkt_residual", problem.max_violation(&xs, &us));
-                span.attr("status", "almost_optimal");
-                span.attr("iterations", iter);
                 return Ok(sol);
             }
             // A collapsed step with a constraint row still violated is the
             // classic primal-infeasibility exit; classify it as such
             // instead of reporting an opaque numerical failure.
             if let Some(err) = classify_infeasibility(best_violation, settings, true) {
-                span.attr("status", "infeasible");
                 return Err(err);
             }
-            span.attr("status", "numerical_failure");
             return Err(SolverError::NumericalFailure(format!(
                 "step length collapsed at iteration {iter} (gap {mu:.3e}); problem is likely infeasible"
             )));
@@ -600,10 +468,6 @@ fn solve_lq_warm_inner(
     if violation <= loose * settings.tol_feasibility * scale
         && mu <= loose * settings.tol_gap * (1.0 + objective.abs())
     {
-        telemetry.observe("solver.lq.kkt_residual", violation.max(mu));
-        span.attr("status", "almost_optimal");
-        span.attr("iterations", settings.max_iterations);
-        span.attr("objective", objective);
         return Ok(LqSolution {
             xs,
             us,
@@ -618,12 +482,8 @@ fn solve_lq_warm_inner(
     // on an infeasible one a constraint row stays violated while its
     // multipliers diverge — a Farkas-style certificate.
     if let Some(err) = classify_infeasibility(best_violation, settings, z_max > 1e6) {
-        span.attr("status", "infeasible");
-        span.attr("dual_max", z_max);
         return Err(err);
     }
-    span.attr("status", "max_iterations");
-    span.attr("best_gap", best_gap);
     Err(SolverError::MaxIterations {
         limit: settings.max_iterations,
         gap: best_gap,
@@ -706,7 +566,6 @@ fn newton_step(
     step: &mut RiccatiStep,
     dss: &mut [Vector],
     dzs: &mut [Vector],
-    telemetry: &Recorder,
 ) {
     let nstages = problem.horizon();
     // t_k = S⁻¹(Z r_ineq − r_c) per slot.
@@ -735,9 +594,7 @@ fn newton_step(
             problem.stages[k].cu.matvec_t_acc(1.0, &ts[k], rh);
         }
     }
-    telemetry.time("solver.lq.riccati_solve_seconds", || {
-        factor.solve_into(problem, q_hats, r_hats, step)
-    });
+    factor.solve_into(problem, q_hats, r_hats, step);
     // Recover Δs, Δz per slot.
     for k in 0..=nstages {
         if mcs[k] == 0 {
@@ -756,6 +613,42 @@ fn newton_step(
             dzs[k][i] = (-r_cs[k][i] - zs[k][i] * dss[k][i]) / ss[k][i];
         }
     }
+}
+
+/// Farkas-style exit classification for the divergence, step-collapse,
+/// and iteration-exhaustion exits: `best_violation` is the least-violated
+/// iterate's worst row `(slot, row, violation, relative violation)`. If
+/// even that iterate left a row violated beyond the loose feasibility
+/// tolerance relative to the row's own right-hand side while the iterates
+/// `diverged`, the problem is certified infeasible at that row.
+fn classify_infeasibility(
+    best_violation: (usize, usize, f64, f64),
+    settings: &IpmSettings,
+    diverged: bool,
+) -> Option<SolverError> {
+    let loose = 1e4;
+    let (period, constraint, shortfall, relative) = best_violation;
+    if !diverged || !relative.is_finite() || relative <= loose * settings.tol_feasibility {
+        return None;
+    }
+    Some(SolverError::Infeasible {
+        period,
+        constraint,
+        shortfall,
+    })
+}
+
+/// Largest `α ≤ 1` keeping every `v + α·dv` non-negative.
+fn max_step_multi(vs: &[Vector], dvs: &[Vector]) -> f64 {
+    let mut alpha: f64 = 1.0;
+    for (v, dv) in vs.iter().zip(dvs) {
+        for i in 0..v.len() {
+            if dv[i] < 0.0 {
+                alpha = alpha.min(-v[i] / dv[i]);
+            }
+        }
+    }
+    alpha
 }
 
 /// Locates the most-violated constraint row along the trajectory, measured
@@ -802,8 +695,7 @@ fn worst_violation_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{relax_lq_slots, LqStage, LqTerminal, SoftSpec};
-    use proptest::prelude::*;
+    use crate::{LqStage, LqTerminal};
 
     fn settings() -> IpmSettings {
         IpmSettings::default()
@@ -887,81 +779,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_reaches_the_same_optimum() {
-        let floor = Matrix::from_rows(&[&[-1.0]]).unwrap();
-        let free = LqStage::identity_dynamics(1)
-            .with_state_cost(Vector::ones(1))
-            .with_input_penalty(&Vector::from(vec![0.1]));
-        let stage = free.clone().with_constraints(
-            floor.clone(),
-            Matrix::zeros(1, 1),
-            Vector::from(vec![-5.0]),
-        );
-        let problem = LqProblem::new(
-            Vector::zeros(1),
-            vec![free, stage.clone(), stage],
-            LqTerminal::free(1).with_constraints(floor, Vector::from(vec![-5.0])),
-        )
-        .unwrap();
-        let cold = solve_lq(&problem, &settings()).unwrap();
-        let warm = solve_lq_warm(&problem, &settings(), Some(&cold.us)).unwrap();
-        assert!((warm.objective - cold.objective).abs() < 1e-6);
-        for (a, b) in warm.us.iter().zip(&cold.us) {
-            assert!((a - b).norm_inf() < 1e-5);
-        }
-        // A wrong-shaped guess is rejected, not silently accepted.
-        let bad = vec![Vector::zeros(2); 3];
-        assert!(matches!(
-            solve_lq_warm(&problem, &settings(), Some(&bad)),
-            Err(SolverError::InvalidProblem(_))
-        ));
-        let nan = vec![Vector::from(vec![f64::NAN]); 3];
-        assert!(solve_lq_warm(&problem, &settings(), Some(&nan)).is_err());
-    }
-
-    #[test]
-    fn traced_solve_reports_metrics_and_warm_start() {
-        let telemetry = Recorder::enabled();
-        let floor = Matrix::from_rows(&[&[-1.0]]).unwrap();
-        let free = LqStage::identity_dynamics(1)
-            .with_state_cost(Vector::ones(1))
-            .with_input_penalty(&Vector::from(vec![0.1]));
-        let stage = free.clone().with_constraints(
-            floor.clone(),
-            Matrix::zeros(1, 1),
-            Vector::from(vec![-5.0]),
-        );
-        let problem = LqProblem::new(
-            Vector::zeros(1),
-            vec![free, stage.clone(), stage],
-            LqTerminal::free(1).with_constraints(floor, Vector::from(vec![-5.0])),
-        )
-        .unwrap();
-        let cold = solve_lq_traced(&problem, &settings(), &telemetry).unwrap();
-        let _warm =
-            solve_lq_warm_traced(&problem, &settings(), Some(&cold.us), &telemetry).unwrap();
-        let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.counter("solver.lq.solves"), 2);
-        assert_eq!(snap.counter("solver.lq.warm_starts"), 1);
-        assert_eq!(snap.counter("solver.lq.status.optimal"), 2);
-        assert_eq!(snap.histogram("solver.lq.iterations").unwrap().count, 2);
-        assert_eq!(snap.histogram("solver.lq.kkt_residual").unwrap().count, 2);
-        assert!(
-            snap.histogram("solver.lq.riccati_factor_seconds")
-                .unwrap()
-                .count
-                >= 2
-        );
-        assert!(
-            snap.histogram("solver.lq.riccati_solve_seconds")
-                .unwrap()
-                .count
-                >= 2
-        );
-        assert_eq!(snap.histogram("solver.lq.solve_seconds").unwrap().count, 2);
-    }
-
-    #[test]
     fn infeasible_constraints_are_certified_as_infeasible() {
         // x ≥ 5 and x ≤ 1 simultaneously: the exit classifier must report
         // a typed certificate, not an opaque iteration failure.
@@ -985,21 +802,6 @@ mod tests {
             }
             other => panic!("expected Infeasible, got {other}"),
         }
-    }
-
-    #[test]
-    fn infeasible_solve_increments_the_headline_counter() {
-        let telemetry = Recorder::enabled();
-        let rows = Matrix::from_rows(&[&[-1.0], &[1.0]]).unwrap();
-        let stage = LqStage::identity_dynamics(1)
-            .with_input_penalty(&Vector::ones(1))
-            .with_constraints(rows, Matrix::zeros(2, 1), Vector::from(vec![-5.0, 1.0]));
-        let problem = LqProblem::new(Vector::zeros(1), vec![stage], LqTerminal::free(1)).unwrap();
-        let err = solve_lq_traced(&problem, &settings(), &telemetry).unwrap_err();
-        assert!(matches!(err, SolverError::Infeasible { .. }));
-        let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.counter("solver.infeasible"), 1);
-        assert_eq!(snap.counter("solver.lq.status.infeasible"), 1);
     }
 
     #[test]
@@ -1075,86 +877,6 @@ mod tests {
             assert!(u[0].abs() <= 2.0 + 1e-6, "u = {}", u[0]);
         }
         assert!(sol.xs[6][0] >= 9.0 - 1e-6, "x6 = {}", sol.xs[6][0]);
-    }
-
-    /// Single-pool tracking problem with a demand floor from stage 1 on —
-    /// the shape of one provider's per-round horizon problem. `floor` is
-    /// what shifts between rounds (quota updates) and `price` between
-    /// problem instances.
-    fn warm_problem(floor: f64, price: f64) -> LqProblem {
-        let floor_row = Matrix::from_rows(&[&[-1.0]]).unwrap();
-        let free = LqStage::identity_dynamics(1)
-            .with_state_cost(Vector::from(vec![price]))
-            .with_input_penalty(&Vector::from(vec![0.1]));
-        let stage = free.clone().with_constraints(
-            floor_row.clone(),
-            Matrix::zeros(1, 1),
-            Vector::from(vec![-floor]),
-        );
-        LqProblem::new(
-            Vector::zeros(1),
-            vec![free, stage.clone(), stage.clone(), stage],
-            LqTerminal::free(1).with_constraints(floor_row, Vector::from(vec![-floor])),
-        )
-        .unwrap()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-        /// Warm-starting from an arbitrary feasible previous-round solution
-        /// must reach the cold optimum (same objective) in at most as many
-        /// iterations — including through a recovery (relaxed) solve.
-        #[test]
-        fn prop_warm_start_from_previous_round_matches_cold(
-            floor in 2.0f64..8.0,
-            price in 0.5f64..3.0,
-            drift in -0.2f64..0.2,
-        ) {
-            let settings = settings();
-            // "Previous round": same structure, quota drifted a little.
-            let prev_problem = warm_problem(floor * (1.0 + drift), price);
-            let prev = solve_lq(&prev_problem, &settings).unwrap();
-            let problem = warm_problem(floor, price);
-            let cold = solve_lq(&problem, &settings).unwrap();
-            let warm = solve_lq_warm(&problem, &settings, Some(&prev.us)).unwrap();
-            prop_assert!(
-                (warm.objective - cold.objective).abs()
-                    <= 1e-5 * (1.0 + cold.objective.abs()),
-                "objectives diverge: warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-            prop_assert!(
-                warm.iterations <= cold.iterations,
-                "warm start took more iterations ({} > {})",
-                warm.iterations,
-                cold.iterations
-            );
-
-            // Through a recovery-solve period: soften the demand rows and
-            // warm-start the relaxed problem from the same strict-dims
-            // previous-round guess, extended with zero slack.
-            let spec = SoftSpec::uniform(1, 50.0, 1e-3);
-            let soften: Vec<bool> = (0..=problem.horizon()).map(|k| k > 0).collect();
-            let relaxed = relax_lq_slots(&problem, &spec, &soften).unwrap();
-            let warm_guess = relaxed.extend_warm_start(&prev.us);
-            let cold_rec = solve_lq(&relaxed.problem, &settings).unwrap();
-            let warm_rec =
-                solve_lq_warm(&relaxed.problem, &settings, Some(&warm_guess)).unwrap();
-            prop_assert!(
-                (warm_rec.objective - cold_rec.objective).abs()
-                    <= 1e-5 * (1.0 + cold_rec.objective.abs()),
-                "recovery objectives diverge: warm {} vs cold {}",
-                warm_rec.objective,
-                cold_rec.objective
-            );
-            prop_assert!(
-                warm_rec.iterations <= cold_rec.iterations,
-                "recovery warm start took more iterations ({} > {})",
-                warm_rec.iterations,
-                cold_rec.iterations
-            );
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-use crate::SolverError;
 use dspp_linalg::{Matrix, Vector};
+use dspp_solver::{SolveStatus, SolverError};
 
 /// A dense convex quadratic program
 /// `min ½xᵀPx + qᵀx  s.t.  Ax = b, Gx ≤ h`.
@@ -12,7 +12,7 @@ use dspp_linalg::{Matrix, Vector};
 ///
 /// ```
 /// use dspp_linalg::{Matrix, Vector};
-/// use dspp_solver::QpProblem;
+/// use dspp_oracle::QpProblem;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let p = Matrix::identity(2);
@@ -175,35 +175,6 @@ impl QpProblem {
         }
         v
     }
-}
-
-/// Termination status of a *successful* interior-point solve.
-///
-/// This enum only covers the two outcomes that still return a solution.
-/// The failure outcomes are errors instead:
-/// [`SolverError::MaxIterations`](crate::SolverError::MaxIterations) when
-/// even the degraded acceptance test fails after the iteration budget
-/// (usually an infeasible problem), and
-/// [`SolverError::NumericalFailure`](crate::SolverError::NumericalFailure)
-/// when the Newton system cannot be factorized, iterates turn non-finite,
-/// or the step length collapses. Telemetry tallies each outcome under
-/// `solver.{qp,lq}.status.*` (see `docs/OBSERVABILITY.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SolveStatus {
-    /// Feasibility and duality-gap tolerances
-    /// ([`IpmSettings::tol_feasibility`](crate::IpmSettings::tol_feasibility),
-    /// [`IpmSettings::tol_gap`](crate::IpmSettings::tol_gap)) were both
-    /// met. Primal values and dual multipliers are accurate to the
-    /// configured tolerances.
-    Optimal,
-    /// The iteration budget ran out, but residuals pass a `1e4×` loosened
-    /// version of both tolerances. The solution is usable (defaults give
-    /// roughly `1e-4`-level feasibility and `1e-5`-level gap), but
-    /// consumers that feed duals onward — the capacity-pricing game —
-    /// should treat multipliers as approximate. Persistent
-    /// `AlmostOptimal` outcomes signal an ill-conditioned problem or
-    /// too-tight tolerances.
-    AlmostOptimal,
 }
 
 /// Primal–dual solution of a [`QpProblem`].

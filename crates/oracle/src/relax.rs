@@ -1,20 +1,11 @@
-//! Always-feasible slack relaxation of a stage-structured LQ problem.
+//! The always-feasible slack relaxation of a stage-structured LQ problem,
+//! built densely: the oracle for the structured recovery solve
+//! ([`dspp_solver::solve_structured_relaxed_traced`]).
 //!
-//! When the strict horizon QP is infeasible (demand exceeding capacity,
-//! or a game quota shrunk below the current allocation), the controller
-//! still has to produce *some* placement. [`relax_lq`] builds the standard
-//! soft-constraint relaxation: each designated "soft" constraint row `i`
-//! of every constrained slot gains a slack variable `σ_i ≥ 0`,
-//!
-//! ```text
-//! (Cx·x + Cu·u)_i − σ_i ≤ d_i,      σ_i ≥ 0,
-//! ```
-//!
-//! penalized in the objective by `ρ_i·σ_i + ε·σ_i²`. With `ρ` large
-//! relative to the hosting prices this is an exact penalty: slack stays at
-//! zero whenever the strict problem is feasible, and otherwise settles at
-//! the minimum constraint violation the capacities force — the per-period
-//! SLA shortfall the caller reports.
+//! [`relax_lq`] softens the leading rows of every constrained slot except
+//! stage 0 as [`SoftSpec`] describes. Stage 0 stays strict because `x_0`
+//! is fixed: a softened change budget there would let the recovery solve
+//! "teleport" capacity.
 //!
 //! Mechanically the slack variables ride along as extra *input*
 //! dimensions: stage `k`'s input becomes `[u_k; σ_k]` with zero dynamics
@@ -25,36 +16,15 @@
 //! terminal. [`RelaxedLq::split_solution`] maps a solution of the relaxed
 //! problem back onto the original shapes and extracts the slack values.
 
-use crate::{LqProblem, LqSolution, LqStage, LqTerminal, SolverError};
+use crate::{LqProblem, LqStage, LqTerminal};
 use dspp_linalg::{Matrix, Vector};
-
-/// Which rows to soften and how hard to penalize the slack.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoftSpec {
-    /// Linear slack penalties `ρ_i`, one per soft row; every constrained
-    /// slot's *leading* `penalties.len()` rows are softened (the horizon
-    /// builder puts the demand/SLA rows first).
-    pub penalties: Vector,
-    /// Quadratic slack penalty `ε` (must be positive: it keeps the slack
-    /// block of the input Hessian positive definite).
-    pub quadratic: f64,
-}
-
-impl SoftSpec {
-    /// Softens the leading `rows` rows with a uniform linear penalty.
-    pub fn uniform(rows: usize, penalty: f64, quadratic: f64) -> Self {
-        SoftSpec {
-            penalties: Vector::filled(rows, penalty),
-            quadratic,
-        }
-    }
-}
+use dspp_solver::{LqSolution, RelaxedSolution, SoftSpec, SolverError};
 
 /// A relaxed problem plus the bookkeeping to undo the augmentation.
 #[derive(Debug, Clone)]
 pub struct RelaxedLq {
     /// The always-feasible augmented problem; solve it with
-    /// [`crate::solve_lq`] / [`crate::solve_lq_warm_traced`].
+    /// [`crate::solve_lq`].
     pub problem: LqProblem,
     /// Original input dimension per stage.
     orig_input_dims: Vec<usize>,
@@ -64,35 +34,6 @@ pub struct RelaxedLq {
     soft_counts: Vec<usize>,
     /// Whether an extra slack-only stage was appended for the terminal.
     extra_stage: bool,
-}
-
-/// A relaxed solve mapped back onto the original problem.
-#[derive(Debug, Clone)]
-pub struct RelaxedSolution {
-    /// The placement in the original problem's shapes (trajectories,
-    /// inputs, and per-slot duals truncated to the original rows); the
-    /// objective is the *original* objective of that trajectory, without
-    /// the slack penalty.
-    pub solution: LqSolution,
-    /// Slack values per slot (`slacks[k]` matches slot `k`'s soft rows;
-    /// index `horizon()` holds the terminal slacks), clamped at zero.
-    pub slacks: Vec<Vector>,
-}
-
-impl RelaxedSolution {
-    /// Largest slack across all slots — zero (to solver tolerance) means
-    /// the strict problem was feasible after all.
-    pub fn max_slack(&self) -> f64 {
-        self.slacks
-            .iter()
-            .map(Vector::norm_inf)
-            .fold(0.0f64, f64::max)
-    }
-
-    /// Sum of slack values in slot `k`.
-    pub fn slot_slack(&self, k: usize) -> f64 {
-        self.slacks[k].iter().sum()
-    }
 }
 
 fn soften_rows(
@@ -131,10 +72,12 @@ fn slack_cost(soft: usize, spec: &SoftSpec) -> (Matrix, Vector) {
     (r_mat, r_vec)
 }
 
-/// Builds the slack relaxation of `problem` under `spec`.
+/// Builds the slack relaxation of `problem` under `spec`, softening the
+/// leading rows of every constrained slot except stage 0 (see the module
+/// docs).
 ///
-/// Slots with no constraints are left alone; every other slot must have
-/// at least `spec.penalties.len()` rows (its leading rows are softened).
+/// Slots with no constraints are left alone; every other softened slot
+/// must have at least `spec.penalties.len()` rows.
 ///
 /// # Errors
 ///
@@ -142,40 +85,6 @@ fn slack_cost(soft: usize, spec: &SoftSpec) -> (Matrix, Vector) {
 /// (no soft rows, non-positive or non-finite penalties) or a constrained
 /// slot is shorter than the spec.
 pub fn relax_lq(problem: &LqProblem, spec: &SoftSpec) -> Result<RelaxedLq, SolverError> {
-    relax_masked(problem, spec, None)
-}
-
-/// Like [`relax_lq`], but softening only the slots where `soften` is
-/// `true`. `soften[k]` addresses stage `k`; the terminal slot is last, at
-/// index `problem.horizon()`. Slots left strict keep all their rows hard —
-/// the DSPP horizon builder's rate-limit rows on stage 0, for instance,
-/// must never gain slack, because `x_0` is fixed and a softened change
-/// budget would let the recovery solve "teleport" capacity.
-///
-/// # Errors
-///
-/// As [`relax_lq`], plus [`SolverError::InvalidProblem`] when the mask
-/// length is not `problem.horizon() + 1`.
-pub fn relax_lq_slots(
-    problem: &LqProblem,
-    spec: &SoftSpec,
-    soften: &[bool],
-) -> Result<RelaxedLq, SolverError> {
-    if soften.len() != problem.horizon() + 1 {
-        return Err(SolverError::InvalidProblem(format!(
-            "relaxation: soften mask has {} entries, expected {} (stages plus terminal)",
-            soften.len(),
-            problem.horizon() + 1
-        )));
-    }
-    relax_masked(problem, spec, Some(soften))
-}
-
-fn relax_masked(
-    problem: &LqProblem,
-    spec: &SoftSpec,
-    mask: Option<&[bool]>,
-) -> Result<RelaxedLq, SolverError> {
     let soft_rows = spec.penalties.len();
     if soft_rows == 0 {
         return Err(SolverError::InvalidProblem(
@@ -203,7 +112,7 @@ fn relax_masked(
         let mc = st.num_constraints();
         orig_input_dims.push(m);
         orig_row_counts.push(mc);
-        if mc == 0 || !mask.is_none_or(|m| m[k]) {
+        if mc == 0 || k == 0 {
             soft_counts.push(0);
             stages.push(st.clone());
             continue;
@@ -246,7 +155,7 @@ fn relax_masked(
     let term = &problem.terminal;
     let term_rows = term.d.len();
     orig_row_counts.push(term_rows);
-    let (terminal, extra_stage) = if term_rows == 0 || !mask.is_none_or(|m| m[nstages]) {
+    let (terminal, extra_stage) = if term_rows == 0 {
         soft_counts.push(0);
         (term.clone(), false)
     } else {
@@ -294,25 +203,6 @@ fn relax_masked(
 }
 
 impl RelaxedLq {
-    /// Extends a warm-start guess for the original problem with zero
-    /// slack so it fits the relaxed problem's input dimensions.
-    pub fn extend_warm_start(&self, warm_us: &[Vector]) -> Vec<Vector> {
-        let mut out = Vec::with_capacity(self.problem.horizon());
-        for (k, st) in self.problem.stages.iter().enumerate() {
-            let mut u = Vector::zeros(st.input_dim());
-            if let Some(guess) = warm_us.get(k) {
-                let keep = guess
-                    .len()
-                    .min(self.orig_input_dims.get(k).copied().unwrap_or(0));
-                for i in 0..keep.min(u.len()) {
-                    u[i] = guess[i];
-                }
-            }
-            out.push(u);
-        }
-        out
-    }
-
     /// Splits a solution of the relaxed problem back into the original
     /// problem's shapes plus the slack values.
     ///
@@ -381,7 +271,8 @@ impl RelaxedLq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_lq, solve_lq_warm, IpmSettings};
+    use crate::solve_lq;
+    use dspp_solver::IpmSettings;
 
     /// One DC of capacity `cap`, one location, arc coefficient `a = 0.5`:
     /// demand row, capacity row, non-negativity, across 2 stages + terminal.
@@ -465,44 +356,6 @@ mod tests {
         assert!((slack - 30.0).abs() < 1e-3, "terminal slack = {slack}");
         assert_eq!(split.solution.xs.len(), problem.horizon() + 1);
         assert_eq!(split.solution.us.len(), problem.horizon());
-    }
-
-    #[test]
-    fn warm_start_extension_matches_cold() {
-        let problem = placement_problem(10.0, [8.0, 50.0, 8.0]);
-        let relaxed = relax_lq(&problem, &spec()).unwrap();
-        let warm_guess = vec![Vector::from(vec![4.0]); problem.horizon()];
-        let warm_us = relaxed.extend_warm_start(&warm_guess);
-        assert_eq!(warm_us.len(), relaxed.problem.horizon());
-        let cold = solve_lq(&relaxed.problem, &IpmSettings::default()).unwrap();
-        let warm =
-            solve_lq_warm(&relaxed.problem, &IpmSettings::default(), Some(&warm_us)).unwrap();
-        assert!((warm.objective - cold.objective).abs() < 1e-4);
-    }
-
-    #[test]
-    fn masked_slots_stay_strict() {
-        // Overload sits in slot 2; masking slot 2 off must leave the
-        // relaxed problem exactly as infeasible as the original.
-        let problem = placement_problem(10.0, [8.0, 50.0, 8.0]);
-        let mut soften = vec![true; problem.horizon() + 1];
-        soften[2] = false;
-        let relaxed = relax_lq_slots(&problem, &spec(), &soften).unwrap();
-        assert!(solve_lq(&relaxed.problem, &IpmSettings::default()).is_err());
-        // Masking only the (feasible) terminal keeps the recovery intact
-        // and skips the extra slack-only stage.
-        let mut soften = vec![true; problem.horizon() + 1];
-        soften[problem.horizon()] = false;
-        let relaxed = relax_lq_slots(&problem, &spec(), &soften).unwrap();
-        assert_eq!(relaxed.problem.horizon(), problem.horizon());
-        let sol = solve_lq(&relaxed.problem, &IpmSettings::default()).unwrap();
-        let split = relaxed.split_solution(&problem, &sol);
-        assert!((split.slot_slack(2) - 30.0).abs() < 1e-3);
-        // Wrong mask length is a structural error.
-        assert!(matches!(
-            relax_lq_slots(&problem, &spec(), &[true, true]),
-            Err(SolverError::InvalidProblem(_))
-        ));
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //! Δλ_k = P_{k+1}Δx_{k+1} + p_{k+1}
 //! ```
 
-use crate::{LqProblem, SolverError};
+use crate::LqProblem;
 use dspp_linalg::{Cholesky, Matrix, Vector};
+use dspp_solver::SolverError;
 
 /// A factored Newton/LQ subproblem with reusable workspace; see the module
 /// docs.

@@ -2,7 +2,7 @@ use dspp_linalg::LinalgError;
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced by the QP solvers.
+/// Errors produced by the structured solver.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SolverError {
@@ -24,8 +24,8 @@ pub enum SolverError {
     /// a Farkas-style certificate (diverging inequality multipliers pricing a
     /// constraint row whose violation never shrank). Unlike
     /// [`SolverError::MaxIterations`], this is a property of the *problem*,
-    /// not of the iteration budget, and callers can react by re-solving a
-    /// relaxation (see `relax_lq`).
+    /// not of the iteration budget, and callers can react by re-solving the
+    /// relaxation (see [`solve_structured_relaxed_traced`](crate::solve_structured_relaxed_traced)).
     Infeasible {
         /// Stage (period) index of the certified row; the terminal slot is
         /// reported as the horizon length.

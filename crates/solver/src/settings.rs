@@ -1,11 +1,11 @@
-/// Tuning knobs shared by the interior-point solvers ([`solve_qp`],
-/// [`solve_lq`] and [`solve_structured`]).
+/// Tuning knobs of the interior-point solver ([`solve_structured`] and its
+/// warm, traced and relaxed variants).
 ///
 /// The defaults solve every problem in this workspace; they are exposed so
 /// the benchmarks can trade accuracy for speed and the tests can stress the
 /// failure paths. Every field documents its default, unit, and the failure
 /// mode you buy by pushing it too far; [`IpmSettings::validate`] rejects
-/// values that are nonsensical outright (and both solvers call it before
+/// values that are nonsensical outright (and the solver calls it before
 /// iterating, surfacing violations as
 /// [`SolverError::InvalidProblem`](crate::SolverError::InvalidProblem)).
 ///
@@ -20,8 +20,6 @@
 /// [`SolverError::NumericalFailure`](crate::SolverError::NumericalFailure)
 /// when factorization or the iterates themselves break down.
 ///
-/// [`solve_qp`]: crate::solve_qp
-/// [`solve_lq`]: crate::solve_lq
 /// [`solve_structured`]: crate::solve_structured
 #[derive(Debug, Clone, PartialEq)]
 pub struct IpmSettings {
@@ -58,14 +56,13 @@ pub struct IpmSettings {
     /// Static regularization added to the Newton system diagonal.
     ///
     /// **Default `1e-9`** (absolute, added to matrix entries whose scale
-    /// is set by the cost Hessian). Keeps the Cholesky/LDLᵀ factorization
+    /// is set by the cost Hessian). Keeps the Cholesky factorizations
     /// alive when the Hessian is only positive *semi*-definite; on
-    /// factorization failure the solvers boost it geometrically — the QP
-    /// solver up to `1e-2`, both LQ solvers up to `regularization · 1e20`
-    /// (an inertia-correction-style ceiling: a heavily damped step beats
-    /// aborting a solve whose primal iterate is already feasible) — before
-    /// reporting `NumericalFailure` or taking the degraded acceptance.
-    /// Too large skews
+    /// factorization failure the solver boosts it geometrically up to
+    /// `regularization · 1e20` (an inertia-correction-style ceiling: a
+    /// heavily damped step beats aborting a solve whose primal iterate is
+    /// already feasible) before reporting `NumericalFailure` or taking the
+    /// degraded acceptance. Too large skews
     /// solutions (the solve answers a slightly different, stiffer
     /// problem); zero is legal but forfeits the safety net on singular
     /// Newton systems. Must be non-negative and finite.
@@ -118,7 +115,7 @@ impl IpmSettings {
     /// Validates that the settings are usable.
     ///
     /// Returns a human-readable complaint for nonsensical values; the
-    /// solvers call this before starting.
+    /// solver calls this before starting.
     pub fn validate(&self) -> Result<(), String> {
         if self.max_iterations == 0 {
             return Err("max_iterations must be positive".into());

@@ -6,11 +6,11 @@
 //! rows that are either *diagonal* (touching one arc: non-negativity,
 //! per-arc caps) or *aggregate coupling* rows (demand rows summing over a
 //! location's arcs, capacity rows summing over a data center's arcs). A
-//! dense [`LqProblem`] stores the identity `A`/`B` and the mostly-zero
-//! constraint matrix explicitly — `O(n²)` per stage — which caps the dense
-//! path at a few hundred arcs. [`StructuredLq`] stores exactly the nonzero
-//! data: `O(n + rows)` per stage, so 100 DCs × 1000 locations fits in a
-//! few megabytes.
+//! dense stage-structured expansion stores the identity `A`/`B` and the
+//! mostly-zero constraint matrix explicitly — `O(n²)` per stage — which
+//! caps a dense solver at a few hundred arcs. [`StructuredLq`] stores
+//! exactly the nonzero data: `O(n + rows)` per stage, so 100 DCs × 1000
+//! locations fits in a few megabytes.
 //!
 //! Beyond the per-slot rows, a problem may carry a box bound
 //! `|u_{k,e}| ≤ u_max` on every input ([`StructuredLq::with_input_bound`]),
@@ -22,13 +22,13 @@
 //! arcs to zero for the slot; the rows the pin makes vacuous leave the
 //! interior-point iteration instead of degenerating it.
 //!
-//! [`StructuredLq::to_lq`] expands a problem into the equivalent dense
-//! [`LqProblem`] — the oracle the test suites and the solver-scaling sweep
-//! cross-check against. The interior-point loop that consumes this type
-//! lives in the `skkt` module.
+//! The read-only accessors expose the compact data, so the `dspp-oracle`
+//! test crate can expand a problem into the equivalent dense one that the
+//! test suites and the solver-scaling sweep cross-check against. The
+//! interior-point loop that consumes this type lives in the `skkt` module.
 
-use crate::{LqProblem, LqStage, LqTerminal, SolverError};
-use dspp_linalg::{Matrix, Vector};
+use crate::SolverError;
+use dspp_linalg::Vector;
 
 /// A constraint row touching exactly one arc: `coeff · x_arc ≤ d_row`.
 ///
@@ -320,57 +320,71 @@ impl StructuredLq {
             .collect()
     }
 
-    /// Expands to the equivalent dense [`LqProblem`] — the oracle for
-    /// agreement tests and the dense leg of the solver-scaling sweep. A
-    /// box bound becomes `[I; −I]·u ≤ u_max` input rows appended after the
-    /// state rows of every stage (stage 0 carries only those).
+    /// The fixed initial state `x_0`.
+    pub fn x0(&self) -> &Vector {
+        &self.x0
+    }
+
+    /// Linear state cost of slot `k ∈ 0..=W`; slot 0's multiplies the
+    /// fixed `x_0`, a constant in the objective.
     ///
     /// # Panics
     ///
-    /// Does not panic: by construction the expansion always validates.
-    pub fn to_lq(&self) -> LqProblem {
-        let n = self.n;
-        let mut cx = Matrix::zeros(self.m_rows, n);
-        for dr in &self.diag_rows {
-            cx[(dr.row, dr.arc)] = dr.coeff;
+    /// Panics if `k > W`.
+    pub fn state_cost(&self, k: usize) -> &Vector {
+        if k == 0 {
+            &self.q0
+        } else {
+            &self.qs[k - 1]
         }
-        for c in self.group_a.iter().chain(&self.group_b) {
-            for &(e, coeff) in &c.entries {
-                cx[(c.row, e)] = coeff;
-            }
-        }
-        let box_rows = self.u_max.map(|u_max| {
-            let mut cu = Matrix::zeros(2 * n, n);
-            for e in 0..n {
-                cu[(e, e)] = 1.0;
-                cu[(n + e, e)] = -1.0;
-            }
-            (cu, Vector::filled(2 * n, u_max))
-        });
-        let mut stages = Vec::with_capacity(self.w);
-        for k in 0..self.w {
-            let mut st = LqStage::identity_dynamics(n);
-            st.r_mat = Matrix::from_diag(&self.r_diags[k]);
-            st.r_vec = self.r_vecs[k].clone();
-            if k == 0 {
-                st.q_vec = self.q0.clone();
-            } else {
-                st.q_vec = self.qs[k - 1].clone();
-                st = st.with_constraints(
-                    cx.clone(),
-                    Matrix::zeros(self.m_rows, n),
-                    self.ds[k - 1].clone(),
-                );
-            }
-            if let Some((cu, d)) = &box_rows {
-                st = st.with_constraints(Matrix::zeros(2 * n, n), cu.clone(), d.clone());
-            }
-            stages.push(st);
-        }
-        let terminal = LqTerminal::free(n)
-            .with_state_cost(self.qs[self.w - 1].clone())
-            .with_constraints(cx, self.ds[self.w - 1].clone());
-        LqProblem::new(self.x0.clone(), stages, terminal).expect("structured expansion is valid")
+    }
+
+    /// Input cost Hessian diagonal `R_k` of stage `k ∈ 0..W`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k ≥ W`.
+    pub fn input_cost_diag(&self, k: usize) -> &Vector {
+        &self.r_diags[k]
+    }
+
+    /// Linear input cost of stage `k ∈ 0..W`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k ≥ W`.
+    pub fn input_cost_linear(&self, k: usize) -> &Vector {
+        &self.r_vecs[k]
+    }
+
+    /// Constraint right-hand side of slot `k ∈ 1..=W`, in row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 ≤ k ≤ W`.
+    pub fn rhs(&self, k: usize) -> &Vector {
+        &self.ds[k - 1]
+    }
+
+    /// The single-arc rows.
+    pub fn diag_rows(&self) -> &[DiagRow] {
+        &self.diag_rows
+    }
+
+    /// The first coupling group (demand rows in DSPP).
+    pub fn group_a(&self) -> &[CouplingRow] {
+        &self.group_a
+    }
+
+    /// The second coupling group (capacity rows in DSPP).
+    pub fn group_b(&self) -> &[CouplingRow] {
+        &self.group_b
+    }
+
+    /// The box bound `u_max` on every input, if any
+    /// ([`StructuredLq::with_input_bound`]).
+    pub fn input_bound(&self) -> Option<f64> {
+        self.u_max
     }
 
     /// Arc count (state and input dimension).
@@ -424,8 +438,7 @@ impl StructuredLq {
         }
     }
 
-    /// Objective of a trajectory, matching [`LqProblem::objective`] on the
-    /// expanded problem.
+    /// Objective of a trajectory, matching the dense expansion's.
     #[allow(clippy::needless_range_loop)] // `k` is a stage index, offset by one
     pub(crate) fn objective(&self, xs: &[Vector], us: &[Vector]) -> f64 {
         let mut j = self.q0.dot(&xs[0]);
@@ -463,6 +476,7 @@ impl StructuredLq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dspp_linalg::Matrix;
 
     /// Two DCs × two locations, every arc usable: 4 arcs, 2 demand rows
     /// (group A), 2 capacity rows (group B), 4 non-negativity diag rows.
@@ -516,32 +530,26 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn dense_expansion_reproduces_the_rows() {
-        let slq = dspp_like(3);
-        let dense = slq.to_lq();
-        assert_eq!(dense.horizon(), 3);
-        assert_eq!(dense.stages[0].num_constraints(), 0);
-        assert_eq!(dense.terminal.d, slq.ds[2]);
-        let cx = &dense.terminal.cx;
-        assert_eq!(cx[(0, 2)], -1.2);
-        assert_eq!(cx[(3, 3)], 1.0);
-        assert_eq!(cx[(4, 0)], -1.0);
-        // A box bound adds 2n input rows to every stage, none to the
-        // terminal.
-        let bounded = dspp_like(3).with_input_bound(0.5).unwrap().to_lq();
-        assert_eq!(bounded.stages[0].num_constraints(), 8);
-        assert_eq!(bounded.stages[1].num_constraints(), 8 + 8);
-        assert_eq!(bounded.terminal.d.len(), 8);
-        assert_eq!(bounded.stages[1].cu[(8 + 4 + 1, 1)], -1.0);
-        assert!(dspp_like(1).with_input_bound(0.0).is_err());
+    /// The slot constraint matrix `C`, written out densely.
+    fn dense_rows(slq: &StructuredLq) -> Matrix {
+        let mut cx = Matrix::zeros(slq.m_rows, slq.n);
+        for dr in &slq.diag_rows {
+            cx[(dr.row, dr.arc)] = dr.coeff;
+        }
+        for c in slq.group_a.iter().chain(&slq.group_b) {
+            for &(e, coeff) in &c.entries {
+                cx[(c.row, e)] = coeff;
+            }
+        }
+        cx
     }
 
     #[test]
     fn row_products_match_dense_matrices() {
         let slq = dspp_like(2);
-        let dense = slq.to_lq();
-        let cx = &dense.terminal.cx;
+        let cx = dense_rows(&slq);
+        assert_eq!(cx[(0, 2)], -1.2);
+        assert_eq!(cx[(3, 3)], 1.0);
         let x: Vector = (0..4).map(|e| e as f64 * 0.7 - 1.0).collect();
         let mut lhs = Vector::zeros(slq.num_rows());
         slq.row_lhs_into(&x, &mut lhs);
@@ -557,12 +565,24 @@ mod tests {
     #[test]
     fn objective_matches_dense() {
         let slq = dspp_like(3);
-        let dense = slq.to_lq();
         let us: Vec<Vector> = (0..3)
             .map(|k| (0..4).map(|e| (k + e) as f64 * 0.4 - 0.5).collect())
             .collect();
-        let xs = dense.rollout(&us);
-        assert!((slq.objective(&xs, &us) - dense.objective(&xs, &us)).abs() < 1e-12);
+        // Identity dynamics from x_0, dense stage costs
+        // `qᵀx + ½uᵀRu + rᵀu` and the terminal cost `qᵀx_W`.
+        let mut xs = vec![slq.x0.clone()];
+        for u in &us {
+            xs.push(xs.last().unwrap() + u);
+        }
+        let mut want = 0.0;
+        for k in 0..3 {
+            let r = Matrix::from_diag(&slq.r_diags[k]);
+            want += slq.state_cost(k).dot(&xs[k])
+                + 0.5 * us[k].dot(&r.matvec(&us[k]))
+                + slq.r_vecs[k].dot(&us[k]);
+        }
+        want += slq.state_cost(3).dot(&xs[3]);
+        assert!((slq.objective(&xs, &us) - want).abs() < 1e-12);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!    [`Snapshot`] — mergeable, `Display`able as an aligned text report,
 //!    and exportable as JSON without a `serde_json` dependency.
 //!
-//! Call sites use static metric names (`"solver.qp.iterations"`), so the
+//! Call sites use static metric names (`"solver.lq.solves"`), so the
 //! enabled fast path allocates only on the first sight of each name. The
 //! full metric catalogue lives in `docs/OBSERVABILITY.md`.
 //!

@@ -498,13 +498,13 @@ mod tests {
     #[test]
     fn display_report_lists_all_sections() {
         let mut s = Snapshot::new();
-        s.counters.insert("solver.qp.iterations".into(), 12);
+        s.counters.insert("solver.lq.solves".into(), 12);
         s.gauges.insert("game.capacity_dual".into(), 0.25);
         s.histograms
             .insert("controller.step_seconds".into(), summary_of(&[0.01]));
         let text = s.to_string();
         assert!(text.contains("counters:"));
-        assert!(text.contains("solver.qp.iterations"));
+        assert!(text.contains("solver.lq.solves"));
         assert!(text.contains("gauges:"));
         assert!(text.contains("histograms:"));
     }

@@ -4,17 +4,17 @@
 //! *"Dynamic Service Placement in Geographically Distributed Clouds"*,
 //! ICDCS 2012: a Model-Predictive-Control service-placement controller, a
 //! multi-provider resource-competition game, and every substrate the paper's
-//! evaluation needs (QP solvers, a city database with great-circle latencies,
-//! workload generators, regional electricity pricing, demand prediction, and
-//! a closed-loop simulator).
+//! evaluation needs (a structured QP solver, a city database with
+//! great-circle latencies, workload generators, regional electricity
+//! pricing, demand prediction, and a closed-loop simulator).
 //!
 //! This crate is a facade that re-exports the workspace crates under stable
 //! module names:
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`linalg`] | `dspp-linalg` | dense vectors/matrices, Cholesky (single and lane-batched), LDLᵀ, QR, Schur-complement workspace |
-//! | [`solver`] | `dspp-solver` | structured KKT interior point (every placement solve); dense QP and Riccati LQ interior points as its oracles |
+//! | [`linalg`] | `dspp-linalg` | dense vectors/matrices, Cholesky (single and lane-batched), QR, Schur-complement workspace |
+//! | [`solver`] | `dspp-solver` | structured KKT interior point (every placement solve), recovery relaxation, feasibility preflight |
 //! | [`topology`] | `dspp-topology` | US cities and DC sites, great-circle latency matrix |
 //! | [`workload`] | `dspp-workload` | diurnal Poisson demand, flash crowds |
 //! | [`pricing`] | `dspp-pricing` | regional electricity markets, VM power |

@@ -1,9 +1,11 @@
-//! Property-based cross-validation of the two independent QP solvers: the
-//! Riccati-structured interior point and the dense Mehrotra interior point
-//! must agree on randomized stage-structured problems.
+//! Property-based cross-validation of the two independent dense oracles
+//! in `dspp-oracle`: the Riccati-structured interior point and the dense
+//! Mehrotra interior point must agree on randomized stage-structured
+//! problems.
 
 use dspp::linalg::{Matrix, Vector};
-use dspp::solver::{flatten_lq, solve_lq, solve_qp, IpmSettings, LqProblem, LqStage, LqTerminal};
+use dspp::solver::IpmSettings;
+use dspp_oracle::{expand, flatten_lq, solve_lq, solve_qp, LqProblem, LqStage, LqTerminal};
 use proptest::prelude::*;
 
 /// Builds a random but well-posed DSPP-shaped LQ problem: identity
@@ -159,7 +161,7 @@ fn rate_limited_problems_cross_validate_with_input_rows() {
     )
     .expect("horizon");
     let settings = IpmSettings::default();
-    let lq = horizon.to_lq();
+    let lq = expand(horizon.structured());
     let sol_lq = solve_lq(&lq, &settings).expect("riccati");
     let flat = flatten_lq(&lq).expect("flatten");
     let sol_qp = solve_qp(&flat.qp, &settings).expect("dense");
