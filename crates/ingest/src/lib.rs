@@ -9,20 +9,19 @@
 //!   millions of timestamped `(city, class, size)` events per control
 //!   period, counted by the shards without building events and
 //!   collected on demand;
-//! * [`snapshot`] — the read-mostly placement snapshot swap: the
-//!   controller publishes each placement as an immutable compiled eq. 13
-//!   routing table, read once per period and shared by every shard;
+//! * [`snapshot`] — compiled placement snapshots: the controller
+//!   publishes each placement as an immutable compiled eq. 13 routing
+//!   table, replaced only between periods and borrowed by every shard;
 //! * [`bucket`] — sharded aggregation: each shard counts requests per
 //!   city, per arc and per attribute word into its own plain-integer
-//!   [`ShardTally`] and folds it into the lock-free
-//!   per-period [`PeriodBucket`] at the period-close barrier, which is
-//!   sealed into exactly the demand-matrix shape
-//!   `ClosedLoopSim`/`MpcController` consume;
-//! * [`backpressure`] + [`channel`] — bounded admission with conserved
+//!   tally, and once the period's shards have joined the loop thread
+//!   folds the tallies into a [`SealedPeriod`] — exactly the
+//!   demand-matrix shape `ClosedLoopSim`/`MpcController` consume;
+//! * [`backpressure`] — bounded admission with conserved
 //!   deferred/dropped accounting (backing the `ingest_backpressure`
-//!   SLO) and a bounded std-only MPMC channel for shard summaries;
+//!   SLO);
 //! * [`pipeline`] — [`IngestLoop`], the end-to-end closed loop
-//!   (events → buckets → sealed matrix → MPC step → new snapshot), with
+//!   (events → tallies → sealed matrix → MPC step → new snapshot), with
 //!   schema-versioned JSON [`checkpoint`]s and bit-exact resume.
 //!
 //! Determinism is by construction: event streams are pure functions of
@@ -36,7 +35,6 @@
 
 pub mod backpressure;
 pub mod bucket;
-pub mod channel;
 pub mod checkpoint;
 pub mod event;
 pub mod generator;
@@ -44,12 +42,11 @@ pub mod pipeline;
 pub mod snapshot;
 
 pub use backpressure::{admit, Admission, BackpressureBudget};
-pub use bucket::{PeriodBucket, SealedPeriod, ShardTally};
-pub use channel::{Bounded, SendError};
+pub use bucket::SealedPeriod;
 pub use checkpoint::{
     IngestCheckpoint, INGEST_CHECKPOINT_MIN_SCHEMA_VERSION, INGEST_CHECKPOINT_SCHEMA_VERSION,
 };
 pub use event::{Event, RequestClass};
 pub use generator::{generate_city_period, stream_seed};
 pub use pipeline::{IngestConfig, IngestError, IngestLoop, IngestTotals};
-pub use snapshot::{RouterSnapshot, SnapshotSwap};
+pub use snapshot::RouterSnapshot;

@@ -1,14 +1,11 @@
-//! Read-mostly placement snapshots.
+//! Compiled placement snapshots.
 //!
 //! The controller publishes each new placement as an immutable
 //! [`RouterSnapshot`] (the eq. 13 split of [`dspp_core::RoutingPolicy`]
-//! compiled into flat cumulative sampling tables). Publication happens
-//! between control periods through [`SnapshotSwap::publish`]. The ingest
-//! loop takes one [`SnapshotSwap::load`] per period and every shard
-//! routes that period's requests off the shared `Arc`, so routing a
+//! compiled into flat cumulative sampling tables). The ingest loop owns
+//! the published snapshot and replaces it only between control periods,
+//! so every shard of a period borrows the same snapshot and routing a
 //! request touches no atomic and no lock.
-
-use std::sync::{Arc, Mutex};
 
 use dspp_core::{Dspp, RoutingPolicy};
 
@@ -274,50 +271,6 @@ impl RouterSnapshot {
     }
 }
 
-/// The single-writer / many-reader swap cell. The writer (the control
-/// loop) publishes a fresh `Arc<RouterSnapshot>` between periods; a
-/// reader clones the current `Arc` once and routes off it.
-#[derive(Debug)]
-pub struct SnapshotSwap {
-    slot: Mutex<Arc<RouterSnapshot>>,
-}
-
-impl SnapshotSwap {
-    /// A swap cell holding `initial`.
-    pub fn new(initial: RouterSnapshot) -> Self {
-        SnapshotSwap {
-            slot: Mutex::new(Arc::new(initial)),
-        }
-    }
-
-    /// Publishes a new snapshot. Its version must be strictly newer than
-    /// the current one, so versions identify publications.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the version does not advance.
-    pub fn publish(&self, snapshot: RouterSnapshot) {
-        let mut slot = self.slot.lock().expect("snapshot slot poisoned");
-        assert!(
-            snapshot.version > slot.version,
-            "snapshot version must advance ({} -> {})",
-            slot.version,
-            snapshot.version
-        );
-        *slot = Arc::new(snapshot);
-    }
-
-    /// The currently published snapshot.
-    pub fn load(&self) -> Arc<RouterSnapshot> {
-        self.slot.lock().expect("snapshot slot poisoned").clone()
-    }
-
-    /// The currently published version.
-    pub fn version(&self) -> u64 {
-        self.slot.lock().expect("snapshot slot poisoned").version
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,28 +507,18 @@ mod tests {
     }
 
     #[test]
-    fn loads_see_each_publication() {
+    fn snapshots_carry_their_publication_version() {
         let (p, snap) = snapshot_3to1();
-        let swap = SnapshotSwap::new(RouterSnapshot::uncovered(1));
-        assert_eq!(swap.load().version(), 0);
-        assert!(swap.load().route(0, 7).is_none());
-        swap.publish(snap);
-        assert_eq!((swap.version(), swap.load().version()), (1, 1));
-        assert!(swap.load().route(0, 7).is_some());
+        let uncovered = RouterSnapshot::uncovered(1);
+        assert_eq!(uncovered.version(), 0);
+        assert!(uncovered.route(0, 7).is_none());
+        assert_eq!(snap.version(), 1);
+        assert!(snap.route(0, 7).is_some());
         let p2 = RoutingPolicy::from_allocation(&p, &{
             let mut x = Allocation::zeros(&p);
             x.set(&p, 0, 0, 1.0);
             x
         });
-        swap.publish(RouterSnapshot::compile(&p, &p2, 2));
-        assert_eq!((swap.version(), swap.load().version()), (2, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "version must advance")]
-    fn stale_publication_is_rejected() {
-        let (_, snap) = snapshot_3to1();
-        let swap = SnapshotSwap::new(snap);
-        swap.publish(RouterSnapshot::uncovered(1));
+        assert_eq!(RouterSnapshot::compile(&p, &p2, 2).version(), 2);
     }
 }

@@ -19,7 +19,7 @@ use dspp_core::{CoreError, PlacementPolicy};
 use dspp_ingest::{IngestCheckpoint, IngestConfig, IngestLoop, IngestTotals};
 use dspp_telemetry::{Recorder, SloEngine, SloSpec};
 
-use crate::{FaultPlan, RuntimeError};
+use crate::{Fault, FaultPlan, RuntimeError};
 
 /// Specification of one streaming soak drill.
 #[derive(Debug, Clone)]
@@ -29,7 +29,9 @@ pub struct SoakSpec {
     pub rates: Vec<Vec<f64>>,
     /// Adversity to inject. Demand spikes are applied to `rates` here;
     /// price shocks must be applied to the price trace by the caller's
-    /// controller factory (prices live inside the problem spec).
+    /// controller factory (prices live inside the problem spec). A soak
+    /// has no solver-outage wrapper and no capacity schedule, so any
+    /// other fault is rejected.
     pub faults: FaultPlan,
     /// Ingest configuration (seed, shard count, period length, budget).
     pub config: IngestConfig,
@@ -70,6 +72,13 @@ pub struct SoakReport {
 /// `make_controller` is invoked twice (primary + restored loop); both
 /// controllers must be built from the *same* problem spec or the
 /// restore is rejected by the checkpoint validation.
+///
+/// # Errors
+///
+/// [`RuntimeError::Core`] with [`CoreError::InvalidSpec`] when the plan
+/// holds a solver outage, DC outage or capacity degradation, or when
+/// `checkpoint_after` is outside `1..periods`; otherwise the first
+/// failure of a loop step, checkpoint or restore.
 pub fn run_soak<F>(
     spec: &SoakSpec,
     make_controller: F,
@@ -78,6 +87,25 @@ pub fn run_soak<F>(
 where
     F: Fn() -> Result<Box<dyn PlacementPolicy>, CoreError>,
 {
+    let mut unsupported: Vec<&str> = spec
+        .faults
+        .faults()
+        .iter()
+        .filter_map(|fault| match fault {
+            Fault::DemandSpike(_) | Fault::PriceShock { .. } => None,
+            Fault::SolverOutage { .. } => Some("solver outage"),
+            Fault::DcOutage { .. } => Some("DC outage"),
+            Fault::CapacityDegrade { .. } => Some("capacity degradation"),
+        })
+        .collect();
+    if !unsupported.is_empty() {
+        unsupported.sort_unstable();
+        unsupported.dedup();
+        return Err(RuntimeError::Core(CoreError::InvalidSpec(format!(
+            "a soak applies only demand spikes and price shocks, not: {}",
+            unsupported.join(", ")
+        ))));
+    }
     let mut rates = spec.rates.clone();
     spec.faults.apply_to_demand(&mut rates);
     let periods = rates.first().map(Vec::len).unwrap_or(0);
@@ -204,5 +232,28 @@ mod tests {
         };
         let err = run_soak(&spec, make_controller(4), &Recorder::disabled());
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn soak_rejects_faults_it_cannot_apply() {
+        let spec = SoakSpec {
+            rates: vec![vec![10.0; 4], vec![10.0; 4]],
+            faults: FaultPlan::new()
+                .price_shock(0, 1, 1, 2.0)
+                .dc_outage(1, 1, 1)
+                .solver_outage(2, 1)
+                .capacity_degrade(0, 0.5, 1, 2)
+                .dc_outage(0, 3, 1),
+            config: IngestConfig::new(1),
+            checkpoint_after: 2,
+            slos: vec![],
+        };
+        match run_soak(&spec, make_controller(4), &Recorder::disabled()) {
+            Err(RuntimeError::Core(CoreError::InvalidSpec(m))) => assert!(
+                m.ends_with("not: DC outage, capacity degradation, solver outage"),
+                "{m}"
+            ),
+            other => panic!("expected an invalid-spec error, got {other:?}"),
+        }
     }
 }

@@ -98,7 +98,6 @@ impl SimReport {
 pub struct ClosedLoopSim {
     controller: Box<dyn PlacementPolicy>,
     demand: Vec<Vec<f64>>,
-    realized_prices: Option<Vec<Vec<f64>>>,
     telemetry: Recorder,
     /// Next period index `k` to execute (`0 ..= total_steps()`).
     cursor: usize,
@@ -144,7 +143,6 @@ impl ClosedLoopSim {
         Ok(ClosedLoopSim {
             controller,
             demand,
-            realized_prices: None,
             telemetry: Recorder::disabled(),
             cursor: 0,
             periods: Vec::with_capacity(periods - 1),
@@ -186,31 +184,6 @@ impl ClosedLoopSim {
     /// an attached engine).
     pub fn slo_transitions(&self) -> &[SloTransition] {
         self.slos.as_ref().map_or(&[], SloEngine::transitions)
-    }
-
-    /// Charges the run against *realized* prices (`[dc][period]`) instead
-    /// of the controller's posted price traces.
-    ///
-    /// Use this when the controller plans against an expected price curve
-    /// but the market bills a different realized one — e.g. to score a
-    /// deliberately price-blind baseline. (The Figure 9 experiment instead
-    /// gives the controller the realized trace plus a price *predictor*,
-    /// which models the same uncertainty inside the controller.)
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidSpec`] if the shape does not cover the
-    /// demand trace.
-    pub fn with_realized_prices(mut self, prices: Vec<Vec<f64>>) -> Result<Self, CoreError> {
-        let nl = self.controller.problem().num_dcs();
-        let periods = self.demand[0].len();
-        if prices.len() != nl || prices.iter().any(|p| p.len() < periods) {
-            return Err(CoreError::InvalidSpec(format!(
-                "realized prices must be {nl} series of at least {periods} periods"
-            )));
-        }
-        self.realized_prices = Some(prices);
-        Ok(self)
     }
 
     /// Number of executable steps: `K − 1` for a `K`-period trace.
@@ -267,20 +240,7 @@ impl ClosedLoopSim {
         let problem = self.controller.problem();
         let sla = evaluate_sla(problem, &outcome.allocation, &outcome.routing, &realized);
         let per_dc = outcome.allocation.per_dc(problem);
-        let step_cost = match &self.realized_prices {
-            None => outcome.step_cost,
-            Some(prices) => {
-                // Re-bill hosting at the realized price of period k+1.
-                let mut hosting = 0.0;
-                for (e, &(l, _)) in problem.arcs().iter().enumerate() {
-                    hosting += prices[l][k + 1] * outcome.allocation.arc_values()[e];
-                }
-                dspp_core::PeriodCost {
-                    hosting,
-                    reconfiguration: outcome.step_cost.reconfiguration,
-                }
-            }
-        };
+        let step_cost = outcome.step_cost;
         self.ledger.push(step_cost);
         let reconfig_magnitude: f64 = outcome.control.iter().map(|u| u.abs()).sum();
         // Shortfall the recovery solve knowingly left unserved this period
@@ -526,32 +486,6 @@ mod tests {
         assert_eq!(series[0].len(), 3);
         assert_eq!(report.total_series().len(), 3);
         assert!(report.max_reconfig() > 0.0);
-    }
-
-    #[test]
-    fn realized_prices_rebill_hosting_only() {
-        let demand = vec![vec![40.0, 60.0, 80.0]];
-        // Posted price is 1.0; realized price doubles it.
-        let base = ClosedLoopSim::new(mpc(2, demand.clone()), demand.clone())
-            .unwrap()
-            .run()
-            .unwrap();
-        let rebilled = ClosedLoopSim::new(mpc(2, demand.clone()), demand.clone())
-            .unwrap()
-            .with_realized_prices(vec![vec![2.0; 3]])
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!((rebilled.ledger.total_hosting() - 2.0 * base.ledger.total_hosting()).abs() < 1e-9);
-        assert!(
-            (rebilled.ledger.total_reconfiguration() - base.ledger.total_reconfiguration()).abs()
-                < 1e-9
-        );
-        // Shape validation.
-        assert!(ClosedLoopSim::new(mpc(2, demand.clone()), demand)
-            .unwrap()
-            .with_realized_prices(vec![vec![2.0; 2]])
-            .is_err());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! | [`core`] | `dspp-core` | DSPP model, MPC controller, request router |
 //! | [`game`] | `dspp-game` | best-response Algorithm 2, SWP, PoA/PoS |
 //! | [`sim`] | `dspp-sim` | fluid closed loop + discrete-event M/M/1 pools |
-//! | [`ingest`] | `dspp-ingest` | streaming front end: event generators, snapshot routing, lock-free demand buckets |
+//! | [`ingest`] | `dspp-ingest` | streaming front end: event generators, snapshot routing, shard tallies sealed into per-period demand |
 //! | [`telemetry`] | `dspp-telemetry` | counters/gauges/histograms, snapshots (`docs/OBSERVABILITY.md`) |
 //!
 //! # Quickstart

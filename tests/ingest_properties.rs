@@ -9,9 +9,9 @@
 //!   and the routed per-arc totals are byte-identical at `--jobs 1` and
 //!   `--jobs 4`, because event streams are pure functions of
 //!   `(seed, city, period)` and aggregation is commutative integer
-//!   addition (shard-local tallies folded into the period bucket).
-//! * **Snapshot-swap routing** — routing the whole stream through the
-//!   lock-free snapshot swap matches single-threaded routing totals.
+//!   addition (shard-local tallies folded into the sealed period).
+//! * **Shared-snapshot routing** — routing the whole stream off the one
+//!   snapshot every shard borrows matches single-shard routing totals.
 //! * **Checkpoint round-trip** — interrupt, JSON round-trip, restore
 //!   into a fresh loop: bit-exact resume for any checkpoint position.
 //! * **Capacity-schedule round-trip** — the fault plane's capacity
@@ -116,8 +116,8 @@ proptest! {
     }
 
     /// Shard layout cannot change the sealed ledger: jobs=1 and jobs=4
-    /// seal byte-identical matrices and CSVs, and snapshot-swap routing
-    /// across shards matches the single-threaded routing totals per arc.
+    /// seal byte-identical matrices and CSVs, and routing across shards
+    /// off the shared snapshot matches the single-shard totals per arc.
     #[test]
     fn prop_sealed_matrices_shard_independent(
         seed in 0u64..1_000_000,
