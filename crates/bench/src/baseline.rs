@@ -527,7 +527,7 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     });
 
     // 12. One period of the streaming front end as production runs it:
-    // `IngestLoop::step` draws every city's arrivals, admits them against
+    // `IngestLoop::step` draws every city's arrival count, admits against
     // a budget tight enough to defer and drop, routes the admitted
     // requests off the published snapshot, seals the period and steps
     // the controller. `ProportionalGreedy` decides in closed form, so the

@@ -783,6 +783,65 @@ mod tests {
     }
 
     #[test]
+    fn controller_metric_catalogue_matches_the_docs() {
+        use std::collections::BTreeSet;
+        // One server of capacity: a cold first step and two warm ones fit,
+        // then demand for three servers fails the preflight and the
+        // recovery solve serves it short.
+        let telemetry = Recorder::enabled();
+        let p = DsppBuilder::new(1, 1)
+            .service_rate(100.0)
+            .sla_latency(0.060)
+            .latency_rows(vec![vec![0.010]])
+            .capacity(0, 1.0)
+            .price_trace(0, vec![1.0])
+            .build()
+            .unwrap();
+        let a = p.arc_coeff(0);
+        let mut c = MpcController::new(
+            p,
+            Box::new(LastValue),
+            MpcSettings {
+                horizon: 2,
+                telemetry: telemetry.clone(),
+                ..MpcSettings::default()
+            },
+        )
+        .unwrap();
+        for servers in [0.5, 0.6, 0.7, 3.0] {
+            c.step(&[servers / a]).unwrap();
+        }
+        let snap = telemetry.snapshot().unwrap();
+        assert_eq!(snap.counter("controller.warm_start.miss"), 1);
+        assert_eq!(snap.counter("controller.warm_start.hit"), 3);
+        assert_eq!(snap.counter("controller.recovery_solves"), 1);
+        let emitted: BTreeSet<&str> = snap
+            .counters
+            .keys()
+            .chain(snap.gauges.keys())
+            .chain(snap.histograms.keys())
+            .map(String::as_str)
+            .filter(|name| name.starts_with("controller."))
+            .collect();
+        // The rows of the `controller.*` table in OBSERVABILITY.md.
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let section = doc
+            .split("### `controller.*`")
+            .nth(1)
+            .expect("OBSERVABILITY.md has the controller.* section");
+        let section = section.split("\n#").next().unwrap_or(section);
+        let documented: BTreeSet<&str> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `"))
+            .filter_map(|line| line.split('`').next())
+            .collect();
+        assert_eq!(
+            emitted, documented,
+            "emitted vs documented controller.* metrics"
+        );
+    }
+
+    #[test]
     fn step_cost_accounts_hosting_and_reconfig() {
         let mut c = MpcController::new(
             problem(),

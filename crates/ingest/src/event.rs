@@ -79,13 +79,11 @@ const fn attribute_table() -> [(u8, u16); ATTRIBUTE_WORDS] {
     table
 }
 
-/// One timestamped request: the unit the ingest front end routes and
-/// aggregates at millions per control period. 16 bytes and `Copy`, so the
-/// per-city stream hands events out by value.
+/// One request: the unit the ingest front end routes and aggregates at
+/// millions per control period. 12 bytes and `Copy`, so a collected
+/// stream stores events by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// Arrival offset within its control period, in microseconds.
-    pub time_us: u64,
     /// Client location (city) index.
     pub city: u32,
     /// Traffic class.

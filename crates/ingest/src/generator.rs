@@ -1,16 +1,24 @@
 //! Deterministic request-stream generation.
 //!
-//! Every `(city, period)` pair gets an independently seeded
-//! [`dspp_sim::ArrivalProcess`] (the DES arrival machinery factored out
-//! for reuse), so the event stream of a city is a pure function of
-//! `(seed, city, period, rate)` — independent of which shard thread
-//! generates it and of how many shards exist. That independence is what
-//! makes sealed period matrices byte-identical at any `--jobs` count and
-//! lets a checkpoint resume mid-stream bit-exactly: period `k+1` streams
-//! are fresh seeds, never continuations of period `k` RNG state.
+//! Every `(city, period)` pair gets its own seeded stream, so the
+//! requests of a city are a pure function of `(seed, city, period,
+//! rate)` — independent of which shard thread generates them and of how
+//! many shards exist. That independence is what makes sealed period
+//! matrices byte-identical at any `--jobs` count and lets a checkpoint
+//! resume mid-stream bit-exactly: period `k+1` streams are fresh seeds,
+//! never continuations of period `k` RNG state.
+//!
+//! A stream is the paper's Poisson arrival process over one period,
+//! reduced to what the controller observes. The count of a Poisson
+//! process of rate `λ` on `[0, T)` is `Poisson(λT)`, and given the count
+//! the requests' attributes are independent, so a stream draws its
+//! arrival count as one exact Poisson variate
+//! ([`dspp_workload::poisson::sample`]) and then one attribute word per
+//! arrival. Arrival times are never drawn: nothing downstream reads them.
 
-use dspp_sim::ArrivalProcess;
-use rand::RngCore;
+use dspp_workload::poisson;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::event::{Event, RequestClass};
 
@@ -27,89 +35,43 @@ pub fn stream_seed(seed: u64, city: usize, period: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The event stream of one `(city, period)` pair, drawn lazily: the one
-/// definition of that stream. Each arrival draws its inter-arrival time
-/// and then one attribute word (class and payload size) from the pair's
-/// own [`ArrivalProcess`], so the sequence is a pure function of
-/// `(seed, city, period, rate)` however much of it a caller consumes.
-/// The ingest shards count it ([`CityStream::count_arrivals`]);
-/// collecting events ([`generate_city_period`]) iterates it. Both take
-/// the same draws.
-#[derive(Debug)]
-pub(crate) struct CityStream {
-    arrivals: ArrivalProcess,
-    city: u32,
-    horizon: f64,
-}
-
-impl CityStream {
-    /// The stream of `city` in `period`; `rate` is the city's mean
-    /// arrival rate in requests/second over a period of `period_seconds`.
-    pub(crate) fn new(
-        seed: u64,
-        city: usize,
-        period: usize,
-        rate: f64,
-        period_seconds: f64,
-    ) -> Self {
-        CityStream {
-            arrivals: ArrivalProcess::new(stream_seed(seed, city, period), rate),
-            city: city as u32,
-            horizon: period_seconds,
-        }
+/// Draws the request stream of one `(city, period)` pair — the one
+/// definition of that stream — and returns its arrival count. From an
+/// RNG seeded with [`stream_seed`] it draws the arrival count
+/// `N ~ Poisson(rate · period_seconds)` (a zero rate draws nothing),
+/// then one attribute word (class and payload size) per arrival, in
+/// arrival order, for the first `admitted` arrivals only: those words go
+/// to `attribute`, and the words of later arrivals are not drawn. `rate`
+/// is the city's mean arrival rate in requests/second over a period of
+/// `period_seconds`. The ingest shards pass their admission budget;
+/// [`generate_city_period`] passes `u64::MAX` and collects every word.
+#[inline]
+pub(crate) fn count_arrivals(
+    seed: u64,
+    city: usize,
+    period: usize,
+    rate: f64,
+    period_seconds: f64,
+    admitted: u64,
+    mut attribute: impl FnMut(u64),
+) -> u64 {
+    let mut rng = StdRng::seed_from_u64(stream_seed(seed, city, period));
+    let arrivals = poisson::sample(&mut rng, rate * period_seconds);
+    for _ in 0..arrivals.min(admitted) {
+        attribute(rng.next_u64());
     }
-
-    /// The one per-arrival draw step: the next arrival's time in seconds
-    /// and its attribute word, or `None` once the stream has passed the
-    /// period's end.
-    #[inline]
-    fn next_arrival(&mut self) -> Option<(f64, u64)> {
-        let t = self.arrivals.next_before(self.horizon)?;
-        Some((t, self.arrivals.rng_mut().next_u64()))
-    }
-
-    /// Draws the whole stream without building events and returns its
-    /// number of arrivals. The attribute words of the first `admitted`
-    /// arrivals go to `attribute`, in arrival order; later arrivals make
-    /// the same draws but are only counted.
-    #[inline]
-    pub(crate) fn count_arrivals(mut self, admitted: u64, mut attribute: impl FnMut(u64)) -> u64 {
-        let mut arrivals = 0u64;
-        while arrivals < admitted {
-            let Some((_, word)) = self.next_arrival() else {
-                return arrivals;
-            };
-            attribute(word);
-            arrivals += 1;
-        }
-        while self.next_arrival().is_some() {
-            arrivals += 1;
-        }
-        arrivals
-    }
-}
-
-impl Iterator for CityStream {
-    type Item = Event;
-
-    #[inline]
-    fn next(&mut self) -> Option<Event> {
-        let (t, attr) = self.next_arrival()?;
-        let class = RequestClass::from_draw(attr);
-        Some(Event {
-            time_us: (t * 1e6) as u64,
-            city: self.city,
-            class,
-            size_kib: class.size_kib(attr >> 2),
-        })
-    }
+    arrivals
 }
 
 /// Collects the whole event stream of one `(city, period)` pair — the
-/// stream the ingest shards consume lazily — into `out` (cleared first,
-/// capacity reused across periods). `rate` is the city's mean arrival
-/// rate in requests/second over a period of `period_seconds`. Returns the
-/// number of events generated.
+/// stream the ingest shards count — into `out` (cleared first, capacity
+/// reused across periods). `rate` is the city's mean arrival rate in
+/// requests/second over a period of `period_seconds`. Returns the number
+/// of events generated.
+///
+/// # Panics
+///
+/// Panics if `rate · period_seconds` is negative or not finite.
 pub fn generate_city_period(
     seed: u64,
     city: usize,
@@ -119,8 +81,14 @@ pub fn generate_city_period(
     out: &mut Vec<Event>,
 ) -> u64 {
     out.clear();
-    out.extend(CityStream::new(seed, city, period, rate, period_seconds));
-    out.len() as u64
+    count_arrivals(seed, city, period, rate, period_seconds, u64::MAX, |word| {
+        let class = RequestClass::from_draw(word);
+        out.push(Event {
+            city: city as u32,
+            class,
+            size_kib: class.size_kib(word >> 2),
+        });
+    })
 }
 
 #[cfg(test)]
@@ -142,14 +110,42 @@ mod tests {
     }
 
     #[test]
-    fn rate_calibration_and_ordering_hold() {
+    fn rate_calibration_holds() {
         let mut out = Vec::new();
         let n = generate_city_period(1, 0, 0, 500.0, 20.0, &mut out);
         // λ·T = 10_000; 4σ = 400.
         assert!((n as f64 - 10_000.0).abs() < 400.0, "{n} events");
-        assert!(out.windows(2).all(|w| w[0].time_us <= w[1].time_us));
         assert!(out.iter().all(|e| e.city == 0));
-        assert!(out.iter().all(|e| (e.time_us as f64) < 20.0 * 1e6));
+    }
+
+    /// Over 2 500 `(city, period)` streams at λT = 100 and at 5 000, the
+    /// arrival counts have mean λT and an index of dispersion
+    /// (variance ÷ mean) of 1, each within 5 standard errors: the
+    /// counts are Poisson, not a deterministic `λT` nor an under- or
+    /// over-dispersed draw.
+    #[test]
+    fn arrival_counts_are_poisson_across_streams() {
+        const STREAMS: f64 = 2_500.0;
+        for (rate, period_seconds) in [(2.5, 40.0), (125.0, 40.0)] {
+            let mean = rate * period_seconds;
+            let counts: Vec<f64> = (0..50)
+                .flat_map(|city| (0..50).map(move |period| (city, period)))
+                .map(|(city, period)| {
+                    count_arrivals(11, city, period, rate, period_seconds, 0, |_| {}) as f64
+                })
+                .collect();
+            let m = counts.iter().sum::<f64>() / STREAMS;
+            let var = counts.iter().map(|c| (c - m).powi(2)).sum::<f64>() / (STREAMS - 1.0);
+            assert!(
+                (m - mean).abs() < 5.0 * (mean / STREAMS).sqrt(),
+                "λT {mean}: mean count {m}"
+            );
+            let dispersion = var / m;
+            assert!(
+                (dispersion - 1.0).abs() < 5.0 * (2.0 / (STREAMS - 1.0)).sqrt(),
+                "λT {mean}: index of dispersion {dispersion}"
+            );
+        }
     }
 
     #[test]
@@ -159,8 +155,7 @@ mod tests {
         assert!(n > 1000);
         for admitted in [0, 1, n / 2, n - 1, n, n + 5, u64::MAX] {
             let mut words = Vec::new();
-            let counted = CityStream::new(5, 2, 7, 300.0, 10.0)
-                .count_arrivals(admitted, |word| words.push(word));
+            let counted = count_arrivals(5, 2, 7, 300.0, 10.0, admitted, |word| words.push(word));
             assert_eq!(counted, n, "admitted {admitted}");
             assert_eq!(words.len() as u64, admitted.min(n));
             for (&word, ev) in words.iter().zip(&events) {
@@ -168,7 +163,7 @@ mod tests {
                 assert_eq!((class, class.size_kib(word >> 2)), (ev.class, ev.size_kib));
             }
         }
-        let silent = CityStream::new(5, 2, 7, 0.0, 10.0).count_arrivals(u64::MAX, |_| {
+        let silent = count_arrivals(5, 2, 7, 0.0, 10.0, u64::MAX, |_| {
             panic!("a zero-rate stream has no arrivals");
         });
         assert_eq!(silent, 0);
@@ -177,7 +172,6 @@ mod tests {
     #[test]
     fn zero_rate_city_generates_nothing() {
         let mut out = vec![Event {
-            time_us: 0,
             city: 0,
             class: RequestClass::Standard,
             size_kib: 1,

@@ -4,11 +4,11 @@
 //! matrices; a production placement system sees individual requests.
 //! This crate closes that gap:
 //!
-//! * [`generator`] — deterministic per-`(city, period)` request streams
-//!   built on the DES arrival machinery ([`dspp_sim::ArrivalProcess`]),
-//!   millions of timestamped `(city, class, size)` events per control
-//!   period, counted by the shards without building events and
-//!   collected on demand;
+//! * [`generator`] — deterministic per-`(city, period)` request streams:
+//!   one exact Poisson arrival count per stream, then one attribute word
+//!   (class and payload size) per request, millions of `(city, class,
+//!   size)` events per control period, counted by the shards without
+//!   building events and collected on demand;
 //! * [`snapshot`] — compiled placement snapshots: the controller
 //!   publishes each placement as an immutable compiled eq. 13 routing
 //!   table, replaced only between periods and borrowed by every shard;

@@ -215,83 +215,9 @@ pub fn run_des(config: &DesConfig) -> Vec<PoolStats> {
         .collect()
 }
 
-/// A seeded Poisson arrival-time stream for one traffic source.
-///
-/// This is the arrival half of [`run_des`] factored out for reuse: the
-/// request-level ingest front end (`dspp-ingest`) drives one process per
-/// `(city, period)` pair so event streams are independent of how cities
-/// are sharded across threads. Inter-arrival times are exponential at
-/// `rate`; attribute draws (request class, payload size) share the same
-/// RNG through [`ArrivalProcess::rng_mut`], which keeps the whole
-/// per-source draw sequence a function of the seed alone.
-#[derive(Debug)]
-pub struct ArrivalProcess {
-    rng: StdRng,
-    rate: f64,
-    clock: f64,
-}
-
-impl ArrivalProcess {
-    /// A process at `rate` arrivals per second (clamped to ≥ 0), with the
-    /// clock at 0.
-    pub fn new(seed: u64, rate: f64) -> Self {
-        ArrivalProcess {
-            rng: StdRng::seed_from_u64(seed),
-            rate: rate.max(0.0),
-            clock: 0.0,
-        }
-    }
-
-    /// Advances to the next arrival and returns its time, or `None` once
-    /// the next arrival would land at or beyond `horizon` seconds (a
-    /// zero-rate process never arrives).
-    #[inline]
-    pub fn next_before(&mut self, horizon: f64) -> Option<f64> {
-        if self.rate <= 0.0 {
-            return None;
-        }
-        self.clock += poisson::exponential(&mut self.rng, self.rate);
-        (self.clock < horizon).then_some(self.clock)
-    }
-
-    /// The underlying RNG, for attribute draws that must stay part of
-    /// this source's deterministic stream.
-    #[inline]
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    /// Current clock position in seconds (the last arrival time, or the
-    /// first rejected one).
-    pub fn clock(&self) -> f64 {
-        self.clock
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arrival_process_is_deterministic_and_calibrated() {
-        let count = |seed: u64| {
-            let mut p = ArrivalProcess::new(seed, 100.0);
-            let mut times = Vec::new();
-            while let Some(t) = p.next_before(50.0) {
-                times.push(t);
-            }
-            times
-        };
-        let a = count(7);
-        assert_eq!(a, count(7), "same seed must replay the same stream");
-        assert!(a.windows(2).all(|w| w[0] < w[1]), "times are increasing");
-        // λ = 100/s over 50 s → ~5000 arrivals; 4σ ≈ 283.
-        let n = a.len() as f64;
-        assert!((n - 5000.0).abs() < 300.0, "got {n} arrivals");
-        assert!(!a.is_empty() && a[0] > 0.0 && *a.last().unwrap() < 50.0);
-        // Zero-rate processes never arrive.
-        assert!(ArrivalProcess::new(1, 0.0).next_before(1e9).is_none());
-    }
 
     #[test]
     fn mm1_mean_delay_matches_theory() {

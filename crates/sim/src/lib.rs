@@ -58,7 +58,7 @@ mod recorder;
 
 pub use checkpoint::{SimCheckpoint, CHECKPOINT_SCHEMA_VERSION};
 pub use closed_loop::{ClosedLoopSim, SimPeriod, SimReport};
-pub use des::{run_des, ArrivalProcess, DesConfig, PoolSpec, PoolStats};
+pub use des::{run_des, DesConfig, PoolSpec, PoolStats};
 pub use fluid::{evaluate_sla, SlaReport};
 pub use monitor::{EwmaStat, Monitor};
 pub use recorder::SharedRecorder;

@@ -12,9 +12,11 @@
 //!   base, optional flash crowds, optional multiplicative noise).
 //! * [`DemandTrace`] — the `[location][period]` demand matrix `D_k^v`
 //!   consumed by the controller and simulator.
-//! * [`poisson`] — exact Poisson sampling (inversion for small means,
-//!   normal approximation for large) used to turn rates into integer
-//!   request counts in the discrete-event simulator.
+//! * [`poisson`] — exact Poisson sampling (Knuth's multiplication
+//!   method below mean 10, Hörmann's transformed rejection from 10 on),
+//!   which turns rates into integer request counts for the demand model
+//!   and the streaming-ingest front end, plus the exponential draws of
+//!   the discrete-event simulator.
 //!
 //! # Examples
 //!
