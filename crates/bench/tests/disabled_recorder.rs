@@ -4,15 +4,20 @@
 //! On the paper horizon, `solve_structured_warm_traced` with a disabled
 //! recorder must take the same IPM iterations and make the same
 //! allocations as `solve_structured`, and return bit-identical states,
-//! inputs and duals. The allocation counter is process-wide, and a lock
-//! cannot keep the library's other unit tests from allocating beside a
-//! multi-millisecond solve, so this check is the only test in its binary.
+//! inputs and duals. The allocation counter is process-wide, so this
+//! check runs without the test harness (`harness = false` in
+//! `Cargo.toml`): `main` is the only thread, and nothing else can
+//! allocate while it counts.
 
 use dspp_bench::{alloc_count, paper_horizon};
 use dspp_solver::{solve_structured, solve_structured_warm_traced, IpmSettings, LqSolution};
 use dspp_telemetry::Recorder;
 
-#[test]
+fn main() {
+    disabled_recorder_solve_is_the_plain_solve();
+    println!("test disabled_recorder_solve_is_the_plain_solve ... ok");
+}
+
 fn disabled_recorder_solve_is_the_plain_solve() {
     let paper = paper_horizon(1.0);
     let slq = paper.structured();

@@ -24,11 +24,11 @@ pub struct MpcSettings {
     /// the traced solver calls, `solver.lq.*`). Disabled by default, which
     /// keeps every instrumented path a no-op; see `docs/OBSERVABILITY.md`.
     pub telemetry: Recorder,
-    /// How to fall back when the strict horizon problem is infeasible:
-    /// re-solve with slack on the demand/SLA rows and report the shortfall
-    /// instead of failing the step. Enabled by default — disable it to
-    /// restore hard-failure semantics (every infeasible period becomes a
-    /// [`CoreError::Solver`] for a supervisor to handle).
+    /// How the recovery solve prices unserved demand. Whenever the
+    /// preflight or the strict solve certifies a horizon infeasible, the
+    /// controller re-solves with slack on the demand/SLA rows and reports
+    /// the shortfall instead of failing the step; only a failure of that
+    /// relaxation reaches a supervisor as a [`CoreError::Solver`].
     pub recovery: RecoverySettings,
 }
 
@@ -440,8 +440,7 @@ impl MpcController {
         if !preflight.is_feasible() {
             telemetry.incr("controller.preflight_infeasible", 1);
         }
-        let recovery_enabled = self.settings.recovery.enabled;
-        let strict = if recovery_enabled && !preflight.is_feasible() {
+        let strict = if !preflight.is_feasible() {
             // The aggregate preflight already certifies the strict horizon
             // infeasible: skip the doomed solve and recover directly.
             None
@@ -449,7 +448,7 @@ impl MpcController {
             match horizon.solve_warm_traced(&self.settings.ipm, self.warm_us.as_deref(), &telemetry)
             {
                 Ok(sol) => Some(sol),
-                Err(CoreError::Solver(SolverError::Infeasible { .. })) if recovery_enabled => None,
+                Err(CoreError::Solver(SolverError::Infeasible { .. })) => None,
                 Err(e) => return Err(e),
             }
         };
@@ -657,7 +656,7 @@ mod tests {
         // controller recovers, keeps the placement within capacity, and
         // reports the missing server as shortfall.
         let mut c = MpcController::new(
-            p.clone(),
+            p,
             Box::new(LastValue),
             MpcSettings {
                 horizon: 2,
@@ -674,22 +673,6 @@ mod tests {
             info.resource_shortfall
         );
         assert!((info.shortfall[0] - 1.0 / a).abs() < 1e-3 / a);
-        // With recovery disabled the same step is a hard solver error.
-        let mut c = MpcController::new(
-            p,
-            Box::new(LastValue),
-            MpcSettings {
-                horizon: 2,
-                recovery: RecoverySettings {
-                    enabled: false,
-                    ..RecoverySettings::default()
-                },
-                ..MpcSettings::default()
-            },
-        )
-        .unwrap();
-        let err = c.step(&[2.0 / a]).unwrap_err();
-        assert!(matches!(err, CoreError::Solver(_)), "got {err}");
     }
 
     #[test]
@@ -936,31 +919,8 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_rate_limit_is_reported() {
-        // The jump cannot be ramped within the horizon under the limit.
-        // With recovery disabled that is a hard solver error.
-        let demand = vec![vec![10.0, 1000.0, 1000.0]];
-        let mut c = MpcController::new(
-            problem(),
-            Box::new(OraclePredictor::new(demand.clone())),
-            MpcSettings {
-                horizon: 2,
-                max_reconfiguration: Some(0.05),
-                recovery: RecoverySettings {
-                    enabled: false,
-                    ..RecoverySettings::default()
-                },
-                ..MpcSettings::default()
-            },
-        )
-        .unwrap();
-        let err = c.step(&[10.0]).unwrap_err();
-        assert!(matches!(err, CoreError::Solver(_)), "got {err}");
-    }
-
-    #[test]
     fn rate_limited_jump_recovers_with_bounded_controls() {
-        // Same jump with recovery on: the controller sheds the demand it
+        // The same jump through the controller: it sheds the demand it
         // cannot ramp to, but never exceeds the change budget.
         let demand = vec![vec![10.0, 1000.0, 1000.0]];
         let mut c = MpcController::new(
@@ -1091,31 +1051,40 @@ mod tests {
         assert!(matches!(c.restore(&ck), Err(CoreError::InvalidSpec(_))));
     }
 
+    /// Forecasts the last observation, like `LastValue`, but returns NaN
+    /// for a series whose last observation exceeds the limit: a predictor
+    /// that fails on out-of-range input.
+    struct FailsAbove(f64);
+
+    impl Predictor for FailsAbove {
+        fn forecast_all(&self, histories: &[Vec<f64>], horizon: usize) -> Vec<Vec<f64>> {
+            histories
+                .iter()
+                .map(|h| {
+                    let last = h.last().copied().unwrap_or(0.0);
+                    vec![if last > self.0 { f64::NAN } else { last }; horizon]
+                })
+                .collect()
+        }
+
+        fn name(&self) -> &str {
+            "fails-above"
+        }
+    }
+
     #[test]
     fn failed_step_rolls_back_history_and_fallback_advances_period() {
-        // A capacity-1 problem: the second observation is unservable, so
-        // the solve fails; the history must not keep duplicate entries
-        // across retries, and `note_fallback` must advance the clock.
-        let p = DsppBuilder::new(1, 1)
-            .service_rate(100.0)
-            .sla_latency(0.060)
-            .latency_rows(vec![vec![0.010]])
-            .capacity(0, 1.0)
-            .price_trace(0, vec![1.0])
-            .build()
-            .unwrap();
+        // The second observation is one the predictor cannot forecast, so
+        // the step fails after the observation was appended; the history
+        // must not keep duplicate entries across retries, and
+        // `note_fallback` must advance the clock.
+        let p = problem();
         let a = p.arc_coeff(0);
         let mut c = MpcController::new(
             p,
-            Box::new(LastValue),
+            Box::new(FailsAbove(1.0 / a)),
             MpcSettings {
                 horizon: 2,
-                // Hard-failure semantics: this test exercises the
-                // supervisor-facing retry/rollback contract.
-                recovery: RecoverySettings {
-                    enabled: false,
-                    ..RecoverySettings::default()
-                },
                 ..MpcSettings::default()
             },
         )

@@ -20,9 +20,6 @@ use dspp_telemetry::Recorder;
 /// slack on feasible horizons.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoverySettings {
-    /// Whether the MPC controller may fall back to a recovery solve when
-    /// the strict horizon problem is infeasible.
-    pub enabled: bool,
     /// Linear slack penalty per server of unserved capacity-equivalent.
     pub penalty: f64,
     /// Quadratic slack penalty (keeps the slack Hessian positive definite;
@@ -33,7 +30,6 @@ pub struct RecoverySettings {
 impl Default for RecoverySettings {
     fn default() -> Self {
         RecoverySettings {
-            enabled: true,
             penalty: 1e4,
             quadratic: 1e-4,
         }
@@ -511,6 +507,7 @@ impl HorizonProblem {
 mod tests {
     use super::*;
     use crate::DsppBuilder;
+    use dspp_solver::SolverError;
 
     fn problem() -> Dspp {
         DsppBuilder::new(2, 2)
@@ -751,6 +748,38 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, CoreError::InvalidSpec(_)));
         }
+    }
+
+    #[test]
+    fn infeasible_rate_limit_is_reported() {
+        // One DC starting empty cannot ramp to the forecast jump under a
+        // 0.05-server change budget per period: the strict solve must
+        // certify the horizon infeasible, since that classification is
+        // what sends `MpcController` to its recovery solve.
+        let p = DsppBuilder::new(1, 1)
+            .service_rate(100.0)
+            .sla_latency(0.060)
+            .latency_rows(vec![vec![0.010]])
+            .reconfiguration_weights(vec![0.02])
+            .price_trace(0, vec![1.0])
+            .build()
+            .unwrap();
+        let horizon = HorizonProblem::build_full(
+            &p,
+            &Allocation::zeros(&p),
+            &[flat(1000.0, 2)],
+            &[flat(1.0, 2)],
+            None,
+            Some(0.05),
+        )
+        .unwrap();
+        let err = horizon
+            .solve_warm_traced(&IpmSettings::default(), None, &Recorder::disabled())
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Solver(SolverError::Infeasible { .. })),
+            "got {err}"
+        );
     }
 
     #[test]

@@ -29,11 +29,12 @@ pub struct GameConfig {
     /// Metric recorder for `game.*` (and nested `solver.lq.*`) metrics.
     /// Disabled by default; see `docs/OBSERVABILITY.md`.
     pub telemetry: Recorder,
-    /// How a starved provider recovers: when a quota makes the strict
-    /// best response infeasible, the provider re-solves the relaxation
-    /// and reports a large-but-finite cost (objective plus
-    /// `penalty · shed servers`) together with *real*, finite capacity
-    /// duals — instead of the ∞-cost / synthetic-dual dead-end.
+    /// How a starved provider's recovery solve prices unserved demand.
+    /// Whenever a quota makes the strict best response fail, the provider
+    /// re-solves the relaxation and reports a large-but-finite cost
+    /// (objective plus `penalty · shed servers`) together with *real*,
+    /// finite capacity duals. Only a relaxation that fails too ends in
+    /// the ∞-cost / synthetic-dual dead-end (`game.infeasible_responses`).
     pub recovery: RecoverySettings,
     /// Worker threads for the per-round provider sweep (default 1 =
     /// sequential). The sweep is Jacobi-style — every provider solves
@@ -360,7 +361,7 @@ impl ResourceGame {
     ) -> Result<Response, CoreError> {
         match self.best_response_warm_traced(i, quota, &config.ipm, warm_us, telemetry) {
             Ok((cost, duals, sol)) => Ok(Response::Strict { cost, duals, sol }),
-            Err(CoreError::Solver(_)) if config.recovery.enabled => {
+            Err(CoreError::Solver(_)) => {
                 // The quota starves this provider: recover with a
                 // bounded-shortfall placement whose penalty-inflated
                 // cost and genuine capacity duals pull quota back
@@ -377,8 +378,6 @@ impl ResourceGame {
                     Err(e) => Err(e),
                 }
             }
-            // Recovery disabled: the historical ∞-cost path.
-            Err(CoreError::Solver(_)) => Ok(Response::Infeasible),
             Err(e) => Err(e),
         }
     }
@@ -1020,6 +1019,68 @@ mod tests {
                 "warm starts must carry through the recovery path"
             );
         }
+    }
+
+    #[test]
+    fn game_metric_catalogue_matches_the_docs() {
+        use std::collections::BTreeSet;
+        let telemetry = dspp_telemetry::Recorder::enabled();
+        let config = GameConfig {
+            telemetry: telemetry.clone(),
+            ..quick_config()
+        };
+        // A lone provider with ample capacity converges.
+        let sps = SpSampler::new(2, 2, 3).with_seed(2).sample(1).unwrap();
+        let lone = ResourceGame::new(sps, vec![1000.0, 1000.0]).unwrap();
+        assert!(lone.run(&config).unwrap().converged);
+        // A starved provider that recovers: provider 0 starts on a
+        // near-zero quota. Three rounds do not settle the quotas.
+        let sps = SpSampler::new(2, 2, 3).with_seed(9).sample(2).unwrap();
+        let game = ResourceGame::new(sps, vec![40.0, 40.0]).unwrap();
+        let starved = GameConfig {
+            max_iterations: 3,
+            ..config.clone()
+        };
+        let quotas = vec![vec![0.05, 0.05], vec![39.95, 39.95]];
+        assert!(!game.run_from(quotas, &starved).unwrap().converged);
+        // A game whose responses fail outright: `IpmSettings::validate`
+        // rejects a zero iteration cap, so the strict and the recovery
+        // solve both fail, and no round has a feasible iterate.
+        let broken = GameConfig {
+            max_iterations: 2,
+            ipm: IpmSettings {
+                max_iterations: 0,
+                ..IpmSettings::fast()
+            },
+            ..config
+        };
+        assert!(game.run(&broken).is_err());
+        let snap = telemetry.snapshot().unwrap();
+        assert_eq!(snap.counter("game.converged"), 1);
+        assert!(snap.counter("game.recovered_responses") >= 1);
+        assert_eq!(snap.counter("game.infeasible_responses"), 4);
+        assert_eq!(snap.counter("game.max_rounds_hit"), 2);
+        let emitted: BTreeSet<&str> = snap
+            .counters
+            .keys()
+            .chain(snap.gauges.keys())
+            .chain(snap.histograms.keys())
+            .map(String::as_str)
+            .filter(|name| name.starts_with("game."))
+            .collect();
+        // The rows of the `game.*` table in OBSERVABILITY.md.
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let section = doc
+            .split("### `game.*`")
+            .nth(1)
+            .expect("OBSERVABILITY.md has the game.* section");
+        let section = section.split("\n#").next().unwrap_or(section);
+        let documented: BTreeSet<&str> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `"))
+            .filter_map(|line| line.split('`').next())
+            .collect();
+        assert_eq!(emitted, documented, "emitted vs documented game.* metrics");
     }
 
     #[test]

@@ -39,14 +39,17 @@ pub struct IngestCheckpoint {
     pub cursor: usize,
     /// Deferred-request backlog per city.
     pub carry: Vec<u64>,
-    /// Run totals at the freeze point.
+    /// Run totals at the freeze point. `route_wall_seconds` is always 0:
+    /// a wall-clock total is not state, and a restored loop times only
+    /// its own periods. The document does not carry it, and the reader
+    /// ignores the field in documents that do.
     pub totals: IngestTotals,
     /// Sealed periods executed before the freeze.
     pub sealed: Vec<SealedPeriod>,
     /// The controller's internal state.
     pub controller_state: ControllerCheckpoint,
     /// The per-period capacity schedule the loop ran under (`None` for
-    /// fault-unaware runs, and for all version-1 documents).
+    /// runs without one, and for all version-1 documents).
     pub capacity_schedule: Option<Vec<Vec<f64>>>,
 }
 
@@ -80,8 +83,6 @@ impl IngestCheckpoint {
             t.recovery_periods
         );
         json::push_f64(&mut out, t.step_cost);
-        out.push_str(",\"route_wall_seconds\":");
-        json::push_f64(&mut out, t.route_wall_seconds);
         out.push_str("},\"sealed\":[");
         for (i, s) in self.sealed.iter().enumerate() {
             if i > 0 {
@@ -138,7 +139,7 @@ impl IngestCheckpoint {
             fallback_periods: json::field_u64(totals_v, "fallback_periods")?,
             recovery_periods: json::field_u64(totals_v, "recovery_periods")?,
             step_cost: json::field_with(totals_v, "step_cost", json::parse_f64)?,
-            route_wall_seconds: json::field_with(totals_v, "route_wall_seconds", json::parse_f64)?,
+            route_wall_seconds: 0.0,
         };
         let sealed = json::field(&root, "sealed")?
             .as_array()
@@ -206,7 +207,10 @@ impl IngestLoop {
             seed: self.config().seed,
             cursor: self.cursor(),
             carry: self.carry_backlog().to_vec(),
-            totals: *self.totals(),
+            totals: IngestTotals {
+                route_wall_seconds: 0.0,
+                ..*self.totals()
+            },
             sealed: self.sealed().to_vec(),
             controller_state,
             capacity_schedule: self.capacity_schedule().map(<[Vec<f64>]>::to_vec),
@@ -413,6 +417,35 @@ mod tests {
         let mut fresh = build_loop(21);
         fresh.restore(&v1).unwrap();
         assert_eq!(fresh.cursor(), 1);
+    }
+
+    #[test]
+    fn checkpoint_bytes_depend_only_on_the_stepped_state() {
+        let stepped = || {
+            let mut l = build_loop(21);
+            for _ in 0..3 {
+                l.step().unwrap();
+            }
+            assert!(l.totals().route_wall_seconds > 0.0);
+            l.checkpoint().unwrap().to_json()
+        };
+        let json = stepped();
+        assert_eq!(json, stepped(), "identical runs must write identical bytes");
+        assert!(!json.contains("route_wall_seconds"));
+        // Documents written before the field was dropped still restore,
+        // and the restored loop starts its own wall-clock total at 0.
+        let older = json.replace(
+            "},\"sealed\":[",
+            ",\"route_wall_seconds\":0.75},\"sealed\":[",
+        );
+        assert_ne!(older, json);
+        let ck = IngestCheckpoint::from_json(&older).unwrap();
+        assert_eq!(ck, IngestCheckpoint::from_json(&json).unwrap());
+        let mut fresh = build_loop(21);
+        fresh.restore(&ck).unwrap();
+        assert_eq!(fresh.totals().route_wall_seconds, 0.0);
+        fresh.step().unwrap();
+        assert!(fresh.totals().route_wall_seconds > 0.0);
     }
 
     #[test]

@@ -140,7 +140,8 @@ pub struct IngestTotals {
     /// Hosting + reconfiguration cost of all executed steps.
     pub step_cost: f64,
     /// Wall-clock seconds of the shard fan-out: generating and routing
-    /// (the fold into the sealed period is not included).
+    /// (the fold into the sealed period is not included). Checkpoints do
+    /// not carry it, so a restored loop counts only its own periods.
     pub route_wall_seconds: f64,
 }
 
@@ -178,10 +179,11 @@ pub struct IngestLoop {
     slos: Option<SloEngine>,
     totals: IngestTotals,
     /// Per-period absolute capacity vectors (`schedule[k][dc]`); `None`
-    /// runs at nominal capacity with no fault awareness.
+    /// runs at nominal capacity, like every period past the schedule's
+    /// end.
     capacity_schedule: Option<Vec<Vec<f64>>>,
-    /// The alive-mask the currently published snapshot was compiled
-    /// under (all-true outside capacity-schedule mode).
+    /// The live-DC mask the currently published snapshot was compiled
+    /// under (all true while no DC has zero scheduled capacity).
     published_mask: Vec<bool>,
     /// The routing policy behind the currently published snapshot, kept
     /// so an alive-mask change can recompile it before fan-out.
@@ -255,15 +257,15 @@ impl IngestLoop {
         }
         let initial =
             RoutingPolicy::from_allocation(controller.problem(), &controller.initial_placement());
-        let snapshot = RouterSnapshot::compile(controller.problem(), &initial, 1);
-        let dcs = controller.problem().num_dcs();
+        let all_live = vec![true; controller.problem().num_dcs()];
+        let snapshot = RouterSnapshot::compile_masked(controller.problem(), &initial, &all_live, 1);
         let arcs = controller.problem().num_arcs();
         Ok(IngestLoop {
             carry: vec![0; cities],
             next_carry: vec![0; cities],
             tallies: shard_tallies(cities, config.jobs, arcs),
             capacity_schedule: None,
-            published_mask: vec![true; dcs],
+            published_mask: all_live,
             routing: initial,
             stranded: vec![false; cities],
             controller,
@@ -278,15 +280,15 @@ impl IngestLoop {
         })
     }
 
-    /// Enables infrastructure-fault awareness. `schedule[k]` is the
-    /// absolute per-DC capacity vector in force at period `k` (periods
-    /// past the end of the schedule run at nominal capacity). The
-    /// schedule is forwarded to the controller — whose MPC then plans
-    /// around the degraded stages — and drives masked snapshot
-    /// republication: whenever the set of live DCs changes, the current
-    /// routing table is recompiled without the dead DCs *before* the
-    /// period's events fan out, so no request is ever routed to a DC
-    /// with zero capacity. Requests from cities stranded by an outage
+    /// Installs infrastructure faults. `schedule[k]` is the absolute
+    /// per-DC capacity vector in force at period `k` (periods past the
+    /// end of the schedule run at nominal capacity). The schedule is
+    /// forwarded to the controller — whose MPC then plans around the
+    /// degraded stages — and decides which DCs are live each period:
+    /// whenever the set of live DCs changes, the current routing table
+    /// is recompiled without the dead DCs *before* the period's events
+    /// fan out, so no request is ever routed to a DC with zero
+    /// capacity. Requests from cities stranded by an outage
     /// (all their routable weight on dead DCs) defer into the carry
     /// backlog, bounded by the admission budget's
     /// `max_carry_per_city` — size the budget accordingly, since
@@ -374,19 +376,23 @@ impl IngestLoop {
         &self.carry
     }
 
-    /// The per-period capacity schedule, when fault awareness is on.
+    /// The per-period capacity schedule, when one is installed.
     pub fn capacity_schedule(&self) -> Option<&[Vec<f64>]> {
         self.capacity_schedule.as_deref()
     }
 
-    /// Which DCs have positive capacity at period `k` (all of them
-    /// outside capacity-schedule mode or past the schedule's end).
-    fn alive_mask(&self, k: usize) -> Vec<bool> {
-        let dcs = self.controller.problem().num_dcs();
-        match &self.capacity_schedule {
-            Some(s) if k < s.len() => s[k].iter().map(|&c| c > 0.0).collect(),
-            _ => vec![true; dcs],
+    /// Sets `published_mask` to the DCs with positive capacity at period
+    /// `k` (all of them without a schedule or past its end), in place;
+    /// returns whether any DC changed state.
+    fn refresh_mask(&mut self, k: usize) -> bool {
+        let capacities = self.capacity_schedule.as_ref().and_then(|s| s.get(k));
+        let mut changed = false;
+        for (dc, live) in self.published_mask.iter_mut().enumerate() {
+            let now = capacities.is_none_or(|row| row[dc] > 0.0);
+            changed |= *live != now;
+            *live = now;
         }
+        changed
     }
 
     pub(crate) fn controller_mut(&mut self) -> &mut dyn PlacementPolicy {
@@ -408,32 +414,33 @@ impl IngestLoop {
 
     /// Re-derives and publishes the live placement snapshot after a
     /// checkpoint restore — identical to what the interrupted run had
-    /// published after its last step, including the alive-mask it was
-    /// compiled under in capacity-schedule mode.
+    /// published after its last step: the post-step snapshot of period
+    /// `cursor - 1`, at version `2(cursor - 1) + 3`, under the live-DC
+    /// mask in force that period.
     pub(crate) fn republish_restored(&mut self) {
         if self.cursor == 0 {
             return;
         }
-        let policy =
+        self.refresh_mask(self.cursor - 1);
+        self.routing =
             RoutingPolicy::from_allocation(self.controller.problem(), self.controller.allocation());
-        let snapshot = if self.capacity_schedule.is_some() {
-            // The interrupted run's last publish was the post-step of
-            // period cursor-1, at version 2(cursor-1)+3 under the mask
-            // in force that period.
-            let mask = self.alive_mask(self.cursor - 1);
-            let snap = RouterSnapshot::compile_masked(
-                self.controller.problem(),
-                &policy,
-                &mask,
-                (2 * self.cursor + 1) as u64,
-            );
-            self.stranded = stranded_cities(self.controller.problem(), &policy, &mask);
-            self.published_mask = mask;
-            snap
-        } else {
-            RouterSnapshot::compile(self.controller.problem(), &policy, (self.cursor + 1) as u64)
-        };
-        self.routing = policy;
+        self.publish_routing((2 * self.cursor + 1) as u64);
+    }
+
+    /// Compiles `routing` under `published_mask` into snapshot `version`,
+    /// marks the cities it strands, and publishes it. Versions run 1 for
+    /// the initial placement, then per period `k` an optional pre-fan-out
+    /// republish at `2k + 2` and the post-step publish at `2k + 3`.
+    fn publish_routing(&mut self, version: u64) {
+        let problem = self.controller.problem();
+        mark_stranded(
+            problem,
+            &self.routing,
+            &self.published_mask,
+            &mut self.stranded,
+        );
+        let snapshot =
+            RouterSnapshot::compile_masked(problem, &self.routing, &self.published_mask, version);
         self.publish(snapshot);
     }
 
@@ -475,24 +482,13 @@ impl IngestLoop {
         let mut span = self.telemetry.tracer().span("ingest.period");
         span.attr("period", k);
 
-        // Fault awareness: if this period's live-DC set differs from the
-        // one the published snapshot was compiled under, republish the
-        // current routing masked to the survivors *before* fan-out, so
-        // no request of this period can be routed to a dead DC.
-        if self.capacity_schedule.is_some() {
-            let mask = self.alive_mask(k);
-            if mask != self.published_mask {
-                let snap = RouterSnapshot::compile_masked(
-                    self.controller.problem(),
-                    &self.routing,
-                    &mask,
-                    (2 * k + 2) as u64,
-                );
-                self.stranded = stranded_cities(self.controller.problem(), &self.routing, &mask);
-                self.publish(snap);
-                self.published_mask = mask;
-                self.telemetry.incr("ingest.snapshot_republishes", 1);
-            }
+        // If this period's live-DC set differs from the one the published
+        // snapshot was compiled under, republish the current routing
+        // masked to the survivors *before* fan-out, so no request of this
+        // period can be routed to a dead DC.
+        if self.refresh_mask(k) {
+            self.publish_routing((2 * k + 2) as u64);
+            self.telemetry.incr("ingest.snapshot_republishes", 1);
         }
 
         let period_seconds = self.config.period_seconds as f64;
@@ -592,27 +588,9 @@ impl IngestLoop {
         }
         t.observe("ingest.route_seconds", route_seconds);
 
-        // In capacity-schedule mode versions interleave with the
-        // conditional pre-step republishes (1, [2k+2], 2k+3, …); outside
-        // it the historical k+2 numbering is preserved byte for byte.
         let publish = self.telemetry.tracer().span("ingest.publish");
-        let next = if self.capacity_schedule.is_some() {
-            self.routing = outcome.routing.clone();
-            self.stranded = stranded_cities(
-                self.controller.problem(),
-                &self.routing,
-                &self.published_mask,
-            );
-            RouterSnapshot::compile_masked(
-                self.controller.problem(),
-                &self.routing,
-                &self.published_mask,
-                (2 * k + 3) as u64,
-            )
-        } else {
-            RouterSnapshot::compile(self.controller.problem(), &outcome.routing, (k + 2) as u64)
-        };
-        self.publish(next);
+        self.routing = outcome.routing;
+        self.publish_routing((2 * k + 3) as u64);
         drop(publish);
         self.telemetry.incr("ingest.snapshot_publishes", 1);
 
@@ -763,25 +741,23 @@ fn process_shard(
     tally.weigh_attributes();
 }
 
-/// Cities whose requests must defer while the mask is in force: any city
-/// with no routable weight on a live DC, computed only while some DC is
-/// actually dead. In nominal conditions unroutable mass is admitted and
-/// recorded instead (the controller has to observe demand it is not yet
-/// serving to start serving it); during an infrastructure fault that
-/// mass defers into the carry backlog so nothing is charged against a
-/// DC with zero capacity.
-fn stranded_cities(problem: &Dspp, policy: &RoutingPolicy, alive: &[bool]) -> Vec<bool> {
+/// Marks the cities whose requests must defer while the mask is in
+/// force: any city with no routable weight on a live DC, and only while
+/// some DC is actually dead. In nominal conditions unroutable mass is
+/// admitted and recorded instead (the controller has to observe demand
+/// it is not yet serving to start serving it); during an infrastructure
+/// fault that mass defers into the carry backlog so nothing is charged
+/// against a DC with zero capacity.
+fn mark_stranded(problem: &Dspp, policy: &RoutingPolicy, alive: &[bool], stranded: &mut [bool]) {
     let arcs = problem.arcs();
     let degraded = alive.iter().any(|a| !a);
-    (0..problem.num_locations())
-        .map(|v| {
-            degraded
-                && !policy
-                    .location_weights(v)
-                    .iter()
-                    .any(|&(arc, _)| alive[arcs[arc].0])
-        })
-        .collect()
+    for (v, city) in stranded.iter_mut().enumerate() {
+        *city = degraded
+            && !policy
+                .location_weights(v)
+                .iter()
+                .any(|&(arc, _)| alive[arcs[arc].0]);
+    }
 }
 
 #[cfg(test)]
@@ -1351,7 +1327,7 @@ mod tests {
 
     /// A random cumulative table: empty, one arc, or 2–7 entries whose
     /// fractions include duplicated (zero-width) and tiny steps, with the
-    /// last forced to 1.0 as `compile` does.
+    /// last forced to 1.0 as `compile_masked` does.
     fn random_table(rng: &mut StdRng) -> Vec<(f64, usize)> {
         use rand::Rng;
         let entries = match rng.gen_range(0..4) {

@@ -152,27 +152,14 @@ impl RouterSnapshot {
         self.groups.push(self.cuts.len() as u32);
     }
 
-    /// Compiles `policy` (over `problem`) into snapshot `version`.
-    pub fn compile(problem: &Dspp, policy: &RoutingPolicy, version: u64) -> Self {
-        let cities = problem.num_locations();
-        let mut snapshot = RouterSnapshot::for_policy(version, cities, policy);
-        for v in 0..cities {
-            let mut cum = 0.0f64;
-            snapshot.push_city(policy.location_weights(v).iter().map(|&(arc, w)| {
-                cum += w;
-                (cum, arc)
-            }));
-        }
-        snapshot
-    }
-
-    /// Compiles `policy` restricted to the arcs whose data center is
-    /// marked `alive`, renormalizing each city's split over its
-    /// surviving arcs (the eq. 13 fractions conditioned on the live
-    /// set). A city whose entire routable weight sat on dead DCs
-    /// compiles to an empty table, so [`RouterSnapshot::route`] returns
-    /// `None` and the caller can defer the request instead of sending
-    /// it to a DC with zero capacity.
+    /// Compiles `policy` (over `problem`) into snapshot `version`,
+    /// restricted to the arcs whose data center is marked `alive` and
+    /// renormalizing each city's split over its surviving arcs (the
+    /// eq. 13 fractions conditioned on the live set; with every DC alive,
+    /// each weight over the city's weight total). A city whose entire
+    /// routable weight sat on dead DCs compiles to an empty table, so
+    /// [`RouterSnapshot::route`] returns `None` and the caller can defer
+    /// the request instead of sending it to a DC with zero capacity.
     ///
     /// # Panics
     ///
@@ -278,6 +265,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
 
+    /// Compiles `policy` with every data center alive.
+    fn compile(p: &Dspp, policy: &RoutingPolicy, version: u64) -> RouterSnapshot {
+        RouterSnapshot::compile_masked(p, policy, &vec![true; p.num_dcs()], version)
+    }
+
     fn snapshot_3to1() -> (Dspp, RouterSnapshot) {
         let p = DsppBuilder::new(2, 1)
             .price_trace(0, vec![1.0])
@@ -288,7 +280,7 @@ mod tests {
         x.set(&p, 0, 0, 3.0);
         x.set(&p, 1, 0, 1.0);
         let policy = RoutingPolicy::from_allocation(&p, &x);
-        let snap = RouterSnapshot::compile(&p, &policy, 1);
+        let snap = compile(&p, &policy, 1);
         (p, snap)
     }
 
@@ -330,13 +322,6 @@ mod tests {
         // Both DCs dead: the city has no live weight and defers.
         let dark = RouterSnapshot::compile_masked(&p, &policy, &[false, false], 3);
         assert!(dark.route(0, 42).is_none());
-        // All alive: masked compile equals the plain compile split.
-        let full = RouterSnapshot::compile_masked(&p, &policy, &[true, true], 4);
-        let plain = RouterSnapshot::compile(&p, &policy, 4);
-        for i in 0..n {
-            let draw = i.wrapping_mul(u64::MAX / n);
-            assert_eq!(full.route(0, draw), plain.route(0, draw));
-        }
     }
 
     #[test]
@@ -348,7 +333,7 @@ mod tests {
     }
 
     /// The linear scan `route` used before the branch-free pick, over a
-    /// table as `compile` builds it (last fraction forced to 1.0): the
+    /// table of cumulative fractions with the last one forced to 1.0: the
     /// first entry whose fraction exceeds `u`, or else the last entry.
     fn scan(table: &[(f64, usize)], draw: u64) -> Option<usize> {
         let &(_, last) = table.last()?;
@@ -489,14 +474,17 @@ mod tests {
             x.set(&p, dc, 0, n);
         }
         let policy = RoutingPolicy::from_allocation(&p, &x);
-        let snap = RouterSnapshot::compile(&p, &policy, 1);
-        let mut cum = 0.0;
+        let snap = compile(&p, &policy, 1);
+        // The fractions the compile uses: each weight over the city's
+        // weight total.
         let weights = policy.location_weights(0);
+        let total: f64 = weights.iter().map(|&(_, w)| w).sum();
+        let mut cum = 0.0;
         let table: Vec<(f64, usize)> = weights
             .iter()
             .enumerate()
             .map(|(i, &(arc, w))| {
-                cum += w;
+                cum += w / total;
                 (if i + 1 == weights.len() { 1.0 } else { cum }, arc)
             })
             .collect();
@@ -519,6 +507,6 @@ mod tests {
             x.set(&p, 0, 0, 1.0);
             x
         });
-        assert_eq!(RouterSnapshot::compile(&p, &p2, 2).version(), 2);
+        assert_eq!(compile(&p, &p2, 2).version(), 2);
     }
 }

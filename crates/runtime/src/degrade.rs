@@ -1,15 +1,13 @@
-//! Graceful degradation: retry, back off, then hold the last-known-good
-//! placement.
+//! Graceful degradation: retry, then hold the last-known-good placement.
 //!
 //! [`ResilientController`] wraps any [`PlacementPolicy`]. When the
-//! inner controller's step fails with a solver error, it retries up to
-//! [`RetryPolicy::max_retries`] times (optionally sleeping a linearly
-//! growing backoff between attempts — the inner `MpcController` rolls its
-//! history back on failure, so retries are idempotent). If every attempt
-//! fails it *degrades* instead of crashing the run: it keeps the current
-//! allocation for one more period (`u = 0`), re-derives the routing split
-//! from it, bills that placement at the upcoming period's posted prices,
-//! and tells the inner controller via
+//! inner controller's step fails with a solver error, it retries at once,
+//! up to [`RetryPolicy::max_retries`] times (the inner `MpcController`
+//! rolls its history back on failure, so retries are idempotent). If
+//! every attempt fails it *degrades* instead of crashing the run: it
+//! keeps the current allocation for one more period (`u = 0`),
+//! re-derives the routing split from it, bills that placement at the
+//! upcoming period's posted prices, and tells the inner controller via
 //! [`PlacementPolicy::note_fallback`] so its period counter and
 //! demand history stay aligned with wall clock.
 //!
@@ -19,7 +17,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use dspp_core::{
     Allocation, ControllerCheckpoint, CoreError, Dspp, PeriodCost, PlacementPolicy, RoutingPolicy,
@@ -27,46 +24,12 @@ use dspp_core::{
 };
 use dspp_telemetry::{AttrValue, Recorder};
 
-/// How the sleep before retry `n` grows from [`RetryPolicy::backoff`].
-///
-/// Both schedules are deterministic and seed-free — no jitter — so a
-/// retried run sleeps identically wherever it executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackoffSchedule {
-    /// Sleep `backoff * n` before retry `n` (the original behavior).
-    #[default]
-    Linear,
-    /// Sleep `backoff * 2^(n-1)` before retry `n`: 1×, 2×, 4×, … the
-    /// base. The doubling saturates instead of overflowing.
-    Exponential,
-}
-
-impl BackoffSchedule {
-    /// The delay slept before retry `attempt` (1-based) with base `base`.
-    pub fn delay(&self, base: Duration, attempt: usize) -> Duration {
-        match self {
-            BackoffSchedule::Linear => base.saturating_mul(attempt.min(u32::MAX as usize) as u32),
-            BackoffSchedule::Exponential => {
-                let factor = 1u32
-                    .checked_shl(attempt.saturating_sub(1) as u32)
-                    .unwrap_or(u32::MAX);
-                base.saturating_mul(factor)
-            }
-        }
-    }
-}
-
-/// How a [`ResilientController`] reacts to solver failures.
+/// How a [`ResilientController`] reacts to solver failures. Retries run
+/// back to back, with no wait between attempts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Extra attempts after the first failure before falling back.
     pub max_retries: usize,
-    /// Base backoff before retry `n`, grown per
-    /// [`RetryPolicy::backoff_schedule`]. Zero means retry immediately —
-    /// the right choice for simulated time and for tests.
-    pub backoff: Duration,
-    /// How the backoff grows across consecutive retries.
-    pub backoff_schedule: BackoffSchedule,
     /// Consecutive fallback periods tolerated before the error is
     /// propagated after all. Guards against silently riding out an
     /// entire trace on a stale placement.
@@ -77,8 +40,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_retries: 2,
-            backoff: Duration::ZERO,
-            backoff_schedule: BackoffSchedule::default(),
             max_consecutive_fallbacks: 8,
         }
     }
@@ -189,13 +150,6 @@ impl PlacementPolicy for ResilientController {
                         attempt += 1;
                         self.stats.retries.fetch_add(1, Ordering::Relaxed);
                         self.telemetry.incr("runtime.retries", 1);
-                        if !self.policy.backoff.is_zero() {
-                            std::thread::sleep(
-                                self.policy
-                                    .backoff_schedule
-                                    .delay(self.policy.backoff, attempt),
-                            );
-                        }
                         continue;
                     }
                     break e;
@@ -370,7 +324,6 @@ mod tests {
             RetryPolicy {
                 max_retries: 0,
                 max_consecutive_fallbacks: 2,
-                ..RetryPolicy::default()
             },
         );
         c.step(&[50.0]).unwrap();
@@ -378,54 +331,6 @@ mod tests {
         assert!(c.step(&[50.0]).is_ok(), "fallback 2");
         let err = c.step(&[50.0]).unwrap_err();
         assert!(matches!(err, CoreError::Solver(_)));
-    }
-
-    #[test]
-    fn backoff_schedules_are_deterministic_and_saturating() {
-        let base = Duration::from_millis(10);
-        let lin = BackoffSchedule::Linear;
-        assert_eq!(lin.delay(base, 1), Duration::from_millis(10));
-        assert_eq!(lin.delay(base, 3), Duration::from_millis(30));
-        let exp = BackoffSchedule::Exponential;
-        assert_eq!(exp.delay(base, 1), Duration::from_millis(10));
-        assert_eq!(exp.delay(base, 2), Duration::from_millis(20));
-        assert_eq!(exp.delay(base, 4), Duration::from_millis(80));
-        // Huge attempt counts saturate instead of panicking.
-        assert_eq!(exp.delay(base, 1), exp.delay(base, 1));
-        let _ = exp.delay(base, 500);
-        let _ = lin.delay(base, usize::MAX);
-        // Same inputs, same schedule: seed-free determinism.
-        assert_eq!(exp.delay(base, 7), exp.delay(base, 7));
-        assert_eq!(
-            RetryPolicy::default().backoff_schedule,
-            BackoffSchedule::Linear
-        );
-    }
-
-    #[test]
-    fn exponential_backoff_sleeps_through_retries() {
-        // 1ms base with 2 retries: the degraded step must sleep at least
-        // 1 + 2 = 3ms in total (exponential schedule), and still degrade
-        // to a held placement.
-        let faulty = FaultingController::new(mpc(), FaultPlan::new().solver_outage(1, 1));
-        let mut c = ResilientController::new(
-            Box::new(faulty),
-            RetryPolicy {
-                max_retries: 2,
-                backoff: Duration::from_millis(1),
-                backoff_schedule: BackoffSchedule::Exponential,
-                ..RetryPolicy::default()
-            },
-        );
-        c.step(&[50.0]).unwrap();
-        let t0 = std::time::Instant::now();
-        let degraded = c.step(&[50.0]).unwrap();
-        assert!(degraded.fallback);
-        assert!(
-            t0.elapsed() >= Duration::from_millis(3),
-            "expected ≥3ms of backoff, got {:?}",
-            t0.elapsed()
-        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * **Fault injection and graceful degradation** — a [`FaultPlan`]
 //!   schedules solver outages, flash-crowd demand spikes and price
 //!   shocks; [`ResilientController`] absorbs solver failures with
-//!   bounded retry/backoff and falls back to the last-known-good
+//!   bounded retries and falls back to the last-known-good
 //!   placement (`u = 0`), keeping the run alive and the books honest
 //!   (`runtime.fallback` counters and events in telemetry).
 //!
@@ -77,7 +77,7 @@ mod scenario;
 mod soak;
 mod store;
 
-pub use degrade::{BackoffSchedule, DegradeStats, ResilientController, RetryPolicy};
+pub use degrade::{DegradeStats, ResilientController, RetryPolicy};
 pub use fault::{Fault, FaultPlan, FaultStats, FaultingController};
 pub use pool::ScenarioPool;
 pub use scenario::{run_scenario, run_scenarios, ScenarioOutcome, ScenarioSpec};

@@ -476,4 +476,57 @@ mod tests {
         );
         assert!(matches!(&results[0], Err(RuntimeError::Core(_))));
     }
+
+    #[test]
+    fn runtime_metric_catalogue_matches_the_docs() {
+        use std::collections::BTreeSet;
+        // A two-worker batch: a solver outage that retries and falls back,
+        // a checkpoint drill, and a scenario whose controller factory
+        // panics.
+        let telemetry = Recorder::enabled();
+        let pool = ScenarioPool::new(2).with_telemetry(telemetry.clone());
+        let specs = vec![
+            ScenarioSpec::new("outage", demand()).with_faults(FaultPlan::new().solver_outage(2, 1)),
+            ScenarioSpec::new("drilled", demand()).with_checkpoint_at(3),
+            ScenarioSpec::new("panics", demand()),
+        ];
+        let factory = |spec: &ScenarioSpec| {
+            if spec.name == "panics" {
+                panic!("controller factory exploded");
+            }
+            Ok(mpc())
+        };
+        let outcomes = run_scenarios(&pool, specs, factory, &telemetry);
+        let outage = outcomes[0].as_ref().unwrap();
+        assert_eq!((outage.retries, outage.fallback_periods), (2, 1));
+        assert!(outcomes[1].is_ok());
+        assert!(matches!(outcomes[2], Err(RuntimeError::JobPanicked { .. })));
+        let snap = telemetry.snapshot().unwrap();
+        assert_eq!(snap.counter("runtime.checkpoints"), 1);
+        assert_eq!(snap.counter("runtime.job_panics"), 1);
+        let emitted: BTreeSet<&str> = snap
+            .counters
+            .keys()
+            .chain(snap.gauges.keys())
+            .chain(snap.histograms.keys())
+            .map(String::as_str)
+            .filter(|name| name.starts_with("runtime."))
+            .collect();
+        // The rows of the `runtime.*` table in OBSERVABILITY.md.
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let section = doc
+            .split("### `runtime.*`")
+            .nth(1)
+            .expect("OBSERVABILITY.md has the runtime.* section");
+        let section = section.split("\n#").next().unwrap_or(section);
+        let documented: BTreeSet<&str> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `"))
+            .filter_map(|line| line.split('`').next())
+            .collect();
+        assert_eq!(
+            emitted, documented,
+            "emitted vs documented runtime.* metrics"
+        );
+    }
 }

@@ -48,7 +48,7 @@ mod trace;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -61,41 +61,10 @@ pub use trace::{
     MonotonicClock, SpanGuard, SpanRecord, TraceClock, TraceRecord, Tracer, DEFAULT_CAPACITY,
 };
 
-/// Receiver of raw telemetry events, for callers that want to route
-/// metrics into their own system instead of the built-in [`Registry`].
-///
-/// All methods default to no-ops, so a sink only implements what it
-/// cares about. Implementations must be cheap and non-blocking: they are
-/// called from solver and controller hot paths.
-pub trait TelemetrySink: Send + Sync {
-    /// A counter `name` increased by `by`.
-    fn incr(&self, name: &str, by: u64) {
-        let _ = (name, by);
-    }
-
-    /// A gauge `name` was set to `value`.
-    fn gauge(&self, name: &str, value: f64) {
-        let _ = (name, value);
-    }
-
-    /// A histogram `name` observed `value`.
-    fn observe(&self, name: &str, value: f64) {
-        let _ = (name, value);
-    }
-}
-
-/// A sink that drops every event. Useful as an explicit "discard"
-/// target; equivalent in effect to [`Recorder::disabled`] but exercising
-/// the sink dispatch path.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl TelemetrySink for NoopSink {}
-
 /// In-memory metric store: named atomic counters, atomic gauges, and
 /// mutex-guarded histograms.
 #[derive(Default)]
-pub struct Registry {
+struct Registry {
     counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
     // Gauges store f64 bit patterns in an AtomicU64 (safe: to_bits/from_bits).
     gauges: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
@@ -103,11 +72,6 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn counter_cell(&self, name: &str) -> Arc<AtomicU64> {
         if let Some(c) = self.counters.read().get(name) {
             return Arc::clone(c);
@@ -145,25 +109,25 @@ impl Registry {
     }
 
     /// Adds `by` to counter `name` (creating it at 0).
-    pub fn incr(&self, name: &str, by: u64) {
+    fn incr(&self, name: &str, by: u64) {
         self.counter_cell(name).fetch_add(by, Ordering::Relaxed);
     }
 
     /// Sets gauge `name` to `value` (latest write wins).
-    pub fn gauge(&self, name: &str, value: f64) {
+    fn gauge(&self, name: &str, value: f64) {
         self.gauge_cell(name)
             .store(value.to_bits(), Ordering::Relaxed);
     }
 
     /// Records `value` into histogram `name`.
-    pub fn observe(&self, name: &str, value: f64) {
+    fn observe(&self, name: &str, value: f64) {
         self.histogram_cell(name).lock().record(value);
     }
 
     /// Reads counter `name` without creating it: `None` when the counter
     /// has never been touched. Allocation-free — safe on hot paths (the
     /// SLO engine polls `game.max_rounds_hit` every control period).
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
+    fn counter_value(&self, name: &str) -> Option<u64> {
         self.counters
             .read()
             .get(name)
@@ -171,7 +135,7 @@ impl Registry {
     }
 
     /// Freezes the current state of every metric.
-    pub fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         for (name, cell) in self.counters.read().iter() {
             snap.counters
@@ -186,59 +150,31 @@ impl Registry {
         }
         snap
     }
-
-    /// Drops every metric, returning the registry to its empty state.
-    pub fn reset(&self) {
-        self.counters.write().clear();
-        self.gauges.write().clear();
-        self.histograms.write().clear();
-    }
-}
-
-enum RecorderInner {
-    Registry(Arc<Registry>),
-    Sink(Arc<dyn TelemetrySink>),
-}
-
-impl Clone for RecorderInner {
-    fn clone(&self) -> Self {
-        match self {
-            RecorderInner::Registry(r) => RecorderInner::Registry(Arc::clone(r)),
-            RecorderInner::Sink(s) => RecorderInner::Sink(Arc::clone(s)),
-        }
-    }
 }
 
 /// Cheap, cloneable handle through which instrumented code emits
 /// metrics.
 ///
-/// Three flavors:
+/// Two flavors:
 /// * [`Recorder::disabled`] (the [`Default`]) — every call is a no-op;
 ///   this is what uninstrumented callers get implicitly via
 ///   `..Default::default()` on settings structs.
-/// * [`Recorder::enabled`] — events accumulate in an owned [`Registry`],
-///   retrievable via [`Recorder::snapshot`].
-/// * [`Recorder::with_sink`] — events stream to a caller-provided
-///   [`TelemetrySink`]; `snapshot()` returns `None`.
+/// * [`Recorder::enabled`] — events accumulate in an owned in-memory
+///   registry, retrievable via [`Recorder::snapshot`].
 ///
-/// Clones share the underlying registry or sink, so a `Recorder` can be
-/// fanned out across the controller, solver, game, and simulator and
-/// still produce one coherent snapshot.
+/// Clones share the underlying registry, so a `Recorder` can be fanned
+/// out across the controller, solver, game, and simulator and still
+/// produce one coherent snapshot.
 #[derive(Clone, Default)]
 pub struct Recorder {
-    inner: Option<RecorderInner>,
+    registry: Option<Arc<Registry>>,
     tracer: Tracer,
 }
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.inner {
-            None => "disabled",
-            Some(RecorderInner::Registry(_)) => "registry",
-            Some(RecorderInner::Sink(_)) => "sink",
-        };
         f.debug_struct("Recorder")
-            .field("kind", &kind)
+            .field("enabled", &self.is_enabled())
             .field("tracer", &self.tracer)
             .finish()
     }
@@ -248,31 +184,15 @@ impl Recorder {
     /// A recorder that drops everything at zero cost.
     pub fn disabled() -> Self {
         Recorder {
-            inner: None,
+            registry: None,
             tracer: Tracer::disabled(),
         }
     }
 
-    /// A recorder backed by a fresh in-memory [`Registry`].
+    /// A recorder backed by a fresh in-memory registry.
     pub fn enabled() -> Self {
         Recorder {
-            inner: Some(RecorderInner::Registry(Arc::new(Registry::new()))),
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// A recorder backed by an existing shared registry.
-    pub fn with_registry(registry: Arc<Registry>) -> Self {
-        Recorder {
-            inner: Some(RecorderInner::Registry(registry)),
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// A recorder that streams raw events to `sink`.
-    pub fn with_sink(sink: Arc<dyn TelemetrySink>) -> Self {
-        Recorder {
-            inner: Some(RecorderInner::Sink(sink)),
+            registry: Some(Arc::default()),
             tracer: Tracer::disabled(),
         }
     }
@@ -300,84 +220,51 @@ impl Recorder {
     /// True unless this is a disabled recorder. Call sites may use this
     /// to skip computing expensive metric inputs.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.registry.is_some()
     }
 
     /// Adds `by` to counter `name`.
     #[inline]
     pub fn incr(&self, name: &str, by: u64) {
-        match &self.inner {
-            None => {}
-            Some(RecorderInner::Registry(r)) => r.incr(name, by),
-            Some(RecorderInner::Sink(s)) => s.incr(name, by),
+        if let Some(r) = &self.registry {
+            r.incr(name, by);
         }
     }
 
     /// Sets gauge `name` to `value`.
     #[inline]
     pub fn gauge(&self, name: &str, value: f64) {
-        match &self.inner {
-            None => {}
-            Some(RecorderInner::Registry(r)) => r.gauge(name, value),
-            Some(RecorderInner::Sink(s)) => s.gauge(name, value),
+        if let Some(r) = &self.registry {
+            r.gauge(name, value);
         }
     }
 
     /// Records `value` into histogram `name`.
     #[inline]
     pub fn observe(&self, name: &str, value: f64) {
-        match &self.inner {
-            None => {}
-            Some(RecorderInner::Registry(r)) => r.observe(name, value),
-            Some(RecorderInner::Sink(s)) => s.observe(name, value),
+        if let Some(r) = &self.registry {
+            r.observe(name, value);
         }
     }
 
     /// Records a duration, in seconds, into histogram `name`.
     #[inline]
     pub fn observe_duration(&self, name: &str, elapsed: Duration) {
-        if self.inner.is_some() {
-            self.observe(name, elapsed.as_secs_f64());
+        if let Some(r) = &self.registry {
+            r.observe(name, elapsed.as_secs_f64());
         }
     }
 
-    /// Runs `f`, recording its wall-clock duration in seconds into
-    /// histogram `name`. When disabled, `f` runs untimed (no `Instant`
-    /// syscall).
-    #[inline]
-    pub fn time<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
-        if self.inner.is_none() {
-            return f();
-        }
-        let t0 = Instant::now();
-        let out = f();
-        self.observe_duration(name, t0.elapsed());
-        out
-    }
-
-    /// Reads counter `name` from a registry-backed recorder without
-    /// creating it; `None` when disabled, sink-backed, or never touched.
+    /// Reads counter `name` without creating it; `None` when disabled or
+    /// never touched. Allocation-free — safe on hot paths (the SLO engine
+    /// polls `game.max_rounds_hit` every control period).
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        match &self.inner {
-            Some(RecorderInner::Registry(r)) => r.counter_value(name),
-            _ => None,
-        }
+        self.registry.as_ref()?.counter_value(name)
     }
 
-    /// Freezes current metric values. `None` for disabled and sink-backed
-    /// recorders (a sink has no queryable store).
+    /// Freezes current metric values; `None` for a disabled recorder.
     pub fn snapshot(&self) -> Option<Snapshot> {
-        match &self.inner {
-            Some(RecorderInner::Registry(r)) => Some(r.snapshot()),
-            _ => None,
-        }
-    }
-
-    /// Clears all metrics of a registry-backed recorder; no-op otherwise.
-    pub fn reset(&self) {
-        if let Some(RecorderInner::Registry(r)) = &self.inner {
-            r.reset();
-        }
+        self.registry.as_ref().map(|r| r.snapshot())
     }
 }
 
@@ -394,7 +281,6 @@ pub fn global() -> &'static Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn disabled_recorder_records_nothing() {
@@ -430,15 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn histograms_observe_and_time() {
+    fn histograms_observe() {
         let r = Recorder::enabled();
         r.observe("lat", 0.5);
         r.observe("lat", 1.5);
-        let out = r.time("lat", || 42);
-        assert_eq!(out, 42);
         let snap = r.snapshot().unwrap();
         let h = snap.histogram("lat").unwrap();
-        assert_eq!(h.count, 3);
+        assert_eq!(h.count, 2);
         assert!(h.min >= 0.0 && h.max <= 1.5);
     }
 
@@ -459,54 +343,6 @@ mod tests {
         let snap = r.snapshot().unwrap();
         assert_eq!(snap.counter("n"), 4000);
         assert_eq!(snap.histogram("v").unwrap().count, 4000);
-    }
-
-    #[test]
-    fn sink_receives_events_and_has_no_snapshot() {
-        #[derive(Default)]
-        struct Counting {
-            incrs: AtomicUsize,
-            gauges: AtomicUsize,
-            observes: AtomicUsize,
-        }
-        impl TelemetrySink for Counting {
-            fn incr(&self, _n: &str, _by: u64) {
-                self.incrs.fetch_add(1, Ordering::Relaxed);
-            }
-            fn gauge(&self, _n: &str, _v: f64) {
-                self.gauges.fetch_add(1, Ordering::Relaxed);
-            }
-            fn observe(&self, _n: &str, _v: f64) {
-                self.observes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let sink = Arc::new(Counting::default());
-        let r = Recorder::with_sink(Arc::clone(&sink) as Arc<dyn TelemetrySink>);
-        assert!(r.is_enabled());
-        r.incr("a", 1);
-        r.gauge("b", 2.0);
-        r.observe("c", 3.0);
-        r.observe_duration("d", Duration::from_millis(1));
-        assert_eq!(sink.incrs.load(Ordering::Relaxed), 1);
-        assert_eq!(sink.gauges.load(Ordering::Relaxed), 1);
-        assert_eq!(sink.observes.load(Ordering::Relaxed), 2);
-        assert!(r.snapshot().is_none());
-    }
-
-    #[test]
-    fn noop_sink_default_methods_drop_everything() {
-        let r = Recorder::with_sink(Arc::new(NoopSink));
-        r.incr("a", 1);
-        r.observe("b", 1.0);
-        assert!(r.snapshot().is_none());
-    }
-
-    #[test]
-    fn reset_clears_registry() {
-        let r = Recorder::enabled();
-        r.incr("c", 1);
-        r.reset();
-        assert!(r.snapshot().unwrap().is_empty());
     }
 
     #[test]

@@ -8,8 +8,9 @@ use rand::SeedableRng;
 /// Each location `v` has rate
 /// `λ_v(t) = weight_v · diurnal(t) · Π flash-crowd multipliers`,
 /// optionally perturbed by multiplicative Gaussian noise (the "volatile"
-/// regime of Figure 9) and optionally integerized by actually sampling a
-/// Poisson count per period instead of reporting the mean rate.
+/// regime of Figure 9). [`DemandModel::generate`] reports these rates;
+/// request-level counts are drawn downstream (the `dspp-ingest` streams
+/// draw one Poisson count per city and period).
 ///
 /// # Examples
 ///
@@ -29,7 +30,6 @@ pub struct DemandModel {
     weights: Vec<f64>,
     flash_crowds: Vec<FlashCrowd>,
     noise_std: f64,
-    sample_poisson: bool,
     seed: u64,
 }
 
@@ -41,7 +41,6 @@ impl DemandModel {
             weights: vec![1.0],
             flash_crowds: Vec::new(),
             noise_std: 0.0,
-            sample_poisson: false,
             seed: 0,
         }
     }
@@ -77,13 +76,6 @@ impl DemandModel {
     pub fn with_noise(mut self, std: f64) -> Self {
         assert!(std.is_finite() && std >= 0.0, "noise std must be >= 0");
         self.noise_std = std;
-        self
-    }
-
-    /// Makes `generate` draw an actual Poisson count per period instead of
-    /// reporting the mean rate.
-    pub fn with_poisson_sampling(mut self) -> Self {
-        self.sample_poisson = true;
         self
     }
 
@@ -130,11 +122,7 @@ impl DemandModel {
                             let z = poisson::standard_normal(&mut rng);
                             rate *= (1.0 + self.noise_std * z).max(0.0);
                         }
-                        if self.sample_poisson {
-                            poisson::sample(&mut rng, rate) as f64
-                        } else {
-                            rate
-                        }
+                        rate
                     })
                     .collect()
             })
@@ -202,16 +190,5 @@ mod tests {
             .filter(|w| (w[0] - w[1]).abs() > 1e-12)
             .count();
         assert!(distinct > 100);
-    }
-
-    #[test]
-    fn poisson_sampling_yields_integers() {
-        let t = DemandModel::new(DiurnalProfile::constant(20.0))
-            .with_poisson_sampling()
-            .with_seed(13)
-            .generate(50, 1.0);
-        for &x in t.location(0) {
-            assert_eq!(x, x.round());
-        }
     }
 }

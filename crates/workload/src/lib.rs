@@ -14,9 +14,9 @@
 //!   consumed by the controller and simulator.
 //! * [`poisson`] — exact Poisson sampling (Knuth's multiplication
 //!   method below mean 10, Hörmann's transformed rejection from 10 on),
-//!   which turns rates into integer request counts for the demand model
-//!   and the streaming-ingest front end, plus the exponential draws of
-//!   the discrete-event simulator.
+//!   which turns rates into integer request counts for the
+//!   streaming-ingest front end, plus the Gaussian noise of the demand
+//!   model and the exponential draws of the discrete-event simulator.
 //!
 //! # Examples
 //!
