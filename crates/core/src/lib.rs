@@ -22,8 +22,8 @@
 //!
 //! Placement strategies are pluggable: every controller implements the
 //! [`PlacementPolicy`] trait. [`MpcController`] is the reference policy,
-//! next to a suite of simple baselines ([`MyopicW1`],
-//! [`StaticCheapestDc`], [`ReactiveThreshold`], [`ProportionalGreedy`]) —
+//! next to a suite of simple baselines ([`StaticCheapestDc`],
+//! [`ReactiveThreshold`], [`ProportionalGreedy`]) —
 //! see `docs/POLICIES.md` for the handbook and the measured
 //! simple-vs-optimal gap.
 //!
@@ -75,8 +75,7 @@ pub use error::CoreError;
 pub use horizon::{HorizonProblem, RecoveryOutcome, RecoverySettings};
 pub use integer::{integerize, IntegerizingController};
 pub use policy::{
-    MyopicW1, PlacementPolicy, ProportionalGreedy, ReactiveThreshold, StaticCheapestDc,
-    UtilizationBands,
+    PlacementPolicy, ProportionalGreedy, ReactiveThreshold, StaticCheapestDc, UtilizationBands,
 };
 pub use problem::{Dspp, DsppBuilder};
 pub use router::RoutingPolicy;

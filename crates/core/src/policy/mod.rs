@@ -10,7 +10,6 @@
 //! | Policy | Decision rule | Solver |
 //! |---|---|---|
 //! | [`MpcController`](crate::MpcController) | Algorithm 1: predict `W` periods, solve the horizon QP, execute `u_{k\|k}` | yes |
-//! | [`MyopicW1`] | the `W = 1` degenerate MPC — lookahead ablation | yes |
 //! | [`StaticCheapestDc`] | provision once for peak demand at the cheapest data centers, never move | no |
 //! | [`ReactiveThreshold`] | scale a location up/down when utilization leaves a band | no |
 //! | [`ProportionalGreedy`] | split each location's demand across data centers in proportion to capacity | no |
@@ -28,12 +27,10 @@
 //! simple-vs-optimal gap.
 
 mod guard;
-mod myopic;
 mod proportional;
 mod static_cheapest;
 mod threshold;
 
-pub use myopic::MyopicW1;
 pub use proportional::ProportionalGreedy;
 pub use static_cheapest::StaticCheapestDc;
 pub use threshold::{ReactiveThreshold, UtilizationBands};
@@ -193,9 +190,6 @@ mod tests {
         vec![
             Box::new(
                 MpcController::new(p.clone(), Box::new(LastValue), MpcSettings::default()).unwrap(),
-            ),
-            Box::new(
-                MyopicW1::new(p.clone(), Box::new(LastValue), MpcSettings::default()).unwrap(),
             ),
             Box::new(StaticCheapestDc::new(p.clone(), vec![60.0, 60.0]).unwrap()),
             Box::new(ReactiveThreshold::new(p.clone(), UtilizationBands::default()).unwrap()),

@@ -59,14 +59,14 @@ impl UtilizationBands {
 /// returns to `target`.
 ///
 /// The deadband means small demand wobbles cause *no* reconfiguration
-/// (unlike [`MyopicW1`](crate::policy::MyopicW1), which re-optimizes every
-/// period), while the `target < 1` headroom over-provisions by
+/// (unlike [`MpcController`](crate::MpcController), which re-optimizes
+/// every period), while the `target < 1` headroom over-provisions by
 /// `1/target − 1` compared to the exact-cover optimum — the classic
-/// autoscaler trade-off the tournament prices against
-/// [`MpcController`](crate::MpcController). A location scaling up from zero
-/// bootstraps on its cheapest arc (lowest SLA coefficient `a^{lv}`, i.e.
-/// fewest servers per unit of demand); the shared capacity guard then
-/// spills across data centers if that arc's capacity is exhausted.
+/// autoscaler trade-off the tournament prices against the controller. A
+/// location scaling up from zero bootstraps on its cheapest arc (lowest
+/// SLA coefficient `a^{lv}`, i.e. fewest servers per unit of demand); the
+/// shared capacity guard then spills across data centers if that arc's
+/// capacity is exhausted.
 #[derive(Debug)]
 pub struct ReactiveThreshold {
     problem: Dspp,

@@ -2,10 +2,10 @@
 //! workload family, reported as a simple-vs-optimal gap table.
 //!
 //! Four deterministic workload families — `steady`, `diurnal`,
-//! `flash-crowd` and `price-shock` — run against five policies: the
-//! reference [`MpcController`] (Algorithm 1 with an oracle forecast), its
-//! `W = 1` degenerate form [`MyopicW1`], and the three closed-form
-//! baselines [`StaticCheapestDc`], [`ReactiveThreshold`] and
+//! `flash-crowd` and `price-shock` — run against five entrants: the
+//! reference [`MpcController`] (Algorithm 1 with an oracle forecast), the
+//! same controller with a one-period horizon (`myopic-w1`), and the three
+//! closed-form baselines [`StaticCheapestDc`], [`ReactiveThreshold`] and
 //! [`ProportionalGreedy`]. Each family × policy pair is one
 //! [`ScenarioSpec`] on the shared [`ScenarioPool`], so the sweep
 //! parallelizes with `--jobs` while the emitted table stays
@@ -20,8 +20,8 @@
 //! [`PlacementPolicy`]: dspp_core::PlacementPolicy
 
 use dspp_core::{
-    CoreError, Dspp, DsppBuilder, MpcController, MpcSettings, MyopicW1, PlacementPolicy,
-    ProportionalGreedy, ReactiveThreshold, StaticCheapestDc, UtilizationBands,
+    CoreError, Dspp, DsppBuilder, MpcController, MpcSettings, PlacementPolicy, ProportionalGreedy,
+    ReactiveThreshold, StaticCheapestDc, UtilizationBands,
 };
 use dspp_predict::OraclePredictor;
 use dspp_runtime::{run_scenarios, FaultPlan, ScenarioPool, ScenarioSpec};
@@ -150,21 +150,18 @@ pub fn build_policy(spec: &ScenarioSpec) -> Result<Box<dyn PlacementPolicy>, Cor
     let problem = family_problem(family)?;
     let mut truth = family_demand(family);
     family_faults(family).apply_to_demand(&mut truth);
-    let settings = MpcSettings {
-        horizon: HORIZON,
-        ..MpcSettings::default()
-    };
     Ok(match policy {
-        "wmpc" => Box::new(MpcController::new(
-            problem,
-            Box::new(OraclePredictor::new(truth)),
-            settings,
-        )?),
-        "myopic-w1" => Box::new(MyopicW1::new(
-            problem,
-            Box::new(OraclePredictor::new(truth)),
-            settings,
-        )?),
+        "wmpc" | "myopic-w1" => {
+            let horizon = if policy == "wmpc" { HORIZON } else { 1 };
+            Box::new(MpcController::new(
+                problem,
+                Box::new(OraclePredictor::new(truth)),
+                MpcSettings {
+                    horizon,
+                    ..MpcSettings::default()
+                },
+            )?)
+        }
         "static-cheapest" => {
             let peak: Vec<f64> = family_demand(family)
                 .iter()
@@ -376,12 +373,30 @@ mod tests {
         for spec in &all {
             let controller = build_policy(spec).unwrap();
             let (_, policy) = spec.name.split_once('/').unwrap();
-            // The reference controller keeps its historical checkpoint
-            // name "mpc"; every other entrant matches its spec label.
-            let expected = if policy == "wmpc" { "mpc" } else { policy };
+            // Both solver-backed entrants are the controller, named "mpc";
+            // every other entrant matches its spec label.
+            let expected = match policy {
+                "wmpc" | "myopic-w1" => "mpc",
+                other => other,
+            };
             assert_eq!(controller.name(), expected);
             assert_eq!(spec.demand.len(), 3);
             assert_eq!(spec.demand[0].len(), PERIODS);
+        }
+    }
+
+    /// The `myopic-w1` entrant is the controller itself, so `run_scenario`
+    /// hands a DC outage's capacity schedule to its solve: nothing is
+    /// placed on the dark data center while it is down.
+    #[test]
+    fn myopic_entrant_places_nothing_on_a_dark_data_center() {
+        let (start, duration) = (10, 6);
+        let spec = ScenarioSpec::new("diurnal/myopic-w1", family_demand("diurnal"))
+            .with_faults(FaultPlan::new().dc_outage(1, start, duration));
+        let policy = build_policy(&spec).unwrap();
+        let outcome = dspp_runtime::run_scenario(policy, &spec, &Recorder::disabled()).unwrap();
+        for p in &outcome.report.periods[start..start + duration] {
+            assert_eq!(p.per_dc[1], 0.0, "period {}: {:?}", p.period, p.per_dc);
         }
     }
 

@@ -3,7 +3,9 @@ use crate::{LinalgError, Matrix, Vector};
 /// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite matrix.
 ///
 /// Only the lower triangle of the input is read, so callers may pass a matrix
-/// whose upper triangle is stale.
+/// whose upper triangle is stale. The storage is allocated once
+/// ([`Cholesky::unfactored`]) and refactored in place every interior-point
+/// iteration.
 ///
 /// # Examples
 ///
@@ -12,8 +14,10 @@ use crate::{LinalgError, Matrix, Vector};
 ///
 /// # fn main() -> Result<(), dspp_linalg::LinalgError> {
 /// let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]])?;
-/// let f = Cholesky::factor(&a)?;
-/// let x = f.solve(&Vector::from(vec![3.0, 3.0]));
+/// let mut f = Cholesky::unfactored(2);
+/// f.refactor(&a, 0.0)?;
+/// let mut x = Vector::from(vec![3.0, 3.0]);
+/// f.solve_in_place(&mut x);
 /// assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
 /// # Ok(())
 /// # }
@@ -32,35 +36,11 @@ pub struct Cholesky {
 }
 
 impl Cholesky {
-    /// Factors a symmetric positive-definite matrix.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::DimensionMismatch`] if `a` is not square.
-    /// * [`LinalgError::NotPositiveDefinite`] if a pivot is not strictly
-    ///   positive (within a small relative tolerance).
-    pub fn factor(a: &Matrix) -> Result<Self, LinalgError> {
-        Self::factor_regularized(a, 0.0)
-    }
-
-    /// Factors `a + reg * I`.
-    ///
-    /// Interior-point solvers use a small static regularization to keep the
-    /// Newton system factorizable near the boundary of the feasible set.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cholesky::factor`].
-    pub fn factor_regularized(a: &Matrix, reg: f64) -> Result<Self, LinalgError> {
-        let mut chol = Cholesky::unfactored(a.rows());
-        chol.refactor(a, reg)?;
-        Ok(chol)
-    }
-
     /// Storage for a `dim × dim` factorization, holding none yet: for
     /// solvers that [`Cholesky::refactor`] a same-sized matrix every
-    /// iteration. [`Cholesky::is_valid`] is `false` and the solve methods
-    /// panic until the first refactor succeeds.
+    /// iteration. [`Cholesky::is_valid`] is `false` and
+    /// [`Cholesky::solve_in_place`] panics until the first refactor
+    /// succeeds.
     pub fn unfactored(dim: usize) -> Self {
         Cholesky {
             lt: Matrix::zeros(dim, dim),
@@ -68,19 +48,20 @@ impl Cholesky {
         }
     }
 
-    /// Re-factors `a + reg * I` into this factorization's existing storage
-    /// (allocation-free [`Cholesky::factor_regularized`] for solvers that
-    /// factor a same-sized matrix every iteration).
+    /// Re-factors `a + reg * I` into this factorization's existing storage,
+    /// without allocating.
     ///
     /// On error the stored factor is unspecified; [`Cholesky::is_valid`]
-    /// reports `false` and the solve methods panic until a later `refactor`
-    /// succeeds, so a half-written factor cannot silently poison a solve.
+    /// reports `false` and [`Cholesky::solve_in_place`] panics until a
+    /// later `refactor` succeeds, so a half-written factor cannot silently
+    /// poison a solve.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Cholesky::factor`], plus
-    /// [`LinalgError::DimensionMismatch`] if `a`'s dimension differs from
-    /// the existing factor's.
+    /// * [`LinalgError::DimensionMismatch`] if `a` is not square or its
+    ///   dimension differs from the factor's.
+    /// * [`LinalgError::NotPositiveDefinite`] if a pivot is not strictly
+    ///   positive (within a small relative tolerance).
     pub fn refactor(&mut self, a: &Matrix, reg: f64) -> Result<(), LinalgError> {
         // Scale-aware tolerance for pivot positivity.
         let tol = a.norm_inf().max(reg).max(1.0) * 1e-14;
@@ -178,20 +159,9 @@ impl Cholesky {
     /// `false` before the first [`Cholesky::refactor`] of an
     /// [`Cholesky::unfactored`] workspace, and exactly when the last
     /// refactor failed; retry loops that boost regularization must check
-    /// this (or rely on the solve methods' panic) before reusing the factor.
+    /// this (or rely on the solve's panic) before reusing the factor.
     pub fn is_valid(&self) -> bool {
         self.valid
-    }
-
-    /// Solves `A x = b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != dim()`.
-    pub fn solve(&self, b: &Vector) -> Vector {
-        let mut x = b.clone();
-        self.solve_in_place(&mut x);
-        x
     }
 
     /// Solves `A x = b` in place.
@@ -234,26 +204,34 @@ impl Cholesky {
             b[i] = s / row[i];
         }
     }
-
-    /// Log-determinant of `A` (sum of `2 ln L_jj`).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|j| 2.0 * self.lt[(j, j)].ln()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{self, barrier_block, pin_rows, spd};
+    use crate::oracle::{self, barrier_block, matvec, pin_rows, spd};
     use proptest::prelude::*;
+
+    /// `a + reg·I` factored into fresh storage.
+    fn factor(a: &Matrix, reg: f64) -> Result<Cholesky, LinalgError> {
+        let mut f = Cholesky::unfactored(a.rows());
+        f.refactor(a, reg).map(|()| f)
+    }
+
+    /// `A⁻¹ b` through the factor.
+    fn solve(f: &Cholesky, b: &Vector) -> Vector {
+        let mut x = b.clone();
+        f.solve_in_place(&mut x);
+        x
+    }
 
     #[test]
     fn factor_and_solve_small_system() {
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
-        let f = Cholesky::factor(&a).unwrap();
+        let f = factor(&a, 0.0).unwrap();
         let b = Vector::from(vec![10.0, 8.0]);
-        let x = f.solve(&b);
-        let r = &a.matvec(&x) - &b;
+        let x = solve(&f, &b);
+        let r = &matvec(&a, &x) - &b;
         assert!(r.norm_inf() < 1e-12);
     }
 
@@ -261,7 +239,7 @@ mod tests {
     fn rejects_non_square() {
         let a = Matrix::zeros(2, 3);
         assert!(matches!(
-            Cholesky::factor(&a),
+            factor(&a, 0.0),
             Err(LinalgError::DimensionMismatch(_))
         ));
     }
@@ -270,7 +248,7 @@ mod tests {
     fn rejects_indefinite_matrix() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
         assert!(matches!(
-            Cholesky::factor(&a),
+            factor(&a, 0.0),
             Err(LinalgError::NotPositiveDefinite { pivot: 1 })
         ));
     }
@@ -278,16 +256,16 @@ mod tests {
     #[test]
     fn regularization_rescues_singular_matrix() {
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
-        assert!(Cholesky::factor(&a).is_err());
-        assert!(Cholesky::factor_regularized(&a, 1e-6).is_ok());
+        assert!(factor(&a, 0.0).is_err());
+        assert!(factor(&a, 1e-6).is_ok());
     }
 
     #[test]
     fn reads_only_lower_triangle() {
         let mut a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
-        let f_clean = Cholesky::factor(&a).unwrap();
+        let f_clean = factor(&a, 0.0).unwrap();
         a[(0, 1)] = 999.0; // poison upper triangle
-        let f_poisoned = Cholesky::factor(&a).unwrap();
+        let f_poisoned = factor(&a, 0.0).unwrap();
         assert_eq!(f_clean.lt, f_poisoned.lt);
     }
 
@@ -295,9 +273,9 @@ mod tests {
     fn refactor_reuses_storage_and_matches_fresh_factor() {
         let a = spd(5, 11);
         let b = spd(5, 29);
-        let mut f = Cholesky::factor(&a).unwrap();
+        let mut f = factor(&a, 0.0).unwrap();
         f.refactor(&b, 0.0).unwrap();
-        let fresh = Cholesky::factor(&b).unwrap();
+        let fresh = factor(&b, 0.0).unwrap();
         assert_eq!(f.lt, fresh.lt);
         // Dimension changes are rejected, as is a non-PD refactor.
         assert!(f.refactor(&spd(4, 3), 0.0).is_err());
@@ -312,33 +290,34 @@ mod tests {
         // refactor reported success.
         let mut a = spd(3, 17);
         a[(1, 1)] = f64::NAN;
-        let mut f = Cholesky::factor(&spd(3, 5)).unwrap();
+        let mut f = factor(&spd(3, 5), 0.0).unwrap();
         assert!(matches!(
             f.refactor(&a, 0.0),
             Err(LinalgError::NotPositiveDefinite { pivot: 1 })
         ));
         assert!(!f.is_valid());
         // Fresh factorization of NaN data must fail the same way.
-        assert!(Cholesky::factor(&a).is_err());
+        assert!(factor(&a, 0.0).is_err());
     }
 
     #[test]
     fn failed_refactor_invalidates_until_recovery() {
         let good = spd(4, 23);
-        let mut f = Cholesky::factor(&good).unwrap();
+        let mut f = factor(&good, 0.0).unwrap();
         assert!(f.is_valid());
         let indef = Matrix::from_rows(&[&[1.0; 4]; 4].map(|r| &r[..])).unwrap();
         assert!(f.refactor(&indef, 0.0).is_err());
         assert!(!f.is_valid());
         // Solving with the invalidated factor panics instead of returning
         // garbage from the half-written storage.
-        let res =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.solve(&Vector::zeros(4))));
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            solve(&f, &Vector::zeros(4))
+        }));
         assert!(res.is_err(), "solve with an invalid factor must panic");
         // A later successful refactor restores the factor.
         f.refactor(&good, 0.0).unwrap();
         assert!(f.is_valid());
-        let fresh = Cholesky::factor(&good).unwrap();
+        let fresh = factor(&good, 0.0).unwrap();
         assert_eq!(f.lt, fresh.lt);
     }
 
@@ -347,13 +326,14 @@ mod tests {
         let mut f = Cholesky::unfactored(3);
         assert_eq!(f.dim(), 3);
         assert!(!f.is_valid());
-        let res =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.solve(&Vector::zeros(3))));
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            solve(&f, &Vector::zeros(3))
+        }));
         assert!(res.is_err(), "solve before any refactor must panic");
         let a = spd(3, 41);
         f.refactor_rowwise(&a, 0.0).unwrap();
         assert!(f.is_valid());
-        let mut fresh = Cholesky::factor(&Matrix::identity(3)).unwrap();
+        let mut fresh = factor(&spd(3, 5), 0.0).unwrap();
         fresh.refactor_rowwise(&a, 0.0).unwrap();
         assert_eq!(f.lt, fresh.lt);
     }
@@ -376,7 +356,7 @@ mod tests {
                 a[(i + 1, i)] = off;
             }
         }
-        let mut f = Cholesky::factor(&Matrix::identity(n)).unwrap();
+        let mut f = Cholesky::unfactored(n);
         for reg in [0.0, 1e-9, 1e-5, 1e-3] {
             assert!(
                 f.refactor(&a, reg).is_err(),
@@ -385,8 +365,8 @@ mod tests {
         }
         f.refactor_rowwise(&a, 0.0).unwrap();
         let xtrue: Vector = (0..n).map(|i| 1.0 + i as f64).collect();
-        let b = a.matvec(&xtrue);
-        let x = f.solve(&b);
+        let b = matvec(&a, &xtrue);
+        let x = solve(&f, &b);
         for i in 0..n {
             assert!(
                 (x[i] - xtrue[i]).abs() <= 1e-9 * xtrue[i],
@@ -396,7 +376,7 @@ mod tests {
         }
         // A genuinely indefinite matrix still fails the per-row test.
         let indef = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
-        let mut g = Cholesky::factor(&Matrix::identity(2)).unwrap();
+        let mut g = Cholesky::unfactored(2);
         assert!(matches!(
             g.refactor_rowwise(&indef, 0.0),
             Err(LinalgError::NotPositiveDefinite { pivot: 1 })
@@ -404,20 +384,13 @@ mod tests {
     }
 
     #[test]
-    fn log_det_matches_known_value() {
-        let a = Matrix::from_diag(&Vector::from(vec![2.0, 3.0]));
-        let f = Cholesky::factor(&a).unwrap();
-        assert!((f.log_det() - 6.0f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
     fn solves_moderate_random_spd_systems() {
         for n in [1usize, 3, 8, 25] {
             let a = spd(n, n as u64 + 7);
-            let f = Cholesky::factor(&a).unwrap();
+            let f = factor(&a, 0.0).unwrap();
             let xtrue: Vector = (0..n).map(|i| (i as f64) - 1.5).collect();
-            let b = a.matvec(&xtrue);
-            let x = f.solve(&b);
+            let b = matvec(&a, &xtrue);
+            let x = solve(&f, &b);
             assert!(
                 (&x - &xtrue).norm_inf() < 1e-8,
                 "n={n}: residual {}",
@@ -508,7 +481,7 @@ mod tests {
         ) {
             let mut a = match kind {
                 0 => spd(n, seed),
-                4 => Matrix::from_vec(n, n, vec![1.0; n * n]).unwrap(),
+                4 => Matrix::from_rows(&vec![&vec![1.0; n][..]; n]).unwrap(),
                 _ => barrier_block(n, seed),
             };
             if kind == 2 || kind == 3 {
@@ -564,10 +537,10 @@ mod tests {
         #[test]
         fn prop_solve_inverts_matvec(seed in 0u64..500, n in 1usize..12) {
             let a = spd(n, seed);
-            let f = Cholesky::factor(&a).unwrap();
+            let f = factor(&a, 0.0).unwrap();
             let x: Vector = (0..n).map(|i| (i as f64 * 0.7) - 2.0).collect();
-            let b = a.matvec(&x);
-            let got = f.solve(&b);
+            let b = matvec(&a, &x);
+            let got = solve(&f, &b);
             prop_assert!((&got - &x).norm_inf() < 1e-7);
         }
     }

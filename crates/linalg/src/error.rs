@@ -8,7 +8,7 @@ pub enum LinalgError {
     /// Two operands had incompatible dimensions.
     ///
     /// Carries a human-readable description of the mismatch, e.g.
-    /// `"matvec: matrix is 3x4 but vector has length 5"`.
+    /// `"from_rows: row 0 has 3 columns but row 1 has 2"`.
     DimensionMismatch(String),
     /// A factorization failed because the matrix is not (numerically)
     /// positive definite.

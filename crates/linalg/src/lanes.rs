@@ -466,7 +466,10 @@ mod tests {
                     .map(|a| {
                         let mut a = a.clone();
                         if rowwise(&a).is_err() {
-                            a.add_diag(1e-6 * a.norm_inf());
+                            let shift = 1e-6 * a.norm_inf();
+                            for i in 0..a.rows() {
+                                a[(i, i)] += shift;
+                            }
                         }
                         a
                     })

@@ -1,13 +1,14 @@
 //! Dense linear-algebra substrate for the `dspp` workspace.
 //!
-//! This crate provides exactly the numerical kernels the rest of the
-//! reproduction needs — no more, no less:
+//! This crate provides exactly the numerical kernels the production solve
+//! path and AR model fitting run — the dense products the test-only
+//! oracles need live in `dspp-oracle`:
 //!
-//! * [`Vector`] and [`Matrix`]: dense, row-major, `f64` containers with the
-//!   arithmetic used by interior-point solvers (`axpy`, dot products,
-//!   matrix–vector and matrix–matrix products, norms).
-//! * [`Cholesky`]: factorization of symmetric positive-definite matrices,
-//!   used for the Newton systems of the interior-point solver.
+//! * [`Vector`] and [`Matrix`]: dense, row-major, `f64` containers.
+//!   `Vector` carries the BLAS-1 operations of the interior-point loop
+//!   (`axpy`, dot products, norms).
+//! * [`Cholesky`]: factorization of symmetric positive-definite matrices
+//!   into reusable storage.
 //! * [`CholeskyLanes`]: [`LANES`] small SPD matrices of one dimension
 //!   factored, inverted and solved side by side, each lane bit-identical
 //!   to [`Cholesky`] on its matrix alone — the location blocks of the
@@ -22,14 +23,19 @@
 //! # Examples
 //!
 //! ```
-//! use dspp_linalg::{Matrix, Vector, Cholesky};
+//! use dspp_linalg::{Cholesky, Matrix, Vector};
 //!
 //! # fn main() -> Result<(), dspp_linalg::LinalgError> {
 //! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
-//! let chol = Cholesky::factor(&a)?;
-//! let x = chol.solve(&Vector::from(vec![1.0, 2.0]));
-//! let r = &a.matvec(&x) - &Vector::from(vec![1.0, 2.0]);
-//! assert!(r.norm_inf() < 1e-12);
+//! let mut chol = Cholesky::unfactored(2);
+//! chol.refactor(&a, 0.0)?;
+//! let b = Vector::from(vec![1.0, 2.0]);
+//! let mut x = b.clone();
+//! chol.solve_in_place(&mut x);
+//! for i in 0..2 {
+//!     let ax = Vector::from(a.row(i)).dot(&x);
+//!     assert!((ax - b[i]).abs() < 1e-12);
+//! }
 //! # Ok(())
 //! # }
 //! ```

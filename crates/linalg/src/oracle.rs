@@ -1,9 +1,24 @@
 //! Test oracles: the scalar Cholesky kernels the production ones must
 //! reproduce bit for bit — a left-looking (dot-product) factorization, its
 //! row-by-row solve and the lockstep inverse — plus the random SPD and
-//! barrier-scaled blocks the kernel tests draw from.
+//! barrier-scaled blocks the kernel tests draw from, and the products the
+//! tests check residuals with.
 
-use crate::{LinalgError, Matrix};
+use crate::{LinalgError, Matrix, Vector};
+
+/// `A x`.
+pub(crate) fn matvec(a: &Matrix, x: &Vector) -> Vector {
+    (0..a.rows())
+        .map(|i| a.row(i).iter().zip(x.iter()).map(|(a, x)| a * x).sum())
+        .collect()
+}
+
+/// `Aᵀ x`.
+pub(crate) fn matvec_t(a: &Matrix, x: &Vector) -> Vector {
+    (0..a.cols())
+        .map(|j| (0..a.rows()).map(|i| a[(i, j)] * x[i]).sum())
+        .collect()
+}
 
 /// Left-looking Cholesky of `a + reg·I` (lower triangle read), pivot `j`
 /// accepted when it exceeds `tol(a_jj + reg)`. Returns `L`.
@@ -118,7 +133,9 @@ pub(crate) fn spd(n: usize, seed: u64) -> Matrix {
         }
     }
     let mut a = gram(&b);
-    a.add_diag(n as f64);
+    for i in 0..n {
+        a[(i, i)] += n as f64;
+    }
     a
 }
 

@@ -160,13 +160,19 @@ impl Qr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{matvec, matvec_t};
     use proptest::prelude::*;
+
+    /// A `rows × cols` matrix from row-major entries.
+    fn from_entries(cols: usize, entries: &[f64]) -> Matrix {
+        Matrix::from_rows(&entries.chunks(cols).collect::<Vec<_>>()).unwrap()
+    }
 
     #[test]
     fn exact_fit_square_system() {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
         let xtrue = Vector::from(vec![1.0, -1.0]);
-        let b = a.matvec(&xtrue);
+        let b = matvec(&a, &xtrue);
         let x = Qr::factor(&a).unwrap().least_squares(&b).unwrap();
         assert!((&x - &xtrue).norm_inf() < 1e-10);
     }
@@ -178,8 +184,8 @@ mod tests {
         let y = Vector::from(vec![-2.0 + 0.1, 1.0 - 0.1, 4.0 + 0.1, 7.0 - 0.1]);
         let beta = Qr::factor(&a).unwrap().least_squares(&y).unwrap();
         // Residual must be orthogonal to the column space.
-        let r = &a.matvec(&beta) - &y;
-        let at_r = a.matvec_t(&r);
+        let r = &matvec(&a, &beta) - &y;
+        let at_r = matvec_t(&a, &r);
         assert!(at_r.norm_inf() < 1e-10);
     }
 
@@ -191,14 +197,18 @@ mod tests {
     #[test]
     fn detects_rank_deficiency() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]).unwrap();
-        let err = Qr::factor(&a).unwrap().least_squares(&Vector::ones(3));
+        let err = Qr::factor(&a)
+            .unwrap()
+            .least_squares(&Vector::filled(3, 1.0));
         assert!(matches!(err, Err(LinalgError::RankDeficient { .. })));
     }
 
     #[test]
     fn zero_column_is_rank_deficient_not_panic() {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 2.0], &[0.0, 3.0]]).unwrap();
-        let res = Qr::factor(&a).unwrap().least_squares(&Vector::ones(3));
+        let res = Qr::factor(&a)
+            .unwrap()
+            .least_squares(&Vector::filled(3, 1.0));
         assert!(matches!(res, Err(LinalgError::RankDeficient { .. })));
     }
 
@@ -210,11 +220,11 @@ mod tests {
             x1 in -5.0f64..5.0,
             x2 in -5.0f64..5.0,
         ) {
-            let mut a = Matrix::from_vec(4, 3, entries).unwrap();
+            let mut a = from_entries(3, &entries);
             // Boost diagonal to keep the column space well conditioned.
             for i in 0..3 { a[(i, i)] += 8.0; }
             let xtrue = Vector::from(vec![x0, x1, x2]);
-            let b = a.matvec(&xtrue);
+            let b = matvec(&a, &xtrue);
             let x = Qr::factor(&a).unwrap().least_squares(&b).unwrap();
             prop_assert!((&x - &xtrue).norm_inf() < 1e-7);
         }
@@ -224,13 +234,13 @@ mod tests {
             entries in prop::collection::vec(-3.0f64..3.0, 10),
             rhs in prop::collection::vec(-3.0f64..3.0, 5),
         ) {
-            let mut a = Matrix::from_vec(5, 2, entries).unwrap();
+            let mut a = from_entries(2, &entries);
             a[(0,0)] += 5.0;
             a[(1,1)] += 5.0;
             let b = Vector::from(rhs);
             let x = Qr::factor(&a).unwrap().least_squares(&b).unwrap();
-            let r = &a.matvec(&x) - &b;
-            prop_assert!(a.matvec_t(&r).norm_inf() < 1e-8);
+            let r = &matvec(&a, &x) - &b;
+            prop_assert!(matvec_t(&a, &r).norm_inf() < 1e-8);
         }
     }
 }

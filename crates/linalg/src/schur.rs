@@ -14,14 +14,13 @@ use crate::{Cholesky, LinalgError, Matrix, Vector};
 /// # Examples
 ///
 /// ```
-/// use dspp_linalg::{Matrix, SchurComplement, Vector};
+/// use dspp_linalg::{SchurComplement, Vector};
 ///
 /// # fn main() -> Result<(), dspp_linalg::LinalgError> {
 /// let mut s = SchurComplement::new(2);
 /// s.add_diag_entry(0, 2.0);
 /// s.add_diag_entry(1, 2.0);
-/// let cross = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]])?;
-/// s.add_block(0, 0, 1.0, &cross);
+/// s.matrix_mut()[(1, 0)] = 1.0; // the factorization reads the lower triangle
 /// s.refactor(0.0)?;
 /// let mut x = Vector::from(vec![3.0, 3.0]);
 /// s.solve_in_place(&mut x);
@@ -80,28 +79,6 @@ impl SchurComplement {
     pub fn matrix_mut(&mut self) -> &mut Matrix {
         self.valid = false;
         &mut self.mat
-    }
-
-    /// Adds `scale · block` at offset `(r0, c0)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block overruns the matrix.
-    pub fn add_block(&mut self, r0: usize, c0: usize, scale: f64, block: &Matrix) {
-        self.valid = false;
-        assert!(
-            r0 + block.rows() <= self.mat.rows() && c0 + block.cols() <= self.mat.cols(),
-            "schur add_block: {}x{} block at ({r0},{c0}) overruns {}x{}",
-            block.rows(),
-            block.cols(),
-            self.mat.rows(),
-            self.mat.cols()
-        );
-        for i in 0..block.rows() {
-            for j in 0..block.cols() {
-                self.mat[(r0 + i, c0 + j)] += scale * block[(i, j)];
-            }
-        }
     }
 
     /// Adds `v` to the diagonal entry `i`.
@@ -180,14 +157,14 @@ mod tests {
         for i in 0..3 {
             s.add_diag_entry(i, 4.0);
         }
-        let block = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        s.add_block(1, 1, 0.5, &block);
+        s.matrix_mut()[(1, 2)] = 0.5;
+        s.matrix_mut()[(2, 1)] = 0.5;
         s.refactor(0.0).unwrap();
         assert!(s.is_valid());
         // S = [[4,0,0],[0,4,.5],[0,.5,4]].
         let a = Matrix::from_rows(&[&[4.0, 0.0, 0.0], &[0.0, 4.0, 0.5], &[0.0, 0.5, 4.0]]).unwrap();
         let x_true = Vector::from(vec![1.0, -2.0, 0.5]);
-        let mut b = a.matvec(&x_true);
+        let mut b = crate::oracle::matvec(&a, &x_true);
         s.solve_in_place(&mut b);
         assert!((&b - &x_true).norm_inf() < 1e-12);
         // 3 diag + 2 off-diag nonzeros out of 9.

@@ -16,7 +16,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// use dspp_linalg::Vector;
 ///
 /// let a = Vector::from(vec![1.0, 2.0, 3.0]);
-/// let b = Vector::ones(3);
+/// let b = Vector::filled(3, 1.0);
 /// assert_eq!(a.dot(&b), 6.0);
 /// assert_eq!((&a + &b).as_slice(), &[2.0, 3.0, 4.0]);
 /// ```
@@ -29,11 +29,6 @@ impl Vector {
     /// Creates a vector of `n` zeros.
     pub fn zeros(n: usize) -> Self {
         Vector { data: vec![0.0; n] }
-    }
-
-    /// Creates a vector of `n` ones.
-    pub fn ones(n: usize) -> Self {
-        Vector { data: vec![1.0; n] }
     }
 
     /// Creates a vector of `n` copies of `value`.
@@ -123,18 +118,6 @@ impl Vector {
         }
     }
 
-    /// Returns a copy scaled by `alpha`.
-    pub fn scaled(&self, alpha: f64) -> Vector {
-        let mut out = self.clone();
-        out.scale(alpha);
-        out
-    }
-
-    /// Euclidean norm.
-    pub fn norm2(&self) -> f64 {
-        self.dot(self).sqrt()
-    }
-
     /// Infinity norm (largest absolute entry; `0.0` for the empty vector).
     pub fn norm_inf(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
@@ -155,22 +138,7 @@ impl Vector {
         self.data.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x))
     }
 
-    /// Element-wise product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn hadamard(&self, other: &Vector) -> Vector {
-        assert_eq!(self.len(), other.len(), "hadamard: length mismatch");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .collect()
-    }
-
-    /// Writes the element-wise product `self ∘ other` into `out`
-    /// (allocation-free [`Vector::hadamard`] for solver hot loops).
+    /// Writes the element-wise product `self ∘ other` into `out`.
     ///
     /// # Panics
     ///
@@ -305,14 +273,16 @@ impl SubAssign<&Vector> for Vector {
 impl Mul<f64> for &Vector {
     type Output = Vector;
     fn mul(self, rhs: f64) -> Vector {
-        self.scaled(rhs)
+        let mut out = self.clone();
+        out.scale(rhs);
+        out
     }
 }
 
 impl Neg for &Vector {
     type Output = Vector;
     fn neg(self) -> Vector {
-        self.scaled(-1.0)
+        self * -1.0
     }
 }
 
@@ -337,7 +307,6 @@ mod tests {
     #[test]
     fn constructors() {
         assert_eq!(Vector::zeros(3).as_slice(), &[0.0; 3]);
-        assert_eq!(Vector::ones(2).as_slice(), &[1.0; 2]);
         assert_eq!(Vector::filled(2, 7.5).as_slice(), &[7.5, 7.5]);
         assert!(Vector::zeros(0).is_empty());
     }
@@ -346,7 +315,6 @@ mod tests {
     fn dot_and_norms() {
         let a = Vector::from(vec![3.0, 4.0]);
         assert_eq!(a.dot(&a), 25.0);
-        assert_eq!(a.norm2(), 5.0);
         assert_eq!(a.norm_inf(), 4.0);
         assert_eq!(Vector::zeros(0).norm_inf(), 0.0);
     }
@@ -385,7 +353,9 @@ mod tests {
     fn hadamard_and_map() {
         let a = Vector::from(vec![1.0, 2.0]);
         let b = Vector::from(vec![3.0, 4.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[3.0, 8.0]);
+        let mut ab = Vector::zeros(2);
+        a.hadamard_into(&b, &mut ab);
+        assert_eq!(ab.as_slice(), &[3.0, 8.0]);
         assert_eq!(a.map(|x| x * x).as_slice(), &[1.0, 4.0]);
     }
 
@@ -427,7 +397,7 @@ mod tests {
             let n = xs.len().min(ys.len());
             let a = Vector::from(xs[..n].to_vec());
             let b = Vector::from(ys[..n].to_vec());
-            prop_assert!((&a + &b).norm2() <= a.norm2() + b.norm2() + 1e-9);
+            prop_assert!((&a + &b).norm_inf() <= a.norm_inf() + b.norm_inf() + 1e-9);
         }
 
         #[test]
@@ -438,7 +408,7 @@ mod tests {
             let a = Vector::from(xs.clone());
             let mut c = a.clone();
             c.axpy(alpha, &a);
-            let expect = &a + &a.scaled(alpha);
+            let expect = &a + &(&a * alpha);
             prop_assert!((&c - &expect).norm_inf() < 1e-9);
         }
     }

@@ -1,5 +1,6 @@
 //! The dense expansion of a structured problem.
 
+use crate::dense::MatrixOps;
 use crate::{LqProblem, LqStage, LqTerminal};
 use dspp_linalg::{Matrix, Vector};
 use dspp_solver::StructuredLq;

@@ -5,6 +5,7 @@
 //! QP solver and requires agreement — two independent implementations
 //! checking each other.
 
+use crate::dense::MatrixOps;
 use crate::{LqProblem, QpProblem, QpSolution};
 use dspp_linalg::{Matrix, Vector};
 use dspp_solver::SolverError;

@@ -1,7 +1,9 @@
 //! Dense Mehrotra predictor–corrector interior-point method.
 
+use crate::dense::{CholeskyOps, MatrixOps};
 use crate::ldlt::Ldlt;
 use crate::qp::{QpProblem, QpSolution};
+use crate::{INIT_MARGIN, REGULARIZATION, STEP_FRACTION};
 use dspp_linalg::{Cholesky, Matrix, Vector};
 use dspp_solver::{IpmSettings, SolveStatus, SolverError};
 
@@ -33,18 +35,17 @@ pub fn solve_qp(problem: &QpProblem, settings: &IpmSettings) -> Result<QpSolutio
     // Cold start: x = 0, y = 0, s = max(h - Gx, margin), z = margin.
     let mut x = Vector::zeros(n);
     let mut y = Vector::zeros(p_eq);
-    let margin = settings.init_margin;
     let mut s = if m > 0 {
         let gx = problem.g.matvec(&x);
-        (&problem.h - &gx).map(|v| v.max(margin))
+        (&problem.h - &gx).map(|v| v.max(INIT_MARGIN))
     } else {
         Vector::zeros(0)
     };
-    let mut z = Vector::filled(m, margin);
+    let mut z = Vector::filled(m, INIT_MARGIN);
 
     // If completely unconstrained, a single Newton solve finishes the job.
     if m == 0 && p_eq == 0 {
-        let chol = Cholesky::factor_regularized(&problem.p, settings.regularization)?;
+        let chol = Cholesky::factor_regularized(&problem.p, REGULARIZATION)?;
         let x = chol.solve(&(-&problem.q));
         let objective = problem.objective(&x);
         return Ok(QpSolution {
@@ -123,7 +124,7 @@ pub fn solve_qp(problem: &QpProblem, settings: &IpmSettings) -> Result<QpSolutio
             Kkt(Ldlt),
         }
         let factor = if p_eq == 0 {
-            let mut reg = settings.regularization;
+            let mut reg = REGULARIZATION;
             let chol = loop {
                 match Cholesky::factor_regularized(&reduced, reg) {
                     Ok(c) => break c,
@@ -142,7 +143,7 @@ pub fn solve_qp(problem: &QpProblem, settings: &IpmSettings) -> Result<QpSolutio
             kkt.set_block(0, 0, &reduced);
             kkt.set_block(n, 0, &problem.a);
             kkt.set_block(0, n, &problem.a.transpose());
-            let delta = settings.regularization.max(1e-10);
+            let delta = REGULARIZATION;
             for i in 0..n {
                 kkt[(i, i)] += delta;
             }
@@ -216,7 +217,8 @@ pub fn solve_qp(problem: &QpProblem, settings: &IpmSettings) -> Result<QpSolutio
         };
 
         // Predictor (affine) step: r_c = s∘z.
-        let r_c_aff = s.hadamard(&z);
+        let mut r_c_aff = Vector::zeros(m);
+        s.hadamard_into(&z, &mut r_c_aff);
         let (dx_aff, dy_aff, dz_aff, ds_aff) = solve_step(&r_c_aff);
         let alpha_p_aff = max_step(&s, &ds_aff);
         let alpha_d_aff = max_step(&z, &dz_aff);
@@ -242,9 +244,8 @@ pub fn solve_qp(problem: &QpProblem, settings: &IpmSettings) -> Result<QpSolutio
             (dx_aff, dy_aff, dz_aff, ds_aff)
         };
 
-        let tau = settings.step_fraction;
-        let alpha_p = (tau * max_step(&s, &ds)).min(1.0);
-        let alpha_d = (tau * max_step(&z, &dz)).min(1.0);
+        let alpha_p = (STEP_FRACTION * max_step(&s, &ds)).min(1.0);
+        let alpha_d = (STEP_FRACTION * max_step(&z, &dz)).min(1.0);
 
         x.axpy(alpha_p, &dx);
         if m > 0 {
@@ -407,8 +408,7 @@ mod tests {
     fn nonnegativity_box_lp_like() {
         // min qᵀx s.t. -x ≤ 0, 1ᵀx... pure LP-ish: P=εI to stay convex.
         // min x₀ + 2x₁ s.t. x₀ + x₁ ≥ 1, x ≥ 0 → x = (1, 0).
-        let mut p = Matrix::zeros(2, 2);
-        p.add_diag(1e-6);
+        let p = Matrix::from_rows(&[&[1e-6, 0.0], &[0.0, 1e-6]]).unwrap();
         let qp = QpProblem::new(p, Vector::from(vec![1.0, 2.0]))
             .unwrap()
             .with_inequalities(
@@ -475,7 +475,9 @@ mod tests {
         assert!(sol.z.min() >= -1e-9);
         assert!(sol.s.min() >= -1e-9);
         // Complementarity.
-        assert!(sol.z.hadamard(&sol.s).norm_inf() < 1e-5);
+        let mut zs = Vector::zeros(sol.z.len());
+        sol.z.hadamard_into(&sol.s, &mut zs);
+        assert!(zs.norm_inf() < 1e-5);
     }
 
     proptest! {

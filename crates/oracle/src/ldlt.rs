@@ -1,5 +1,6 @@
 //! `LDLᵀ` factorization for the dense QP oracle's augmented KKT systems.
 
+use crate::dense::MatrixOps;
 use dspp_linalg::{LinalgError, Matrix, Vector};
 
 /// `LDLᵀ` factorization (without pivoting) of a symmetric matrix.
@@ -125,6 +126,7 @@ impl Ldlt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::CholeskyOps;
     use proptest::prelude::*;
 
     /// Number of negative pivots (the matrix's negative inertia): for a
@@ -149,7 +151,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 3.0, 0.2], &[0.5, 0.2, 2.0]]).unwrap();
         let ld = Ldlt::factor(&a).unwrap();
         assert_eq!(negative_pivots(&ld), 0);
-        let ch = dspp_linalg::Cholesky::factor(&a).unwrap();
+        let ch = dspp_linalg::Cholesky::factor_regularized(&a, 0.0).unwrap();
         let b = Vector::from(vec![1.0, -2.0, 3.0]);
         assert!((&ld.solve(&b) - &ch.solve(&b)).norm_inf() < 1e-10);
     }
@@ -174,10 +176,12 @@ mod tests {
             Matrix::from_rows(&[&[3.0, 1.0, 2.0], &[1.0, 4.0, 0.0], &[2.0, 0.0, -1.5]]).unwrap();
         let f = Ldlt::factor(&k).unwrap();
         // Rebuild L D Lᵀ and compare.
-        let l = f.l.clone();
-        let d = Matrix::from_diag(&f.d);
-        let rebuilt = l.matmul(&d).matmul(&l.transpose());
-        assert!((&rebuilt - &k).norm_inf() < 1e-12);
+        let mut ld = Matrix::zeros(3, 3);
+        f.l.matmul_into(&Matrix::from_diag(&f.d), &mut ld);
+        let mut rebuilt = Matrix::zeros(3, 3);
+        ld.matmul_into(&f.l.transpose(), &mut rebuilt);
+        rebuilt.add_scaled(-1.0, &k);
+        assert!(rebuilt.norm_inf() < 1e-12);
     }
 
     proptest! {

@@ -25,6 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod dense;
 mod expand;
 mod flatten;
 mod ipm;
@@ -34,6 +35,15 @@ mod lq_ipm;
 mod qp;
 mod relax;
 mod riccati;
+
+/// Static regularization on the Newton system's diagonal, boosted after
+/// a failed factorization; the structured solver's value, kept here so
+/// the oracles stay an independent reference.
+const REGULARIZATION: f64 = 1e-9;
+/// Fraction-to-boundary factor of every interior-point step.
+const STEP_FRACTION: f64 = 0.99;
+/// Cold-start slack and dual margin.
+const INIT_MARGIN: f64 = 1.0;
 
 pub use expand::expand;
 pub use flatten::{flatten_lq, FlattenedLq};

@@ -1,3 +1,4 @@
+use crate::dense::MatrixOps;
 use dspp_linalg::{Matrix, Vector};
 use dspp_solver::SolverError;
 
@@ -60,7 +61,7 @@ impl LqStage {
     /// Sets a diagonal quadratic input cost `Σ w_i u_i²` (i.e. `R = 2·diag(w)`
     /// so that `½uᵀRu = Σ w_i u_i²`).
     pub fn with_input_penalty(mut self, w: &Vector) -> Self {
-        self.r_mat = Matrix::from_diag(&w.scaled(2.0));
+        self.r_mat = Matrix::from_diag(&(w * 2.0));
         self
     }
 
@@ -75,8 +76,8 @@ impl LqStage {
         assert_eq!(cu.rows(), d.len(), "constraint row mismatch");
         assert_eq!(cx.cols(), self.state_dim(), "cx column mismatch");
         assert_eq!(cu.cols(), self.input_dim(), "cu column mismatch");
-        self.cx = self.cx.vstack(&cx).expect("cx stack");
-        self.cu = self.cu.vstack(&cu).expect("cu stack");
+        self.cx = self.cx.vstack(&cx);
+        self.cu = self.cu.vstack(&cu);
         let mut dd = self.d.clone();
         dd.extend(d.iter().copied());
         self.d = dd;
@@ -146,7 +147,7 @@ impl LqTerminal {
     pub fn with_constraints(mut self, cx: Matrix, d: Vector) -> Self {
         assert_eq!(cx.rows(), d.len(), "constraint row mismatch");
         assert_eq!(cx.cols(), self.q_vec.len(), "cx column mismatch");
-        self.cx = self.cx.vstack(&cx).expect("cx stack");
+        self.cx = self.cx.vstack(&cx);
         let mut dd = self.d.clone();
         dd.extend(d.iter().copied());
         self.d = dd;

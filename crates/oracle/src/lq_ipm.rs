@@ -1,7 +1,8 @@
 //! Interior-point outer loop for stage-structured LQ problems.
 
+use crate::dense::MatrixOps;
 use crate::riccati::{RiccatiFactor, RiccatiStep};
-use crate::LqProblem;
+use crate::{LqProblem, INIT_MARGIN, REGULARIZATION, STEP_FRACTION};
 use dspp_linalg::{Matrix, Vector};
 use dspp_solver::{IpmSettings, LqSolution, SolveStatus, SolverError};
 
@@ -87,7 +88,6 @@ pub fn solve_lq(problem: &LqProblem, settings: &IpmSettings) -> Result<LqSolutio
         .collect();
     let m_total: usize = mcs.iter().sum();
 
-    let margin = settings.init_margin;
     let mut ss: Vec<Vector> = Vec::with_capacity(nstages + 1);
     let mut zs: Vec<Vector> = Vec::with_capacity(nstages + 1);
     for k in 0..=nstages {
@@ -107,8 +107,8 @@ pub fn solve_lq(problem: &LqProblem, settings: &IpmSettings) -> Result<LqSolutio
         } else {
             &problem.terminal.d
         };
-        ss.push((d - &lhs).map(|v| v.max(margin)));
-        zs.push(Vector::filled(mcs[k], margin));
+        ss.push((d - &lhs).map(|v| v.max(INIT_MARGIN)));
+        zs.push(Vector::filled(mcs[k], INIT_MARGIN));
     }
 
     // Problem scale for the stopping test.
@@ -139,8 +139,8 @@ pub fn solve_lq(problem: &LqProblem, settings: &IpmSettings) -> Result<LqSolutio
     // negative pivots are far beyond any "small" shift, and a heavily damped
     // step that keeps the iteration alive beats aborting a solve whose
     // primal iterate is already feasible.
-    let mut reg = settings.regularization;
-    let max_reg = settings.regularization.max(1e-12) * 1e20;
+    let mut reg = REGULARIZATION;
+    let max_reg = REGULARIZATION * 1e20;
 
     // ------- preallocated workspace, reused every iteration -------
     // Everything the loop body writes lives here (or in the iterates above),
@@ -403,9 +403,8 @@ pub fn solve_lq(problem: &LqProblem, settings: &IpmSettings) -> Result<LqSolutio
             (&step_aff, &dss_aff, &dzs_aff)
         };
 
-        let tau = settings.step_fraction;
-        let alpha_p = (tau * max_step_multi(&ss, fdss)).min(1.0);
-        let alpha_d = (tau * max_step_multi(&zs, fdzs)).min(1.0);
+        let alpha_p = (STEP_FRACTION * max_step_multi(&ss, fdss)).min(1.0);
+        let alpha_d = (STEP_FRACTION * max_step_multi(&zs, fdzs)).min(1.0);
 
         for k in 0..=nstages {
             xs[k].axpy(alpha_p, &fstep.dxs[k]);
@@ -705,12 +704,12 @@ mod tests {
     fn unconstrained_matches_analytic_optimum() {
         // Same problem as the Riccati unit test; optimum u = (-1, -0.5).
         let stage = LqStage::identity_dynamics(1)
-            .with_state_cost(Vector::ones(1))
-            .with_input_penalty(&Vector::ones(1));
+            .with_state_cost(Vector::filled(1, 1.0))
+            .with_input_penalty(&Vector::filled(1, 1.0));
         let problem = LqProblem::new(
             Vector::zeros(1),
             vec![stage.clone(), stage],
-            LqTerminal::free(1).with_state_cost(Vector::ones(1)),
+            LqTerminal::free(1).with_state_cost(Vector::filled(1, 1.0)),
         )
         .unwrap();
         let sol = solve_lq(&problem, &settings()).unwrap();
@@ -725,7 +724,7 @@ mod tests {
         // (x_0 is fixed at 0, so stage 0 carries no state constraint.)
         let floor = Matrix::from_rows(&[&[-1.0]]).unwrap();
         let free_stage = LqStage::identity_dynamics(1)
-            .with_state_cost(Vector::ones(1))
+            .with_state_cost(Vector::filled(1, 1.0))
             .with_input_penalty(&Vector::from(vec![0.1]));
         let make_stage = || {
             free_stage.clone().with_constraints(
@@ -784,7 +783,7 @@ mod tests {
         // a typed certificate, not an opaque iteration failure.
         let rows = Matrix::from_rows(&[&[-1.0], &[1.0]]).unwrap();
         let stage = LqStage::identity_dynamics(1)
-            .with_input_penalty(&Vector::ones(1))
+            .with_input_penalty(&Vector::filled(1, 1.0))
             .with_constraints(rows, Matrix::zeros(2, 1), Vector::from(vec![-5.0, 1.0]));
         let problem = LqProblem::new(Vector::zeros(1), vec![stage], LqTerminal::free(1)).unwrap();
         let err = solve_lq(&problem, &settings()).unwrap_err();
@@ -809,7 +808,7 @@ mod tests {
         // Demand floor x ≥ 8 against capacity x ≤ 5 from stage 2 on: the
         // certificate must point at a constrained slot, not slot 0.
         let rows = Matrix::from_rows(&[&[-1.0], &[1.0]]).unwrap();
-        let free = LqStage::identity_dynamics(1).with_input_penalty(&Vector::ones(1));
+        let free = LqStage::identity_dynamics(1).with_input_penalty(&Vector::filled(1, 1.0));
         let tight = free.clone().with_constraints(
             rows.clone(),
             Matrix::zeros(2, 1),

@@ -1,3 +1,4 @@
+use crate::dense::MatrixOps;
 use dspp_linalg::{Matrix, Vector};
 use dspp_solver::{SolveStatus, SolverError};
 
@@ -15,7 +16,7 @@ use dspp_solver::{SolveStatus, SolverError};
 /// use dspp_oracle::QpProblem;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let p = Matrix::identity(2);
+/// let p = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]])?;
 /// let q = Vector::zeros(2);
 /// let qp = QpProblem::new(p, q)?
 ///     .with_inequalities(Matrix::from_rows(&[&[-1.0, 0.0]])?, Vector::from(vec![-1.0]))?;

@@ -16,6 +16,7 @@
 //! terminal. [`RelaxedLq::split_solution`] maps a solution of the relaxed
 //! problem back onto the original shapes and extracts the slack values.
 
+use crate::dense::MatrixOps;
 use crate::{LqProblem, LqStage, LqTerminal};
 use dspp_linalg::{Matrix, Vector};
 use dspp_solver::{LqSolution, RelaxedSolution, SoftSpec, SolverError};

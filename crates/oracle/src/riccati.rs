@@ -33,6 +33,7 @@
 //! Δλ_k = P_{k+1}Δx_{k+1} + p_{k+1}
 //! ```
 
+use crate::dense::MatrixOps;
 use crate::LqProblem;
 use dspp_linalg::{Cholesky, Matrix, Vector};
 use dspp_solver::SolverError;
@@ -310,12 +311,12 @@ mod tests {
         let stage = |q: f64| {
             LqStage::identity_dynamics(1)
                 .with_state_cost(Vector::from(vec![q]))
-                .with_input_penalty(&Vector::ones(1))
+                .with_input_penalty(&Vector::filled(1, 1.0))
         };
         let problem = LqProblem::new(
             Vector::zeros(1),
             vec![stage(1.0), stage(1.0)],
-            LqTerminal::free(1).with_state_cost(Vector::ones(1)),
+            LqTerminal::free(1).with_state_cost(Vector::filled(1, 1.0)),
         )
         .unwrap();
 
@@ -394,11 +395,7 @@ mod tests {
             .refactor(&problem, &q_mods_a, &r_bad, &m_mods, 0.0)
             .is_err());
         let q_mods_b: Vec<Matrix> = (0..=nst)
-            .map(|_| {
-                let mut q = Matrix::identity(n);
-                q.add_diag(0.5);
-                q
-            })
+            .map(|_| Matrix::from_diag(&Vector::filled(n, 1.5)))
             .collect();
         reused
             .refactor(&problem, &q_mods_b, &r_mods_a, &m_mods, 1e-10)

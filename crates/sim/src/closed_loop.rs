@@ -583,6 +583,58 @@ mod tests {
         assert!(snap.counter("sim.sla_violation_periods") >= report.recovery_periods() as u64);
     }
 
+    /// Every `sim.*` metric a run emits is a row of the `sim.*` table in
+    /// `docs/OBSERVABILITY.md`, and every row is emitted: a calm baseline
+    /// arms the EWMA monitor, then a jump past capacity trips it and
+    /// forces a recovery period.
+    #[test]
+    fn sim_metric_catalogue_matches_the_docs() {
+        use std::collections::BTreeSet;
+        let mut demand = vec![vec![40.0; 12]];
+        demand[0].extend([95.0, 95.0, 40.0]);
+        let telemetry = dspp_telemetry::Recorder::enabled();
+        let c = MpcController::new(
+            capped_problem(1.0),
+            Box::new(LastValue),
+            MpcSettings {
+                horizon: 2,
+                ..MpcSettings::default()
+            },
+        )
+        .unwrap();
+        let report = ClosedLoopSim::new(Box::new(c), demand)
+            .unwrap()
+            .with_telemetry(telemetry.clone())
+            .run()
+            .unwrap();
+        assert!(report.recovery_periods() >= 1, "the jump must recover");
+        let snap = telemetry.snapshot().unwrap();
+        assert!(
+            snap.counter("sim.anomaly_flags") >= 1,
+            "the jump must alarm"
+        );
+        let emitted: BTreeSet<&str> = snap
+            .counters
+            .keys()
+            .chain(snap.gauges.keys())
+            .chain(snap.histograms.keys())
+            .map(String::as_str)
+            .filter(|name| name.starts_with("sim."))
+            .collect();
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let section = doc
+            .split("### `sim.*`")
+            .nth(1)
+            .expect("OBSERVABILITY.md has the sim.* section");
+        let section = section.split("\n#").next().unwrap_or(section);
+        let documented: BTreeSet<&str> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `"))
+            .filter_map(|line| line.split('`').next())
+            .collect();
+        assert_eq!(emitted, documented, "emitted vs documented sim.* metrics");
+    }
+
     #[test]
     fn slo_engine_fires_and_resolves_on_sustained_shortfall() {
         // Four consecutive infeasible periods breach the sla_shortfall

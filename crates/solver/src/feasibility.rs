@@ -182,7 +182,7 @@ mod tests {
         StructuredLq::new(
             Vector::zeros(1),
             Vector::zeros(1),
-            vec![Vector::ones(1); w],
+            vec![Vector::filled(1, 1.0); w],
             vec![Vector::filled(1, 0.2); w],
             vec![Vector::zeros(1); w],
             demands

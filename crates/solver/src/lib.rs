@@ -82,10 +82,7 @@ mod warm;
 pub use error::SolverError;
 pub use feasibility::{preflight_structured, FeasibilityReport, LqRowLayout, PeriodFeasibility};
 pub use settings::IpmSettings;
-pub use skkt::{
-    solve_structured, solve_structured_relaxed_traced, solve_structured_warm,
-    solve_structured_warm_traced,
-};
+pub use skkt::{solve_structured, solve_structured_relaxed_traced, solve_structured_warm_traced};
 pub use solution::{LqSolution, RelaxedSolution, SoftSpec, SolveStatus};
 pub use structured::{CouplingRow, DiagRow, StructuredLq};
 pub use warm::WarmStartTracker;

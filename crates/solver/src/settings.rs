@@ -1,13 +1,20 @@
 /// Tuning knobs of the interior-point solver ([`solve_structured`] and its
-/// warm, traced and relaxed variants).
+/// traced and relaxed variants): the iteration budget and the two stopping
+/// tolerances.
 ///
 /// The defaults solve every problem in this workspace; they are exposed so
-/// the benchmarks can trade accuracy for speed and the tests can stress the
-/// failure paths. Every field documents its default, unit, and the failure
-/// mode you buy by pushing it too far; [`IpmSettings::validate`] rejects
-/// values that are nonsensical outright (and the solver calls it before
-/// iterating, surfacing violations as
+/// the benchmarks can trade accuracy for speed ([`IpmSettings::fast`]) and
+/// the tests can stress the failure paths. Every field documents its
+/// default, unit, and the failure mode you buy by pushing it too far;
+/// [`IpmSettings::validate`] rejects values that are nonsensical outright
+/// (and the solver calls it before iterating, surfacing violations as
 /// [`SolverError::InvalidProblem`](crate::SolverError::InvalidProblem)).
+///
+/// The method's other constants are fixed: a static regularization of
+/// `1e-9` on the Newton system's diagonal, boosted ×100 after each failed
+/// factorization up to `1e-9 · 1e20`; a fraction-to-boundary step factor
+/// of `0.99`; and a cold-start slack and dual margin of `1.0` (servers,
+/// in the DSPP placement problem).
 ///
 /// The two termination statuses a *successful* solve can carry are
 /// [`SolveStatus::Optimal`](crate::SolveStatus::Optimal) (both tolerances
@@ -53,39 +60,6 @@ pub struct IpmSettings {
     /// numerically unreachable in double precision for the larger
     /// horizons. Must be positive and finite.
     pub tol_gap: f64,
-    /// Static regularization added to the Newton system diagonal.
-    ///
-    /// **Default `1e-9`** (absolute, added to matrix entries whose scale
-    /// is set by the cost Hessian). Keeps the Cholesky factorizations
-    /// alive when the Hessian is only positive *semi*-definite; on
-    /// factorization failure the solver boosts it geometrically up to
-    /// `regularization · 1e20` (an inertia-correction-style ceiling: a
-    /// heavily damped step beats aborting a solve whose primal iterate is
-    /// already feasible) before reporting `NumericalFailure` or taking the
-    /// degraded acceptance. Too large skews
-    /// solutions (the solve answers a slightly different, stiffer
-    /// problem); zero is legal but forfeits the safety net on singular
-    /// Newton systems. Must be non-negative and finite.
-    pub regularization: f64,
-    /// Fraction-to-boundary factor for the step length (`< 1`).
-    ///
-    /// **Default `0.99`** (dimensionless fraction in `(0, 1)`). Each
-    /// update stops at this fraction of the largest step keeping slacks
-    /// and duals positive. Values near 1 converge fastest but let
-    /// iterates graze the boundary, risking step-length collapse
-    /// (`NumericalFailure`) on ill-conditioned problems; conservative
-    /// values (0.9) trade a couple of extra iterations for robustness.
-    pub step_fraction: f64,
-    /// Initial slack/dual magnitude used when cold-starting.
-    ///
-    /// **Default `1.0`** (same units as the constraint right-hand sides —
-    /// servers, in the DSPP placement problem). Slacks start at
-    /// `max(h − Gx₀, init_margin)` and duals at `init_margin`. Values far
-    /// below the natural constraint scale start the iterate next to the
-    /// boundary (slow, collapse-prone); values far above waste early
-    /// iterations walking back toward the central path. Must be positive
-    /// and finite.
-    pub init_margin: f64,
 }
 
 impl Default for IpmSettings {
@@ -94,9 +68,6 @@ impl Default for IpmSettings {
             max_iterations: 100,
             tol_feasibility: 1e-8,
             tol_gap: 1e-9,
-            regularization: 1e-9,
-            step_fraction: 0.99,
-            init_margin: 1.0,
         }
     }
 }
@@ -126,15 +97,6 @@ impl IpmSettings {
         if !(self.tol_gap > 0.0 && self.tol_gap.is_finite()) {
             return Err("tol_gap must be positive and finite".into());
         }
-        if !(self.regularization >= 0.0 && self.regularization.is_finite()) {
-            return Err("regularization must be non-negative and finite".into());
-        }
-        if !(self.step_fraction > 0.0 && self.step_fraction < 1.0) {
-            return Err("step_fraction must lie in (0, 1)".into());
-        }
-        if !(self.init_margin > 0.0 && self.init_margin.is_finite()) {
-            return Err("init_margin must be positive and finite".into());
-        }
         Ok(())
     }
 }
@@ -158,18 +120,6 @@ mod tests {
             },
             IpmSettings {
                 tol_gap: -1.0,
-                ..IpmSettings::default()
-            },
-            IpmSettings {
-                step_fraction: 1.0,
-                ..IpmSettings::default()
-            },
-            IpmSettings {
-                regularization: f64::NAN,
-                ..IpmSettings::default()
-            },
-            IpmSettings {
-                init_margin: 0.0,
                 ..IpmSettings::default()
             },
             IpmSettings {

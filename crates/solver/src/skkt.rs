@@ -79,6 +79,24 @@ const MAX_REFINEMENT_PASSES: usize = 10;
 /// floating point cannot go below.
 const ROUND_OFF: f64 = 16.0 * f64::EPSILON;
 
+/// Static regularization added to the Newton system's diagonal. It keeps
+/// the factorizations alive when the Hessian is only positive
+/// semidefinite; a failed factorization boosts it ×100 for the rest of the
+/// solve, up to [`MAX_REGULARIZATION`] (a heavily damped step beats
+/// aborting a solve whose primal iterate is already feasible).
+const REGULARIZATION: f64 = 1e-9;
+
+/// Ceiling of the regularization boost, an inertia-correction-style cap.
+const MAX_REGULARIZATION: f64 = REGULARIZATION * 1e20;
+
+/// Fraction-to-boundary factor: each update stops at this fraction of the
+/// largest step that keeps slacks and duals positive.
+const STEP_FRACTION: f64 = 0.99;
+
+/// Cold-start margin: slacks start at `max(d − Cx, margin)` and duals at
+/// the margin (servers, in the DSPP placement problem).
+const INIT_MARGIN: f64 = 1.0;
+
 /// One location block of `H_A = T + G_Aᵀ W_A G_A`: the chains of the
 /// arcs one group-A (demand) row covers, plus that row's barrier term
 /// (arcs in no group-A row form singleton blocks without a row).
@@ -570,28 +588,15 @@ pub fn solve_structured(
     slq: &StructuredLq,
     settings: &IpmSettings,
 ) -> Result<LqSolution, SolverError> {
-    solve_structured_warm(slq, settings, None)
+    solve_structured_inner(slq, None, settings, None, &Recorder::disabled()).map(|(sol, _)| sol)
 }
 
 /// [`solve_structured`] with a primal warm-start guess for the input
 /// sequence (`W` vectors of the arc dimension) — typically the previous
-/// period's solution shifted by one stage. The guess only seeds the primal
-/// trajectory (slacks and duals are re-centred), so a poor guess degrades
-/// gracefully to roughly cold-start behaviour.
-///
-/// # Errors
-///
-/// As [`solve_structured`], plus [`SolverError::InvalidProblem`] for a
-/// wrong-shaped or non-finite guess.
-pub fn solve_structured_warm(
-    slq: &StructuredLq,
-    settings: &IpmSettings,
-    warm_us: Option<&[Vector]>,
-) -> Result<LqSolution, SolverError> {
-    solve_structured_inner(slq, None, settings, warm_us, &Recorder::disabled()).map(|(sol, _)| sol)
-}
-
-/// [`solve_structured_warm`] with metrics emitted to `telemetry`.
+/// period's solution shifted by one stage — and metrics emitted to
+/// `telemetry`. The guess only seeds the primal trajectory (slacks and
+/// duals are re-centred), so a poor guess degrades gracefully to roughly
+/// cold-start behaviour.
 ///
 /// Per attempt it increments `solver.lq.solves` (plus
 /// `solver.lq.warm_starts` when a guess is supplied) and one
@@ -602,13 +607,14 @@ pub fn solve_structured_warm(
 /// `solver.lq.schur_factor_seconds` / `solver.lq.schur_solve_seconds`;
 /// each Newton solve observes `solver.lq.refinement_passes`; the first
 /// factorization observes `solver.lq.schur_block_size`,
-/// `solver.lq.schur_dense_dim` and `solver.lq.schur_fill`. A disabled
-/// recorder makes this identical to [`solve_structured_warm`]; see
+/// `solver.lq.schur_dense_dim` and `solver.lq.schur_fill`. With a
+/// disabled recorder and no guess this is [`solve_structured`]; see
 /// `docs/OBSERVABILITY.md` for the metric catalogue.
 ///
 /// # Errors
 ///
-/// As [`solve_structured_warm`].
+/// As [`solve_structured`], plus [`SolverError::InvalidProblem`] for a
+/// wrong-shaped or non-finite guess.
 pub fn solve_structured_warm_traced(
     slq: &StructuredLq,
     settings: &IpmSettings,
@@ -633,9 +639,9 @@ pub fn solve_structured_warm_traced(
 ///
 /// # Errors
 ///
-/// As [`solve_structured_warm`], plus [`SolverError::InvalidProblem`] for
-/// a degenerate spec (no soft rows, more soft rows than a slot has,
-/// non-positive or non-finite penalties).
+/// As [`solve_structured_warm_traced`], plus
+/// [`SolverError::InvalidProblem`] for a degenerate spec (no soft rows,
+/// more soft rows than a slot has, non-positive or non-finite penalties).
 pub fn solve_structured_relaxed_traced(
     slq: &StructuredLq,
     spec: &SoftSpec,
@@ -1296,14 +1302,13 @@ pub(crate) fn solve_structured_inner(
 
     // Slacks start at max(d − lhs, margin), duals at the margin; inactive
     // rows sit at s = 1, z = 0 and never move.
-    let margin = settings.init_margin;
     let mut cons = Vector::zeros((0..=w).map(|k| lay.rows(k)).max().unwrap_or(0));
     for k in 0..=w {
         rows.lhs_into(k, &it.xs[k], it.us.get(k), &it.sig[k], &mut cons);
         for i in 0..lay.rows(k) {
             if rows.active[k][i] {
-                it.ss[k][i] = (rows.d[k][i] - cons[i]).max(margin);
-                it.zs[k][i] = margin;
+                it.ss[k][i] = (rows.d[k][i] - cons[i]).max(INIT_MARGIN);
+                it.zs[k][i] = INIT_MARGIN;
             } else {
                 it.ss[k][i] = 1.0;
             }
@@ -1316,8 +1321,7 @@ pub(crate) fn solve_structured_inner(
     let mut z_max = 0.0f64;
     // Adaptive regularization, as on the dense path: a failed
     // factorization boosts it for the rest of the solve.
-    let mut reg = settings.regularization;
-    let max_reg = settings.regularization.max(1e-12) * 1e20;
+    let mut reg = REGULARIZATION;
 
     // ------- preallocated workspace, reused every iteration -------
     let slot_vecs = || -> Vec<Vector> { (0..=w).map(|k| Vector::zeros(lay.rows(k))).collect() };
@@ -1496,7 +1500,7 @@ pub(crate) fn solve_structured_inner(
                     }
                     break;
                 }
-                Err(e) if reg < max_reg => {
+                Err(e) if reg < MAX_REGULARIZATION => {
                     reg = (reg * 100.0).max(1e-12);
                     telemetry.incr("solver.lq.reg_boosts", 1);
                     if span.is_enabled() {
@@ -1572,9 +1576,8 @@ pub(crate) fn solve_structured_inner(
         }
         let fin = if use_corrector { &step } else { &aff };
 
-        let tau = settings.step_fraction;
-        let alpha_p = (tau * max_step_multi(&it.ss, &fin.ss)).min(1.0);
-        let alpha_d = (tau * max_step_multi(&it.zs, &fin.zs)).min(1.0);
+        let alpha_p = (STEP_FRACTION * max_step_multi(&it.ss, &fin.ss)).min(1.0);
+        let alpha_d = (STEP_FRACTION * max_step_multi(&it.zs, &fin.zs)).min(1.0);
 
         for k in 0..=w {
             it.xs[k].axpy(alpha_p, &fin.xs[k]);
@@ -1851,14 +1854,19 @@ mod tests {
     fn warm_start_reaches_the_same_optimum() {
         let slq = instance(2, 3, 3, 4.0, 30.0);
         let cold = solve_structured(&slq, &IpmSettings::default()).unwrap();
-        let warm = solve_structured_warm(&slq, &IpmSettings::default(), Some(&cold.us)).unwrap();
-        assert!((warm.objective - cold.objective).abs() < 1e-6);
-        assert!(warm.iterations <= cold.iterations);
+        let warm = |guess: &[Vector]| {
+            solve_structured_warm_traced(
+                &slq,
+                &IpmSettings::default(),
+                Some(guess),
+                &Recorder::disabled(),
+            )
+        };
+        let warm_sol = warm(&cold.us).unwrap();
+        assert!((warm_sol.objective - cold.objective).abs() < 1e-6);
+        assert!(warm_sol.iterations <= cold.iterations);
         let bad = vec![Vector::zeros(1); 3];
-        assert!(matches!(
-            solve_structured_warm(&slq, &IpmSettings::default(), Some(&bad)),
-            Err(SolverError::InvalidProblem(_))
-        ));
+        assert!(matches!(warm(&bad), Err(SolverError::InvalidProblem(_))));
     }
 
     #[test]

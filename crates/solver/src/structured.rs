@@ -530,6 +530,20 @@ mod tests {
         .unwrap()
     }
 
+    /// `A x`.
+    fn matvec(a: &Matrix, x: &Vector) -> Vector {
+        (0..a.rows())
+            .map(|i| a.row(i).iter().zip(x.iter()).map(|(a, x)| a * x).sum())
+            .collect()
+    }
+
+    /// `Aᵀ x`.
+    fn matvec_t(a: &Matrix, x: &Vector) -> Vector {
+        (0..a.cols())
+            .map(|j| (0..a.rows()).map(|i| a[(i, j)] * x[i]).sum())
+            .collect()
+    }
+
     /// The slot constraint matrix `C`, written out densely.
     fn dense_rows(slq: &StructuredLq) -> Matrix {
         let mut cx = Matrix::zeros(slq.m_rows, slq.n);
@@ -553,12 +567,12 @@ mod tests {
         let x: Vector = (0..4).map(|e| e as f64 * 0.7 - 1.0).collect();
         let mut lhs = Vector::zeros(slq.num_rows());
         slq.row_lhs_into(&x, &mut lhs);
-        let want = cx.matvec(&x);
+        let want = matvec(&cx, &x);
         assert!((&lhs - &want).norm_inf() < 1e-15);
         let t: Vector = (0..slq.num_rows()).map(|i| i as f64 * 0.3 - 1.1).collect();
         let mut acc = Vector::zeros(4);
         slq.row_t_acc(&t, &mut acc);
-        let want_t = cx.matvec_t(&t);
+        let want_t = matvec_t(&cx, &t);
         assert!((&acc - &want_t).norm_inf() < 1e-15);
     }
 
@@ -576,10 +590,13 @@ mod tests {
         }
         let mut want = 0.0;
         for k in 0..3 {
-            let r = Matrix::from_diag(&slq.r_diags[k]);
-            want += slq.state_cost(k).dot(&xs[k])
-                + 0.5 * us[k].dot(&r.matvec(&us[k]))
-                + slq.r_vecs[k].dot(&us[k]);
+            let ru: Vector = slq.r_diags[k]
+                .iter()
+                .zip(&us[k])
+                .map(|(r, u)| r * u)
+                .collect();
+            want +=
+                slq.state_cost(k).dot(&xs[k]) + 0.5 * us[k].dot(&ru) + slq.r_vecs[k].dot(&us[k]);
         }
         want += slq.state_cost(3).dot(&xs[3]);
         assert!((slq.objective(&xs, &us) - want).abs() < 1e-12);

@@ -1,9 +1,7 @@
 //! Cross-crate integration: topology → pricing → workload → controller →
 //! simulator, exercising the whole pipeline the way the experiments do.
 
-use dspp::core::{
-    DsppBuilder, MpcController, MpcSettings, MyopicW1, PlacementPolicy, StaticCheapestDc,
-};
+use dspp::core::{DsppBuilder, MpcController, MpcSettings, PlacementPolicy, StaticCheapestDc};
 use dspp::predict::{ArPredictor, LastValue, OraclePredictor, SeasonalNaive};
 use dspp::pricing::{ElectricityMarket, VmClass};
 use dspp::sim::ClosedLoopSim;
@@ -121,7 +119,15 @@ fn mpc_beats_static_and_reactive_on_the_full_scenario() {
     ));
     // Reactive = no lookahead: a one-period horizon on last period's demand.
     let reactive = run(Box::new(
-        MyopicW1::new(problem(), Box::new(LastValue), MpcSettings::default()).expect("myopic"),
+        MpcController::new(
+            problem(),
+            Box::new(LastValue),
+            MpcSettings {
+                horizon: 1,
+                ..MpcSettings::default()
+            },
+        )
+        .expect("reactive"),
     ));
     assert!(mpc < stat, "mpc {mpc} should beat static {stat}");
     assert!(mpc < reactive, "mpc {mpc} should beat reactive {reactive}");
@@ -162,8 +168,15 @@ fn mpc_beats_baselines_on_diurnal_day() {
         },
     )
     .unwrap();
-    let mut reactive =
-        MyopicW1::new(problem(), Box::new(LastValue), MpcSettings::default()).unwrap();
+    let mut reactive = MpcController::new(
+        problem(),
+        Box::new(LastValue),
+        MpcSettings {
+            horizon: 1,
+            ..MpcSettings::default()
+        },
+    )
+    .unwrap();
     let mut stat = StaticCheapestDc::new(problem(), vec![100.0]).unwrap();
     let j_mpc = run(&mut mpc);
     let j_reactive = run(&mut reactive);

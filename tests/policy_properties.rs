@@ -1,14 +1,12 @@
 //! Cross-policy invariants: every placement policy — solver-backed or
 //! closed-form — must route all demand (eq. 13), respect data-center
-//! capacity, and never emit a negative split; and the degenerate
-//! `MyopicW1` wrapper must be indistinguishable from `MpcController` at
-//! `W = 1`.
+//! capacity, and never emit a negative split.
 
 use dspp::core::{
-    Dspp, DsppBuilder, MpcController, MpcSettings, MyopicW1, PlacementPolicy, ProportionalGreedy,
+    Dspp, DsppBuilder, MpcController, MpcSettings, PlacementPolicy, ProportionalGreedy,
     ReactiveThreshold, StaticCheapestDc, UtilizationBands,
 };
-use dspp::predict::{LastValue, OraclePredictor};
+use dspp::predict::LastValue;
 use proptest::prelude::*;
 
 fn two_dc_problem(capacity: f64) -> Dspp {
@@ -26,13 +24,16 @@ fn two_dc_problem(capacity: f64) -> Dspp {
 
 /// Every entrant of the policy suite on a fresh copy of `problem`.
 fn all_policies(problem: &Dspp, peak: &[f64]) -> Vec<Box<dyn PlacementPolicy>> {
-    let settings = || MpcSettings {
-        horizon: 3,
-        ..MpcSettings::default()
+    let mpc = |horizon| {
+        let settings = MpcSettings {
+            horizon,
+            ..MpcSettings::default()
+        };
+        MpcController::new(problem.clone(), Box::new(LastValue), settings).unwrap()
     };
     vec![
-        Box::new(MpcController::new(problem.clone(), Box::new(LastValue), settings()).unwrap()),
-        Box::new(MyopicW1::new(problem.clone(), Box::new(LastValue), settings()).unwrap()),
+        Box::new(mpc(3)),
+        Box::new(mpc(1)),
         Box::new(StaticCheapestDc::new(problem.clone(), peak.to_vec()).unwrap()),
         Box::new(ReactiveThreshold::new(problem.clone(), UtilizationBands::default()).unwrap()),
         Box::new(ProportionalGreedy::new(problem.clone()).unwrap()),
@@ -103,57 +104,5 @@ proptest! {
                 }
             }
         }
-    }
-}
-
-/// `MyopicW1` is `MpcController` with the horizon pinned to one — bit-for-bit:
-/// the same problem, predictor and demand path must produce identical
-/// allocations, controls, costs and solver effort at every step.
-#[test]
-fn myopic_w1_equals_wmpc_at_horizon_one_bit_for_bit() {
-    let problem = two_dc_problem(50.0);
-    let truth = vec![
-        vec![40.0, 90.0, 160.0, 120.0, 60.0, 30.0, 45.0, 80.0],
-        vec![20.0, 55.0, 130.0, 140.0, 70.0, 25.0, 35.0, 60.0],
-    ];
-    let settings = MpcSettings {
-        horizon: 1,
-        ..MpcSettings::default()
-    };
-    let mut reference = MpcController::new(
-        problem.clone(),
-        Box::new(OraclePredictor::new(truth.clone())),
-        settings.clone(),
-    )
-    .unwrap();
-    // MyopicW1 forces W = 1 itself; hand it a wider horizon to prove it.
-    let mut myopic = MyopicW1::new(
-        problem,
-        Box::new(OraclePredictor::new(truth.clone())),
-        MpcSettings {
-            horizon: 7,
-            ..settings
-        },
-    )
-    .unwrap();
-    assert_eq!(
-        myopic.initial_placement().arc_values(),
-        reference.initial_placement().arc_values()
-    );
-    let periods = truth[0].len() - 1;
-    for (k, (&d0, &d1)) in truth[0].iter().zip(&truth[1]).take(periods).enumerate() {
-        let observed = [d0, d1];
-        let a = reference.step(&observed).unwrap();
-        let b = myopic.step(&observed).unwrap();
-        assert_eq!(
-            a.allocation.arc_values(),
-            b.allocation.arc_values(),
-            "allocations diverge at period {k}"
-        );
-        assert_eq!(a.control, b.control, "controls diverge at period {k}");
-        assert_eq!(a.step_cost, b.step_cost, "costs diverge at period {k}");
-        assert_eq!(a.planned_objective, b.planned_objective);
-        assert_eq!(a.solver_iterations, b.solver_iterations);
-        assert_eq!(a.recovery, b.recovery);
     }
 }

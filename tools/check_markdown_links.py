@@ -45,11 +45,13 @@ def tracked_markdown(root: Path) -> list[Path]:
         text=True,
         check=True,
     )
+    # A tracked file deleted from the working tree (not yet staged) has
+    # nothing to check; links to it still fail as broken paths.
     return sorted(
         {
             root / line
             for line in out.stdout.splitlines()
-            if line and Path(line).name not in SKIP_FILES
+            if line and Path(line).name not in SKIP_FILES and (root / line).is_file()
         }
     )
 
