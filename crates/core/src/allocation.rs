@@ -122,26 +122,6 @@ impl Allocation {
             .enumerate()
             .all(|(l, x)| x * problem.server_size() <= problem.capacity(l) + tol)
     }
-
-    /// Rounds every arc value up to the next integer (the paper's remark
-    /// that continuous solutions are rounded up for deployment). Values
-    /// within `1e-9` of an integer are not bumped a full unit.
-    pub fn round_up(&self) -> Allocation {
-        Allocation {
-            values: self
-                .values
-                .iter()
-                .map(|&x| {
-                    let r = x.round();
-                    if (x - r).abs() < 1e-9 {
-                        r
-                    } else {
-                        x.ceil()
-                    }
-                })
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -206,14 +186,6 @@ mod tests {
         assert!(x.satisfies_capacity(&p, 1e-9));
         x.set(&p, 0, 0, 5.1);
         assert!(!x.satisfies_capacity(&p, 1e-9));
-    }
-
-    #[test]
-    fn round_up_behaviour() {
-        let p = problem();
-        let x = Allocation::from_arc_values(&p, vec![1.2, 2.0, 2.999999999999, 0.0]);
-        let r = x.round_up();
-        assert_eq!(r.arc_values(), &[2.0, 2.0, 3.0, 0.0]);
     }
 
     #[test]

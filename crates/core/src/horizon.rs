@@ -564,7 +564,10 @@ mod tests {
                 x.satisfies_demand(&p, &[50.0, 30.0], 1e-5),
                 "stage {j} violates demand"
             );
-            assert!(sol.xs[j].min() >= -1e-6, "stage {j} went negative");
+            assert!(
+                sol.xs[j].iter().all(|&x| x >= -1e-6),
+                "stage {j} went negative"
+            );
         }
     }
 

@@ -114,25 +114,6 @@ impl Dspp {
             .collect()
     }
 
-    /// The minimum number of servers required to serve demand `d` (one
-    /// value per location), ignoring reconfiguration costs and prices —
-    /// i.e. each location served entirely through its cheapest-coefficient
-    /// arc. Lower bound used for capacity-feasibility sanity checks.
-    pub fn min_servers_for(&self, demand: &[f64]) -> f64 {
-        demand
-            .iter()
-            .enumerate()
-            .map(|(v, &d)| {
-                let best = self
-                    .arcs_for_location(v)
-                    .into_iter()
-                    .map(|e| self.arc_coeffs[e])
-                    .fold(f64::INFINITY, f64::min);
-                best * d
-            })
-            .sum()
-    }
-
     /// Returns a copy with different capacities (the game's per-provider
     /// quota vector).
     ///
@@ -474,14 +455,6 @@ mod tests {
         let p = two_by_two().build().unwrap();
         assert_eq!(p.arcs_for_location(0), vec![0, 2]);
         assert_eq!(p.arcs_for_dc(1), vec![2, 3]);
-    }
-
-    #[test]
-    fn min_servers_uses_best_arc() {
-        let p = two_by_two().build().unwrap();
-        let a_near = p.arc_coeff(p.arc_index(0, 0).unwrap());
-        let need = p.min_servers_for(&[80.0, 0.0]);
-        assert!((need - 80.0 * a_near).abs() < 1e-12);
     }
 
     #[test]

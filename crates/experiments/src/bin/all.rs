@@ -68,11 +68,6 @@ use dspp_telemetry::analyze::{analyze_jsonl, AnalyzeOptions};
 use dspp_telemetry::{AlertState, Recorder, SloSpec, Snapshot, Tracer, DEFAULT_CAPACITY};
 use dspp_workload::FlashCrowd;
 
-/// Figure 3 is pure market calibration — no solver runs, nothing to record.
-fn fig3_with(_: &Recorder) -> ExpResult<Figure> {
-    dspp_experiments::fig3::run()
-}
-
 fn make_pool(args: &TraceArgs, telemetry: Recorder) -> ScenarioPool {
     match args.jobs {
         Some(n) => ScenarioPool::new(n),
@@ -877,30 +872,32 @@ fn regenerate_figures(args: &TraceArgs, tracer: &Tracer) -> bool {
     // out on `--jobs` workers; their output is byte-identical either way.
     let sweep_jobs = args.jobs.unwrap_or(1);
     let jobs: Vec<(&'static str, JobFn)> = vec![
-        ("fig3", Box::new(fig3_with)),
-        ("fig4", Box::new(dspp_experiments::fig4::run_with)),
-        ("fig5", Box::new(dspp_experiments::fig5::run_with)),
-        ("fig6", Box::new(dspp_experiments::fig6::run_with)),
+        // Figure 3 is pure market calibration: nothing to record.
+        (
+            "fig3",
+            Box::new(|_: &Recorder| dspp_experiments::fig3::run()),
+        ),
+        ("fig4", Box::new(dspp_experiments::fig4::run)),
+        ("fig5", Box::new(dspp_experiments::fig5::run)),
+        ("fig6", Box::new(dspp_experiments::fig6::run)),
         (
             "fig7",
-            Box::new(move |t: &Recorder| dspp_experiments::fig7::run_with_jobs(t, sweep_jobs)),
+            Box::new(move |t: &Recorder| dspp_experiments::fig7::run(t, sweep_jobs)),
         ),
         (
             "fig8",
-            Box::new(move |t: &Recorder| dspp_experiments::fig8::run_with_jobs(t, sweep_jobs)),
+            Box::new(move |t: &Recorder| dspp_experiments::fig8::run(t, sweep_jobs)),
         ),
-        ("fig9", Box::new(dspp_experiments::fig9::run_with)),
-        ("fig10", Box::new(dspp_experiments::fig10::run_with)),
-        ("extras", Box::new(dspp_experiments::extras::run_with)),
+        ("fig9", Box::new(dspp_experiments::fig9::run)),
+        ("fig10", Box::new(dspp_experiments::fig10::run)),
+        ("extras", Box::new(dspp_experiments::extras::run)),
         (
             "ingest",
-            Box::new(move |t: &Recorder| dspp_experiments::streaming::run_with_jobs(t, sweep_jobs)),
+            Box::new(move |t: &Recorder| dspp_experiments::streaming::run(t, sweep_jobs)),
         ),
         (
             "policy_tournament",
-            Box::new(move |t: &Recorder| {
-                dspp_experiments::tournament::run_with_jobs(t, sweep_jobs)
-            }),
+            Box::new(move |t: &Recorder| dspp_experiments::tournament::run(t, sweep_jobs)),
         ),
     ];
     let names: Vec<&'static str> = jobs.iter().map(|(n, _)| *n).collect();

@@ -3,5 +3,7 @@
 //! (see `dspp_experiments::cli`).
 
 fn main() {
-    dspp_experiments::cli::figure_main("extras", dspp_experiments::extras::run_with);
+    dspp_experiments::cli::figure_main("extras", |telemetry, _| {
+        dspp_experiments::extras::run(telemetry)
+    });
 }

@@ -2,5 +2,7 @@
 //! Accepts `--trace-out`/`--events-out` (see `dspp_experiments::cli`).
 
 fn main() {
-    dspp_experiments::cli::figure_main("fig10", dspp_experiments::fig10::run_with);
+    dspp_experiments::cli::figure_main("fig10", |telemetry, _| {
+        dspp_experiments::fig10::run(telemetry)
+    });
 }

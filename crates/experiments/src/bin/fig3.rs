@@ -3,5 +3,5 @@
 //! though fig3 is pure market calibration and opens no solver spans.
 
 fn main() {
-    dspp_experiments::cli::figure_main("fig3", |_| dspp_experiments::fig3::run());
+    dspp_experiments::cli::figure_main("fig3", |_, _| dspp_experiments::fig3::run());
 }

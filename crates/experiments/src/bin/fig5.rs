@@ -2,5 +2,7 @@
 //! Accepts `--trace-out`/`--events-out` (see `dspp_experiments::cli`).
 
 fn main() {
-    dspp_experiments::cli::figure_main("fig5", dspp_experiments::fig5::run_with);
+    dspp_experiments::cli::figure_main("fig5", |telemetry, _| {
+        dspp_experiments::fig5::run(telemetry)
+    });
 }

@@ -4,5 +4,5 @@
 //! byte-identical for any jobs value; see `dspp_experiments::cli`).
 
 fn main() {
-    dspp_experiments::cli::figure_main_jobs("fig8", dspp_experiments::fig8::run_with_jobs);
+    dspp_experiments::cli::figure_main("fig8", dspp_experiments::fig8::run);
 }

@@ -2,5 +2,7 @@
 //! Accepts `--trace-out`/`--events-out` (see `dspp_experiments::cli`).
 
 fn main() {
-    dspp_experiments::cli::figure_main("fig9", dspp_experiments::fig9::run_with);
+    dspp_experiments::cli::figure_main("fig9", |telemetry, _| {
+        dspp_experiments::fig9::run(telemetry)
+    });
 }

@@ -6,7 +6,5 @@
 //! numbers.
 
 fn main() {
-    dspp_experiments::cli::figure_main_jobs("policy_tournament", |telemetry, jobs| {
-        dspp_experiments::tournament::run_with_jobs(telemetry, jobs)
-    });
+    dspp_experiments::cli::figure_main("policy_tournament", dspp_experiments::tournament::run);
 }

@@ -13,8 +13,8 @@
 //! * `--slo-out <path>` — with `--fault-drill`, write the SLO alert
 //!   timeline CSV (honored by `all`, ignored by figure binaries).
 //!
-//! Without any flag the binaries behave exactly as before: metrics go
-//! to the process-wide recorder and no tracer is attached.
+//! Without any flag, metrics go to a fresh enabled recorder and no
+//! tracer is attached.
 
 use std::fs;
 use std::path::PathBuf;
@@ -33,7 +33,8 @@ pub struct TraceArgs {
     pub events_out: Option<PathBuf>,
     /// Worker-thread count for binaries that fan work out on a
     /// `dspp-runtime` pool (`--jobs <N>`). `None` means "size to the
-    /// machine". Single-figure binaries accept and ignore it.
+    /// machine" for `all` and one worker for the figure binaries; those
+    /// whose figure does not fan out ignore it.
     pub jobs: Option<usize>,
     /// Run the fault-injection drill instead of the normal workload
     /// (`--fault-drill`; honored by `all`, ignored by figure binaries).
@@ -162,16 +163,14 @@ pub fn run_traced(
     args: &TraceArgs,
     f: impl FnOnce(&Recorder) -> ExpResult<Figure>,
 ) -> ExpResult<()> {
-    if !args.wants_tracing() {
-        let telemetry = dspp_telemetry::global();
-        let _server = args.serve_metrics(telemetry)?;
-        return emit(f(telemetry));
-    }
-    let tracer = Tracer::enabled(DEFAULT_CAPACITY);
+    let tracer = if args.wants_tracing() {
+        Tracer::enabled(DEFAULT_CAPACITY)
+    } else {
+        Tracer::disabled()
+    };
     let telemetry = Recorder::enabled().with_tracer(tracer.clone());
     let _server = args.serve_metrics(&telemetry)?;
-    let result = f(&telemetry);
-    emit(result)?;
+    emit(f(&telemetry))?;
     if let Some(path) = &args.trace_out {
         fs::write(path, tracer.to_chrome_trace())?;
         println!("wrote {}", path.display());
@@ -191,26 +190,10 @@ pub fn run_traced(
 }
 
 /// The whole `main` of a figure binary: parse flags, run, set the exit
-/// code. `name` labels error messages.
-pub fn figure_main(name: &str, f: impl FnOnce(&Recorder) -> ExpResult<Figure>) {
-    let args = match TraceArgs::parse() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            process::exit(2);
-        }
-    };
-    if let Err(e) = run_traced(&args, f) {
-        eprintln!("{name} failed: {e}");
-        process::exit(1);
-    }
-}
-
-/// [`figure_main`] for binaries whose experiment fans the per-round game
-/// sweep out on a worker pool: the closure also receives the `--jobs`
-/// value (default 1 — the sequential sweep). The figure output is
-/// byte-identical for any jobs value; only wall-clock changes.
-pub fn figure_main_jobs(name: &str, f: impl FnOnce(&Recorder, usize) -> ExpResult<Figure>) {
+/// code. `name` labels error messages. The closure also receives the
+/// `--jobs` value (default 1), which the figures that fan out on a worker
+/// pool use; their output is byte-identical for any jobs value.
+pub fn figure_main(name: &str, f: impl FnOnce(&Recorder, usize) -> ExpResult<Figure>) {
     let args = match TraceArgs::parse() {
         Ok(args) => args,
         Err(e) => {

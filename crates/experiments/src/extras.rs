@@ -51,21 +51,12 @@ fn run_loop(
 }
 
 /// Integer vs continuous closed-loop ablation: relative cost premium of
-/// integral deployment.
+/// integral deployment, recording metrics into `telemetry`.
 ///
 /// # Errors
 ///
 /// Propagates build/solver failures.
-pub fn integer_ablation() -> ExpResult<(f64, f64)> {
-    integer_ablation_traced(&Recorder::disabled())
-}
-
-/// [`integer_ablation`] recording metrics into `telemetry`.
-///
-/// # Errors
-///
-/// Propagates build/solver failures.
-pub fn integer_ablation_traced(telemetry: &Recorder) -> ExpResult<(f64, f64)> {
+pub fn integer_ablation(telemetry: &Recorder) -> ExpResult<(f64, f64)> {
     let periods = 48;
     let d = demand(periods, 0.0);
     let mk = || -> ExpResult<MpcController> {
@@ -84,21 +75,13 @@ pub fn integer_ablation_traced(telemetry: &Recorder) -> ExpResult<(f64, f64)> {
     Ok((continuous, integral))
 }
 
-/// Mean vs p95 SLA ablation: cost of the stricter guarantee.
+/// Mean vs p95 SLA ablation: cost of the stricter guarantee, recording
+/// metrics into `telemetry`.
 ///
 /// # Errors
 ///
 /// Propagates build/solver failures.
-pub fn percentile_ablation() -> ExpResult<(f64, f64)> {
-    percentile_ablation_traced(&Recorder::disabled())
-}
-
-/// [`percentile_ablation`] recording metrics into `telemetry`.
-///
-/// # Errors
-///
-/// Propagates build/solver failures.
-pub fn percentile_ablation_traced(telemetry: &Recorder) -> ExpResult<(f64, f64)> {
+pub fn percentile_ablation(telemetry: &Recorder) -> ExpResult<(f64, f64)> {
     let periods = 48;
     let d = demand(periods, 0.0);
     let mut out = Vec::new();
@@ -117,7 +100,8 @@ pub fn percentile_ablation_traced(telemetry: &Recorder) -> ExpResult<(f64, f64)>
     Ok((out[0], out[1]))
 }
 
-/// Predictor ladder: `(name, cost, violation periods)` per predictor.
+/// Predictor ladder: `(name, cost, violation periods)` per predictor,
+/// recording metrics into `telemetry`.
 ///
 /// Runs with the paper's reservation-ratio cushion (r = 1.15) so that
 /// forecast errors below 15 % are absorbed — the realistic operating point
@@ -126,16 +110,7 @@ pub fn percentile_ablation_traced(telemetry: &Recorder) -> ExpResult<(f64, f64)>
 /// # Errors
 ///
 /// Propagates build/solver failures.
-pub fn predictor_ladder() -> ExpResult<Vec<(String, f64, usize)>> {
-    predictor_ladder_traced(&Recorder::disabled())
-}
-
-/// [`predictor_ladder`] recording metrics into `telemetry`.
-///
-/// # Errors
-///
-/// Propagates build/solver failures.
-pub fn predictor_ladder_traced(telemetry: &Recorder) -> ExpResult<Vec<(String, f64, usize)>> {
+pub fn predictor_ladder(telemetry: &Recorder) -> ExpResult<Vec<(String, f64, usize)>> {
     let periods = 96;
     let d = demand(periods, 0.15);
     let predictors: Vec<Box<dyn Predictor>> = vec![
@@ -175,24 +150,16 @@ pub fn predictor_ladder_traced(telemetry: &Recorder) -> ExpResult<Vec<(String, f
     Ok(rows)
 }
 
-/// Runs all extension ablations as one pseudo-figure.
+/// Runs all extension ablations as one pseudo-figure, recording
+/// controller/solver/sim metrics into `telemetry`.
 ///
 /// # Errors
 ///
 /// Propagates ablation failures.
-pub fn run() -> ExpResult<Figure> {
-    run_with(dspp_telemetry::global())
-}
-
-/// [`run`] recording controller/solver/sim metrics into `telemetry`.
-///
-/// # Errors
-///
-/// Propagates ablation failures.
-pub fn run_with(telemetry: &Recorder) -> ExpResult<Figure> {
-    let (cont, int) = integer_ablation_traced(telemetry)?;
-    let (mean_sla, p95_sla) = percentile_ablation_traced(telemetry)?;
-    let ladder = predictor_ladder_traced(telemetry)?;
+pub fn run(telemetry: &Recorder) -> ExpResult<Figure> {
+    let (cont, int) = integer_ablation(telemetry)?;
+    let (mean_sla, p95_sla) = percentile_ablation(telemetry)?;
+    let ladder = predictor_ladder(telemetry)?;
 
     let mut notes = vec![
         format!(
@@ -230,7 +197,7 @@ mod tests {
 
     #[test]
     fn integer_premium_is_small_and_positive() {
-        let (cont, int) = integer_ablation().unwrap();
+        let (cont, int) = integer_ablation(&Recorder::disabled()).unwrap();
         assert!(int >= cont - 1e-9, "integral {int} cheaper than {cont}");
         assert!(
             int / cont < 1.05,
@@ -241,7 +208,7 @@ mod tests {
 
     #[test]
     fn p95_sla_costs_more() {
-        let (mean_sla, p95_sla) = percentile_ablation().unwrap();
+        let (mean_sla, p95_sla) = percentile_ablation(&Recorder::disabled()).unwrap();
         assert!(
             p95_sla > mean_sla * 1.005,
             "p95 {p95_sla} should cost visibly more than {mean_sla}"
@@ -250,7 +217,7 @@ mod tests {
 
     #[test]
     fn oracle_anchors_the_ladder() {
-        let ladder = predictor_ladder().unwrap();
+        let ladder = predictor_ladder(&Recorder::disabled()).unwrap();
         let oracle = ladder.last().unwrap();
         assert_eq!(oracle.0, "oracle");
         assert_eq!(oracle.2, 0, "oracle must not violate");

@@ -12,22 +12,13 @@ use dspp_telemetry::Recorder;
 /// One run: demand is zero for a warm-up prefix and then constant forever
 /// (the "constant demand" regime with a predictable onset); prices are
 /// constant. Longer lookahead spreads the onset ramp across more periods,
-/// paying less quadratic reconfiguration cost.
+/// paying less quadratic reconfiguration cost. Controller, solver and sim
+/// metrics go to `telemetry`.
 ///
 /// # Errors
 ///
 /// Propagates build/solver failures.
-pub fn cost_for_horizon(horizon: usize) -> ExpResult<f64> {
-    cost_for_horizon_traced(horizon, &Recorder::disabled())
-}
-
-/// [`cost_for_horizon`] recording controller/solver/sim metrics into
-/// `telemetry`.
-///
-/// # Errors
-///
-/// Propagates build/solver failures.
-pub fn cost_for_horizon_traced(horizon: usize, telemetry: &Recorder) -> ExpResult<f64> {
+pub fn cost_for_horizon(horizon: usize, telemetry: &Recorder) -> ExpResult<f64> {
     let periods = 24;
     let onset = 10;
     let level = 10_000.0;
@@ -56,24 +47,16 @@ pub fn cost_for_horizon_traced(horizon: usize, telemetry: &Recorder) -> ExpResul
     Ok(report.ledger.total())
 }
 
-/// Regenerates Figure 10.
+/// Regenerates Figure 10, recording controller/solver/sim metrics into
+/// `telemetry`.
 ///
 /// # Errors
 ///
 /// Propagates run failures.
-pub fn run() -> ExpResult<Figure> {
-    run_with(dspp_telemetry::global())
-}
-
-/// [`run`] recording controller/solver/sim metrics into `telemetry`.
-///
-/// # Errors
-///
-/// Propagates run failures.
-pub fn run_with(telemetry: &Recorder) -> ExpResult<Figure> {
+pub fn run(telemetry: &Recorder) -> ExpResult<Figure> {
     let mut rows = Vec::new();
     for w in 1..=10usize {
-        rows.push(vec![w as f64, cost_for_horizon_traced(w, telemetry)?]);
+        rows.push(vec![w as f64, cost_for_horizon(w, telemetry)?]);
     }
     let first = rows[0][1];
     let last = rows[9][1];
@@ -102,9 +85,10 @@ mod tests {
 
     #[test]
     fn cost_is_monotone_nonincreasing_in_horizon() {
-        let c1 = cost_for_horizon(1).unwrap();
-        let c3 = cost_for_horizon(3).unwrap();
-        let c8 = cost_for_horizon(8).unwrap();
+        let telemetry = Recorder::disabled();
+        let c1 = cost_for_horizon(1, &telemetry).unwrap();
+        let c3 = cost_for_horizon(3, &telemetry).unwrap();
+        let c8 = cost_for_horizon(8, &telemetry).unwrap();
         assert!(c3 <= c1 + 1e-6, "K=3 ({c3}) vs K=1 ({c1})");
         assert!(c8 <= c3 + 1e-6, "K=8 ({c8}) vs K=3 ({c3})");
         // And the improvement is substantial, as in the paper's plot.

@@ -2,7 +2,6 @@
 //! $/MWh curves of the four data-center regions.
 
 use crate::{scenario, ExpResult, Figure};
-use dspp_sim::SharedRecorder;
 
 const NAMES: [&str; 4] = [
     "San Jose, CA",
@@ -11,62 +10,42 @@ const NAMES: [&str; 4] = [
     "Chicago, IL",
 ];
 
-/// The figure's data, collected as named series: one per region, on the
-/// 24-hour grid.
-fn collect() -> SharedRecorder {
-    let market = scenario::market();
-    let trace = market.wholesale_trace(24, 1.0, 0);
-    let recorder = SharedRecorder::new();
-    for (l, name) in NAMES.iter().enumerate() {
-        for k in 0..24 {
-            recorder.push(name, k as f64, trace.get(l, k));
-        }
-    }
-    recorder
-}
-
-/// The figure as CSV in the committed `results/fig3.csv` layout, via
-/// [`SharedRecorder::to_csv`].
-///
-/// # Errors
-///
-/// Propagates a series-shape mismatch (cannot happen for this fixed grid).
-pub fn csv() -> ExpResult<String> {
-    Ok(collect().to_csv("hour", &NAMES)?)
-}
-
 /// Regenerates Figure 3.
 ///
 /// # Errors
 ///
 /// Infallible in practice; returns `ExpResult` for uniformity.
 pub fn run() -> ExpResult<Figure> {
-    let recorder = collect();
-    let series: Vec<Vec<(f64, f64)>> = NAMES.iter().map(|n| recorder.series(n)).collect();
-    let mut rows = Vec::with_capacity(24);
-    for k in 0..24 {
-        let mut row = vec![k as f64];
-        row.extend(series.iter().map(|s| s[k].1));
-        rows.push(row);
-    }
-    let get = |l: usize, k: usize| series[l][k].1;
+    let trace = scenario::market().wholesale_trace(24, 1.0, 0);
+    let rows: Vec<Vec<f64>> = (0..24)
+        .map(|k| {
+            let mut row = vec![k as f64];
+            row.extend((0..NAMES.len()).map(|l| trace.get(l, k)));
+            row
+        })
+        .collect();
 
     // Shape notes: regional ordering and peak positions.
     let peak_hour = |l: usize| {
         (0..24)
-            .max_by(|&a, &b| get(l, a).partial_cmp(&get(l, b)).expect("finite"))
+            .max_by(|&a, &b| {
+                trace
+                    .get(l, a)
+                    .partial_cmp(&trace.get(l, b))
+                    .expect("finite")
+            })
             .expect("non-empty")
     };
     let ca_peak = peak_hour(0);
     let gap_hour = (0..24)
         .max_by(|&a, &b| {
-            let ga = get(0, a) - get(1, a);
-            let gb = get(0, b) - get(1, b);
+            let ga = trace.get(0, a) - trace.get(1, a);
+            let gb = trace.get(0, b) - trace.get(1, b);
             ga.partial_cmp(&gb).expect("finite")
         })
         .expect("non-empty");
     let all_prices: Vec<f64> = (0..4)
-        .flat_map(|l| (0..24).map(|k| get(l, k)).collect::<Vec<_>>())
+        .flat_map(|l| (0..24).map(|k| trace.get(l, k)).collect::<Vec<_>>())
         .collect();
     let notes = vec![
         format!("CA is the most expensive region; its peak falls at hour {ca_peak} (paper: ~5 pm)"),
@@ -118,21 +97,18 @@ mod tests {
     }
 
     #[test]
-    fn recorder_csv_matches_committed_golden_file() {
+    fn csv_matches_committed_golden_file() {
         // fig3 is fully deterministic (pure market calibration, no
-        // solver), so the SharedRecorder CSV must reproduce the committed
-        // artifact byte for byte — and agree with Figure::write_csv.
-        let csv = csv().unwrap();
+        // solver), so Figure::write_csv must reproduce the committed
+        // artifact byte for byte.
         let golden = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../results/fig3.csv"
         ))
         .expect("committed results/fig3.csv");
-        assert_eq!(csv, golden);
-
         let fig = run().unwrap();
         let dir = std::env::temp_dir().join("dspp-fig3-golden");
         let path = fig.write_csv(&dir).unwrap();
-        assert_eq!(std::fs::read_to_string(path).unwrap(), csv);
+        assert_eq!(std::fs::read_to_string(path).unwrap(), golden);
     }
 }

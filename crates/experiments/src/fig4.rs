@@ -35,21 +35,13 @@ pub fn demand_trace(periods: usize) -> Vec<Vec<f64>> {
         .into_rows()
 }
 
-/// Regenerates Figure 4.
+/// Regenerates Figure 4, recording controller/solver/sim metrics into
+/// `telemetry`.
 ///
 /// # Errors
 ///
 /// Propagates controller/solver failures.
-pub fn run() -> ExpResult<Figure> {
-    run_with(dspp_telemetry::global())
-}
-
-/// [`run`] recording controller/solver/sim metrics into `telemetry`.
-///
-/// # Errors
-///
-/// Propagates controller/solver failures.
-pub fn run_with(telemetry: &Recorder) -> ExpResult<Figure> {
+pub fn run(telemetry: &Recorder) -> ExpResult<Figure> {
     let periods = 48;
     let demand = demand_trace(periods);
     let problem = problem(periods, 0.0005)?;
@@ -113,7 +105,7 @@ mod tests {
 
     #[test]
     fn allocation_tracks_diurnal_demand() {
-        let fig = run().unwrap();
+        let fig = run(&Recorder::disabled()).unwrap();
         assert_eq!(fig.rows.len(), 24);
         // Midday allocation ≫ night allocation (columns: hour, demand, x).
         let noon = fig.rows.iter().find(|r| r[0] == 12.0).unwrap();

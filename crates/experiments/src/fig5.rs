@@ -26,21 +26,13 @@ const LOCATIONS: [usize; 8] = [1, 10, 23, 12, 3, 4, 7, 14];
 /// Constant per-location demand (requests/second).
 const DEMAND: f64 = 2_400.0;
 
-/// Regenerates Figure 5.
+/// Regenerates Figure 5, recording controller/solver/sim metrics into
+/// `telemetry`.
 ///
 /// # Errors
 ///
 /// Propagates build/solver failures.
-pub fn run() -> ExpResult<Figure> {
-    run_with(dspp_telemetry::global())
-}
-
-/// [`run`] recording controller/solver/sim metrics into `telemetry`.
-///
-/// # Errors
-///
-/// Propagates build/solver failures.
-pub fn run_with(telemetry: &Recorder) -> ExpResult<Figure> {
+pub fn run(telemetry: &Recorder) -> ExpResult<Figure> {
     let periods = 48;
     // Reconfiguration weight matched to the literal electricity-price
     // scale (~$0.003 per server-hour): migrations must pay for themselves
@@ -112,7 +104,7 @@ mod tests {
 
     #[test]
     fn ca_sheds_load_at_its_price_peak() {
-        let fig = run().unwrap();
+        let fig = run(&Recorder::disabled()).unwrap();
         assert_eq!(fig.rows.len(), 24);
         let at =
             |hour: f64, col: usize| -> f64 { fig.rows.iter().find(|r| r[0] == hour).unwrap()[col] };

@@ -36,21 +36,13 @@ fn run_horizon(demand: &[Vec<f64>], horizon: usize, telemetry: &Recorder) -> Exp
         .run()?)
 }
 
-/// Regenerates Figure 6.
+/// Regenerates Figure 6, recording controller/solver/sim metrics into
+/// `telemetry`.
 ///
 /// # Errors
 ///
 /// Propagates solver failures.
-pub fn run() -> ExpResult<Figure> {
-    run_with(dspp_telemetry::global())
-}
-
-/// [`run`] recording controller/solver/sim metrics into `telemetry`.
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn run_with(telemetry: &Recorder) -> ExpResult<Figure> {
+pub fn run(telemetry: &Recorder) -> ExpResult<Figure> {
     let demand = fig4::demand_trace(48);
     let mut reports = Vec::new();
     for &k in &HORIZONS {

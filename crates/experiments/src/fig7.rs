@@ -110,37 +110,16 @@ pub fn game_config() -> GameConfig {
     }
 }
 
-/// Runs one game and returns the iterations to (approximate) convergence.
+/// Runs one game and returns the iterations to (approximate) convergence,
+/// recording `game.*` metrics into `telemetry`. The per-round
+/// best-response sweep fans out on `jobs` workers ([`GameConfig::jobs`]);
+/// the game outcome — and therefore the figure — is byte-identical for any
+/// `jobs` value.
 ///
 /// # Errors
 ///
 /// Propagates game failures.
-pub fn iterations_for(n_players: usize, bottleneck: f64, window: usize) -> ExpResult<usize> {
-    iterations_for_traced(n_players, bottleneck, window, &Recorder::disabled())
-}
-
-/// [`iterations_for`] recording `game.*` metrics into `telemetry`.
-///
-/// # Errors
-///
-/// Propagates game failures.
-pub fn iterations_for_traced(
-    n_players: usize,
-    bottleneck: f64,
-    window: usize,
-    telemetry: &Recorder,
-) -> ExpResult<usize> {
-    iterations_for_jobs(n_players, bottleneck, window, 1, telemetry)
-}
-
-/// [`iterations_for_traced`] with the per-round best-response sweep fanned
-/// out on `jobs` workers ([`GameConfig::jobs`]). The game outcome — and
-/// therefore the figure — is byte-identical for any `jobs` value.
-///
-/// # Errors
-///
-/// Propagates game failures.
-pub fn iterations_for_jobs(
+pub fn iterations_for(
     n_players: usize,
     bottleneck: f64,
     window: usize,
@@ -159,37 +138,20 @@ pub fn iterations_for_jobs(
     Ok(out.iterations)
 }
 
-/// Regenerates Figure 7.
+/// Regenerates Figure 7, recording game/solver metrics into `telemetry`.
+/// The per-round best-response sweeps run on `jobs` workers; output is
+/// byte-identical for any `jobs` value.
 ///
 /// # Errors
 ///
 /// Propagates game failures.
-pub fn run() -> ExpResult<Figure> {
-    run_with(dspp_telemetry::global())
-}
-
-/// [`run`] recording game/solver metrics into `telemetry`.
-///
-/// # Errors
-///
-/// Propagates game failures.
-pub fn run_with(telemetry: &Recorder) -> ExpResult<Figure> {
-    run_with_jobs(telemetry, 1)
-}
-
-/// [`run_with`] with the per-round best-response sweeps running on `jobs`
-/// workers. Output is byte-identical for any `jobs` value.
-///
-/// # Errors
-///
-/// Propagates game failures.
-pub fn run_with_jobs(telemetry: &Recorder, jobs: usize) -> ExpResult<Figure> {
+pub fn run(telemetry: &Recorder, jobs: usize) -> ExpResult<Figure> {
     let window = 3;
     let mut rows = Vec::new();
     for n in 1..=10usize {
         let mut row = vec![n as f64];
         for &cap in &BOTTLENECKS {
-            row.push(iterations_for_jobs(n, cap, window, jobs, telemetry)? as f64);
+            row.push(iterations_for(n, cap, window, jobs, telemetry)? as f64);
         }
         rows.push(row);
     }
@@ -229,8 +191,9 @@ mod tests {
     #[test]
     fn competition_slows_convergence() {
         // Compact version of the figure: 2 vs 6 players on the tight cap.
-        let few = iterations_for(2, 150.0, 3).unwrap();
-        let many = iterations_for(6, 150.0, 3).unwrap();
+        let telemetry = Recorder::disabled();
+        let few = iterations_for(2, 150.0, 3, 1, &telemetry).unwrap();
+        let many = iterations_for(6, 150.0, 3, 1, &telemetry).unwrap();
         assert!(
             many >= few,
             "6 players ({many}) should need at least as many iterations as 2 ({few})"
@@ -239,7 +202,7 @@ mod tests {
 
     #[test]
     fn loose_capacity_converges_fast() {
-        let iters = iterations_for(4, 5000.0, 3).unwrap();
+        let iters = iterations_for(4, 5000.0, 3, 1, &Recorder::disabled()).unwrap();
         assert!(iters <= 5, "uncontested game took {iters} iterations");
     }
 }

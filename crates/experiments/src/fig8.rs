@@ -4,36 +4,19 @@
 use crate::{fig7, ExpResult, Figure};
 use dspp_telemetry::Recorder;
 
-/// Regenerates Figure 8.
+/// Regenerates Figure 8, recording game/solver metrics into `telemetry`.
+/// The per-round best-response sweeps run on `jobs` workers; output is
+/// byte-identical for any `jobs` value.
 ///
 /// # Errors
 ///
 /// Propagates game failures.
-pub fn run() -> ExpResult<Figure> {
-    run_with(dspp_telemetry::global())
-}
-
-/// [`run`] recording game/solver metrics into `telemetry`.
-///
-/// # Errors
-///
-/// Propagates game failures.
-pub fn run_with(telemetry: &Recorder) -> ExpResult<Figure> {
-    run_with_jobs(telemetry, 1)
-}
-
-/// [`run_with`] with the per-round best-response sweeps running on `jobs`
-/// workers. Output is byte-identical for any `jobs` value.
-///
-/// # Errors
-///
-/// Propagates game failures.
-pub fn run_with_jobs(telemetry: &Recorder, jobs: usize) -> ExpResult<Figure> {
+pub fn run(telemetry: &Recorder, jobs: usize) -> ExpResult<Figure> {
     let players = 8;
     let bottleneck = 130.0;
     let mut rows = Vec::new();
     for w in 1..=10usize {
-        let iters = fig7::iterations_for_jobs(players, bottleneck, w, jobs, telemetry)?;
+        let iters = fig7::iterations_for(players, bottleneck, w, jobs, telemetry)?;
         rows.push(vec![w as f64, iters as f64]);
     }
     let first = rows[0][1];
@@ -65,7 +48,7 @@ mod tests {
     fn all_windows_converge() {
         // Spot-check two windows; the full sweep runs in the binary.
         for w in [1usize, 4] {
-            let iters = fig7::iterations_for(3, 200.0, w).unwrap();
+            let iters = fig7::iterations_for(3, 200.0, w, 1, &Recorder::disabled()).unwrap();
             assert!(iters < 300, "W={w} failed to converge ({iters})");
         }
     }

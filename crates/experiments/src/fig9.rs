@@ -15,22 +15,13 @@ use dspp_workload::{DemandModel, DiurnalProfile};
 pub const HORIZONS: std::ops::RangeInclusive<usize> = 1..=12;
 
 /// One closed-loop run: plan with clean expected prices + AR(2) demand
-/// forecasts, get billed realized volatile prices.
+/// forecasts, get billed realized volatile prices. Controller, solver and
+/// sim metrics go to `telemetry`.
 ///
 /// # Errors
 ///
 /// Propagates build/solver failures.
-pub fn cost_for_horizon(horizon: usize, seed: u64) -> ExpResult<f64> {
-    cost_for_horizon_traced(horizon, seed, &Recorder::disabled())
-}
-
-/// [`cost_for_horizon`] recording controller/solver/sim metrics into
-/// `telemetry`.
-///
-/// # Errors
-///
-/// Propagates build/solver failures.
-pub fn cost_for_horizon_traced(horizon: usize, seed: u64, telemetry: &Recorder) -> ExpResult<f64> {
+pub fn cost_for_horizon(horizon: usize, seed: u64, telemetry: &Recorder) -> ExpResult<f64> {
     let periods = 72;
     let locations = 4usize;
     // Volatile realized demand.
@@ -92,27 +83,19 @@ pub fn cost_for_horizon_traced(horizon: usize, seed: u64, telemetry: &Recorder) 
     Ok(report.ledger.total())
 }
 
-/// Regenerates Figure 9, averaging over a few seeds to tame noise.
+/// Regenerates Figure 9, averaging over a few seeds to tame noise,
+/// recording controller/solver/sim metrics into `telemetry`.
 ///
 /// # Errors
 ///
 /// Propagates run failures.
-pub fn run() -> ExpResult<Figure> {
-    run_with(dspp_telemetry::global())
-}
-
-/// [`run`] recording controller/solver/sim metrics into `telemetry`.
-///
-/// # Errors
-///
-/// Propagates run failures.
-pub fn run_with(telemetry: &Recorder) -> ExpResult<Figure> {
+pub fn run(telemetry: &Recorder) -> ExpResult<Figure> {
     let seeds = [11u64, 23, 37];
     let mut rows = Vec::new();
     for w in HORIZONS {
         let mut total = 0.0;
         for &s in &seeds {
-            total += cost_for_horizon_traced(w, s, telemetry)?;
+            total += cost_for_horizon(w, s, telemetry)?;
         }
         rows.push(vec![w as f64, total / seeds.len() as f64]);
     }
@@ -151,9 +134,10 @@ mod tests {
     fn u_shape_under_volatility() {
         // The paper's Figure 9 shape: myopic (K=1) is clearly worse than a
         // small horizon, and very long horizons give the advantage back.
-        let myopic = cost_for_horizon(1, 11).unwrap();
-        let sweet = cost_for_horizon(4, 11).unwrap();
-        let long = cost_for_horizon(12, 11).unwrap();
+        let telemetry = Recorder::disabled();
+        let myopic = cost_for_horizon(1, 11, &telemetry).unwrap();
+        let sweet = cost_for_horizon(4, 11, &telemetry).unwrap();
+        let long = cost_for_horizon(12, 11, &telemetry).unwrap();
         assert!(
             sweet < myopic,
             "K=4 cost {sweet} should beat the myopic K=1 cost {myopic}"

@@ -76,7 +76,7 @@ fn build_loop(jobs: usize) -> ExpResult<IngestLoop> {
 /// # Errors
 ///
 /// Propagates ingest/controller failures and the CSV write.
-pub fn run_with_jobs(telemetry: &Recorder, jobs: usize) -> ExpResult<Figure> {
+pub fn run(telemetry: &Recorder, jobs: usize) -> ExpResult<Figure> {
     let mut ingest = build_loop(jobs)?.with_telemetry(telemetry.clone());
     let totals = ingest.run_to_end()?;
 
@@ -131,9 +131,9 @@ pub fn run_with_jobs(telemetry: &Recorder, jobs: usize) -> ExpResult<Figure> {
 mod tests {
     use super::*;
 
-    /// Exercises `build_loop` directly (not `run_with_jobs`) so the test
-    /// never touches the process-wide `DSPP_RESULTS` variable, which the
-    /// cli tests mutate concurrently.
+    /// Exercises `build_loop` directly (not `run`) so the test never
+    /// touches the process-wide `DSPP_RESULTS` variable, which the cli
+    /// tests mutate concurrently.
     #[test]
     fn sealed_ledger_is_identical_across_jobs() {
         let mut a = build_loop(1).unwrap();

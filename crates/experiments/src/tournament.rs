@@ -260,7 +260,7 @@ struct Entry {
 /// # Errors
 ///
 /// Propagates the first scenario failure.
-pub fn run_with_jobs(telemetry: &Recorder, jobs: usize) -> ExpResult<Figure> {
+pub fn run(telemetry: &Recorder, jobs: usize) -> ExpResult<Figure> {
     let pool = ScenarioPool::new(jobs).with_telemetry(telemetry.clone());
     let results = run_scenarios(&pool, specs(), build_policy, telemetry);
     let mut entries = Vec::with_capacity(results.len());
@@ -455,8 +455,8 @@ mod tests {
 
     #[test]
     fn tournament_is_deterministic_and_wmpc_weakly_dominates() {
-        let fig1 = run_with_jobs(&Recorder::disabled(), 1).unwrap();
-        let fig4 = run_with_jobs(&Recorder::disabled(), 4).unwrap();
+        let fig1 = run(&Recorder::disabled(), 1).unwrap();
+        let fig4 = run(&Recorder::disabled(), 4).unwrap();
         let csv = |f: &Figure| {
             f.rows
                 .iter()

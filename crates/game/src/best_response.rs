@@ -729,11 +729,7 @@ mod tests {
         // Total demand cannot fit the capacity at all. With a single data
         // center every location is captive, so the quota-floor check
         // rejects the game at construction.
-        let sps = SpSampler::new(1, 2, 3)
-            .with_seed(6)
-            .with_demand_scale(100.0)
-            .sample(3)
-            .unwrap();
+        let sps = SpSampler::new(1, 2, 3).with_seed(6).sample(3).unwrap();
         let err = ResourceGame::new(sps, vec![0.5]).unwrap_err();
         assert!(matches!(err, CoreError::InvalidSpec(_)), "got {err}");
     }

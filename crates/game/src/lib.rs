@@ -51,7 +51,7 @@ mod rolling;
 mod swp;
 
 pub use best_response::{GameConfig, GameOutcome, ResourceGame};
-pub use nash::{equilibrium_gaps, price_of_anarchy_bounds, PoaBounds};
+pub use nash::equilibrium_gaps;
 pub use provider::{ServiceProvider, SpSampler};
 pub use rolling::{run_rolling_game, RollingPeriod, RollingReport};
 pub use swp::{solve_social_welfare, SwpSolution};

@@ -63,17 +63,6 @@ impl ServiceProvider {
         self.demand[0].len()
     }
 
-    /// Truncates or repeats the demand window to exactly `w` periods
-    /// (repeating the final period when extending).
-    pub fn with_horizon(mut self, w: usize) -> Self {
-        assert!(w > 0, "horizon must be positive");
-        for row in &mut self.demand {
-            let last = *row.last().expect("non-empty");
-            row.resize(w, last);
-        }
-        self
-    }
-
     /// Price forecast rows `[dc][t]` for the game window (period `t+1`).
     pub fn price_rows(&self) -> Vec<Vec<f64>> {
         let w = self.horizon();
@@ -82,6 +71,10 @@ impl ServiceProvider {
             .collect()
     }
 }
+
+/// Every sampled provider's demand level, before its random factor in
+/// `[0.5, 1.5)`.
+const DEMAND_SCALE: f64 = 20.0;
 
 /// Random provider generator for the game experiments.
 ///
@@ -101,7 +94,6 @@ pub struct SpSampler {
     num_locations: usize,
     horizon: usize,
     seed: u64,
-    demand_scale: f64,
 }
 
 impl SpSampler {
@@ -118,24 +110,12 @@ impl SpSampler {
             num_locations,
             horizon,
             seed: 0,
-            demand_scale: 20.0,
         }
     }
 
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Scales every provider's demand level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not positive and finite.
-    pub fn with_demand_scale(mut self, scale: f64) -> Self {
-        assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
-        self.demand_scale = scale;
         self
     }
 
@@ -179,7 +159,7 @@ impl SpSampler {
             let problem = builder.build()?;
             let demand: Vec<Vec<f64>> = (0..self.num_locations)
                 .map(|_| {
-                    let level = self.demand_scale * rng.gen_range(0.5..1.5);
+                    let level = DEMAND_SCALE * rng.gen_range(0.5..1.5);
                     (0..self.horizon)
                         .map(|t| level * (1.0 + 0.3 * ((t as f64) * 1.1).sin()).max(0.1))
                         .collect()
@@ -206,17 +186,6 @@ mod tests {
         assert!(ServiceProvider::new(p.clone(), vec![vec![1.0], vec![1.0, 2.0]]).is_err());
         assert!(ServiceProvider::new(p.clone(), vec![vec![-1.0], vec![1.0]]).is_err());
         assert!(ServiceProvider::new(p, vec![vec![1.0], vec![2.0]]).is_ok());
-    }
-
-    #[test]
-    fn with_horizon_truncates_and_extends() {
-        let p = DsppBuilder::new(1, 1)
-            .price_trace(0, vec![1.0])
-            .build()
-            .unwrap();
-        let sp = ServiceProvider::new(p, vec![vec![1.0, 2.0, 3.0]]).unwrap();
-        assert_eq!(sp.clone().with_horizon(2).demand[0], vec![1.0, 2.0]);
-        assert_eq!(sp.with_horizon(5).demand[0], vec![1.0, 2.0, 3.0, 3.0, 3.0]);
     }
 
     #[test]

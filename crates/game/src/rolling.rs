@@ -39,22 +39,6 @@ impl RollingReport {
     pub fn total_cost(&self) -> f64 {
         self.totals.iter().sum()
     }
-
-    /// The largest per-DC usage observed in any period.
-    pub fn peak_usage(&self) -> Vec<f64> {
-        if self.periods.is_empty() {
-            return Vec::new();
-        }
-        let nl = self.periods[0].usage.len();
-        (0..nl)
-            .map(|l| {
-                self.periods
-                    .iter()
-                    .map(|p| p.usage[l])
-                    .fold(0.0f64, f64::max)
-            })
-            .collect()
-    }
 }
 
 /// Runs the rolling W-MPC game over `periods` realized periods.
@@ -218,7 +202,6 @@ mod tests {
             }
         }
         assert!(report.total_cost() > 0.0);
-        assert_eq!(report.peak_usage().len(), 2);
     }
 
     #[test]

@@ -15,13 +15,6 @@ pub enum RequestClass {
 }
 
 impl RequestClass {
-    /// All classes, in stable draw order.
-    pub const ALL: [RequestClass; 3] = [
-        RequestClass::Interactive,
-        RequestClass::Standard,
-        RequestClass::Batch,
-    ];
-
     /// Maps a raw 2-bit draw onto a class (3 maps back to `Standard` so
     /// the distribution is 1/4 interactive, 1/2 standard, 1/4 batch).
     #[inline]

@@ -237,11 +237,6 @@ impl RouterSnapshot {
     pub fn version(&self) -> u64 {
         self.version
     }
-
-    /// Number of cities the snapshot covers.
-    pub fn num_cities(&self) -> usize {
-        self.offsets.len() - 1
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
-use std::fmt;
 use std::iter::FromIterator;
-use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
+use std::ops::{Add, Index, IndexMut, Sub};
 
 /// A dense `f64` vector.
 ///
@@ -56,11 +55,6 @@ impl Vector {
     /// Borrows the entries as a mutable slice.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the vector, returning the underlying storage.
-    pub fn into_inner(self) -> Vec<f64> {
-        self.data
     }
 
     /// Iterates over the entries.
@@ -121,21 +115,6 @@ impl Vector {
     /// Infinity norm (largest absolute entry; `0.0` for the empty vector).
     pub fn norm_inf(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
-    }
-
-    /// Sum of the entries.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// Smallest entry, or `+inf` for the empty vector.
-    pub fn min(&self) -> f64 {
-        self.data.iter().fold(f64::INFINITY, |m, &x| m.min(x))
-    }
-
-    /// Largest entry, or `-inf` for the empty vector.
-    pub fn max(&self) -> f64 {
-        self.data.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x))
     }
 
     /// Writes the element-wise product `self ∘ other` into `out`.
@@ -199,12 +178,6 @@ impl FromIterator<f64> for Vector {
     }
 }
 
-impl Extend<f64> for Vector {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        self.data.extend(iter);
-    }
-}
-
 impl Index<usize> for Vector {
     type Output = f64;
     fn index(&self, i: usize) -> &f64 {
@@ -223,14 +196,6 @@ impl<'a> IntoIterator for &'a Vector {
     type IntoIter = std::slice::Iter<'a, f64>;
     fn into_iter(self) -> Self::IntoIter {
         self.data.iter()
-    }
-}
-
-impl IntoIterator for Vector {
-    type Item = f64;
-    type IntoIter = std::vec::IntoIter<f64>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.data.into_iter()
     }
 }
 
@@ -255,47 +220,6 @@ impl Sub for &Vector {
             .zip(rhs.data.iter())
             .map(|(a, b)| a - b)
             .collect()
-    }
-}
-
-impl AddAssign<&Vector> for Vector {
-    fn add_assign(&mut self, rhs: &Vector) {
-        self.axpy(1.0, rhs);
-    }
-}
-
-impl SubAssign<&Vector> for Vector {
-    fn sub_assign(&mut self, rhs: &Vector) {
-        self.axpy(-1.0, rhs);
-    }
-}
-
-impl Mul<f64> for &Vector {
-    type Output = Vector;
-    fn mul(self, rhs: f64) -> Vector {
-        let mut out = self.clone();
-        out.scale(rhs);
-        out
-    }
-}
-
-impl Neg for &Vector {
-    type Output = Vector;
-    fn neg(self) -> Vector {
-        self * -1.0
-    }
-}
-
-impl fmt::Display for Vector {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[")?;
-        for (i, x) in self.data.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{x:.6}")?;
-        }
-        write!(f, "]")
     }
 }
 
@@ -332,21 +256,6 @@ mod tests {
         let b = Vector::from(vec![3.0, 5.0]);
         assert_eq!((&a + &b).as_slice(), &[4.0, 7.0]);
         assert_eq!((&b - &a).as_slice(), &[2.0, 3.0]);
-        assert_eq!((&a * 3.0).as_slice(), &[3.0, 6.0]);
-        assert_eq!((-&a).as_slice(), &[-1.0, -2.0]);
-        let mut c = a.clone();
-        c += &b;
-        assert_eq!(c.as_slice(), &[4.0, 7.0]);
-        c -= &b;
-        assert_eq!(c.as_slice(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn reductions() {
-        let a = Vector::from(vec![-1.0, 4.0, 2.0]);
-        assert_eq!(a.sum(), 5.0);
-        assert_eq!(a.min(), -1.0);
-        assert_eq!(a.max(), 4.0);
     }
 
     #[test]
@@ -408,7 +317,9 @@ mod tests {
             let a = Vector::from(xs.clone());
             let mut c = a.clone();
             c.axpy(alpha, &a);
-            let expect = &a + &(&a * alpha);
+            let mut scaled = a.clone();
+            scaled.scale(alpha);
+            let expect = &a + &scaled;
             prop_assert!((&c - &expect).norm_inf() < 1e-9);
         }
     }

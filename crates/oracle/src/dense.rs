@@ -534,7 +534,9 @@ mod tests {
         a.matvec_into(&x, &mut out);
         assert_eq!(out, a.matvec(&x));
         a.matvec_acc(2.0, &x, &mut out);
-        assert_eq!(out, &a.matvec(&x) + &a.matvec(&(&x * 2.0)));
+        let mut x2 = x.clone();
+        x2.scale(2.0);
+        assert_eq!(out, &a.matvec(&x) + &a.matvec(&x2));
 
         let mut out_t = Vector::zeros(3);
         a.matvec_t_acc(1.0, &y, &mut out_t);
@@ -613,8 +615,11 @@ mod tests {
         ) {
             let a = from_entries(3, &entries);
             let x = Vector::from(x);
-            let lhs = a.matvec(&(&x * alpha));
-            let rhs = &a.matvec(&x) * alpha;
+            let mut scaled = x.clone();
+            scaled.scale(alpha);
+            let lhs = a.matvec(&scaled);
+            let mut rhs = a.matvec(&x);
+            rhs.scale(alpha);
             prop_assert!((&lhs - &rhs).norm_inf() < 1e-9);
         }
     }

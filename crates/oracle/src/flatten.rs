@@ -230,13 +230,13 @@ mod tests {
         for k in 0..lq.horizon() {
             assert!(
                 (&us[k] - &sol_lq.us[k]).norm_inf() < 1e-4,
-                "u[{k}]: {} vs {}",
+                "u[{k}]: {:?} vs {:?}",
                 us[k],
                 sol_lq.us[k]
             );
             assert!(
                 (&xs[k] - &sol_lq.xs[k + 1]).norm_inf() < 1e-4,
-                "x[{}]: {} vs {}",
+                "x[{}]: {:?} vs {:?}",
                 k + 1,
                 xs[k],
                 sol_lq.xs[k + 1]

@@ -46,7 +46,9 @@ pub fn solve_qp(problem: &QpProblem, settings: &IpmSettings) -> Result<QpSolutio
     // If completely unconstrained, a single Newton solve finishes the job.
     if m == 0 && p_eq == 0 {
         let chol = Cholesky::factor_regularized(&problem.p, REGULARIZATION)?;
-        let x = chol.solve(&(-&problem.q));
+        let mut neg_q = problem.q.clone();
+        neg_q.scale(-1.0);
+        let x = chol.solve(&neg_q);
         let objective = problem.objective(&x);
         return Ok(QpSolution {
             x,
@@ -69,10 +71,10 @@ pub fn solve_qp(problem: &QpProblem, settings: &IpmSettings) -> Result<QpSolutio
         let px = problem.p.matvec(&x);
         let mut r_dual = &px + &problem.q;
         if p_eq > 0 {
-            r_dual += &problem.a.matvec_t(&y);
+            r_dual.axpy(1.0, &problem.a.matvec_t(&y));
         }
         if m > 0 {
-            r_dual += &problem.g.matvec_t(&z);
+            r_dual.axpy(1.0, &problem.g.matvec_t(&z));
         }
         let r_eq = if p_eq > 0 {
             &problem.a.matvec(&x) - &problem.b
@@ -177,13 +179,14 @@ pub fn solve_qp(problem: &QpProblem, settings: &IpmSettings) -> Result<QpSolutio
         // residual r_c, returning (dx, dy, dz, ds).
         let solve_step = |r_c: &Vector| -> (Vector, Vector, Vector, Vector) {
             // rhs_x = -(r_dual + Gᵀ S⁻¹ (Z r_ineq − r_c))
-            let mut rhs_x = -&r_dual;
+            let mut rhs_x = r_dual.clone();
+            rhs_x.scale(-1.0);
             if m > 0 {
                 let mut t = Vector::zeros(m);
                 for i in 0..m {
                     t[i] = (z[i] * r_ineq[i] - r_c[i]) / s[i];
                 }
-                rhs_x -= &problem.g.matvec_t(&t);
+                rhs_x.axpy(-1.0, &problem.g.matvec_t(&t));
             }
             let (dx, dy) = match &factor {
                 Factor::Chol(c) => (c.solve(&rhs_x), Vector::zeros(0)),
@@ -275,10 +278,10 @@ pub fn solve_qp(problem: &QpProblem, settings: &IpmSettings) -> Result<QpSolutio
     let px = problem.p.matvec(&x);
     let mut r_dual = &px + &problem.q;
     if p_eq > 0 {
-        r_dual += &problem.a.matvec_t(&y);
+        r_dual.axpy(1.0, &problem.a.matvec_t(&y));
     }
     if m > 0 {
-        r_dual += &problem.g.matvec_t(&z);
+        r_dual.axpy(1.0, &problem.g.matvec_t(&z));
     }
     let feas_ok = r_dual.norm_inf() <= loose * settings.tol_feasibility * scale_q
         && problem.max_violation(&x) <= loose * settings.tol_feasibility * scale_h.max(scale_b);
@@ -471,9 +474,9 @@ mod tests {
             .unwrap();
         let sol = solve_qp(&qp, &settings()).unwrap();
         let grad = &(&p.matvec(&sol.x) + &q) + &g.matvec_t(&sol.z);
-        assert!(grad.norm_inf() < 1e-5, "stationarity residual {grad}");
-        assert!(sol.z.min() >= -1e-9);
-        assert!(sol.s.min() >= -1e-9);
+        assert!(grad.norm_inf() < 1e-5, "stationarity residual {grad:?}");
+        assert!(sol.z.iter().all(|&z| z >= -1e-9));
+        assert!(sol.s.iter().all(|&s| s >= -1e-9));
         // Complementarity.
         let mut zs = Vector::zeros(sol.z.len());
         sol.z.hadamard_into(&sol.s, &mut zs);

@@ -61,7 +61,9 @@ impl LqStage {
     /// Sets a diagonal quadratic input cost `Σ w_i u_i²` (i.e. `R = 2·diag(w)`
     /// so that `½uᵀRu = Σ w_i u_i²`).
     pub fn with_input_penalty(mut self, w: &Vector) -> Self {
-        self.r_mat = Matrix::from_diag(&(w * 2.0));
+        let mut w2 = w.clone();
+        w2.scale(2.0);
+        self.r_mat = Matrix::from_diag(&w2);
         self
     }
 
@@ -78,9 +80,7 @@ impl LqStage {
         assert_eq!(cu.cols(), self.input_dim(), "cu column mismatch");
         self.cx = self.cx.vstack(&cx);
         self.cu = self.cu.vstack(&cu);
-        let mut dd = self.d.clone();
-        dd.extend(d.iter().copied());
-        self.d = dd;
+        self.d = self.d.iter().chain(d.iter()).copied().collect();
         self
     }
 
@@ -148,9 +148,7 @@ impl LqTerminal {
         assert_eq!(cx.rows(), d.len(), "constraint row mismatch");
         assert_eq!(cx.cols(), self.q_vec.len(), "cx column mismatch");
         self.cx = self.cx.vstack(&cx);
-        let mut dd = self.d.clone();
-        dd.extend(d.iter().copied());
-        self.d = dd;
+        self.d = self.d.iter().chain(d.iter()).copied().collect();
         self
     }
 
@@ -297,8 +295,8 @@ impl LqProblem {
         for (k, st) in self.stages.iter().enumerate() {
             let x = &xs[k];
             let mut xn = st.a.matvec(x);
-            xn += &st.b.matvec(&us[k]);
-            xn += &st.c;
+            xn.axpy(1.0, &st.b.matvec(&us[k]));
+            xn.axpy(1.0, &st.c);
             xs.push(xn);
         }
         xs
@@ -325,12 +323,18 @@ impl LqProblem {
         for (k, st) in self.stages.iter().enumerate() {
             if st.num_constraints() > 0 {
                 let lhs = &st.cx.matvec(&xs[k]) + &st.cu.matvec(&us[k]);
-                v = v.max((&lhs - &st.d).max().max(0.0));
+                let worst = (&lhs - &st.d)
+                    .iter()
+                    .fold(f64::NEG_INFINITY, |m, &x| m.max(x));
+                v = v.max(worst.max(0.0));
             }
         }
         if !self.terminal.d.is_empty() {
             let lhs = self.terminal.cx.matvec(&xs[self.horizon()]);
-            v = v.max((&lhs - &self.terminal.d).max().max(0.0));
+            let worst = (&lhs - &self.terminal.d)
+                .iter()
+                .fold(f64::NEG_INFINITY, |m, &x| m.max(x));
+            v = v.max(worst.max(0.0));
         }
         v
     }

@@ -172,7 +172,8 @@ impl QpProblem {
         }
         if self.num_inequalities() > 0 {
             let slack = &self.h - &self.g.matvec(x);
-            v = v.max((-slack.min()).max(0.0));
+            let min_slack = slack.iter().fold(f64::INFINITY, |m, &x| m.min(x));
+            v = v.max((-min_slack).max(0.0));
         }
         v
     }

@@ -461,24 +461,24 @@ mod tests {
         // for k = 1..nst-1 and the terminal row.
         for (k, q_hat) in q_hats.iter().enumerate().take(nst).skip(1) {
             let mut lhs = q_hat.clone();
-            lhs += &problem.stages[k].a.matvec_t(&step.dlams[k]);
-            lhs -= &step.dlams[k - 1];
-            assert!(lhs.norm_inf() < 1e-10, "x-row {k}: {lhs}");
+            lhs.axpy(1.0, &problem.stages[k].a.matvec_t(&step.dlams[k]));
+            lhs.axpy(-1.0, &step.dlams[k - 1]);
+            assert!(lhs.norm_inf() < 1e-10, "x-row {k}: {lhs:?}");
         }
         let mut term = q_hats[nst].clone();
-        term -= &step.dlams[nst - 1];
-        assert!(term.norm_inf() < 1e-10, "terminal row: {term}");
+        term.axpy(-1.0, &step.dlams[nst - 1]);
+        assert!(term.norm_inf() < 1e-10, "terminal row: {term:?}");
         // u rows: R̃Δu + r̂ + BᵀΔλ_k = 0.
         for k in 0..nst {
             let mut lhs = r_mods[k].matvec(&step.dus[k]);
-            lhs += &r_hats[k];
-            lhs += &problem.stages[k].b.matvec_t(&step.dlams[k]);
-            assert!(lhs.norm_inf() < 1e-10, "u-row {k}: {lhs}");
+            lhs.axpy(1.0, &r_hats[k]);
+            lhs.axpy(1.0, &problem.stages[k].b.matvec_t(&step.dlams[k]));
+            assert!(lhs.norm_inf() < 1e-10, "u-row {k}: {lhs:?}");
         }
         // Dynamics of increments are homogeneous.
         for k in 0..nst {
             let mut rhs = problem.stages[k].a.matvec(&step.dxs[k]);
-            rhs += &problem.stages[k].b.matvec(&step.dus[k]);
+            rhs.axpy(1.0, &problem.stages[k].b.matvec(&step.dus[k]));
             assert!((&step.dxs[k + 1] - &rhs).norm_inf() < 1e-12);
         }
         assert!(step.dxs[0].norm_inf() == 0.0);

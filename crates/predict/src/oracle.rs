@@ -43,11 +43,6 @@ impl OraclePredictor {
         );
         OraclePredictor { truth }
     }
-
-    /// Number of series the oracle knows about.
-    pub fn num_series(&self) -> usize {
-        self.truth.len()
-    }
 }
 
 impl Predictor for OraclePredictor {

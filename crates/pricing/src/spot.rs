@@ -64,11 +64,6 @@ impl SpotMarket {
         self
     }
 
-    /// The base (spike-free) price at `t_hours`.
-    pub fn base_price(&self, t_hours: f64) -> f64 {
-        self.base.price_at(t_hours)
-    }
-
     /// Generates a single-region spot trace (`1 × periods`).
     pub fn trace(&self, periods: usize, period_hours: f64, seed: u64) -> PriceTrace {
         assert!(periods > 0, "need at least one period");

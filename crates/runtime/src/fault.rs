@@ -152,12 +152,6 @@ impl FaultPlan {
         })
     }
 
-    /// Number of periods covered by at least one solver outage within a
-    /// trace of `total_steps` executable periods.
-    pub fn outage_periods(&self, total_steps: usize) -> usize {
-        (0..total_steps).filter(|&k| self.outage_at(k)).count()
-    }
-
     /// Applies every demand spike to a `[location][period]` trace,
     /// treating the period index as the flash crowd's hour axis.
     pub fn apply_to_demand(&self, demand: &mut [Vec<f64>]) {
@@ -248,13 +242,6 @@ impl FaultPlan {
                 })
                 .collect(),
         )
-    }
-
-    /// Which data centers still have non-zero capacity at period `k`.
-    pub fn alive_mask(&self, num_dcs: usize, k: usize) -> Vec<bool> {
-        (0..num_dcs)
-            .map(|l| self.capacity_factor(l, k) > 0.0)
-            .collect()
     }
 
     /// Number of data centers with zero surviving capacity at period `k`.
@@ -442,8 +429,6 @@ mod tests {
         let plan = FaultPlan::new().solver_outage(2, 2).solver_outage(7, 1);
         let hit: Vec<usize> = (0..10).filter(|&k| plan.outage_at(k)).collect();
         assert_eq!(hit, vec![2, 3, 7]);
-        assert_eq!(plan.outage_periods(10), 3);
-        assert_eq!(plan.outage_periods(3), 1);
         assert!(!FaultPlan::new().outage_at(0));
     }
 
@@ -485,7 +470,6 @@ mod tests {
         assert_eq!(plan.capacity_factor(0, 4), 0.5);
         assert_eq!(plan.capacity_factor(0, 5), 1.0);
         assert_eq!(plan.capacity_factor(1, 3), 0.4);
-        assert_eq!(plan.alive_mask(2, 2), vec![false, true]);
         assert_eq!(plan.dcs_down(2, 2), 1);
         assert_eq!(plan.dcs_down(2, 0), 0);
         assert!(!FaultPlan::new().solver_outage(0, 1).has_capacity_faults());

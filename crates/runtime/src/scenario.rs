@@ -222,6 +222,7 @@ mod tests {
     use super::*;
     use dspp_core::{DsppBuilder, MpcController, MpcSettings};
     use dspp_predict::LastValue;
+    use std::collections::BTreeSet;
 
     fn demand() -> Vec<Vec<f64>> {
         vec![vec![40.0, 55.0, 70.0, 85.0, 70.0, 55.0, 40.0, 40.0]]
@@ -375,42 +376,44 @@ mod tests {
         );
     }
 
+    /// Two 2-server DCs, one city, equal latencies: demand 240 needs
+    /// exactly 3 servers (a = 1/80).
+    fn two_dc_mpc() -> Box<dyn PlacementPolicy> {
+        let problem = DsppBuilder::new(2, 1)
+            .service_rate(100.0)
+            .sla_latency(0.060)
+            .latency_rows(vec![vec![0.010], vec![0.010]])
+            .capacity(0, 2.0)
+            .capacity(1, 2.0)
+            .price_trace(0, vec![1.0])
+            .price_trace(1, vec![1.0])
+            .build()
+            .unwrap();
+        Box::new(
+            MpcController::new(
+                problem,
+                Box::new(LastValue),
+                MpcSettings {
+                    horizon: 3,
+                    ..MpcSettings::default()
+                },
+            )
+            .unwrap(),
+        )
+    }
+
     #[test]
     fn dc_outage_sheds_the_analytic_deficit_and_pages_the_outage_slo() {
         use dspp_telemetry::AlertState;
-        // Two 2-server DCs, one city, equal latencies: demand 240 needs
-        // exactly 3 servers (a = 1/80). Losing DC 1 for two periods
-        // leaves a 1-server deficit per period, which the recovery rung
-        // must shed exactly — no fallbacks, books balanced.
-        let mk = || -> Box<dyn PlacementPolicy> {
-            let problem = DsppBuilder::new(2, 1)
-                .service_rate(100.0)
-                .sla_latency(0.060)
-                .latency_rows(vec![vec![0.010], vec![0.010]])
-                .capacity(0, 2.0)
-                .capacity(1, 2.0)
-                .price_trace(0, vec![1.0])
-                .price_trace(1, vec![1.0])
-                .build()
-                .unwrap();
-            Box::new(
-                MpcController::new(
-                    problem,
-                    Box::new(LastValue),
-                    MpcSettings {
-                        horizon: 3,
-                        ..MpcSettings::default()
-                    },
-                )
-                .unwrap(),
-            )
-        };
+        // Losing DC 1 of `two_dc_mpc` for two periods leaves a 1-server
+        // deficit per period, which the recovery rung must shed exactly —
+        // no fallbacks, books balanced.
         let telemetry = Recorder::enabled();
         let trace = vec![vec![240.0; 8]];
         let spec = ScenarioSpec::new("dc-outage", trace)
             .with_faults(FaultPlan::new().dc_outage(1, 2, 2))
             .with_slos(vec![SloSpec::dc_outage()]);
-        let outcome = run_scenario(mk(), &spec, &telemetry).unwrap();
+        let outcome = run_scenario(two_dc_mpc(), &spec, &telemetry).unwrap();
         assert_eq!(outcome.report.periods.len(), 7, "run must complete");
         assert_eq!(outcome.fallback_periods, 0, "recovery must absorb it");
         assert!(outcome.recovery_periods >= 2);
@@ -479,7 +482,6 @@ mod tests {
 
     #[test]
     fn runtime_metric_catalogue_matches_the_docs() {
-        use std::collections::BTreeSet;
         // A two-worker batch: a solver outage that retries and falls back,
         // a checkpoint drill, and a scenario whose controller factory
         // panics.
@@ -504,29 +506,78 @@ mod tests {
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.counter("runtime.checkpoints"), 1);
         assert_eq!(snap.counter("runtime.job_panics"), 1);
-        let emitted: BTreeSet<&str> = snap
-            .counters
+        assert_eq!(
+            emitted(&snap, "runtime."),
+            documented("### `runtime.*`"),
+            "emitted vs documented runtime.* metrics"
+        );
+    }
+
+    #[test]
+    fn faults_metric_catalogue_matches_the_docs() {
+        use crate::CheckpointStore;
+        // One recorder sees a scenario with a DC outage and a capacity
+        // degradation, then a checkpoint store that writes three
+        // generations, has its newest corrupted and rolls back.
+        let telemetry = Recorder::enabled();
+        let spec = ScenarioSpec::new("capacity-faults", vec![vec![240.0; 8]]).with_faults(
+            FaultPlan::new()
+                .dc_outage(1, 2, 2)
+                .capacity_degrade(0, 0.5, 5, 2),
+        );
+        let outcome = run_scenario(two_dc_mpc(), &spec, &telemetry).unwrap();
+        assert_eq!(outcome.report.periods.len(), 7, "run must complete");
+        let dir =
+            std::env::temp_dir().join(format!("dspp-faults-catalogue-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir, "sim", 3)
+            .unwrap()
+            .with_telemetry(telemetry.clone());
+        for payload in ["one", "two", "three"] {
+            store.write(payload).unwrap();
+        }
+        let newest = dir.join(format!("sim.gen{:08}.ckpt", 3));
+        let mut bytes = std::fs::read(&newest).unwrap();
+        let n = bytes.len();
+        bytes[n - 3] ^= 0xff;
+        std::fs::write(&newest, &bytes).unwrap();
+        assert_eq!(store.load_latest().unwrap().payload, "two");
+        std::fs::remove_dir_all(&dir).unwrap();
+        let snap = telemetry.snapshot().unwrap();
+        assert_eq!(snap.counter("faults.dc_outage_onsets"), 1);
+        assert_eq!(snap.counter("faults.capacity_degrade_onsets"), 1);
+        assert_eq!(snap.counter("faults.checkpoint_rollbacks"), 1);
+        assert_eq!(
+            emitted(&snap, "faults."),
+            documented("### The `faults.*` metric namespace"),
+            "emitted vs documented faults.* metrics"
+        );
+    }
+
+    /// Every metric name in `snap` that starts with `prefix`.
+    fn emitted<'a>(snap: &'a dspp_telemetry::Snapshot, prefix: &str) -> BTreeSet<&'a str> {
+        snap.counters
             .keys()
             .chain(snap.gauges.keys())
             .chain(snap.histograms.keys())
             .map(String::as_str)
-            .filter(|name| name.starts_with("runtime."))
-            .collect();
-        // The rows of the `runtime.*` table in OBSERVABILITY.md.
+            .filter(|name| name.starts_with(prefix))
+            .collect()
+    }
+
+    /// The metric rows of the `docs/OBSERVABILITY.md` table under
+    /// `heading`.
+    fn documented(heading: &str) -> BTreeSet<&'static str> {
         let doc = include_str!("../../../docs/OBSERVABILITY.md");
         let section = doc
-            .split("### `runtime.*`")
+            .split(heading)
             .nth(1)
-            .expect("OBSERVABILITY.md has the runtime.* section");
+            .unwrap_or_else(|| panic!("OBSERVABILITY.md has no {heading:?} section"));
         let section = section.split("\n#").next().unwrap_or(section);
-        let documented: BTreeSet<&str> = section
+        section
             .lines()
             .filter_map(|line| line.strip_prefix("| `"))
             .filter_map(|line| line.split('`').next())
-            .collect();
-        assert_eq!(
-            emitted, documented,
-            "emitted vs documented runtime.* metrics"
-        );
+            .collect()
     }
 }

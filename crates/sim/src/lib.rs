@@ -1,23 +1,16 @@
-//! Closed-loop and discrete-event simulation for the `dspp` workspace.
+//! Closed-loop simulation for the `dspp` workspace.
 //!
-//! Two levels of fidelity:
-//!
-//! * [`ClosedLoopSim`] — the *fluid* simulator behind every figure of the
-//!   paper's evaluation: it feeds a realized demand trace into any
-//!   [`dspp_core::PlacementPolicy`] period by period, applies the
-//!   returned allocation and routing, evaluates the M/M/1 SLA model
-//!   analytically, and accounts costs (`H_k`, `G_k`).
-//! * [`DesConfig`] / [`run_des`] — a request-level discrete-event
-//!   simulator of server pools (Poisson arrivals, exponential service,
-//!   FCFS queues). It exists to *validate* the analytic model the SLA
-//!   constraint is derived from: a pool provisioned at `x = a·σ` should
-//!   empirically meet the latency target. The integration tests and one
-//!   experiment ablation do exactly that check.
+//! [`ClosedLoopSim`] is the *fluid* simulator behind every figure of the
+//! paper's evaluation: it feeds a realized demand trace into any
+//! [`dspp_core::PlacementPolicy`] period by period, applies the returned
+//! allocation and routing, evaluates the M/M/1 SLA model analytically
+//! ([`evaluate_sla`]), and accounts costs (`H_k`, `G_k`). The
+//! request-level discrete-event simulator that checks that analytic model
+//! lives beside its only caller, the `des_validates_fluid` integration
+//! test.
 //!
 //! [`Monitor`] is the paper's monitoring module (architecture Figure 2):
 //! online EWMA statistics and flash-crowd/price-spike anomaly flags.
-//! [`SharedRecorder`] collects time series from concurrently running
-//! simulations (the experiments crate sweeps parameters across threads).
 //!
 //! # Examples
 //!
@@ -51,14 +44,10 @@
 
 mod checkpoint;
 mod closed_loop;
-mod des;
 mod fluid;
 mod monitor;
-mod recorder;
 
 pub use checkpoint::{SimCheckpoint, CHECKPOINT_SCHEMA_VERSION};
 pub use closed_loop::{ClosedLoopSim, SimPeriod, SimReport};
-pub use des::{run_des, DesConfig, PoolSpec, PoolStats};
 pub use fluid::{evaluate_sla, SlaReport};
 pub use monitor::{EwmaStat, Monitor};
-pub use recorder::SharedRecorder;

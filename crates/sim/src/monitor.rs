@@ -9,6 +9,10 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Observations required before alarms may fire: variance estimates are
+/// unreliable while the EWMA is cold.
+const WARMUP: usize = 10;
+
 /// Exponentially-weighted running mean/variance of one series.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EwmaStat {
@@ -88,9 +92,6 @@ pub struct Monitor {
     stats: Vec<EwmaStat>,
     /// |z| above which an observation is flagged.
     z_threshold: f64,
-    /// Observations required before alarms may fire (variance estimates
-    /// are unreliable while the EWMA is cold).
-    warmup: usize,
     /// Total observations fed.
     count: usize,
     /// Total anomalies flagged, per series.
@@ -110,17 +111,9 @@ impl Monitor {
         Monitor {
             stats: (0..series).map(|_| EwmaStat::new(alpha)).collect(),
             z_threshold,
-            warmup: 10,
             count: 0,
             anomaly_counts: vec![0; series],
         }
-    }
-
-    /// Changes the number of observations required before alarms may fire
-    /// (default 10).
-    pub fn with_warmup(mut self, warmup: usize) -> Self {
-        self.warmup = warmup;
-        self
     }
 
     /// Feeds one period of observations; returns the indices of series
@@ -133,7 +126,7 @@ impl Monitor {
     pub fn observe(&mut self, values: &[f64]) -> Vec<usize> {
         assert_eq!(values.len(), self.stats.len(), "series count mismatch");
         let mut alarms = Vec::new();
-        let armed = self.count >= self.warmup;
+        let armed = self.count >= WARMUP;
         for (i, (&x, stat)) in values.iter().zip(self.stats.iter_mut()).enumerate() {
             if armed {
                 if let Some(z) = stat.z_score(x) {
@@ -269,21 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn warmup_zero_arms_after_first_observation() {
-        // With no warmup the monitor may alarm as soon as a z-score exists
-        // — i.e. from the second observation on (the first only seeds the
-        // mean).
-        let mut mon = Monitor::new(1, 0.3, 4.0).with_warmup(0);
-        assert!(mon.observe(&[100.0]).is_empty(), "no history yet");
-        let alarms = mon.observe(&[10_000.0]);
-        assert_eq!(alarms, vec![0], "second observation must be scoreable");
-        assert_eq!(mon.anomaly_counts(), &[1]);
-    }
-
-    #[test]
     fn default_warmup_suppresses_early_alarms() {
-        // Identical spike, default warmup of 10: the early periods stay
-        // silent even though the z-score would have fired.
+        // A spike inside the warm-up stays silent even though its z-score
+        // would fire.
         let mut mon = Monitor::new(1, 0.3, 4.0);
         mon.observe(&[100.0]);
         assert!(mon.observe(&[10_000.0]).is_empty());

@@ -402,12 +402,6 @@ impl StructuredLq {
         self.m_rows
     }
 
-    /// Number of coupling rows (both groups) per slot — the rows the
-    /// Schur complement eliminates.
-    pub fn num_coupling_rows(&self) -> usize {
-        self.group_a.len() + self.group_b.len()
-    }
-
     /// Constraint left-hand side `C x` for one slot, written into `out`
     /// (length at least `m_rows`; only the first `m_rows` entries are
     /// written).

@@ -47,7 +47,7 @@ mod trace;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
@@ -268,16 +268,6 @@ impl Recorder {
     }
 }
 
-/// Process-wide registry-backed recorder, lazily created on first use.
-///
-/// Binaries that want telemetry without threading a [`Recorder`] through
-/// construction (the experiment runner, the quickstart example) clone
-/// this and hand it to settings structs. Library code never touches it.
-pub fn global() -> &'static Recorder {
-    static GLOBAL: OnceLock<Recorder> = OnceLock::new();
-    GLOBAL.get_or_init(Recorder::enabled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,13 +333,5 @@ mod tests {
         let snap = r.snapshot().unwrap();
         assert_eq!(snap.counter("n"), 4000);
         assert_eq!(snap.histogram("v").unwrap().count, 4000);
-    }
-
-    #[test]
-    fn global_is_shared_and_enabled() {
-        let a = global();
-        a.incr("telemetry.test.global", 1);
-        let b = global();
-        assert!(b.snapshot().unwrap().counter("telemetry.test.global") >= 1);
     }
 }

@@ -240,15 +240,6 @@ pub enum TraceRecord {
 }
 
 impl TraceRecord {
-    /// The record's timestamp: event time, or span *end* time (the moment
-    /// it entered the flight recorder).
-    pub fn recorded_ns(&self) -> u64 {
-        match self {
-            TraceRecord::Span(s) => s.end_ns,
-            TraceRecord::Event(e) => e.ts_ns,
-        }
-    }
-
     /// The record's name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -891,7 +882,14 @@ mod tests {
                 attrs: vec![],
             }));
         }
-        let kept: Vec<u64> = recorder.records().iter().map(|r| r.recorded_ns()).collect();
+        let kept: Vec<u64> = recorder
+            .records()
+            .iter()
+            .map(|r| match r {
+                TraceRecord::Event(e) => e.ts_ns,
+                TraceRecord::Span(s) => s.end_ns,
+            })
+            .collect();
         assert_eq!(kept, vec![3, 4]);
         assert_eq!(recorder.dropped(), 3);
         assert_eq!(recorder.len(), 2);

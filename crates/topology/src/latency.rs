@@ -70,11 +70,6 @@ impl LatencyMatrix {
     pub fn row(&self, l: usize) -> &[f64] {
         &self.rows[l]
     }
-
-    /// The smallest latency from any data center to location `v`.
-    pub fn best_for_location(&self, v: usize) -> f64 {
-        self.rows.iter().map(|r| r[v]).fold(f64::INFINITY, f64::min)
-    }
 }
 
 /// Builds a latency matrix from great-circle distances.
@@ -161,12 +156,5 @@ mod tests {
                 "per_km_s = {bad}"
             );
         }
-    }
-
-    #[test]
-    fn best_for_location_picks_minimum() {
-        let m = LatencyMatrix::from_rows(vec![vec![0.05, 0.01], vec![0.02, 0.04]]).unwrap();
-        assert_eq!(m.best_for_location(0), 0.02);
-        assert_eq!(m.best_for_location(1), 0.01);
     }
 }

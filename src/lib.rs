@@ -20,8 +20,8 @@
 //! | [`pricing`] | `dspp-pricing` | regional electricity markets, VM power |
 //! | [`predict`] | `dspp-predict` | AR(p), seasonal-naive, oracle predictors |
 //! | [`core`] | `dspp-core` | DSPP model, MPC controller, request router |
-//! | [`game`] | `dspp-game` | best-response Algorithm 2, SWP, PoA/PoS |
-//! | [`sim`] | `dspp-sim` | fluid closed loop + discrete-event M/M/1 pools |
+//! | [`game`] | `dspp-game` | best-response Algorithm 2, SWP, ε-Nash gaps |
+//! | [`sim`] | `dspp-sim` | fluid closed loop, analytic M/M/1 SLA evaluation, EWMA monitor |
 //! | [`ingest`] | `dspp-ingest` | streaming front end: event generators, snapshot routing, shard tallies sealed into per-period demand |
 //! | [`telemetry`] | `dspp-telemetry` | counters/gauges/histograms, snapshots (`docs/OBSERVABILITY.md`) |
 //!

@@ -84,7 +84,7 @@ proptest! {
         for (k, u) in us.iter().enumerate() {
             prop_assert!(
                 (u - &sol_lq.us[k]).norm_inf() < 2e-3,
-                "u[{k}] mismatch: {} vs {}", u, sol_lq.us[k]
+                "u[{k}] mismatch: {:?} vs {:?}", u, sol_lq.us[k]
             );
         }
 
@@ -108,7 +108,7 @@ fn structured_solver_handles_long_horizons() {
     // The demand floor binds: total capability ≈ demand at late stages
     // (cheapest-variable concentration plus floor activity).
     let last = xs.last().expect("non-empty");
-    assert!(last.sum() >= 30.0 - 1e-4);
+    assert!(last.iter().sum::<f64>() >= 30.0 - 1e-4);
 }
 
 #[test]
