@@ -34,8 +34,8 @@ use dspp_telemetry::json::{self, JsonValue};
 use dspp_telemetry::{Recorder, SloEngine, SloSample, SloSpec};
 
 use crate::{
-    alloc_count, horizon_fixture, huge_problem, multi_dc_problem, paper_horizon, single_dc_problem,
-    starved_single_dc_problem,
+    alloc_count, horizon_fixture, huge_problem, multi_dc_problem, paper_brownout_controller,
+    paper_horizon, single_dc_problem, starved_single_dc_problem,
 };
 
 /// Largest tolerated no-op (disabled-recorder) telemetry overhead, as a
@@ -136,7 +136,7 @@ impl Metric {
 /// Every baseline workload, in canonical recording order. `record_selected`
 /// validates its `only` filter against this list, and the committed
 /// `BENCH_BASELINE.json` carries the workloads in exactly this order.
-pub const WORKLOADS: [&str; 15] = [
+pub const WORKLOADS: [&str; 16] = [
     "solver.lq_solve",
     "controller.step",
     "controller.recovery_step",
@@ -152,6 +152,7 @@ pub const WORKLOADS: [&str; 15] = [
     "runtime.dc_outage_drill",
     "solver.lq_solve.large",
     "controller.recovery_step.large",
+    "controller.recovery_step.paper",
 ];
 
 /// Runs every baseline workload with `iters` timed iterations each.
@@ -724,33 +725,37 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
             controller.set_capacity_schedule(vec![caps; 64]);
             controller
         };
-        let telemetry = Recorder::enabled();
-        let mut counted = make();
-        counted.attach_telemetry(telemetry.clone());
-        let (outcome, step_allocs) =
-            alloc_count::count(|| counted.step(&demand).expect("large recovery step"));
-        assert!(
-            outcome.recovery.is_some(),
-            "workload must exercise recovery"
-        );
-        let snap = telemetry.snapshot().expect("enabled recorder");
+        let counters = first_recovery_step_counters(&mut make(), &demand);
         // The schedule keeps DC 0 dark far past the handful of timed steps.
         let mut controller = make();
         let metric = measure("controller.recovery_step.large", 1, iters.min(5), || {
             let outcome = controller.step(&demand).expect("large recovery step");
             assert!(outcome.recovery.is_some(), "every step must recover");
         });
-        metric.with_counters(vec![
-            (
-                "ipm_iterations".to_string(),
-                outcome.solver_iterations as f64,
-            ),
-            ("allocs".to_string(), step_allocs as f64),
-            (
-                "schur_factor".to_string(),
-                snap.counter("solver.lq.schur_factor") as f64,
-            ),
-        ])
+        metric.with_counters(counters)
+    });
+
+    // 16. The paper-scale recovery step: the first MPC step on the paper
+    // instance (W = 5, default IPM settings) under `paper_stream`'s
+    // all-DC brownout three periods ahead, so the horizon sheds only in
+    // its later stages (`paper_brownout_controller`). Counters pin the
+    // step's IPM iterations, allocations and Schur factorizations. Each
+    // timed iteration is a fresh controller's first step; the controllers
+    // are built before the clock starts.
+    let recovery_paper_metric = pick("controller.recovery_step.paper").then(|| {
+        let (mut counted, demand) = paper_brownout_controller();
+        let counters = first_recovery_step_counters(&mut counted, &demand);
+        let mut fresh: Vec<MpcController> = (0..warmup + iters)
+            .map(|_| paper_brownout_controller().0)
+            .collect();
+        let mut stepped = Vec::with_capacity(fresh.len());
+        let metric = measure("controller.recovery_step.paper", warmup, iters, || {
+            let mut controller = fresh.pop().expect("one controller per iteration");
+            let outcome = controller.step(&demand).expect("paper recovery step");
+            assert!(outcome.recovery.is_some(), "every step must recover");
+            stepped.push(controller);
+        });
+        metric.with_counters(counters)
     });
 
     Baseline {
@@ -771,11 +776,40 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
             outage_metric,
             large_metric,
             recovery_large_metric,
+            recovery_paper_metric,
         ]
         .into_iter()
         .flatten()
         .collect(),
     }
+}
+
+/// Steps `controller` once, with an enabled recorder attached, and returns
+/// the step's exact counters: IPM iterations, allocations and Schur
+/// factorizations. The step must take the recovery path.
+fn first_recovery_step_counters(
+    controller: &mut MpcController,
+    demand: &[f64],
+) -> Vec<(String, f64)> {
+    let telemetry = Recorder::enabled();
+    controller.attach_telemetry(telemetry.clone());
+    let (outcome, allocs) = alloc_count::count(|| controller.step(demand).expect("recovery step"));
+    assert!(
+        outcome.recovery.is_some(),
+        "workload must exercise recovery"
+    );
+    let snap = telemetry.snapshot().expect("enabled recorder");
+    vec![
+        (
+            "ipm_iterations".to_string(),
+            outcome.solver_iterations as f64,
+        ),
+        ("allocs".to_string(), allocs as f64),
+        (
+            "schur_factor".to_string(),
+            snap.counter("solver.lq.schur_factor") as f64,
+        ),
+    ]
 }
 
 impl Baseline {
@@ -1278,6 +1312,17 @@ mod tests {
         let b = record_serial(1, &["controller.recovery_step.large".to_string()]);
         let m = &b.metrics[0];
         assert_eq!(m.name, "controller.recovery_step.large");
+        let counter = |key: &str| m.counters.iter().find(|(k, _)| k == key).expect(key).1;
+        assert!(counter("ipm_iterations") > 0.0);
+        assert!(counter("allocs") > 0.0);
+        assert!(counter("schur_factor") >= counter("ipm_iterations"));
+    }
+
+    #[test]
+    fn record_selected_runs_the_paper_recovery_step() {
+        let b = record_serial(1, &["controller.recovery_step.paper".to_string()]);
+        let m = &b.metrics[0];
+        assert_eq!(m.name, "controller.recovery_step.paper");
         let counter = |key: &str| m.counters.iter().find(|(k, _)| k == key).expect(key).1;
         assert!(counter("ipm_iterations") > 0.0);
         assert!(counter("allocs") > 0.0);

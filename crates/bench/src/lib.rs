@@ -57,8 +57,9 @@ pub mod alloc_count {
     }
 }
 
-use dspp_core::{Allocation, Dspp, DsppBuilder, HorizonProblem};
+use dspp_core::{Allocation, Dspp, DsppBuilder, HorizonProblem, MpcController, MpcSettings};
 use dspp_experiments::scenario::{populations, wide_area_problem, SLA_LATENCY};
+use dspp_predict::LastValue;
 
 /// Prediction horizon `W` of the paper-scale solve fixture: the
 /// end-to-end benchmark's `paper_stream` controller horizon.
@@ -70,27 +71,80 @@ const PAPER_HORIZON: usize = 5;
 /// between 0.55× and 1.45×.
 const PAPER_STREAM_RATE: f64 = 500_000.0 / 60.0;
 
+/// Peak of `paper_stream`'s diurnal demand shape, as a multiple of its
+/// mean rate (at 14:00).
+const PAPER_STREAM_PEAK: f64 = 1.45;
+
+/// Capacity share every DC keeps in a `paper_stream` brownout: 10 of its
+/// 2000 servers.
+const PAPER_STREAM_BROWNOUT: f64 = 0.005;
+
 /// The paper's instance: 4 data centers × all 24 access networks of the
 /// city database (65 SLA-feasible arcs), market prices, 2000 servers per
-/// DC, with one price period per horizon stage.
-fn paper_problem() -> Dspp {
+/// DC, with `periods` price periods.
+fn paper_problem(periods: usize) -> Dspp {
     let locations: Vec<usize> = (0..24).collect();
-    wide_area_problem(&locations, PAPER_HORIZON, 0.001, SLA_LATENCY)
-        .expect("the paper instance builds")
+    wide_area_problem(&locations, periods, 0.001, SLA_LATENCY).expect("the paper instance builds")
+}
+
+/// `scale` × `paper_stream`'s mean arrival rate (≈ 8 333 requests/s)
+/// split over the 24 cities by metro population, as `paper_stream`
+/// splits it.
+fn paper_demand(scale: f64) -> Vec<f64> {
+    let total = scale * PAPER_STREAM_RATE;
+    let pops = populations();
+    let sum: f64 = pops.iter().sum();
+    pops.iter().map(|p| total * p / sum).collect()
 }
 
 /// The paper-scale solve fixture: one control period's horizon
 /// (W = 5) on the paper's instance (4 DCs × 24 cities, 65 arcs), with
-/// `scale` × `paper_stream`'s mean arrival rate (≈ 8 333 requests/s)
-/// split over the cities by metro population, as `paper_stream` splits
-/// it. At `scale` 1 every DC runs under 1 % of its 2000 servers, so no
-/// capacity row binds.
+/// `scale` × `paper_stream`'s mean arrival rate split over the cities by
+/// population, one price period per stage. At `scale` 1 every DC runs
+/// under 1 % of its 2000 servers, so no capacity row binds.
 pub fn paper_horizon(scale: f64) -> HorizonProblem {
-    let total = scale * PAPER_STREAM_RATE;
-    let pops = populations();
-    let sum: f64 = pops.iter().sum();
-    let demand: Vec<f64> = pops.iter().map(|p| total * p / sum).collect();
-    horizon_fixture(&paper_problem(), &demand, PAPER_HORIZON)
+    horizon_fixture(
+        &paper_problem(PAPER_HORIZON),
+        &paper_demand(scale),
+        PAPER_HORIZON,
+    )
+}
+
+/// The paper-scale recovery fixture: an MPC controller (W = 5, default
+/// IPM settings, last-value forecast) on the paper's instance, the
+/// demand at `paper_stream`'s daytime peak, and `paper_stream`'s
+/// brownout three periods ahead: every DC keeps 0.5 % of its capacity in
+/// periods 3 to 5. The first step's horizon sheds only in its later
+/// stages. Returns the controller and the per-city demand to step it
+/// with.
+pub fn paper_brownout_controller() -> (MpcController, Vec<f64>) {
+    const PERIODS: usize = 16;
+    let problem = paper_problem(PERIODS);
+    let brownout: Vec<f64> = problem
+        .capacities()
+        .iter()
+        .map(|c| c * PAPER_STREAM_BROWNOUT)
+        .collect();
+    let schedule = (0..PERIODS)
+        .map(|k| {
+            if (3..6).contains(&k) {
+                brownout.clone()
+            } else {
+                problem.capacities().to_vec()
+            }
+        })
+        .collect();
+    let mut controller = MpcController::new(
+        problem,
+        Box::new(LastValue),
+        MpcSettings {
+            horizon: PAPER_HORIZON,
+            ..MpcSettings::default()
+        },
+    )
+    .expect("paper recovery controller");
+    controller.set_capacity_schedule(schedule);
+    (controller, paper_demand(PAPER_STREAM_PEAK))
 }
 
 /// One control period's horizon problem on `problem`, from an empty
@@ -201,7 +255,7 @@ mod tests {
 
     #[test]
     fn fixtures_are_solvable() {
-        let paper = paper_problem();
+        let paper = paper_problem(PAPER_HORIZON);
         assert_eq!(paper.num_arcs(), 65);
         let h = paper_horizon(1.0);
         assert_eq!(h.horizon(), PAPER_HORIZON);
@@ -219,6 +273,20 @@ mod tests {
         }
         assert_eq!(single_dc_problem(10).num_arcs(), 1);
         assert_eq!(multi_dc_problem(6, 10).num_arcs(), 24);
+    }
+
+    #[test]
+    fn paper_brownout_sheds_only_in_later_stages() {
+        let (mut controller, demand) = paper_brownout_controller();
+        let outcome = controller.step(&demand).unwrap();
+        let shed = outcome
+            .recovery
+            .expect("the brownout forces a recovery")
+            .horizon_resource_shortfall;
+        assert!(
+            shed[..3].iter().all(|&s| s < 1e-6) && shed[3..].iter().all(|&s| s > 1.0),
+            "{shed:?}"
+        );
     }
 
     #[test]

@@ -18,6 +18,12 @@ use dspp_telemetry::Recorder;
 /// deficit. Keep `penalty` well above the hosting prices — it is an exact
 /// penalty, so any value dominating the marginal hosting cost yields zero
 /// slack on feasible horizons.
+///
+/// The penalty does not set how far the solve converges: each slack
+/// starts at its row's violation with the row's penalty split between the
+/// row's dual and the slack's, and the duality-gap test is scaled by the
+/// placement's own objective (hosting plus reconfiguration), not the
+/// penalized one (see `dspp_solver::solve_structured_relaxed_traced`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoverySettings {
     /// Linear slack penalty per server of unserved capacity-equivalent.
@@ -704,6 +710,76 @@ mod tests {
         for x in out.solution.xs.iter().skip(1) {
             assert!(x.iter().sum::<f64>() <= 2.0 + 1e-5);
         }
+    }
+
+    /// A brownout seen ahead: two data centers run at full capacity for
+    /// two periods, then at 0.5 % for three, so only the later stages
+    /// shed. The recovery's first control and strict objective agree with
+    /// a re-solve of the same relaxation at tight tolerances, and the
+    /// solve takes the iterations it took when this test was written.
+    #[test]
+    fn recovery_answer_matches_a_tight_re_solve() {
+        let p = DsppBuilder::new(2, 3)
+            .service_rate(100.0)
+            .sla_latency(0.060)
+            .latency_rows(vec![vec![0.010, 0.020, 0.030], vec![0.030, 0.020, 0.010]])
+            .capacities(vec![40.0, 40.0])
+            .reconfiguration_weights(vec![0.001, 0.001])
+            .price_trace(0, vec![1.0, 1.1, 0.9])
+            .price_trace(1, vec![1.2, 0.8, 1.0])
+            .build()
+            .unwrap();
+        let w = 5;
+        let x0 = Allocation::from_arc_values(&p, vec![6.0; p.num_arcs()]);
+        let demand: Vec<Vec<f64>> = (0..3)
+            .map(|v| {
+                (0..w)
+                    .map(|t| 900.0 + 150.0 * v as f64 + 40.0 * t as f64)
+                    .collect()
+            })
+            .collect();
+        let prices: Vec<Vec<f64>> = (0..2)
+            .map(|l| (1..=w).map(|t| p.price(l, t)).collect())
+            .collect();
+        let caps: Vec<Vec<f64>> = (0..w)
+            .map(|t| vec![if t < 2 { 40.0 } else { 0.2 }; 2])
+            .collect();
+        let h = HorizonProblem::build_full(&p, &x0, &demand, &prices, Some(&caps), None).unwrap();
+        let recovery = RecoverySettings::default();
+        let out = h
+            .solve_recovery(
+                &IpmSettings::default(),
+                &recovery,
+                None,
+                &Recorder::disabled(),
+            )
+            .unwrap();
+        assert!(out.resource_shortfall[0] < 1e-6 && out.resource_shortfall[4] > 1.0);
+        assert!(
+            out.solution.iterations <= 11,
+            "{} iterations",
+            out.solution.iterations
+        );
+        let tight = IpmSettings {
+            max_iterations: 300,
+            tol_feasibility: 1e-13,
+            tol_gap: 1e-15,
+        };
+        let reference = solve_structured_relaxed_traced(
+            &h.slq,
+            &h.recovery_spec(&recovery),
+            &tight,
+            None,
+            &Recorder::disabled(),
+        )
+        .unwrap()
+        .solution;
+        let u0_err = (0..p.num_arcs())
+            .map(|e| (out.solution.us[0][e] - reference.us[0][e]).abs())
+            .fold(0.0f64, f64::max);
+        let rel = (out.solution.objective - reference.objective).abs() / reference.objective.abs();
+        assert!(u0_err <= 1e-6, "first control off by {u0_err:.3e} servers");
+        assert!(rel <= 1e-8, "strict objective off by {rel:.3e}");
     }
 
     #[test]

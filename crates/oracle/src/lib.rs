@@ -13,6 +13,8 @@
 //!   (`O(N·n³)` per iteration).
 //! * [`relax_lq`] builds the dense recovery relaxation: every constrained
 //!   slot but stage 0 gains slack on its leading rows.
+//!   [`RelaxedLq::solve`] solves it with the structured path's gap test,
+//!   scaled by the strict objective.
 //! * [`flatten_lq`] turns an [`LqProblem`] into the equivalent dense
 //!   [`QpProblem`], and [`solve_qp`] solves it with a dense Mehrotra
 //!   interior point (Cholesky, or a regularized quasi-definite `LDLᵀ`

@@ -13,19 +13,20 @@
 //! Terminal constraints have no input to extend, so the relaxed problem
 //! appends one extra stage with identity dynamics and slack-only inputs
 //! carrying the old terminal cost and constraints, followed by a free
-//! terminal. [`RelaxedLq::split_solution`] maps a solution of the relaxed
-//! problem back onto the original shapes and extracts the slack values.
+//! terminal. [`RelaxedLq::solve`] solves it and maps the answer back onto
+//! the original shapes, extracting the slack values.
 
 use crate::dense::MatrixOps;
+use crate::lq_ipm::solve_lq_inner;
 use crate::{LqProblem, LqStage, LqTerminal};
 use dspp_linalg::{Matrix, Vector};
-use dspp_solver::{LqSolution, RelaxedSolution, SoftSpec, SolverError};
+use dspp_solver::{IpmSettings, LqSolution, RelaxedSolution, SoftSpec, SolverError};
 
 /// A relaxed problem plus the bookkeeping to undo the augmentation.
 #[derive(Debug, Clone)]
 pub struct RelaxedLq {
-    /// The always-feasible augmented problem; solve it with
-    /// [`crate::solve_lq`].
+    /// The always-feasible augmented problem; [`RelaxedLq::solve`]
+    /// solves it.
     pub problem: LqProblem,
     /// Original input dimension per stage.
     orig_input_dims: Vec<usize>,
@@ -35,6 +36,8 @@ pub struct RelaxedLq {
     soft_counts: Vec<usize>,
     /// Whether an extra slack-only stage was appended for the terminal.
     extra_stage: bool,
+    /// The slack pricing.
+    spec: SoftSpec,
 }
 
 fn soften_rows(
@@ -200,18 +203,61 @@ pub fn relax_lq(problem: &LqProblem, spec: &SoftSpec) -> Result<RelaxedLq, Solve
         orig_row_counts,
         soft_counts,
         extra_stage,
+        spec: spec.clone(),
     })
 }
 
 impl RelaxedLq {
-    /// Splits a solution of the relaxed problem back into the original
-    /// problem's shapes plus the slack values.
+    /// Solves the relaxation with [`crate::solve_lq`]'s interior point and
+    /// maps the answer back onto `original`'s shapes plus the slack
+    /// values. As on the structured path, the duality-gap test is measured
+    /// against the strict objective, the relaxed one less the slack
+    /// penalty: the penalty on shed demand is orders of magnitude above
+    /// the placement's own cost, and a gap scaled by it stops short of
+    /// the optimum.
+    ///
+    /// # Errors
+    ///
+    /// As [`crate::solve_lq`].
     ///
     /// # Panics
     ///
-    /// Panics if `sol` does not have the relaxed problem's shapes (it
-    /// must come from solving [`RelaxedLq::problem`]).
-    pub fn split_solution(&self, original: &LqProblem, sol: &LqSolution) -> RelaxedSolution {
+    /// Panics if `original` is not the problem this relaxation was built
+    /// from.
+    pub fn solve(
+        &self,
+        original: &LqProblem,
+        settings: &IpmSettings,
+    ) -> Result<RelaxedSolution, SolverError> {
+        let strict = |us: &[Vector], objective: f64| objective - self.slack_penalty(us);
+        let sol = solve_lq_inner(&self.problem, settings, Some(&strict))?;
+        Ok(self.split_solution(original, &sol))
+    }
+
+    /// The slack penalty `Σ ρσ + εσ²` of a relaxed input sequence: slot
+    /// `k`'s slacks follow its original inputs, and the extra stage's
+    /// inputs are the terminal slacks.
+    fn slack_penalty(&self, us: &[Vector]) -> f64 {
+        let mut j = 0.0;
+        for (k, u) in us.iter().enumerate() {
+            let first = self.orig_input_dims.get(k).copied().unwrap_or(0);
+            for (i, &rho) in self
+                .spec
+                .penalties
+                .iter()
+                .take(self.soft_counts[k])
+                .enumerate()
+            {
+                let s = u[first + i];
+                j += rho * s + self.spec.quadratic * s * s;
+            }
+        }
+        j
+    }
+
+    /// Splits a solution of the relaxed problem back into the original
+    /// problem's shapes plus the slack values.
+    fn split_solution(&self, original: &LqProblem, sol: &LqSolution) -> RelaxedSolution {
         let nstages = original.horizon();
         assert_eq!(sol.us.len(), self.problem.horizon(), "relaxed input count");
 
@@ -273,7 +319,6 @@ impl RelaxedLq {
 mod tests {
     use super::*;
     use crate::solve_lq;
-    use dspp_solver::IpmSettings;
 
     /// One DC of capacity `cap`, one location, arc coefficient `a = 0.5`:
     /// demand row, capacity row, non-negativity, across 2 stages + terminal.
@@ -309,8 +354,7 @@ mod tests {
         let problem = placement_problem(20.0, [8.0, 12.0, 10.0]);
         let strict = solve_lq(&problem, &IpmSettings::default()).unwrap();
         let relaxed = relax_lq(&problem, &spec()).unwrap();
-        let sol = solve_lq(&relaxed.problem, &IpmSettings::default()).unwrap();
-        let split = relaxed.split_solution(&problem, &sol);
+        let split = relaxed.solve(&problem, &IpmSettings::default()).unwrap();
         assert!(split.max_slack() < 1e-5, "slack = {}", split.max_slack());
         assert!(
             (split.solution.objective - strict.objective).abs() < 1e-3,
@@ -330,8 +374,7 @@ mod tests {
         let problem = placement_problem(10.0, [8.0, 50.0, 8.0]);
         assert!(solve_lq(&problem, &IpmSettings::default()).is_err());
         let relaxed = relax_lq(&problem, &spec()).unwrap();
-        let sol = solve_lq(&relaxed.problem, &IpmSettings::default()).unwrap();
-        let split = relaxed.split_solution(&problem, &sol);
+        let split = relaxed.solve(&problem, &IpmSettings::default()).unwrap();
         // Slot 2 (stage 2) is the overloaded period; its slack must cover
         // exactly the unserved demand: 50 − 10/0.5 = 30.
         let slack = split.slot_slack(2);
@@ -351,8 +394,7 @@ mod tests {
         let problem = placement_problem(10.0, [8.0, 8.0, 50.0]);
         let relaxed = relax_lq(&problem, &spec()).unwrap();
         assert_eq!(relaxed.problem.horizon(), problem.horizon() + 1);
-        let sol = solve_lq(&relaxed.problem, &IpmSettings::default()).unwrap();
-        let split = relaxed.split_solution(&problem, &sol);
+        let split = relaxed.solve(&problem, &IpmSettings::default()).unwrap();
         let slack = split.slot_slack(3);
         assert!((slack - 30.0).abs() < 1e-3, "terminal slack = {slack}");
         assert_eq!(split.solution.xs.len(), problem.horizon() + 1);

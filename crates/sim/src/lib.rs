@@ -50,4 +50,4 @@ mod monitor;
 pub use checkpoint::{SimCheckpoint, CHECKPOINT_SCHEMA_VERSION};
 pub use closed_loop::{ClosedLoopSim, SimPeriod, SimReport};
 pub use fluid::{evaluate_sla, SlaReport};
-pub use monitor::{EwmaStat, Monitor};
+pub use monitor::Monitor;

@@ -15,7 +15,7 @@ const WARMUP: usize = 10;
 
 /// Exponentially-weighted running mean/variance of one series.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EwmaStat {
+struct EwmaStat {
     alpha: f64,
     mean: Option<f64>,
     var: f64,
@@ -28,7 +28,7 @@ impl EwmaStat {
     /// # Panics
     ///
     /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
+    fn new(alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
         EwmaStat {
             alpha,
@@ -38,7 +38,7 @@ impl EwmaStat {
     }
 
     /// Feeds one observation.
-    pub fn observe(&mut self, x: f64) {
+    fn observe(&mut self, x: f64) {
         match self.mean {
             None => self.mean = Some(x),
             Some(m) => {
@@ -52,12 +52,12 @@ impl EwmaStat {
     }
 
     /// The current mean, or `None` before any observation.
-    pub fn mean(&self) -> Option<f64> {
+    fn mean(&self) -> Option<f64> {
         self.mean
     }
 
     /// The current standard deviation.
-    pub fn std(&self) -> f64 {
+    fn std(&self) -> f64 {
         self.var.max(0.0).sqrt()
     }
 
@@ -66,7 +66,7 @@ impl EwmaStat {
     /// level so that a perfectly constant baseline — zero empirical
     /// variance — still yields a finite, meaningful score when a genuine
     /// spike arrives.
-    pub fn z_score(&self, x: f64) -> Option<f64> {
+    fn z_score(&self, x: f64) -> Option<f64> {
         let m = self.mean?;
         let s = self.std().max(0.01 * m.abs()).max(1e-12);
         Some((x - m) / s)

@@ -51,7 +51,8 @@ pub struct IpmSettings {
     /// finite.
     pub tol_feasibility: f64,
     /// Tolerance on the average complementarity `sᵀz/m`, relative to
-    /// `1 + |objective|`.
+    /// `1 + |objective|`. For the recovery relaxation that is the strict
+    /// objective the solution reports, without the slack penalty.
     ///
     /// **Default `1e-9`** (relative duality-gap measure, unitless). This
     /// is the knob that controls how sharp the reported *duals* are — the

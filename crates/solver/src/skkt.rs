@@ -53,6 +53,28 @@
 //!   data center never produces the rank-deficient rows that stall an
 //!   interior-point method.
 //!
+//! The relaxation starts and stops on its own terms; a strict solve runs
+//! none of this:
+//!
+//! * **Start.** Each soft row's slack starts at the row's violation at
+//!   the warm-start rollout, `σ = max(lhs − d, 0)`, so the softened row
+//!   starts satisfied. The row's penalty `ρ` is split evenly between the
+//!   row's dual and the dual of `σ ≥ 0`, so the slack's stationarity
+//!   `2εσ + ρ − z_row − z_σ` starts at `2εσ`. From the margin start, the
+//!   iterates would climb to the penalty one barrier step at a time.
+//! * **Stop.** The duality-gap test is scaled by the strict objective the
+//!   solution reports (hosting plus reconfiguration). The penalty on the
+//!   shed demand inflates the relaxed objective by orders of magnitude,
+//!   and a gap scaled by it stops on a placement servers away from the
+//!   optimum.
+//! * **Fallback.** An iterate that passes the feasibility tests and the
+//!   gap scaled by the relaxed objective is kept, in storage allocated
+//!   with the solve. The first later iterate that fails the feasibility
+//!   tests, or whose `μ` does not fall, ends the solve with the kept one:
+//!   round-off has then stopped the progress the strict test waits for. A
+//!   binding capacity row's dual sits near the shedding penalty, so the
+//!   round-off in its slack puts a floor under `μ`.
+//!
 //! The outer loop is a Mehrotra predictor–corrector with the stopping
 //! rules, regularization-boost retry, degraded acceptance and
 //! infeasibility classification of the dense Riccati oracle that the
@@ -634,8 +656,11 @@ pub fn solve_structured_warm_traced(
 ///
 /// The returned solution is in the strict problem's shapes, its objective
 /// excludes the slack penalty, and `slacks[k]` holds slot `k`'s slack
-/// values (clamped at zero; `slacks[0]` is empty). Metrics as
-/// [`solve_structured_warm_traced`].
+/// values (clamped at zero; `slacks[0]` is empty). Each slack starts at
+/// its row's violation and each soft row's penalty is split between the
+/// row's dual and its slack's; the duality-gap test is scaled by that
+/// strict objective, with the fallback exit of the module docs. Metrics
+/// as [`solve_structured_warm_traced`], plus `solver.lq.fallback_exits`.
 ///
 /// # Errors
 ///
@@ -930,18 +955,25 @@ impl<'a> Rows<'a> {
         xs
     }
 
-    /// Objective including the slack penalty (the relaxed problem's own
-    /// objective, which the stopping tests measure against).
-    fn objective(&self, xs: &[Vector], us: &[Vector], sig: &[Vector]) -> f64 {
-        let mut j = self.slq.objective(xs, us);
-        if let Some(rho) = self.penalties {
-            for s in sig.iter().skip(1) {
-                for (i, &v) in s.iter().enumerate() {
-                    j += 0.5 * self.eps2 * v * v + rho[i] * v;
-                }
+    /// The relaxation's slack penalty `Σ ρσ + εσ²` (zero without soft
+    /// rows).
+    fn penalty(&self, sig: &[Vector]) -> f64 {
+        let Some(rho) = self.penalties else {
+            return 0.0;
+        };
+        let mut j = 0.0;
+        for s in sig.iter().skip(1) {
+            for (i, &v) in s.iter().enumerate() {
+                j += 0.5 * self.eps2 * v * v + rho[i] * v;
             }
         }
         j
+    }
+
+    /// Objective including the slack penalty: the relaxed problem's own
+    /// objective, which the loosened acceptance tests measure against.
+    fn objective(&self, xs: &[Vector], us: &[Vector], sig: &[Vector]) -> f64 {
+        self.slq.objective(xs, us) + self.penalty(sig)
     }
 
     /// Stopping-test scale: the dense path's, which for the relaxation
@@ -982,6 +1014,57 @@ impl Iterate {
         ]
         .iter()
         .all(|vs| vs.iter().all(Vector::is_finite))
+    }
+
+    /// The parts [`finish`] builds a solution from: states, inputs, slacks
+    /// and duals.
+    fn solution_parts(&self) -> [&[Vector]; 4] {
+        [&self.xs, &self.us, &self.sig, &self.zs]
+    }
+
+    fn solution_parts_mut(&mut self) -> [&mut [Vector]; 4] {
+        [&mut self.xs, &mut self.us, &mut self.sig, &mut self.zs]
+    }
+}
+
+/// A relaxed solve's fallback: the solution parts of the last iterate
+/// that passed the feasibility tests and the gap test scaled by the
+/// penalized objective, in one buffer allocated with the solve.
+struct Fallback {
+    values: Vec<f64>,
+    /// The saved iterate's `μ` and residual; `None` until one is saved.
+    saved: Option<(f64, f64)>,
+}
+
+impl Fallback {
+    fn new(it: &Iterate) -> Self {
+        let len = it
+            .solution_parts()
+            .iter()
+            .flat_map(|p| p.iter())
+            .map(Vector::len)
+            .sum();
+        Fallback {
+            values: Vec::with_capacity(len),
+            saved: None,
+        }
+    }
+
+    fn save(&mut self, it: &Iterate, mu: f64, residual: f64) {
+        self.values.clear();
+        for v in it.solution_parts().into_iter().flatten() {
+            self.values.extend_from_slice(v.as_slice());
+        }
+        self.saved = Some((mu, residual));
+    }
+
+    fn restore(&self, it: &mut Iterate) {
+        let mut from = self.values.as_slice();
+        for v in it.solution_parts_mut().into_iter().flatten() {
+            let (head, rest) = from.split_at(v.len());
+            v.as_mut_slice().copy_from_slice(head);
+            from = rest;
+        }
     }
 }
 
@@ -1102,7 +1185,17 @@ fn finish(
             z.iter().take(keep).copied().collect()
         })
         .collect();
-    let slacks = it.sig.iter().map(|s| s.map(|v| v.max(0.0))).collect();
+    // The slack vectors are clamped in place and moved out, not copied.
+    let mut sig = it.sig;
+    let slacks = sig
+        .iter_mut()
+        .map(|s| {
+            for v in s.iter_mut() {
+                *v = v.max(0.0);
+            }
+            std::mem::take(s)
+        })
+        .collect();
     (
         LqSolution {
             xs: it.xs,
@@ -1301,16 +1394,30 @@ pub(crate) fn solve_structured_inner(
     it.xs = rows.rollout(&slq.x0, &mut it.us);
 
     // Slacks start at max(d − lhs, margin), duals at the margin; inactive
-    // rows sit at s = 1, z = 0 and never move.
+    // rows sit at s = 1, z = 0 and never move. Soft rows start as the
+    // module docs' "Start" says.
     let mut cons = Vector::zeros((0..=w).map(|k| lay.rows(k)).max().unwrap_or(0));
     for k in 0..=w {
         rows.lhs_into(k, &it.xs[k], it.us.get(k), &it.sig[k], &mut cons);
+        let off = lay.soft_off(k);
+        for j in (0..lay.softs(k)).filter(|&j| rows.active[k][j]) {
+            let sig = (cons[j] - rows.d[k][j]).max(0.0);
+            it.sig[k][j] = sig;
+            cons[j] -= sig;
+            cons[off + j] = -sig;
+        }
         for i in 0..lay.rows(k) {
             if rows.active[k][i] {
                 it.ss[k][i] = (rows.d[k][i] - cons[i]).max(INIT_MARGIN);
                 it.zs[k][i] = INIT_MARGIN;
             } else {
                 it.ss[k][i] = 1.0;
+            }
+        }
+        if let Some(rho) = rows.penalties {
+            for j in (0..lay.softs(k)).filter(|&j| rows.active[k][j]) {
+                it.zs[k][j] = 0.5 * rho[j];
+                it.zs[k][off + j] = 0.5 * rho[j];
             }
         }
     }
@@ -1352,6 +1459,7 @@ pub(crate) fn solve_structured_inner(
     let mut step = Iterate::zeros(&lay);
     let mut kkt = SchurKkt::new(slq);
     let mut sizes_reported = false;
+    let mut fallback = rows.penalties.map(|_| Fallback::new(&it));
 
     for iter in 0..settings.max_iterations {
         // ------- residuals -------
@@ -1432,7 +1540,8 @@ pub(crate) fn solve_structured_inner(
             best_violation = wr;
         }
         z_max = z_max.max(it.zs.iter().map(Vector::norm_inf).fold(0.0f64, f64::max));
-        let objective = rows.objective(&it.xs, &it.us, &it.sig);
+        let strict_objective = slq.objective(&it.xs, &it.us);
+        let objective = strict_objective + rows.penalty(&it.sig);
         if span.is_enabled() {
             span.event_with(
                 "solver.lq.iteration",
@@ -1447,13 +1556,33 @@ pub(crate) fn solve_structured_inner(
         }
         let feas_ok = stat_norm <= settings.tol_feasibility * scale
             && ineq_norm <= settings.tol_feasibility * scale;
-        let gap_ok = mu <= settings.tol_gap * (1.0 + objective.abs());
+        // Scaled by the strict objective: the module docs' "Stop".
+        let gap_ok = mu <= settings.tol_gap * (1.0 + strict_objective.abs());
         if feas_ok && gap_ok {
             telemetry.observe("solver.lq.kkt_residual", stat_norm.max(ineq_norm));
             span.attr("status", "optimal");
             span.attr("iterations", iter);
             span.attr("objective", objective);
             return Ok(finish(&rows, it, iter, SolveStatus::Optimal));
+        }
+        if let Some(fallback) = fallback.as_mut() {
+            // The module docs' "Fallback": a kept iterate ends the solve
+            // at the first later iterate that is no better.
+            if let Some((_, residual)) = fallback
+                .saved
+                .filter(|&(saved_mu, _)| !feas_ok || mu >= saved_mu)
+            {
+                fallback.restore(&mut it);
+                telemetry.incr("solver.lq.fallback_exits", 1);
+                telemetry.observe("solver.lq.kkt_residual", residual);
+                span.attr("status", "optimal");
+                span.attr("fallback", true);
+                span.attr("iterations", iter);
+                return Ok(finish(&rows, it, iter, SolveStatus::Optimal));
+            }
+            if feas_ok && mu <= settings.tol_gap * (1.0 + objective.abs()) {
+                fallback.save(&it, mu, stat_norm.max(ineq_norm));
+            }
         }
 
         // ------- barrier weights and structured factorization -------
@@ -1908,6 +2037,104 @@ mod tests {
         assert!(run(SoftSpec::uniform(1, -1.0, 1e-4)).is_err());
         assert!(run(SoftSpec::uniform(1, 1.0, 0.0)).is_err());
         assert!(run(SoftSpec::uniform(slq.m_rows + 1, 1.0, 1e-4)).is_err());
+    }
+
+    /// One recorder sees a cold, a warm and a recovery solve (this one
+    /// ends on the fallback), a certified-infeasible strict solve, two
+    /// iteration-capped solves and a bad warm-start guess. The emitted
+    /// `solver.*` names equal the rows of `docs/OBSERVABILITY.md`'s
+    /// `solver.lq.*` table, each name of the status row on its own, except
+    /// the two that no small instance reaches cheaply.
+    #[test]
+    fn solver_metric_catalogue_matches_the_doc() {
+        use std::collections::BTreeSet;
+        let untriggered = [
+            // A factorization must fail at the static regularization.
+            "solver.lq.reg_boosts",
+            // Iterates must turn non-finite, or a factorization fail at
+            // the boosted ceiling, without a converged primal.
+            "solver.lq.status.numerical_failure",
+        ];
+        let telemetry = Recorder::enabled();
+        let run = |slq: &StructuredLq, settings: &IpmSettings, guess: Option<&[Vector]>| {
+            solve_structured_warm_traced(slq, settings, guess, &telemetry)
+        };
+        let slq = instance(2, 3, 3, 4.0, 30.0);
+        let cold = run(&slq, &IpmSettings::default(), None).unwrap();
+        let warm = run(&slq, &IpmSettings::default(), Some(&cold.us)).unwrap();
+        let mut tracker = crate::WarmStartTracker::new();
+        tracker.record(false, cold.iterations + 1, &telemetry);
+        tracker.record(true, warm.iterations, &telemetry);
+        let relaxed = solve_structured_relaxed_traced(
+            &instance(2, 3, 4, 800.0, 30.0),
+            &SoftSpec::uniform(3, 1e4, 1e-4),
+            &IpmSettings::default(),
+            None,
+            &telemetry,
+        )
+        .unwrap();
+        assert_eq!(relaxed.solution.status, SolveStatus::Optimal);
+        let infeasible = run(
+            &instance(1, 3, 3, 50.0, 10.0),
+            &IpmSettings::default(),
+            None,
+        );
+        assert!(matches!(infeasible, Err(SolverError::Infeasible { .. })));
+        let capped = |max_iterations| IpmSettings {
+            max_iterations,
+            ..IpmSettings::default()
+        };
+        assert!(matches!(
+            run(&slq, &capped(2), None),
+            Err(SolverError::MaxIterations { .. })
+        ));
+        assert_eq!(
+            run(&slq, &capped(6), None).unwrap().status,
+            SolveStatus::AlmostOptimal
+        );
+        let bad = vec![Vector::zeros(1); 3];
+        assert!(matches!(
+            run(&slq, &IpmSettings::default(), Some(&bad)),
+            Err(SolverError::InvalidProblem(_))
+        ));
+        let snap = telemetry.snapshot().unwrap();
+        assert_eq!(snap.counter("solver.lq.fallback_exits"), 1);
+        let emitted: BTreeSet<&str> = snap
+            .counters
+            .keys()
+            .chain(snap.gauges.keys())
+            .chain(snap.histograms.keys())
+            .map(String::as_str)
+            .filter(|name| name.starts_with("solver."))
+            .collect();
+        // The first cell of each row of the `solver.lq.*` table; a name
+        // written `.suffix` extends the first name's prefix.
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let section = doc
+            .split("### `solver.lq.*`")
+            .nth(1)
+            .expect("OBSERVABILITY.md has the solver.lq.* section");
+        let section = section.split("\n#").next().unwrap_or(section);
+        let mut documented: BTreeSet<String> = BTreeSet::new();
+        for line in section.lines().filter(|line| line.starts_with("| `")) {
+            let cell = line.split('|').nth(1).unwrap_or_default();
+            let names: Vec<&str> = cell.split('`').skip(1).step_by(2).collect();
+            let prefix = names[0].rsplit_once('.').map_or("", |(p, _)| p);
+            documented.extend(names.iter().map(|name| match name.strip_prefix('.') {
+                Some(suffix) => format!("{prefix}.{suffix}"),
+                None => name.to_string(),
+            }));
+        }
+        for name in untriggered {
+            assert!(documented.contains(name), "{name} is not documented");
+            assert!(!emitted.contains(name), "{name} was emitted after all");
+        }
+        let expected: BTreeSet<&str> = documented
+            .iter()
+            .map(String::as_str)
+            .filter(|name| !untriggered.contains(name))
+            .collect();
+        assert_eq!(emitted, expected, "emitted vs documented solver metrics");
     }
 
     #[test]

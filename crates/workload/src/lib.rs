@@ -16,7 +16,7 @@
 //!   method below mean 10, Hörmann's transformed rejection from 10 on),
 //!   which turns rates into integer request counts for the
 //!   streaming-ingest front end, plus the Gaussian noise of the demand
-//!   model and the exponential draws of the discrete-event simulator.
+//!   model.
 //!
 //! # Examples
 //!

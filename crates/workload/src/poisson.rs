@@ -109,24 +109,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
-/// Draws an exponential with the given rate (mean `1/rate`).
-///
-/// # Panics
-///
-/// Panics if `rate` is not strictly positive and finite.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    assert!(
-        rate.is_finite() && rate > 0.0,
-        "rate must be > 0, got {rate}"
-    );
-    loop {
-        let u: f64 = rng.gen();
-        if u > f64::MIN_POSITIVE {
-            return -u.ln() / rate;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,15 +216,6 @@ mod tests {
                 "mean {mean}: variance {var}"
             );
         }
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 50_000;
-        let rate = 4.0;
-        let m: f64 = (0..n).map(|_| exponential(&mut rng, rate)).sum::<f64>() / n as f64;
-        assert!((m - 0.25).abs() < 0.01, "mean {m}");
     }
 
     #[test]

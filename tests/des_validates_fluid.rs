@@ -9,11 +9,28 @@
 //! servers, M/M/1 queueing" model of Section IV-B.
 
 use dspp::core::SlaSpec;
-use dspp::workload::poisson;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+/// Draws an exponential with the given rate (mean `1/rate`).
+///
+/// # Panics
+///
+/// Panics if `rate` is not strictly positive and finite.
+fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
+    assert!(
+        rate.is_finite() && rate > 0.0,
+        "rate must be > 0, got {rate}"
+    );
+    loop {
+        let u: f64 = rng.gen();
+        if u > f64::MIN_POSITIVE {
+            return -u.ln() / rate;
+        }
+    }
+}
 
 /// Static description of one pool.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,7 +143,7 @@ fn run_des(config: &DesConfig) -> Vec<PoolStats> {
     for (i, p) in config.pools.iter().enumerate() {
         if p.arrival_rate > 0.0 {
             heap.push(Event {
-                time: poisson::exponential(&mut rng, p.arrival_rate),
+                time: exponential(&mut rng, p.arrival_rate),
                 kind: EventKind::Arrival { pool: i },
             });
         }
@@ -141,7 +158,7 @@ fn run_des(config: &DesConfig) -> Vec<PoolStats> {
                 let spec = config.pools[pool];
                 // Next arrival.
                 heap.push(Event {
-                    time: ev.time + poisson::exponential(&mut rng, spec.arrival_rate),
+                    time: ev.time + exponential(&mut rng, spec.arrival_rate),
                     kind: EventKind::Arrival { pool },
                 });
                 // Uniform random dispatch (the "split equally" policy in
@@ -153,7 +170,7 @@ fn run_des(config: &DesConfig) -> Vec<PoolStats> {
                     // Idle server starts service immediately.
                     server.busy_since = ev.time;
                     heap.push(Event {
-                        time: ev.time + poisson::exponential(&mut rng, spec.service_rate),
+                        time: ev.time + exponential(&mut rng, spec.service_rate),
                         kind: EventKind::Departure { pool, server: s },
                     });
                 }
@@ -167,7 +184,7 @@ fn run_des(config: &DesConfig) -> Vec<PoolStats> {
                 }
                 if let Some(_next) = server.queue.front() {
                     heap.push(Event {
-                        time: ev.time + poisson::exponential(&mut rng, spec.service_rate),
+                        time: ev.time + exponential(&mut rng, spec.service_rate),
                         kind: EventKind::Departure { pool, server: s },
                     });
                 } else {
@@ -213,6 +230,15 @@ fn run_des(config: &DesConfig) -> Vec<PoolStats> {
             }
         })
         .collect()
+}
+
+#[test]
+fn exponential_mean() {
+    let mut rng = StdRng::seed_from_u64(3);
+    let n = 50_000;
+    let rate = 4.0;
+    let m: f64 = (0..n).map(|_| exponential(&mut rng, rate)).sum::<f64>() / n as f64;
+    assert!((m - 0.25).abs() < 0.01, "mean {m}");
 }
 
 #[test]

@@ -204,11 +204,10 @@ fn relaxation_matches_the_dense_oracle() {
         let spec = SoftSpec::uniform(soft, 1e3, 1e-4);
         let slq = grid(2, 3, 3, demand, cap);
         let dense_problem = expand(&slq);
-        let relaxed = relax_lq(&dense_problem, &spec).unwrap();
-        let oracle = relaxed.split_solution(
-            &dense_problem,
-            &solve_lq(&relaxed.problem, &IpmSettings::default()).unwrap(),
-        );
+        let oracle = relax_lq(&dense_problem, &spec)
+            .unwrap()
+            .solve(&dense_problem, &IpmSettings::default())
+            .unwrap();
         let out = solve_structured_relaxed_traced(
             &slq,
             &spec,
@@ -416,11 +415,10 @@ fn recovery_matches_the_dense_relaxation_oracle() {
         .unwrap();
     assert_eq!(out.solution.status, SolveStatus::Optimal);
     let strict = expand(h.structured());
-    let relaxed = relax_lq(&strict, &h.recovery_spec(&recovery)).unwrap();
-    let dense = relaxed.split_solution(
-        &strict,
-        &solve_lq(&relaxed.problem, &IpmSettings::default()).unwrap(),
-    );
+    let dense = relax_lq(&strict, &h.recovery_spec(&recovery))
+        .unwrap()
+        .solve(&strict, &IpmSettings::default())
+        .unwrap();
     assert!(
         (out.solution.objective - dense.solution.objective).abs()
             <= 1e-6 * (1.0 + dense.solution.objective.abs())
@@ -607,12 +605,10 @@ proptest! {
                 let out = h
                     .solve_recovery(&ipm, &recovery, None, &Recorder::disabled())
                     .expect("the relaxation is always feasible");
-                let relaxed = relax_lq(&dense, &h.recovery_spec(&recovery))
-                    .expect("oracle relaxation");
-                let orc = relaxed.split_solution(
-                    &dense,
-                    &solve_lq(&relaxed.problem, &ipm).expect("oracle recovery"),
-                );
+                let orc = relax_lq(&dense, &h.recovery_spec(&recovery))
+                    .expect("oracle relaxation")
+                    .solve(&dense, &ipm)
+                    .expect("oracle recovery");
                 if orc.solution.status == SolveStatus::Optimal {
                     prop_assert_eq!(out.solution.status, SolveStatus::Optimal);
                     // Both solvers optimize the relaxed objective: hosting
