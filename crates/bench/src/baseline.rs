@@ -680,18 +680,15 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
             sh.solve_warm_traced(&ipm_large, None, &telemetry)
                 .expect("large fixture solves")
         });
-        let snap = telemetry.snapshot().expect("enabled recorder");
+        let mut counters = vec![
+            ("ipm_iterations".to_string(), sol.iterations as f64),
+            ("allocs".to_string(), large_allocs as f64),
+        ];
+        counters.extend(schur_counters(&telemetry));
         measure("solver.lq_solve.large", 1, iters.min(5), || {
             sh.solve(&ipm_large).expect("large fixture solves");
         })
-        .with_counters(vec![
-            ("ipm_iterations".to_string(), sol.iterations as f64),
-            ("allocs".to_string(), large_allocs as f64),
-            (
-                "schur_factor".to_string(),
-                snap.counter("solver.lq.schur_factor") as f64,
-            ),
-        ])
+        .with_counters(counters)
     });
 
     // 15. The 100×-scale recovery step: one MPC step on the same instance
@@ -785,8 +782,8 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
 }
 
 /// Steps `controller` once, with an enabled recorder attached, and returns
-/// the step's exact counters: IPM iterations, allocations and Schur
-/// factorizations. The step must take the recovery path.
+/// the step's exact counters: IPM iterations, allocations and
+/// [`schur_counters`]. The step must take the recovery path.
 fn first_recovery_step_counters(
     controller: &mut MpcController,
     demand: &[f64],
@@ -798,17 +795,32 @@ fn first_recovery_step_counters(
         outcome.recovery.is_some(),
         "workload must exercise recovery"
     );
-    let snap = telemetry.snapshot().expect("enabled recorder");
-    vec![
+    let mut counters = vec![
         (
             "ipm_iterations".to_string(),
             outcome.solver_iterations as f64,
         ),
         ("allocs".to_string(), allocs as f64),
+    ];
+    counters.extend(schur_counters(&telemetry));
+    counters
+}
+
+/// The structured path's exact counters in `telemetry`: Schur
+/// factorizations, refined Newton solves (`solver.lq.refinement_passes`
+/// observations) and the refinement passes they took.
+fn schur_counters(telemetry: &Recorder) -> [(String, f64); 3] {
+    let snap = telemetry.snapshot().expect("enabled recorder");
+    let passes = snap
+        .histogram("solver.lq.refinement_passes")
+        .expect("a refined Newton solve");
+    [
         (
             "schur_factor".to_string(),
             snap.counter("solver.lq.schur_factor") as f64,
         ),
+        ("refined_solves".to_string(), passes.count as f64),
+        ("refinement_passes".to_string(), passes.sum),
     ]
 }
 
@@ -850,6 +862,26 @@ impl Baseline {
         }
         out.push_str("\n  ]\n}\n");
         out
+    }
+
+    /// Splices `recorded`'s rows in: a row of the same name is replaced in
+    /// place, a new row goes where [`WORKLOADS`] orders it, and every
+    /// other row stays as it is. What `record --only` does to an existing
+    /// baseline file.
+    pub fn splice(&mut self, recorded: Baseline) {
+        let rank = |name: &str| WORKLOADS.iter().position(|w| *w == name);
+        for metric in recorded.metrics {
+            if let Some(row) = self.metrics.iter_mut().find(|m| m.name == metric.name) {
+                *row = metric;
+                continue;
+            }
+            let at = self
+                .metrics
+                .iter()
+                .position(|m| rank(&m.name) > rank(&metric.name))
+                .unwrap_or(self.metrics.len());
+            self.metrics.insert(at, metric);
+        }
     }
 
     /// Parses a baseline previously written by [`Baseline::to_json`].
@@ -1189,6 +1221,35 @@ mod tests {
     }
 
     #[test]
+    fn splice_replaces_in_place_and_inserts_in_workload_order() {
+        let mut b = baseline(&[
+            ("solver.lq_solve", 1.0),
+            ("ingest.period", 2.0),
+            ("retired.workload", 3.0),
+        ]);
+        b.splice(baseline(&[
+            ("controller.recovery_step.paper", 4.0),
+            ("ingest.period", 5.0),
+            ("controller.step", 6.0),
+        ]));
+        let rows: Vec<(&str, f64)> = b
+            .metrics
+            .iter()
+            .map(|m| (m.name.as_str(), m.throughput))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("solver.lq_solve", 1.0),
+                ("controller.step", 6.0),
+                ("ingest.period", 5.0),
+                ("retired.workload", 3.0),
+                ("controller.recovery_step.paper", 4.0),
+            ]
+        );
+    }
+
+    #[test]
     fn from_json_rejects_bad_input() {
         assert!(Baseline::from_json("not json").is_err());
         assert!(Baseline::from_json("{\"schema_version\": 99, \"metrics\": []}").is_err());
@@ -1305,6 +1366,8 @@ mod tests {
         // Every IPM iteration must have gone through the structured
         // Schur factorization.
         assert!(counter("schur_factor") >= counter("ipm_iterations"));
+        // Only the corrector, one per factorization, is refined.
+        assert_eq!(counter("refined_solves"), counter("schur_factor"));
     }
 
     #[test]
@@ -1316,6 +1379,7 @@ mod tests {
         assert!(counter("ipm_iterations") > 0.0);
         assert!(counter("allocs") > 0.0);
         assert!(counter("schur_factor") >= counter("ipm_iterations"));
+        assert_eq!(counter("refined_solves"), counter("schur_factor"));
     }
 
     #[test]
@@ -1327,6 +1391,7 @@ mod tests {
         assert!(counter("ipm_iterations") > 0.0);
         assert!(counter("allocs") > 0.0);
         assert!(counter("schur_factor") >= counter("ipm_iterations"));
+        assert_eq!(counter("refined_solves"), counter("schur_factor"));
     }
 
     #[test]

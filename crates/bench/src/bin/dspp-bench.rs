@@ -8,7 +8,10 @@
 //! ```
 //!
 //! `record` measures the solver/controller/game workloads and writes the
-//! baseline JSON. `compare` re-measures them, prints a delta report, and
+//! baseline JSON. With `--only` and an existing `--out`, it splices the
+//! recorded rows into that file instead: rows of the same name are
+//! replaced, new rows go in [`WORKLOADS`] order, and every other row stays
+//! byte for byte. `compare` re-measures them, prints a delta report, and
 //! exits nonzero when any workload's throughput fell more than
 //! `--tolerance` below the baseline (default 30% — generous on purpose:
 //! shared CI hardware is noisy, and the CI job is warn-only anyway).
@@ -147,26 +150,42 @@ fn run(opts: &Options) -> Result<bool, String> {
             .map(|()| true)
             .map_err(|e| format!("solver scaling sweep failed: {e}"));
     }
+    let read_baseline = || {
+        let text = std::fs::read_to_string(&opts.path)
+            .map_err(|e| format!("read {}: {e}", opts.path.display()))?;
+        Baseline::from_json(&text)
+    };
     if opts.mode == "record" {
+        // A subset keeps every row of an existing file it does not record.
+        let existing = if opts.only.is_empty() || !opts.path.exists() {
+            None
+        } else {
+            Some(read_baseline()?)
+        };
         eprintln!(
             "recording baseline ({} iterations per workload)…",
             opts.iters
         );
-        let baseline = record_selected(opts.iters, &opts.only);
-        std::fs::write(&opts.path, baseline.to_json())
-            .map_err(|e| format!("write {}: {e}", opts.path.display()))?;
-        for m in &baseline.metrics {
+        let recorded = record_selected(opts.iters, &opts.only);
+        for m in &recorded.metrics {
             println!(
                 "{:<24} {:>10.1} it/s   p50 {:>9.1}µs  p90 {:>9.1}µs  p99 {:>9.1}µs",
                 m.name, m.throughput, m.p50_us, m.p90_us, m.p99_us
             );
         }
+        let baseline = match existing {
+            Some(mut baseline) => {
+                baseline.splice(recorded);
+                baseline
+            }
+            None => recorded,
+        };
+        std::fs::write(&opts.path, baseline.to_json())
+            .map_err(|e| format!("write {}: {e}", opts.path.display()))?;
         println!("wrote {}", opts.path.display());
         return Ok(true);
     }
-    let text = std::fs::read_to_string(&opts.path)
-        .map_err(|e| format!("read {}: {e}", opts.path.display()))?;
-    let mut baseline = Baseline::from_json(&text)?;
+    let mut baseline = read_baseline()?;
     if !opts.only.is_empty() {
         // Compare only the selected workloads; the rest of the recorded
         // baseline is out of scope for this run, not missing.

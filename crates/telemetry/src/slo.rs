@@ -669,6 +669,58 @@ mod tests {
         assert_eq!(snap.gauge("slo.fallback_budget.state"), Some(0.0));
     }
 
+    /// The `slo.*` names an engine over the default set registers and
+    /// emits through a breach, fire and resolve, each default SLO's name
+    /// folded to `<name>`, equal the `slo.*` rows of the SLO chapter's
+    /// table in `docs/OBSERVABILITY.md`.
+    #[test]
+    fn slo_metric_catalogue_matches_the_docs() {
+        use std::collections::BTreeSet;
+        let telemetry = Recorder::enabled();
+        let mut engine = SloEngine::with_defaults(telemetry.clone());
+        for k in 0..10 {
+            engine.observe(&sample(k, k == 2 || k == 3));
+        }
+        let tos: Vec<AlertState> = engine.transitions().iter().map(|t| t.to).collect();
+        assert_eq!(
+            tos,
+            [
+                AlertState::Pending,
+                AlertState::Firing,
+                AlertState::Resolved
+            ]
+        );
+        let snap = telemetry.snapshot().unwrap();
+        let specs = SloSpec::default_set();
+        let fold = |name: &str| -> String {
+            specs
+                .iter()
+                .find_map(|spec| name.strip_prefix(&format!("slo.{}.", spec.name)))
+                .map_or_else(|| name.to_string(), |rest| format!("slo.<name>.{rest}"))
+        };
+        let emitted: BTreeSet<String> = snap
+            .counters
+            .keys()
+            .chain(snap.gauges.keys())
+            .chain(snap.histograms.keys())
+            .filter(|name| name.starts_with("slo."))
+            .map(|name| fold(name))
+            .collect();
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let section = doc
+            .split("### The SLO engine")
+            .nth(1)
+            .expect("OBSERVABILITY.md has the SLO engine section");
+        let section = section.split("\n#").next().unwrap_or(section);
+        let documented: BTreeSet<String> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `slo."))
+            .filter_map(|line| line.split('`').next())
+            .map(|rest| format!("slo.{rest}"))
+            .collect();
+        assert_eq!(emitted, documented, "emitted vs documented slo.* metrics");
+    }
+
     #[test]
     fn single_blip_stays_quiet_under_multiwindow_rule() {
         // One bad period in a long-filled window: the short window burns

@@ -22,8 +22,10 @@ compares every build against it:
     python3 tools/e2e_fingerprints.py --seeds 1,5 --compare results/e2e_fingerprints.txt
 
 A change that moves a decision must commit the new lines, so the move is
-a reviewed diff. A performance change must move none: compare it against
-that file, and on further seeds against the parent commit's lines.
+a reviewed diff. A change to the solver's arithmetic may move the cost and
+served bits at round-off, but never an iteration, recovery, round or event
+field, and CHANGES.md gives the size of each move. Compare such a change
+against that file, and on further seeds against the parent commit's lines.
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
     python3 tools/e2e_fingerprints.py --root ../parent --seeds 13 > parent.txt
@@ -31,11 +33,14 @@ that file, and on further seeds against the parent commit's lines.
 
 `--root` runs the benchmark of another checkout (default: this one).
 `--compare FILE` exits 1 when any run's line differs from, or is missing
-in, FILE. A failed benchmark run exits 2.
+in, FILE, and prints each field that moved; a moved `cost_bits` or
+`served_bits` also shows both decoded values and the relative change. A
+failed benchmark run exits 2.
 """
 
 import argparse
 import os
+import struct
 import subprocess
 import sys
 
@@ -75,6 +80,33 @@ def key(line: str) -> str:
     return " ".join(line.split()[:2])
 
 
+def fields(line: str) -> dict:
+    """The `name=value` fields after a line's `fingerprint:` label."""
+    return dict(f.split("=", 1) for f in line.split()[3:])
+
+
+def decode(bits: str) -> float:
+    """The f64 whose IEEE-754 bits `bits` spells in hex."""
+    return struct.unpack(">d", int(bits, 16).to_bytes(8, "big"))[0]
+
+
+def moves(want: str, line: str) -> list:
+    """One line per field whose value differs between `want` and `line`."""
+    old, new = fields(want), fields(line)
+    out = []
+    for name in dict.fromkeys([*old, *new]):
+        a, b = old.get(name), new.get(name)
+        if a == b:
+            continue
+        text = f"  {name}: {a} -> {b}"
+        if name.endswith("_bits") and a is not None and b is not None:
+            x, y = decode(a), decode(b)
+            change = (y - x) / abs(x) if x else float("inf")
+            text += f" ({x:.17g} -> {y:.17g}, relative {change:+.3e})"
+        out.append(text)
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", default="1,5", help="comma-separated seeds")
@@ -101,7 +133,12 @@ def main() -> int:
                 want = saved.get(key(line))
                 if want != line:
                     differences += 1
+                    if want is None:
+                        print(f"MISSING in {args.compare}: {key(line)}", file=sys.stderr)
+                        continue
                     print(f"DIFFERS from {args.compare}: {want}", file=sys.stderr)
+                    for text in moves(want, line):
+                        print(text, file=sys.stderr)
     if saved is not None:
         print(f"compare: {differences} difference(s)", file=sys.stderr)
     return 1 if differences else 0
