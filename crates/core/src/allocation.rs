@@ -59,11 +59,6 @@ impl Allocation {
         &self.values
     }
 
-    /// Mutable per-arc values.
-    pub fn arc_values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// Servers on arc `(l, v)`, or `0.0` when the arc is unusable.
     pub fn get(&self, problem: &Dspp, l: usize, v: usize) -> f64 {
         problem.arc_index(l, v).map_or(0.0, |e| self.values[e])

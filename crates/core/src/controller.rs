@@ -1,9 +1,11 @@
+use crate::policy::guard::validate_observation;
 use crate::policy::PlacementPolicy;
 use crate::{
-    Allocation, CoreError, Dspp, HorizonProblem, PeriodCost, RecoverySettings, RoutingPolicy,
+    Allocation, CoreError, Decision, Dspp, HorizonProblem, PeriodCost, RecoverySettings,
+    RoutingPolicy,
 };
 use dspp_predict::Predictor;
-use dspp_solver::{IpmSettings, SolverError};
+use dspp_solver::IpmSettings;
 use dspp_telemetry::json::{self, JsonValue};
 use dspp_telemetry::Recorder;
 use std::fmt::Write as _;
@@ -232,24 +234,6 @@ impl MpcController {
         self
     }
 
-    /// Replaces the starting allocation (e.g. to resume a run).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidSpec`] if the allocation does not match
-    /// the problem's arc count.
-    pub fn with_initial_allocation(mut self, x0: Allocation) -> Result<Self, CoreError> {
-        if x0.arc_values().len() != self.problem.num_arcs() {
-            return Err(CoreError::InvalidSpec(format!(
-                "allocation has {} arcs, problem has {}",
-                x0.arc_values().len(),
-                self.problem.num_arcs()
-            )));
-        }
-        self.state = x0;
-        Ok(self)
-    }
-
     /// The current period index.
     pub fn period(&self) -> usize {
         self.period
@@ -324,21 +308,7 @@ impl MpcController {
     /// * [`CoreError::PredictorShape`] if the predictor misbehaves.
     /// * [`CoreError::Solver`] if the horizon problem cannot be solved.
     pub fn step(&mut self, observed_demand: &[f64]) -> Result<StepOutcome, CoreError> {
-        let nv = self.problem.num_locations();
-        if observed_demand.len() != nv {
-            return Err(CoreError::InvalidSpec(format!(
-                "observed demand has {} locations, expected {nv}",
-                observed_demand.len()
-            )));
-        }
-        if observed_demand
-            .iter()
-            .any(|d| !(d.is_finite() && *d >= 0.0))
-        {
-            return Err(CoreError::InvalidSpec(
-                "observed demand must be non-negative and finite".into(),
-            ));
-        }
+        validate_observation(&self.problem, observed_demand)?;
         for (v, &d) in observed_demand.iter().enumerate() {
             self.history[v].push(d);
         }
@@ -436,31 +406,21 @@ impl MpcController {
             1,
         );
         let t_solve = telemetry.is_enabled().then(Instant::now);
-        let preflight = horizon.preflight()?;
-        if !preflight.is_feasible() {
-            telemetry.incr("controller.preflight_infeasible", 1);
-        }
-        let strict = if !preflight.is_feasible() {
-            // The aggregate preflight already certifies the strict horizon
-            // infeasible: skip the doomed solve and recover directly.
-            None
-        } else {
-            match horizon.solve_warm_traced(&self.settings.ipm, self.warm_us.as_deref(), &telemetry)
-            {
-                Ok(sol) => Some(sol),
-                Err(CoreError::Solver(SolverError::Infeasible { .. })) => None,
-                Err(e) => return Err(e),
-            }
-        };
-        let (sol, recovery_info) = match strict {
-            Some(sol) => (sol, None),
-            None => {
-                let out = horizon.solve_recovery(
-                    &self.settings.ipm,
-                    &self.settings.recovery,
-                    self.warm_us.as_deref(),
-                    &telemetry,
-                )?;
+        let decision = horizon.solve_or_recover(
+            &self.settings.ipm,
+            &self.settings.recovery,
+            self.warm_us.as_deref(),
+            &telemetry,
+        )?;
+        let (sol, recovery_info) = match decision {
+            Decision::Strict(sol) => (sol, None),
+            Decision::Recovered {
+                outcome: out,
+                preflight_deficit,
+            } => {
+                if preflight_deficit {
+                    telemetry.incr("controller.preflight_infeasible", 1);
+                }
                 telemetry.incr("controller.recovery_solves", 1);
                 telemetry.observe("controller.sla_shortfall", out.resource_shortfall[0]);
                 if span.is_enabled() {
@@ -595,6 +555,14 @@ mod tests {
             .price_trace(0, vec![1.0])
             .build()
             .unwrap()
+    }
+
+    /// `c` moved to the allocation `x0`, as a resumed run would start.
+    fn starting_from(mut c: MpcController, x0: &Allocation) -> MpcController {
+        let mut ck = c.checkpoint();
+        ck.allocation = x0.arc_values().to_vec();
+        c.restore(&ck).unwrap();
+        c
     }
 
     #[test]
@@ -862,17 +830,18 @@ mod tests {
             let out_warm = warm.step(&[demand[0][k]]).unwrap();
             // Cold reference: fresh controller seeded with the same state
             // and history.
-            let mut cold = MpcController::new(
-                problem(),
-                Box::new(OraclePredictor::new(vec![demand[0][k..].to_vec()])),
-                MpcSettings {
-                    horizon: 4,
-                    ..MpcSettings::default()
-                },
-            )
-            .unwrap()
-            .with_initial_allocation(cold_state.clone())
-            .unwrap();
+            let mut cold = starting_from(
+                MpcController::new(
+                    problem(),
+                    Box::new(OraclePredictor::new(vec![demand[0][k..].to_vec()])),
+                    MpcSettings {
+                        horizon: 4,
+                        ..MpcSettings::default()
+                    },
+                )
+                .unwrap(),
+                &cold_state,
+            );
             let out_cold = cold.step(&[demand[0][k]]).unwrap();
             let diff: f64 = out_warm
                 .allocation
@@ -894,18 +863,19 @@ mod tests {
         let p = problem();
         let a = p.arc_coeff(0);
         let demand = vec![vec![10.0, 10.0, 25.0, 40.0, 50.0, 50.0]];
-        let mut c = MpcController::new(
-            p.clone(),
-            Box::new(OraclePredictor::new(demand.clone())),
-            MpcSettings {
-                horizon: 4,
-                max_reconfiguration: Some(0.2),
-                ..MpcSettings::default()
-            },
-        )
-        .unwrap()
-        .with_initial_allocation(Allocation::from_arc_values(&p, vec![10.0 * a]))
-        .unwrap();
+        let mut c = starting_from(
+            MpcController::new(
+                p.clone(),
+                Box::new(OraclePredictor::new(demand.clone())),
+                MpcSettings {
+                    horizon: 4,
+                    max_reconfiguration: Some(0.2),
+                    ..MpcSettings::default()
+                },
+            )
+            .unwrap(),
+            &Allocation::from_arc_values(&p, vec![10.0 * a]),
+        );
         let mut max_u: f64 = 0.0;
         for (k, &d) in demand[0].iter().enumerate().take(5) {
             let out = c.step(&[d]).unwrap();

@@ -2,8 +2,7 @@ use crate::{Allocation, CoreError, Dspp};
 use dspp_linalg::Vector;
 use dspp_solver::{
     preflight_structured, solve_structured_relaxed_traced, solve_structured_warm_traced,
-    CouplingRow, DiagRow, FeasibilityReport, IpmSettings, LqRowLayout, LqSolution, SoftSpec,
-    StructuredLq,
+    CouplingRow, FeasibilityReport, IpmSettings, LqSolution, SoftSpec, SolverError, StructuredLq,
 };
 use dspp_telemetry::Recorder;
 
@@ -73,6 +72,40 @@ impl RecoveryOutcome {
     }
 }
 
+/// How [`HorizonProblem::solve_or_recover`] decided a horizon.
+#[derive(Debug, Clone)]
+pub enum Decision {
+    /// The strict problem solved.
+    Strict(LqSolution),
+    /// The strict problem is infeasible: the recovery relaxation placed
+    /// what the capacity allows and reports the demand it sheds.
+    Recovered {
+        /// The relaxation's placement and shortfall.
+        outcome: RecoveryOutcome,
+        /// `true` when the preflight found the deficit and no strict solve
+        /// ran; `false` when the strict solve certified
+        /// [`SolverError::Infeasible`].
+        preflight_deficit: bool,
+    },
+}
+
+/// One part of a horizon problem: a DSPP with its current allocation and
+/// its demand and price forecasts, as [`HorizonProblem::build`] takes
+/// them. [`HorizonProblem::build_shared`] stacks several parts that share
+/// the data centers' capacity rows.
+#[derive(Debug, Clone, Copy)]
+pub struct HorizonPart<'a> {
+    /// The part's placement problem.
+    pub problem: &'a Dspp,
+    /// Its current allocation `x_k`.
+    pub x0: &'a Allocation,
+    /// `demand_forecast[v][t]`: location `v`'s demand in period `k+1+t`.
+    pub demand_forecast: &'a [Vec<f64>],
+    /// `price_forecast[l][t]`: a server's price at data center `l` in
+    /// period `k+1+t`.
+    pub price_forecast: &'a [Vec<f64>],
+}
+
 /// The horizon-truncated DSPP (Section IV-D) in the solver's compact
 /// [`StructuredLq`] form, plus the bookkeeping to read duals back out.
 ///
@@ -92,9 +125,10 @@ impl RecoveryOutcome {
 /// to extract the per-DC shadow prices the multi-provider game needs. The
 /// rows are emitted sparsely — no dense constraint matrix is ever built —
 /// and every solve runs on the structure-exploiting KKT path
-/// ([`dspp_solver::solve_structured`]). The oracle cross-checks expand
-/// [`HorizonProblem::structured`] densely with the test-only
-/// `dspp-oracle` crate.
+/// ([`dspp_solver::solve_structured`]). [`HorizonProblem::solve_or_recover`]
+/// is the one strict-or-recover decision the controller and the game
+/// share. The oracle cross-checks expand [`HorizonProblem::structured`]
+/// densely with the test-only `dspp-oracle` crate.
 #[derive(Debug, Clone)]
 pub struct HorizonProblem {
     slq: StructuredLq,
@@ -126,57 +160,59 @@ impl HorizonProblem {
         demand_forecast: &[Vec<f64>],
         price_forecast: &[Vec<f64>],
     ) -> Result<Self, CoreError> {
-        Self::build_with_stage_capacities(problem, x0, demand_forecast, price_forecast, None)
+        Self::build_full(problem, x0, demand_forecast, price_forecast, None, None)
     }
 
-    /// Like [`HorizonProblem::build`], but with per-stage capacity vectors:
-    /// `capacities[t][l]` caps data center `l` during period `k+1+t`,
-    /// overriding the problem's static capacities.
+    /// [`HorizonProblem::build`] with per-stage capacities and an optional
+    /// reconfiguration rate limit.
     ///
-    /// The multi-provider game uses this for unilateral-deviation checks,
-    /// where the capacity left for one provider is whatever the others'
-    /// (time-varying) allocations do not occupy. A zero entry (a dark data
-    /// center, or one the others fill) pins that DC's arcs to zero for the
-    /// period instead of leaving a degenerate row in the solve.
+    /// `stage_capacities[t][l]` caps data center `l` during period `k+1+t`,
+    /// overriding the problem's static capacities. The fault plane's
+    /// schedules and the game's unilateral-deviation checks use it; a zero
+    /// entry (a dark data center, or one the others fill) pins that DC's
+    /// arcs to zero for the period instead of leaving a degenerate row in
+    /// the solve.
+    ///
+    /// `max_reconfiguration` bounds `|u_e| ≤ u_max` per arc and period
+    /// (operational change budgets: image distribution bandwidth,
+    /// change-window policies); it enters the problem as box rows on every
+    /// stage's input (see [`StructuredLq::with_input_bound`]).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`HorizonProblem::build`], plus mismatched
-    /// capacity shapes.
-    pub fn build_with_stage_capacities(
-        problem: &Dspp,
-        x0: &Allocation,
-        demand_forecast: &[Vec<f64>],
-        price_forecast: &[Vec<f64>],
-        stage_capacities: Option<&[Vec<f64>]>,
-    ) -> Result<Self, CoreError> {
-        Self::build_full(
-            problem,
-            x0,
-            demand_forecast,
-            price_forecast,
-            stage_capacities,
-            None,
-        )
-    }
-
-    /// The fully general builder: per-stage capacities plus an optional
-    /// reconfiguration rate limit `|u_e| ≤ u_max` per arc and period.
-    ///
-    /// Rate limits model operational change budgets (image distribution
-    /// bandwidth, change-window policies); they enter the problem as box
-    /// rows on every stage's input (see
-    /// [`StructuredLq::with_input_bound`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`HorizonProblem::build`], plus rejection of a non-positive
-    /// `max_reconfiguration`.
+    /// As [`HorizonProblem::build`], plus mismatched capacity shapes and
+    /// a non-positive `max_reconfiguration`.
     pub fn build_full(
         problem: &Dspp,
         x0: &Allocation,
         demand_forecast: &[Vec<f64>],
         price_forecast: &[Vec<f64>],
+        stage_capacities: Option<&[Vec<f64>]>,
+        max_reconfiguration: Option<f64>,
+    ) -> Result<Self, CoreError> {
+        let part = HorizonPart {
+            problem,
+            x0,
+            demand_forecast,
+            price_forecast,
+        };
+        Self::build_shared(&[part], stage_capacities, max_reconfiguration)
+    }
+
+    /// Assembles one horizon problem from parts that share the capacity
+    /// rows: part `i`'s arcs follow part `i−1`'s, each part keeps its own
+    /// demand rows, and data center `l`'s capacity row sums every part's
+    /// arcs there. One part is [`HorizonProblem::build_full`]; several are
+    /// the multi-provider social-welfare problem. Without
+    /// `stage_capacities` the capacity rows take the first part's problem
+    /// capacities.
+    ///
+    /// # Errors
+    ///
+    /// As [`HorizonProblem::build_full`], plus no parts, or parts that
+    /// disagree on the data centers or the horizon.
+    pub fn build_shared(
+        parts: &[HorizonPart<'_>],
         stage_capacities: Option<&[Vec<f64>]>,
         max_reconfiguration: Option<f64>,
     ) -> Result<Self, CoreError> {
@@ -187,37 +223,51 @@ impl HorizonProblem {
                 )));
             }
         }
-        let n = problem.num_arcs();
-        let nl = problem.num_dcs();
-        let nv = problem.num_locations();
-        if demand_forecast.len() != nv {
-            return Err(CoreError::InvalidSpec(format!(
-                "demand forecast has {} locations, expected {nv}",
-                demand_forecast.len()
-            )));
-        }
-        if price_forecast.len() != nl {
-            return Err(CoreError::InvalidSpec(format!(
-                "price forecast has {} data centers, expected {nl}",
-                price_forecast.len()
-            )));
-        }
-        let horizon = demand_forecast.first().map_or(0, Vec::len);
+        let Some(first) = parts.first() else {
+            return Err(CoreError::InvalidSpec(
+                "a horizon problem needs at least one part".into(),
+            ));
+        };
+        let nl = first.problem.num_dcs();
+        let horizon = first.demand_forecast.first().map_or(0, Vec::len);
         if horizon == 0 {
             return Err(CoreError::InvalidSpec("horizon must be positive".into()));
         }
-        if demand_forecast.iter().any(|d| d.len() != horizon)
-            || price_forecast.iter().any(|p| p.len() != horizon)
-        {
-            return Err(CoreError::InvalidSpec(
-                "forecast series have inconsistent horizons".into(),
-            ));
-        }
-        if x0.arc_values().len() != n {
-            return Err(CoreError::InvalidSpec(format!(
-                "initial allocation has {} arcs, expected {n}",
-                x0.arc_values().len()
-            )));
+        for (i, part) in parts.iter().enumerate() {
+            let problem = part.problem;
+            let nv = problem.num_locations();
+            let n = problem.num_arcs();
+            if problem.num_dcs() != nl {
+                return Err(CoreError::InvalidSpec(format!(
+                    "part {i} has {} data centers, expected {nl}",
+                    problem.num_dcs()
+                )));
+            }
+            if part.demand_forecast.len() != nv {
+                return Err(CoreError::InvalidSpec(format!(
+                    "demand forecast has {} locations, expected {nv}",
+                    part.demand_forecast.len()
+                )));
+            }
+            if part.price_forecast.len() != nl {
+                return Err(CoreError::InvalidSpec(format!(
+                    "price forecast has {} data centers, expected {nl}",
+                    part.price_forecast.len()
+                )));
+            }
+            if part.demand_forecast.iter().any(|d| d.len() != horizon)
+                || part.price_forecast.iter().any(|p| p.len() != horizon)
+            {
+                return Err(CoreError::InvalidSpec(
+                    "forecast series have inconsistent horizons".into(),
+                ));
+            }
+            if part.x0.arc_values().len() != n {
+                return Err(CoreError::InvalidSpec(format!(
+                    "initial allocation has {} arcs, expected {n}",
+                    part.x0.arc_values().len()
+                )));
+            }
         }
         if let Some(caps) = stage_capacities {
             if caps.len() != horizon || caps.iter().any(|c| c.len() != nl) {
@@ -235,82 +285,71 @@ impl HorizonProblem {
         }
 
         // Per-slot rows: demand rows 0..nv (−Σ x/a ≤ −D), capacity rows
-        // nv..nv+nl (Σ s·x ≤ C), non-negativity rows after (−x ≤ 0).
-        let m_rows = nv + nl + n;
-        let mut group_a: Vec<CouplingRow> = (0..nv)
-            .map(|v| CouplingRow {
-                row: v,
+        // nv..nv+nl (Σ s·x ≤ C); the solver appends −x ≤ 0 per arc.
+        let nv: usize = parts.iter().map(|p| p.problem.num_locations()).sum();
+        let mut demand: Vec<CouplingRow> = Vec::with_capacity(nv);
+        let mut capacity: Vec<CouplingRow> = (0..nl)
+            .map(|_| CouplingRow {
                 entries: Vec::new(),
             })
             .collect();
-        let mut group_b: Vec<CouplingRow> = (0..nl)
-            .map(|l| CouplingRow {
-                row: nv + l,
+        let mut resource_per_demand = vec![f64::INFINITY; nv];
+        let mut offset = 0;
+        for part in parts {
+            let problem = part.problem;
+            let first_row = demand.len();
+            demand.extend((0..problem.num_locations()).map(|_| CouplingRow {
                 entries: Vec::new(),
-            })
-            .collect();
-        let mut diag_rows = Vec::with_capacity(n);
-        for (e, &(l, v)) in problem.arcs().iter().enumerate() {
-            group_a[v].entries.push((e, -1.0 / problem.arc_coeff(e)));
-            group_b[l].entries.push((e, problem.server_size()));
-            diag_rows.push(DiagRow {
-                row: nv + nl + e,
-                arc: e,
-                coeff: -1.0,
-            });
+            }));
+            for (e, &(l, v)) in problem.arcs().iter().enumerate() {
+                demand[first_row + v]
+                    .entries
+                    .push((offset + e, -1.0 / problem.arc_coeff(e)));
+                capacity[l]
+                    .entries
+                    .push((offset + e, problem.server_size()));
+                let per_unit = problem.arc_coeff(e) * problem.server_size();
+                let slot = &mut resource_per_demand[first_row + v];
+                *slot = slot.min(per_unit);
+            }
+            offset += problem.num_arcs();
         }
         // Slot t+1 constrains x_{t+1}, the allocation during period
         // k+1+t (forecast index t).
-        let ds: Vec<Vector> = (0..horizon)
+        let rhs: Vec<Vector> = (0..horizon)
             .map(|t| {
-                let mut d = Vector::zeros(m_rows);
-                for (v, series) in demand_forecast.iter().enumerate() {
+                let mut d = Vector::zeros(nv + nl);
+                let demands = parts.iter().flat_map(|p| p.demand_forecast);
+                for (v, series) in demands.enumerate() {
                     d[v] = -series[t];
                 }
                 for l in 0..nl {
                     d[nv + l] = match stage_capacities {
                         Some(caps) => caps[t][l],
-                        None => problem.capacity(l),
+                        None => first.problem.capacity(l),
                     };
                 }
                 d
             })
             .collect();
-        let qs: Vec<Vector> = (0..horizon)
-            .map(|t| {
-                problem
-                    .arcs()
-                    .iter()
-                    .map(|&(l, _)| price_forecast[l][t])
-                    .collect()
-            })
+        // One value per arc of every part, in arc order.
+        let per_arc = |value: &dyn Fn(&HorizonPart<'_>, usize, usize) -> f64| -> Vector {
+            let mut out = Vec::with_capacity(offset);
+            for p in parts {
+                let arcs = p.problem.arcs().iter().enumerate();
+                out.extend(arcs.map(|(e, &(l, _))| value(p, e, l)));
+            }
+            Vector::from(out)
+        };
+        let prices: Vec<Vector> = (0..horizon)
+            .map(|t| per_arc(&|p, _, l| p.price_forecast[l][t]))
             .collect();
         // ½uᵀRu = Σ c_e u_e² ⇒ Hessian diagonal 2·c_e.
-        let r_diag: Vector = problem
-            .arcs()
-            .iter()
-            .map(|&(l, _)| 2.0 * problem.reconfig_weight(l))
-            .collect();
-        let mut slq = StructuredLq::new(
-            Vector::from(x0.arc_values()),
-            Vector::zeros(n),
-            qs,
-            vec![r_diag; horizon],
-            vec![Vector::zeros(n); horizon],
-            ds,
-            diag_rows,
-            group_a,
-            group_b,
-            m_rows,
-        )?;
+        let reconfiguration = per_arc(&|p, _, l| 2.0 * p.problem.reconfig_weight(l));
+        let x0 = per_arc(&|p, e, _| p.x0.arc_values()[e]);
+        let mut slq = StructuredLq::new(x0, prices, reconfiguration, demand, capacity, rhs)?;
         if let Some(umax) = max_reconfiguration {
             slq = slq.with_input_bound(umax)?;
-        }
-
-        let mut resource_per_demand = vec![f64::INFINITY; nv];
-        for (e, &(_, v)) in problem.arcs().iter().enumerate() {
-            let per_unit = problem.arc_coeff(e) * problem.server_size();
-            resource_per_demand[v] = resource_per_demand[v].min(per_unit);
         }
 
         Ok(HorizonProblem {
@@ -377,20 +416,50 @@ impl HorizonProblem {
     /// `Σ_l C^l`? A clean report is necessary but not sufficient for the
     /// full QP to be feasible; a reported deficit is a lower bound on the
     /// server-unit shortfall every recovery solve must incur. One pass over
-    /// the sparse rows.
+    /// the sparse demand and capacity rows.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Solver`] only for a malformed underlying
-    /// problem, which the builder never produces.
+    /// None today: the check reads rows every built problem has. The
+    /// `Result` keeps the signature callers match on.
     pub fn preflight(&self) -> Result<FeasibilityReport, CoreError> {
-        Ok(preflight_structured(
-            &self.slq,
-            &LqRowLayout {
-                demand_rows: self.num_locations,
-                capacity_rows: self.num_dcs,
-            },
-        )?)
+        Ok(preflight_structured(&self.slq))
+    }
+
+    /// Decides the horizon, strictly when it can: the preflight, then the
+    /// strict solve warm-started from `warm_us`, then the recovery
+    /// relaxation ([`HorizonProblem::solve_recovery`], same warm start)
+    /// when the preflight finds a deficit or the strict solve certifies
+    /// [`SolverError::Infeasible`]. A deficit skips the doomed strict
+    /// solve. `MpcController::step` and the game's best responses both
+    /// decide through this one ladder.
+    ///
+    /// # Errors
+    ///
+    /// * A strict-solve failure other than [`SolverError::Infeasible`]
+    ///   (iteration cap, numerical failure, invalid settings).
+    /// * Any failure of the relaxation (see
+    ///   [`HorizonProblem::solve_recovery`]).
+    pub fn solve_or_recover(
+        &self,
+        settings: &IpmSettings,
+        recovery: &RecoverySettings,
+        warm_us: Option<&[Vector]>,
+        telemetry: &Recorder,
+    ) -> Result<Decision, CoreError> {
+        let preflight_deficit = !self.preflight()?.is_feasible();
+        if !preflight_deficit {
+            match self.solve_warm_traced(settings, warm_us, telemetry) {
+                Ok(sol) => return Ok(Decision::Strict(sol)),
+                Err(CoreError::Solver(SolverError::Infeasible { .. })) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let outcome = self.solve_recovery(settings, recovery, warm_us, telemetry)?;
+        Ok(Decision::Recovered {
+            outcome,
+            preflight_deficit,
+        })
     }
 
     /// The slack pricing of the recovery relaxation: location `v`'s

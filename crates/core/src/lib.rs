@@ -72,7 +72,7 @@ pub use allocation::Allocation;
 pub use controller::{ControllerCheckpoint, MpcController, MpcSettings, RecoveryInfo, StepOutcome};
 pub use cost::{CostLedger, PeriodCost};
 pub use error::CoreError;
-pub use horizon::{HorizonProblem, RecoveryOutcome, RecoverySettings};
+pub use horizon::{Decision, HorizonPart, HorizonProblem, RecoveryOutcome, RecoverySettings};
 pub use integer::{integerize, IntegerizingController};
 pub use policy::{
     PlacementPolicy, ProportionalGreedy, ReactiveThreshold, StaticCheapestDc, UtilizationBands,

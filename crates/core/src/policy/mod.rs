@@ -26,7 +26,7 @@
 //! (`policy_tournament` binary in `dspp-experiments`), and the measured
 //! simple-vs-optimal gap.
 
-mod guard;
+pub(crate) mod guard;
 mod proportional;
 mod static_cheapest;
 mod threshold;

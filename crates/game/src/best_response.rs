@@ -7,9 +7,14 @@
 //! quota updates, duals, and convergence checks are byte-identical for any
 //! worker count. Each provider's previous-round solution warm-starts its
 //! next solve (including through recovery periods).
+//!
+//! A best response is one horizon problem decided by
+//! [`HorizonProblem::solve_or_recover`], the ladder `MpcController` uses:
+//! the preflight, the strict solve, then the recovery relaxation when the
+//! quota starves the provider.
 
 use crate::ServiceProvider;
-use dspp_core::{CoreError, HorizonProblem, RecoverySettings};
+use dspp_core::{CoreError, Decision, HorizonProblem, RecoverySettings};
 use dspp_linalg::Vector;
 use dspp_runtime::ScenarioPool;
 use dspp_solver::{IpmSettings, LqSolution, WarmStartTracker};
@@ -30,11 +35,13 @@ pub struct GameConfig {
     /// Disabled by default; see `docs/OBSERVABILITY.md`.
     pub telemetry: Recorder,
     /// How a starved provider's recovery solve prices unserved demand.
-    /// Whenever a quota makes the strict best response fail, the provider
-    /// re-solves the relaxation and reports a large-but-finite cost
-    /// (objective plus `penalty · shed servers`) together with *real*,
-    /// finite capacity duals. Only a relaxation that fails too ends in
-    /// the ∞-cost / synthetic-dual dead-end (`game.infeasible_responses`).
+    /// Whenever a quota makes the strict best response infeasible (a
+    /// preflight deficit or a certified `Infeasible`), the provider solves
+    /// the relaxation and reports a large-but-finite cost (objective plus
+    /// `penalty · shed servers`) together with *real*, finite capacity
+    /// duals. A relaxation that fails too, or a strict solve that fails
+    /// otherwise, ends in the ∞-cost / synthetic-dual dead-end
+    /// (`game.infeasible_responses`).
     pub recovery: RecoverySettings,
     /// Worker threads for the per-round provider sweep (default 1 =
     /// sequential). The sweep is Jacobi-style — every provider solves
@@ -79,21 +86,16 @@ pub struct GameOutcome {
 /// these; the main thread merges them in provider order and emits the
 /// order-sensitive `game.*` counters there.
 enum Response {
-    /// The strict best response solved.
-    Strict {
+    /// The best response: its cost, capacity duals and solution, and — when
+    /// the quota starved the strict problem and the relaxation recovered —
+    /// the shed server-units priced into `cost` at the recovery penalty.
+    Solved {
         cost: f64,
         duals: Vec<f64>,
         sol: LqSolution,
+        shortfall: Option<f64>,
     },
-    /// The strict solve starved; the relaxation recovered with `shortfall`
-    /// shed server-units priced at the recovery penalty.
-    Recovered {
-        cost: f64,
-        duals: Vec<f64>,
-        sol: LqSolution,
-        shortfall: f64,
-    },
-    /// Even the relaxation failed — the ∞-cost synthetic-dual dead-end.
+    /// The ladder failed — the ∞-cost synthetic-dual dead-end.
     Infeasible,
 }
 
@@ -243,61 +245,40 @@ impl ResourceGame {
         self.horizon
     }
 
-    /// Solves one provider's DSPP under a capacity quota, returning its
-    /// cost, capacity duals, and solution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates build errors; solver infeasibility is returned as
-    /// [`CoreError::Solver`] for the caller to handle.
-    pub fn best_response(
+    /// One provider's share of a Jacobi sweep: its horizon problem under
+    /// `quota`, decided by [`HorizonProblem::solve_or_recover`] from the
+    /// warm start `warm_us`. Telemetry emitted here (nested `solver.lq.*`,
+    /// `game.capacity_dual`) is order-insensitive; the order-sensitive
+    /// `game.*` counters are emitted by the caller during the
+    /// provider-order merge.
+    fn sweep_one(
         &self,
         i: usize,
         quota: &[f64],
-        ipm: &IpmSettings,
-    ) -> Result<(f64, Vec<f64>, LqSolution), CoreError> {
-        self.best_response_traced(i, quota, ipm, &Recorder::disabled())
-    }
-
-    /// [`ResourceGame::best_response`] with solver metrics (`solver.lq.*`)
-    /// and the provider's capacity shadow prices (`game.capacity_dual`)
-    /// emitted to `telemetry`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResourceGame::best_response`].
-    pub fn best_response_traced(
-        &self,
-        i: usize,
-        quota: &[f64],
-        ipm: &IpmSettings,
-        telemetry: &Recorder,
-    ) -> Result<(f64, Vec<f64>, LqSolution), CoreError> {
-        self.best_response_warm_traced(i, quota, ipm, None, telemetry)
-    }
-
-    /// [`ResourceGame::best_response_traced`] seeded with a warm-start
-    /// input trajectory — typically the provider's previous-round
-    /// solution. Quota updates only move the capacity right-hand sides,
-    /// so the previous iterate is shape-compatible and usually close to
-    /// the new optimum; the solver falls back to its cold start if the
-    /// guess is rejected.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResourceGame::best_response`].
-    pub fn best_response_warm_traced(
-        &self,
-        i: usize,
-        quota: &[f64],
-        ipm: &IpmSettings,
         warm_us: Option<&[Vector]>,
+        config: &GameConfig,
         telemetry: &Recorder,
-    ) -> Result<(f64, Vec<f64>, LqSolution), CoreError> {
+    ) -> Result<Response, CoreError> {
         let sp = &self.providers[i];
         let problem = sp.problem.with_capacities(quota.to_vec())?;
         let horizon = HorizonProblem::build(&problem, &sp.initial, &sp.demand, &sp.price_rows())?;
-        let sol = horizon.solve_warm_traced(ipm, warm_us, telemetry)?;
+        let decision =
+            match horizon.solve_or_recover(&config.ipm, &config.recovery, warm_us, telemetry) {
+                Ok(decision) => decision,
+                Err(CoreError::Solver(_)) => return Ok(Response::Infeasible),
+                Err(e) => return Err(e),
+            };
+        // A recovered placement's penalty-inflated cost and genuine
+        // capacity duals pull quota back toward the starved provider on
+        // the next division.
+        let (cost, sol, shortfall) = match decision {
+            Decision::Strict(sol) => (sol.objective, sol, None),
+            Decision::Recovered { outcome, .. } => {
+                let shortfall = outcome.total_resource_shortfall();
+                let cost = outcome.solution.objective + config.recovery.penalty * shortfall;
+                (cost, outcome.solution, Some(shortfall))
+            }
+        };
         let duals = horizon.capacity_duals(&sol);
         if telemetry.is_enabled() {
             // Per-stage average shadow price: capacity_duals sums the
@@ -307,79 +288,12 @@ impl ResourceGame {
                 telemetry.observe("game.capacity_dual", d * per_stage);
             }
         }
-        Ok((sol.objective, duals, sol))
-    }
-
-    /// Best response for a provider whose quota starves the strict solve:
-    /// re-solves the always-feasible relaxation (slack on the demand/SLA
-    /// rows, capacity and non-negativity hard) and prices the shed demand
-    /// at the recovery penalty. Returns the cost, the capacity duals of
-    /// the recovered placement, the placement itself, and the total
-    /// server-unit shortfall across the window.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CoreError::Solver`] when even the relaxation fails —
-    /// the game-level dead-end the caller then reports.
-    fn recovery_response_traced(
-        &self,
-        i: usize,
-        quota: &[f64],
-        warm_us: Option<&[Vector]>,
-        config: &GameConfig,
-        telemetry: &Recorder,
-    ) -> Result<(f64, Vec<f64>, LqSolution, f64), CoreError> {
-        let sp = &self.providers[i];
-        let problem = sp.problem.with_capacities(quota.to_vec())?;
-        let horizon = HorizonProblem::build(&problem, &sp.initial, &sp.demand, &sp.price_rows())?;
-        let out = horizon.solve_recovery(&config.ipm, &config.recovery, warm_us, telemetry)?;
-        let shortfall = out.total_resource_shortfall();
-        let duals = horizon.capacity_duals(&out.solution);
-        if telemetry.is_enabled() {
-            let per_stage = 1.0 / self.horizon as f64;
-            for d in &duals {
-                telemetry.observe("game.capacity_dual", d * per_stage);
-            }
-        }
-        let cost = out.solution.objective + config.recovery.penalty * shortfall;
-        Ok((cost, duals, out.solution, shortfall))
-    }
-
-    /// One provider's share of a Jacobi sweep: the strict best response,
-    /// falling back to the recovery solve and then to the infeasible
-    /// marker exactly as the historical sequential loop did. Telemetry
-    /// emitted here (nested `solver.lq.*`, `game.capacity_dual`) is
-    /// order-insensitive; the order-sensitive `game.*` counters are
-    /// emitted by the caller during the provider-order merge.
-    fn sweep_one(
-        &self,
-        i: usize,
-        quota: &[f64],
-        warm_us: Option<&[Vector]>,
-        config: &GameConfig,
-        telemetry: &Recorder,
-    ) -> Result<Response, CoreError> {
-        match self.best_response_warm_traced(i, quota, &config.ipm, warm_us, telemetry) {
-            Ok((cost, duals, sol)) => Ok(Response::Strict { cost, duals, sol }),
-            Err(CoreError::Solver(_)) => {
-                // The quota starves this provider: recover with a
-                // bounded-shortfall placement whose penalty-inflated
-                // cost and genuine capacity duals pull quota back
-                // toward it on the next division.
-                match self.recovery_response_traced(i, quota, warm_us, config, telemetry) {
-                    Ok((cost, duals, sol, shortfall)) => Ok(Response::Recovered {
-                        cost,
-                        duals,
-                        sol,
-                        shortfall,
-                    }),
-                    // Even the relaxation failed: the true dead-end.
-                    Err(CoreError::Solver(_)) => Ok(Response::Infeasible),
-                    Err(e) => Err(e),
-                }
-            }
-            Err(e) => Err(e),
-        }
+        Ok(Response::Solved {
+            cost,
+            duals,
+            sol,
+            shortfall,
+        })
     }
 
     /// Runs one round's Jacobi sweep — every provider best-responds to
@@ -488,24 +402,16 @@ impl ResourceGame {
             let mut any_infeasible = false;
             for (i, response) in responses.into_iter().enumerate() {
                 match response? {
-                    Response::Strict {
-                        cost,
-                        duals: d,
-                        sol,
-                    } => {
-                        trackers[i].record(prev_sols[i].is_some(), sol.iterations, telemetry);
-                        costs[i] = cost;
-                        duals[i] = d;
-                        sols[i] = Some(sol);
-                    }
-                    Response::Recovered {
+                    Response::Solved {
                         cost,
                         duals: d,
                         sol,
                         shortfall,
                     } => {
-                        telemetry.incr("game.recovered_responses", 1);
-                        telemetry.observe("game.response_shortfall", shortfall);
+                        if let Some(shortfall) = shortfall {
+                            telemetry.incr("game.recovered_responses", 1);
+                            telemetry.observe("game.response_shortfall", shortfall);
+                        }
                         trackers[i].record(prev_sols[i].is_some(), sol.iterations, telemetry);
                         costs[i] = cost;
                         duals[i] = d;
@@ -650,6 +556,16 @@ mod tests {
             ipm: IpmSettings::fast(),
             ..GameConfig::default()
         }
+    }
+
+    /// Provider `i`'s capacity duals in its strict best response to
+    /// `quota`.
+    fn strict_duals(game: &ResourceGame, i: usize, quota: &[f64], ipm: &IpmSettings) -> Vec<f64> {
+        let sp = &game.providers()[i];
+        let problem = sp.problem.with_capacities(quota.to_vec()).unwrap();
+        let horizon =
+            HorizonProblem::build(&problem, &sp.initial, &sp.demand, &sp.price_rows()).unwrap();
+        horizon.capacity_duals(&horizon.solve(ipm).unwrap())
     }
 
     #[test]
@@ -838,8 +754,10 @@ mod tests {
         // capacity shadow prices must be finite (and non-negative) even
         // though capacity binds hard.
         for (i, quota) in out.quotas.iter().enumerate() {
-            let (_, duals, _) = game.best_response(i, quota, &config.ipm).unwrap();
-            for (l, d) in duals.iter().enumerate() {
+            for (l, d) in strict_duals(&game, i, quota, &config.ipm)
+                .iter()
+                .enumerate()
+            {
                 assert!(
                     d.is_finite() && *d >= 0.0,
                     "provider {i} DC {l}: quota dual {d} not a finite shadow price"
@@ -917,6 +835,28 @@ mod tests {
             assert!(cost.is_finite(), "provider {i} cost {cost}");
         }
         assert_eq!(out.solutions.len(), 2);
+    }
+
+    #[test]
+    fn starved_best_response_is_one_solve() {
+        // The starved provider's preflight finds the deficit, so its best
+        // response runs the relaxation alone: no strict solve is certified
+        // infeasible first, and every response is one solve.
+        let sps = SpSampler::new(2, 2, 3).with_seed(9).sample(2).unwrap();
+        let game = ResourceGame::new(sps, vec![40.0, 40.0]).unwrap();
+        let quotas = vec![vec![0.05, 0.05], vec![39.95, 39.95]];
+        let config = GameConfig {
+            max_iterations: 4,
+            telemetry: dspp_telemetry::Recorder::enabled(),
+            ..quick_config()
+        };
+        let out = game.run_from(quotas, &config).unwrap();
+        let snap = config.telemetry.snapshot().unwrap();
+        assert!(snap.counter("game.recovered_responses") > 0);
+        assert_eq!(snap.counter("game.infeasible_responses"), 0);
+        assert_eq!(snap.counter("solver.lq.status.infeasible"), 0);
+        let responses = out.iterations * game.providers().len();
+        assert_eq!(snap.counter("solver.lq.solves"), responses as u64);
     }
 
     #[test]

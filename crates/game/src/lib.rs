@@ -17,9 +17,14 @@
 //!   (service rate, SLA, prices, reconfiguration weights, server size) plus
 //!   its demand over the game window.
 //! * [`ResourceGame`] + [`GameConfig`] — Algorithm 2 ([`ResourceGame::run`])
-//!   with the paper's relative-cost convergence test (ε = 0.05).
+//!   with the paper's relative-cost convergence test (ε = 0.05). Each best
+//!   response is the provider's `HorizonProblem` under its quota, decided
+//!   by `HorizonProblem::solve_or_recover`, the ladder the MPC controller
+//!   uses: a starved provider recovers with a bounded shortfall instead of
+//!   dead-ending.
 //! * [`solve_social_welfare`] — the joint (SWP) optimum, solved exactly as
-//!   one stage-structured QP over the stacked providers.
+//!   one horizon problem over the stacked providers
+//!   (`HorizonProblem::build_shared`).
 //! * [`equilibrium_gaps`] — ε-Nash verification by unilateral deviation
 //!   against per-stage residual capacities.
 //! * [`SpSampler`] — the random provider generator of Section VII-B

@@ -58,12 +58,13 @@ pub fn equilibrium_gaps(
                     .collect()
             })
             .collect();
-        let horizon = HorizonProblem::build_with_stage_capacities(
+        let horizon = HorizonProblem::build_full(
             &sp.problem,
             &sp.initial,
             &sp.demand,
             &sp.price_rows(),
             Some(&residual),
+            None,
         )?;
         let sol = horizon.solve(&config.ipm)?;
         let j_now = outcome.provider_costs[i];

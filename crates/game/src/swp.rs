@@ -3,9 +3,9 @@
 //! anarchy and price of stability.
 
 use crate::ServiceProvider;
-use dspp_core::CoreError;
+use dspp_core::{CoreError, HorizonPart, HorizonProblem};
 use dspp_linalg::Vector;
-use dspp_solver::{solve_structured, CouplingRow, DiagRow, IpmSettings, StructuredLq};
+use dspp_solver::IpmSettings;
 
 /// Solution of the social welfare problem.
 #[derive(Debug, Clone)]
@@ -22,11 +22,10 @@ pub struct SwpSolution {
     pub iterations: usize,
 }
 
-/// Solves the SWP exactly: one stage-structured QP over the stacked
-/// providers with the shared capacity constraint
-/// `Σ_i s^i Σ_v x^{ilv} ≤ C^l` per stage, on the structured KKT path
-/// (each provider location is a demand row, each DC one joint capacity
-/// row).
+/// Solves the SWP exactly: one horizon problem over the stacked providers
+/// ([`HorizonProblem::build_shared`]) with the shared capacity constraint
+/// `Σ_i s^i Σ_v x^{ilv} ≤ C^l` per stage, on the structured KKT path (each
+/// provider location is a demand row, each DC one joint capacity row).
 ///
 /// # Errors
 ///
@@ -37,140 +36,35 @@ pub fn solve_social_welfare(
     total_capacity: &[f64],
     ipm: &IpmSettings,
 ) -> Result<SwpSolution, CoreError> {
-    if providers.is_empty() {
-        return Err(CoreError::InvalidSpec("no providers".into()));
-    }
-    let nl = providers[0].problem.num_dcs();
-    let w = providers[0].horizon();
-    for (i, sp) in providers.iter().enumerate() {
-        if sp.problem.num_dcs() != nl || sp.horizon() != w {
-            return Err(CoreError::InvalidSpec(format!(
-                "provider {i} disagrees on data centers or window length"
-            )));
-        }
-    }
-    if total_capacity.len() != nl {
-        return Err(CoreError::InvalidSpec(format!(
-            "capacity vector has {} entries, expected {nl}",
-            total_capacity.len()
-        )));
-    }
-
-    // Joint layout: provider i's arcs occupy [offset[i], offset[i+1]).
-    let mut offsets = vec![0usize];
-    for sp in providers {
-        offsets.push(offsets.last().unwrap() + sp.problem.num_arcs());
-    }
-    let n = *offsets.last().unwrap();
-    let total_v: usize = providers.iter().map(|sp| sp.problem.num_locations()).sum();
-    let m_rows = total_v + nl + n;
-
-    // Shared rows (same at every stage): every provider's demand rows,
-    // then one joint capacity row per DC, then non-negativity.
-    let mut group_a = Vec::with_capacity(total_v);
-    let mut group_b: Vec<CouplingRow> = (0..nl)
-        .map(|l| CouplingRow {
-            row: total_v + l,
-            entries: Vec::new(),
-        })
-        .collect();
-    for (i, sp) in providers.iter().enumerate() {
-        for v in 0..sp.problem.num_locations() {
-            group_a.push(CouplingRow {
-                row: group_a.len(),
-                entries: sp
-                    .problem
-                    .arcs_for_location(v)
-                    .into_iter()
-                    .map(|e| (offsets[i] + e, -1.0 / sp.problem.arc_coeff(e)))
-                    .collect(),
-            });
-        }
-        for (e, &(l, _)) in sp.problem.arcs().iter().enumerate() {
-            group_b[l]
-                .entries
-                .push((offsets[i] + e, sp.problem.server_size()));
-        }
-    }
-    let diag_rows = (0..n)
-        .map(|j| DiagRow {
-            row: total_v + nl + j,
-            arc: j,
-            coeff: -1.0,
-        })
-        .collect();
-
-    // Reconfiguration penalty per joint arc: ½uᵀRu = Σ c u², R = 2c.
-    let r_diag: Vector = providers
-        .iter()
-        .flat_map(|sp| {
-            sp.problem
-                .arcs()
-                .iter()
-                .map(|&(l, _)| 2.0 * sp.problem.reconfig_weight(l))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-
+    let w = providers.first().map_or(0, ServiceProvider::horizon);
     let price_rows: Vec<Vec<Vec<f64>>> = providers.iter().map(|sp| sp.price_rows()).collect();
-    let stage_cost = |t: usize| -> Vector {
-        // Price of provider i's arc e at forecast index t (period t+1).
-        providers
-            .iter()
-            .enumerate()
-            .flat_map(|(i, sp)| {
-                sp.problem
-                    .arcs()
-                    .iter()
-                    .map(|&(l, _)| price_rows[i][l][t])
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
-    let stage_rhs = |t: usize| -> Vector {
-        let mut d = Vector::zeros(m_rows);
-        let mut vrow = 0usize;
-        for sp in providers {
-            for v in 0..sp.problem.num_locations() {
-                d[vrow] = -sp.demand[v][t];
-                vrow += 1;
-            }
-        }
-        for l in 0..nl {
-            d[total_v + l] = total_capacity[l];
-        }
-        d
-    };
-
-    let x0: Vector = providers
+    let parts: Vec<HorizonPart<'_>> = providers
         .iter()
-        .flat_map(|sp| sp.initial.arc_values().to_vec())
+        .zip(&price_rows)
+        .map(|(sp, prices)| HorizonPart {
+            problem: &sp.problem,
+            x0: &sp.initial,
+            demand_forecast: &sp.demand,
+            price_forecast: prices,
+        })
         .collect();
-    let slq = StructuredLq::new(
-        x0,
-        Vector::zeros(n),
-        (0..w).map(stage_cost).collect(),
-        vec![r_diag; w],
-        vec![Vector::zeros(n); w],
-        (0..w).map(stage_rhs).collect(),
-        diag_rows,
-        group_a,
-        group_b,
-        m_rows,
-    )?;
-    let sol = solve_structured(&slq, ipm)?;
+    let capacities = vec![total_capacity.to_vec(); w];
+    let sol = HorizonProblem::build_shared(&parts, Some(&capacities), None)?.solve(ipm)?;
 
-    // Split the joint trajectories back out and account per-provider costs.
+    // Split the joint trajectories back out and account per-provider costs;
+    // provider i's arcs follow provider i−1's.
     let mut xs: Vec<Vec<Vector>> = vec![Vec::with_capacity(w + 1); providers.len()];
     let mut us: Vec<Vec<Vector>> = vec![Vec::with_capacity(w); providers.len()];
+    let mut lo = 0;
     for (i, sp) in providers.iter().enumerate() {
-        let (lo, hi) = (offsets[i], offsets[i] + sp.problem.num_arcs());
+        let hi = lo + sp.problem.num_arcs();
         for t in 0..=w {
             xs[i].push((lo..hi).map(|j| sol.xs[t][j]).collect());
         }
         for t in 0..w {
             us[i].push((lo..hi).map(|j| sol.us[t][j]).collect());
         }
+        lo = hi;
     }
     let mut provider_costs = vec![0.0; providers.len()];
     for (i, sp) in providers.iter().enumerate() {
@@ -233,17 +127,25 @@ mod tests {
 
     #[test]
     fn swp_with_single_provider_matches_its_best_response() {
+        // The lone provider's best response to the whole capacity is its
+        // own horizon problem under that quota: the same program, solved
+        // to the same bits.
         let sps = SpSampler::new(2, 2, 3).with_seed(11).sample(1).unwrap();
         let caps = vec![200.0, 200.0];
-        let swp = solve_social_welfare(&sps, &caps, &IpmSettings::default()).unwrap();
-        let game = ResourceGame::new(sps, caps.clone()).unwrap();
-        let (cost, _, _) = game
-            .best_response(0, &caps, &IpmSettings::default())
-            .unwrap();
+        let ipm = IpmSettings::default();
+        let swp = solve_social_welfare(&sps, &caps, &ipm).unwrap();
+        let sp = &sps[0];
+        let quota = sp.problem.with_capacities(caps).unwrap();
+        let horizon =
+            HorizonProblem::build(&quota, &sp.initial, &sp.demand, &sp.price_rows()).unwrap();
+        let solo = horizon.solve(&ipm).unwrap();
+        assert_eq!(swp.objective.to_bits(), solo.objective.to_bits());
+        assert_eq!(swp.us[0], solo.us);
         assert!(
-            (swp.objective - cost).abs() < 1e-4 * (1.0 + cost),
-            "swp {} vs solo {cost}",
-            swp.objective
+            (swp.provider_costs[0] - solo.objective).abs() < 1e-9 * (1.0 + solo.objective),
+            "cost split {} vs solo {}",
+            swp.provider_costs[0],
+            solo.objective
         );
     }
 

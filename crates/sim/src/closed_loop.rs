@@ -63,17 +63,6 @@ impl SimReport {
         self.periods.iter().map(|p| p.sla_shortfall).sum()
     }
 
-    /// The per-DC server series, `[dc][period]` — what Figures 4–6 plot.
-    pub fn per_dc_series(&self) -> Vec<Vec<f64>> {
-        if self.periods.is_empty() {
-            return Vec::new();
-        }
-        let nl = self.periods[0].per_dc.len();
-        (0..nl)
-            .map(|l| self.periods.iter().map(|p| p.per_dc[l]).collect())
-            .collect()
-    }
-
     /// Total servers per period.
     pub fn total_series(&self) -> Vec<f64> {
         self.periods.iter().map(|p| p.total_servers).collect()
@@ -481,9 +470,8 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        let series = report.per_dc_series();
-        assert_eq!(series.len(), 1);
-        assert_eq!(series[0].len(), 3);
+        assert_eq!(report.periods.len(), 3);
+        assert!(report.periods.iter().all(|p| p.per_dc.len() == 1));
         assert_eq!(report.total_series().len(), 3);
         assert!(report.max_reconfig() > 0.0);
     }

@@ -7,10 +7,13 @@
 //! Rust ecosystem has no mature QP solver that exposes all of this, so this
 //! crate implements one from scratch:
 //!
-//! * [`StructuredLq`] / [`solve_structured`] — a primal–dual interior-point
-//!   method (Mehrotra predictor–corrector) whose Newton systems are
-//!   condensed onto per-arc chains and a small dense capacity Schur
-//!   complement, so the cost per iteration is near-linear in arcs. It
+//! * [`StructuredLq`] — the DSPP horizon problem and nothing more: hosting
+//!   prices, one reconfiguration diagonal, demand and capacity rows (each
+//!   arc's non-negativity row is implicit), an optional input box bound.
+//! * [`solve_structured`] — a primal–dual interior-point method (Mehrotra
+//!   predictor–corrector) whose Newton systems are condensed onto per-arc
+//!   chains and a small dense capacity Schur complement, so the cost per
+//!   iteration is near-linear in arcs. It
 //!   handles input box bounds (reconfiguration rate limits), the
 //!   always-feasible recovery relaxation
 //!   ([`solve_structured_relaxed_traced`]) and zero-capacity (dead data
@@ -34,31 +37,22 @@
 //!
 //! ```
 //! use dspp_linalg::Vector;
-//! use dspp_solver::{
-//!     solve_structured, CouplingRow, DiagRow, IpmSettings, SolveStatus, StructuredLq,
-//! };
+//! use dspp_solver::{solve_structured, CouplingRow, IpmSettings, SolveStatus, StructuredLq};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Rows per slot: demand `−x_e ≤ −2` per location, then the capacity
-//! // row `x_0 + x_1 ≤ 10`, then non-negativity per arc.
-//! let demand = (0..2)
-//!     .map(|e| CouplingRow { row: e, entries: vec![(e, -1.0)] })
-//!     .collect();
-//! let capacity = vec![CouplingRow { row: 2, entries: vec![(0, 1.0), (1, 1.0)] }];
-//! let nonneg = (0..2).map(|e| DiagRow { row: 3 + e, arc: e, coeff: -1.0 }).collect();
-//! let rhs = Vector::from(vec![-2.0, -2.0, 10.0, 0.0, 0.0]);
+//! // row `x_0 + x_1 ≤ 10`; every arc's `−x_e ≤ 0` is implicit.
+//! let demand = (0..2).map(|e| CouplingRow { entries: vec![(e, -1.0)] }).collect();
+//! let capacity = vec![CouplingRow { entries: vec![(0, 1.0), (1, 1.0)] }];
+//! let rhs = Vector::from(vec![-2.0, -2.0, 10.0]);
 //! let w = 2;
 //! let problem = StructuredLq::new(
-//!     Vector::zeros(2),                           // x_0
-//!     Vector::zeros(2),                           // stage-0 state cost
-//!     vec![Vector::from(vec![1.0, 3.0]); w],      // hosting prices
-//!     vec![Vector::filled(2, 0.2); w],            // reconfiguration weights
-//!     vec![Vector::zeros(2); w],                  // linear input costs
-//!     vec![rhs; w],
-//!     nonneg,
+//!     Vector::zeros(2),                      // x_0
+//!     vec![Vector::from(vec![1.0, 3.0]); w], // hosting prices per slot
+//!     Vector::filled(2, 0.2),                // reconfiguration diagonal
 //!     demand,
 //!     capacity,
-//!     5,
+//!     vec![rhs; w],
 //! )?;
 //! let sol = solve_structured(&problem, &IpmSettings::default())?;
 //! assert_eq!(sol.status, SolveStatus::Optimal);
@@ -80,9 +74,9 @@ mod structured;
 mod warm;
 
 pub use error::SolverError;
-pub use feasibility::{preflight_structured, FeasibilityReport, LqRowLayout, PeriodFeasibility};
+pub use feasibility::{preflight_structured, FeasibilityReport, PeriodFeasibility};
 pub use settings::IpmSettings;
 pub use skkt::{solve_structured, solve_structured_relaxed_traced, solve_structured_warm_traced};
 pub use solution::{LqSolution, RelaxedSolution, SoftSpec, SolveStatus};
-pub use structured::{CouplingRow, DiagRow, StructuredLq};
+pub use structured::{CouplingRow, StructuredLq};
 pub use warm::WarmStartTracker;

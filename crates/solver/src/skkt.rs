@@ -14,7 +14,7 @@
 //!
 //! where `T` is block-diagonal over *arcs* — one `W×W` tridiagonal chain
 //! per arc, carrying the input Hessians, regularization, the barrier
-//! weights of the single-arc rows and of the input box rows — and `G`
+//! weights of the non-negativity rows and of the input box rows — and `G`
 //! holds only the aggregate coupling rows, `W_c` their barrier weights.
 //! Demand rows have disjoint arc supports (one row per location), and so
 //! do capacity rows (one per data center). Each location's chains plus its
@@ -127,12 +127,12 @@ const STEP_FRACTION: f64 = 0.99;
 const INIT_MARGIN: f64 = 1.0;
 
 /// One location block of `H_A = T + G_Aᵀ W_A G_A`: the chains of the
-/// arcs one group-A (demand) row covers, plus that row's barrier term
-/// (arcs in no group-A row form singleton blocks without a row).
+/// arcs one demand row covers, plus that row's barrier term (arcs in no
+/// demand row form singleton blocks without a row).
 struct Block {
     /// The block's arcs; local arc `p` occupies rows `[p·W, (p+1)·W)`.
     arcs: Vec<usize>,
-    /// The group-A row and its coefficient on each local arc.
+    /// The demand row and its coefficient on each local arc.
     row: Option<(usize, Vec<f64>)>,
     /// The batch holding the block, and its lane there.
     batch: usize,
@@ -185,15 +185,13 @@ impl Batch {
 /// barrier weight never multiplies a rounding error in `G_B Δx`.
 struct SchurKkt {
     w: usize,
-    /// Per arc: the single-arc rows touching it (row index, coefficient).
-    diag_by_arc: Vec<Vec<(usize, f64)>>,
     blocks: Vec<Block>,
     /// The blocks grouped by dimension, in block order within a dimension.
     batches: Vec<Batch>,
     /// Inverse barrier weight `D = W_B⁻¹` per capacity row and slot (one
     /// on vacuous rows).
     dcap: Vector,
-    /// Dense system over the group-B (capacity) rows.
+    /// Dense system over the capacity rows.
     s_cap: SchurComplement,
     // --- scratch ---
     corr: Vector,
@@ -207,11 +205,7 @@ struct SchurKkt {
 
 impl SchurKkt {
     fn new(slq: &StructuredLq) -> Self {
-        let (n, w, nb) = (slq.n, slq.w, slq.group_b.len());
-        let mut diag_by_arc: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for dr in &slq.diag_rows {
-            diag_by_arc[dr.arc].push((dr.row, dr.coeff));
-        }
+        let (n, w, nb) = (slq.n, slq.w, slq.capacity.len());
         let mut covered = vec![false; n];
         let block = |arcs, row| Block {
             arcs,
@@ -220,16 +214,17 @@ impl SchurKkt {
             lane: 0,
         };
         let mut blocks: Vec<Block> = slq
-            .group_a
+            .demand
             .iter()
-            .filter(|cr| !cr.entries.is_empty())
-            .map(|cr| {
+            .enumerate()
+            .filter(|(_, cr)| !cr.entries.is_empty())
+            .map(|(row, cr)| {
                 for &(e, _) in &cr.entries {
                     covered[e] = true;
                 }
                 block(
                     cr.entries.iter().map(|&(e, _)| e).collect(),
-                    Some((cr.row, cr.entries.iter().map(|&(_, c)| c).collect())),
+                    Some((row, cr.entries.iter().map(|&(_, c)| c).collect())),
                 )
             })
             .collect();
@@ -253,7 +248,6 @@ impl SchurKkt {
         }
         SchurKkt {
             w,
-            diag_by_arc,
             blocks,
             batches,
             dcap: Vector::zeros(nb * w),
@@ -309,10 +303,11 @@ impl SchurKkt {
                 for entry in h.iter_mut() {
                     entry[lane] = 0.0;
                 }
-                // Chains: Σ_k R̃_k (y_{k+1} − y_k)² plus the single-arc rows'
-                // barrier terms on the diagonal.
+                // Chains: Σ_k R̃_k (y_{k+1} − y_k)² plus the non-negativity
+                // row's barrier term on the diagonal.
                 for (p, &e) in blk.arcs.iter().enumerate() {
                     let o = p * w;
+                    let nonneg = slq.nonneg_row(e);
                     // `k` is a stage index into several arrays.
                     #[allow(clippy::needless_range_loop)]
                     for k in 1..=w {
@@ -324,9 +319,7 @@ impl SchurKkt {
                             h[i * dim + i + 1][lane] = -r_next;
                             h[(i + 1) * dim + i][lane] = -r_next;
                         }
-                        for &(row, c) in &self.diag_by_arc[e] {
-                            d += wm[k][row] * c * c;
-                        }
+                        d += wm[k][nonneg];
                         h[i * dim + i][lane] = d;
                     }
                 }
@@ -379,14 +372,15 @@ impl SchurKkt {
         // S_B = W_B⁻¹ + Σ_v G_B H_v⁻¹ G_Bᵀ; a vacuous row (all arcs
         // pinned, so decoupled) gets an identity entry.
         self.s_cap.reset();
-        for (jb, cr) in slq.group_b.iter().enumerate() {
+        for jb in 0..slq.capacity.len() {
+            let row = slq.capacity_row(jb);
             #[allow(clippy::needless_range_loop)] // `k` is a slot index into several arrays
             for k in 1..=w {
                 let j = jb * w + k - 1;
-                self.dcap[j] = if slq.vacuous[k - 1][cr.row] {
+                self.dcap[j] = if slq.vacuous[k - 1][row] {
                     1.0
                 } else {
-                    1.0 / wm[k][cr.row]
+                    1.0 / wm[k][row]
                 };
                 self.s_cap.add_diag_entry(j, self.dcap[j]);
             }
@@ -474,7 +468,7 @@ impl SchurKkt {
         Self::clear_pinned(slq, y);
         self.block_solve(y);
         // S_B u = G_B g − f.
-        for (jb, cr) in slq.group_b.iter().enumerate() {
+        for (jb, cr) in slq.capacity.iter().enumerate() {
             for i in 0..w {
                 let mut acc = 0.0;
                 for &(e, c) in &cr.entries {
@@ -487,7 +481,7 @@ impl SchurKkt {
         // y = g − H_A⁻¹ G_Bᵀ u.
         let mut corr = std::mem::take(&mut self.corr);
         corr.fill(0.0);
-        for (jb, cr) in slq.group_b.iter().enumerate() {
+        for (jb, cr) in slq.capacity.iter().enumerate() {
             for &(e, c) in &cr.entries {
                 for i in 0..w {
                     corr[e * w + i] = c * u[jb * w + i];
@@ -529,7 +523,7 @@ impl SchurKkt {
             }
         };
         // Capacity rows: G_B y − D u, and their transposed contribution.
-        for (jb, cr) in slq.group_b.iter().enumerate() {
+        for (jb, cr) in slq.capacity.iter().enumerate() {
             for i in 0..w {
                 let j = jb * w + i;
                 let mut acc = 0.0;
@@ -683,10 +677,10 @@ pub fn solve_structured_relaxed_traced(
     telemetry: &Recorder,
 ) -> Result<RelaxedSolution, SolverError> {
     let soft_rows = spec.penalties.len();
-    if soft_rows == 0 || soft_rows > slq.m_rows {
+    if soft_rows == 0 || soft_rows > slq.num_rows() {
         return Err(SolverError::InvalidProblem(format!(
             "relaxation: {soft_rows} soft rows requested of {} per slot",
-            slq.m_rows
+            slq.num_rows()
         )));
     }
     if !spec.penalties.is_finite() || spec.penalties.iter().any(|p| *p <= 0.0) {
@@ -866,7 +860,7 @@ impl<'a> Rows<'a> {
         let lay = Layout {
             n: slq.n,
             w: slq.w,
-            m: slq.m_rows,
+            m: slq.num_rows(),
             soft: soft.map_or(0, |s| s.penalties.len()),
             bounded: slq.u_max.is_some(),
         };
@@ -1267,9 +1261,9 @@ fn newton_step(
     // Capacity rows stay in augmented form: their right-hand side is
     // −W⁻¹t = −(r_ineq − r_c/z) (a softened row subtracts its eliminated
     // slack's share, (t′ − r_σ)/(2ε + w′)), and they leave q̂.
-    for (jb, cr) in slq.group_b.iter().enumerate() {
+    for jb in 0..slq.capacity.len() {
+        let i = slq.capacity_row(jb);
         for k in 1..=w {
-            let i = cr.row;
             let mut f = 0.0;
             if rows.active[k][i] {
                 f = nt.r_cs[k][i] / it.zs[k][i] - res.ineq[k][i];
@@ -1368,9 +1362,10 @@ fn newton_step(
         }
         if k >= 1 {
             // The capacity multipliers come straight out of the solve.
-            for (jb, cr) in slq.group_b.iter().enumerate() {
-                if rows.active[k][cr.row] {
-                    step.zs[k][cr.row] = nt.u[jb * w + k - 1];
+            for jb in 0..slq.capacity.len() {
+                let i = slq.capacity_row(jb);
+                if rows.active[k][i] {
+                    step.zs[k][i] = nt.u[jb * w + k - 1];
                 }
             }
         }
@@ -1470,7 +1465,7 @@ pub(crate) fn solve_structured_inner(
         q_hats: vec![Vector::zeros(n); w + 1],
         r_hats: vec![Vector::zeros(n); w],
         y: Vector::zeros(n * w),
-        u: Vector::zeros(slq.group_b.len() * w),
+        u: Vector::zeros(slq.capacity.len() * w),
         cons: cons.clone(),
     };
     let mut aff = Iterate::zeros(&lay);
@@ -1507,11 +1502,11 @@ pub(crate) fn solve_structured_inner(
                 }
             }
         }
-        // Stationarity in u: R_k u_k + r_k + λ_k + z⁺ − z⁻ (B = I).
+        // Stationarity in u: R u_k + λ_k + z⁺ − z⁻ (B = I).
         for k in 0..w {
             let r = &mut res.u[k];
             for e in 0..n {
-                r[e] = slq.r_diags[k][e] * it.us[k][e] + slq.r_vecs[k][e] + it.lams[k][e];
+                r[e] = slq.r_diag[e] * it.us[k][e] + it.lams[k][e];
             }
             if lay.boxes(k) > 0 {
                 let off = lay.model(k);
@@ -1627,7 +1622,7 @@ pub(crate) fn solve_structured_inner(
         loop {
             for k in 0..w {
                 for e in 0..n {
-                    nt.rt[k][e] = slq.r_diags[k][e] + reg;
+                    nt.rt[k][e] = slq.r_diag[e] + reg;
                 }
                 if lay.boxes(k) > 0 {
                     let off = lay.model(k);
@@ -1829,36 +1824,26 @@ pub(crate) fn solve_structured_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::structured::{CouplingRow, DiagRow};
+    use crate::structured::CouplingRow;
 
     /// A small DSPP-shaped instance: `dcs × locs` grid with every arc
     /// usable, demand floors per location, capacity caps per DC,
     /// non-negativity per arc.
     fn instance(dcs: usize, locs: usize, w: usize, demand: f64, cap: f64) -> StructuredLq {
         let n = dcs * locs; // arc (l, v) at index l * locs + v
-        let m_rows = locs + dcs + n;
-        let diag_rows = (0..n)
-            .map(|e| DiagRow {
-                row: locs + dcs + e,
-                arc: e,
-                coeff: -1.0,
-            })
-            .collect();
-        let group_a = (0..locs)
+        let demand_rows = (0..locs)
             .map(|v| CouplingRow {
-                row: v,
                 entries: (0..dcs)
                     .map(|l| (l * locs + v, -(1.0 + 0.1 * l as f64)))
                     .collect(),
             })
             .collect();
-        let group_b = (0..dcs)
+        let capacity_rows = (0..dcs)
             .map(|l| CouplingRow {
-                row: locs + l,
                 entries: (0..locs).map(|v| (l * locs + v, 1.0)).collect(),
             })
             .collect();
-        let mut d = Vector::zeros(m_rows);
+        let mut d = Vector::zeros(locs + dcs);
         for v in 0..locs {
             d[v] = -demand;
         }
@@ -1870,15 +1855,11 @@ mod tests {
             .collect();
         StructuredLq::new(
             Vector::zeros(n),
-            Vector::zeros(n),
             qs,
-            vec![Vector::filled(n, 0.2); w],
-            vec![Vector::zeros(n); w],
+            Vector::filled(n, 0.2),
+            demand_rows,
+            capacity_rows,
             vec![d; w],
-            diag_rows,
-            group_a,
-            group_b,
-            m_rows,
         )
         .unwrap()
     }
@@ -1901,7 +1882,7 @@ mod tests {
     /// weights and verify `H y` reconstructs `b` through the explicit
     /// definition `H = T + CᵀWC` (chain part plus full barrier part).
     fn assert_condensed_solve(slq: &StructuredLq) {
-        let (n, w, m) = (slq.n, slq.w, slq.m_rows);
+        let (n, w, m) = (slq.n, slq.w, slq.num_rows());
         let reg = 1e-9;
         // Deterministic pseudo-random positive weights and rhs.
         let mut state = 42u64;
@@ -1915,12 +1896,12 @@ mod tests {
         for _ in 1..=w {
             ws.push((0..m).map(|_| next() * 3.0).collect());
         }
-        let rt: Vec<Vector> = (0..w).map(|k| slq.r_diags[k].map(|r| r + reg)).collect();
+        let rt: Vec<Vector> = vec![slq.r_diag.map(|r| r + reg); w];
         let b: Vector = (0..n * w).map(|_| next() - 1.0).collect();
         let mut kkt = SchurKkt::new(slq);
         kkt.refactor(slq, &ws, &rt, reg).unwrap();
         let mut y = b.clone();
-        let mut u = Vector::zeros(slq.group_b.len() * w);
+        let mut u = Vector::zeros(slq.capacity.len() * w);
         kkt.solve_in_place(slq, &mut y, &mut u);
         // Reconstruct H y slot by slot.
         let mut worst = 0.0f64;
@@ -1961,18 +1942,14 @@ mod tests {
     }
 
     /// `slq` with its demand rows replaced.
-    fn with_group_a(slq: &StructuredLq, group_a: Vec<CouplingRow>) -> StructuredLq {
+    fn with_demand(slq: &StructuredLq, demand: Vec<CouplingRow>) -> StructuredLq {
         StructuredLq::new(
             slq.x0.clone(),
-            slq.q0.clone(),
             slq.qs.clone(),
-            slq.r_diags.clone(),
-            slq.r_vecs.clone(),
+            slq.r_diag.clone(),
+            demand,
+            slq.capacity.clone(),
             slq.ds.clone(),
-            slq.diag_rows.clone(),
-            group_a,
-            slq.group_b.clone(),
-            slq.m_rows,
         )
         .unwrap()
     }
@@ -1985,7 +1962,7 @@ mod tests {
     #[test]
     fn hand_built_block_orders_solve_exactly() {
         let base = instance(3, 4, 3, 4.0, 40.0);
-        let mut reversed = base.group_a.clone();
+        let mut reversed = base.demand.clone();
         for row in &mut reversed {
             row.entries.reverse();
         }
@@ -1995,17 +1972,13 @@ mod tests {
         }
         let merged = vec![
             CouplingRow {
-                row: 0,
                 entries: vec![(2, -1.1), (0, -1.0), (3, -1.1), (1, -1.0)],
             },
-            CouplingRow {
-                row: 1,
-                entries: vec![],
-            },
+            CouplingRow { entries: vec![] },
         ];
         for slq in [
-            with_group_a(&base, reversed),
-            with_group_a(&two_per_dc, merged),
+            with_demand(&base, reversed),
+            with_demand(&two_per_dc, merged),
         ] {
             assert_condensed_solve(&slq);
         }
@@ -2068,7 +2041,7 @@ mod tests {
         assert!(run(SoftSpec::uniform(0, 1.0, 1e-4)).is_err());
         assert!(run(SoftSpec::uniform(1, -1.0, 1e-4)).is_err());
         assert!(run(SoftSpec::uniform(1, 1.0, 0.0)).is_err());
-        assert!(run(SoftSpec::uniform(slq.m_rows + 1, 1.0, 1e-4)).is_err());
+        assert!(run(SoftSpec::uniform(slq.num_rows() + 1, 1.0, 1e-4)).is_err());
     }
 
     /// One recorder sees a cold, a warm and a recovery solve (this one

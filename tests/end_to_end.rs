@@ -64,8 +64,9 @@ fn wide_area_pipeline_is_sla_compliant_and_priced() {
     );
     assert!(report.ledger.total() > 0.0);
     // All four DCs participate at some point (geo demand spread).
-    let series = report.per_dc_series();
-    let active = series.iter().filter(|s| s.iter().any(|&x| x > 0.5)).count();
+    let active = (0..report.periods[0].per_dc.len())
+        .filter(|&l| report.periods.iter().any(|p| p.per_dc[l] > 0.5))
+        .count();
     assert!(active >= 2, "only {active} DCs ever used");
 }
 

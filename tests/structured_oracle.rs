@@ -15,8 +15,8 @@
 use dspp::core::{Allocation, Dspp, DsppBuilder, HorizonProblem, RecoverySettings};
 use dspp::linalg::Vector;
 use dspp::solver::{
-    solve_structured, solve_structured_relaxed_traced, CouplingRow, DiagRow, IpmSettings,
-    LqSolution, SoftSpec, SolveStatus, SolverError, StructuredLq,
+    solve_structured, solve_structured_relaxed_traced, CouplingRow, IpmSettings, LqSolution,
+    SoftSpec, SolveStatus, SolverError, StructuredLq,
 };
 use dspp::telemetry::Recorder;
 use dspp_oracle::{expand, relax_lq, solve_lq};
@@ -27,29 +27,19 @@ use proptest::prelude::*;
 /// non-negativity per arc.
 fn grid(dcs: usize, locs: usize, w: usize, demand: f64, cap: f64) -> StructuredLq {
     let n = dcs * locs; // arc (l, v) at index l * locs + v
-    let m_rows = locs + dcs + n;
-    let diag_rows = (0..n)
-        .map(|e| DiagRow {
-            row: locs + dcs + e,
-            arc: e,
-            coeff: -1.0,
-        })
-        .collect();
-    let group_a = (0..locs)
+    let demand_rows = (0..locs)
         .map(|v| CouplingRow {
-            row: v,
             entries: (0..dcs)
                 .map(|l| (l * locs + v, -(1.0 + 0.1 * l as f64)))
                 .collect(),
         })
         .collect();
-    let group_b = (0..dcs)
+    let capacity_rows = (0..dcs)
         .map(|l| CouplingRow {
-            row: locs + l,
             entries: (0..locs).map(|v| (l * locs + v, 1.0)).collect(),
         })
         .collect();
-    let mut d = Vector::zeros(m_rows);
+    let mut d = Vector::zeros(locs + dcs);
     for v in 0..locs {
         d[v] = -demand;
     }
@@ -61,33 +51,25 @@ fn grid(dcs: usize, locs: usize, w: usize, demand: f64, cap: f64) -> StructuredL
         .collect();
     StructuredLq::new(
         Vector::zeros(n),
-        Vector::zeros(n),
         qs,
-        vec![Vector::filled(n, 0.2); w],
-        vec![Vector::zeros(n); w],
+        Vector::filled(n, 0.2),
+        demand_rows,
+        capacity_rows,
         vec![d; w],
-        diag_rows,
-        group_a,
-        group_b,
-        m_rows,
     )
     .unwrap()
 }
 
 /// `slq` rebuilt with its demand rows and right-hand sides replaced.
-fn rebuilt(slq: &StructuredLq, group_a: Vec<CouplingRow>, ds: Vec<Vector>) -> StructuredLq {
+fn rebuilt(slq: &StructuredLq, demand: Vec<CouplingRow>, ds: Vec<Vector>) -> StructuredLq {
     let w = slq.horizon();
     StructuredLq::new(
         slq.x0().clone(),
-        slq.state_cost(0).clone(),
-        (1..=w).map(|k| slq.state_cost(k).clone()).collect(),
-        (0..w).map(|k| slq.input_cost_diag(k).clone()).collect(),
-        (0..w).map(|k| slq.input_cost_linear(k).clone()).collect(),
+        (1..=w).map(|k| slq.prices(k).clone()).collect(),
+        slq.reconfiguration().clone(),
+        demand,
+        slq.capacity_rows().to_vec(),
         ds,
-        slq.diag_rows().to_vec(),
-        group_a,
-        slq.group_b().to_vec(),
-        slq.num_rows(),
     )
     .unwrap()
 }
@@ -103,7 +85,7 @@ fn with_outage(slq: &StructuredLq, locs: usize, dead: usize, slots: &[usize]) ->
             d
         })
         .collect();
-    rebuilt(slq, slq.group_a().to_vec(), ds)
+    rebuilt(slq, slq.demand_rows().to_vec(), ds)
 }
 
 fn assert_close(a: f64, b: f64, rel: f64, what: &str) {
@@ -121,7 +103,7 @@ fn assert_close(a: f64, b: f64, rel: f64, what: &str) {
 #[test]
 fn hand_built_block_orders_match_the_dense_oracle() {
     let base = grid(3, 4, 3, 4.0, 40.0);
-    let mut reversed = base.group_a().to_vec();
+    let mut reversed = base.demand_rows().to_vec();
     for row in &mut reversed {
         row.entries.reverse();
     }
@@ -136,13 +118,9 @@ fn hand_built_block_orders_match_the_dense_oracle() {
         .collect();
     let merged = vec![
         CouplingRow {
-            row: 0,
             entries: vec![(2, -1.1), (0, -1.0), (3, -1.1), (1, -1.0)],
         },
-        CouplingRow {
-            row: 1,
-            entries: vec![],
-        },
+        CouplingRow { entries: vec![] },
     ];
     for slq in [
         rebuilt(&base, reversed, base_ds),
@@ -446,12 +424,13 @@ fn dead_data_center_arcs_are_pinned_to_zero() {
         vec![100.0, 0.0],
         vec![100.0, 100.0],
     ];
-    let h = HorizonProblem::build_with_stage_capacities(
+    let h = HorizonProblem::build_full(
         &p,
         &x0,
         &[flat(50.0, 4), flat(30.0, 4)],
         &[flat(2.0, 4), flat(1.0, 4)],
         Some(&caps),
+        None,
     )
     .unwrap();
     assert_eq!(h.structured().pins().len(), 2 * 2);

@@ -10,7 +10,10 @@ Counts every line of ``crates/*/src/**/*.rs`` that lies outside a
 
 Everything else counts, blank lines and plain ``//`` comments included,
 wherever it sits in the file: production code after a test-only method
-or after ``#[cfg(test)] mod oracle;`` counts like any other line.
+or after ``#[cfg(test)] mod oracle;`` counts like any other line. A
+module declared out of line under ``#[cfg(test)]`` (``mod oracle;``) is
+test code as a whole: its file ``oracle.rs`` or ``oracle/mod.rs`` and
+every file below ``oracle/`` count zero.
 
 Prints one line per production crate, the production total (every crate
 except ``dspp-oracle``, the test-only home of the dense oracles), and
@@ -21,7 +24,7 @@ Usage::
     python3 tools/count_lines.py [ROOT]
 
 ``ROOT`` defaults to the repository this script lives in; pass another
-checkout (a ``git worktree`` of the parent commit, say) to count it.
+checkout (a clone of the parent commit, say) to count it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ ORACLE = "dspp-oracle"
 CFG_TEST = "#[cfg(test)]"
 NAME_RE = re.compile(r'^\s*name\s*=\s*"([^"]+)"', re.MULTILINE)
 RAW_STRING_RE = re.compile(r'b?r(#*)"')
+MOD_DECL_RE = re.compile(r"\s*(?:#\[[^\]]*\]\s*)*(?:pub(?:\([^)]*\))?\s+)?mod\s+(\w+)\s*;")
 OPENERS = "([{"
 CLOSERS = ")]}"
 
@@ -100,14 +104,16 @@ def item_end(text: str, start: int) -> int:
     return len(text) - 1
 
 
-def count_file(path: Path) -> int:
-    """Lines of ``path`` outside ``#[cfg(test)]`` items."""
+def count_file(path: Path) -> tuple[int, list[str]]:
+    """Lines of ``path`` outside ``#[cfg(test)]`` items, and the names of
+    the modules it declares out of line under ``#[cfg(test)]``."""
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines(keepends=True)
     offsets = [0]
     for line in lines:
         offsets.append(offsets[-1] + len(line))
     test = [False] * len(lines)
+    test_mods = []
     i = 0
     while i < len(lines):
         if not lines[i].lstrip().startswith(CFG_TEST):
@@ -118,13 +124,41 @@ def count_file(path: Path) -> int:
             first -= 1
         body = offsets[i] + lines[i].index(CFG_TEST) + len(CFG_TEST)
         end = item_end(text, body)
+        declared = MOD_DECL_RE.fullmatch(text, body, end + 1)
+        if declared:
+            test_mods.append(declared.group(1))
         last = i
         while last + 1 < len(lines) and offsets[last + 1] <= end:
             last += 1
         for k in range(first, last + 1):
             test[k] = True
         i = last + 1
-    return test.count(False)
+    return test.count(False), test_mods
+
+
+def module_dir(path: Path) -> Path:
+    """The directory where ``mod name;`` in ``path`` finds ``name``."""
+    if path.name in ("lib.rs", "main.rs", "mod.rs") or path.parent.name == "bin":
+        return path.parent
+    return path.parent / path.stem
+
+
+def count_crate(crate: Path) -> int:
+    """Non-test lines of ``crate``'s ``src`` tree."""
+    src = crate / "src"
+    files = sorted(src.rglob("*.rs")) if src.is_dir() else []
+    counted = {path: count_file(path) for path in files}
+    test_only: set[Path] = set()
+    test_dirs: list[Path] = []
+    for path, (_, test_mods) in counted.items():
+        for name in test_mods:
+            test_only.add(module_dir(path) / f"{name}.rs")
+            test_dirs.append(module_dir(path) / name)
+    return sum(
+        n
+        for path, (n, _) in counted.items()
+        if path not in test_only and not any(d in path.parents for d in test_dirs)
+    )
 
 
 def crate_name(crate: Path) -> str:
@@ -142,9 +176,7 @@ def main() -> int:
     for crate in sorted((root / "crates").iterdir()):
         if not (crate / "Cargo.toml").is_file():
             continue
-        src = crate / "src"
-        files = sorted(src.rglob("*.rs")) if src.is_dir() else []
-        counts[crate_name(crate)] = sum(count_file(f) for f in files)
+        counts[crate_name(crate)] = count_crate(crate)
     if not counts:
         print(f"no crates under {root / 'crates'}", file=sys.stderr)
         return 1
