@@ -536,7 +536,8 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     // proportion to their 1:2:3:4 capacities (period 0, before the first
     // placement, is unroutable). The counters pin the ledger of the first
     // four periods exactly — generated, admitted, deferred and dropped
-    // requests, the requests routed onto arc 0, the payload KiB of every
+    // requests, the requests routed onto arc 0, the whole routing split
+    // (`Σ_e (e + 1) · routed_e` over every arc), the payload KiB of every
     // class — and the allocations of the fourth.
     let ingest_metric = pick("ingest.period").then(|| {
         const PERIODS: usize = 64;
@@ -564,6 +565,12 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
         });
         let totals = *counted.totals();
         let arc0_events: u64 = counted.sealed().iter().map(|s| s.arc_counts[0]).sum();
+        let arc_split_digest: u64 = counted
+            .sealed()
+            .iter()
+            .flat_map(|s| s.arc_counts.iter().zip(1u64..))
+            .map(|(&routed, weight)| weight * routed)
+            .sum();
         let class_kib: u64 = counted.sealed().iter().flat_map(|s| s.class_kib).sum();
         let mut ingest = make();
         let metric = measure("ingest.period", warmup, iters, || {
@@ -576,6 +583,7 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
             ("admitted".to_string(), totals.admitted as f64),
             ("allocs".to_string(), step_allocs as f64),
             ("arc0_events".to_string(), arc0_events as f64),
+            ("arc_split_digest".to_string(), arc_split_digest as f64),
             ("class_kib".to_string(), class_kib as f64),
             ("deferred".to_string(), totals.deferred as f64),
             ("dropped".to_string(), totals.dropped as f64),
@@ -1044,6 +1052,12 @@ pub fn compare(baseline: &Baseline, current: &Baseline, tolerance: f64) -> Compa
     Comparison { deltas, unmatched }
 }
 
+/// Whether `counter` is a digest of exact values rather than a cost, so
+/// a move either way regresses.
+fn is_digest(counter: &str) -> bool {
+    counter.ends_with("_digest")
+}
+
 /// True when larger values of a deterministic counter are better (warm
 /// hits, hit rates, saved iterations, dominance flags); everything else —
 /// iteration totals, round counts, allocation counts — regresses upward.
@@ -1095,7 +1109,9 @@ impl MetricsComparison {
         );
         for d in &self.deltas {
             let verdict = if d.regressed {
-                let direction = if higher_is_better(&d.counter) {
+                let direction = if is_digest(&d.counter) {
+                    "changed"
+                } else if higher_is_better(&d.counter) {
                     "fell"
                 } else {
                     "rose"
@@ -1122,7 +1138,8 @@ impl MetricsComparison {
 /// A lower-is-better counter regresses when it exceeds
 /// `baseline · (1 + tolerance)`; a higher-is-better counter (warm hits,
 /// hit rates, saved iterations) when it falls below
-/// `baseline · (1 − tolerance)`.
+/// `baseline · (1 − tolerance)`; a digest (`*_digest`) when it moves
+/// either way by more than `baseline · tolerance`.
 /// The counters are exactly reproducible for a fixed build, so CI runs
 /// this with `tolerance = 0`.
 pub fn compare_metrics(
@@ -1143,7 +1160,9 @@ pub fn compare_metrics(
         for (counter, &recorded) in b.counters.iter().map(|(k, v)| (k, v)) {
             match find(current, &b.name, counter) {
                 Some(now) => {
-                    let regressed = if higher_is_better(counter) {
+                    let regressed = if is_digest(counter) {
+                        (now - recorded).abs() > recorded.abs() * tolerance
+                    } else if higher_is_better(counter) {
                         now < recorded * (1.0 - tolerance)
                     } else {
                         now > recorded * (1.0 + tolerance)
@@ -1443,6 +1462,8 @@ mod tests {
         assert!(counter(ingest, "deferred") > 0.0);
         assert!(counter(ingest, "dropped") > 0.0);
         assert!(counter(ingest, "arc0_events") > 0.0);
+        // Every routed request weighs at least 1, arc 0's exactly 1.
+        assert!(counter(ingest, "arc_split_digest") > counter(ingest, "arc0_events"));
         assert!(counter(ingest, "class_kib") > counter(ingest, "admitted"));
         // The dc-outage drill sheds exactly the analytic two-period ×
         // one-server deficit through recovery solves — never fallback —
@@ -1573,6 +1594,24 @@ mod tests {
         // Tolerance forgives small drift in both directions.
         assert!(!compare_metrics(&recorded, &worse, 0.05).regressed());
         assert!(!compare_metrics(&recorded, &fewer_hits, 0.60).regressed());
+    }
+
+    #[test]
+    fn digest_counters_regress_when_they_move_either_way() {
+        let with = |value: f64| {
+            let mut b = baseline(&[("w", 100.0)]);
+            b.metrics[0] = b.metrics[0]
+                .clone()
+                .with_counters(vec![("arc_split_digest".to_string(), value)]);
+            b
+        };
+        let recorded = with(1_000.0);
+        assert!(!compare_metrics(&recorded, &with(1_000.0), 0.0).regressed());
+        for moved in [999.0, 1_001.0] {
+            let cmp = compare_metrics(&recorded, &with(moved), 0.0);
+            assert!(cmp.regressed(), "{moved}");
+            assert!(cmp.report().contains("REGRESSED (changed)"), "{moved}");
+        }
     }
 
     #[test]

@@ -1,20 +1,26 @@
 //! Deterministic request-stream generation.
 //!
-//! Every `(city, period)` pair gets its own seeded stream, so the
-//! requests of a city are a pure function of `(seed, city, period,
-//! rate)` — independent of which shard thread generates them and of how
-//! many shards exist. That independence is what makes sealed period
+//! Every `(city, period)` pair gets two seeded streams of its own: the
+//! arrival stream and, seeded apart from it, the routing stream. The
+//! requests of a city are therefore a pure function of `(seed, city,
+//! period, rate)` — independent of which shard thread draws them and of
+//! how many shards exist. That independence is what makes sealed period
 //! matrices byte-identical at any `--jobs` count and lets a checkpoint
 //! resume mid-stream bit-exactly: period `k+1` streams are fresh seeds,
 //! never continuations of period `k` RNG state.
 //!
-//! A stream is the paper's Poisson arrival process over one period,
-//! reduced to what the controller observes. The count of a Poisson
-//! process of rate `λ` on `[0, T)` is `Poisson(λT)`, and given the count
-//! the requests' attributes are independent, so a stream draws its
-//! arrival count as one exact Poisson variate
+//! The arrival stream is the paper's Poisson arrival process over one
+//! period, reduced to what the controller observes. The count of a
+//! Poisson process of rate `λ` on `[0, T)` is `Poisson(λT)`, and given
+//! the count the requests' attributes are independent, so the stream
+//! draws its arrival count as one exact Poisson variate
 //! ([`dspp_workload::poisson::sample`]) and then one attribute word per
 //! arrival. Arrival times are never drawn: nothing downstream reads them.
+//! The routing stream supplies each admitted request's routing word. A
+//! shard draws both streams of a city in one loop, a fresh request's
+//! attribute word and its routing word in the same iteration, and counts
+//! them without building events; [`generate_city_period`] collects the
+//! arrival stream as events.
 
 use dspp_workload::poisson;
 use rand::rngs::StdRng;
@@ -35,32 +41,40 @@ pub fn stream_seed(seed: u64, city: usize, period: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Draws the request stream of one `(city, period)` pair — the one
-/// definition of that stream — and returns its arrival count. From an
-/// RNG seeded with [`stream_seed`] it draws the arrival count
-/// `N ~ Poisson(rate · period_seconds)` (a zero rate draws nothing),
-/// then one attribute word (class and payload size) per arrival, in
-/// arrival order, for the first `admitted` arrivals only: those words go
-/// to `attribute`, and the words of later arrivals are not drawn. `rate`
-/// is the city's mean arrival rate in requests/second over a period of
-/// `period_seconds`. The ingest shards pass their admission budget;
-/// [`generate_city_period`] passes `u64::MAX` and collects every word.
+/// Salt separating the per-`(city, period)` routing stream from the
+/// arrival stream with the same coordinates.
+const ROUTE_STREAM_SALT: u64 = 0x5ee0_1e55_0c0f_fee5;
+
+/// Starts the arrival stream of one `(city, period)` pair — the one
+/// definition of that stream. From an RNG seeded with [`stream_seed`] it
+/// draws the arrival count `N ~ Poisson(rate · period_seconds)` (a zero
+/// rate draws nothing) and returns it with the RNG, whose next words are
+/// the arrivals' attribute words (class and payload size), one per
+/// arrival in arrival order. `rate` is the city's mean arrival rate in
+/// requests/second over a period of `period_seconds`. The ingest shards
+/// draw only the words of the arrivals they admit;
+/// [`generate_city_period`] draws all `N`.
 #[inline]
-pub(crate) fn count_arrivals(
+pub(crate) fn arrival_stream(
     seed: u64,
     city: usize,
     period: usize,
     rate: f64,
     period_seconds: f64,
-    admitted: u64,
-    mut attribute: impl FnMut(u64),
-) -> u64 {
+) -> (u64, StdRng) {
     let mut rng = StdRng::seed_from_u64(stream_seed(seed, city, period));
     let arrivals = poisson::sample(&mut rng, rate * period_seconds);
-    for _ in 0..arrivals.min(admitted) {
-        attribute(rng.next_u64());
-    }
-    arrivals
+    (arrivals, rng)
+}
+
+/// The routing stream of one `(city, period)` pair — the one definition
+/// of that stream: an RNG seeded apart from the arrival stream, which
+/// supplies the city's routing words. A carried request draws its
+/// attribute word and then its routing word from it (only its count
+/// survived the deferral); a fresh request draws its routing word.
+#[inline]
+pub(crate) fn routing_stream(seed: u64, city: usize, period: usize) -> StdRng {
+    StdRng::seed_from_u64(stream_seed(seed ^ ROUTE_STREAM_SALT, city, period))
 }
 
 /// Collects the whole event stream of one `(city, period)` pair — the
@@ -81,14 +95,17 @@ pub fn generate_city_period(
     out: &mut Vec<Event>,
 ) -> u64 {
     out.clear();
-    count_arrivals(seed, city, period, rate, period_seconds, u64::MAX, |word| {
+    let (arrivals, mut words) = arrival_stream(seed, city, period, rate, period_seconds);
+    for _ in 0..arrivals {
+        let word = words.next_u64();
         let class = RequestClass::from_draw(word);
         out.push(Event {
             city: city as u32,
             class,
             size_kib: class.size_kib(word >> 2),
         });
-    })
+    }
+    arrivals
 }
 
 #[cfg(test)]
@@ -131,7 +148,7 @@ mod tests {
             let counts: Vec<f64> = (0..50)
                 .flat_map(|city| (0..50).map(move |period| (city, period)))
                 .map(|(city, period)| {
-                    count_arrivals(11, city, period, rate, period_seconds, 0, |_| {}) as f64
+                    arrival_stream(11, city, period, rate, period_seconds).0 as f64
                 })
                 .collect();
             let m = counts.iter().sum::<f64>() / STREAMS;
@@ -149,24 +166,21 @@ mod tests {
     }
 
     #[test]
-    fn counting_pass_draws_the_collected_stream() {
+    fn arrival_stream_draws_the_collected_stream() {
         let mut events = Vec::new();
         let n = generate_city_period(5, 2, 7, 300.0, 10.0, &mut events);
         assert!(n > 1000);
-        for admitted in [0, 1, n / 2, n - 1, n, n + 5, u64::MAX] {
-            let mut words = Vec::new();
-            let counted = count_arrivals(5, 2, 7, 300.0, 10.0, admitted, |word| words.push(word));
-            assert_eq!(counted, n, "admitted {admitted}");
-            assert_eq!(words.len() as u64, admitted.min(n));
-            for (&word, ev) in words.iter().zip(&events) {
-                let class = RequestClass::from_draw(word);
-                assert_eq!((class, class.size_kib(word >> 2)), (ev.class, ev.size_kib));
-            }
+        let (counted, mut words) = arrival_stream(5, 2, 7, 300.0, 10.0);
+        assert_eq!(counted, n);
+        for ev in &events {
+            let word = words.next_u64();
+            let class = RequestClass::from_draw(word);
+            assert_eq!((class, class.size_kib(word >> 2)), (ev.class, ev.size_kib));
         }
-        let silent = count_arrivals(5, 2, 7, 0.0, 10.0, u64::MAX, |_| {
-            panic!("a zero-rate stream has no arrivals");
-        });
-        assert_eq!(silent, 0);
+        assert_eq!(arrival_stream(5, 2, 7, 0.0, 10.0).0, 0);
+        // The routing stream is another stream with the same coordinates.
+        let (_, mut arrivals) = arrival_stream(5, 2, 7, 0.0, 10.0);
+        assert_ne!(routing_stream(5, 2, 7).next_u64(), arrivals.next_u64());
     }
 
     #[test]

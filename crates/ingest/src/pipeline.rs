@@ -2,17 +2,22 @@
 //!
 //! [`IngestLoop`] runs one control period at a time:
 //!
-//! 1. **Fan out.** Cities are split into contiguous shards, one scoped
-//!    thread each. Every shard takes two passes per city: it draws the
-//!    arrival count of the city's deterministic stream and histograms the
-//!    attribute words of the prefix the per-city admission budget admits
-//!    (carry-over first), then draws one routing word per admitted
-//!    request and counts each onto its arc off the period's
-//!    [`RouterSnapshot`], which every shard borrows. The counts go into
-//!    the shard's own plain-integer tally, and the shard ends its pass
-//!    by weighing its attribute histogram into payload KiB per class.
-//! 2. **Period-close barrier.** The scope joins every shard, so a shard
-//!    that panics panics the period. The loop thread then folds the
+//! 1. **Fan out.** Cities are split into contiguous shards. Every shard
+//!    but the last runs on a scoped thread of its own, and the last on
+//!    the loop thread, so a one-shard loop spawns no thread. Per city, a
+//!    shard draws the arrival count of the city's deterministic arrival
+//!    stream and admits against the per-city budget (carry-over first,
+//!    then a prefix of the arrivals). One loop then draws each admitted
+//!    request's attribute word (a fresh request's from the arrival
+//!    stream, a carried one's from the routing stream) and its routing
+//!    word from the routing stream, and counts the routing words that
+//!    reach each pick threshold of the city's table in the period's
+//!    [`RouterSnapshot`], which every shard borrows; each arc's count is
+//!    the difference of two threshold counts. The counts go into the
+//!    shard's own plain-integer tally, and the shard ends its pass by
+//!    weighing its attribute histogram into payload KiB per class.
+//! 2. **Period-close barrier.** The scope joins every spawned shard, so a
+//!    shard that panics panics the period. The loop thread then folds the
 //!    tallies, in shard order, into a [`SealedPeriod`] — one column of
 //!    exactly the demand-matrix shape the MPC consumes.
 //! 3. **Control step.** The placement policy observes the sealed rates
@@ -31,17 +36,11 @@ use std::time::Instant;
 
 use dspp_core::{CoreError, Dspp, PlacementPolicy, RoutingPolicy};
 use dspp_telemetry::{Recorder, SloEngine, SloSample};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::backpressure::{admit, BackpressureBudget};
 use crate::bucket::{SealedPeriod, ShardTally};
-use crate::generator::{count_arrivals, stream_seed};
+use crate::generator::{arrival_stream, routing_stream};
 use crate::snapshot::RouterSnapshot;
-
-/// Salt separating the per-`(city, period)` routing-draw stream from the
-/// arrival stream with the same coordinates.
-const ROUTE_STREAM_SALT: u64 = 0x5ee0_1e55_0c0f_fee5;
 
 /// The largest per-period arrival mean a rate plan may ask for: 2^53,
 /// the largest count an `f64` Poisson draw holds exactly. It keeps a
@@ -84,7 +83,8 @@ pub struct IngestConfig {
     /// turning sealed counts into the rates the MPC observes);
     /// [`IngestLoop::new`] rejects 0.
     pub period_seconds: u64,
-    /// Shard threads per period (clamped to `1..=cities`).
+    /// Shards per period (clamped to `1..=cities`); the last runs on the
+    /// loop thread and each other on a thread of its own.
     pub jobs: usize,
     /// Per-city admission limits.
     pub budget: BackpressureBudget,
@@ -107,7 +107,7 @@ impl IngestConfig {
         self
     }
 
-    /// Sets the shard-thread count.
+    /// Sets the shard count.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
@@ -470,7 +470,7 @@ impl IngestLoop {
     ///
     /// # Panics
     ///
-    /// Panics if a shard thread panics.
+    /// Panics if a shard panics.
     pub fn step(&mut self) -> Result<&SealedPeriod, IngestError> {
         let k = self.cursor;
         if k >= self.periods() {
@@ -500,15 +500,18 @@ impl IngestLoop {
         // shape at any shard count.
         let fanout = self.telemetry.tracer().span("ingest.fanout");
         let t_route = Instant::now();
-        // The period-close barrier: the scope joins every shard, and
-        // panics here if one of them panicked.
+        // Every shard but the last runs on a scoped thread of its own, and
+        // the last on this thread. The period-close barrier: the scope
+        // joins every spawned shard, and panics here if one of them
+        // panicked; a panic of the last shard unwinds through it.
         std::thread::scope(|scope| {
             let mut rest: &mut [u64] = &mut self.next_carry;
-            for tally in &mut self.tallies {
+            let shards = self.tallies.len();
+            for (i, tally) in self.tallies.iter_mut().enumerate() {
                 let cities = tally.cities();
                 let (carry_out, tail) = std::mem::take(&mut rest).split_at_mut(cities.len());
                 rest = tail;
-                scope.spawn(move || {
+                let shard = move || {
                     process_shard(
                         seed,
                         k,
@@ -521,7 +524,12 @@ impl IngestLoop {
                         period_seconds,
                         stranded,
                     )
-                });
+                };
+                if i + 1 < shards {
+                    scope.spawn(shard);
+                } else {
+                    shard();
+                }
             }
         });
         let route_seconds = t_route.elapsed().as_secs_f64();
@@ -669,12 +677,11 @@ fn shard_tallies(cities: usize, jobs: usize, arcs: usize) -> Vec<ShardTally> {
 
 /// One shard's period: sequentially processes its contiguous city range,
 /// reading each city's backlog from `carry_in` and writing the backlog it
-/// leaves into `carry_out`. Each city takes two passes, one over each of
-/// its two independent random streams, and nothing is buffered: the
-/// first draws the arrival count and histograms the admitted prefix by
-/// attribute word; the second draws the routing stream and counts the
-/// admitted requests onto their arcs. The pass ends by weighing the
-/// histogram into payload KiB per class.
+/// leaves into `carry_out`. Each city draws its arrival count, admits
+/// against the budget, and routes its admitted requests in one loop over
+/// its two independent random streams ([`ShardTally::route`]); nothing is
+/// buffered. The pass ends by weighing the attribute histogram into
+/// payload KiB per class.
 #[allow(clippy::too_many_arguments)]
 fn process_shard(
     seed: u64,
@@ -697,20 +704,10 @@ fn process_shard(
         // requests are neither histogrammed nor routed.
         let defer = stranded[city] && table.arcs().is_empty();
         // Admission is a prefix: carried mass first, then the first
-        // `fresh_budget` fresh arrivals, so whether an arrival is
-        // admitted is just its index.
-        let admitted_carried = carried.min(budget.max_admitted_per_city);
-        let fresh_budget = budget.max_admitted_per_city - admitted_carried;
-        let histogrammed = if defer { 0 } else { fresh_budget };
-        let fresh = count_arrivals(
-            seed,
-            city,
-            period,
-            rates[city][period],
-            period_seconds,
-            histogrammed,
-            |word| tally.record_attribute(word),
-        );
+        // fresh arrivals, so the admitted arrivals' attribute words are
+        // the next words of the arrival stream.
+        let (fresh, arrivals) =
+            arrival_stream(seed, city, period, rates[city][period], period_seconds);
         tally.record_generated(fresh);
         let admission = admit(budget, carried, fresh);
         let mut backlog = admission.carry_out;
@@ -725,14 +722,13 @@ fn process_shard(
             deferred += kept;
             dropped += route_deferred - kept;
         } else {
-            let mut rng =
-                StdRng::seed_from_u64(stream_seed(seed ^ ROUTE_STREAM_SALT, city, period));
             tally.route(
                 city,
                 table,
                 admission.admitted_carried,
                 admission.admitted_fresh,
-                &mut rng,
+                arrivals,
+                routing_stream(seed, city, period),
             );
         }
         *slot = backlog;
@@ -766,7 +762,8 @@ mod tests {
     use crate::event::RequestClass;
     use dspp_core::{DsppBuilder, MpcController, MpcSettings};
     use dspp_predict::LastValue;
-    use rand::RngCore;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     fn build_loop(jobs: usize, budget: BackpressureBudget, seed: u64) -> IngestLoop {
         let periods = 6usize;
@@ -1176,7 +1173,7 @@ mod tests {
             sealed.carried_in += a.admitted_carried;
             sealed.deferred += a.carry_out;
             sealed.dropped += a.dropped;
-            let mut rng = StdRng::seed_from_u64(stream_seed(seed ^ ROUTE_STREAM_SALT, city, k));
+            let mut rng = routing_stream(seed, city, k);
             let mut draws = Vec::new();
             for _ in 0..a.admitted_carried {
                 let attrs = rng.next_u64();
@@ -1420,26 +1417,44 @@ mod tests {
         l.publish(RouterSnapshot::uncovered(3));
     }
 
+    /// A shard that panics panics the period, whether it ran on a
+    /// spawned thread (shard 0) or on the loop thread (the last shard).
     #[test]
     fn a_panicking_shard_panics_the_period() {
         use std::sync::mpsc::{channel, RecvTimeoutError};
-        let (done, finished) = channel();
-        let stepper = std::thread::spawn(move || {
-            let mut l = build_loop(2, BackpressureBudget::unlimited(), 1);
-            // A tally over one arc cannot fold into the period's six.
-            let cities = l.tallies[1].cities();
-            l.tallies[1] = ShardTally::new(cities.start, cities.len(), 1);
-            let _ = l.step();
-            let _ = done.send(());
-        });
-        // A panic drops `done` unsent; a hang times out instead of
-        // stalling the suite.
-        match finished.recv_timeout(std::time::Duration::from_secs(30)) {
-            Err(RecvTimeoutError::Disconnected) => {
-                assert!(stepper.join().is_err(), "the step must panic");
+        for broken in [0, 1] {
+            let (done, finished) = channel();
+            let stepper = std::thread::spawn(move || {
+                let mut l = build_loop(2, BackpressureBudget::unlimited(), 1);
+                assert_eq!(l.tallies.len(), 2);
+                // A tally over cities the problem does not have panics as
+                // soon as its shard looks up their first routing table.
+                let cities = l.tallies[broken].cities();
+                l.tallies[broken] = ShardTally::new(cities.start + 1_000, cities.len(), 6);
+                let _ = l.step();
+                let _ = done.send(());
+            });
+            // A panic drops `done` unsent; a hang times out instead of
+            // stalling the suite.
+            match finished.recv_timeout(std::time::Duration::from_secs(30)) {
+                Err(RecvTimeoutError::Disconnected) => {
+                    let panic = stepper.join().expect_err("the step must panic");
+                    // The shard itself panicked, not the fold after it.
+                    let message = panic
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| panic.downcast_ref::<&str>().copied())
+                        .unwrap_or_default();
+                    assert!(
+                        !message.contains("disagree on the arc count"),
+                        "shard {broken}: {message}"
+                    );
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("shard {broken}: the step hung on a panicking shard")
+                }
+                Ok(()) => panic!("shard {broken}: the step returned although a shard panicked"),
             }
-            Err(RecvTimeoutError::Timeout) => panic!("the step hung on a panicking shard"),
-            Ok(()) => panic!("the step returned although a shard panicked"),
         }
     }
 

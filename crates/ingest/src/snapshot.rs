@@ -2,23 +2,27 @@
 //!
 //! The controller publishes each new placement as an immutable
 //! [`RouterSnapshot`] (the eq. 13 split of [`dspp_core::RoutingPolicy`]
-//! compiled into flat cumulative sampling tables). The ingest loop owns
-//! the published snapshot and replaces it only between control periods,
-//! so every shard of a period borrows the same snapshot and routing a
-//! request touches no atomic and no lock.
+//! compiled into flat tables of integer pick thresholds). The ingest loop
+//! owns the published snapshot and replaces it only between control
+//! periods, so every shard of a period borrows the same snapshot and
+//! routing a city's requests touches no atomic and no lock.
 
 use dspp_core::{Dspp, RoutingPolicy};
 
-/// Pick thresholds are compared in groups of this many, so the compare of
-/// a table with up to `LANES + 1` arcs is one fixed-width step.
-const LANES: usize = 4;
+/// Pick thresholds are stored and counted in groups of this many, so a
+/// table with up to `LANES + 1` arcs is one group: every table of the
+/// paper's four data centers. A wider group would cost every request a
+/// compare on a padding lane at paper scale, and the counting loop's
+/// registers already hold both of a city's generators and every count.
+pub(crate) const LANES: usize = 3;
 
 /// `2^-64`: maps a 64-bit draw onto `[0, 1]`.
 const DRAW_SCALE: f64 = 5.421_010_862_427_522e-20;
 
 /// An immutable, shareable compilation of one routing policy: per city, a
-/// cumulative-fraction table over its arcs, flattened for cache-dense,
-/// branch-free picks (cities have at most `num_dcs` arcs).
+/// table of pick thresholds over its arcs, flattened so a city's
+/// requests are counted onto its arcs without branching (cities have at
+/// most `num_dcs` arcs).
 #[derive(Debug)]
 pub struct RouterSnapshot {
     version: u64,
@@ -31,11 +35,33 @@ pub struct RouterSnapshot {
     groups: Vec<u32>,
     /// The pick threshold of every entry but each city's last, `LANES`
     /// to a group and padded with `u64::MAX`: the least draw that passes
-    /// the entry (see [`CityTable::pick`]).
+    /// the entry (see [`CityTable`]).
     cuts: Vec<[u64; LANES]>,
 }
 
 /// One city's compiled routing table, borrowed from a [`RouterSnapshot`].
+///
+/// A uniform 64-bit routing word picks the entry whose index is the
+/// number of the table's pick thresholds the word reaches. This equals
+/// the linear scan over the cumulative fractions `t` with
+/// `u = draw · 2^-64` — the first entry with `u < t`, or else the last —
+/// for every draw, however the fractions rounded. Up to the first entry
+/// with `u < t` every fraction is `≤ u`, and so is their running maximum
+/// `m`; from that entry on, `m > u`. The threshold of an entry is the
+/// least draw that reaches its `m`: comparing against `m` instead of `t`
+/// keeps the scan's answer when a fraction rounded above a later one,
+/// such as a forced final 1.0 below a sum that rounded to
+/// 1.0000000000000002. Because `draw · 2^-64` never decreases as the
+/// draw grows, `m ≤ u` exactly when the draw reaches that least draw, so
+/// the compare is on integers. No draw reaches an `m` above 1, and
+/// compiling ends each table at the first such entry.
+///
+/// The thresholds are a running maximum, so they never decrease: a draw
+/// that reaches one reaches every earlier one. The number of draws that
+/// pick entry `i` is therefore the number that reach threshold `i - 1`
+/// (all draws, for the first entry) minus the number that reach
+/// threshold `i` (none, for the last entry), which is how the ingest
+/// shards count a city's requests onto its arcs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CityTable<'a> {
     arcs: &'a [u32],
@@ -50,36 +76,13 @@ impl CityTable<'_> {
         self.arcs
     }
 
-    /// The entry a uniform 64-bit draw picks, without branching on the
-    /// draw: the number of pick thresholds the draw reaches, at most the
-    /// last entry.
-    ///
-    /// This equals the linear scan over the cumulative fractions `t` with
-    /// `u = draw · 2^-64` — the first entry with `u < t`, or else the last
-    /// — for every draw, however the fractions rounded. Up to the first
-    /// entry with `u < t` every fraction is `≤ u`, and so is their running
-    /// maximum `m`; from that entry on, `m > u`. Comparing against `m`
-    /// instead of `t` keeps that true when a fraction rounded above a
-    /// later one, such as a forced final 1.0 below a sum that rounded to
-    /// 1.0000000000000002. Because `draw · 2^-64` never decreases as the
-    /// draw grows, `m ≤ u` exactly when the draw reaches the least draw
-    /// with that property, so the compare is on integers. No draw reaches
-    /// an `m` above 1, and compiling ends each table at the first such
-    /// entry; the cap keeps the `u64::MAX` padding from counting at the
-    /// top draw.
+    /// The pick thresholds of every entry but the last, in entry order,
+    /// `LANES` to a group; the last group is padded with `u64::MAX`, which
+    /// only the top draw reaches. A table with fewer than two entries has
+    /// no group.
     #[inline]
-    pub(crate) fn pick(&self, draw: u64) -> usize {
-        let passed: usize = self
-            .cuts
-            .iter()
-            .map(|group| {
-                group
-                    .iter()
-                    .map(|&cut| usize::from(cut <= draw))
-                    .sum::<usize>()
-            })
-            .sum();
-        passed.min(self.arcs.len().saturating_sub(1))
+    pub(crate) fn threshold_groups(&self) -> &[[u64; LANES]] {
+        self.cuts
     }
 }
 
@@ -157,9 +160,9 @@ impl RouterSnapshot {
     /// renormalizing each city's split over its surviving arcs (the
     /// eq. 13 fractions conditioned on the live set; with every DC alive,
     /// each weight over the city's weight total). A city whose entire
-    /// routable weight sat on dead DCs compiles to an empty table, so
-    /// [`RouterSnapshot::route`] returns `None` and the caller can defer
-    /// the request instead of sending it to a DC with zero capacity.
+    /// routable weight sat on dead DCs compiles to an empty table, so its
+    /// requests route nowhere and the caller can defer them instead of
+    /// sending them to a DC with zero capacity.
     ///
     /// # Panics
     ///
@@ -223,16 +226,6 @@ impl RouterSnapshot {
         }
     }
 
-    /// Routes one request from `city` given a uniform 64-bit draw.
-    /// Returns the chosen arc index, or `None` when the city has no
-    /// routable weight under this placement.
-    #[inline]
-    pub fn route(&self, city: usize, draw: u64) -> Option<usize> {
-        let table = self.table(city);
-        let arc = *table.arcs().get(table.pick(draw))?;
-        Some(arc as usize)
-    }
-
     /// The publication version (0 for [`RouterSnapshot::uncovered`]).
     pub fn version(&self) -> u64 {
         self.version
@@ -240,7 +233,43 @@ impl RouterSnapshot {
 }
 
 #[cfg(test)]
+impl CityTable<'_> {
+    /// The entry a uniform 64-bit draw picks, one draw at a time: the
+    /// number of pick thresholds the draw reaches, at most the last entry
+    /// (the cap keeps the `u64::MAX` padding from counting at the top
+    /// draw). The reference the counted shard pass is tested against.
+    pub(crate) fn pick(&self, draw: u64) -> usize {
+        let passed: usize = self
+            .cuts
+            .iter()
+            .map(|group| {
+                group
+                    .iter()
+                    .map(|&cut| usize::from(cut <= draw))
+                    .sum::<usize>()
+            })
+            .sum();
+        passed.min(self.arcs.len().saturating_sub(1))
+    }
+
+    /// The table's pick thresholds without the padding.
+    pub(crate) fn thresholds(&self) -> impl Iterator<Item = u64> + '_ {
+        let real = self.arcs.len().saturating_sub(1);
+        self.cuts.iter().flatten().copied().take(real)
+    }
+}
+
+#[cfg(test)]
 impl RouterSnapshot {
+    /// Routes one request from `city` given a uniform 64-bit draw.
+    /// Returns the chosen arc index, or `None` when the city has no
+    /// routable weight under this placement.
+    pub(crate) fn route(&self, city: usize, draw: u64) -> Option<usize> {
+        let table = self.table(city);
+        let arc = *table.arcs().get(table.pick(draw))?;
+        Some(arc as usize)
+    }
+
     /// A snapshot (version 1) over hand-written tables: `tables[v]` lists
     /// city `v`'s `(cumulative fraction, arc)` entries in order.
     pub(crate) fn from_tables(tables: &[Vec<(f64, usize)>]) -> Self {
