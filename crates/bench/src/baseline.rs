@@ -136,7 +136,7 @@ impl Metric {
 /// Every baseline workload, in canonical recording order. `record_selected`
 /// validates its `only` filter against this list, and the committed
 /// `BENCH_BASELINE.json` carries the workloads in exactly this order.
-pub const WORKLOADS: [&str; 16] = [
+pub const WORKLOADS: [&str; 17] = [
     "solver.lq_solve",
     "controller.step",
     "controller.recovery_step",
@@ -151,6 +151,7 @@ pub const WORKLOADS: [&str; 16] = [
     "ingest.period",
     "runtime.dc_outage_drill",
     "solver.lq_solve.large",
+    "solver.lq_solve.large_w8",
     "controller.recovery_step.large",
     "controller.recovery_step.paper",
 ];
@@ -669,37 +670,46 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     // 14. The 100×-scale structured solve: 100 DCs × 1000 locations ×
     // horizon 4 — 3000 SLA-feasible arcs, a 12000-variable QP per Newton
     // system. The dense Riccati path would cube the 3000-dimensional
-    // state; the structured KKT path factors 3000 independent per-arc
-    // chains plus a dense capacity-coupling Schur complement, which is
-    // what makes the workload tractable at all. Counters pin the IPM
-    // iteration count, the per-solve allocation count, and the number of
-    // Schur factorizations (proof the structured backend actually ran).
-    // Timed iterations are capped: one solve is long enough that a
-    // handful of samples gives a stable median.
-    let large_metric = pick("solver.lq_solve.large").then(|| {
-        let problem = huge_problem(100, 1_000);
-        let demand: Vec<f64> = (0..problem.num_locations())
-            .map(|v| 1_600.0 + 40.0 * ((v % 11) as f64))
-            .collect();
-        let sh = horizon_fixture(&problem, &demand, 4);
-        let ipm_large = IpmSettings::fast();
-        let telemetry = Recorder::enabled();
-        let (sol, large_allocs) = alloc_count::count(|| {
-            sh.solve_warm_traced(&ipm_large, None, &telemetry)
-                .expect("large fixture solves")
-        });
-        let mut counters = vec![
-            ("ipm_iterations".to_string(), sol.iterations as f64),
-            ("allocs".to_string(), large_allocs as f64),
-        ];
-        counters.extend(schur_counters(&telemetry));
-        measure("solver.lq_solve.large", 1, iters.min(5), || {
-            sh.solve(&ipm_large).expect("large fixture solves");
+    // state; the structured KKT path factors 1000 banded location blocks
+    // plus a dense capacity-coupling Schur complement, which is what
+    // makes the workload tractable at all. Counters pin the IPM iteration
+    // count, the per-solve allocation count, and the number of Schur
+    // factorizations (proof the structured backend actually ran). Timed
+    // iterations are capped: one solve is long enough that a handful of
+    // samples gives a stable median.
+    //
+    // 15. The same solve at horizon 8: a banded location block's factor
+    // grows linearly in W and its explicit inverse quadratically, the
+    // dense Schur complement's factor (L·W rows) cubically, so the pair
+    // shows how the solve scales in W.
+    let large_solve = |name: &str, horizon: usize| {
+        pick(name).then(|| {
+            let problem = huge_problem(100, 1_000);
+            let demand: Vec<f64> = (0..problem.num_locations())
+                .map(|v| 1_600.0 + 40.0 * ((v % 11) as f64))
+                .collect();
+            let sh = horizon_fixture(&problem, &demand, horizon);
+            let ipm_large = IpmSettings::fast();
+            let telemetry = Recorder::enabled();
+            let (sol, large_allocs) = alloc_count::count(|| {
+                sh.solve_warm_traced(&ipm_large, None, &telemetry)
+                    .expect("large fixture solves")
+            });
+            let mut counters = vec![
+                ("ipm_iterations".to_string(), sol.iterations as f64),
+                ("allocs".to_string(), large_allocs as f64),
+            ];
+            counters.extend(schur_counters(&telemetry));
+            measure(name, 1, iters.min(5), || {
+                sh.solve(&ipm_large).expect("large fixture solves");
+            })
+            .with_counters(counters)
         })
-        .with_counters(counters)
-    });
+    };
+    let large_metric = large_solve("solver.lq_solve.large", 4);
+    let large_w8_metric = large_solve("solver.lq_solve.large_w8", 8);
 
-    // 15. The 100×-scale recovery step: one MPC step on the same instance
+    // 16. The 100×-scale recovery step: one MPC step on the same instance
     // with data center 0 dark for the whole window and a uniform demand 1%
     // above what the 99 live DCs can host, so the preflight certifies
     // every horizon infeasible and each step runs the recovery solve — the
@@ -740,7 +750,7 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
         metric.with_counters(counters)
     });
 
-    // 16. The paper-scale recovery step: the first MPC step on the paper
+    // 17. The paper-scale recovery step: the first MPC step on the paper
     // instance (W = 5, default IPM settings) under `paper_stream`'s
     // all-DC brownout three periods ahead, so the horizon sheds only in
     // its later stages (`paper_brownout_controller`). Counters pin the
@@ -780,6 +790,7 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
             ingest_metric,
             outage_metric,
             large_metric,
+            large_w8_metric,
             recovery_large_metric,
             recovery_paper_metric,
         ]
@@ -1052,20 +1063,52 @@ pub fn compare(baseline: &Baseline, current: &Baseline, tolerance: f64) -> Compa
     Comparison { deltas, unmatched }
 }
 
-/// Whether `counter` is a digest of exact values rather than a cost, so
-/// a move either way regresses.
-fn is_digest(counter: &str) -> bool {
-    counter.ends_with("_digest")
+/// Counters that record an exact outcome of a workload's decisions (its
+/// event ledger, cost, shortfall and SLO tallies) rather than the work
+/// spent reaching it: a fall is as much a change of behaviour as a rise.
+const OUTCOME_COUNTERS: [&str; 14] = [
+    "generated",
+    "admitted",
+    "deferred",
+    "dropped",
+    "arc0_events",
+    "class_kib",
+    "total_cost",
+    "scenarios",
+    "sla_shortfall",
+    "recovery_periods",
+    "dc_down_periods",
+    "dc_outage_onsets",
+    "alert_transitions",
+    "slo_evaluations",
+];
+
+/// How [`compare_metrics`] gates a deterministic counter.
+enum Rule {
+    /// A cost (iterations, rounds, allocations): regresses when it rises.
+    Lower,
+    /// A saving (warm hits, hit rates, saved iterations, dominance
+    /// flags): regresses when it falls.
+    Higher,
+    /// An outcome ([`OUTCOME_COUNTERS`]) or a digest of exact values
+    /// (`*_digest`): regresses when it moves either way.
+    Equal,
 }
 
-/// True when larger values of a deterministic counter are better (warm
-/// hits, hit rates, saved iterations, dominance flags); everything else —
-/// iteration totals, round counts, allocation counts — regresses upward.
-fn higher_is_better(counter: &str) -> bool {
-    counter.ends_with("warm_hits")
-        || counter.ends_with("iterations_saved")
-        || counter.contains("hit_rate")
-        || counter.ends_with("is_cheapest")
+impl Rule {
+    fn of(counter: &str) -> Rule {
+        if counter.ends_with("_digest") || OUTCOME_COUNTERS.contains(&counter) {
+            Rule::Equal
+        } else if counter.ends_with("warm_hits")
+            || counter.ends_with("iterations_saved")
+            || counter.contains("hit_rate")
+            || counter.ends_with("is_cheapest")
+        {
+            Rule::Higher
+        } else {
+            Rule::Lower
+        }
+    }
 }
 
 /// One deterministic counter's baseline-vs-current delta.
@@ -1109,12 +1152,10 @@ impl MetricsComparison {
         );
         for d in &self.deltas {
             let verdict = if d.regressed {
-                let direction = if is_digest(&d.counter) {
-                    "changed"
-                } else if higher_is_better(&d.counter) {
-                    "fell"
-                } else {
-                    "rose"
+                let direction = match Rule::of(&d.counter) {
+                    Rule::Equal => "changed",
+                    Rule::Higher => "fell",
+                    Rule::Lower => "rose",
                 };
                 format!("REGRESSED ({direction})")
             } else {
@@ -1138,8 +1179,9 @@ impl MetricsComparison {
 /// A lower-is-better counter regresses when it exceeds
 /// `baseline · (1 + tolerance)`; a higher-is-better counter (warm hits,
 /// hit rates, saved iterations) when it falls below
-/// `baseline · (1 − tolerance)`; a digest (`*_digest`) when it moves
-/// either way by more than `baseline · tolerance`.
+/// `baseline · (1 − tolerance)`; an outcome (`OUTCOME_COUNTERS`) or a
+/// digest (`*_digest`) when it moves either way by more than
+/// `|baseline| · tolerance`.
 /// The counters are exactly reproducible for a fixed build, so CI runs
 /// this with `tolerance = 0`.
 pub fn compare_metrics(
@@ -1160,12 +1202,10 @@ pub fn compare_metrics(
         for (counter, &recorded) in b.counters.iter().map(|(k, v)| (k, v)) {
             match find(current, &b.name, counter) {
                 Some(now) => {
-                    let regressed = if is_digest(counter) {
-                        (now - recorded).abs() > recorded.abs() * tolerance
-                    } else if higher_is_better(counter) {
-                        now < recorded * (1.0 - tolerance)
-                    } else {
-                        now > recorded * (1.0 + tolerance)
+                    let regressed = match Rule::of(counter) {
+                        Rule::Equal => (now - recorded).abs() > recorded.abs() * tolerance,
+                        Rule::Higher => now < recorded * (1.0 - tolerance),
+                        Rule::Lower => now > recorded * (1.0 + tolerance),
                     };
                     deltas.push(CounterDelta {
                         workload: b.name.clone(),
@@ -1320,15 +1360,16 @@ mod tests {
         assert_eq!(quantile(&sorted, 0.99), 10.0);
     }
 
-    /// Every workload a unit test may record. The two 100×-scale ones
-    /// have dedicated tests below, and `solver.lq_solve` runs the no-op
+    /// Every workload a unit test may record. The 100×-scale ones have
+    /// dedicated tests below (but for the W = 8 solve, which only adds
+    /// time to its W = 4 test), and `solver.lq_solve` runs the no-op
     /// telemetry contract, a wall-clock assert that parallel test threads
     /// would skew; `tests/disabled_recorder.rs` checks its solve, and
     /// `solver.warm_vs_cold` pins the same cold solve's iterations.
     fn untimed_workloads() -> Vec<String> {
         WORKLOADS
             .iter()
-            .filter(|n| !n.ends_with(".large") && **n != "solver.lq_solve")
+            .filter(|n| !n.contains(".large") && **n != "solver.lq_solve")
             .map(|n| (*n).to_string())
             .collect()
     }
@@ -1480,7 +1521,9 @@ mod tests {
     #[test]
     fn workload_catalogue_in_the_docs_matches_workloads() {
         // The table under "The perf-baseline gate" in OBSERVABILITY.md:
-        // one row per workload, `| `name` | one timed iteration | counters |`.
+        // one row per workload, `| `name` | one timed iteration | counters |`,
+        // each counter followed by its rule: `≤` (must not rise), `≥`
+        // (must not fall) or `=` (must not move).
         let doc = include_str!("../../../docs/OBSERVABILITY.md");
         let section = doc
             .split("### The perf-baseline gate")
@@ -1499,6 +1542,18 @@ mod tests {
             .filter(|line| line.starts_with("| `"))
             .map(|line| {
                 let cells: Vec<&str> = line.split('|').collect();
+                let parts: Vec<&str> = cells[3].split('`').collect();
+                for pair in parts[1..].chunks(2) {
+                    let symbol = pair
+                        .get(1)
+                        .and_then(|rest| rest.trim_start().chars().next());
+                    let want = match Rule::of(pair[0]) {
+                        Rule::Lower => '≤',
+                        Rule::Higher => '≥',
+                        Rule::Equal => '=',
+                    };
+                    assert_eq!(symbol, Some(want), "{line}: rule of `{}`", pair[0]);
+                }
                 let mut counters = backticked(cells[3]);
                 counters.sort();
                 (backticked(cells[1]).remove(0), counters)
@@ -1597,21 +1652,39 @@ mod tests {
     }
 
     #[test]
-    fn digest_counters_regress_when_they_move_either_way() {
-        let with = |value: f64| {
+    fn digests_and_outcomes_regress_when_they_move_either_way() {
+        let with = |counter: &str, value: f64| {
             let mut b = baseline(&[("w", 100.0)]);
             b.metrics[0] = b.metrics[0]
                 .clone()
-                .with_counters(vec![("arc_split_digest".to_string(), value)]);
+                .with_counters(vec![(counter.to_string(), value)]);
             b
         };
-        let recorded = with(1_000.0);
-        assert!(!compare_metrics(&recorded, &with(1_000.0), 0.0).regressed());
-        for moved in [999.0, 1_001.0] {
-            let cmp = compare_metrics(&recorded, &with(moved), 0.0);
-            assert!(cmp.regressed(), "{moved}");
-            assert!(cmp.report().contains("REGRESSED (changed)"), "{moved}");
+        // The last one is the round-off fall a reordering of the solver's
+        // arithmetic made in `policy.tournament_small`.
+        for (counter, recorded, moves) in [
+            ("arc_split_digest", 1_000.0, [999.0, 1_001.0]),
+            ("admitted", 1_000.0, [999.0, 1_001.0]),
+            (
+                "total_cost",
+                3191.25805060286,
+                [3191.2580506028594, 3191.2580506029],
+            ),
+        ] {
+            let base = with(counter, recorded);
+            assert!(!compare_metrics(&base, &with(counter, recorded), 0.0).regressed());
+            for moved in moves {
+                let cmp = compare_metrics(&base, &with(counter, moved), 0.0);
+                assert!(cmp.regressed(), "{counter}: {moved}");
+                assert!(
+                    cmp.report().contains("REGRESSED (changed)"),
+                    "{counter}: {moved}"
+                );
+            }
         }
+        // A cost that falls still passes.
+        let allocs = with("allocs", 1_000.0);
+        assert!(!compare_metrics(&allocs, &with("allocs", 999.0), 0.0).regressed());
     }
 
     #[test]

@@ -1,15 +1,24 @@
-//! Lane-batched Cholesky kernels for many small SPD matrices of one
-//! dimension.
+//! Lane-batched banded Cholesky kernels for many small SPD matrices of one
+//! dimension and one lower bandwidth.
 //!
 //! A structured KKT solve factors hundreds of location blocks a few dozen
 //! rows wide every iteration. One matrix at a time, each kernel is a single
 //! chain of dependent operations, bound by latency rather than arithmetic.
 //! [`CholeskyLanes`] stores [`LANES`] such matrices entry-major and
 //! lane-minor — entry `(r, c)` of every lane side by side — and runs every
-//! step on all lanes at once. The chains then run in parallel, yet each
-//! lane sees exactly the operations [`Cholesky`](crate::Cholesky) performs
-//! on its matrix alone, in the same order and without fused multiply-adds,
-//! so every lane's results are the same bit for bit.
+//! step on all lanes at once. The chains then run in parallel, and each
+//! lane sees the operations [`Cholesky`](crate::Cholesky) performs on its
+//! matrix alone, in the same order and without fused multiply-adds.
+//!
+//! The matrices of a batch share a lower bandwidth `band`: entry `(r, c)`
+//! is zero whenever `|r − c| > band`. Each lane stores only its lower band,
+//! and every kernel skips what lies outside it, so a factor costs about
+//! `dim·band²/2` multiply-subtracts, a solve `2·dim·band` and the explicit
+//! inverse `dim²·band`. A Cholesky factor keeps its matrix's band, so every
+//! skipped term is a product with a zero, which the scalar kernel subtracts
+//! without changing a value: each lane equals the scalar kernel value for
+//! value (a zero's sign may differ). A band of `dim − 1` skips nothing and
+//! is the dense kernel, bit for bit.
 
 use crate::LinalgError;
 
@@ -37,16 +46,20 @@ fn div(x: &mut Lanes, d: &Lanes) {
     }
 }
 
-/// [`LANES`] symmetric positive-definite `dim × dim` matrices, factored,
-/// inverted and solved side by side.
+/// [`LANES`] symmetric positive-definite `dim × dim` matrices of lower
+/// bandwidth `band`, factored, inverted and solved side by side.
 ///
-/// Storage is entry-major and lane-minor: entry `(r, c)` of lane `l` is
-/// `matrix_mut()[r * dim + c][l]`, and a vector is `dim` entries of
-/// [`Lanes`]. Lane `l` of every result equals, bit for bit, what
-/// [`Cholesky::refactor_rowwise`](crate::Cholesky::refactor_rowwise) at zero
-/// regularization and [`Cholesky::solve_in_place`](crate::Cholesky::solve_in_place)
-/// compute from lane `l`'s matrix alone. Lanes a caller leaves unassembled
-/// stay the identity, which always factors.
+/// Storage is band-major and lane-minor: column `c` of the lower band is
+/// `band + 1` consecutive entries, from the diagonal down, so entry
+/// `(r, c)`, `c ≤ r ≤ c + band`, of lane `l` is
+/// `matrix_mut()[c * (band + 1) + r − c][l]`. The slots of the last
+/// columns that fall below row `dim − 1` are never read. A vector is `dim`
+/// entries of [`Lanes`]. Lane `l` of every result equals, value for value,
+/// what [`Cholesky::refactor_rowwise`](crate::Cholesky::refactor_rowwise)
+/// at zero regularization and
+/// [`Cholesky::solve_in_place`](crate::Cholesky::solve_in_place) compute
+/// from lane `l`'s matrix alone. Lanes a caller leaves unassembled stay the
+/// identity, which always factors.
 ///
 /// # Examples
 ///
@@ -54,17 +67,20 @@ fn div(x: &mut Lanes, d: &Lanes) {
 /// use dspp_linalg::{CholeskyLanes, LANES};
 ///
 /// # fn main() -> Result<(), dspp_linalg::LinalgError> {
-/// // Lane 0 holds [[4, 2], [2, 3]]; the other lanes stay the identity.
-/// let mut batch = CholeskyLanes::new(2);
+/// // Lane 0 holds the tridiagonal [[4, 2, 0], [2, 5, 2], [0, 2, 5]]; the
+/// // other lanes stay the identity. With band 1, column c stores (c, c)
+/// // at 2c and (c + 1, c) at 2c + 1.
+/// let mut batch = CholeskyLanes::new(3, 1);
 /// let a = batch.matrix_mut();
 /// a[0][0] = 4.0;
 /// a[1][0] = 2.0;
-/// a[2][0] = 2.0;
-/// a[3][0] = 3.0;
+/// a[2][0] = 5.0;
+/// a[3][0] = 2.0;
+/// a[4][0] = 5.0;
 /// batch.refactor_rowwise().map_err(|(_lane, e)| e)?;
-/// let mut x = [[10.0, 1.0, 1.0, 1.0], [8.0, 1.0, 1.0, 1.0]];
+/// let mut x = [[6.0, 1.0, 1.0, 1.0], [9.0, 1.0, 1.0, 1.0], [7.0, 1.0, 1.0, 1.0]];
 /// batch.solve_in_place(&mut x);
-/// assert!((x[0][0] - 1.75).abs() < 1e-12 && (x[1][0] - 1.5).abs() < 1e-12);
+/// assert!(x.iter().all(|xi| (xi[0] - 1.0).abs() < 1e-12));
 /// assert_eq!(x[0][1..], [1.0; LANES - 1]);
 /// # Ok(())
 /// # }
@@ -72,28 +88,31 @@ fn div(x: &mut Lanes, d: &Lanes) {
 #[derive(Debug, Clone)]
 pub struct CholeskyLanes {
     dim: usize,
-    /// The matrices; the factorization reads their lower triangles.
+    band: usize,
+    /// The matrices' lower bands, laid out as the type docs say.
     a: Vec<Lanes>,
-    /// Each lane's factor as `Lᵀ`, laid out as `a`; the strict lower
-    /// triangle is unused.
-    lt: Vec<Lanes>,
-    /// Whether `lt` holds a successful factorization of every lane.
+    /// Each lane's factor `L`, laid out as `a`.
+    l: Vec<Lanes>,
+    /// Whether `l` holds a successful factorization of every lane.
     valid: bool,
 }
 
 impl CholeskyLanes {
-    /// A batch of `dim × dim` identity matrices, not yet factored: the
-    /// solve methods panic until the first successful
+    /// A batch of `dim × dim` identity matrices of lower bandwidth `band`
+    /// (capped at `dim − 1`, the dense kernel), not yet factored: the solve
+    /// methods panic until the first successful
     /// [`CholeskyLanes::refactor_rowwise`].
-    pub fn new(dim: usize) -> Self {
-        let mut a = vec![[0.0; LANES]; dim * dim];
-        for i in 0..dim {
-            a[i * dim + i] = [1.0; LANES];
+    pub fn new(dim: usize, band: usize) -> Self {
+        let band = band.min(dim.saturating_sub(1));
+        let mut a = vec![[0.0; LANES]; dim * (band + 1)];
+        for c in 0..dim {
+            a[c * (band + 1)] = [1.0; LANES];
         }
         CholeskyLanes {
             dim,
+            band,
+            l: a.clone(),
             a,
-            lt: vec![[0.0; LANES]; dim * dim],
             valid: false,
         }
     }
@@ -103,22 +122,36 @@ impl CholeskyLanes {
         self.dim
     }
 
+    /// Lower bandwidth of every matrix in the batch.
+    pub fn band(&self) -> usize {
+        self.band
+    }
+
     /// Whether the last [`CholeskyLanes::refactor_rowwise`] succeeded on
     /// every lane.
     pub fn is_valid(&self) -> bool {
         self.valid
     }
 
-    /// The matrices, for assembly in place; marks the factor stale.
+    /// The matrices' lower bands, for assembly in place; marks the factor
+    /// stale.
     pub fn matrix_mut(&mut self) -> &mut [Lanes] {
         self.valid = false;
         &mut self.a
     }
 
+    /// Column `k` of `L`: `l_kk` and the entries below it within the band.
+    fn column(&self, k: usize) -> &[Lanes] {
+        let s = self.band + 1;
+        &self.l[k * s..k * s + s.min(self.dim - k)]
+    }
+
     /// Factors every lane's matrix, accepting pivot `j` of a lane when it
     /// exceeds `1e-14 · a_jj`, its own row's scale, as
     /// [`Cholesky::refactor_rowwise`](crate::Cholesky::refactor_rowwise)
-    /// does at zero regularization. Right-looking on `Lᵀ`, as `Cholesky`.
+    /// does at zero regularization. Right-looking, as `Cholesky`: once
+    /// pivot `k` passes, column `k` is scaled, and its rank-1 term is
+    /// subtracted from the `band` columns after it.
     ///
     /// # Errors
     ///
@@ -129,32 +162,30 @@ impl CholeskyLanes {
     /// later refactor succeeds.
     pub fn refactor_rowwise(&mut self) -> Result<(), (usize, LinalgError)> {
         self.valid = false;
-        let n = self.dim;
-        for j in 0..n {
-            for i in j..n {
-                self.lt[j * n + i] = self.a[i * n + j];
-            }
-        }
+        let (n, s) = (self.dim, self.band + 1);
+        self.l.copy_from_slice(&self.a);
         let mut first_fail = [usize::MAX; LANES];
         for k in 0..n {
-            let (head, later) = self.lt.split_at_mut((k + 1) * n);
-            let row_k = &mut head[k * n..];
-            let d = row_k[k];
+            let m = s.min(n - k);
+            let (head, later) = self.l.split_at_mut((k + 1) * s);
+            let col_k = &mut head[k * s..k * s + m];
+            let d = col_k[0];
             // Negated so a NaN pivot fails, as in `Cholesky`.
-            for ((fail, &dl), &ajj) in first_fail.iter_mut().zip(&d).zip(&self.a[k * n + k]) {
+            for ((fail, &dl), &ajj) in first_fail.iter_mut().zip(&d).zip(&self.a[k * s]) {
                 #[allow(clippy::neg_cmp_op_on_partial_ord)]
                 if !(dl > ajj * 1e-14) {
                     *fail = (*fail).min(k);
                 }
             }
             let dsqrt = d.map(f64::sqrt);
-            row_k[k] = dsqrt;
-            for x in &mut row_k[k + 1..] {
+            col_k[0] = dsqrt;
+            for x in &mut col_k[1..] {
                 div(x, &dsqrt);
             }
-            for (j, row_j) in (k + 1..n).zip(later.chunks_exact_mut(n)) {
-                let ljk = row_k[j];
-                for (x, lik) in row_j[j..].iter_mut().zip(&row_k[j..]) {
+            // Column k + t loses l_{i,k}·l_{k+t,k} for rows i = k+t … k+m−1.
+            for (t, col_j) in (1..m).zip(later.chunks_exact_mut(s)) {
+                let ljk = col_k[t];
+                for (x, lik) in col_j[..m - t].iter_mut().zip(&col_k[t..]) {
                     sub_mul(x, lik, &ljk);
                 }
             }
@@ -173,15 +204,18 @@ impl CholeskyLanes {
         }
     }
 
-    /// Writes the lower triangle of every lane's `A⁻¹` into `out`, laid out
-    /// as the matrices; the strict upper triangle of `out` is left as is.
+    /// Writes the lower triangle of every lane's `A⁻¹` into `out`, a dense
+    /// row-major `dim × dim` array (entry `(i, c)` at `i·dim + c`): the
+    /// inverse of a banded matrix is dense. The strict upper triangle of
+    /// `out` is left as is.
     ///
-    /// Entry `(i, c)`, `i ≥ c`, is bit for bit entry `i` of a solve against
-    /// the unit vector `e_c`: the forward sweep subtracts `l_ik·y_kc` for
+    /// Entry `(i, c)`, `i ≥ c`, is entry `i` of a solve against the unit
+    /// vector `e_c`: the forward sweep subtracts `l_ik·y_kc` for
     /// `k = c … i−1` in order, and the backward sweep `l_ki·x_kc` for
-    /// `k = i+1 … dim−1` in order. A unit solve's leading terms `l·(+0)`
-    /// leave an entry unchanged (it is never `−0`), and no lower entry
-    /// depends on an upper one, so nothing else is computed.
+    /// `k = i+1 … dim−1` in order, each skipping the `l` outside the band.
+    /// A unit solve's leading terms `l·(+0)` leave an entry unchanged (it
+    /// is never `−0`), and no lower entry depends on an upper one, so
+    /// nothing else is computed.
     ///
     /// # Panics
     ///
@@ -191,19 +225,19 @@ impl CholeskyLanes {
         let n = self.dim;
         assert_eq!(out.len(), n * n, "cholesky lanes inverse: output shape");
         // Forward, L Y = I: row k of Y is final once divided, then leaves
-        // its multiple in every later row.
+        // its multiple in the rows below it within the band.
         for i in 0..n {
             out[i * n..i * n + i].fill([0.0; LANES]);
             out[i * n + i] = [1.0; LANES];
         }
         for k in 0..n {
-            let lt_k = &self.lt[k * n..(k + 1) * n];
+            let col_k = self.column(k);
             let (head, later) = out.split_at_mut((k + 1) * n);
             let y_k = &mut head[k * n..=k * n + k];
             for y in y_k.iter_mut() {
-                div(y, &lt_k[k]);
+                div(y, &col_k[0]);
             }
-            for (x_i, lik) in later.chunks_exact_mut(n).zip(&lt_k[k + 1..]) {
+            for (x_i, lik) in later.chunks_exact_mut(n).zip(&col_k[1..]) {
                 for (x, y) in x_i[..=k].iter_mut().zip(y_k.iter()) {
                     sub_mul(x, lik, y);
                 }
@@ -212,16 +246,16 @@ impl CholeskyLanes {
         // Backward, Lᵀ X = Y: X_i = (Y_i − Σ_{k>i} l_ki X_k) / l_ii, k
         // ascending; a right-looking sweep would reverse that order.
         for i in (0..n).rev() {
-            let lt_i = &self.lt[i * n..(i + 1) * n];
+            let col_i = self.column(i);
             let (head, later) = out.split_at_mut((i + 1) * n);
             let x_i = &mut head[i * n..=i * n + i];
-            for (x_k, lki) in later.chunks_exact(n).zip(&lt_i[i + 1..]) {
+            for (x_k, lki) in later.chunks_exact(n).zip(&col_i[1..]) {
                 for (x, y) in x_i.iter_mut().zip(&x_k[..=i]) {
                     sub_mul(x, lki, y);
                 }
             }
             for x in x_i.iter_mut() {
-                div(x, &lt_i[i]);
+                div(x, &col_i[0]);
             }
         }
     }
@@ -240,43 +274,41 @@ impl CholeskyLanes {
     }
 
     /// `L y = b`, column by column: entry `i` sees
-    /// `b_i − l_i0·y_0 − … − l_i,i−1·y_i−1` in that order.
+    /// `b_i − l_i0·y_0 − … − l_i,i−1·y_i−1` in that order, within the band.
     fn forward(&self, b: &mut [Lanes]) {
-        let n = self.dim;
-        for k in 0..n {
-            let row = &self.lt[k * n..(k + 1) * n];
-            div(&mut b[k], &row[k]);
+        for k in 0..self.dim {
+            let col = self.column(k);
+            div(&mut b[k], &col[0]);
             let (head, later) = b.split_at_mut(k + 1);
-            for (x, lik) in later.iter_mut().zip(&row[k + 1..]) {
+            for (x, lik) in later.iter_mut().zip(&col[1..]) {
                 sub_mul(x, lik, &head[k]);
             }
         }
     }
 
-    /// `Lᵀ x = y`, one dot product per row of `Lᵀ`.
+    /// `Lᵀ x = y`, one dot product per column of `L`.
     fn backward(&self, b: &mut [Lanes]) {
-        let n = self.dim;
-        for i in (0..n).rev() {
-            let row = &self.lt[i * n..(i + 1) * n];
+        for i in (0..self.dim).rev() {
+            let col = self.column(i);
             let (head, later) = b.split_at_mut(i + 1);
             let s = &mut head[i];
-            for (lki, xk) in row[i + 1..].iter().zip(later.iter()) {
+            for (lki, xk) in col[1..].iter().zip(later.iter()) {
                 sub_mul(s, lki, xk);
             }
-            div(s, &row[i]);
+            div(s, &col[0]);
         }
     }
 
     /// Writes `A x` into `ax` and `|A||x|` into `abs` on every lane. Row `r`
-    /// accumulates `a_rc·x_c` and its magnitude over the whole row in
-    /// column order, starting from `+0`. Reads only the matrices, so it
-    /// needs no factor.
+    /// accumulates `a_rc·x_c` and its magnitude over the row's band in
+    /// column order, starting from `+0`, reading `a_cr` for `a_rc` above
+    /// the diagonal. Reads only the matrices, so it needs no factor.
     ///
     /// # Panics
     ///
     /// Panics unless `x`, `ax` and `abs` all have `dim` entries.
     pub fn matvec_abs_into(&self, x: &[Lanes], ax: &mut [Lanes], abs: &mut [Lanes]) {
-        let n = self.dim;
+        let (n, b) = (self.dim, self.band);
         assert!(
             x.len() == n && ax.len() == n && abs.len() == n,
             "cholesky lanes matvec: vector lengths"
@@ -284,8 +316,15 @@ impl CholeskyLanes {
         for (r, (acc, mag)) in ax.iter_mut().zip(abs.iter_mut()).enumerate() {
             let mut sum = [0.0; LANES];
             let mut sum_abs = [0.0; LANES];
-            for (h, xc) in self.a[r * n..(r + 1) * n].iter().zip(x) {
-                for (((s, sa), h), xc) in sum.iter_mut().zip(&mut sum_abs).zip(h).zip(xc) {
+            let lo = r.saturating_sub(b);
+            let hi = (r + b).min(n - 1);
+            // Row r left of and on the diagonal sits at stride `band` down
+            // the band storage; right of it, it is column r's band.
+            let left = (lo..=r).map(|c| c * b + r);
+            let right = r * (b + 1) + 1..r * (b + 1) + 1 + hi - r;
+            for (idx, xc) in left.chain(right).zip(&x[lo..=hi]) {
+                for (((s, sa), h), xc) in sum.iter_mut().zip(&mut sum_abs).zip(&self.a[idx]).zip(xc)
+                {
                     let hy = h * xc;
                     *s += hy;
                     *sa += hy.abs();
@@ -307,22 +346,32 @@ impl CholeskyLanes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{self, barrier_block, pin_rows, spd};
+    use crate::oracle::{self, barrier_block, pin_rows, slot_major_block, spd, spd_banded};
     use crate::Matrix;
     use proptest::prelude::*;
 
-    /// Loads `blocks` (at most [`LANES`], one dimension) into the leading
-    /// lanes of a fresh batch.
-    fn batch_of(blocks: &[Matrix]) -> CholeskyLanes {
-        let n = blocks[0].rows();
-        let mut batch = CholeskyLanes::new(n);
+    /// Writes the lower band of `m` into lane `lane` of `batch`; `m` must be
+    /// zero outside the batch's band.
+    fn load(batch: &mut CholeskyLanes, lane: usize, m: &Matrix) {
+        let (n, b) = (batch.dim(), batch.band());
         let a = batch.matrix_mut();
-        for (lane, m) in blocks.iter().enumerate() {
-            for r in 0..n {
-                for c in 0..n {
-                    a[r * n + c][lane] = m[(r, c)];
+        for c in 0..n {
+            for r in c..n {
+                if r - c <= b {
+                    a[c * (b + 1) + r - c][lane] = m[(r, c)];
+                } else {
+                    assert_eq!(m[(r, c)], 0.0, "({r}, {c}) lies outside band {b}");
                 }
             }
+        }
+    }
+
+    /// Loads `blocks` (at most [`LANES`], one dimension) into the leading
+    /// lanes of a fresh batch of lower bandwidth `band`.
+    fn batch_of(blocks: &[Matrix], band: usize) -> CholeskyLanes {
+        let mut batch = CholeskyLanes::new(blocks[0].rows(), band);
+        for (lane, m) in blocks.iter().enumerate() {
+            load(&mut batch, lane, m);
         }
         batch
     }
@@ -337,12 +386,22 @@ mod tests {
             .collect()
     }
 
-    /// Every kernel of one batch, lane by lane, against the scalar oracle:
-    /// the factor, the lower inverse (over stale output), each sweep of
-    /// the solve and the residual matvec, all bit for bit.
-    fn assert_batch_matches_oracle(blocks: &[Matrix], seed: u64) {
+    /// Every kernel of one batch of lower bandwidth `band`, lane by lane,
+    /// against the scalar oracle on the whole matrix: the factor (and its
+    /// zeros outside the band), the lower inverse (over stale output),
+    /// each sweep of the solve and the residual matvec. Value for value;
+    /// at the full band, where nothing is skipped, bit for bit.
+    fn assert_batch_matches_oracle(blocks: &[Matrix], band: usize, seed: u64) {
         let n = blocks[0].rows();
-        let mut batch = batch_of(blocks);
+        let mut batch = batch_of(blocks, band);
+        let (b, full) = (batch.band(), batch.band() + 1 >= n);
+        let same = |got: f64, want: f64| {
+            if full {
+                got.to_bits() == want.to_bits()
+            } else {
+                got == want
+            }
+        };
         batch.refactor_rowwise().unwrap();
         let mut inv = vec![[f64::NAN; LANES]; n * n];
         batch.inverse_lower_into(&mut inv);
@@ -355,29 +414,33 @@ mod tests {
             }
             v
         };
-        let b = load(&|lane| rhs(n, lane, seed));
-        let mut fwd = b.clone();
+        let rhs_lanes = load(&|lane| rhs(n, lane, seed));
+        let mut fwd = rhs_lanes.clone();
         batch.forward(&mut fwd);
-        let mut bwd = b.clone();
+        let mut bwd = rhs_lanes.clone();
         batch.backward(&mut bwd);
-        let mut sol = b.clone();
+        let mut sol = rhs_lanes.clone();
         batch.solve_in_place(&mut sol);
         let (mut ax, mut abs) = (vec![[0.0; LANES]; n], vec![[0.0; LANES]; n]);
-        batch.matvec_abs_into(&b, &mut ax, &mut abs);
+        batch.matvec_abs_into(&rhs_lanes, &mut ax, &mut abs);
         for (lane, m) in blocks.iter().enumerate() {
             let l = rowwise(m).unwrap();
             let want_inv = oracle::inverse(&l);
             for r in 0..n {
                 for c in 0..=r {
-                    assert_eq!(
-                        batch.lt[c * n + r][lane].to_bits(),
-                        l[(r, c)].to_bits(),
-                        "L[{r}][{c}], lane {lane} of dimension {n}"
+                    let got = if r - c <= b {
+                        batch.l[c * (b + 1) + r - c][lane]
+                    } else {
+                        0.0
+                    };
+                    assert!(
+                        same(got, l[(r, c)]),
+                        "L[{r}][{c}] = {got:e}, want {:e}: lane {lane}, dimension {n}, band {b}",
+                        l[(r, c)]
                     );
-                    assert_eq!(
-                        inv[r * n + c][lane].to_bits(),
-                        want_inv[(r, c)].to_bits(),
-                        "inverse ({r}, {c}), lane {lane} of dimension {n}"
+                    assert!(
+                        same(inv[r * n + c][lane], want_inv[(r, c)]),
+                        "inverse ({r}, {c}), lane {lane}, dimension {n}, band {b}"
                     );
                 }
             }
@@ -402,10 +465,9 @@ mod tests {
                     ("matvec", ax[i][lane], acc),
                     ("|matvec|", abs[i][lane], mag),
                 ] {
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "{what} entry {i}, lane {lane} of dimension {n}"
+                    assert!(
+                        same(got, want),
+                        "{what} entry {i} = {got:e}, want {want:e}: lane {lane}, dimension {n}, band {b}"
                     );
                 }
             }
@@ -419,14 +481,19 @@ mod tests {
         }
     }
 
-    /// A random symmetric block whose diagonal spans 1e-2…1e14: a plain
-    /// SPD matrix, a barrier-scaled block, or either with pinned identity
-    /// rows. A heavy demand-row term can cancel a barrier block's pivot
-    /// below its row's round-off, so some fail the per-row pivot test.
-    fn block(n: usize, seed: u64, pins: u64) -> Matrix {
-        let mut a = match seed % 4 {
-            0 => spd(n, seed),
-            _ => barrier_block(n, seed),
+    /// A random symmetric block of lower bandwidth `band` whose diagonal
+    /// spans 1e-2…1e14: a plain SPD matrix, a barrier-scaled block (slot
+    /// major below the full band, as the solver orders its blocks), or
+    /// either with pinned identity rows. A heavy demand-row term can cancel
+    /// a barrier block's pivot below its row's round-off, so some fail the
+    /// per-row pivot test.
+    fn block(n: usize, band: usize, seed: u64, pins: u64) -> Matrix {
+        let full = band + 1 >= n;
+        let mut a = match (seed % 4, full) {
+            (0, true) => spd(n, seed),
+            (0, false) => spd_banded(n, band, seed),
+            (_, true) => barrier_block(n, seed),
+            (_, false) => slot_major_block(n, band, seed),
         };
         if seed % 4 >= 2 {
             pin_rows(&mut a, pins.rotate_left(seed as u32 % 64));
@@ -441,26 +508,28 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// 1–9 blocks of one dimension in batches of [`LANES`] (so the last
-        /// batch is often partial) fail where the scalar oracle fails, and
-        /// once the failing ones get the solver's boost (a diagonal shift
-        /// of `1e-6‖A‖∞`) match it bit for bit.
+        /// 1–9 blocks of one dimension and band (1–4, or the full band) in
+        /// batches of [`LANES`] (so the last batch is often partial) fail
+        /// where the scalar oracle fails, and once the failing ones get the
+        /// solver's boost (a diagonal shift of `1e-6‖A‖∞`) match it.
         #[test]
-        fn prop_lanes_match_the_scalar_oracle_bitwise(
+        fn prop_banded_lanes_match_the_scalar_oracle(
             seed in 0u64..1_000_000,
             n in 1usize..25,
+            band in 1usize..6,
             count in 1usize..10,
             pins in 0u64..u64::MAX,
         ) {
+            let band = if band == 5 { n } else { band };
             let blocks: Vec<Matrix> = (0..count)
-                .map(|b| block(n, seed * 16 + b as u64, pins))
+                .map(|b| block(n, band, seed * 16 + b as u64, pins))
                 .collect();
             for batch in blocks.chunks(LANES) {
                 let want = batch
                     .iter()
                     .enumerate()
                     .find_map(|(lane, a)| rowwise(a).err().map(|e| (lane, e)));
-                prop_assert_eq!(batch_of(batch).refactor_rowwise().err(), want);
+                prop_assert_eq!(batch_of(batch, band).refactor_rowwise().err(), want);
                 let boosted: Vec<Matrix> = batch
                     .iter()
                     .map(|a| {
@@ -474,7 +543,7 @@ mod tests {
                         a
                     })
                     .collect();
-                assert_batch_matches_oracle(&boosted, seed);
+                assert_batch_matches_oracle(&boosted, band, seed);
             }
         }
     }
@@ -482,56 +551,57 @@ mod tests {
     #[test]
     fn non_pd_lane_reports_its_pivot_and_blocks_solves() {
         let n = 6;
-        let good = spd(n, 9);
-        let mut bad = spd(n, 10);
-        // Rank-one trailing block: pivot 4 cancels to zero.
-        for r in 3..n {
-            for c in 3..n {
-                bad[(r, c)] = 1.0;
+        for band in [1, 2, n - 1] {
+            let good = spd_banded(n, band, 9);
+            let mut bad = spd_banded(n, band, 10);
+            // A decoupled rank-one trailing block of `t` rows, inside the
+            // band: its second pivot cancels to zero.
+            let t = n - (band + 1).min(3);
+            for r in t..n {
+                for c in 0..n {
+                    let v = if c >= t { 1.0 } else { 0.0 };
+                    bad[(r, c)] = v;
+                    bad[(c, r)] = v;
+                }
             }
+            let want = rowwise(&bad).unwrap_err();
+            assert_eq!(want, LinalgError::NotPositiveDefinite { pivot: t + 1 });
+            // The lowest failing lane is reported, whatever fails above it.
+            let mut batch = batch_of(
+                &[good.clone(), bad.clone(), good.clone(), bad.clone()],
+                band,
+            );
+            assert_eq!(batch.refactor_rowwise(), Err((1, want)));
+            assert!(!batch.is_valid());
+            let mut x = vec![[1.0; LANES]; n];
+            let solve = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                batch.solve_in_place(&mut x)
+            }));
+            assert!(solve.is_err(), "solve after a failed factor must panic");
+            let mut inv = vec![[0.0; LANES]; n * n];
+            let inverse = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                batch.inverse_lower_into(&mut inv)
+            }));
+            assert!(inverse.is_err(), "inverse after a failed factor must panic");
+            // A NaN entry fails its lane too; an unfactored batch panics.
+            let mut nan = good.clone();
+            nan[(2, 2)] = f64::NAN;
+            let mut batch = batch_of(&[good.clone(), good.clone(), nan], band);
+            assert_eq!(
+                batch.refactor_rowwise(),
+                Err((2, LinalgError::NotPositiveDefinite { pivot: 2 }))
+            );
+            let fresh = CholeskyLanes::new(n, band);
+            assert!(!fresh.is_valid());
+            let unfactored =
+                std::panic::catch_unwind(|| fresh.solve_in_place(&mut [[0.0; LANES]; 6]));
+            assert!(unfactored.is_err(), "an unfactored batch must panic");
+            // Reassembling the failing lanes recovers the batch.
+            let mut batch = batch_of(&[good.clone(), bad.clone()], band);
+            assert!(batch.refactor_rowwise().is_err());
+            load(&mut batch, 1, &good);
+            batch.refactor_rowwise().unwrap();
+            assert!(batch.is_valid());
         }
-        for (r, c) in (3..n).flat_map(|r| (0..3).map(move |c| (r, c))) {
-            bad[(r, c)] = 0.0;
-            bad[(c, r)] = 0.0;
-        }
-        let want = rowwise(&bad).unwrap_err();
-        assert_eq!(want, LinalgError::NotPositiveDefinite { pivot: 4 });
-        // The lowest failing lane is reported, whatever fails above it.
-        let mut batch = batch_of(&[good.clone(), bad.clone(), good.clone(), bad.clone()]);
-        assert_eq!(batch.refactor_rowwise(), Err((1, want)));
-        assert!(!batch.is_valid());
-        let mut x = vec![[1.0; LANES]; n];
-        let solve = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            batch.solve_in_place(&mut x)
-        }));
-        assert!(solve.is_err(), "solve after a failed factor must panic");
-        let mut inv = vec![[0.0; LANES]; n * n];
-        let inverse = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            batch.inverse_lower_into(&mut inv)
-        }));
-        assert!(inverse.is_err(), "inverse after a failed factor must panic");
-        // A NaN entry fails its lane too; an unfactored batch panics.
-        let mut nan = good.clone();
-        nan[(2, 2)] = f64::NAN;
-        let mut batch = batch_of(&[good.clone(), good.clone(), nan]);
-        assert_eq!(
-            batch.refactor_rowwise(),
-            Err((2, LinalgError::NotPositiveDefinite { pivot: 2 }))
-        );
-        let fresh = CholeskyLanes::new(n);
-        assert!(!fresh.is_valid());
-        let unfactored = std::panic::catch_unwind(|| fresh.solve_in_place(&mut [[0.0; LANES]; 6]));
-        assert!(unfactored.is_err(), "an unfactored batch must panic");
-        // Reassembling the failing lanes recovers the batch.
-        let mut batch = batch_of(&[good.clone(), bad.clone()]);
-        assert!(batch.refactor_rowwise().is_err());
-        let a = batch.matrix_mut();
-        for r in 0..n {
-            for c in 0..n {
-                a[r * n + c][1] = good[(r, c)];
-            }
-        }
-        batch.refactor_rowwise().unwrap();
-        assert!(batch.is_valid());
     }
 }

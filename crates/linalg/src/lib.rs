@@ -9,10 +9,11 @@
 //!   (`axpy`, dot products, norms).
 //! * [`Cholesky`]: factorization of symmetric positive-definite matrices
 //!   into reusable storage.
-//! * [`CholeskyLanes`]: [`LANES`] small SPD matrices of one dimension
-//!   factored, inverted and solved side by side, each lane bit-identical
-//!   to [`Cholesky`] on its matrix alone — the location blocks of the
-//!   structured KKT path.
+//! * [`CholeskyLanes`]: [`LANES`] small banded SPD matrices of one
+//!   dimension and bandwidth factored, inverted and solved side by side,
+//!   skipping everything outside the band; each lane equals [`Cholesky`]
+//!   on its matrix alone (bit for bit at the full band) — the location
+//!   blocks of the structured KKT path.
 //! * [`SchurComplement`]: a dense Schur-system workspace for the
 //!   structure-exploiting KKT path every placement solve takes. It tests
 //!   each pivot against its own row's scale

@@ -1,8 +1,9 @@
 //! Test oracles: the scalar Cholesky kernels the production ones must
-//! reproduce bit for bit — a left-looking (dot-product) factorization, its
+//! reproduce (bit for bit, or value for value where a banded kernel skips
+//! products with zeros) — a left-looking (dot-product) factorization, its
 //! row-by-row solve and the lockstep inverse — plus the random SPD and
-//! barrier-scaled blocks the kernel tests draw from, and the products the
-//! tests check residuals with.
+//! barrier-scaled blocks, dense and banded, the kernel tests draw from, and
+//! the products the tests check residuals with.
 
 use crate::{LinalgError, Matrix, Vector};
 
@@ -117,19 +118,41 @@ pub(crate) fn inverse(l: &Matrix) -> Matrix {
     inv
 }
 
-/// A random SPD matrix `BᵀB + n·I` from a cheap LCG.
-pub(crate) fn spd(n: usize, seed: u64) -> Matrix {
+/// Uniform draws on `[-1, 1)` from a cheap LCG.
+fn uniform(seed: u64) -> impl FnMut() -> f64 {
     let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-    let mut next = || {
+    move || {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-    };
+    }
+}
+
+/// A random SPD matrix `BᵀB + n·I` from a cheap LCG.
+pub(crate) fn spd(n: usize, seed: u64) -> Matrix {
+    let mut next = uniform(seed);
     let mut b = Matrix::zeros(n, n);
     for i in 0..n {
         for j in 0..n {
             b[(i, j)] = next();
+        }
+    }
+    let mut a = gram(&b);
+    for i in 0..n {
+        a[(i, i)] += n as f64;
+    }
+    a
+}
+
+/// A random SPD matrix of lower bandwidth `band`: `BᵀB + n·I` for an upper
+/// triangular `B` whose row `k` is nonzero in columns `k..=k + band` only.
+pub(crate) fn spd_banded(n: usize, band: usize, seed: u64) -> Matrix {
+    let mut next = uniform(seed);
+    let mut b = Matrix::zeros(n, n);
+    for k in 0..n {
+        for j in k..n.min(k + band + 1) {
+            b[(k, j)] = next();
         }
     }
     let mut a = gram(&b);
@@ -192,6 +215,49 @@ pub(crate) fn barrier_block(n: usize, seed: u64) -> Matrix {
     for i in 0..n {
         for j in 0..n {
             a[(i, j)] += c[i] * c[j] * w;
+        }
+    }
+    a
+}
+
+/// A barrier-scaled location block in slot-major order, `arcs` rows per
+/// slot (the last slot may be partial), so of lower bandwidth `arcs`: a
+/// chain couples each row to the row `arcs` later, with a diagonal on
+/// 1e-2…1e14 that dominates it, and each slot's rows carry the demand
+/// row's rank-one term `w c cᵀ`, one `w` log-uniform on the same range for
+/// every slot. SPD. The diagonal's exponent is skewed toward 1e-2, where a
+/// heavy `w` cancels pivots below their rows' round-off.
+pub(crate) fn slot_major_block(n: usize, arcs: usize, seed: u64) -> Matrix {
+    let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(5);
+    let mut unit = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let diag: Vec<f64> = (0..n)
+        .map(|_| 10f64.powf(-2.0 + 16.0 * unit() * unit()))
+        .collect();
+    let mut a = Matrix::zeros(n, n);
+    for i in 0..n {
+        a[(i, i)] = diag[i];
+        if i + arcs < n {
+            let off = -0.4 * unit() * diag[i].min(diag[i + arcs]);
+            a[(i, i + arcs)] = off;
+            a[(i + arcs, i)] = off;
+        }
+    }
+    let w = 10f64.powf(-2.0 + 16.0 * unit());
+    for slot in (0..n).step_by(arcs) {
+        let rows = slot..n.min(slot + arcs);
+        let c: Vec<f64> = rows
+            .clone()
+            .map(|_| [0.0, 1.0, -1.0][(unit() * 3.0) as usize])
+            .collect();
+        for (p, i) in rows.clone().enumerate() {
+            for (q, j) in rows.clone().enumerate() {
+                a[(i, j)] += c[p] * c[q] * w;
+            }
         }
     }
     a

@@ -34,8 +34,6 @@ pub struct SchurComplement {
     mat: Matrix,
     /// Cholesky factor of the last successful [`SchurComplement::refactor`].
     chol: Cholesky,
-    /// Fraction of structurally nonzero entries at the last refactor.
-    fill: f64,
     valid: bool,
 }
 
@@ -46,7 +44,6 @@ impl SchurComplement {
         SchurComplement {
             mat: Matrix::zeros(dim, dim),
             chol: Cholesky::unfactored(dim),
-            fill: 0.0,
             valid: false,
         }
     }
@@ -87,13 +84,21 @@ impl SchurComplement {
         self.mat[(i, i)] += v;
     }
 
-    /// Fraction of structurally nonzero entries in `S` at the last
-    /// [`SchurComplement::refactor`] (1.0 for a fully dense system, 0.0
-    /// for an empty one) — exported as the `solver.lq.schur_fill` gauge.
-    /// Counted on the lower triangle, the part the factorization reads,
-    /// with each off-diagonal nonzero standing for its mirror too.
+    /// Fraction of structurally nonzero entries in the assembled `S` (1.0
+    /// for a fully dense system, 0.0 for an empty one) — exported as the
+    /// `solver.lq.schur_fill` gauge. Counted on the lower triangle, the
+    /// part the factorization reads, with each off-diagonal nonzero
+    /// standing for its mirror too. Scans the matrix on every call, so a
+    /// solver reads it only when it reports the gauge.
     pub fn fill_ratio(&self) -> f64 {
-        self.fill
+        let n = self.mat.rows();
+        let nnz: usize = (0..n)
+            .map(|i| {
+                let row = &self.mat.row(i)[..=i];
+                2 * row[..i].iter().filter(|&&v| v != 0.0).count() + usize::from(row[i] != 0.0)
+            })
+            .sum();
+        nnz as f64 / (n * n).max(1) as f64
     }
 
     /// Factors the accumulated matrix (plus `reg · I`), testing each pivot
@@ -113,26 +118,9 @@ impl SchurComplement {
     /// complement of an SPD system this indicates severe ill-conditioning.
     pub fn refactor(&mut self, reg: f64) -> Result<(), LinalgError> {
         self.valid = false;
-        let n = self.mat.rows();
-        if n > 0 {
-            self.fill = self.count_nonzero() as f64 / (n * n) as f64;
-        } else {
-            self.fill = 0.0;
-        }
         self.chol.refactor_rowwise(&self.mat, reg)?;
         self.valid = true;
         Ok(())
-    }
-
-    fn count_nonzero(&self) -> usize {
-        let n = self.mat.rows();
-        let mut nnz = 0usize;
-        for i in 0..n {
-            let row = &self.mat.row(i)[..=i];
-            let off = row[..i].iter().filter(|&&v| v != 0.0).count();
-            nnz += 2 * off + usize::from(row[i] != 0.0);
-        }
-        nnz
     }
 
     /// Solves `S x = b` in place.

@@ -18,9 +18,14 @@
 //! holds only the aggregate coupling rows, `W_c` their barrier weights.
 //! Demand rows have disjoint arc supports (one row per location), and so
 //! do capacity rows (one per data center). Each location's chains plus its
-//! demand row form one small dense SPD block `H_v = T_v + c_v w_v c_vᵀ`,
-//! factored directly. The capacity rows stay in augmented form, with
-//! their multiplier step `u = Δz_B` as an unknown:
+//! demand row form one small SPD block `H_v = T_v + c_v w_v c_vᵀ`,
+//! factored directly. A block orders its unknowns slot-major, slot `i` of
+//! local arc `p` at row `i·a_v + p` for `a_v` arcs at location `v`: the
+//! demand row couples the `a_v` arcs of one slot, and a chain couples an
+//! arc's slot only to its next slot, `a_v` rows later, so `H_v` is banded
+//! with lower bandwidth `a_v` and is factored as a band. The capacity rows
+//! stay in augmented form, with their multiplier step `u = Δz_B` as an
+//! unknown:
 //!
 //! ```text
 //! [H_A   G_Bᵀ ] [Δx]   [b̃         ]
@@ -32,9 +37,10 @@
 //! [`dspp_linalg::SchurComplement`]. Every term of `S_B` is positive
 //! semidefinite, so nothing cancels when demand and capacity rows bind
 //! together, and `W_B⁻¹ t_B = r − r_c/z` is `O(1)` where `t_B` itself grows
-//! with the barrier weight. Per-iteration cost is `O(Σ_v (a_v·W)³ +
-//! (W·L)³)` for `a_v` arcs at location `v` and `L` data centers:
-//! near-linear in locations.
+//! with the barrier weight. Per-iteration cost is `O(Σ_v a_v³·W² +
+//! (W·L)³)` for `L` data centers, the first term the explicit block
+//! inverses `S_B` needs (a band factor alone is `O(a_v³·W)`): near-linear
+//! in locations.
 //!
 //! Three extensions keep every DSPP solve on this path:
 //!
@@ -130,7 +136,8 @@ const INIT_MARGIN: f64 = 1.0;
 /// arcs one demand row covers, plus that row's barrier term (arcs in no
 /// demand row form singleton blocks without a row).
 struct Block {
-    /// The block's arcs; local arc `p` occupies rows `[p·W, (p+1)·W)`.
+    /// The block's arcs; slot `i` of local arc `p` is row `i·a + p` of the
+    /// block, for `a` arcs.
     arcs: Vec<usize>,
     /// The demand row and its coefficient on each local arc.
     row: Option<(usize, Vec<f64>)>,
@@ -139,16 +146,17 @@ struct Block {
     lane: usize,
 }
 
-/// Up to [`LANES`] location blocks of one dimension, assembled, factored,
-/// inverted and solved side by side. The lanes of a partial batch stay the
-/// identity and are never scattered.
+/// Up to [`LANES`] location blocks of one arc count `a`, so of one
+/// dimension `a·W` and lower bandwidth `a`, assembled, factored, inverted
+/// and solved side by side. The lanes of a partial batch stay the identity
+/// and are never scattered.
 struct Batch {
     /// The blocks in lanes `0..blocks.len()`.
     blocks: Vec<usize>,
-    /// The assembled blocks and their factors.
+    /// The assembled bands and their factors.
     chol: CholeskyLanes,
-    /// Lower triangle of each block's inverse (zero on pinned rows and
-    /// columns).
+    /// Lower triangle of each block's inverse, dense and row-major (zero
+    /// on pinned rows and columns).
     inv: Vec<Lanes>,
     /// Gather/scatter scratch of the block dimension, and the residual's
     /// `H_v x` and `|H_v||x|`.
@@ -158,11 +166,12 @@ struct Batch {
 }
 
 impl Batch {
-    fn new(blocks: Vec<usize>, dim: usize) -> Self {
+    fn new(blocks: Vec<usize>, arcs: usize, w: usize) -> Self {
+        let dim = arcs * w;
         let lanes = || vec![[0.0; LANES]; dim];
         Batch {
             blocks,
-            chol: CholeskyLanes::new(dim),
+            chol: CholeskyLanes::new(dim, arcs),
             inv: vec![[0.0; LANES]; dim * dim],
             x: lanes(),
             hx: lanes(),
@@ -176,7 +185,7 @@ impl Batch {
 /// iteration without allocating.
 ///
 /// `H = H_A + G_Bᵀ W_B G_B`, where `H_A` is block-diagonal over
-/// locations. Every location block is factored as one dense SPD matrix;
+/// locations. Every location block is factored as one banded SPD matrix;
 /// the capacity rows stay in augmented form with their multiplier step
 /// `u = Δz_B` as an unknown, and are eliminated onto
 /// `S_B = W_B⁻¹ + Σ_v G_B H_v⁻¹ G_Bᵀ` — a sum of positive semidefinite
@@ -243,7 +252,7 @@ impl SchurKkt {
                     blocks[b].batch = batches.len();
                     blocks[b].lane = lane;
                 }
-                batches.push(Batch::new(lanes.to_vec(), sizes[lanes[0]] * w));
+                batches.push(Batch::new(lanes.to_vec(), sizes[lanes[0]], w));
             }
         }
         SchurKkt {
@@ -297,39 +306,42 @@ impl SchurKkt {
         // would report it.
         let mut failed: Option<(usize, LinalgError)> = None;
         for batch in &mut self.batches {
-            let dim = batch.chol.dim();
+            let (dim, band) = (batch.chol.dim(), batch.chol.band());
+            // Band entry (r, c), c ≤ r ≤ c + band (`CholeskyLanes` layout).
+            let at = |r: usize, c: usize| c * (band + 1) + r - c;
             let h = batch.chol.matrix_mut();
             for (lane, blk) in batch.blocks.iter().map(|&b| &self.blocks[b]).enumerate() {
+                let a = blk.arcs.len();
                 for entry in h.iter_mut() {
                     entry[lane] = 0.0;
                 }
                 // Chains: Σ_k R̃_k (y_{k+1} − y_k)² plus the non-negativity
-                // row's barrier term on the diagonal.
+                // row's barrier term on the diagonal; slot k of an arc
+                // couples to slot k + 1, `a` rows later.
                 for (p, &e) in blk.arcs.iter().enumerate() {
-                    let o = p * w;
                     let nonneg = slq.nonneg_row(e);
                     // `k` is a stage index into several arrays.
                     #[allow(clippy::needless_range_loop)]
                     for k in 1..=w {
-                        let i = o + k - 1;
+                        let i = (k - 1) * a + p;
                         let mut d = rt[k - 1][e];
                         if k < w {
                             let r_next = rt[k][e];
                             d += r_next;
-                            h[i * dim + i + 1][lane] = -r_next;
-                            h[(i + 1) * dim + i][lane] = -r_next;
+                            h[at(i + a, i)][lane] = -r_next;
                         }
                         d += wm[k][nonneg];
-                        h[i * dim + i][lane] = d;
+                        h[at(i, i)][lane] = d;
                     }
                 }
-                // The location's demand row, slot by slot.
+                // The location's demand row, slot by slot: the lower
+                // triangle of its `a × a` term.
                 if let Some((row, coeffs)) = &blk.row {
                     for i in 0..w {
                         let weight = wm[i + 1][*row];
                         for (p, &cp) in coeffs.iter().enumerate() {
-                            for (q, &cq) in coeffs.iter().enumerate() {
-                                h[(p * w + i) * dim + q * w + i][lane] += cp * cq * weight;
+                            for (q, &cq) in coeffs[..=p].iter().enumerate() {
+                                h[at(i * a + p, i * a + q)][lane] += cp * cq * weight;
                             }
                         }
                     }
@@ -338,12 +350,14 @@ impl SchurKkt {
                 for (p, &e) in blk.arcs.iter().enumerate() {
                     for i in 0..w {
                         if slq.pinned[e * w + i] {
-                            let r = p * w + i;
-                            for c in 0..dim {
-                                h[r * dim + c][lane] = 0.0;
-                                h[c * dim + r][lane] = 0.0;
+                            let r = i * a + p;
+                            for c in r.saturating_sub(band)..r {
+                                h[at(r, c)][lane] = 0.0;
                             }
-                            h[r * dim + r][lane] = 1.0;
+                            for below in r + 1..dim.min(r + band + 1) {
+                                h[at(below, r)][lane] = 0.0;
+                            }
+                            h[at(r, r)][lane] = 1.0;
                         }
                     }
                 }
@@ -357,10 +371,12 @@ impl SchurKkt {
             }
             batch.chol.inverse_lower_into(&mut batch.inv);
             for (lane, blk) in batch.blocks.iter().map(|&b| &self.blocks[b]).enumerate() {
+                let a = blk.arcs.len();
                 for (p, &e) in blk.arcs.iter().enumerate() {
                     for i in 0..w {
                         if slq.pinned[e * w + i] {
-                            batch.inv[(p * w + i) * dim + p * w + i][lane] = 0.0;
+                            let r = i * a + p;
+                            batch.inv[r * dim + r][lane] = 0.0;
                         }
                     }
                 }
@@ -385,15 +401,16 @@ impl SchurKkt {
                 self.s_cap.add_diag_entry(j, self.dcap[j]);
             }
         }
-        // Only S_B's lower triangle, all its factor reads. Builders
-        // enumerate arcs data-center-major, so a block's arcs ascend in
-        // capacity row and that triangle draws on the lower triangle of
-        // each block inverse alone; a hand-built block with other orders
-        // reads an entry's mirror.
+        // Only S_B's lower triangle, all its factor reads: row (l_p, i),
+        // column (l_q, j), l_q ≤ l_p, draws on block inverse entry
+        // (i·a + p, j·a + q). Only that inverse's lower triangle is
+        // computed, and slot order puts every later slot j > i above its
+        // diagonal, so such an entry reads its mirror (as does a
+        // hand-built block whose arcs do not ascend in capacity row).
         let s = self.s_cap.matrix_mut();
         for blk in &self.blocks {
             let batch = &self.batches[blk.batch];
-            let dim = batch.chol.dim();
+            let (dim, a) = (batch.chol.dim(), blk.arcs.len());
             let inv = |r: usize, c: usize| batch.inv[r.max(c) * dim + r.min(c)][blk.lane];
             for (p, &ep) in blk.arcs.iter().enumerate() {
                 let (lp, cp) = slq.arc_b[ep];
@@ -410,7 +427,7 @@ impl SchurKkt {
                         let row = s.row_mut(lp * w + i);
                         let cols = if lq == lp { i + 1 } else { w };
                         for (j, x) in row[lq * w..lq * w + cols].iter_mut().enumerate() {
-                            *x += c * inv(p * w + i, q * w + j);
+                            *x += c * inv(i * a + p, j * a + q);
                         }
                     }
                 }
@@ -420,23 +437,26 @@ impl SchurKkt {
     }
 
     /// Copies each block's entries of the arc-major `v` into its lane of
-    /// its batch's `x`.
+    /// its batch's slot-major `x`.
     fn gather(blocks: &[Block], w: usize, batch: &mut Batch, v: &Vector) {
         for (lane, &b) in batch.blocks.iter().enumerate() {
-            for (p, &e) in blocks[b].arcs.iter().enumerate() {
+            let arcs = &blocks[b].arcs;
+            for (p, &e) in arcs.iter().enumerate() {
                 for i in 0..w {
-                    batch.x[p * w + i][lane] = v[e * w + i];
+                    batch.x[i * arcs.len() + p][lane] = v[e * w + i];
                 }
             }
         }
     }
 
-    /// Copies lane by lane `from` back into each block's entries of `v`.
+    /// Copies lane by lane the slot-major `from` back into each block's
+    /// entries of `v`.
     fn scatter(blocks: &[Block], w: usize, batch: &Batch, from: &[Lanes], v: &mut Vector) {
         for (lane, &b) in batch.blocks.iter().enumerate() {
-            for (p, &e) in blocks[b].arcs.iter().enumerate() {
+            let arcs = &blocks[b].arcs;
+            for (p, &e) in arcs.iter().enumerate() {
                 for i in 0..w {
-                    v[e * w + i] = from[p * w + i][lane];
+                    v[e * w + i] = from[i * arcs.len() + p][lane];
                 }
             }
         }
@@ -1982,6 +2002,153 @@ mod tests {
         ] {
             assert_condensed_solve(&slq);
         }
+    }
+
+    /// Block `blk`'s `H_v` assembled in arc-major order, local arc `p`'s
+    /// slots at rows `p·W … p·W + W − 1`, dense with both triangles: the
+    /// assembly the slot-major band must permute to.
+    fn arc_major_block(slq: &StructuredLq, blk: &Block, wm: &[Vector], rt: &[Vector]) -> Vec<f64> {
+        let (w, dim) = (slq.w, blk.arcs.len() * slq.w);
+        let mut h = vec![0.0; dim * dim];
+        for (p, &e) in blk.arcs.iter().enumerate() {
+            let nonneg = slq.nonneg_row(e);
+            for k in 1..=w {
+                let i = p * w + k - 1;
+                let mut d = rt[k - 1][e];
+                if k < w {
+                    let r_next = rt[k][e];
+                    d += r_next;
+                    h[i * dim + i + 1] = -r_next;
+                    h[(i + 1) * dim + i] = -r_next;
+                }
+                d += wm[k][nonneg];
+                h[i * dim + i] = d;
+            }
+        }
+        if let Some((row, coeffs)) = &blk.row {
+            for i in 0..w {
+                let weight = wm[i + 1][*row];
+                for (p, &cp) in coeffs.iter().enumerate() {
+                    for (q, &cq) in coeffs.iter().enumerate() {
+                        h[(p * w + i) * dim + q * w + i] += cp * cq * weight;
+                    }
+                }
+            }
+        }
+        for (p, &e) in blk.arcs.iter().enumerate() {
+            for i in 0..w {
+                if slq.pinned[e * w + i] {
+                    let r = p * w + i;
+                    for c in 0..dim {
+                        h[r * dim + c] = 0.0;
+                        h[c * dim + r] = 0.0;
+                    }
+                    h[r * dim + r] = 1.0;
+                }
+            }
+        }
+        h
+    }
+
+    /// Every location block, assembled slot-major as a band and permuted
+    /// back, equals the arc-major assembly bit for bit, zeros outside the
+    /// band included. The instances have a dark data center (pinned slots,
+    /// vacuous rows at weight zero), relaxed leading rows (the effective
+    /// weight `w (2ε + w′) / (2ε + w + w′)`), blocks of one to four arcs,
+    /// and blocks whose arcs do not ascend in capacity row.
+    #[test]
+    fn slot_major_bands_permute_to_the_arc_major_blocks() {
+        let dark = with_outage(instance(3, 4, 4, 4.0, 40.0), 4, 1, &[2, 3]);
+        assert!(dark.pinned.iter().any(|&p| p));
+        let mut partial = instance(2, 3, 3, 4.0, 30.0);
+        for d in &mut partial.ds {
+            d[2] = 0.0;
+        }
+        let partial = with_demand(
+            &partial,
+            vec![
+                CouplingRow {
+                    entries: vec![(0, -1.0), (3, -1.1)],
+                },
+                CouplingRow {
+                    entries: vec![(4, -1.1), (1, -1.0), (2, -0.5)],
+                },
+                CouplingRow { entries: vec![] },
+            ],
+        );
+        let mut two_per_dc = instance(2, 2, 3, 3.0, 30.0);
+        for d in &mut two_per_dc.ds {
+            d[1] = 0.0;
+        }
+        let merged = with_demand(
+            &two_per_dc,
+            vec![
+                CouplingRow {
+                    entries: vec![(2, -1.1), (0, -1.0), (3, -1.1), (1, -1.0)],
+                },
+                CouplingRow { entries: vec![] },
+            ],
+        );
+        let mut state = 11u64;
+        let mut weight = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            10f64.powf(-2.0 + 14.0 * ((state >> 11) as f64 / (1u64 << 53) as f64))
+        };
+        let mut arc_counts = Vec::new();
+        for slq in [dark, partial, merged] {
+            let (n, w, m) = (slq.n, slq.w, slq.num_rows());
+            let (eps2, soft) = (2e-3, slq.demand.len());
+            let mut wm = vec![Vector::zeros(0)];
+            for k in 1..=w {
+                let row_weight = |i: usize, wj: f64, wp: f64| {
+                    if slq.vacuous[k - 1][i] {
+                        0.0
+                    } else if i < soft {
+                        wj * (eps2 + wp) / (eps2 + wj + wp)
+                    } else {
+                        wj
+                    }
+                };
+                wm.push((0..m).map(|i| row_weight(i, weight(), weight())).collect());
+            }
+            let rt: Vec<Vector> = (0..w).map(|_| (0..n).map(|_| weight()).collect()).collect();
+            let mut kkt = SchurKkt::new(&slq);
+            // Every batch is assembled whether or not a factor fails, and
+            // the assembly alone is under test.
+            let _ = kkt.refactor(&slq, &wm, &rt, 1e-9);
+            for blk in &kkt.blocks {
+                let (a, want) = (blk.arcs.len(), arc_major_block(&slq, blk, &wm, &rt));
+                arc_counts.push(a);
+                let chol = &mut kkt.batches[blk.batch].chol;
+                let (dim, band) = (chol.dim(), chol.band());
+                assert_eq!((dim, band), (a * w, a));
+                let h = chol.matrix_mut();
+                for (p, q, i, j) in (0..a).flat_map(|p| {
+                    (0..a).flat_map(move |q| {
+                        (0..w).flat_map(move |i| (0..w).map(move |j| (p, q, i, j)))
+                    })
+                }) {
+                    let (r, c) = ((i * a + p).max(j * a + q), (i * a + p).min(j * a + q));
+                    let got = if r - c <= band {
+                        h[c * (band + 1) + r - c][blk.lane]
+                    } else {
+                        0.0
+                    };
+                    let want = want[(p * w + i) * dim + q * w + j];
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "arcs {:?}, (arc {p}, slot {i}) × (arc {q}, slot {j}): {got:e} vs {want:e}",
+                        blk.arcs
+                    );
+                }
+            }
+        }
+        arc_counts.sort_unstable();
+        arc_counts.dedup();
+        assert_eq!(arc_counts, [1, 2, 3, 4]);
     }
 
     #[test]

@@ -23,9 +23,13 @@ compares every build against it:
 
 A change that moves a decision must commit the new lines, so the move is
 a reviewed diff. A change to the solver's arithmetic may move the cost and
-served bits at round-off, but never an iteration, recovery, round or event
-field, and CHANGES.md gives the size of each move. Compare such a change
-against that file, and on further seeds against the parent commit's lines.
+served bits at round-off. It may move an iteration count only where
+round-off decides a solve's exit test (a recovery solve whose
+stationarity sits at its tolerance exits an iteration earlier or later),
+and never a recovery, round or event field. CHANGES.md gives the size of
+each move and names each solve whose iterations moved. Compare such a
+change against that file, and on further seeds against the parent
+commit's lines.
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
     python3 tools/e2e_fingerprints.py --root ../parent --seeds 13 > parent.txt
