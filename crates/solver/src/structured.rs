@@ -347,15 +347,17 @@ impl StructuredLq {
     /// (length at least [`StructuredLq::num_rows`]; only the first
     /// `num_rows` entries are written).
     pub(crate) fn row_lhs_into(&self, x: &Vector, out: &mut Vector) {
-        for e in 0..self.n {
-            out[self.nonneg_row(e)] = -x[e];
+        let (coupling, nonneg) =
+            out.as_mut_slice()[..self.num_rows()].split_at_mut(self.nonneg_row(0));
+        for (o, &xe) in nonneg.iter_mut().zip(&x.as_slice()[..self.n]) {
+            *o = -xe;
         }
-        for (i, c) in self.coupling_rows() {
+        for (o, (_, c)) in coupling.iter_mut().zip(self.coupling_rows()) {
             let mut acc = 0.0;
             for &(e, coeff) in &c.entries {
                 acc += coeff * x[e];
             }
-            out[i] = acc;
+            *o = acc;
         }
     }
 
@@ -363,11 +365,11 @@ impl StructuredLq {
     /// the first [`StructuredLq::num_rows`] entries of `t`):
     /// non-negativity rows, then demand, then capacity.
     pub(crate) fn row_t_acc(&self, t: &Vector, out: &mut Vector) {
-        for e in 0..self.n {
-            out[e] -= t[self.nonneg_row(e)];
+        let (coupling, nonneg) = t.as_slice()[..self.num_rows()].split_at(self.nonneg_row(0));
+        for (o, &te) in out.as_mut_slice()[..self.n].iter_mut().zip(nonneg) {
+            *o -= te;
         }
-        for (i, c) in self.coupling_rows() {
-            let tr = t[i];
+        for (&tr, (_, c)) in coupling.iter().zip(self.coupling_rows()) {
             for &(e, coeff) in &c.entries {
                 out[e] += coeff * tr;
             }
@@ -381,8 +383,8 @@ impl StructuredLq {
             j += q.dot(x);
         }
         for u in &us[..self.w] {
-            for e in 0..self.n {
-                j += 0.5 * self.r_diag[e] * u[e] * u[e];
+            for (&r, &u) in self.r_diag.iter().zip(&u.as_slice()[..self.n]) {
+                j += 0.5 * r * u * u;
             }
         }
         j
