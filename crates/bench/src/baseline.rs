@@ -1142,7 +1142,10 @@ impl MetricsComparison {
         self.deltas.iter().any(|d| d.regressed) || !self.unmatched.is_empty()
     }
 
-    /// The human-readable counter delta report.
+    /// The human-readable counter delta report. A passing row prints three
+    /// decimals; a regressed row prints both values in full (shortest
+    /// round-trip form) and its relative move, so a round-off move never
+    /// reads as two equal numbers.
     pub fn report(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -1151,19 +1154,23 @@ impl MetricsComparison {
             "workload", "counter", "baseline", "current"
         );
         for d in &self.deltas {
-            let verdict = if d.regressed {
-                let direction = match Rule::of(&d.counter) {
-                    Rule::Equal => "changed",
-                    Rule::Higher => "fell",
-                    Rule::Lower => "rose",
-                };
-                format!("REGRESSED ({direction})")
-            } else {
-                "ok".to_string()
+            if !d.regressed {
+                let _ = writeln!(
+                    out,
+                    "{:<24} {:<18} {:>12.3} {:>12.3}  ok",
+                    d.workload, d.counter, d.baseline, d.current
+                );
+                continue;
+            }
+            let direction = match Rule::of(&d.counter) {
+                Rule::Equal => "changed",
+                Rule::Higher => "fell",
+                Rule::Lower => "rose",
             };
+            let relative = (d.current - d.baseline) / d.baseline.abs();
             let _ = writeln!(
                 out,
-                "{:<24} {:<18} {:>12.3} {:>12.3}  {verdict}",
+                "{:<24} {:<18} {:>12} {:>12}  REGRESSED ({direction}) {relative:+.3e}",
                 d.workload, d.counter, d.baseline, d.current
             );
         }
@@ -1682,6 +1689,21 @@ mod tests {
                 );
             }
         }
+        // The round-off pair prints in full, not as two equal numbers.
+        let report = compare_metrics(
+            &with("total_cost", 3191.2580506028594),
+            &with("total_cost", 3191.25805060286),
+            0.0,
+        )
+        .report();
+        assert!(
+            report.contains("3191.2580506028594") && report.contains("3191.25805060286 "),
+            "{report}"
+        );
+        assert!(
+            report.contains("REGRESSED (changed) +1.425e-16"),
+            "{report}"
+        );
         // A cost that falls still passes.
         let allocs = with("allocs", 1_000.0);
         assert!(!compare_metrics(&allocs, &with("allocs", 999.0), 0.0).regressed());

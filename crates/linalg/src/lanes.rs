@@ -13,12 +13,14 @@
 //! The matrices of a batch share a lower bandwidth `band`: entry `(r, c)`
 //! is zero whenever `|r − c| > band`. Each lane stores only its lower band,
 //! and every kernel skips what lies outside it, so a factor costs about
-//! `dim·band²/2` multiply-subtracts, a solve `2·dim·band` and the explicit
-//! inverse `dim²·band`. A Cholesky factor keeps its matrix's band, so every
-//! skipped term is a product with a zero, which the scalar kernel subtracts
-//! without changing a value: each lane equals the scalar kernel value for
-//! value (a zero's sign may differ). A band of `dim − 1` skips nothing and
-//! is the dense kernel, bit for bit.
+//! `dim·band²/2` multiply-subtracts and a solve `2·dim·band`. The explicit
+//! inverse is dense: Takahashi's recurrence fills all `dim²` entries from
+//! the band factor with about `dim²·band/2` multiply-subtracts and one
+//! division per column. A Cholesky factor keeps its matrix's band, so
+//! every skipped term is a product with a zero, which the scalar kernel
+//! subtracts without changing a value: each lane equals the scalar kernel
+//! value for value (a zero's sign may differ). A band of `dim − 1` skips
+//! nothing and is the dense kernel, bit for bit.
 
 use crate::LinalgError;
 
@@ -204,58 +206,50 @@ impl CholeskyLanes {
         }
     }
 
-    /// Writes the lower triangle of every lane's `A⁻¹` into `out`, a dense
-    /// row-major `dim × dim` array (entry `(i, c)` at `i·dim + c`): the
-    /// inverse of a banded matrix is dense. The strict upper triangle of
-    /// `out` is left as is.
+    /// Writes every lane's `A⁻¹` into `out`, dense, row-major and symmetric:
+    /// entry `(i, c)` at `i·dim + c`, both triangles, so a reader takes any
+    /// row of the inverse contiguously. The inverse of a banded matrix is
+    /// dense.
     ///
-    /// Entry `(i, c)`, `i ≥ c`, is entry `i` of a solve against the unit
-    /// vector `e_c`: the forward sweep subtracts `l_ik·y_kc` for
-    /// `k = c … i−1` in order, and the backward sweep `l_ki·x_kc` for
-    /// `k = i+1 … dim−1` in order, each skipping the `l` outside the band.
-    /// A unit solve's leading terms `l·(+0)` leave an entry unchanged (it
-    /// is never `−0`), and no lower entry depends on an upper one, so
-    /// nothing else is computed.
+    /// Takahashi's recurrence (Erisman & Tinney, CACM 18(3), 1975) builds
+    /// `Z = A⁻¹` from `L` column by column, the last column first. Column
+    /// `j` takes one reciprocal `r = 1/l_jj` per lane, then its entries
+    /// from row `dim − 1` up to the diagonal:
+    ///
+    /// ```text
+    /// Z_ij = r · (δ_ij·r − Σ_{k=j+1}^{min(j+band, dim−1)} l_kj · Z_ik),
+    /// ```
+    ///
+    /// the sum in ascending `k`, each entry written to both triangles as it
+    /// is computed. Every `Z_ik` the sum reads lies in a later column, or,
+    /// for the diagonal, below it in column `j`, so it is final. That is
+    /// one division per column and about `dim²·band/2` multiply-subtracts,
+    /// each sum reading a row of `Z` and a column of `L` contiguously. A
+    /// decoupled identity row of `A` comes out as the identity's row and
+    /// column (its off-diagonal entries `±0`).
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != dim²` or if the factor is invalid.
-    pub fn inverse_lower_into(&self, out: &mut [Lanes]) {
+    pub fn inverse_into(&self, out: &mut [Lanes]) {
         self.assert_valid("inverse");
         let n = self.dim;
         assert_eq!(out.len(), n * n, "cholesky lanes inverse: output shape");
-        // Forward, L Y = I: row k of Y is final once divided, then leaves
-        // its multiple in the rows below it within the band.
-        for i in 0..n {
-            out[i * n..i * n + i].fill([0.0; LANES]);
-            out[i * n + i] = [1.0; LANES];
-        }
-        for k in 0..n {
-            let col_k = self.column(k);
-            let (head, later) = out.split_at_mut((k + 1) * n);
-            let y_k = &mut head[k * n..=k * n + k];
-            for y in y_k.iter_mut() {
-                div(y, &col_k[0]);
-            }
-            for (x_i, lik) in later.chunks_exact_mut(n).zip(&col_k[1..]) {
-                for (x, y) in x_i[..=k].iter_mut().zip(y_k.iter()) {
-                    sub_mul(x, lik, y);
+        for j in (0..n).rev() {
+            let col = self.column(j);
+            let r = col[0].map(|l| 1.0 / l);
+            let below = &col[1..];
+            for i in (j..n).rev() {
+                let mut acc = if i == j { r } else { [0.0; LANES] };
+                let z_i = &out[i * n + j + 1..i * n + j + 1 + below.len()];
+                for (l, z) in below.iter().zip(z_i) {
+                    sub_mul(&mut acc, l, z);
                 }
-            }
-        }
-        // Backward, Lᵀ X = Y: X_i = (Y_i − Σ_{k>i} l_ki X_k) / l_ii, k
-        // ascending; a right-looking sweep would reverse that order.
-        for i in (0..n).rev() {
-            let col_i = self.column(i);
-            let (head, later) = out.split_at_mut((i + 1) * n);
-            let x_i = &mut head[i * n..=i * n + i];
-            for (x_k, lki) in later.chunks_exact(n).zip(&col_i[1..]) {
-                for (x, y) in x_i.iter_mut().zip(&x_k[..=i]) {
-                    sub_mul(x, lki, y);
+                for (x, r) in acc.iter_mut().zip(&r) {
+                    *x *= r;
                 }
-            }
-            for x in x_i.iter_mut() {
-                div(x, &col_i[0]);
+                out[i * n + j] = acc;
+                out[j * n + i] = acc;
             }
         }
     }
@@ -388,9 +382,12 @@ mod tests {
 
     /// Every kernel of one batch of lower bandwidth `band`, lane by lane,
     /// against the scalar oracle on the whole matrix: the factor (and its
-    /// zeros outside the band), the lower inverse (over stale output),
-    /// each sweep of the solve and the residual matvec. Value for value;
-    /// at the full band, where nothing is skipped, bit for bit.
+    /// zeros outside the band), the inverse (over stale output), each sweep
+    /// of the solve and the residual matvec. Value for value; at the full
+    /// band, where nothing is skipped, bit for bit. Then, whatever the
+    /// algorithm, the inverse's checks: the residual bound of
+    /// [`oracle::inverse_residual`] at `4·dim`, exact symmetry, and a
+    /// decoupled identity row of `A` giving the identity's row and column.
     fn assert_batch_matches_oracle(blocks: &[Matrix], band: usize, seed: u64) {
         let n = blocks[0].rows();
         let mut batch = batch_of(blocks, band);
@@ -404,7 +401,7 @@ mod tests {
         };
         batch.refactor_rowwise().unwrap();
         let mut inv = vec![[f64::NAN; LANES]; n * n];
-        batch.inverse_lower_into(&mut inv);
+        batch.inverse_into(&mut inv);
         let load = |lane_rhs: &dyn Fn(usize) -> Vec<f64>| -> Vec<Lanes> {
             let mut v = vec![[0.0; LANES]; n];
             for lane in 0..blocks.len() {
@@ -426,6 +423,7 @@ mod tests {
         for (lane, m) in blocks.iter().enumerate() {
             let l = rowwise(m).unwrap();
             let want_inv = oracle::inverse(&l);
+            let z = |r: usize, c: usize| inv[r * n + c][lane];
             for r in 0..n {
                 for c in 0..=r {
                     let got = if r - c <= b {
@@ -438,12 +436,36 @@ mod tests {
                         "L[{r}][{c}] = {got:e}, want {:e}: lane {lane}, dimension {n}, band {b}",
                         l[(r, c)]
                     );
+                }
+                for c in 0..n {
                     assert!(
-                        same(inv[r * n + c][lane], want_inv[(r, c)]),
-                        "inverse ({r}, {c}), lane {lane}, dimension {n}, band {b}"
+                        same(z(r, c), want_inv[(r, c)]),
+                        "inverse ({r}, {c}) = {:e}, want {:e}: lane {lane}, dimension {n}, band {b}",
+                        z(r, c),
+                        want_inv[(r, c)]
+                    );
+                    assert_eq!(
+                        z(r, c).to_bits(),
+                        z(c, r).to_bits(),
+                        "inverse ({r}, {c}) vs ({c}, {r}): lane {lane}, dimension {n}, band {b}"
                     );
                 }
+                let decoupled = (0..n).all(|c| m[(r, c)] == if c == r { 1.0 } else { 0.0 });
+                if decoupled {
+                    for c in 0..n {
+                        let want = if c == r { 1.0 } else { 0.0 };
+                        assert!(
+                            z(r, c) == want && z(c, r) == want,
+                            "pinned row {r}, column {c}: lane {lane}, dimension {n}, band {b}"
+                        );
+                    }
+                }
             }
+            let residual = oracle::inverse_residual(m, z);
+            assert!(
+                residual <= 4.0 * n as f64,
+                "|A Z − I| reaches {residual:.1}·ε·(|A|·1)·max|Z|: lane {lane}, dimension {n}, band {b}"
+            );
             let b_l = rhs(n, lane, seed);
             let mut want_fwd = b_l.clone();
             oracle::forward(&l, &mut want_fwd);
@@ -580,7 +602,7 @@ mod tests {
             assert!(solve.is_err(), "solve after a failed factor must panic");
             let mut inv = vec![[0.0; LANES]; n * n];
             let inverse = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                batch.inverse_lower_into(&mut inv)
+                batch.inverse_into(&mut inv)
             }));
             assert!(inverse.is_err(), "inverse after a failed factor must panic");
             // A NaN entry fails its lane too; an unfactored batch panics.

@@ -10,10 +10,11 @@
 //! * [`Cholesky`]: factorization of symmetric positive-definite matrices
 //!   into reusable storage.
 //! * [`CholeskyLanes`]: [`LANES`] small banded SPD matrices of one
-//!   dimension and bandwidth factored, inverted and solved side by side,
-//!   skipping everything outside the band; each lane equals [`Cholesky`]
-//!   on its matrix alone (bit for bit at the full band) — the location
-//!   blocks of the structured KKT path.
+//!   dimension and bandwidth factored, inverted (by Takahashi's
+//!   recurrence) and solved side by side, skipping everything outside the
+//!   band; each lane's factor and solves equal [`Cholesky`] on its matrix
+//!   alone (bit for bit at the full band) — the location blocks of the
+//!   structured KKT path.
 //! * [`SchurComplement`]: a dense Schur-system workspace for the
 //!   structure-exploiting KKT path every placement solve takes. It tests
 //!   each pivot against its own row's scale

@@ -1,7 +1,7 @@
 //! Test oracles: the scalar Cholesky kernels the production ones must
 //! reproduce (bit for bit, or value for value where a banded kernel skips
 //! products with zeros) — a left-looking (dot-product) factorization, its
-//! row-by-row solve and the lockstep inverse — plus the random SPD and
+//! row-by-row solve and Takahashi's inverse — plus the random SPD and
 //! barrier-scaled blocks, dense and banded, the kernel tests draw from, and
 //! the products the tests check residuals with.
 
@@ -78,44 +78,58 @@ pub(crate) fn backward(l: &Matrix, b: &mut [f64]) {
     }
 }
 
-/// `A⁻¹` from `L`, the substitutions of all unit right-hand sides run in
-/// lockstep: column `j` is bit for bit `forward` then `backward` on `e_j`.
+/// `A⁻¹` from `L` by Takahashi's recurrence, as
+/// [`CholeskyLanes::inverse_into`](crate::CholeskyLanes::inverse_into)
+/// computes it but over the whole of `L`: column `j` from the last, with
+/// `r = 1/l_jj`, `Z_ij = r·(δ_ij·r − Σ_{k>j} l_kj·Z_ik)` for `i = n−1`
+/// down to `j`, the sum in ascending `k`, each entry written to both
+/// triangles.
 pub(crate) fn inverse(l: &Matrix) -> Matrix {
     let n = l.rows();
-    let mut inv = Matrix::zeros(n, n);
-    let out = inv.as_mut_slice();
+    let mut z = Matrix::zeros(n, n);
+    for j in (0..n).rev() {
+        let r = 1.0 / l[(j, j)];
+        for i in (j..n).rev() {
+            let mut acc = if i == j { r } else { 0.0 };
+            for k in j + 1..n {
+                acc -= l[(k, j)] * z[(i, k)];
+            }
+            let v = r * acc;
+            z[(i, j)] = v;
+            z[(j, i)] = v;
+        }
+    }
+    z
+}
+
+/// Residual of `z` as `A⁻¹`, in units of `ε`: the largest
+/// `|(A Z − I)_ij| / ((|A|·1)_i · max|Z|)`, each product summed in column
+/// order; an exact zero residual counts as zero. Independent of how `z`
+/// was computed. Takahashi's recurrence meets it at a few `ε` on every
+/// block the kernel tests draw, as the unit-vector solves do. It does not
+/// meet the tighter `|A||Z|` scaling there, nor `max|Z|` taken per column:
+/// on a barrier block whose diagonal spans 16 decades, a column of tiny
+/// entries carries errors of `ε·max|Z|`. The unit-vector solves miss the
+/// `|A||Z|` scaling on those blocks too.
+pub(crate) fn inverse_residual(a: &Matrix, z: impl Fn(usize, usize) -> f64) -> f64 {
+    let n = a.rows();
+    let z_max = (0..n * n)
+        .map(|i| z(i / n, i % n).abs())
+        .fold(0.0, f64::max);
+    let mut worst = 0.0f64;
     for i in 0..n {
-        let l_row = l.row(i);
-        let (done, rest) = out.split_at_mut(i * n);
-        let x_i = &mut rest[..n];
-        x_i.fill(0.0);
-        x_i[i] = 1.0;
-        for (k, &lik) in l_row[..i].iter().enumerate() {
-            let y_k = &done[k * n..=k * n + k];
-            for (x, &y) in x_i.iter_mut().zip(y_k) {
-                *x -= lik * y;
+        let row: f64 = a.row(i).iter().map(|h| h.abs()).sum();
+        for j in 0..n {
+            let mut r = if i == j { -1.0 } else { 0.0 };
+            for k in 0..n {
+                r += a[(i, k)] * z(k, j);
+            }
+            if r != 0.0 {
+                worst = worst.max(r.abs() / (row * z_max) / f64::EPSILON);
             }
         }
-        let lii = l_row[i];
-        for x in &mut x_i[..=i] {
-            *x /= lii;
-        }
     }
-    for i in (0..n).rev() {
-        let (head, later) = out.split_at_mut((i + 1) * n);
-        let x_i = &mut head[i * n..];
-        for (x_k, k) in later.chunks_exact(n).zip(i + 1..n) {
-            let lki = l[(k, i)];
-            for (x, &y) in x_i.iter_mut().zip(x_k) {
-                *x -= lki * y;
-            }
-        }
-        let lii = l[(i, i)];
-        for x in x_i.iter_mut() {
-            *x /= lii;
-        }
-    }
-    inv
+    worst
 }
 
 /// Uniform draws on `[-1, 1)` from a cheap LCG.
