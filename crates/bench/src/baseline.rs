@@ -31,7 +31,7 @@ use dspp_runtime::{run_scenario, run_scenarios, FaultPlan, ScenarioPool, Scenari
 use dspp_sim::{ClosedLoopSim, SimCheckpoint};
 use dspp_solver::{solve_structured, IpmSettings};
 use dspp_telemetry::json::{self, JsonValue};
-use dspp_telemetry::{Recorder, SloEngine, SloSample, SloSpec};
+use dspp_telemetry::{Recorder, SloEngine, SloSample, SloSpec, Snapshot};
 
 use crate::{
     alloc_count, horizon_fixture, huge_problem, multi_dc_problem, paper_brownout_controller,
@@ -299,6 +299,8 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     });
 
     // 4. One full best-response game run (Algorithm 2), 3 providers.
+    // Counters: its rounds, IPM iterations and the iterations the later
+    // rounds' warm starts saved.
     let game_metric = pick("game.best_response_run").then(|| {
         let providers = SpSampler::new(2, 2, 3)
             .with_seed(1)
@@ -309,9 +311,11 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
             ipm: IpmSettings::fast(),
             ..GameConfig::default()
         };
+        let (counters, _) = game_counters(&game, &config);
         measure("game.best_response_run", warmup, iters, || {
             game.run(&config).expect("game run");
         })
+        .with_counters(counters)
     });
 
     // 5. A dspp-runtime scenario sweep: three closed-loop scenarios (one
@@ -388,31 +392,17 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     });
     let sweep_counters = |jobs: usize| -> Vec<(String, f64)> {
         let sweep_game = sweep_game.as_ref().expect("sweep fixture built");
-        let telemetry = Recorder::enabled();
         let config = GameConfig {
             ipm: IpmSettings::fast(),
             jobs,
-            telemetry: telemetry.clone(),
             ..GameConfig::default()
         };
-        let out = sweep_game.run(&config).expect("game run");
-        let snap = telemetry.snapshot().expect("enabled recorder");
+        let (mut counters, snap) = game_counters(sweep_game, &config);
         let solves = snap.counter("solver.lq.solves") as f64;
         let warm_hits = snap.counter("solver.lq.warm_hits") as f64;
-        vec![
-            ("rounds".to_string(), out.iterations as f64),
-            (
-                "ipm_iterations".to_string(),
-                snap.histogram("solver.lq.iterations")
-                    .map_or(0.0, |h| h.sum),
-            ),
-            ("warm_hits".to_string(), warm_hits),
-            ("warm_hit_rate".to_string(), warm_hits / solves.max(1.0)),
-            (
-                "iterations_saved".to_string(),
-                snap.counter("solver.lq.iterations_saved") as f64,
-            ),
-        ]
+        counters.push(("warm_hits".to_string(), warm_hits));
+        counters.push(("warm_hit_rate".to_string(), warm_hits / solves.max(1.0)));
+        counters
     };
     let sweep_timed = |name: &str, jobs: usize| -> Metric {
         let game = sweep_game.as_ref().expect("sweep fixture built");
@@ -798,6 +788,33 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
         .flatten()
         .collect(),
     }
+}
+
+/// Runs `game` once under `config` with an enabled recorder and returns
+/// the run's exact counters — its rounds, IPM iterations and the
+/// iterations the later rounds' warm starts saved — with the recorder's
+/// snapshot.
+fn game_counters(game: &ResourceGame, config: &GameConfig) -> (Vec<(String, f64)>, Snapshot) {
+    let telemetry = Recorder::enabled();
+    let config = GameConfig {
+        telemetry: telemetry.clone(),
+        ..config.clone()
+    };
+    let out = game.run(&config).expect("game run");
+    let snap = telemetry.snapshot().expect("enabled recorder");
+    let counters = vec![
+        ("rounds".to_string(), out.iterations as f64),
+        (
+            "ipm_iterations".to_string(),
+            snap.histogram("solver.lq.iterations")
+                .map_or(0.0, |h| h.sum),
+        ),
+        (
+            "iterations_saved".to_string(),
+            snap.counter("solver.lq.iterations_saved") as f64,
+        ),
+    ];
+    (counters, snap)
 }
 
 /// Steps `controller` once, with an enabled recorder attached, and returns

@@ -24,7 +24,7 @@ fn disabled_recorder_solve_is_the_plain_solve() {
     let ipm = IpmSettings::default();
     let (plain, plain_allocs) = alloc_count::count(|| solve_structured(slq, &ipm).expect("solve"));
     let (traced, traced_allocs) = alloc_count::count(|| {
-        solve_structured_warm_traced(slq, &ipm, None, &Recorder::disabled()).expect("solve")
+        solve_structured_warm_traced(slq, &ipm, None, None, &Recorder::disabled()).expect("solve")
     });
     assert_eq!(plain.iterations, traced.iterations);
     assert_eq!(plain_allocs, traced_allocs);

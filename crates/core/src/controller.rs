@@ -410,6 +410,7 @@ impl MpcController {
             &self.settings.ipm,
             &self.settings.recovery,
             self.warm_us.as_deref(),
+            None,
             &telemetry,
         )?;
         let (sol, recovery_info) = match decision {

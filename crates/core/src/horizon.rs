@@ -407,7 +407,7 @@ impl HorizonProblem {
         telemetry: &Recorder,
     ) -> Result<LqSolution, CoreError> {
         Ok(solve_structured_warm_traced(
-            &self.slq, settings, warm_us, telemetry,
+            &self.slq, settings, warm_us, None, telemetry,
         )?)
     }
 
@@ -427,17 +427,23 @@ impl HorizonProblem {
     }
 
     /// Decides the horizon, strictly when it can: the preflight, then the
-    /// strict solve warm-started from `warm_us`, then the recovery
-    /// relaxation ([`HorizonProblem::solve_recovery`], same warm start)
-    /// when the preflight finds a deficit or the strict solve certifies
-    /// [`SolverError::Infeasible`]. A deficit skips the doomed strict
-    /// solve. `MpcController::step` and the game's best responses both
-    /// decide through this one ladder.
+    /// strict solve warm-started from `warm_us` and `warm_duals`, then the
+    /// recovery relaxation ([`HorizonProblem::solve_recovery`], warm-started
+    /// from `warm_us` alone) when the preflight finds a deficit or the
+    /// strict solve certifies [`SolverError::Infeasible`]. A deficit skips
+    /// the doomed strict solve. `MpcController::step` and the game's best
+    /// responses both decide through this one ladder.
+    ///
+    /// `warm_duals` are a previous solution's
+    /// [`LqSolution::stage_duals`] for a horizon of the same shape (the
+    /// game passes each provider's previous round); the strict solve then
+    /// starts next to them (`dspp_solver::solve_structured_warm_traced`).
     ///
     /// # Errors
     ///
     /// * A strict-solve failure other than [`SolverError::Infeasible`]
-    ///   (iteration cap, numerical failure, invalid settings).
+    ///   (iteration cap, numerical failure, invalid settings, malformed
+    ///   warm start).
     /// * Any failure of the relaxation (see
     ///   [`HorizonProblem::solve_recovery`]).
     pub fn solve_or_recover(
@@ -445,14 +451,16 @@ impl HorizonProblem {
         settings: &IpmSettings,
         recovery: &RecoverySettings,
         warm_us: Option<&[Vector]>,
+        warm_duals: Option<&[Vector]>,
         telemetry: &Recorder,
     ) -> Result<Decision, CoreError> {
         let preflight_deficit = !self.preflight()?.is_feasible();
         if !preflight_deficit {
-            match self.solve_warm_traced(settings, warm_us, telemetry) {
+            match solve_structured_warm_traced(&self.slq, settings, warm_us, warm_duals, telemetry)
+            {
                 Ok(sol) => return Ok(Decision::Strict(sol)),
-                Err(CoreError::Solver(SolverError::Infeasible { .. })) => {}
-                Err(e) => return Err(e),
+                Err(SolverError::Infeasible { .. }) => {}
+                Err(e) => return Err(e.into()),
             }
         }
         let outcome = self.solve_recovery(settings, recovery, warm_us, telemetry)?;

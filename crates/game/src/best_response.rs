@@ -3,19 +3,29 @@
 //! Rounds are *Jacobi sweeps*: every provider best-responds to the quotas
 //! fixed at the start of the round, so the `N` per-provider solves are
 //! independent. With [`GameConfig::jobs`] `> 1` they run on a
-//! `dspp-runtime` worker pool; results are merged in provider order, so
-//! quota updates, duals, and convergence checks are byte-identical for any
-//! worker count. Each provider's previous-round solution warm-starts its
-//! next solve (including through recovery periods).
+//! `dspp-runtime` worker pool, the calling thread one of its workers;
+//! results are merged in provider order, so quota updates, duals, and
+//! convergence checks are byte-identical for any worker count.
 //!
 //! A best response is one horizon problem decided by
 //! [`HorizonProblem::solve_or_recover`], the ladder `MpcController` uses:
 //! the preflight, the strict solve, then the recovery relaxation when the
 //! quota starves the provider.
+//!
+//! Round 1 starts every solve cold. Each later round starts a provider's
+//! solve from its previous-round solution, including one a recovery
+//! produced: the inputs, and for the strict solve also the duals and
+//! slacks, next to the previous answer (the warm rule of
+//! `dspp_solver::solve_structured_warm_traced`). Only the quotas, the
+//! capacity rows' right-hand sides, move between rounds, so a small move
+//! leaves little to do: on `dspp-bench`'s `game.round_4sp` market, round
+//! 2's four solves take 8 iterations against round 1's 22. Quotas that
+//! swing far from round to round can make the previous answer a worse
+//! start than a cold one. Nothing carries over between two runs of the
+//! game.
 
 use crate::ServiceProvider;
 use dspp_core::{CoreError, Decision, HorizonProblem, RecoverySettings};
-use dspp_linalg::Vector;
 use dspp_runtime::ScenarioPool;
 use dspp_solver::{IpmSettings, LqSolution, WarmStartTracker};
 use dspp_telemetry::{AttrValue, Recorder};
@@ -43,8 +53,9 @@ pub struct GameConfig {
     /// otherwise, ends in the ∞-cost / synthetic-dual dead-end
     /// (`game.infeasible_responses`).
     pub recovery: RecoverySettings,
-    /// Worker threads for the per-round provider sweep (default 1 =
-    /// sequential). The sweep is Jacobi-style — every provider solves
+    /// Workers of the per-round provider sweep, the calling thread
+    /// included (default 1 = sequential; `jobs` spawns `jobs − 1`
+    /// threads). The sweep is Jacobi-style — every provider solves
     /// against the quotas fixed at the round start — so the solves are
     /// independent; results are merged in provider order and the outcome
     /// is byte-identical for any `jobs` value.
@@ -246,8 +257,9 @@ impl ResourceGame {
     }
 
     /// One provider's share of a Jacobi sweep: its horizon problem under
-    /// `quota`, decided by [`HorizonProblem::solve_or_recover`] from the
-    /// warm start `warm_us`. Telemetry emitted here (nested `solver.lq.*`,
+    /// `quota`, decided by [`HorizonProblem::solve_or_recover`] warm-started
+    /// from `prev`, the provider's previous-round solution: its inputs and
+    /// its duals. Telemetry emitted here (nested `solver.lq.*`,
     /// `game.capacity_dual`) is order-insensitive; the order-sensitive
     /// `game.*` counters are emitted by the caller during the
     /// provider-order merge.
@@ -255,19 +267,24 @@ impl ResourceGame {
         &self,
         i: usize,
         quota: &[f64],
-        warm_us: Option<&[Vector]>,
+        prev: Option<&LqSolution>,
         config: &GameConfig,
         telemetry: &Recorder,
     ) -> Result<Response, CoreError> {
         let sp = &self.providers[i];
         let problem = sp.problem.with_capacities(quota.to_vec())?;
         let horizon = HorizonProblem::build(&problem, &sp.initial, &sp.demand, &sp.price_rows())?;
-        let decision =
-            match horizon.solve_or_recover(&config.ipm, &config.recovery, warm_us, telemetry) {
-                Ok(decision) => decision,
-                Err(CoreError::Solver(_)) => return Ok(Response::Infeasible),
-                Err(e) => return Err(e),
-            };
+        let decision = match horizon.solve_or_recover(
+            &config.ipm,
+            &config.recovery,
+            prev.map(|s| s.us.as_slice()),
+            prev.map(|s| s.stage_duals.as_slice()),
+            telemetry,
+        ) {
+            Ok(decision) => decision,
+            Err(CoreError::Solver(_)) => return Ok(Response::Infeasible),
+            Err(e) => return Err(e),
+        };
         // A recovered placement's penalty-inflated cost and genuine
         // capacity duals pull quota back toward the starved provider on
         // the next division.
@@ -318,9 +335,8 @@ impl ResourceGame {
             span.attr("providers", n);
             let jobs: Vec<(String, _)> = (0..n)
                 .map(|i| {
-                    let quota = &quotas[i];
-                    let warm = prev[i].as_ref().map(|s| s.us.as_slice());
-                    let job = move || self.sweep_one(i, quota, warm, config, telemetry);
+                    let (quota, prev) = (&quotas[i], prev[i].as_ref());
+                    let job = move || self.sweep_one(i, quota, prev, config, telemetry);
                     (format!("game.best_response.{i}"), job)
                 })
                 .collect();
@@ -335,15 +351,7 @@ impl ResourceGame {
                 .collect()
         } else {
             (0..n)
-                .map(|i| {
-                    self.sweep_one(
-                        i,
-                        &quotas[i],
-                        prev[i].as_ref().map(|s| s.us.as_slice()),
-                        config,
-                        telemetry,
-                    )
-                })
+                .map(|i| self.sweep_one(i, &quotas[i], prev[i].as_ref(), config, telemetry))
                 .collect()
         }
     }
@@ -386,8 +394,8 @@ impl ResourceGame {
         let mut prev_cost = f64::INFINITY;
         let mut outcome: Option<GameOutcome> = None;
         // Each provider's previous-round solution, carried as the warm
-        // start for its next solve (None after an infeasible response,
-        // which forces a cold start).
+        // start (inputs and duals) for its next solve: None in round 1
+        // and after an infeasible response, which force a cold start.
         let mut prev_sols: Vec<Option<LqSolution>> = (0..n).map(|_| None).collect();
         let mut trackers = vec![WarmStartTracker::new(); n];
         for iter in 1..=config.max_iterations {
@@ -905,14 +913,27 @@ mod tests {
             ..quick_config()
         };
         let out = game.run(&config).unwrap();
-        let spans = tracer
+        let spans: Vec<_> = tracer
             .records()
-            .iter()
-            .filter(|r| {
-                matches!(r, dspp_telemetry::TraceRecord::Span(s) if s.name == "game.round.parallel")
+            .into_iter()
+            .filter_map(|r| match r {
+                dspp_telemetry::TraceRecord::Span(s) => Some(s),
+                _ => None,
             })
-            .count();
-        assert_eq!(spans, out.iterations);
+            .collect();
+        let rounds: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.name == "game.round.parallel")
+            .map(|s| s.id)
+            .collect();
+        assert_eq!(rounds.len(), out.iterations);
+        // A job the calling thread runs nests under its round's span; a
+        // spawned worker's job is a root.
+        let jobs: Vec<_> = spans.iter().filter(|s| s.name == "runtime.job").collect();
+        assert_eq!(jobs.len(), 3 * out.iterations);
+        for job in jobs {
+            assert!(job.parent.is_none_or(|p| rounds.contains(&p)), "{job:?}");
+        }
     }
 
     #[test]
@@ -931,6 +952,32 @@ mod tests {
             let expected_hits = (out.iterations as u64 - 1) * n;
             assert_eq!(snap.counter("solver.lq.warm_hits"), expected_hits);
             assert_eq!(snap.counter("solver.lq.warm_starts"), expected_hits);
+        }
+    }
+
+    /// On the `game.round_4sp` fixture of `dspp-bench`, round 2 starts
+    /// each provider from its round-1 duals and slacks and saves
+    /// iterations against round 1's cold solves; from the inputs alone it
+    /// saved none.
+    #[test]
+    fn later_rounds_start_from_the_previous_duals() {
+        let sps = SpSampler::new(2, 2, 3).with_seed(3).sample(4).unwrap();
+        let game = ResourceGame::new(sps, vec![60.0, 80.0]).unwrap();
+        for jobs in [1, 4] {
+            let config = GameConfig {
+                jobs,
+                telemetry: dspp_telemetry::Recorder::enabled(),
+                ..quick_config()
+            };
+            let out = game.run(&config).unwrap();
+            let snap = config.telemetry.snapshot().unwrap();
+            assert_eq!(out.iterations, 2, "jobs {jobs}");
+            assert_eq!(snap.counter("solver.lq.warm_starts"), 4, "jobs {jobs}");
+            assert_eq!(snap.counter("game.recovered_responses"), 0, "jobs {jobs}");
+            assert!(
+                snap.counter("solver.lq.iterations_saved") > 0,
+                "jobs {jobs}: round 2 saved no iterations"
+            );
         }
     }
 

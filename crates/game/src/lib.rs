@@ -21,7 +21,8 @@
 //!   response is the provider's `HorizonProblem` under its quota, decided
 //!   by `HorizonProblem::solve_or_recover`, the ladder the MPC controller
 //!   uses: a starved provider recovers with a bounded shortfall instead of
-//!   dead-ending.
+//!   dead-ending. Round 1 solves cold; every later round starts each
+//!   provider from its previous round's inputs, duals and slacks.
 //! * [`solve_social_welfare`] — the joint (SWP) optimum, solved exactly as
 //!   one horizon problem over the stacked providers
 //!   (`HorizonProblem::build_shared`).

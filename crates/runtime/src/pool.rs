@@ -1,15 +1,19 @@
 //! A work-queue thread pool for scenario jobs.
 //!
-//! Deliberately minimal — std threads, a mutexed deque, and an mpsc
-//! channel — because the workspace builds offline with no external
-//! executor. Jobs are indexed on submission and results are returned in
-//! submission order regardless of which worker finished first, so callers
-//! (the `all` experiment driver, the bench harness) get deterministic
-//! output layout from a nondeterministic schedule.
+//! Deliberately minimal — scoped std threads, a mutexed deque and a
+//! mutexed result slot per job — because the workspace builds offline
+//! with no external executor. The calling thread is one of the workers: a
+//! sweep spawns `workers − 1` threads and drains the queue beside them, so
+//! a one-worker pool runs every job on the caller and spawns nothing, and
+//! a short sweep (one game round) pays one spawn less and no hand-off back
+//! to a waiting caller. Jobs are indexed on submission and results are
+//! returned in submission order regardless of which worker finished
+//! first, so callers (the `all` experiment binary, the bench harness, the
+//! game's rounds) get deterministic output layout from a nondeterministic
+//! schedule.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
@@ -22,7 +26,9 @@ use crate::RuntimeError;
 ///
 /// Telemetry (when enabled) gets per-job `runtime.job` spans plus the
 /// `runtime.jobs`, `runtime.job_panics` counters and the
-/// `runtime.job_seconds` histogram.
+/// `runtime.job_seconds` histogram. A job the calling thread runs nests
+/// its span under the caller's open span; a spawned worker's spans are
+/// roots of that thread.
 #[derive(Debug, Clone)]
 pub struct ScenarioPool {
     workers: usize,
@@ -30,7 +36,8 @@ pub struct ScenarioPool {
 }
 
 impl ScenarioPool {
-    /// Creates a pool with `workers` threads (clamped to at least one).
+    /// Creates a pool of `workers` workers (clamped to at least one), the
+    /// calling thread included.
     pub fn new(workers: usize) -> Self {
         ScenarioPool {
             workers: workers.max(1),
@@ -51,7 +58,8 @@ impl ScenarioPool {
         self
     }
 
-    /// Number of worker threads the pool spawns.
+    /// Number of workers, the calling thread included: a sweep of at
+    /// least this many jobs spawns `workers() − 1` threads.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -73,6 +81,9 @@ impl ScenarioPool {
     /// ([`std::thread::scope`]), so `T` and `F` need only be [`Send`],
     /// not `'static`. The game crate uses this to run per-provider
     /// best-response solves that borrow the game state for one round.
+    ///
+    /// Spawns `min(workers, jobs) − 1` threads; the calling thread drains
+    /// the queue as the last worker and returns once every job is done.
     pub fn run_scoped<T, F>(&self, jobs: Vec<(String, F)>) -> Vec<Result<T, RuntimeError>>
     where
         T: Send,
@@ -90,57 +101,55 @@ impl ScenarioPool {
                 .map(|(i, (label, f))| (i, label, f))
                 .collect(),
         );
-        let (tx, rx) = mpsc::channel::<(usize, Result<T, RuntimeError>)>();
-        let mut slots: Vec<Option<Result<T, RuntimeError>>> = (0..n).map(|_| None).collect();
+        let slots: Mutex<Vec<Option<Result<T, RuntimeError>>>> =
+            Mutex::new((0..n).map(|_| None).collect());
+        let telemetry = &self.telemetry;
+        let drain = || loop {
+            let job = queue.lock().expect("pool queue poisoned").pop_front();
+            let Some((idx, label, f)) = job else { break };
+            let mut span = telemetry.tracer().span("runtime.job");
+            span.attr("label", label.clone());
+            span.attr("index", idx);
+            let t = Instant::now();
+            let outcome = catch_unwind(AssertUnwindSafe(f));
+            telemetry.observe_duration("runtime.job_seconds", t.elapsed());
+            span.attr("ok", outcome.is_ok());
+            drop(span);
+            let result = match outcome {
+                Ok(value) => {
+                    telemetry.incr("runtime.jobs", 1);
+                    Ok(value)
+                }
+                Err(payload) => {
+                    telemetry.incr("runtime.job_panics", 1);
+                    let message = panic_message(payload.as_ref());
+                    telemetry.tracer().event_with(
+                        "runtime.job_panic",
+                        [
+                            ("severity", AttrValue::Str("error".into())),
+                            ("label", AttrValue::Str(label.clone())),
+                            ("message", AttrValue::Str(message.clone())),
+                        ],
+                    );
+                    Err(RuntimeError::JobPanicked { label, message })
+                }
+            };
+            slots.lock().expect("pool results poisoned")[idx] = Some(result);
+        };
         thread::scope(|scope| {
-            for w in 0..workers {
-                let queue = &queue;
-                let tx = tx.clone();
-                let telemetry = &self.telemetry;
+            for w in 1..workers {
                 thread::Builder::new()
                     .name(format!("dspp-runtime-{w}"))
-                    .spawn_scoped(scope, move || loop {
-                        let job = queue.lock().expect("pool queue poisoned").pop_front();
-                        let Some((idx, label, f)) = job else { break };
-                        let mut span = telemetry.tracer().span("runtime.job");
-                        span.attr("label", label.clone());
-                        span.attr("index", idx);
-                        let t = Instant::now();
-                        let outcome = catch_unwind(AssertUnwindSafe(f));
-                        telemetry.observe_duration("runtime.job_seconds", t.elapsed());
-                        span.attr("ok", outcome.is_ok());
-                        drop(span);
-                        let result = match outcome {
-                            Ok(value) => {
-                                telemetry.incr("runtime.jobs", 1);
-                                Ok(value)
-                            }
-                            Err(payload) => {
-                                telemetry.incr("runtime.job_panics", 1);
-                                let message = panic_message(payload.as_ref());
-                                telemetry.tracer().event_with(
-                                    "runtime.job_panic",
-                                    [
-                                        ("severity", AttrValue::Str("error".into())),
-                                        ("label", AttrValue::Str(label.clone())),
-                                        ("message", AttrValue::Str(message.clone())),
-                                    ],
-                                );
-                                Err(RuntimeError::JobPanicked { label, message })
-                            }
-                        };
-                        if tx.send((idx, result)).is_err() {
-                            break;
-                        }
-                    })
+                    .spawn_scoped(scope, drain)
                     .expect("failed to spawn pool worker");
             }
-            drop(tx);
-            for (idx, result) in rx {
-                slots[idx] = Some(result);
-            }
+            // The calling thread is the last worker: it would only wait
+            // for the others otherwise.
+            drain();
         });
         slots
+            .into_inner()
+            .expect("pool results poisoned")
             .into_iter()
             .map(|slot| slot.expect("every queued job reports exactly once"))
             .collect()
@@ -196,6 +205,64 @@ mod tests {
         ]);
         let values: Vec<i32> = results.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(values, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn one_worker_pool_runs_every_job_on_the_calling_thread() {
+        let caller = thread::current().id();
+        let jobs: Vec<(String, _)> = (0..3)
+            .map(|i| (format!("job-{i}"), || thread::current().id()))
+            .collect();
+        let results = ScenarioPool::new(1).run_scoped(jobs);
+        assert_eq!(results.len(), 3);
+        for r in results {
+            assert_eq!(r.unwrap(), caller);
+        }
+    }
+
+    /// A two-worker pool runs jobs on the caller too. Jobs 0 and 1 meet at
+    /// a barrier, so each worker holds one of them; the caller's panics.
+    /// Its slot gets `JobPanicked`, with the counter a spawned worker's
+    /// panic tallies, and the rest of the queue still runs.
+    #[test]
+    fn a_panic_in_the_callers_share_is_isolated() {
+        let caller = thread::current().id();
+        let barrier = std::sync::Barrier::new(2);
+        let telemetry = Recorder::enabled();
+        let pool = ScenarioPool::new(2).with_telemetry(telemetry.clone());
+        let jobs: Vec<(String, _)> = (0..6)
+            .map(|i| {
+                let barrier = &barrier;
+                (format!("job-{i}"), move || {
+                    if i < 2 {
+                        barrier.wait();
+                        assert!(thread::current().id() != caller, "caller job exploded");
+                    }
+                    i
+                })
+            })
+            .collect();
+        let results = pool.run_scoped(jobs);
+        let panicked: Vec<usize> = (0..6).filter(|&i| results[i].is_err()).collect();
+        assert_eq!(panicked.len(), 1, "exactly the caller's job panics");
+        match &results[panicked[0]] {
+            Err(RuntimeError::JobPanicked { label, message }) => {
+                assert_eq!(label, &format!("job-{}", panicked[0]));
+                assert!(message.contains("caller job exploded"));
+            }
+            other => panic!("expected a panic error, got {other:?}"),
+        }
+        for (i, r) in results
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != panicked[0])
+        {
+            assert_eq!(*r.as_ref().unwrap(), i);
+        }
+        let snap = telemetry.snapshot().unwrap();
+        assert_eq!(snap.counter("runtime.job_panics"), 1);
+        assert_eq!(snap.counter("runtime.jobs"), 5);
+        assert_eq!(snap.gauge("runtime.pool_workers"), Some(2.0));
     }
 
     #[test]

@@ -60,8 +60,19 @@
 //!   data center never produces the rank-deficient rows that stall an
 //!   interior-point method.
 //!
-//! The relaxation starts and stops on its own terms; a strict solve runs
-//! none of this:
+//! A strict solve starts from the rollout of its input guess (zero without
+//! one), costates at zero. Cold, every active row starts at
+//! `s = max(d − Cx, 1)` and `z = 1`. Given a previous solution's duals,
+//! shaped like [`LqSolution::stage_duals`], each active model and box row
+//! starts at `z = max(z_prev, 10⁻⁴)` and `s = max(d − Cx, 10⁻⁴)` instead:
+//! after a small change to the data, such as a quota move between two
+//! rounds of the game, the previous answer's active set and prices are
+//! most of the way to the new one, and the small margin keeps them there.
+//! A unit margin would push every binding row back to the central path's
+//! start. Vacuous rows keep `s = 1, z = 0` either way.
+//!
+//! The relaxation starts and stops on its own terms and takes no duals; a
+//! strict solve runs none of this:
 //!
 //! * **Start.** Each soft row's slack starts at the row's violation at
 //!   the warm-start rollout, `σ = max(lhs − d, 0)`, so the softened row
@@ -132,6 +143,11 @@ const STEP_FRACTION: f64 = 0.99;
 /// Cold-start margin: slacks start at `max(d − Cx, margin)` and duals at
 /// the margin (servers, in the DSPP placement problem).
 const INIT_MARGIN: f64 = 1.0;
+
+/// Warm-start margin: a strict solve given a previous solution's duals
+/// starts each active row at `z = max(z_prev, margin)` and
+/// `s = max(d − Cx, margin)`, next to the previous answer.
+const WARM_MARGIN: f64 = 1e-4;
 
 /// One location block of `H_A = T + G_Aᵀ W_A G_A`: the chains of the
 /// arcs one demand row covers, plus that row's barrier term (arcs in no
@@ -607,8 +623,14 @@ impl SchurKkt {
     /// [`SchurKkt::solve_in_place`] followed by iterative refinement
     /// against the exact augmented system until the componentwise backward
     /// error reaches round-off or stops shrinking. Returns the refinement
-    /// passes taken.
-    fn solve_refined(&mut self, slq: &StructuredLq, y: &mut Vector, u: &mut Vector) -> usize {
+    /// passes taken and the final componentwise backward error (at most
+    /// [`ROUND_OFF`] for an exact step).
+    fn solve_refined(
+        &mut self,
+        slq: &StructuredLq,
+        y: &mut Vector,
+        u: &mut Vector,
+    ) -> (usize, f64) {
         self.rhs.copy_from(y);
         self.rhs_u.copy_from(u);
         self.solve_in_place(slq, y, u);
@@ -640,7 +662,7 @@ impl SchurKkt {
                 break;
             }
         }
-        passes
+        (passes, norm)
     }
 }
 
@@ -661,42 +683,54 @@ pub fn solve_structured(
     slq: &StructuredLq,
     settings: &IpmSettings,
 ) -> Result<LqSolution, SolverError> {
-    solve_structured_inner(slq, None, settings, None, &Recorder::disabled()).map(|(sol, _)| sol)
+    solve_structured_inner(slq, None, settings, None, None, &Recorder::disabled())
+        .map(|(sol, _)| sol)
 }
 
-/// [`solve_structured`] with a primal warm-start guess for the input
-/// sequence (`W` vectors of the arc dimension) — typically the previous
-/// period's solution shifted by one stage — and metrics emitted to
-/// `telemetry`. The guess only seeds the primal trajectory (slacks and
-/// duals are re-centred), so a poor guess degrades gracefully to roughly
-/// cold-start behaviour.
+/// [`solve_structured`] with an optional warm start and metrics emitted
+/// to `telemetry`.
+///
+/// * `warm_us` guesses the input sequence (`W` vectors of the arc
+///   dimension), typically the previous period's solution shifted by one
+///   stage. It seeds the primal trajectory only.
+/// * `warm_duals` are a previous solution's
+///   [`LqSolution::stage_duals`], for a problem of the same shape. Each
+///   active row then starts next to its previous dual and slack (the
+///   module docs' warm rule) instead of at the unit margin.
+///
+/// Without duals the slacks and duals are re-centred, so a poor input
+/// guess degrades gracefully to roughly cold-start behaviour.
 ///
 /// Per attempt it increments `solver.lq.solves` (plus
-/// `solver.lq.warm_starts` when a guess is supplied) and one
+/// `solver.lq.warm_starts` when either warm start is supplied) and one
 /// `solver.lq.status.*` tally, and observes `solver.lq.iterations`,
 /// `solver.lq.solve_seconds` and — on success — the final
 /// `solver.lq.kkt_residual`. Per iteration it counts
 /// `solver.lq.schur_factor` (one per successful factorization) and times
 /// `solver.lq.schur_factor_seconds` / `solver.lq.schur_solve_seconds`
 /// (twice: predictor and corrector); the corrector's refined solve
-/// observes `solver.lq.refinement_passes`; the first
+/// observes `solver.lq.refinement_passes` and its final backward error,
+/// `solver.lq.refinement_error`; the first
 /// factorization observes `solver.lq.schur_block_size`,
 /// `solver.lq.schur_dense_dim` and `solver.lq.schur_fill`. With a
-/// disabled recorder and no guess this is [`solve_structured`]; see
+/// disabled recorder and no warm start this is [`solve_structured`]; see
 /// `docs/OBSERVABILITY.md` for the metric catalogue.
 ///
 /// # Errors
 ///
 /// As [`solve_structured`], plus [`SolverError::InvalidProblem`] for a
-/// wrong-shaped or non-finite guess.
+/// wrong-shaped or non-finite input guess or duals.
 pub fn solve_structured_warm_traced(
     slq: &StructuredLq,
     settings: &IpmSettings,
     warm_us: Option<&[Vector]>,
+    warm_duals: Option<&[Vector]>,
     telemetry: &Recorder,
 ) -> Result<LqSolution, SolverError> {
-    trace_lq_solve(telemetry, warm_us.is_some(), || {
-        solve_structured_inner(slq, None, settings, warm_us, telemetry).map(|(sol, _)| sol)
+    let warm = warm_us.is_some() || warm_duals.is_some();
+    trace_lq_solve(telemetry, warm, || {
+        solve_structured_inner(slq, None, settings, warm_us, warm_duals, telemetry)
+            .map(|(sol, _)| sol)
     })
 }
 
@@ -745,7 +779,8 @@ pub fn solve_structured_relaxed_traced(
     }
     let mut slacks = Vec::new();
     let solution = trace_lq_solve(telemetry, warm_us.is_some(), || {
-        let (sol, sl) = solve_structured_inner(slq, Some(spec), settings, warm_us, telemetry)?;
+        let (sol, sl) =
+            solve_structured_inner(slq, Some(spec), settings, warm_us, None, telemetry)?;
         slacks = sl;
         Ok(sol)
     })?;
@@ -1393,7 +1428,7 @@ fn newton_step(
         }
     }
     let t0 = telemetry.is_enabled().then(Instant::now);
-    let passes = if refine {
+    let refined = if refine {
         Some(kkt.solve_refined(slq, &mut nt.y, &mut nt.u))
     } else {
         kkt.solve_in_place(slq, &mut nt.y, &mut nt.u);
@@ -1402,8 +1437,9 @@ fn newton_step(
     if let Some(t) = t0 {
         telemetry.observe_duration("solver.lq.schur_solve_seconds", t.elapsed());
     }
-    if let Some(passes) = passes {
+    if let Some((passes, error)) = refined {
         telemetry.observe("solver.lq.refinement_passes", passes as f64);
+        telemetry.observe("solver.lq.refinement_error", error);
     }
     // Trajectory step: Δx_0 = 0, Δu_k = Δx_{k+1} − Δx_k,
     // Δλ_k = −r̂_k − R̃_k Δu_k.
@@ -1477,14 +1513,18 @@ fn newton_step(
     }
 }
 
+/// The interior point behind every public solve. `warm_duals` is the
+/// strict warm start of the module docs; the relaxation passes `None`.
 pub(crate) fn solve_structured_inner(
     slq: &StructuredLq,
     soft: Option<&SoftSpec>,
     settings: &IpmSettings,
     warm_us: Option<&[Vector]>,
+    warm_duals: Option<&[Vector]>,
     telemetry: &Recorder,
 ) -> Result<(LqSolution, Vec<Vector>), SolverError> {
     settings.validate().map_err(SolverError::InvalidProblem)?;
+    debug_assert!(soft.is_none() || warm_duals.is_none());
     let rows = Rows::new(slq, soft);
     let lay = rows.lay;
     let (n, w) = (lay.n, lay.w);
@@ -1493,7 +1533,7 @@ pub(crate) fn solve_structured_inner(
     let mut span = telemetry.tracer().span("solver.lq.solve");
     span.attr("horizon", w);
     span.attr("state_dim", n);
-    span.attr("warm_start", warm_us.is_some());
+    span.attr("warm_start", warm_us.is_some() || warm_duals.is_some());
 
     let mut it = Iterate::zeros(&lay);
     if let Some(guess) = warm_us {
@@ -1509,11 +1549,26 @@ pub(crate) fn solve_structured_inner(
         }
         it.us = guess.to_vec();
     }
+    if let Some(duals) = warm_duals {
+        let shaped =
+            duals.len() == w + 1 && (0..=w).all(|k| duals[k].len() == lay.model(k) + lay.boxes(k));
+        if !shaped {
+            return Err(SolverError::InvalidProblem(
+                "warm-start duals do not match the problem's rows".into(),
+            ));
+        }
+        if duals.iter().any(|z| !z.is_finite()) {
+            return Err(SolverError::InvalidProblem(
+                "warm-start duals contain non-finite values".into(),
+            ));
+        }
+    }
     it.xs = rows.rollout(&slq.x0, &mut it.us);
 
-    // Slacks start at max(d − lhs, margin), duals at the margin; inactive
-    // rows sit at s = 1, z = 0 and never move. Soft rows start as the
-    // module docs' "Start" says.
+    // Slacks start at max(d − lhs, margin), duals at the margin or, warm,
+    // at max(z_prev, margin); inactive rows sit at s = 1, z = 0 and never
+    // move. Soft rows start as the module docs' "Start" says.
+    let margin = warm_duals.map_or(INIT_MARGIN, |_| WARM_MARGIN);
     let mut cons = Vector::zeros((0..=w).map(|k| lay.rows(k)).max().unwrap_or(0));
     for k in 0..=w {
         rows.lhs_into(k, &it.xs[k], it.us.get(k), &it.sig[k], &mut cons);
@@ -1526,8 +1581,8 @@ pub(crate) fn solve_structured_inner(
         }
         for i in 0..lay.rows(k) {
             if rows.active[k][i] {
-                it.ss[k][i] = (rows.d[k][i] - cons[i]).max(INIT_MARGIN);
-                it.zs[k][i] = INIT_MARGIN;
+                it.ss[k][i] = (rows.d[k][i] - cons[i]).max(margin);
+                it.zs[k][i] = warm_duals.map_or(INIT_MARGIN, |z| z[k][i].max(margin));
             } else {
                 it.ss[k][i] = 1.0;
             }
@@ -2293,6 +2348,7 @@ mod tests {
                 &slq,
                 &IpmSettings::default(),
                 Some(guess),
+                None,
                 &Recorder::disabled(),
             )
         };
@@ -2301,6 +2357,122 @@ mod tests {
         assert!(warm_sol.iterations <= cold.iterations);
         let bad = vec![Vector::zeros(1); 3];
         assert!(matches!(warm(&bad), Err(SolverError::InvalidProblem(_))));
+    }
+
+    /// `instance` with data center `l`'s capacity moved to `cap` in every
+    /// slot: one provider's quota change between two rounds of the game.
+    fn with_capacity(mut slq: StructuredLq, locs: usize, l: usize, cap: f64) -> StructuredLq {
+        for d in &mut slq.ds {
+            d[locs + l] = cap;
+        }
+        slq
+    }
+
+    /// Warm-starts `slq` from `from`'s inputs and duals.
+    fn dual_warm(
+        slq: &StructuredLq,
+        from: &LqSolution,
+        telemetry: &Recorder,
+    ) -> Result<LqSolution, SolverError> {
+        solve_structured_warm_traced(
+            slq,
+            &IpmSettings::default(),
+            Some(&from.us),
+            Some(&from.stage_duals),
+            telemetry,
+        )
+    }
+
+    /// Data center 1's capacity binds in the last slot (dual ≈ 0.79). After
+    /// a quota move either way, the solution of the neighbouring problem
+    /// starts the re-solve next to its answer: same optimum, fewer
+    /// iterations than a cold start and than its inputs alone.
+    #[test]
+    fn dual_warm_start_after_a_quota_move_saves_iterations() {
+        let ipm = IpmSettings::default();
+        let slq = instance(2, 3, 3, 4.0, 6.5);
+        let cold = solve_structured(&slq, &ipm).unwrap();
+        for moved in [6.2, 6.8] {
+            let prev = solve_structured(&with_capacity(slq.clone(), 3, 0, moved), &ipm).unwrap();
+            let warm = dual_warm(&slq, &prev, &Recorder::disabled()).unwrap();
+            let inputs_only = solve_structured_warm_traced(
+                &slq,
+                &ipm,
+                Some(&prev.us),
+                None,
+                &Recorder::disabled(),
+            )
+            .unwrap();
+            let gap = (warm.objective - cold.objective).abs() / cold.objective.abs();
+            assert!(gap <= 1e-8, "quota {moved}: objective off by {gap:.3e}");
+            for (w, c) in warm.us[0].iter().zip(cold.us[0].iter()) {
+                assert!(
+                    (w - c).abs() <= 1e-6,
+                    "quota {moved}: first control {w} vs {c}"
+                );
+            }
+            assert!(
+                warm.iterations < cold.iterations && warm.iterations < inputs_only.iterations,
+                "quota {moved}: warm {} vs cold {} and inputs only {}",
+                warm.iterations,
+                cold.iterations,
+                inputs_only.iterations
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_warm_duals_are_rejected() {
+        let slq = instance(2, 3, 3, 4.0, 6.5);
+        let sol = solve_structured(&slq, &IpmSettings::default()).unwrap();
+        let telemetry = Recorder::enabled();
+        let mut too_few_slots = sol.clone();
+        too_few_slots.stage_duals.pop();
+        let mut short_row = sol.clone();
+        short_row.stage_duals[2] = Vector::zeros(slq.num_rows() - 1);
+        let mut non_finite = sol.clone();
+        non_finite.stage_duals[1][0] = f64::NAN;
+        for bad in [&too_few_slots, &short_row, &non_finite] {
+            let err = dual_warm(&slq, bad, &telemetry).unwrap_err();
+            assert!(matches!(err, SolverError::InvalidProblem(_)), "{err}");
+        }
+        let snap = telemetry.snapshot().unwrap();
+        assert_eq!(snap.counter("solver.lq.status.invalid_problem"), 3);
+        assert_eq!(snap.counter("solver.lq.warm_starts"), 3);
+    }
+
+    /// With data center 1 dark in slots 2 and 3, its capacity row and its
+    /// arcs' non-negativity rows leave those slots. Duals written there
+    /// are never read: those rows keep `z = 0`, and the solve reaches the
+    /// cold optimum.
+    #[test]
+    fn vacuous_rows_ignore_warm_duals() {
+        let slq = with_outage(instance(2, 3, 4, 4.0, 30.0), 3, 1, &[2, 3]);
+        let cold = solve_structured(&slq, &IpmSettings::default()).unwrap();
+        let mut prev = cold.clone();
+        for k in 1..=slq.w {
+            for (z, &vacuous) in prev.stage_duals[k].iter_mut().zip(&slq.vacuous[k - 1]) {
+                if vacuous {
+                    *z = 5.0;
+                }
+            }
+        }
+        let vacuous_rows = slq.vacuous.iter().flatten().filter(|&&v| v).count();
+        assert_eq!(
+            vacuous_rows,
+            2 * (1 + 3),
+            "the dark capacity row and its 3 arcs, twice"
+        );
+        let warm = dual_warm(&slq, &prev, &Recorder::disabled()).unwrap();
+        for k in 1..=slq.w {
+            for (&z, &vacuous) in warm.stage_duals[k].iter().zip(&slq.vacuous[k - 1]) {
+                if vacuous {
+                    assert_eq!(z, 0.0, "slot {k}: a vacuous row's dual moved");
+                }
+            }
+        }
+        let gap = (warm.objective - cold.objective).abs() / cold.objective.abs();
+        assert!(gap <= 1e-8, "objective off by {gap:.3e}");
     }
 
     #[test]
@@ -2318,8 +2490,9 @@ mod tests {
     fn infeasible_solve_increments_the_headline_counter() {
         let telemetry = Recorder::enabled();
         let slq = instance(1, 3, 3, 50.0, 10.0);
-        let err = solve_structured_warm_traced(&slq, &IpmSettings::default(), None, &telemetry)
-            .unwrap_err();
+        let err =
+            solve_structured_warm_traced(&slq, &IpmSettings::default(), None, None, &telemetry)
+                .unwrap_err();
         assert!(matches!(err, SolverError::Infeasible { .. }));
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.counter("solver.infeasible"), 1);
@@ -2344,9 +2517,10 @@ mod tests {
         assert!(run(SoftSpec::uniform(slq.num_rows() + 1, 1.0, 1e-4)).is_err());
     }
 
-    /// One recorder sees a cold, a warm and a recovery solve (this one
-    /// ends on the fallback), a certified-infeasible strict solve, two
-    /// iteration-capped solves and a bad warm-start guess. The emitted
+    /// One recorder sees a cold solve, a warm one from inputs and one
+    /// from inputs and duals, a recovery solve (this one ends on the
+    /// fallback), a certified-infeasible strict solve, two iteration-capped
+    /// solves and a bad warm-start guess. The emitted
     /// `solver.*` names equal the rows of `docs/OBSERVABILITY.md`'s
     /// `solver.lq.*` table, each name of the status row on its own, except
     /// the two that no small instance reaches cheaply.
@@ -2362,11 +2536,12 @@ mod tests {
         ];
         let telemetry = Recorder::enabled();
         let run = |slq: &StructuredLq, settings: &IpmSettings, guess: Option<&[Vector]>| {
-            solve_structured_warm_traced(slq, settings, guess, &telemetry)
+            solve_structured_warm_traced(slq, settings, guess, None, &telemetry)
         };
         let slq = instance(2, 3, 3, 4.0, 30.0);
         let cold = run(&slq, &IpmSettings::default(), None).unwrap();
         let warm = run(&slq, &IpmSettings::default(), Some(&cold.us)).unwrap();
+        dual_warm(&slq, &cold, &telemetry).unwrap();
         let mut tracker = crate::WarmStartTracker::new();
         tracker.record(false, cold.iterations + 1, &telemetry);
         tracker.record(true, warm.iterations, &telemetry);
@@ -2455,15 +2630,19 @@ mod tests {
             let count = |metric: &str| snap.histogram(metric).map_or(0, |h| h.count);
             assert_eq!(snap.counter("solver.lq.schur_factor"), steps, "{name}");
             assert_eq!(count("solver.lq.refinement_passes"), steps, "{name}");
+            let error = snap.histogram("solver.lq.refinement_error").unwrap();
+            assert_eq!(error.count, steps, "{name}");
+            assert!(error.max <= ROUND_OFF, "{name}: a refined step stalled");
             assert_eq!(count("solver.lq.schur_solve_seconds"), 2 * steps, "{name}");
         };
         let slq = instance(2, 3, 3, 4.0, 30.0);
         let ipm = IpmSettings::default();
         let telemetry = Recorder::enabled();
-        let cold = solve_structured_warm_traced(&slq, &ipm, None, &telemetry).unwrap();
+        let cold = solve_structured_warm_traced(&slq, &ipm, None, None, &telemetry).unwrap();
         check("cold", &telemetry, cold.iterations);
         let telemetry = Recorder::enabled();
-        let warm = solve_structured_warm_traced(&slq, &ipm, Some(&cold.us), &telemetry).unwrap();
+        let warm =
+            solve_structured_warm_traced(&slq, &ipm, Some(&cold.us), None, &telemetry).unwrap();
         check("warm", &telemetry, warm.iterations);
         let telemetry = Recorder::enabled();
         let relaxed = solve_structured_relaxed_traced(
@@ -2487,7 +2666,8 @@ mod tests {
         let telemetry = Recorder::enabled();
         let slq = instance(2, 3, 3, 4.0, 30.0);
         let sol =
-            solve_structured_warm_traced(&slq, &IpmSettings::default(), None, &telemetry).unwrap();
+            solve_structured_warm_traced(&slq, &IpmSettings::default(), None, None, &telemetry)
+                .unwrap();
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.counter("solver.lq.solves"), 1);
         assert_eq!(snap.counter("solver.lq.status.optimal"), 1);
@@ -2515,7 +2695,8 @@ mod tests {
         // capacity rows keep only their diagonal entries: 64 − 26 of 64.
         let telemetry = Recorder::enabled();
         let slq = with_outage(instance(2, 3, 4, 4.0, 30.0), 3, 1, &[2, 3]);
-        solve_structured_warm_traced(&slq, &IpmSettings::default(), None, &telemetry).unwrap();
+        solve_structured_warm_traced(&slq, &IpmSettings::default(), None, None, &telemetry)
+            .unwrap();
         let snap = telemetry.snapshot().unwrap();
         let fill = snap.histogram("solver.lq.schur_fill").unwrap();
         assert_eq!((fill.count, fill.sum), (1, 38.0 / 64.0));
