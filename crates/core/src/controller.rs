@@ -548,12 +548,17 @@ mod tests {
     use dspp_predict::{LastValue, OraclePredictor};
 
     fn problem() -> Dspp {
+        priced_problem(1.0)
+    }
+
+    /// One data center serving one location, hosting priced at `price`.
+    fn priced_problem(price: f64) -> Dspp {
         DsppBuilder::new(1, 1)
             .service_rate(100.0)
             .sla_latency(0.060)
             .latency_rows(vec![vec![0.010]])
             .reconfiguration_weights(vec![0.02])
-            .price_trace(0, vec![1.0])
+            .price_trace(0, vec![price])
             .build()
             .unwrap()
     }
@@ -815,44 +820,51 @@ mod tests {
     fn warm_start_matches_cold_start_solutions() {
         // Two identical controllers — one freshly constructed each period
         // (cold), one persistent (warm from period 1 on) — must produce the
-        // same closed-loop allocations.
+        // same closed-loop allocations. Priced at one, each solve starts
+        // its duals at the unit cap; priced at the paper instance's scale,
+        // at the price itself.
         let demand = vec![vec![30.0, 60.0, 90.0, 70.0, 40.0, 30.0, 30.0]];
-        let mut warm = MpcController::new(
-            problem(),
-            Box::new(OraclePredictor::new(demand.clone())),
-            MpcSettings {
-                horizon: 4,
-                ..MpcSettings::default()
-            },
-        )
-        .unwrap();
-        let mut cold_state = Allocation::zeros(&problem());
-        for k in 0..5 {
-            let out_warm = warm.step(&[demand[0][k]]).unwrap();
-            // Cold reference: fresh controller seeded with the same state
-            // and history.
-            let mut cold = starting_from(
-                MpcController::new(
-                    problem(),
-                    Box::new(OraclePredictor::new(vec![demand[0][k..].to_vec()])),
-                    MpcSettings {
-                        horizon: 4,
-                        ..MpcSettings::default()
-                    },
-                )
-                .unwrap(),
-                &cold_state,
-            );
-            let out_cold = cold.step(&[demand[0][k]]).unwrap();
-            let diff: f64 = out_warm
-                .allocation
-                .arc_values()
-                .iter()
-                .zip(out_cold.allocation.arc_values())
-                .map(|(a, b)| (a - b).abs())
-                .sum();
-            assert!(diff < 1e-4, "period {k}: warm/cold diverged by {diff}");
-            cold_state = out_cold.allocation;
+        for price in [1.0, 0.004] {
+            let mut warm = MpcController::new(
+                priced_problem(price),
+                Box::new(OraclePredictor::new(demand.clone())),
+                MpcSettings {
+                    horizon: 4,
+                    ..MpcSettings::default()
+                },
+            )
+            .unwrap();
+            let mut cold_state = Allocation::zeros(&priced_problem(price));
+            for k in 0..5 {
+                let out_warm = warm.step(&[demand[0][k]]).unwrap();
+                // Cold reference: fresh controller seeded with the same
+                // state and history.
+                let mut cold = starting_from(
+                    MpcController::new(
+                        priced_problem(price),
+                        Box::new(OraclePredictor::new(vec![demand[0][k..].to_vec()])),
+                        MpcSettings {
+                            horizon: 4,
+                            ..MpcSettings::default()
+                        },
+                    )
+                    .unwrap(),
+                    &cold_state,
+                );
+                let out_cold = cold.step(&[demand[0][k]]).unwrap();
+                let diff: f64 = out_warm
+                    .allocation
+                    .arc_values()
+                    .iter()
+                    .zip(out_cold.allocation.arc_values())
+                    .map(|(a, b)| (a - b).abs())
+                    .sum();
+                assert!(
+                    diff < 1e-4,
+                    "price {price}, period {k}: warm/cold diverged by {diff}"
+                );
+                cold_state = out_cold.allocation;
+            }
         }
     }
 

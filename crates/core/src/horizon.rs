@@ -381,7 +381,9 @@ impl HorizonProblem {
     }
 
     /// Solves the horizon problem with an optional warm-start input guess
-    /// (the previous period's solution shifted by one stage).
+    /// (the previous period's solution shifted by one stage). The guess
+    /// seeds the primal trajectory; the duals start at the horizon's price
+    /// scale either way (`dspp_solver::solve_structured_warm_traced`).
     ///
     /// # Errors
     ///

@@ -13,9 +13,11 @@
 /// The method's other constants are fixed: a static regularization of
 /// `1e-9` on the Newton system's diagonal, boosted ×100 after each failed
 /// factorization up to `1e-9 · 1e20`; a fraction-to-boundary step factor
-/// of `0.99`; and a cold-start slack and dual margin of `1.0` (servers,
-/// in the DSPP placement problem). A strict solve warm-started from a
-/// previous solution's duals starts each active row at
+/// of `0.99`; and a cold-start slack margin of `1.0` (servers, in the
+/// DSPP placement problem). A strict solve's duals start at the horizon's
+/// price scale, its largest hosting price, clamped to `[1e-4, 1.0]`; the
+/// recovery relaxation's duals start at `1.0`. A strict solve warm-started
+/// from a previous solution's duals starts each active row at
 /// `z = max(z_prev, 1e-4)` and `s = max(d − Cx, 1e-4)` instead.
 ///
 /// The two termination statuses a *successful* solve can carry are

@@ -61,25 +61,37 @@
 //!   interior-point method.
 //!
 //! A strict solve starts from the rollout of its input guess (zero without
-//! one), costates at zero. Cold, every active row starts at
-//! `s = max(d − Cx, 1)` and `z = 1`. Given a previous solution's duals,
-//! shaped like [`LqSolution::stage_duals`], each active model and box row
-//! starts at `z = max(z_prev, 10⁻⁴)` and `s = max(d − Cx, 10⁻⁴)` instead:
-//! after a small change to the data, such as a quota move between two
-//! rounds of the game, the previous answer's active set and prices are
-//! most of the way to the new one, and the small margin keeps them there.
-//! A unit margin would push every binding row back to the central path's
-//! start. Vacuous rows keep `s = 1, z = 0` either way.
+//! one), costates at zero. Without a previous solution's duals, every
+//! active row starts at `s = max(d − Cx, 1)` and at the horizon's price
+//! scale, `z = clamp(max_k ‖q_k‖∞, 10⁻⁴, 1)`. A DSPP dual is a price: a
+//! capacity row's dual is what one more server there would save, a demand
+//! row's what one more unit of demand costs. A unit dual on a horizon
+//! priced at a few thousandths per server starts hundreds of times above
+//! the answer, and the first iterations would do nothing but shrink `μ`.
+//! The cap keeps the unit start for horizons priced at one or more, and
+//! the floor keeps a zero-priced horizon's duals off the boundary. Given a
+//! previous solution's duals, shaped like [`LqSolution::stage_duals`],
+//! each active model and box row starts at `z = max(z_prev, 10⁻⁴)` and
+//! `s = max(d − Cx, 10⁻⁴)` instead: after a small change to the data, such
+//! as a quota move between two rounds of the game, the previous answer's
+//! active set and prices are most of the way to the new one, and the small
+//! margin keeps them there. A unit margin would push every binding row
+//! back to the central path's start. Vacuous rows keep `s = 1, z = 0`
+//! either way.
 //!
 //! The relaxation starts and stops on its own terms and takes no duals; a
 //! strict solve runs none of this:
 //!
-//! * **Start.** Each soft row's slack starts at the row's violation at
-//!   the warm-start rollout, `σ = max(lhs − d, 0)`, so the softened row
-//!   starts satisfied. The row's penalty `ρ` is split evenly between the
-//!   row's dual and the dual of `σ ≥ 0`, so the slack's stationarity
-//!   `2εσ + ρ − z_row − z_σ` starts at `2εσ`. From the margin start, the
-//!   iterates would climb to the penalty one barrier step at a time.
+//! * **Start.** Its rows start at `s = max(d − Cx, 1)` and `z = 1`, not at
+//!   the price scale: a recovery answer depends on where its solve starts,
+//!   and started at the price scale, `paper_stream`'s recovery decisions
+//!   cost 0.34 % more at seed 13. Each soft row's slack starts at the
+//!   row's violation at the warm-start rollout, `σ = max(lhs − d, 0)`, so
+//!   the softened row starts satisfied. The row's penalty `ρ` is split
+//!   evenly between the row's dual and the dual of `σ ≥ 0`, so the slack's
+//!   stationarity `2εσ + ρ − z_row − z_σ` starts at `2εσ`. From the margin
+//!   start, the iterates would climb to the penalty one barrier step at a
+//!   time.
 //! * **Stop.** The duality-gap test is scaled by the strict objective the
 //!   solution reports (hosting plus reconfiguration). The penalty on the
 //!   shed demand inflates the relaxed objective by orders of magnitude,
@@ -140,13 +152,15 @@ const MAX_REGULARIZATION: f64 = REGULARIZATION * 1e20;
 /// largest step that keeps slacks and duals positive.
 const STEP_FRACTION: f64 = 0.99;
 
-/// Cold-start margin: slacks start at `max(d − Cx, margin)` and duals at
-/// the margin (servers, in the DSPP placement problem).
+/// Cold-start margin: slacks start at `max(d − Cx, margin)` (servers, in
+/// the DSPP placement problem). It caps a strict solve's starting duals,
+/// the horizon's price scale, and is the relaxation's starting dual.
 const INIT_MARGIN: f64 = 1.0;
 
 /// Warm-start margin: a strict solve given a previous solution's duals
 /// starts each active row at `z = max(z_prev, margin)` and
-/// `s = max(d − Cx, margin)`, next to the previous answer.
+/// `s = max(d − Cx, margin)`, next to the previous answer. Without them,
+/// it floors the price scale its duals start at.
 const WARM_MARGIN: f64 = 1e-4;
 
 /// One location block of `H_A = T + G_Aᵀ W_A G_A`: the chains of the
@@ -692,14 +706,15 @@ pub fn solve_structured(
 ///
 /// * `warm_us` guesses the input sequence (`W` vectors of the arc
 ///   dimension), typically the previous period's solution shifted by one
-///   stage. It seeds the primal trajectory only.
+///   stage. It seeds the primal trajectory only: the slacks and duals
+///   start as a cold solve's do, slacks at `max(d − Cx, 1)` and duals at
+///   the horizon's price scale clamped to `[1e-4, 1]` (the module docs),
+///   so a poor input guess degrades gracefully to roughly cold-start
+///   behaviour.
 /// * `warm_duals` are a previous solution's
 ///   [`LqSolution::stage_duals`], for a problem of the same shape. Each
 ///   active row then starts next to its previous dual and slack (the
-///   module docs' warm rule) instead of at the unit margin.
-///
-/// Without duals the slacks and duals are re-centred, so a poor input
-/// guess degrades gracefully to roughly cold-start behaviour.
+///   module docs' warm rule) instead.
 ///
 /// Per attempt it increments `solver.lq.solves` (plus
 /// `solver.lq.warm_starts` when either warm start is supplied) and one
@@ -1565,10 +1580,15 @@ pub(crate) fn solve_structured_inner(
     }
     it.xs = rows.rollout(&slq.x0, &mut it.us);
 
-    // Slacks start at max(d − lhs, margin), duals at the margin or, warm,
-    // at max(z_prev, margin); inactive rows sit at s = 1, z = 0 and never
-    // move. Soft rows start as the module docs' "Start" says.
+    // Slacks start at max(d − lhs, margin); duals at the clamped price
+    // scale (the relaxation: at the margin) or, warm, at max(z_prev,
+    // margin); inactive rows sit at s = 1, z = 0 and never move. Soft rows
+    // start as the module docs' "Start" says.
     let margin = warm_duals.map_or(INIT_MARGIN, |_| WARM_MARGIN);
+    let z_cold = match soft {
+        Some(_) => INIT_MARGIN,
+        None => slq.price_scale().clamp(WARM_MARGIN, INIT_MARGIN),
+    };
     let mut cons = Vector::zeros((0..=w).map(|k| lay.rows(k)).max().unwrap_or(0));
     for k in 0..=w {
         rows.lhs_into(k, &it.xs[k], it.us.get(k), &it.sig[k], &mut cons);
@@ -1582,7 +1602,7 @@ pub(crate) fn solve_structured_inner(
         for i in 0..lay.rows(k) {
             if rows.active[k][i] {
                 it.ss[k][i] = (rows.d[k][i] - cons[i]).max(margin);
-                it.zs[k][i] = warm_duals.map_or(INIT_MARGIN, |z| z[k][i].max(margin));
+                it.zs[k][i] = warm_duals.map_or(z_cold, |z| z[k][i].max(margin));
             } else {
                 it.ss[k][i] = 1.0;
             }
@@ -2357,6 +2377,92 @@ mod tests {
         assert!(warm_sol.iterations <= cold.iterations);
         let bad = vec![Vector::zeros(1); 3];
         assert!(matches!(warm(&bad), Err(SolverError::InvalidProblem(_))));
+    }
+
+    /// `slq` with every hosting price multiplied by `factor`.
+    fn priced(mut slq: StructuredLq, factor: f64) -> StructuredLq {
+        for q in &mut slq.qs {
+            q.scale(factor);
+        }
+        slq
+    }
+
+    /// Solves `slq`, an `instance` over `locs` locations, cold and
+    /// warm-started from the inputs of its optimum at 5 % less demand. Both
+    /// must end `Optimal` at the same answer: objective within `1e-6`
+    /// relative, first control within `control_tol` (relative above one
+    /// server).
+    fn assert_cold_and_input_warm_agree(
+        slq: &StructuredLq,
+        locs: usize,
+        control_tol: f64,
+    ) -> Result<(), String> {
+        let ipm = IpmSettings::default();
+        let mut less = slq.clone();
+        for d in &mut less.ds {
+            for v in 0..locs {
+                d[v] *= 0.95;
+            }
+        }
+        let scale = slq.price_scale();
+        let optimal = |sol: Result<LqSolution, SolverError>, what: &str| match sol {
+            Ok(sol) if sol.status == SolveStatus::Optimal => Ok(sol),
+            Ok(sol) => Err(format!("price scale {scale:e}: {what} {:?}", sol.status)),
+            Err(e) => Err(format!("price scale {scale:e}: {what} failed: {e}")),
+        };
+        let cold = optimal(solve_structured(slq, &ipm), "cold")?;
+        let prev = optimal(solve_structured(&less, &ipm), "neighbour")?;
+        let warm = optimal(
+            solve_structured_warm_traced(slq, &ipm, Some(&prev.us), None, &Recorder::disabled()),
+            "input-warm",
+        )?;
+        let gap = (warm.objective - cold.objective).abs() / cold.objective.abs().max(1e-300);
+        if gap > 1e-6 {
+            return Err(format!("price scale {scale:e}: objective off by {gap:.3e}"));
+        }
+        for (w, c) in warm.us[0].iter().zip(cold.us[0].iter()) {
+            if (w - c).abs() > control_tol * c.abs().max(1.0) {
+                return Err(format!("price scale {scale:e}: first control {w} vs {c}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// A solve without previous duals starts each active row's dual at the
+    /// horizon's price scale, clamped to `[1e-4, 1]`. Priced at the paper
+    /// instance's scale (×0.004, capacity binding) and at zero (the floor),
+    /// the cold solve and an input-warm one reach the same optimum.
+    #[test]
+    fn duals_start_at_the_price_scale() {
+        for factor in [0.004, 0.0] {
+            let slq = priced(instance(2, 3, 3, 4.0, 6.5), factor);
+            assert_eq!(slq.price_scale(), 2.2 * factor);
+            assert_cold_and_input_warm_agree(&slq, 3, 1e-6).unwrap();
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+        /// Prices spanning six decades (`1e-4` … `1e2` per server), where
+        /// the duals start anywhere from the floor to the cap: every cold
+        /// and input-warm solve ends `Optimal`, and the two agree. The
+        /// objective is strongly convex only through `R = 0.2`, so a gap
+        /// test met at `1e-9` relative leaves the controls up to `~1e-4`
+        /// apart on some grids, also where the cap keeps the unit start.
+        #[test]
+        fn prop_cold_and_input_warm_solves_agree_across_price_scales(
+            dcs in 1usize..4,
+            locs in 1usize..5,
+            w in 1usize..5,
+            demand in 1.0f64..8.0,
+            cap_slack in 1.1f64..3.0,
+            decade in -4.0f64..2.0,
+        ) {
+            let cap = demand * locs as f64 * cap_slack / dcs as f64;
+            let slq = priced(instance(dcs, locs, w, demand, cap), 10f64.powf(decade));
+            let agree = assert_cold_and_input_warm_agree(&slq, locs, 1e-3);
+            proptest::prop_assert!(agree.is_ok(), "{}", agree.unwrap_err());
+        }
     }
 
     /// `instance` with data center `l`'s capacity moved to `cap` in every

@@ -390,12 +390,15 @@ impl StructuredLq {
         j
     }
 
+    /// The largest hosting price of the horizon, `max_k ‖q_k‖∞`: the unit
+    /// of its duals.
+    pub(crate) fn price_scale(&self) -> f64 {
+        self.qs.iter().map(Vector::norm_inf).fold(0.0, f64::max)
+    }
+
     /// Problem scale for the stopping test, matching the dense path.
     pub(crate) fn scale(&self) -> f64 {
-        let mut scale: f64 = 1.0;
-        for q in &self.qs {
-            scale = scale.max(q.norm_inf());
-        }
+        let mut scale = self.price_scale().max(1.0);
         for d in &self.ds {
             scale = scale.max(d.norm_inf());
         }

@@ -26,12 +26,14 @@ a reviewed diff. A change to the solver's arithmetic may move the cost and
 served bits at round-off. It may move an iteration count only where
 round-off decides a solve's exit test (a recovery solve whose
 stationarity sits at its tolerance exits an iteration earlier or later),
-and never a recovery, round or event field. A change to where a solve
-starts (its warm start) may move the game's cost bits within the
-solver's tolerances (`tol_feasibility` 1e-8, `tol_gap` 1e-9 relative):
-each solve still meets them, at a different iterate. It never moves
-`game_rounds`. CHANGES.md gives the size of each move and names each
-solve whose iterations moved. Compare such a change against that file,
+and never a recovery, round or event field. A change to where a strict
+solve starts (its warm start, or the margin its slacks and duals start
+at) may move `solver_iterations`, and the cost and served bits within
+the solver's tolerances (`tol_feasibility` 1e-8, `tol_gap` 1e-9
+relative): each solve still meets them, at a different iterate. It
+never moves `recovery_decisions`, `game_rounds` or an event count.
+CHANGES.md gives the size of each move and names each solve whose
+iterations moved. Compare such a change against that file,
 and on further seeds against the parent commit's lines.
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
