@@ -18,10 +18,6 @@ pub struct MpcSettings {
     pub horizon: usize,
     /// Interior-point solver settings for each per-period solve.
     pub ipm: IpmSettings,
-    /// Optional hard reconfiguration rate limit `|u_e| ≤ u_max` per arc
-    /// and period (an operational change budget on top of the paper's
-    /// quadratic penalty).
-    pub max_reconfiguration: Option<f64>,
     /// Where the controller emits its metrics (`controller.*` and, through
     /// the traced solver calls, `solver.lq.*`). Disabled by default, which
     /// keeps every instrumented path a no-op; see `docs/OBSERVABILITY.md`.
@@ -39,7 +35,6 @@ impl Default for MpcSettings {
         MpcSettings {
             horizon: 5,
             ipm: IpmSettings::default(),
-            max_reconfiguration: None,
             telemetry: Recorder::disabled(),
             recovery: RecoverySettings::default(),
         }
@@ -395,7 +390,7 @@ impl MpcController {
             &forecast,
             &prices,
             stage_caps.as_deref(),
-            self.settings.max_reconfiguration,
+            None,
         )?;
         telemetry.incr(
             if self.warm_us.is_some() {
@@ -866,79 +861,6 @@ mod tests {
                 cold_state = out_cold.allocation;
             }
         }
-    }
-
-    #[test]
-    fn rate_limit_caps_per_period_changes() {
-        // Start provisioned for D = 10 (x₀ = a·10 = 0.125 servers); demand
-        // then climbs to 50. The climb needs Δx = 0.5, which fits under
-        // |u| ≤ 0.2 only when spread over ≥ 3 periods.
-        let p = problem();
-        let a = p.arc_coeff(0);
-        let demand = vec![vec![10.0, 10.0, 25.0, 40.0, 50.0, 50.0]];
-        let mut c = starting_from(
-            MpcController::new(
-                p.clone(),
-                Box::new(OraclePredictor::new(demand.clone())),
-                MpcSettings {
-                    horizon: 4,
-                    max_reconfiguration: Some(0.2),
-                    ..MpcSettings::default()
-                },
-            )
-            .unwrap(),
-            &Allocation::from_arc_values(&p, vec![10.0 * a]),
-        );
-        let mut max_u: f64 = 0.0;
-        for (k, &d) in demand[0].iter().enumerate().take(5) {
-            let out = c.step(&[d]).unwrap();
-            for &u in &out.control {
-                assert!(u.abs() <= 0.2 + 1e-6, "period {k}: |u| = {}", u.abs());
-                max_u = max_u.max(u.abs());
-            }
-        }
-        // The limit actually bound at some point (not vacuous).
-        assert!(max_u > 0.15, "limit never approached: max |u| = {max_u}");
-    }
-
-    #[test]
-    fn rate_limited_jump_recovers_with_bounded_controls() {
-        // The same jump through the controller: it sheds the demand it
-        // cannot ramp to, but never exceeds the change budget.
-        let demand = vec![vec![10.0, 1000.0, 1000.0]];
-        let mut c = MpcController::new(
-            problem(),
-            Box::new(OraclePredictor::new(demand.clone())),
-            MpcSettings {
-                horizon: 2,
-                max_reconfiguration: Some(0.05),
-                ..MpcSettings::default()
-            },
-        )
-        .unwrap();
-        let out = c.step(&[10.0]).unwrap();
-        let info = out.recovery.expect("rate-limited jump must recover");
-        assert!(info.resource_shortfall > 0.0);
-        for &u in &out.control {
-            assert!(u.abs() <= 0.05 + 1e-6, "|u| = {}", u.abs());
-        }
-        // The controller keeps stepping afterwards.
-        assert!(c.step(&[1000.0]).is_ok());
-    }
-
-    #[test]
-    fn invalid_rate_limit_is_rejected() {
-        let mut c = MpcController::new(
-            problem(),
-            Box::new(LastValue),
-            MpcSettings {
-                horizon: 2,
-                max_reconfiguration: Some(-1.0),
-                ..MpcSettings::default()
-            },
-        )
-        .unwrap();
-        assert!(matches!(c.step(&[1.0]), Err(CoreError::InvalidSpec(_))));
     }
 
     #[test]

@@ -163,8 +163,7 @@ impl HorizonProblem {
         Self::build_full(problem, x0, demand_forecast, price_forecast, None, None)
     }
 
-    /// [`HorizonProblem::build`] with per-stage capacities and an optional
-    /// reconfiguration rate limit.
+    /// [`HorizonProblem::build`] with per-stage capacities.
     ///
     /// `stage_capacities[t][l]` caps data center `l` during period `k+1+t`,
     /// overriding the problem's static capacities. The fault plane's
@@ -173,22 +172,20 @@ impl HorizonProblem {
     /// arcs to zero for the period instead of leaving a degenerate row in
     /// the solve.
     ///
-    /// `max_reconfiguration` bounds `|u_e| ≤ u_max` per arc and period
-    /// (operational change budgets: image distribution bandwidth,
-    /// change-window policies); it enters the problem as box rows on every
-    /// stage's input (see [`StructuredLq::with_input_bound`]).
+    /// The last parameter admits only `None`: it keeps the six-parameter
+    /// form that existing callers, the end-to-end benchmark's replay among
+    /// them, compile against.
     ///
     /// # Errors
     ///
-    /// As [`HorizonProblem::build`], plus mismatched capacity shapes and
-    /// a non-positive `max_reconfiguration`.
+    /// As [`HorizonProblem::build`], plus mismatched capacity shapes.
     pub fn build_full(
         problem: &Dspp,
         x0: &Allocation,
         demand_forecast: &[Vec<f64>],
         price_forecast: &[Vec<f64>],
         stage_capacities: Option<&[Vec<f64>]>,
-        max_reconfiguration: Option<f64>,
+        _: Option<std::convert::Infallible>,
     ) -> Result<Self, CoreError> {
         let part = HorizonPart {
             problem,
@@ -196,7 +193,7 @@ impl HorizonProblem {
             demand_forecast,
             price_forecast,
         };
-        Self::build_shared(&[part], stage_capacities, max_reconfiguration)
+        Self::build_shared(&[part], stage_capacities)
     }
 
     /// Assembles one horizon problem from parts that share the capacity
@@ -214,15 +211,7 @@ impl HorizonProblem {
     pub fn build_shared(
         parts: &[HorizonPart<'_>],
         stage_capacities: Option<&[Vec<f64>]>,
-        max_reconfiguration: Option<f64>,
     ) -> Result<Self, CoreError> {
-        if let Some(umax) = max_reconfiguration {
-            if !(umax.is_finite() && umax > 0.0) {
-                return Err(CoreError::InvalidSpec(format!(
-                    "max reconfiguration must be positive, got {umax}"
-                )));
-            }
-        }
         let Some(first) = parts.first() else {
             return Err(CoreError::InvalidSpec(
                 "a horizon problem needs at least one part".into(),
@@ -347,11 +336,7 @@ impl HorizonProblem {
         // ½uᵀRu = Σ c_e u_e² ⇒ Hessian diagonal 2·c_e.
         let reconfiguration = per_arc(&|p, _, l| 2.0 * p.problem.reconfig_weight(l));
         let x0 = per_arc(&|p, e, _| p.x0.arc_values()[e]);
-        let mut slq = StructuredLq::new(x0, prices, reconfiguration, demand, capacity, rhs)?;
-        if let Some(umax) = max_reconfiguration {
-            slq = slq.with_input_bound(umax)?;
-        }
-
+        let slq = StructuredLq::new(x0, prices, reconfiguration, demand, capacity, rhs)?;
         Ok(HorizonProblem {
             slq,
             num_dcs: nl,
@@ -488,20 +473,18 @@ impl HorizonProblem {
 
     /// Solves the always-feasible relaxation of the horizon problem: the
     /// demand/SLA rows (eq. 11 of the paper) gain per-period slack under
-    /// the penalty in `recovery`, while capacity, non-negativity and any
-    /// rate-limit rows stay hard. The result is the best
-    /// capacity-respecting placement plus exactly how much demand each
-    /// location must shed per period.
+    /// the penalty in `recovery`, while capacity and non-negativity rows
+    /// stay hard. The result is the best capacity-respecting placement
+    /// plus exactly how much demand each location must shed per period.
     ///
     /// # Errors
     ///
     /// * [`CoreError::InvalidSpec`] for a non-positive or non-finite
     ///   penalty configuration.
-    /// * [`CoreError::Solver`] when even the relaxed problem fails — with
-    ///   hard rate limits this can genuinely happen (e.g. a quota shrunk
-    ///   below the current allocation faster than `u_max` can shed), and
-    ///   callers should degrade further (retry/hold) rather than retry the
-    ///   relaxation.
+    /// * [`CoreError::Solver`] when even the relaxed problem fails. Every
+    ///   relaxed horizon is feasible, so that is invalid settings, the
+    ///   iteration cap or a numerical failure; callers should degrade
+    ///   further (retry/hold) rather than retry the relaxation.
     pub fn solve_recovery(
         &self,
         settings: &IpmSettings,
@@ -561,7 +544,7 @@ impl HorizonProblem {
         // Stage 0 has no state rows; stages 1..W-1 and the terminal do.
         for duals in sol.stage_duals.iter().skip(1) {
             assert!(
-                duals.len() >= self.slq.num_rows(),
+                duals.len() == self.slq.num_rows(),
                 "solution does not match this horizon problem"
             );
             for l in 0..self.num_dcs {
@@ -592,7 +575,7 @@ impl HorizonProblem {
 mod tests {
     use super::*;
     use crate::DsppBuilder;
-    use dspp_solver::{SolveStatus, SolverError};
+    use dspp_solver::SolveStatus;
 
     fn problem() -> Dspp {
         DsppBuilder::new(2, 2)
@@ -911,38 +894,6 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, CoreError::InvalidSpec(_)));
         }
-    }
-
-    #[test]
-    fn infeasible_rate_limit_is_reported() {
-        // One DC starting empty cannot ramp to the forecast jump under a
-        // 0.05-server change budget per period: the strict solve must
-        // certify the horizon infeasible, since that classification is
-        // what sends `MpcController` to its recovery solve.
-        let p = DsppBuilder::new(1, 1)
-            .service_rate(100.0)
-            .sla_latency(0.060)
-            .latency_rows(vec![vec![0.010]])
-            .reconfiguration_weights(vec![0.02])
-            .price_trace(0, vec![1.0])
-            .build()
-            .unwrap();
-        let horizon = HorizonProblem::build_full(
-            &p,
-            &Allocation::zeros(&p),
-            &[flat(1000.0, 2)],
-            &[flat(1.0, 2)],
-            None,
-            Some(0.05),
-        )
-        .unwrap();
-        let err = horizon
-            .solve_warm_traced(&IpmSettings::default(), None, &Recorder::disabled())
-            .unwrap_err();
-        assert!(
-            matches!(err, CoreError::Solver(SolverError::Infeasible { .. })),
-            "got {err}"
-        );
     }
 
     #[test]

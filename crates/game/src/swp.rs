@@ -49,7 +49,7 @@ pub fn solve_social_welfare(
         })
         .collect();
     let capacities = vec![total_capacity.to_vec(); w];
-    let sol = HorizonProblem::build_shared(&parts, Some(&capacities), None)?.solve(ipm)?;
+    let sol = HorizonProblem::build_shared(&parts, Some(&capacities))?.solve(ipm)?;
 
     // Split the joint trajectories back out and account per-provider costs;
     // provider i's arcs follow provider i−1's.

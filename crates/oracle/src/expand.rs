@@ -8,9 +8,7 @@ use dspp_solver::StructuredLq;
 /// Expands `slq` to the equivalent dense [`LqProblem`]: identity dynamics,
 /// `R = diag(r)` on every stage, and the slot rows — demand, capacity,
 /// then `−x_e ≤ 0` per arc — written out as one dense constraint matrix on
-/// every slot `1..=W`. A box bound becomes `[I; −I]·u ≤ u_max` input rows
-/// appended after the state rows of every stage (stage 0 carries only
-/// those).
+/// every slot `1..=W`; stage 0 carries no rows.
 ///
 /// # Panics
 ///
@@ -37,14 +35,6 @@ pub fn expand(slq: &StructuredLq) -> LqProblem {
         }
         d
     };
-    let box_rows = slq.input_bound().map(|u_max| {
-        let mut cu = Matrix::zeros(2 * n, n);
-        for e in 0..n {
-            cu[(e, e)] = 1.0;
-            cu[(n + e, e)] = -1.0;
-        }
-        (cu, Vector::filled(2 * n, u_max))
-    });
     let mut stages = Vec::with_capacity(w);
     for k in 0..w {
         let mut st = LqStage::identity_dynamics(n);
@@ -52,9 +42,6 @@ pub fn expand(slq: &StructuredLq) -> LqProblem {
         if k > 0 {
             st.q_vec = slq.prices(k).clone();
             st = st.with_constraints(cx.clone(), Matrix::zeros(m_rows, n), rhs(k));
-        }
-        if let Some((cu, d)) = &box_rows {
-            st = st.with_constraints(Matrix::zeros(2 * n, n), cu.clone(), d.clone());
         }
         stages.push(st);
     }
@@ -114,13 +101,5 @@ mod tests {
         assert_eq!(cx[(0, 2)], -1.2);
         assert_eq!(cx[(3, 3)], 1.0);
         assert_eq!(cx[(4, 0)], -1.0);
-        // A box bound adds 2n input rows to every stage, none to the
-        // terminal.
-        let bounded = expand(&dspp_like(3).with_input_bound(0.5).unwrap());
-        assert_eq!(bounded.stages[0].num_constraints(), 8);
-        assert_eq!(bounded.stages[1].num_constraints(), 8 + 8);
-        assert_eq!(bounded.terminal.d.len(), 8);
-        assert_eq!(bounded.stages[1].cu[(8 + 4 + 1, 1)], -1.0);
-        assert!(dspp_like(1).with_input_bound(0.0).is_err());
     }
 }

@@ -9,15 +9,13 @@
 //!
 //! * [`StructuredLq`] — the DSPP horizon problem and nothing more: hosting
 //!   prices, one reconfiguration diagonal, demand and capacity rows (each
-//!   arc's non-negativity row is implicit), an optional input box bound.
+//!   arc's non-negativity row is implicit).
 //! * [`solve_structured`] — a primal–dual interior-point method (Mehrotra
 //!   predictor–corrector) whose Newton systems are condensed onto per-arc
 //!   chains and a small dense capacity Schur complement, so the cost per
-//!   iteration is near-linear in arcs. It
-//!   handles input box bounds (reconfiguration rate limits), the
-//!   always-feasible recovery relaxation
-//!   ([`solve_structured_relaxed_traced`]) and zero-capacity (dead data
-//!   center) slots natively.
+//!   iteration is near-linear in arcs. It handles the always-feasible
+//!   recovery relaxation ([`solve_structured_relaxed_traced`]) and
+//!   zero-capacity (dead data center) slots natively.
 //! * [`preflight_structured`] — the aggregate per-period feasibility
 //!   check run before a solve.
 //! * [`WarmStartTracker`] — warm-start bookkeeping across MPC periods.

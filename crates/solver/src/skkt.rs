@@ -13,9 +13,9 @@
 //! ```
 //!
 //! where `T` is block-diagonal over *arcs* — one `W×W` tridiagonal chain
-//! per arc, carrying the input Hessians, regularization, the barrier
-//! weights of the non-negativity rows and of the input box rows — and `G`
-//! holds only the aggregate coupling rows, `W_c` their barrier weights.
+//! per arc, carrying the input Hessian, regularization and the barrier
+//! weights of the non-negativity rows — and `G` holds only the aggregate
+//! coupling rows, `W_c` their barrier weights.
 //! Demand rows have disjoint arc supports (one row per location), and so
 //! do capacity rows (one per data center). Each location's chains plus its
 //! demand row form one small SPD block `H_v = T_v + c_v w_v c_vᵀ`,
@@ -43,11 +43,8 @@
 //! each by Takahashi's recurrence (a band factor alone is `O(a_v³·W)`):
 //! near-linear in locations.
 //!
-//! Three extensions keep every DSPP solve on this path:
+//! Two extensions keep every DSPP solve on this path:
 //!
-//! * **Input box rows** `|u_{k,e}| ≤ u_max` touch one input each; since
-//!   `u_k = x_{k+1} − x_k`, their barrier weight adds to the chain term of
-//!   their arc and stage, next to `R_k`.
 //! * **Recovery slacks.** The relaxation softens a slot's leading rows
 //!   `i` into `(Cx)_i − σ_i ≤ d_i`, `σ_i ≥ 0`, priced `ρ_i σ_i + ε σ_i²`.
 //!   Each slack appears in its row, its own non-negativity row and its own
@@ -71,7 +68,7 @@
 //! The cap keeps the unit start for horizons priced at one or more, and
 //! the floor keeps a zero-priced horizon's duals off the boundary. Given a
 //! previous solution's duals, shaped like [`LqSolution::stage_duals`],
-//! each active model and box row starts at `z = max(z_prev, 10⁻⁴)` and
+//! each active model row starts at `z = max(z_prev, 10⁻⁴)` and
 //! `s = max(d − Cx, 10⁻⁴)` instead: after a small change to the data, such
 //! as a quota move between two rounds of the game, the previous answer's
 //! active set and prices are most of the way to the new one, and the small
@@ -335,13 +332,13 @@ impl SchurKkt {
 
     /// Rebuilds and refactors the whole condensed system. `wm[k]` holds the
     /// effective barrier weight of every model row of slot `k` (zero for a
-    /// vacuous row), `rt[k]` the chain weight `R_k + reg + box weights` of
-    /// every arc's stage-`k` input.
+    /// vacuous row), `rt` the chain weight `R + reg` of every arc's input,
+    /// the same at every stage.
     fn refactor(
         &mut self,
         slq: &StructuredLq,
         wm: &[Vector],
-        rt: &[Vector],
+        rt: &Vector,
         reg: f64,
     ) -> Result<(), LinalgError> {
         let w = self.w;
@@ -358,23 +355,19 @@ impl SchurKkt {
                 for entry in h.iter_mut() {
                     entry[lane] = 0.0;
                 }
-                // Chains: Σ_k R̃_k (y_{k+1} − y_k)² plus the non-negativity
+                // Chains: Σ_k R̃ (y_{k+1} − y_k)² plus the non-negativity
                 // row's barrier term on the diagonal; slot k of an arc
                 // couples to slot k + 1, `a` rows later. Band column
                 // `i·a + p` holds slot i's diagonal first and its chain
                 // entry `a` below it.
                 for (p, &e) in blk.arcs.iter().enumerate() {
-                    let nonneg = slq.nonneg_row(e);
-                    let next = rt[1..w].iter().map(Some).chain([None]);
+                    let (nonneg, r) = (slq.nonneg_row(e), rt[e]);
                     let slots = h.chunks_exact_mut(band + 1).skip(p).step_by(a);
-                    for (((col, rt_k), rt_next), wm_k) in
-                        slots.zip(&rt[..w]).zip(next).zip(&wm[1..=w])
-                    {
-                        let mut d = rt_k[e];
-                        if let Some(rt_next) = rt_next {
-                            let r_next = rt_next[e];
-                            d += r_next;
-                            col[a][lane] = -r_next;
+                    for (i, (col, wm_k)) in slots.zip(&wm[1..=w]).enumerate() {
+                        let mut d = r;
+                        if i + 1 < w {
+                            d += r;
+                            col[a][lane] = -r;
                         }
                         d += wm_k[nonneg];
                         col[0][lane] = d;
@@ -752,8 +745,7 @@ pub fn solve_structured_warm_traced(
 /// Solves the always-feasible relaxation of `slq`: the leading
 /// `spec.penalties.len()` rows of every constrained slot `1..=W` gain a
 /// slack `σ ≥ 0`, `(Cx)_i − σ_i ≤ d_i`, priced `ρ_i σ_i + ε σ_i²` — the
-/// same problem the dense relaxation oracle in `dspp-oracle` builds, with
-/// slot 0 left strict. Input box rows stay hard.
+/// same problem the dense relaxation oracle in `dspp-oracle` builds.
 ///
 /// The returned solution is in the strict problem's shapes, its objective
 /// excludes the slack penalty, and `slacks[k]` holds slot `k`'s slack
@@ -904,29 +896,20 @@ fn max_step_multi(vs: &[Vector], dvs: &[Vector]) -> f64 {
 }
 
 /// Where each kind of inequality row sits in a slot's row vector: the
-/// model rows (slots `1..=W`), then the box rows on the slot's own input
-/// `u_k` (slots `0..W`), then the recovery slacks' non-negativity rows.
+/// model rows, then the recovery slacks' non-negativity rows. Slot 0
+/// carries no rows.
 #[derive(Clone, Copy)]
 struct Layout {
     n: usize,
     w: usize,
     m: usize,
     soft: usize,
-    bounded: bool,
 }
 
 impl Layout {
     fn model(&self, k: usize) -> usize {
         if k >= 1 {
             self.m
-        } else {
-            0
-        }
-    }
-
-    fn boxes(&self, k: usize) -> usize {
-        if self.bounded && k < self.w {
-            2 * self.n
         } else {
             0
         }
@@ -940,22 +923,17 @@ impl Layout {
         }
     }
 
-    fn soft_off(&self, k: usize) -> usize {
-        self.model(k) + self.boxes(k)
-    }
-
     fn rows(&self, k: usize) -> usize {
-        self.soft_off(k) + self.softs(k)
+        self.model(k) + self.softs(k)
     }
 }
 
-/// The problem as the iteration sees it: the compact rows plus the box
-/// bound, the relaxation and the rows pins make vacuous, flattened into
-/// one inequality vector per slot.
+/// The problem as the iteration sees it: the compact rows plus the
+/// relaxation and the rows pins make vacuous, flattened into one
+/// inequality vector per slot.
 struct Rows<'a> {
     slq: &'a StructuredLq,
     lay: Layout,
-    u_max: f64,
     penalties: Option<&'a Vector>,
     /// `2ε`, the slack Hessian.
     eps2: f64,
@@ -972,9 +950,7 @@ impl<'a> Rows<'a> {
             w: slq.w,
             m: slq.num_rows(),
             soft: soft.map_or(0, |s| s.penalties.len()),
-            bounded: slq.u_max.is_some(),
         };
-        let u_max = slq.u_max.unwrap_or(0.0);
         let d = (0..=lay.w)
             .map(|k| {
                 let mut d = Vector::zeros(lay.rows(k));
@@ -982,10 +958,6 @@ impl<'a> Rows<'a> {
                     for (di, &v) in d.iter_mut().zip(slq.ds[k - 1].iter()) {
                         *di = v;
                     }
-                }
-                let off = lay.model(k);
-                for i in 0..lay.boxes(k) {
-                    d[off + i] = u_max;
                 }
                 d
             })
@@ -998,7 +970,7 @@ impl<'a> Rows<'a> {
                     for i in 0..lay.m {
                         a[i] = !vacuous[i];
                     }
-                    let off = lay.soft_off(k);
+                    let off = lay.model(k);
                     for j in 0..lay.soft {
                         a[off + j] = !vacuous[j];
                     }
@@ -1009,7 +981,6 @@ impl<'a> Rows<'a> {
         Rows {
             slq,
             lay,
-            u_max,
             penalties: soft.map(|s| &s.penalties),
             eps2: soft.map_or(0.0, |s| 2.0 * s.quadratic),
             d,
@@ -1025,35 +996,20 @@ impl<'a> Rows<'a> {
     }
 
     /// Left-hand side of every row of slot `k`, written into `out`.
-    fn lhs_into(&self, k: usize, x: &Vector, u: Option<&Vector>, sig: &Vector, out: &mut Vector) {
+    fn lhs_into(&self, k: usize, x: &Vector, sig: &Vector, out: &mut Vector) {
         if k >= 1 {
             self.slq.row_lhs_into(x, out);
             for (o, &s) in out.iter_mut().zip(head(sig, self.lay.soft)) {
                 *o -= s;
             }
         }
-        self.box_and_slack_rows_into(k, u, sig, out);
+        self.slack_rows_into(k, sig, out);
     }
 
-    /// Writes the box rows (from the input `u`) and the slacks'
-    /// non-negativity rows of slot `k` into `out`.
-    fn box_and_slack_rows_into(
-        &self,
-        k: usize,
-        u: Option<&Vector>,
-        sig: &Vector,
-        out: &mut Vector,
-    ) {
+    /// Writes the slacks' non-negativity rows of slot `k` into `out`.
+    fn slack_rows_into(&self, k: usize, sig: &Vector, out: &mut Vector) {
         let lay = &self.lay;
-        let out = &mut out.as_mut_slice()[lay.model(k)..lay.rows(k)];
-        let (boxes, softs) = out.split_at_mut(lay.boxes(k));
-        if let Some(u) = u.filter(|_| lay.boxes(k) > 0) {
-            let (upper, lower) = boxes.split_at_mut(lay.n);
-            for ((up, lo), &u) in upper.iter_mut().zip(lower).zip(head(u, lay.n)) {
-                *up = u;
-                *lo = -u;
-            }
-        }
+        let softs = &mut out.as_mut_slice()[lay.model(k)..lay.rows(k)];
         for (o, &s) in softs.iter_mut().zip(head(sig, lay.softs(k))) {
             *o = -s;
         }
@@ -1105,7 +1061,7 @@ impl<'a> Rows<'a> {
     /// includes the slack penalties (they are its input costs).
     fn scale(&self) -> f64 {
         let rho = self.penalties.map_or(0.0, Vector::norm_inf);
-        self.slq.scale().max(rho).max(self.u_max)
+        self.slq.scale().max(rho)
     }
 }
 
@@ -1212,8 +1168,8 @@ struct Newton {
     ws: Vec<Vector>,
     /// Effective weight of each model row after slack elimination.
     wm: Vec<Vector>,
-    /// Chain weight `R_k + reg + box weights` per stage.
-    rt: Vec<Vector>,
+    /// Chain weight `R + reg` per arc, the same at every stage.
+    rt: Vector,
     /// `t = (z·r_ineq − r_c)/s` per slot row.
     ts: Vec<Vector>,
     /// Complementarity target per slot row.
@@ -1222,7 +1178,6 @@ struct Newton {
     sig_c: Vec<Vector>,
     sig_g: Vec<Vector>,
     q_hats: Vec<Vector>,
-    r_hats: Vec<Vector>,
     /// Condensed state step (arc-major) and capacity multiplier step.
     y: Vector,
     u: Vector,
@@ -1269,7 +1224,7 @@ fn max_violation(rows: &Rows<'_>, it: &Iterate, scratch: &mut Vector) -> f64 {
     let mut max_viol = 0.0f64;
     for k in 0..=rows.lay.w {
         let len = rows.lay.rows(k);
-        rows.lhs_into(k, &it.xs[k], it.us.get(k), &it.sig[k], scratch);
+        rows.lhs_into(k, &it.xs[k], &it.sig[k], scratch);
         let slot = head(scratch, len)
             .iter()
             .zip(&rows.active[k][..len])
@@ -1295,10 +1250,7 @@ fn finish(
         .zs
         .into_iter()
         .enumerate()
-        .map(|(k, z)| {
-            let keep = lay.model(k) + lay.boxes(k);
-            z.iter().take(keep).copied().collect()
-        })
+        .map(|(k, z)| z.iter().take(lay.model(k)).copied().collect())
         .collect();
     // The slack vectors are clamped in place and moved out, not copied.
     let mut sig = it.sig;
@@ -1361,7 +1313,7 @@ fn newton_step(
     // becomes t − w·c, evaluated as [t(2ε + w′) − w(t′ − r_σ)]/D so a
     // binding row's huge t and w never cancel against each other.
     for k in 1..=w {
-        let (off, soft) = (lay.soft_off(k), lay.soft);
+        let (off, soft) = (lay.model(k), lay.soft);
         let (t_rows, t_soft) = nt.ts[k].as_mut_slice().split_at_mut(off);
         let (w_rows, w_soft) = nt.ws[k].as_slice().split_at(off);
         let slot = head_mut(&mut nt.sig_c[k], soft)
@@ -1391,7 +1343,7 @@ fn newton_step(
     // slack's share, (t′ − r_σ)/(2ε + w′)), and they leave q̂. Slot k's
     // entries of `u` sit at stride W.
     for k in 1..=w {
-        let soft_off = lay.soft_off(k);
+        let off = lay.model(k);
         let (active, r_cs, z, ineq) = (&rows.active[k], &nt.r_cs[k], &it.zs[k], &res.ineq[k]);
         let (ts, ws, sig) = (&mut nt.ts[k], &nt.ws[k], &res.sig[k]);
         let u_k = nt.u.as_mut_slice()[..nb * w][k - 1..].iter_mut().step_by(w);
@@ -1400,7 +1352,7 @@ fn newton_step(
             if active[i] {
                 f = r_cs[i] / z[i] - ineq[i];
                 if i < lay.soft {
-                    let p = soft_off + i;
+                    let p = off + i;
                     f += (ts[p] - sig[i]) / (rows.eps2 + ws[p]);
                 }
             }
@@ -1408,32 +1360,21 @@ fn newton_step(
             ts[i] = 0.0;
         }
     }
-    // q̂_k = r_x,k + Cᵀ t_k and r̂_k = r_u,k + t⁺ − t⁻ (box rows).
+    // q̂_k = r_x,k + Cᵀ t_k; no row touches an input, so r̂_k = r_u,k.
     for k in 1..=w {
         let qh = &mut nt.q_hats[k];
         qh.copy_from(&res.x[k]);
         slq.row_t_acc(&nt.ts[k], qh);
     }
-    for k in 0..w {
-        let rh = &mut nt.r_hats[k];
-        rh.copy_from(&res.u[k]);
-        if lay.boxes(k) > 0 {
-            let off = lay.model(k);
-            let (upper, lower) = nt.ts[k].as_slice()[off..off + 2 * n].split_at(n);
-            for ((r, &tu), &tl) in head_mut(rh, n).iter_mut().zip(upper).zip(lower) {
-                *r += tu - tl;
-            }
-        }
-    }
     // Condensed RHS, arc-major (slot k's entries at stride W):
     // b_k = −q̂_k + r̂_k − r̂_{k−1} (r̂_W ≡ 0).
     for k in 1..=w {
-        let next = nt.r_hats.get(k).map(|r| head(r, n));
+        let next = res.u.get(k).map(|r| head(r, n));
         let slot = nt.y.as_mut_slice()[k - 1..]
             .iter_mut()
             .step_by(w)
             .zip(head(&nt.q_hats[k], n))
-            .zip(head(&nt.r_hats[k - 1], n));
+            .zip(head(&res.u[k - 1], n));
         for (e, ((y, &q), &r_prev)) in slot.enumerate() {
             let mut b = -q - r_prev;
             if let Some(next) = next {
@@ -1457,7 +1398,7 @@ fn newton_step(
         telemetry.observe("solver.lq.refinement_error", error);
     }
     // Trajectory step: Δx_0 = 0, Δu_k = Δx_{k+1} − Δx_k,
-    // Δλ_k = −r̂_k − R̃_k Δu_k.
+    // Δλ_k = −r̂_k − R̃ Δu_k.
     step.xs[0].fill(0.0);
     for k in 1..=w {
         let y_k = nt.y.as_slice()[k - 1..].iter().step_by(w);
@@ -1471,8 +1412,8 @@ fn newton_step(
             .zip(head_mut(&mut step.lams[k], n))
             .zip(head(&step.xs[k + 1], n))
             .zip(head(&step.xs[k], n))
-            .zip(head(&nt.r_hats[k], n))
-            .zip(head(&nt.rt[k], n));
+            .zip(head(&res.u[k], n))
+            .zip(head(&nt.rt, n));
         for (((((u, lam), &x_next), &x), &r_hat), &rt) in stage {
             let du = x_next - x;
             *u = du;
@@ -1494,7 +1435,7 @@ fn newton_step(
                 *cons -= *sig;
             }
         }
-        rows.box_and_slack_rows_into(k, step.us.get(k), &step.sig[k], &mut nt.cons);
+        rows.slack_rows_into(k, &step.sig[k], &mut nt.cons);
         let len = lay.rows(k);
         let slot = head_mut(&mut step.ss[k], len)
             .iter_mut()
@@ -1565,8 +1506,7 @@ pub(crate) fn solve_structured_inner(
         it.us = guess.to_vec();
     }
     if let Some(duals) = warm_duals {
-        let shaped =
-            duals.len() == w + 1 && (0..=w).all(|k| duals[k].len() == lay.model(k) + lay.boxes(k));
+        let shaped = duals.len() == w + 1 && (0..=w).all(|k| duals[k].len() == lay.model(k));
         if !shaped {
             return Err(SolverError::InvalidProblem(
                 "warm-start duals do not match the problem's rows".into(),
@@ -1591,8 +1531,8 @@ pub(crate) fn solve_structured_inner(
     };
     let mut cons = Vector::zeros((0..=w).map(|k| lay.rows(k)).max().unwrap_or(0));
     for k in 0..=w {
-        rows.lhs_into(k, &it.xs[k], it.us.get(k), &it.sig[k], &mut cons);
-        let off = lay.soft_off(k);
+        rows.lhs_into(k, &it.xs[k], &it.sig[k], &mut cons);
+        let off = lay.model(k);
         for j in (0..lay.softs(k)).filter(|&j| rows.active[k][j]) {
             let sig = (cons[j] - rows.d[k][j]).max(0.0);
             it.sig[k][j] = sig;
@@ -1637,13 +1577,12 @@ pub(crate) fn solve_structured_inner(
         wm: (0..=w)
             .map(|k| Vector::zeros(if k == 0 { 0 } else { lay.m }))
             .collect(),
-        rt: vec![Vector::zeros(n); w],
+        rt: Vector::zeros(n),
         ts: slot_vecs(),
         r_cs: slot_vecs(),
         sig_c: soft_vecs(),
         sig_g: soft_vecs(),
         q_hats: vec![Vector::zeros(n); w + 1],
-        r_hats: vec![Vector::zeros(n); w],
         y: Vector::zeros(n * w),
         u: Vector::zeros(slq.capacity.len() * w),
         cons: cons.clone(),
@@ -1661,7 +1600,7 @@ pub(crate) fn solve_structured_inner(
         // input, as the dense path does.
         let mut wr = (0usize, 0usize, 0.0f64, 0.0f64);
         for k in 0..=w {
-            rows.lhs_into(k, &it.xs[k], it.us.get(k), &it.sig[k], &mut cons);
+            rows.lhs_into(k, &it.xs[k], &it.sig[k], &mut cons);
             let len = lay.rows(k);
             let slot = head_mut(&mut res.ineq[k], len)
                 .iter_mut()
@@ -1699,10 +1638,9 @@ pub(crate) fn solve_structured_inner(
                 }
             }
         }
-        // Stationarity in u: R u_k + λ_k + z⁺ − z⁻ (B = I).
+        // Stationarity in u: R u_k + λ_k (B = I).
         for k in 0..w {
-            let r = head_mut(&mut res.u[k], n);
-            let stage = r
+            let stage = head_mut(&mut res.u[k], n)
                 .iter_mut()
                 .zip(head(&slq.r_diag, n))
                 .zip(head(&it.us[k], n))
@@ -1710,18 +1648,11 @@ pub(crate) fn solve_structured_inner(
             for (((r, &rd), &u), &lam) in stage {
                 *r = rd * u + lam;
             }
-            if lay.boxes(k) > 0 {
-                let off = lay.model(k);
-                let (upper, lower) = it.zs[k].as_slice()[off..off + 2 * n].split_at(n);
-                for ((r, &zu), &zl) in r.iter_mut().zip(upper).zip(lower) {
-                    *r += zu - zl;
-                }
-            }
         }
         // Stationarity in σ: 2εσ + ρ − z_row − z_nonneg.
         if let Some(rho) = rows.penalties {
             for k in 1..=w {
-                let (off, soft) = (lay.soft_off(k), lay.soft);
+                let (off, soft) = (lay.model(k), lay.soft);
                 let z = it.zs[k].as_slice();
                 let slot = head_mut(&mut res.sig[k], soft)
                     .iter_mut()
@@ -1821,7 +1752,7 @@ pub(crate) fn solve_structured_inner(
             }
         }
         for k in 1..=w {
-            let (off, soft) = (lay.soft_off(k), lay.soft);
+            let (off, soft) = (lay.model(k), lay.soft);
             let ws = nt.ws[k].as_slice();
             let wm = head_mut(&mut nt.wm[k], lay.m);
             wm.copy_from_slice(&ws[..lay.m]);
@@ -1835,18 +1766,8 @@ pub(crate) fn solve_structured_inner(
         }
         let t_factor = telemetry.is_enabled().then(Instant::now);
         loop {
-            for k in 0..w {
-                let rt = head_mut(&mut nt.rt[k], n);
-                for (rt, &rd) in rt.iter_mut().zip(head(&slq.r_diag, n)) {
-                    *rt = rd + reg;
-                }
-                if lay.boxes(k) > 0 {
-                    let off = lay.model(k);
-                    let (upper, lower) = nt.ws[k].as_slice()[off..off + 2 * n].split_at(n);
-                    for ((rt, &wu), &wl) in rt.iter_mut().zip(upper).zip(lower) {
-                        *rt += wu + wl;
-                    }
-                }
+            for (rt, &rd) in head_mut(&mut nt.rt, n).iter_mut().zip(head(&slq.r_diag, n)) {
+                *rt = rd + reg;
             }
             match kkt.refactor(slq, &nt.wm, &nt.rt, reg) {
                 Ok(()) => {
@@ -2124,7 +2045,7 @@ mod tests {
         for _ in 1..=w {
             ws.push((0..m).map(|_| next() * 3.0).collect());
         }
-        let rt: Vec<Vector> = vec![slq.r_diag.map(|r| r + reg); w];
+        let rt = slq.r_diag.map(|r| r + reg);
         let b: Vector = (0..n * w).map(|_| next() - 1.0).collect();
         let mut kkt = SchurKkt::new(slq);
         kkt.refactor(slq, &ws, &rt, reg).unwrap();
@@ -2140,14 +2061,13 @@ mod tests {
             // Chain part: R̃ terms only (diag-row barrier goes via CᵀWC).
             let mut hy = Vector::zeros(n);
             for e in 0..n {
-                let r_prev = rt[k - 1][e];
-                let mut v = r_prev * yk[e];
+                let r = rt[e];
+                let mut v = r * yk[e];
                 if k > 1 {
-                    v -= r_prev * y[e * w + k - 2];
+                    v -= r * y[e * w + k - 2];
                 }
                 if k < w {
-                    let r_next = rt[k][e];
-                    v += r_next * yk[e] - r_next * y[e * w + k];
+                    v += r * yk[e] - r * y[e * w + k];
                 }
                 hy[e] = v;
             }
@@ -2215,21 +2135,20 @@ mod tests {
     /// Block `blk`'s `H_v` assembled in arc-major order, local arc `p`'s
     /// slots at rows `p·W … p·W + W − 1`, dense with both triangles: the
     /// assembly the slot-major band must permute to.
-    fn arc_major_block(slq: &StructuredLq, blk: &Block, wm: &[Vector], rt: &[Vector]) -> Vec<f64> {
+    fn arc_major_block(slq: &StructuredLq, blk: &Block, wm: &[Vector], rt: &Vector) -> Vec<f64> {
         let (w, dim) = (slq.w, blk.arcs.len() * slq.w);
         let mut h = vec![0.0; dim * dim];
         for (p, &e) in blk.arcs.iter().enumerate() {
-            let nonneg = slq.nonneg_row(e);
-            for k in 1..=w {
+            let (nonneg, r) = (slq.nonneg_row(e), rt[e]);
+            for (k, wm_k) in wm.iter().enumerate().skip(1) {
                 let i = p * w + k - 1;
-                let mut d = rt[k - 1][e];
+                let mut d = r;
                 if k < w {
-                    let r_next = rt[k][e];
-                    d += r_next;
-                    h[i * dim + i + 1] = -r_next;
-                    h[(i + 1) * dim + i] = -r_next;
+                    d += r;
+                    h[i * dim + i + 1] = -r;
+                    h[(i + 1) * dim + i] = -r;
                 }
-                d += wm[k][nonneg];
+                d += wm_k[nonneg];
                 h[i * dim + i] = d;
             }
         }
@@ -2321,7 +2240,7 @@ mod tests {
                 };
                 wm.push((0..m).map(|i| row_weight(i, weight(), weight())).collect());
             }
-            let rt: Vec<Vector> = (0..w).map(|_| (0..n).map(|_| weight()).collect()).collect();
+            let rt: Vector = (0..n).map(|_| weight()).collect();
             let mut kkt = SchurKkt::new(&slq);
             // Every batch is assembled whether or not a factor fails, and
             // the assembly alone is under test.
@@ -2527,10 +2446,18 @@ mod tests {
         }
     }
 
+    /// A solution's duals are its model rows: slot 0 is empty and slots
+    /// `1..=W` hold one dual per row. Warm duals of any other shape are
+    /// rejected, a slot 0 with `2n` entries too.
     #[test]
     fn malformed_warm_duals_are_rejected() {
         let slq = instance(2, 3, 3, 4.0, 6.5);
         let sol = solve_structured(&slq, &IpmSettings::default()).unwrap();
+        assert_eq!(sol.stage_duals.len(), slq.w + 1);
+        assert!(sol.stage_duals[0].is_empty());
+        for duals in &sol.stage_duals[1..] {
+            assert_eq!(duals.len(), slq.num_rows());
+        }
         let telemetry = Recorder::enabled();
         let mut too_few_slots = sol.clone();
         too_few_slots.stage_duals.pop();
@@ -2538,13 +2465,15 @@ mod tests {
         short_row.stage_duals[2] = Vector::zeros(slq.num_rows() - 1);
         let mut non_finite = sol.clone();
         non_finite.stage_duals[1][0] = f64::NAN;
-        for bad in [&too_few_slots, &short_row, &non_finite] {
+        let mut slot_zero_rows = sol.clone();
+        slot_zero_rows.stage_duals[0] = Vector::filled(2 * slq.n, 0.5);
+        for bad in [&too_few_slots, &short_row, &non_finite, &slot_zero_rows] {
             let err = dual_warm(&slq, bad, &telemetry).unwrap_err();
             assert!(matches!(err, SolverError::InvalidProblem(_)), "{err}");
         }
         let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.counter("solver.lq.status.invalid_problem"), 3);
-        assert_eq!(snap.counter("solver.lq.warm_starts"), 3);
+        assert_eq!(snap.counter("solver.lq.status.invalid_problem"), 4);
+        assert_eq!(snap.counter("solver.lq.warm_starts"), 4);
     }
 
     /// With data center 1 dark in slots 2 and 3, its capacity row and its

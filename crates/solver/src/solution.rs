@@ -40,8 +40,11 @@ pub struct LqSolution {
     pub xs: Vec<Vector>,
     /// Input trajectory `u_0..u_{N-1}`.
     pub us: Vec<Vector>,
-    /// Inequality multipliers per stage (`stage_duals[k]` matches stage `k`'s
-    /// constraint rows; index `N` holds the terminal multipliers).
+    /// Inequality multipliers per slot, `N + 1` entries (index `N` holds
+    /// the terminal's). A [`StructuredLq`](crate::StructuredLq) solve leaves
+    /// slot 0 empty, since no row constrains it, and gives each slot
+    /// `1..=N` one multiplier per model row in `StructuredLq` row order:
+    /// demand, capacity, then each arc's non-negativity row.
     pub stage_duals: Vec<Vector>,
     /// Objective value.
     pub objective: f64,

@@ -12,9 +12,7 @@
 //! exactly the nonzero data: `O(n + rows)` per stage, so 100 DCs × 1000
 //! locations fits in a few megabytes.
 //!
-//! Beyond the per-slot rows, a problem may carry a box bound
-//! `|u_{k,e}| ≤ u_max` on every input ([`StructuredLq::with_input_bound`]),
-//! and a solve may soften the leading (demand) rows of every slot into the
+//! A solve may soften the leading (demand) rows of every slot into the
 //! always-feasible recovery relaxation
 //! ([`solve_structured_relaxed_traced`](crate::solve_structured_relaxed_traced)).
 //! Slots where a coupling row with positive coefficients has a zero
@@ -80,8 +78,6 @@ pub struct StructuredLq {
     /// [`NO_ROW`]), plus that row's coefficient on `e`; the structured
     /// factorization uses it to find the capacity row each arc feeds.
     pub(crate) arc_b: Vec<(usize, f64)>,
-    /// Box bound `|u_{k,e}| ≤ u_max` on every stage's input, if any.
-    pub(crate) u_max: Option<f64>,
     /// Flat chain index `e·W + (k−1)` → whether slot `k` forces
     /// `x_{k,e} = 0` (see [`StructuredLq::pins`]).
     pub(crate) pinned: Vec<bool>,
@@ -194,31 +190,11 @@ impl StructuredLq {
             demand,
             capacity,
             arc_b,
-            u_max: None,
             pinned: Vec::new(),
             vacuous: Vec::new(),
         };
         slq.detect_pins();
         Ok(slq)
-    }
-
-    /// Adds the box bound `|u_{k,e}| ≤ u_max` on every input of every
-    /// stage (a reconfiguration rate limit). Each bound is a pair of input
-    /// rows whose barrier weight lands on its arc's chain term, so the
-    /// condensed KKT system keeps its shape.
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::InvalidProblem`] unless `u_max` is positive and
-    /// finite.
-    pub fn with_input_bound(mut self, u_max: f64) -> Result<Self, SolverError> {
-        if !(u_max.is_finite() && u_max > 0.0) {
-            return Err(SolverError::InvalidProblem(format!(
-                "input bound must be positive and finite, got {u_max}"
-            )));
-        }
-        self.u_max = Some(u_max);
-        Ok(self)
     }
 
     /// Slot row of capacity row `j`.
@@ -321,12 +297,6 @@ impl StructuredLq {
         &self.capacity
     }
 
-    /// The box bound `u_max` on every input, if any
-    /// ([`StructuredLq::with_input_bound`]).
-    pub fn input_bound(&self) -> Option<f64> {
-        self.u_max
-    }
-
     /// Arc count (state and input dimension).
     pub fn state_dim(&self) -> usize {
         self.n
@@ -402,7 +372,7 @@ impl StructuredLq {
         for d in &self.ds {
             scale = scale.max(d.norm_inf());
         }
-        scale.max(self.u_max.unwrap_or(0.0))
+        scale
     }
 }
 
